@@ -17,9 +17,10 @@ from .dpp import (ConditionalBudgets, condition, first_randomization_cut,
 from .envelope import ConcaveEnvelope, allocate, merged_envelope
 from .errors import (BudgetBelowDomain, DegreeTooHigh, EmptyFamily,
                      EquivalenceViolation, InvalidBranching, InvalidHorizon,
-                     NoInstances, NodeNotInTree, RuleShapeMismatch,
-                     ShapeMismatch, ShapeTooLarge, SubproblemInfeasible,
-                     TreestopError, UnsupportedConstraintShape, WordTooLong)
+                     InvariantViolation, NoInstances, NodeNotInTree,
+                     RuleShapeMismatch, ShapeMismatch, ShapeTooLarge,
+                     SubproblemInfeasible, TreestopError,
+                     UnsupportedConstraintShape, WordTooLong)
 from .generate import generate_instance
 from .io import (dump_instance, dump_measure, dump_rule, instance_hash,
                  load_budgets, load_instance, load_measure, load_rule,

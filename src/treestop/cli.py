@@ -4,7 +4,8 @@ Every command prints a human-readable report and, when ``--out`` is given,
 persists an experiment record (inputs hash, command, outputs as exact
 rational strings plus decimals, wall time, seed, library version) as JSON.
 Re-running a record's command on the same inputs reproduces its outputs
-bit-for-bit.  Exit code 0 means every verdict passed.
+bit-for-bit.  Exit code 0 means every verdict passed, 1 that one failed,
+and 2 that the input was bad (one ``error:`` line, no traceback).
 """
 
 from __future__ import annotations
@@ -86,12 +87,14 @@ def _cmd_solve(args) -> int:
         print(f"status\t{res.status}")
         if idx is not None:
             print(f"argmax_model\t{idx}\t{paths[idx]}")
-    else:
+    elif args.instance:
         tree = load_instance(args.instance)
         budgets = load_budgets(tree, args.budgets) if args.budgets else None
         res = solve_weak(tree, budgets)
         idx = None
         print(f"status\t{res.status}")
+    else:
+        raise ValueError("solve needs --instance or --robust")
     outputs = {"status": res.status}
     if res.optimal:
         print(f"value\t{fmt_value(res.value)}")
@@ -449,7 +452,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (TreestopError, ValueError) as exc:
+    except (TreestopError, ValueError, OSError) as exc:
+        # bad input of any kind (unreadable or malformed files included)
+        # is one line and exit 2, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

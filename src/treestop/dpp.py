@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .errors import ShapeMismatch, SubproblemInfeasible
+from .errors import InvariantViolation, ShapeMismatch, SubproblemInfeasible
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
-from .lp import SolveResult, solve_weak
+from .lp import SolveResult, _budgets_or_default, solve_weak
 from .measures import StoppingMeasure, feasible_for
 from .rules import RandomizedStoppingRule
 from .xreal import Ext
@@ -156,8 +156,10 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
         sub_measure = StoppingMeasure(s=sub_s, u=sub_u)
         sub_measure.validate(sub_tree)
         exp = sub_measure.expectations(sub_tree)
-        assert tuple(exp["ineq"]) == tuple(ys) and tuple(exp["eq"]) == tuple(zs), \
-            "conditional budgets must equal the conditional measure's accruals"
+        if tuple(exp["ineq"]) != tuple(ys) or tuple(exp["eq"]) != tuple(zs):
+            raise InvariantViolation(
+                f"conditional budgets at {nu} differ from the conditional "
+                "measure's accruals")
         for i in range(n_i):
             tower_i[i] = tower_i[i] + ys[i] * r
         for i in range(n_e):
@@ -258,12 +260,13 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
         })
 
     pasted = paste(tree, base.measure, cond.cut, submeasures)
-    used = _budgets_or_default_local(tree, budgets)
-    pasted_feasible = feasible_for(tree, pasted, used)
     rhs_super = pasted.expectations(tree)["value"]
-    assert rhs_super == rhs, "pasted value must equal the decomposed value"
-    assert pasted_feasible, \
-        "pasting subtree optima at conditional budgets must stay feasible"
+    if rhs_super != rhs:
+        raise InvariantViolation(
+            f"pasted value {rhs_super} differs from the decomposed value {rhs}")
+    if not feasible_for(tree, pasted, _budgets_or_default(tree, budgets)):
+        raise InvariantViolation(
+            "pasting subtree optima at conditional budgets left the budgets")
 
     gap = rhs - lhs
     if tolerance == 0:
@@ -283,7 +286,3 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
         "tower_ineq": cond.tower_ineq,
         "tower_eq": cond.tower_eq,
     }
-
-
-def _budgets_or_default_local(tree: TreeInstance, budgets) -> BudgetVector:
-    return budgets if budgets is not None else BudgetVector.of(tree.constraints)

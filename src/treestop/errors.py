@@ -48,6 +48,15 @@ class SubproblemInfeasible(TreestopError):
     """
 
 
+class InvariantViolation(TreestopError):
+    """An internal invariant failed.
+
+    The conditions guarded this way hold for every valid input, so this
+    signals an implementation bug rather than a property of the instance.
+    Raised instead of asserted so that it also fires under ``python -O``.
+    """
+
+
 class ShapeMismatch(TreestopError):
     """Pasting received pieces that do not fit the target tree."""
 

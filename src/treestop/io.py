@@ -162,19 +162,19 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
     raw = _read_obj(source)
     canon: dict = {}
     t0 = as_fraction(raw.get("t0", 0))
-    dt = as_fraction(raw["dt"])
-    depth = int(raw["depth"])
+    dt = as_fraction(_field(raw, "dt", "instance"))
+    depth = int(_field(raw, "depth", "instance"))
     canon["t0"], canon["dt"], canon["depth"] = fmt_rational(t0), fmt_rational(dt), depth
 
     def level_of(entries):
         out = []
         for e in entries:
-            w = e["w"]
+            w = _field(e, "w", "branch")
             w = [as_fraction(c) for c in w] if isinstance(w, list) else as_fraction(w)
-            out.append((as_fraction(e["p"]), w))
+            out.append((as_fraction(_field(e, "p", "branch")), w))
         return out
 
-    braw = raw["branching"]
+    braw = _field(raw, "branching", "instance")
     if braw and isinstance(braw[0], list):
         branching = [level_of(level) for level in braw]
         canon["branching"] = [[_branch_json(p, w) for p, w in level]
@@ -199,13 +199,13 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
     ineq, eq = [], []
     canon_cons = {"ineq": [], "eq": []}
     for item in cons.get("ineq", []):
-        g, g_spec = parse_function(item["g"])
-        y = Ext.parse(item["y"])
+        g, g_spec = parse_function(_field(item, "g", "inequality"))
+        y = Ext.parse(_field(item, "y", "inequality"))
         ineq.append((g, y))
         canon_cons["ineq"].append({"g": g_spec, "y": fmt_rational(y)})
     for item in cons.get("eq", []):
-        h, h_spec = parse_function(item["h"])
-        z = Ext.parse(item["z"])
+        h, h_spec = parse_function(_field(item, "h", "equality"))
+        z = Ext.parse(_field(item, "z", "equality"))
         eq.append((h, z))
         canon_cons["eq"].append({"h": h_spec, "z": fmt_rational(z)})
     canon["constraints"] = canon_cons
@@ -285,11 +285,6 @@ def load_budgets(tree: TreeInstance, source: Union[str, dict]):
                         zs=tuple(Ext.parse(v) for v in raw.get("eq", [])))
 
 
-def dump_budgets(budgets) -> dict:
-    return {"ineq": [fmt_rational(y) for y in budgets.ys],
-            "eq": [fmt_rational(z) for z in budgets.zs]}
-
-
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
@@ -298,7 +293,20 @@ def _read_obj(source: Union[str, dict]) -> dict:
     if isinstance(source, dict):
         return source
     with open(source) as fh:
-        return json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{source} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{source} must hold a JSON object")
+    return raw
+
+
+def _field(obj: dict, key: str, what: str):
+    """A required field; a missing one is an input error, not a KeyError."""
+    if key not in obj:
+        raise ValueError(f"{what} entry lacks the required field {key!r}")
+    return obj[key]
 
 
 def write_json_atomic(path: str, obj) -> None:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import simplex
-from .errors import EmptyFamily
+from .errors import EmptyFamily, InvariantViolation
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
 from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule
@@ -142,8 +142,9 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
     if res.status == simplex.INFEASIBLE:
         return SolveResult(status=INFEASIBLE, reason="empty constraint set",
                            certificate=res.certificate)
-    assert res.status == simplex.OPTIMAL, \
-        "the mass polytope is bounded, so the LP cannot be unbounded"
+    if res.status != simplex.OPTIMAL:
+        raise InvariantViolation(
+            f"the mass polytope is bounded, but the LP came back {res.status}")
 
     u_val = {w: res.x[i] for w, i in index.items()}
     measure = _measure_from_cont(tree, u_val)
@@ -153,7 +154,9 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
     duals_eq = tuple(res.duals[eq_rows[k]] for k in range(len(budgets.zs)))
     value = Ext(res.objective + base)
     check = measure.expectations(tree)["value"]
-    assert check == value, "objective bookkeeping must match the measure"
+    if check != value:
+        raise InvariantViolation(
+            f"objective {value} disagrees with the measure's value {check}")
     return SolveResult(status=OPTIMAL, value=value, measure=measure,
                        duals_ineq=duals_ineq, duals_eq=duals_eq)
 

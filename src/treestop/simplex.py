@@ -1,24 +1,36 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase simplex over exact rationals, on integer rows.
 
 Solves  min/max c.x  subject to  rows[i] . x  <sense_i>  rhs[i],  x >= 0
 with senses "<=", ">=", "=".  Bland's rule is used throughout, so the
-method cannot cycle; every quantity is a Fraction and the returned optimum
-is exact.  Every row carries an artificial column, which makes phase-one
-startup uniform and lets dual prices be read off the final reduced-cost
-row.  Sized for desk-scale problems (up to a few thousand variables).
+method cannot cycle, and the returned optimum is exact.  Every row carries
+an artificial column, which makes phase-one startup uniform and lets dual
+prices be read off the final reduced-cost row.  Sized for desk-scale
+problems (up to a few thousand variables).
+
+The tableau holds no Fraction objects.  Each constraint row and the
+reduced-cost row is a list of Python ints over one positive row
+denominator, kept divided by the gcd of the row and its denominator.  A
+pivot makes the pivot element the pivot row's denominator; every other row
+becomes (a*pden - f*prow) / (da*pden), which touches only the pivot row's
+nonzeros when pden == 1.  Signs are read straight off the ints and the
+ratio test compares b_i/a_ie by cross-multiplication, since the row
+denominator cancels.  Fractions appear only where the inputs are converted
+and where x, the objective, duals and certificates are built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence
+
+from .errors import InvariantViolation
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -38,6 +50,69 @@ class LPResult:
     n_structural: int = 0
 
 
+def _scaled(values: Sequence):
+    """Integer numerators of ``values`` over their least common denominator."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _reduced(row: List[int], den: int):
+    g = gcd(den, *row)
+    if g > 1:
+        return [v // g for v in row], den // g
+    return row, den
+
+
+def _eliminate(T, D, i, r, e, nz) -> None:
+    """Clear column e of row i against row r, whose entry there is D[r]."""
+    row, f, pden, prow = T[i], T[i][e], D[r], T[r]
+    den = D[i]
+    if pden != 1:
+        row = [v * pden for v in row]
+        den *= pden
+    for j in nz:  # the nonzeros of prow
+        row[j] -= f * prow[j]
+    T[i], D[i] = _reduced(row, den)
+
+
+def _pivot(T, D, basis, r, e) -> None:
+    """Pivot on (r, e) across every row of T, reduced-cost row included."""
+    prow, pden = T[r], T[r][e]
+    if pden < 0:
+        prow, pden = [-v for v in prow], -pden
+    T[r], D[r] = _reduced(prow, pden)
+    prow = T[r]
+    nz = [j for j, v in enumerate(prow) if v]
+    for i in range(len(T)):
+        if i != r and T[i][e]:
+            _eliminate(T, D, i, r, e, nz)
+    basis[r] = e
+
+
+def _run(T, D, basis, m, limit) -> str:
+    """Bland's rule on the reduced-cost row T[m], entering among j < limit."""
+    obj, rhs = T[m], len(T[m]) - 1
+    while True:
+        # entering = lowest-index negative reduced cost
+        e = next((j for j in range(limit) if obj[j] < 0), -1)
+        if e < 0:
+            return OPTIMAL
+        # leaving = smallest b_i / a_ie, ties to the lowest basic index
+        leave, lb, la = -1, 0, 1
+        for i in range(m):
+            a = T[i][e]
+            if a > 0:
+                b = T[i][rhs]
+                if leave < 0 or b * la < lb * a or \
+                        (b * la == lb * a and basis[i] < basis[leave]):
+                    leave, lb, la = i, b, a
+        if leave < 0:
+            return UNBOUNDED
+        _pivot(T, D, basis, leave, e)
+        obj = T[m]
+
+
 def solve_lp(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
              rhs: Sequence, maximize: bool = False) -> LPResult:
     n = len(c)
@@ -47,21 +122,23 @@ def solve_lp(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
         c = [-v for v in c]
 
     # orient all rows to rhs >= 0, remembering the sign flips for duals
-    A = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
     sense = list(senses)
     flip = [_ONE] * m
+    scaled = []
     for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
+        nums, den = _scaled(list(rows[i]) + [rhs[i]])
+        if nums[n] < 0:
+            nums = [-v for v in nums]
             flip[i] = -_ONE
             if sense[i] == "<=":
                 sense[i] = ">="
             elif sense[i] == ">=":
                 sense[i] = "<="
+        scaled.append((nums, den))
 
-    # columns: structural | slack/surplus | artificial (one per row) | rhs
+    # columns: structural | slack/surplus | artificial (one per row) | rhs;
+    # row i of the tableau is T[i] / D[i], and T[m] / D[m] is the
+    # reduced-cost row of the current phase
     slack_col = [-1] * m
     n_slack = 0
     for i in range(m):
@@ -70,13 +147,14 @@ def solve_lp(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
             n_slack += 1
     art0 = n + n_slack
     width = art0 + m
-    T = []
-    for i in range(m):
-        row = A[i] + [_ZERO] * (n_slack + m) + [b[i]]
+    T, D = [], []
+    for i, (nums, den) in enumerate(scaled):
+        row = nums[:n] + [0] * (n_slack + m) + [nums[n]]
         if slack_col[i] >= 0:
-            row[slack_col[i]] = _ONE if sense[i] == "<=" else -_ONE
-        row[art0 + i] = _ONE
+            row[slack_col[i]] = den if sense[i] == "<=" else -den
+        row[art0 + i] = den
         T.append(row)
+        D.append(den)
 
     # <= rows start on their slack; others on their artificial.  Artificial
     # columns stay in the tableau either way: they are the unit columns the
@@ -85,69 +163,26 @@ def solve_lp(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
     for i in range(m):
         basis[i] = slack_col[i] if sense[i] == "<=" else art0 + i
 
-    # phase-one reduced costs: cost 1 on artificials, eliminate basic ones
-    r1 = [_ZERO] * width + [_ZERO]
-    for j in range(art0, width):
-        r1[j] = _ONE
-    for i in range(m):
-        if basis[i] >= art0:
-            row = T[i]
-            for j in range(width + 1):
-                if row[j]:
-                    r1[j] -= row[j]
+    def price_out() -> None:
+        # eliminate the basic columns from the reduced-cost row T[m]
+        for i in range(m):
+            if T[m][basis[i]]:
+                _eliminate(T, D, m, i, basis[i],
+                           [j for j, v in enumerate(T[i]) if v])
 
-    def pivot(r, e):
-        row = T[r]
-        piv = row[e]
-        if piv != 1:
-            inv = 1 / piv
-            T[r] = row = [v * inv for v in row]
-        for other in T:
-            if other is row:
-                continue
-            f = other[e]
-            if f:
-                for j in range(width + 1):
-                    if row[j]:
-                        other[j] -= f * row[j]
-        for obj in objs:
-            f = obj[e]
-            if f:
-                for j in range(width + 1):
-                    if row[j]:
-                        obj[j] -= f * row[j]
-        basis[r] = e
+    # phase-one reduced costs: cost 1 on artificials
+    T.append([0] * art0 + [1] * m + [0])
+    D.append(1)
+    price_out()
+    status = _run(T, D, basis, m, width)
+    if status != OPTIMAL:
+        raise InvariantViolation(
+            f"phase one is bounded below by zero but came back {status}")
 
-    def run(obj, allowed):
-        # Bland: entering = lowest-index negative reduced cost
-        while True:
-            e = -1
-            for j in range(width):
-                if allowed[j] and obj[j] < 0:
-                    e = j
-                    break
-            if e < 0:
-                return OPTIMAL
-            leave, best = -1, None
-            for i in range(m):
-                a = T[i][e]
-                if a > 0:
-                    ratio = T[i][width] / a
-                    if best is None or ratio < best or \
-                            (ratio == best and basis[i] < basis[leave]):
-                        leave, best = i, ratio
-            if leave < 0:
-                return UNBOUNDED
-            pivot(leave, e)
-
-    objs = [r1]
-    allowed1 = [True] * width
-    status = run(r1, allowed1)
-    assert status == OPTIMAL, "phase one is bounded below by zero"
-
-    if -r1[width] > 0:  # leftover infeasibility: r1 rhs is -(phase-1 value)
+    if T[m][width] < 0:  # leftover infeasibility: r1 rhs is -(phase-1 value)
         # duals of phase one give the emptiness certificate
-        y = [(1 - r1[art0 + i]) * flip[i] for i in range(m)]
+        r1, d1 = T[m], D[m]
+        y = [Fraction(d1 - r1[art0 + i], d1) * flip[i] for i in range(m)]
         return LPResult(status=INFEASIBLE, certificate=y, n_structural=n)
 
     # drive basic artificials out on any nonzero entry (their rows are at 0)
@@ -155,31 +190,25 @@ def solve_lp(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
         if basis[i] >= art0:
             for j in range(art0):
                 if T[i][j]:
-                    pivot(i, j)
+                    _pivot(T, D, basis, i, j)
                     break
 
     # phase two
-    r2 = c + [_ZERO] * (n_slack + m) + [_ZERO]
-    for i in range(m):
-        jb = basis[i]
-        f = r2[jb]
-        if f:
-            row = T[i]
-            for j in range(width + 1):
-                if row[j]:
-                    r2[j] -= f * row[j]
-    objs = [r2]
-    allowed2 = [j < art0 for j in range(width)]
-    status = run(r2, allowed2)
+    nums, den = _scaled(c)
+    T[m] = nums + [0] * (n_slack + m) + [0]
+    D[m] = den
+    price_out()
+    status = _run(T, D, basis, m, art0)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, n_structural=n)
 
-    x = [_ZERO] * n
+    x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = T[i][width]
+            x[basis[i]] = Fraction(T[i][width], D[i])
     obj_min = sum(ci * xi for ci, xi in zip(c, x))
-    duals = [-r2[art0 + i] * flip[i] for i in range(m)]
+    r2, d2 = T[m], D[m]
+    duals = [Fraction(-r2[art0 + i], d2) * flip[i] for i in range(m)]
     if maximize:
         obj = -obj_min
         duals = [-y for y in duals]

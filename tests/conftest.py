@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from treestop import POS_INF, build_tree, rule_from_map
+from treestop import POS_INF, build_tree, rule_from_map, simplex, solve_weak
 
 
 def make_rw(depth=2, sigma=1, ineq=None, eq=None, dt=1, x0=0):
@@ -15,6 +15,21 @@ def make_rw(depth=2, sigma=1, ineq=None, eq=None, dt=1, x0=0):
         inequalities=ineq if ineq is not None else [],
         equalities=eq if eq is not None else [],
     )
+
+
+def solve_weak_recording_lps(monkeypatch, tree, budgets=None):
+    """solve_weak's result and the (args, kwargs) of each LP it solved."""
+    seen = []
+    real = simplex.solve_lp
+
+    def record(*args, **kwargs):
+        seen.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "solve_lp", record)
+        res = solve_weak(tree, budgets)
+    return res, seen
 
 
 @pytest.fixture

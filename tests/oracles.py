@@ -2,14 +2,20 @@
 
 Everything here deliberately avoids the solver paths under test: values
 come from direct enumeration of (word, stop depth) atoms, plain backward
-induction, and brute-force grids.
+induction, brute-force grids, and a Fraction-tableau simplex that the
+integer-row solver must match result for result.
 """
 
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 from treestop import Ext
 from treestop.lattice import ROOT
+from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def straight_line_euler(dt, words_increments, drift_fn, diff_fn, x0):
@@ -151,3 +157,160 @@ def brute_allocate(children, total, steps=200):
         if best is None or v > best:
             best = v
     return best
+
+
+def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
+                     rhs: Sequence, maximize: bool = False) -> LPResult:
+    """The dense Fraction-tableau simplex, kept as a differential oracle.
+
+    Same Bland-rule two-phase method as ``treestop.simplex.solve_lp`` with a
+    Fraction per tableau entry; the library solver must return an identical
+    LPResult on every input.
+    """
+    n = len(c)
+    m = len(rows)
+    c = [Fraction(v) for v in c]
+    if maximize:
+        c = [-v for v in c]
+
+    # orient all rows to rhs >= 0, remembering the sign flips for duals
+    A = [[Fraction(v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs]
+    sense = list(senses)
+    flip = [_ONE] * m
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+            flip[i] = -_ONE
+            if sense[i] == "<=":
+                sense[i] = ">="
+            elif sense[i] == ">=":
+                sense[i] = "<="
+
+    # columns: structural | slack/surplus | artificial (one per row) | rhs
+    slack_col = [-1] * m
+    n_slack = 0
+    for i in range(m):
+        if sense[i] in ("<=", ">="):
+            slack_col[i] = n + n_slack
+            n_slack += 1
+    art0 = n + n_slack
+    width = art0 + m
+    T = []
+    for i in range(m):
+        row = A[i] + [_ZERO] * (n_slack + m) + [b[i]]
+        if slack_col[i] >= 0:
+            row[slack_col[i]] = _ONE if sense[i] == "<=" else -_ONE
+        row[art0 + i] = _ONE
+        T.append(row)
+
+    # <= rows start on their slack; others on their artificial.  Artificial
+    # columns stay in the tableau either way: they are the unit columns the
+    # dual prices are read from at the end.
+    basis = [0] * m
+    for i in range(m):
+        basis[i] = slack_col[i] if sense[i] == "<=" else art0 + i
+
+    # phase-one reduced costs: cost 1 on artificials, eliminate basic ones
+    r1 = [_ZERO] * width + [_ZERO]
+    for j in range(art0, width):
+        r1[j] = _ONE
+    for i in range(m):
+        if basis[i] >= art0:
+            row = T[i]
+            for j in range(width + 1):
+                if row[j]:
+                    r1[j] -= row[j]
+
+    def pivot(r, e):
+        row = T[r]
+        piv = row[e]
+        if piv != 1:
+            inv = 1 / piv
+            T[r] = row = [v * inv for v in row]
+        for other in T:
+            if other is row:
+                continue
+            f = other[e]
+            if f:
+                for j in range(width + 1):
+                    if row[j]:
+                        other[j] -= f * row[j]
+        for obj in objs:
+            f = obj[e]
+            if f:
+                for j in range(width + 1):
+                    if row[j]:
+                        obj[j] -= f * row[j]
+        basis[r] = e
+
+    def run(obj, allowed):
+        # Bland: entering = lowest-index negative reduced cost
+        while True:
+            e = -1
+            for j in range(width):
+                if allowed[j] and obj[j] < 0:
+                    e = j
+                    break
+            if e < 0:
+                return OPTIMAL
+            leave, best = -1, None
+            for i in range(m):
+                a = T[i][e]
+                if a > 0:
+                    ratio = T[i][width] / a
+                    if best is None or ratio < best or \
+                            (ratio == best and basis[i] < basis[leave]):
+                        leave, best = i, ratio
+            if leave < 0:
+                return UNBOUNDED
+            pivot(leave, e)
+
+    objs = [r1]
+    allowed1 = [True] * width
+    status = run(r1, allowed1)
+    assert status == OPTIMAL, "phase one is bounded below by zero"
+
+    if -r1[width] > 0:  # leftover infeasibility: r1 rhs is -(phase-1 value)
+        # duals of phase one give the emptiness certificate
+        y = [(1 - r1[art0 + i]) * flip[i] for i in range(m)]
+        return LPResult(status=INFEASIBLE, certificate=y, n_structural=n)
+
+    # drive basic artificials out on any nonzero entry (their rows are at 0)
+    for i in range(m):
+        if basis[i] >= art0:
+            for j in range(art0):
+                if T[i][j]:
+                    pivot(i, j)
+                    break
+
+    # phase two
+    r2 = c + [_ZERO] * (n_slack + m) + [_ZERO]
+    for i in range(m):
+        jb = basis[i]
+        f = r2[jb]
+        if f:
+            row = T[i]
+            for j in range(width + 1):
+                if row[j]:
+                    r2[j] -= f * row[j]
+    objs = [r2]
+    allowed2 = [j < art0 for j in range(width)]
+    status = run(r2, allowed2)
+    if status == UNBOUNDED:
+        return LPResult(status=UNBOUNDED, n_structural=n)
+
+    x = [_ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][width]
+    obj_min = sum(ci * xi for ci, xi in zip(c, x))
+    duals = [-r2[art0 + i] * flip[i] for i in range(m)]
+    if maximize:
+        obj = -obj_min
+        duals = [-y for y in duals]
+    else:
+        obj = obj_min
+    return LPResult(status=OPTIMAL, x=x, objective=obj, duals=duals,
+                    basis=list(basis), n_structural=n)

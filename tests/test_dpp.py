@@ -1,11 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from treestop import (BudgetVector, Ext, POS_INF, condition,
+from treestop import (BudgetVector, Ext, InvariantViolation, POS_INF, condition,
                       first_randomization_cut, load_instance, measure_to_rule,
                       normalize_cut, paste, rule_from_map, rule_to_measure,
                       solve_weak, verify_dpp)
+from treestop import dpp
 from treestop.generate import generate_instance
 from treestop.measures import StoppingMeasure, feasible_for
 
@@ -131,7 +133,7 @@ def test_paste_flags_budget_violation_in_audit():
 
 
 def test_conditioning_preserves_feasibility_for_random_measures():
-    # the stability assertion inside condition() runs on every survivor
+    # the stability check inside condition() runs on every survivor
     for seed in range(12):
         doc = generate_instance(seed=500 + seed, depth=3, branches=2,
                                 n_ineq=1, n_eq=1)
@@ -167,3 +169,38 @@ def test_tower_identity_matches_direct_post_cut_sum():
         direct_h = direct_h + (H_w[0] - H_a[0]) * res.measure.stop(w)
     assert cond.tower_ineq == (direct_g,)
     assert cond.tower_eq == (direct_h,)
+
+
+def test_condition_budget_mismatch_is_an_invariant_violation(monkeypatch):
+    class Skewed(StoppingMeasure):
+        def expectations(self, tree):
+            exp = super().expectations(tree)
+            exp["ineq"] = [v + Ext(1) for v in exp["ineq"]]
+            return exp
+
+    tree = make_rw(ineq=[(1, F(3, 2))])
+    measure = solve_weak(tree).measure
+    monkeypatch.setattr(dpp, "StoppingMeasure", Skewed)
+    with pytest.raises(InvariantViolation, match="accruals"):
+        condition(tree, measure, 1)
+
+
+def test_pasted_value_mismatch_is_an_invariant_violation(monkeypatch):
+    tree = make_rw(ineq=[(1, F(3, 2))])
+
+    def inflated_subsolves(t, budgets=None):
+        res = solve_weak(t, budgets)
+        if t is tree:
+            return res
+        return dataclasses.replace(res, value=res.value + Ext(1))
+
+    monkeypatch.setattr(dpp, "solve_weak", inflated_subsolves)
+    with pytest.raises(InvariantViolation, match="decomposed value"):
+        verify_dpp(tree, 1)
+
+
+def test_infeasible_pasting_is_an_invariant_violation(monkeypatch):
+    tree = make_rw(ineq=[(1, F(3, 2))])
+    monkeypatch.setattr(dpp, "feasible_for", lambda *args: False)
+    with pytest.raises(InvariantViolation, match="left the budgets"):
+        verify_dpp(tree, 1)

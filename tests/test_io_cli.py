@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import treestop
 from treestop import (NodeNotInTree, ShapeTooLarge, dump_instance, dump_measure,
                       dump_rule, instance_hash, load_instance, load_measure,
                       load_rule, parse_function, solve_weak)
@@ -226,6 +229,54 @@ def test_suite_requires_instances(tmp_path):
     with pytest.raises(NoInstances):
         run_suite(str(empty), "all")
     assert main(["suite", "--dir", str(empty), "--suite", "all"]) == 2
+
+
+def _bad_input(tmp_path, case):
+    """Command-line arguments for one kind of bad input."""
+    def write(text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        return ["solve", "--instance", str(path)]
+
+    if case == "no-instance":
+        return ["solve"]
+    if case == "missing-dt":
+        return write(json.dumps({k: v for k, v in RW2_DOC.items() if k != "dt"}))
+    if case == "missing-branch-p":
+        return write(json.dumps(dict(RW2_DOC, branching=[{"w": "1"}])))
+    if case == "absent-file":
+        return ["solve", "--instance", str(tmp_path / "absent.json")]
+    if case == "directory":
+        return ["dp", "--instance", str(tmp_path), "--budget", "1"]
+    if case == "invalid-json":
+        return write('{"dt": 1,')
+    if case == "not-an-object":
+        return write("[1, 2]")
+    raise AssertionError(case)
+
+
+BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
+              "directory", "invalid-json", "not-an-object")
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_cli_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, case):
+    assert main(_bad_input(tmp_path, case)) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+
+
+def test_cli_bad_input_exits_2_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(treestop.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treestop.cli"] + _bad_input(tmp_path, "missing-dt"),
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: instance entry lacks the "
+                                        "required field 'dt'"]
 
 
 def test_fmt_rational():

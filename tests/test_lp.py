@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from treestop import (BudgetVector, EmptyFamily, Ext, POS_INF, build_tree,
-                      fractional_nodes, load_instance, measure_to_rule,
-                      rule_to_measure, solve_robust, solve_weak)
+from treestop import (BudgetVector, EmptyFamily, Ext, InvariantViolation,
+                      POS_INF, build_tree, fractional_nodes, load_instance,
+                      measure_to_rule, rule_to_measure, simplex, solve_robust,
+                      solve_weak)
 from treestop.generate import generate_instance
 from treestop.measures import StoppingMeasure
 
-from conftest import make_rw
+from conftest import make_rw, solve_weak_recording_lps
 from oracles import best_rule_value, snell_value
 
 F = Fraction
@@ -184,3 +185,46 @@ def test_infinite_node_reward_rejected():
                       reward=lambda t, xs: Ext(0, sign=1))
     with pytest.raises(ValueError):
         solve_weak(tree)
+
+
+def test_infeasibility_certificate_is_a_farkas_witness(monkeypatch):
+    # the dense 6x2 instance with every inequality budget lowered by 1000
+    tree = load_instance(generate_instance(seed=1, depth=6, branches=2,
+                                           n_ineq=2, n_eq=1))
+    budgets = BudgetVector.of(tree.constraints)
+    tight = BudgetVector(ys=tuple(y - 1000 for y in budgets.ys), zs=budgets.zs)
+    res, [((_, rows, senses, rhs), _)] = solve_weak_recording_lps(
+        monkeypatch, tree, tight)
+    assert res.status == "infeasible"
+    y = res.certificate
+    assert len(y) == len(rows)
+    assert sum(yi * b for yi, b in zip(y, rhs)) > 0
+    for j in range(len(rows[0])):  # structural columns
+        assert sum(yi * row[j] for yi, row in zip(y, rows)) <= 0
+    for i, sense in enumerate(senses):
+        # the slack column of a "<=" row is +e_i and the surplus column of a
+        # ">=" row is -e_i, so y.col <= 0 there is the row's sign condition
+        if sense == "<=":
+            assert y[i] <= 0
+        elif sense == ">=":
+            assert y[i] >= 0
+
+
+def test_unbounded_weak_lp_is_an_invariant_violation(rw2, monkeypatch):
+    monkeypatch.setattr(simplex, "solve_lp",
+                        lambda *args, **kwargs: simplex.LPResult(status=simplex.UNBOUNDED))
+    with pytest.raises(InvariantViolation, match="mass polytope"):
+        solve_weak(rw2)
+
+
+def test_objective_bookkeeping_mismatch_is_an_invariant_violation(rw2, monkeypatch):
+    real = simplex.solve_lp
+
+    def shifted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.objective += 1
+        return res
+
+    monkeypatch.setattr(simplex, "solve_lp", shifted)
+    with pytest.raises(InvariantViolation, match="disagrees"):
+        solve_weak(rw2)

@@ -1,9 +1,15 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from treestop import BudgetVector, InvariantViolation, load_instance, simplex
+from treestop.generate import generate_instance
 from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+
+from conftest import solve_weak_recording_lps
+from oracles import fraction_simplex
 
 F = Fraction
 
@@ -129,3 +135,112 @@ def test_matches_vertex_enumeration_on_random_lps():
         elif res.status == INFEASIBLE:
             assert best is None
         # unbounded cases are possible; vertex enumeration cannot certify them
+
+
+# -- differential: integer-row tableau against the Fraction tableau ----------
+
+_POOL = [F(v) for v in range(-3, 4)] + [F(1, 2), F(-2, 3), F(5, 7), F(-7, 4)]
+
+
+def _random_lp(rng):
+    """A small LP mixing senses, signs, zero rows and degenerate ties."""
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    c = [rng.choice(_POOL) for _ in range(n)]
+    rows = [[rng.choice(_POOL) if rng.random() < 0.7 else F(0) for _ in range(n)]
+            for _ in range(m)]
+    senses = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
+    rhs = [rng.choice(_POOL) for _ in range(m)]
+    shape = rng.random()
+    if shape < 0.15:
+        rows[rng.randrange(m)] = [F(0)] * n
+    elif shape < 0.45:
+        # a scaled copy of a row and zero right-hand sides: ratio ties and
+        # degenerate vertices for the Bland tie-break to settle
+        i, k = rng.randrange(m), rng.randrange(m)
+        scale = rng.choice([F(1), F(2), F(1, 3)])
+        rows[k] = [scale * v for v in rows[i]]
+        rhs[k] = scale * rhs[i]
+        for j in range(m):
+            if rng.random() < 0.4:
+                rhs[j] = F(0)
+    return c, rows, senses, rhs, rng.random() < 0.5
+
+
+def test_matches_fraction_tableau_on_random_lps():
+    rng = random.Random(2)
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    mixed = negative = zero_row = degenerate = 0
+    for trial in range(600):
+        c, rows, senses, rhs, maximize = lp = _random_lp(rng)
+        got = solve_lp(c, rows, senses, rhs, maximize=maximize)
+        assert got == fraction_simplex(c, rows, senses, rhs, maximize=maximize), \
+            (trial, lp)
+        statuses[got.status] += 1
+        mixed += len(set(senses)) > 1
+        negative += any(b < 0 for b in rhs)
+        zero_row += any(not any(row) for row in rows)
+        degenerate += got.status == OPTIMAL and any(
+            got.x[j] == 0 for j in got.basis if j < len(c))
+    assert min(statuses.values()) >= 50, statuses
+    assert min(mixed, negative, zero_row, degenerate) >= 20, \
+        (mixed, negative, zero_row, degenerate)
+
+
+def test_matches_fraction_tableau_on_bland_cycling_example():
+    # Beale's example cycles under the largest-coefficient rule; Bland's
+    # rule leaves the degenerate vertex, identically in both tableaux
+    c = [F(-3, 4), 20, F(-1, 2), 6]
+    rows = [[F(1, 4), -8, -1, 9], [F(1, 2), -12, F(-1, 2), 3], [0, 0, 1, 0]]
+    got = solve_lp(c, rows, ["<="] * 3, [0, 0, 1])
+    assert got == fraction_simplex(c, rows, ["<="] * 3, [0, 0, 1])
+    assert got.status == OPTIMAL and got.objective == F(-5, 4)
+
+
+def _assert_weak_lps_match(monkeypatch, tree, budgets):
+    res, seen = solve_weak_recording_lps(monkeypatch, tree, budgets)
+    for args, kwargs in seen:
+        assert simplex.solve_lp(*args, **kwargs) == fraction_simplex(*args, **kwargs)
+    return res
+
+
+@pytest.mark.parametrize("shape", [
+    dict(seed=1, depth=3, branches=2, n_ineq=1),
+    dict(seed=2, depth=3, branches=3, n_ineq=1, n_eq=1),
+    dict(seed=3, depth=4, branches=2, n_ineq=2),
+    dict(seed=4, depth=2, branches=4, n_ineq=2, n_eq=1, nonneg_g=True),
+    dict(seed=5, depth=3, branches=2, n_ineq=0, n_eq=1),
+    dict(seed=6, depth=3, branches=3, n_ineq=1, nonneg_g=True),
+    dict(seed=7, depth=4, branches=2, n_ineq=1, n_eq=1),
+])
+def test_matches_fraction_tableau_on_weak_formulation_lps(monkeypatch, shape):
+    tree = load_instance(generate_instance(**shape))
+    budgets = BudgetVector.of(tree.constraints)
+    assert _assert_weak_lps_match(monkeypatch, tree, budgets).optimal
+    # tighten the budgets step by step until no law is left
+    step = F(1, 64)
+    for _ in range(16):
+        if budgets.ys:
+            budgets = BudgetVector(ys=tuple(y - step for y in budgets.ys),
+                                   zs=budgets.zs)
+        else:
+            budgets = BudgetVector(ys=(), zs=tuple(z + step for z in budgets.zs))
+        step *= 2
+        if not _assert_weak_lps_match(monkeypatch, tree, budgets).optimal:
+            break
+    else:
+        pytest.fail("tightening never made the budgets infeasible")
+
+
+def test_matches_fraction_tableau_on_dense_tree_lp(monkeypatch):
+    tree = load_instance(generate_instance(seed=1, depth=6, branches=2,
+                                           n_ineq=2, n_eq=1))
+    budgets = BudgetVector.of(tree.constraints)
+    assert _assert_weak_lps_match(monkeypatch, tree, budgets).optimal
+    tight = BudgetVector(ys=tuple(y - 1000 for y in budgets.ys), zs=budgets.zs)
+    assert _assert_weak_lps_match(monkeypatch, tree, tight).status == INFEASIBLE
+
+
+def test_unbounded_phase_one_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(simplex, "_run", lambda *args: UNBOUNDED)
+    with pytest.raises(InvariantViolation, match="phase one"):
+        solve_lp([1], [[1]], ["<="], [1])
