@@ -15,7 +15,7 @@ from .dp import backstep, dp_value, node_envelopes, root_envelope
 from .dpp import (ConditionalBudgets, condition, first_randomization_cut,
                   normalize_cut, paste, verify_dpp)
 from .envelope import ConcaveEnvelope, allocate, merged_envelope
-from .errors import (BudgetBelowDomain, DegreeTooHigh, EmptyFamily,
+from .errors import (BudgetBelowDomain, DegreeTooHigh, EmptyBattery, EmptyFamily,
                      EquivalenceViolation, InvalidBranching, InvalidHorizon,
                      InvariantViolation, NoInstances, NodeNotInTree,
                      RuleShapeMismatch, ShapeMismatch, ShapeTooLarge,

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .dp import dp_value, root_envelope
+from .dp import root_envelope
 from .dpp import verify_dpp
 from .errors import NoInstances, TreestopError
 from .generate import generate_instance
@@ -124,8 +124,8 @@ def _cmd_solve(args) -> int:
 def _cmd_dp(args) -> int:
     started = time.perf_counter()
     tree = load_instance(args.instance)
-    value = dp_value(tree, Ext.parse(args.budget))
     env = root_envelope(tree)
+    value = Ext(env.value(Ext.parse(args.budget)))
     print(f"value\t{fmt_value(value)}")
     print()
     _print_table([(fmt_rational(x), fmt_rational(v)) for x, v in zip(env.xs, env.vs)],

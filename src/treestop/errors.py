@@ -65,6 +65,14 @@ class DegreeTooHigh(TreestopError):
     """Polynomial degree exceeds the combinatorial guard for class tests."""
 
 
+class EmptyBattery(TreestopError):
+    """A membership check would run no clause-1 statistic at all.
+
+    A degree or weight budget below 1 leaves clause 1 vacuous, so it
+    could not reject any candidate.
+    """
+
+
 class ShapeTooLarge(TreestopError):
     """Requested random instance exceeds the generator's size cap."""
 

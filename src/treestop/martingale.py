@@ -19,6 +19,13 @@ degree-<=2 test.  The generator compensator is the drift/second-order form
 evaluated along the claimed path; it is a martingale only up to O(dt) per
 step, so its statistics are held to a tolerance and shrink linearly under
 grid refinement of fixed continuous coefficients.
+
+Statistics are read from forward sweeps.  Under a cylinder weight, the
+weighted open and stopped masses at each depth depend on neither the test
+polynomial nor the time window, so one sweep per weight records each
+level's contribution for every polynomial, and the statistic of a window
+s < r sums the levels s .. r-1.  Polynomial values and compensators are
+cached per (polynomial, node) for the length of one ``check_membership``.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegreeTooHigh
+from .errors import DegreeTooHigh, EmptyBattery
 from .lattice import ROOT, TreeInstance, Word, _as_matrix, _as_vector
 from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule
@@ -143,6 +150,8 @@ class CandidateLaw:
         self.claimed_history = (tree.history if claimed_history is None else
                                 tuple(_as_vector(x, tree.l) for x in claimed_history))
         self._states: Dict[Word, tuple] = {}
+        # check_membership's shared sweep, set only while that call runs
+        self._sweep: Optional["_Sweep"] = None
         self._validate_conservation()
 
     @staticmethod
@@ -382,64 +391,91 @@ def weight_battery(tree: TreeInstance, cand: CandidateLaw, s: int,
 # the statistic  E[ (M_r - M_s)(phi) * weight ]
 # ---------------------------------------------------------------------------
 
+class _Sweep:
+    """Forward sweeps of one candidate under one compensator mode.
+
+    A weight's sweep carries the weighted open and stopped masses from the
+    root to the horizon once, recording for every phi the contribution of
+    each level k, E[(M_{k+1} - M_k)(phi) * weight].  The masses depend on
+    neither phi nor the time window, so statistic(s, r) sums the levels
+    s .. r-1.  phi(xi) and the compensator are tabulated once per (phi,
+    node) when the sweep is made.
+    """
+
+    def __init__(self, cand: CandidateLaw, mode: str, phis: Sequence[Polynomial]):
+        tree = cand.tree
+        inner = [w for w in tree.nodes() if len(w) < tree.depth]
+        self.cand, self.mode = cand, mode
+        self.values = {phi: {w: phi.eval(cand.xi(w)) for w in tree.nodes()}
+                       for phi in phis}
+        self.comps = {phi: {w: _compensator(cand, phi, w, mode) for w in inner}
+                      for phi in phis}
+        self._levels: Dict[CylinderWeight, Dict[Polynomial, List[Fraction]]] = {}
+
+    def levels(self, weight: CylinderWeight) -> Dict[Polynomial, List[Fraction]]:
+        """Per phi, the statistic's contribution of each level 0 .. depth-1."""
+        if weight in self._levels:
+            return self._levels[weight]
+        cand, zero = self.cand, Fraction(0)
+        out: Dict[Polynomial, List[Fraction]] = {phi: [] for phi in self.values}
+        # after-decision weighted masses of the nodes at the current depth;
+        # factors zero them out at their times
+        here, m_open = [ROOT], [cand.cont(ROOT)]
+        m_stop = [cand.stop(ROOT) + cand.pre_t0_stop_mass]
+        for k in range(cand.tree.depth):
+            for f in (f for f in weight.factors if f.time == k):
+                for i, w in enumerate(here):
+                    holds = f.box_holds(cand.xi(w))
+                    if not (holds and f.flag in ("any", "open")):
+                        m_open[i] = zero
+                    if not (holds and f.flag in ("any", "stopped")):
+                        m_stop[i] = zero
+            for row in out.values():
+                row.append(zero)
+            kids, nxt_open, nxt_stop = [], [], []
+            for i, w in enumerate(here):
+                mo, ms, u = m_open[i], m_stop[i], cand.cont(w)
+                # pre-stop flow follows the candidate's own mass ratios,
+                # post-stop flow its post-stop branching
+                flows = []
+                for j in range(cand.tree.n_branches(k)):
+                    child = w + (j,)
+                    kids.append(child)
+                    nxt_open.append(mo * cand.cont(child) / u if u else zero)
+                    nxt_stop.append((mo * cand.stop(child) / u if u else zero)
+                                    + ms * cand.post_stop[k][j])
+                    if nxt_open[-1] or nxt_stop[-1]:
+                        flows.append((child, nxt_open[-1] + nxt_stop[-1]))
+                if not (mo or ms or flows):
+                    continue
+                out_flow = sum(flow for _, flow in flows)
+                for phi, row in out.items():
+                    vals = self.values[phi]
+                    row[-1] += sum(flow * vals[child] for child, flow in flows) \
+                        - out_flow * vals[w] - (mo + ms) * self.comps[phi][w]
+            here, m_open, m_stop = kids, nxt_open, nxt_stop
+        self._levels[weight] = out
+        return out
+
+
 def statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
               weight: CylinderWeight, mode: str = "exact") -> Fraction:
     """Exact expectation of a weighted compensated increment.
 
-    Runs a forward sweep over (node, stopped?) states carrying weighted
-    masses; pre-stop flow follows the candidate's own mass ratios, post-stop
-    flow its post-stop branching, and indicator factors zero out masses at
-    their times.  Cost is O(nodes * branches) per call.
+    The sum of the weight's level contributions over levels s .. r-1 (see
+    ``_Sweep``).  Inside ``check_membership`` one sweep per weight serves
+    every s, r and phi, so a statistic costs a sum of at most ``depth``
+    terms; a call on its own runs one sweep, O(nodes * branches).
     """
     tree = cand.tree
     if not 0 <= s < r <= tree.depth:
         raise ValueError(f"need 0 <= s < r <= {tree.depth}")
-    by_time: Dict[int, List[WeightFactor]] = {}
-    for f in weight.factors:
-        if f.time > s:
-            raise ValueError("weight factors must not look past the start time")
-        by_time.setdefault(f.time, []).append(f)
-
-    # after-decision weighted masses per node at the current depth
-    open_mass: Dict[Word, Fraction] = {ROOT: cand.cont(ROOT)}
-    stop_mass: Dict[Word, Fraction] = {ROOT: cand.stop(ROOT) + cand.pre_t0_stop_mass}
-    stat = Fraction(0)
-    for k in range(0, r):
-        for f in by_time.get(k, ()):
-            for masses, here in ((open_mass, "open"), (stop_mass, "stopped")):
-                for w in list(masses):
-                    ok = f.flag in ("any", here) and f.box_holds(cand.xi(w))
-                    if not ok:
-                        masses[w] = Fraction(0)
-        nxt_open: Dict[Word, Fraction] = {}
-        nxt_stop: Dict[Word, Fraction] = {}
-        for w in open_mass:
-            m_open, m_stop = open_mass[w], stop_mass[w]
-            in_window = k >= s
-            if in_window and (m_open or m_stop):
-                stat -= (m_open + m_stop) * _compensator(cand, phi, w, mode)
-            phi_here = phi.eval(cand.xi(w)) if in_window else None
-            u_w = cand.cont(w)
-            for j in range(tree.n_branches(k)):
-                child = w + (j,)
-                # pre-stop flow: candidate's own conditional ratios
-                flow_open = m_open * cand.reach(child) / u_w if u_w else Fraction(0)
-                flow_stop = m_stop * cand.post_stop[k][j]
-                if flow_open or flow_stop:
-                    if in_window:
-                        dphi = phi.eval(cand.xi(child)) - phi_here
-                        stat += (flow_open + flow_stop) * dphi
-                    nxt_stop[child] = nxt_stop.get(child, Fraction(0)) + \
-                        flow_stop + flow_open * (cand.stop(child) / cand.reach(child)
-                                                 if cand.reach(child) else Fraction(0))
-                    nxt_open[child] = nxt_open.get(child, Fraction(0)) + \
-                        flow_open * (cand.cont(child) / cand.reach(child)
-                                     if cand.reach(child) else Fraction(0))
-                else:
-                    nxt_open.setdefault(child, Fraction(0))
-                    nxt_stop.setdefault(child, Fraction(0))
-        open_mass, stop_mass = nxt_open, nxt_stop
-    return stat
+    if any(f.time > s for f in weight.factors):
+        raise ValueError("weight factors must not look past the start time")
+    sweep = cand._sweep
+    if sweep is None or sweep.mode != mode or phi not in sweep.values:
+        sweep = _Sweep(cand, mode, (phi,))
+    return sum(sweep.levels(weight)[phi][s:r], Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +507,14 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
     statistics identically zero, generator mode bounds them by
     tolerance * dt.  Clause 2 checks the support conditions (no stopping
     before the start, pinned pre-start history).  The overall verdict is
-    the conjunction.
+    the conjunction.  A degree or weight budget below 1 would leave clause
+    1 empty and raises ``EmptyBattery``.
     """
     if degree > MAX_DEGREE:
         raise DegreeTooHigh(f"degree {degree} exceeds the cap {MAX_DEGREE}")
+    if degree < 1 or weight_budget < 1:
+        raise EmptyBattery(f"degree {degree} and weight budget {weight_budget} "
+                           "must both be at least 1, or clause 1 tests nothing")
     if isinstance(candidate, StoppingMeasure):
         candidate = CandidateLaw.from_measure(tree, candidate)
     report = MembershipReport(mode=mode, degree=degree)
@@ -495,30 +535,25 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
 
     basis = monomial_basis(tree.d, tree.l, degree)
     threshold = as_fraction(tolerance) * tree.dt
-    done = False
-    for s in range(0, tree.depth):
-        weights = weight_battery(tree, candidate, s, weight_budget)
-        for r in range(s + 1, tree.depth + 1):
-            for label, phi in basis:
-                for weight in weights:
-                    val = statistic(candidate, phi, s, r, weight, mode=mode)
-                    ok = val == 0 if mode == "exact" else abs(val) <= threshold
-                    report.clause1.append({
-                        "phi": label, "s": s, "r": r, "weight": weight.label,
-                        "stat": val, "pass": ok,
-                    })
-                    if not ok:
-                        report.clause1_pass = False
-                        if fail_fast:
-                            done = True
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
+    candidate._sweep = _Sweep(candidate, mode, [phi for _, phi in basis])
+    try:
+        for s in range(0, tree.depth):
+            weights = weight_battery(tree, candidate, s, weight_budget)
+            for r in range(s + 1, tree.depth + 1):
+                for label, phi in basis:
+                    for weight in weights:
+                        val = statistic(candidate, phi, s, r, weight, mode=mode)
+                        ok = val == 0 if mode == "exact" else abs(val) <= threshold
+                        report.clause1.append({
+                            "phi": label, "s": s, "r": r, "weight": weight.label,
+                            "stat": val, "pass": ok,
+                        })
+                        if not ok:
+                            report.clause1_pass = False
+                            if fail_fast:
+                                return report
+    finally:
+        candidate._sweep = None
     return report
 
 
@@ -617,13 +652,10 @@ def generator_gap_decay(dts=(Fraction(1), Fraction(1, 2), Fraction(1, 4), Fracti
                           branching=[(Fraction(1, 2), w), (Fraction(1, 2), -w)],
                           x0=x0, drift=drift, diffusion=diffusion)
         cand = CandidateLaw.from_measure(tree, _stop_at_horizon(tree))
-        worst = Fraction(0)
-        trivial = CylinderWeight(label="1", factors=())
-        for _, phi in monomial_basis(1, 1, degree):
-            val = abs(statistic(cand, phi, 0, steps, trivial, mode="generator"))
-            if val > worst:
-                worst = val
-        stats.append(float(worst))
+        phis = [phi for _, phi in monomial_basis(1, 1, degree)]
+        levels = _Sweep(cand, "generator", phis).levels(
+            CylinderWeight(label="1", factors=()))
+        stats.append(float(max(abs(sum(levels[phi])) for phi in phis)))
     xs = [math.log(float(dt)) for dt in dts]
     ys = [math.log(v) for v in stats]
     n = len(xs)

@@ -1,8 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from treestop import POS_INF, build_tree, rule_from_map, simplex, solve_weak
+from treestop import (POS_INF, build_tree, candidate_with_branch_bias,
+                      candidate_with_pre_start_mass, candidate_with_state_shift,
+                      load_instance, rule_from_map, rule_to_measure, simplex,
+                      solve_weak)
+from treestop.generate import generate_instance
 
 
 def make_rw(depth=2, sigma=1, ineq=None, eq=None, dt=1, x0=0):
@@ -15,6 +20,53 @@ def make_rw(depth=2, sigma=1, ineq=None, eq=None, dt=1, x0=0):
         inequalities=ineq if ineq is not None else [],
         equalities=eq if eq is not None else [],
     )
+
+
+POOL_SHAPES = [
+    # rotate depth, branches and the constraint mix across the pool
+    {"n_ineq": 1, "n_eq": 0},
+    {"n_ineq": 0, "n_eq": 1},
+    {"n_ineq": 1, "n_eq": 1},
+    {"n_ineq": 2, "n_eq": 0},
+    {"n_ineq": 1, "n_eq": 0, "vacuous_rate": 1.0},
+]
+
+
+def acceptance_pool():
+    """The 50 generated instances the acceptance criteria run on."""
+    trees = []
+    for i in range(50):
+        shape = dict(POOL_SHAPES[i % len(POOL_SHAPES)])
+        doc = generate_instance(seed=9000 + i, depth=2 + (i % 2),
+                                branches=2 + ((i // 2) % 2), **shape)
+        trees.append(load_instance(doc))
+    return trees
+
+
+def acceptance_corruptions(pool):
+    """(index, kind, eps, tree, candidate) for 100 single corruptions.
+
+    Each candidate stops everywhere below the root of a pool tree and then
+    gets one branch bias, state shift or pre-start mass leak.
+    """
+    rng = random.Random(20240817)
+    for i in range(100):
+        tree = pool[i % len(pool)]
+        interior = [w for w in tree.nodes() if len(w) < tree.depth]
+        full_stop = rule_from_map(tree, {w: 0 for w in interior})
+        kind = ("branch", "state", "pre_t0")[i % 3]
+        eps = Fraction(rng.randint(1, 4), 64)
+        if kind == "branch":
+            node = rng.choice(interior)
+            cand = candidate_with_branch_bias(tree, full_stop, (node, eps))
+        elif kind == "state":
+            node = rng.choice([w for w in tree.nodes() if len(w) >= 1])
+            cand = candidate_with_state_shift(
+                tree, rule_to_measure(tree, full_stop), node, eps)
+        else:
+            cand = candidate_with_pre_start_mass(
+                tree, rule_to_measure(tree, full_stop), eps)
+        yield i, kind, eps, tree, cand
 
 
 def solve_weak_recording_lps(monkeypatch, tree, budgets=None):

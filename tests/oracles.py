@@ -2,16 +2,23 @@
 
 Everything here deliberately avoids the solver paths under test: values
 come from direct enumeration of (word, stop depth) atoms, plain backward
-induction, brute-force grids, and a Fraction-tableau simplex that the
-integer-row solver must match result for result.
+induction, brute-force grids, a Fraction-tableau simplex that the integer-row solver
+must match result for result, and a per-statistic membership sweep that the
+shared sweep must match statistic for statistic.
 """
 
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Dict, List, Sequence
 
 from treestop import Ext
-from treestop.lattice import ROOT
+from treestop.errors import DegreeTooHigh
+from treestop.lattice import ROOT, TreeInstance, Word
+from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
+                                 MembershipReport, Polynomial, WeightFactor,
+                                 _compensator, monomial_basis, weight_battery)
+from treestop.measures import StoppingMeasure
+from treestop.xreal import as_fraction
 from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 _ZERO = Fraction(0)
@@ -314,3 +321,132 @@ def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str
         obj = obj_min
     return LPResult(status=OPTIMAL, x=x, objective=obj, duals=duals,
                     basis=list(basis), n_structural=n)
+
+
+# -- membership statistics -----------------------------------------------------
+# ``oracle_statistic`` and ``oracle_check_membership`` are the per-statistic
+# forward sweep and the clause-1 loop as they were before the library moved
+# to one sweep per weight, copied verbatim apart from their names.  The
+# library's clause-1 lists must equal theirs entry for entry.
+
+
+def oracle_statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
+                     weight: CylinderWeight, mode: str = "exact") -> Fraction:
+    """Exact expectation of a weighted compensated increment.
+
+    Runs a forward sweep over (node, stopped?) states carrying weighted
+    masses; pre-stop flow follows the candidate's own mass ratios, post-stop
+    flow its post-stop branching, and indicator factors zero out masses at
+    their times.  Cost is O(nodes * branches) per call.
+    """
+    tree = cand.tree
+    if not 0 <= s < r <= tree.depth:
+        raise ValueError(f"need 0 <= s < r <= {tree.depth}")
+    by_time: Dict[int, List[WeightFactor]] = {}
+    for f in weight.factors:
+        if f.time > s:
+            raise ValueError("weight factors must not look past the start time")
+        by_time.setdefault(f.time, []).append(f)
+
+    # after-decision weighted masses per node at the current depth
+    open_mass: Dict[Word, Fraction] = {ROOT: cand.cont(ROOT)}
+    stop_mass: Dict[Word, Fraction] = {ROOT: cand.stop(ROOT) + cand.pre_t0_stop_mass}
+    stat = Fraction(0)
+    for k in range(0, r):
+        for f in by_time.get(k, ()):
+            for masses, here in ((open_mass, "open"), (stop_mass, "stopped")):
+                for w in list(masses):
+                    ok = f.flag in ("any", here) and f.box_holds(cand.xi(w))
+                    if not ok:
+                        masses[w] = Fraction(0)
+        nxt_open: Dict[Word, Fraction] = {}
+        nxt_stop: Dict[Word, Fraction] = {}
+        for w in open_mass:
+            m_open, m_stop = open_mass[w], stop_mass[w]
+            in_window = k >= s
+            if in_window and (m_open or m_stop):
+                stat -= (m_open + m_stop) * _compensator(cand, phi, w, mode)
+            phi_here = phi.eval(cand.xi(w)) if in_window else None
+            u_w = cand.cont(w)
+            for j in range(tree.n_branches(k)):
+                child = w + (j,)
+                # pre-stop flow: candidate's own conditional ratios
+                flow_open = m_open * cand.reach(child) / u_w if u_w else Fraction(0)
+                flow_stop = m_stop * cand.post_stop[k][j]
+                if flow_open or flow_stop:
+                    if in_window:
+                        dphi = phi.eval(cand.xi(child)) - phi_here
+                        stat += (flow_open + flow_stop) * dphi
+                    nxt_stop[child] = nxt_stop.get(child, Fraction(0)) + \
+                        flow_stop + flow_open * (cand.stop(child) / cand.reach(child)
+                                                 if cand.reach(child) else Fraction(0))
+                    nxt_open[child] = nxt_open.get(child, Fraction(0)) + \
+                        flow_open * (cand.cont(child) / cand.reach(child)
+                                     if cand.reach(child) else Fraction(0))
+                else:
+                    nxt_open.setdefault(child, Fraction(0))
+                    nxt_stop.setdefault(child, Fraction(0))
+        open_mass, stop_mass = nxt_open, nxt_stop
+    return stat
+
+
+def oracle_check_membership(tree: TreeInstance, candidate, degree: int = 2,
+                            mode: str = "exact", tolerance=Fraction(1),
+                            weight_budget: int = 16,
+                            fail_fast: bool = False) -> MembershipReport:
+    """Decide membership of a candidate in the admissible law class.
+
+    Clause 1 runs every monomial up to ``degree`` against all grid time
+    pairs and the deterministic cylinder-weight battery: exact mode demands
+    statistics identically zero, generator mode bounds them by
+    tolerance * dt.  Clause 2 checks the support conditions (no stopping
+    before the start, pinned pre-start history).  The overall verdict is
+    the conjunction.
+    """
+    if degree > MAX_DEGREE:
+        raise DegreeTooHigh(f"degree {degree} exceeds the cap {MAX_DEGREE}")
+    if isinstance(candidate, StoppingMeasure):
+        candidate = CandidateLaw.from_measure(tree, candidate)
+    report = MembershipReport(mode=mode, degree=degree)
+
+    detail = {}
+    if candidate.pre_t0_stop_mass != 0:
+        detail["pre_t0_stop_mass"] = candidate.pre_t0_stop_mass
+    if candidate.claimed_history != tree.history:
+        detail["history"] = {"claimed": candidate.claimed_history,
+                             "pinned": tree.history}
+    never_stops = sum(candidate.cont(w) for w in tree.leaves())
+    if never_stops != 0:
+        detail["mass_never_stopping"] = never_stops
+    report.clause2_detail = detail
+    report.clause2_pass = not detail
+    if fail_fast and not report.clause2_pass:
+        return report
+
+    basis = monomial_basis(tree.d, tree.l, degree)
+    threshold = as_fraction(tolerance) * tree.dt
+    done = False
+    for s in range(0, tree.depth):
+        weights = weight_battery(tree, candidate, s, weight_budget)
+        for r in range(s + 1, tree.depth + 1):
+            for label, phi in basis:
+                for weight in weights:
+                    val = oracle_statistic(candidate, phi, s, r, weight, mode=mode)
+                    ok = val == 0 if mode == "exact" else abs(val) <= threshold
+                    report.clause1.append({
+                        "phi": label, "s": s, "r": r, "weight": weight.label,
+                        "stat": val, "pass": ok,
+                    })
+                    if not ok:
+                        report.clause1_pass = False
+                        if fail_fast:
+                            done = True
+                    if done:
+                        break
+                if done:
+                    break
+            if done:
+                break
+        if done:
+            break
+    return report

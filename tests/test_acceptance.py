@@ -6,44 +6,25 @@ appears where a criterion itself states one (Monte Carlo standard errors,
 the log-log slope bound).
 """
 
-import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from treestop import (BudgetVector, Ext, POS_INF, candidate_with_branch_bias,
-                      candidate_with_pre_start_mass, candidate_with_state_shift,
-                      check_membership, dp_value, generator_gap_decay,
-                      load_instance, measure_to_rule, monte_carlo_value,
-                      rule_from_map, rule_to_measure, solve_robust, solve_weak,
+from treestop import (BudgetVector, Ext, POS_INF, check_membership, dp_value,
+                      generator_gap_decay, load_instance, measure_to_rule,
+                      monte_carlo_value, rule_from_map, solve_robust, solve_weak,
                       stop_mass_by_eta_integration, theta_of_rule, verify_dpp)
 from treestop.generate import generate_instance
 
-from conftest import make_rw
+from conftest import acceptance_corruptions, acceptance_pool, make_rw
 
 F = Fraction
 HALF = F(1, 2)
 
-POOL_SHAPES = [
-    # rotate depth, branches and the constraint mix across the pool
-    {"n_ineq": 1, "n_eq": 0},
-    {"n_ineq": 0, "n_eq": 1},
-    {"n_ineq": 1, "n_eq": 1},
-    {"n_ineq": 2, "n_eq": 0},
-    {"n_ineq": 1, "n_eq": 0, "vacuous_rate": 1.0},
-]
-
-
 @pytest.fixture(scope="module")
 def pool():
-    trees = []
-    for i in range(50):
-        shape = dict(POOL_SHAPES[i % len(POOL_SHAPES)])
-        doc = generate_instance(seed=9000 + i, depth=2 + (i % 2),
-                                branches=2 + ((i // 2) % 2), **shape)
-        trees.append(load_instance(doc))
-    return trees
+    return acceptance_pool()
 
 
 @pytest.fixture(scope="module")
@@ -143,24 +124,8 @@ def test_acceptance_5_membership_tests(pool, pool_solutions):
         assert all(r["stat"] == 0 for r in report.clause1)
 
     # (b) each single corruption is rejected
-    rng = random.Random(20240817)
     rejected = 0
-    for i in range(100):
-        tree = pool[i % len(pool)]
-        interior = [w for w in tree.nodes() if len(w) < tree.depth]
-        full_stop = rule_from_map(tree, {w: 0 for w in interior})
-        kind = ("branch", "state", "pre_t0")[i % 3]
-        eps = F(rng.randint(1, 4), 64)
-        if kind == "branch":
-            node = rng.choice(interior)
-            cand = candidate_with_branch_bias(tree, full_stop, (node, eps))
-        elif kind == "state":
-            node = rng.choice([w for w in tree.nodes() if len(w) >= 1])
-            cand = candidate_with_state_shift(
-                tree, rule_to_measure(tree, full_stop), node, eps)
-        else:
-            cand = candidate_with_pre_start_mass(
-                tree, rule_to_measure(tree, full_stop), eps)
+    for i, kind, eps, tree, cand in acceptance_corruptions(pool):
         report = check_membership(tree, cand, degree=2, fail_fast=True)
         assert not report.ok, (i, kind, eps)
         rejected += 1

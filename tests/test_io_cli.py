@@ -10,6 +10,7 @@ import treestop
 from treestop import (NodeNotInTree, ShapeTooLarge, dump_instance, dump_measure,
                       dump_rule, instance_hash, load_instance, load_measure,
                       load_rule, parse_function, solve_weak)
+from treestop import dp
 from treestop.cli import main, run_suite
 from treestop.errors import NoInstances
 from treestop.generate import generate_instance
@@ -151,6 +152,26 @@ def test_cli_dp_and_derandomize_and_mc(rw2_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_dp_output_is_unchanged_and_runs_backward_induction_once(
+        rw2_file, monkeypatch, capsys):
+    calls = []
+    real = dp.node_envelopes
+
+    def counted(tree):
+        calls.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(dp, "node_envelopes", counted)
+    table = ("\n\nbudget\tvalue\n0\t0\n2\t2\n"
+             "\ngrid_budget\tvalue\n0\t0\n1\t1\n2\t2\n")
+    for budget, value in (("1/2", "1/2 (0.5)"), ("inf", "2 (2.0)")):
+        calls.clear()
+        assert main(["dp", "--instance", rw2_file, "--budget", budget,
+                     "--grid", "3"]) == 0
+        assert capsys.readouterr().out == f"value\t{value}" + table
+        assert len(calls) == 1
+
+
 def test_cli_verify_dpp_and_check_class(rw2_file, capsys):
     assert main(["verify-dpp", "--instance", rw2_file, "--tau", "1"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -170,6 +191,15 @@ def test_cli_check_class_rejects_flow_violating_measure_file(rw2_file, tmp_path,
     assert main(["check-class", "--instance", rw2_file,
                  "--measure", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [["--degree", "0"], ["--degree", "-2"]])
+def test_cli_check_class_with_no_statistics_is_an_error(rw2_file, capsys, flag):
+    assert main(["check-class", "--instance", rw2_file] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: degree "), captured.err
 
 
 def test_cli_gen_and_suite(tmp_path, capsys):

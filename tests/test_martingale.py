@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from treestop import (CandidateLaw, DegreeTooHigh, POS_INF, Polynomial,
-                      build_tree, candidate_with_branch_bias,
+from treestop import (CandidateLaw, DegreeTooHigh, EmptyBattery, POS_INF,
+                      Polynomial, TreestopError, build_tree,
+                      candidate_with_branch_bias,
                       candidate_with_pre_start_mass, candidate_with_state_shift,
                       check_membership, compensated_process, generator_gap_decay,
                       load_instance, monomial_basis, rule_from_map,
@@ -165,6 +166,17 @@ def test_degree_guard():
         check_membership(make_rw(), rule_to_measure(
             make_rw(), rule_from_map(make_rw(), {(): 1, (0,): 1, (1,): 1})),
             degree=5)
+
+
+def test_empty_battery_is_rejected_not_passed(rw2, half_rule):
+    # a battery without statistics could not reject this candidate
+    cand = candidate_with_branch_bias(rw2, half_rule, ((), F(1, 10)))
+    assert not check_membership(rw2, cand, degree=2).ok
+    for kwargs in ({"degree": 0}, {"degree": -1}, {"weight_budget": 0},
+                   {"weight_budget": -3}):
+        with pytest.raises(EmptyBattery):
+            check_membership(rw2, cand, **kwargs)
+    assert issubclass(EmptyBattery, TreestopError)
 
 
 def test_candidate_requires_mass_conservation(rw2):

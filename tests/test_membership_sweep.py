@@ -1,0 +1,154 @@
+"""The shared membership sweep against the per-statistic oracle.
+
+``check_membership`` reads every clause-1 statistic from one forward sweep
+per cylinder weight.  ``oracles.oracle_check_membership`` runs a full
+forward sweep per statistic.  Every report must be equal: the clause-1
+list in order, labels, exact values and pass flags, and the verdicts,
+with and without ``fail_fast``.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from treestop import (CandidateLaw, build_tree, candidate_with_branch_bias,
+                      candidate_with_state_shift, check_membership,
+                      generator_gap_decay, rule_from_map, rule_to_measure,
+                      solve_weak, statistic)
+from treestop.martingale import (CylinderWeight, _stop_at_horizon, monomial_basis,
+                                 weight_battery)
+from treestop.xreal import as_fraction
+
+from conftest import acceptance_corruptions, acceptance_pool, make_rw
+from oracles import oracle_check_membership, oracle_statistic
+
+F = Fraction
+HALF = F(1, 2)
+
+
+def assert_same_reports(tree, cand, **kwargs):
+    got = check_membership(tree, cand, **kwargs)
+    want = oracle_check_membership(tree, cand, **kwargs)
+    assert got.clause1 == want.clause1
+    assert got == want
+    return got
+
+
+@pytest.fixture(scope="module")
+def pool_measures():
+    return [(tree, solve_weak(tree).measure) for tree in acceptance_pool()]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"degree": 2, "mode": "exact"},
+    {"degree": 2, "mode": "generator"},
+], ids=["exact-2", "generator-2"])
+def test_acceptance_pool_matches_oracle(pool_measures, kwargs):
+    for tree, measure in pool_measures:
+        assert_same_reports(tree, measure, **kwargs)
+
+
+def test_acceptance_pool_matches_oracle_at_degree_3(pool_measures):
+    # the first ten instances hold every shape and every (depth, branches)
+    # pair of the pool; the oracle takes half a second per instance here
+    for tree, measure in pool_measures[:10]:
+        assert_same_reports(tree, measure, degree=3)
+
+
+def test_corruptions_match_oracle_and_are_rejected():
+    pool = acceptance_pool()
+    for i, kind, eps, tree, cand in acceptance_corruptions(pool):
+        rep = assert_same_reports(tree, cand, degree=2, fail_fast=True)
+        assert not rep.ok, (i, kind, eps)
+        if i < 15:  # five of each kind, also with every statistic
+            assert not assert_same_reports(tree, cand, degree=2).ok
+
+
+def _stop_biased_candidate():
+    """Pre-stop and post-stop flows biased in opposite directions at (0,)."""
+    tree = make_rw(depth=3)
+    interior = [w for w in tree.nodes() if len(w) < tree.depth]
+    rule = rule_from_map(tree, {w: F(len(w) + 1, 4) for w in interior})
+    biased = candidate_with_branch_bias(tree, rule, ((0,), F(1, 8)))
+    post = [[HALF, HALF], [F(3, 8), F(5, 8)], [F(1, 3), F(2, 3)]]
+    return tree, CandidateLaw(tree, s=dict(biased.s), u=dict(biased.u),
+                              post_stop_branching=post)
+
+
+def test_post_stop_branching_matches_oracle():
+    tree, cand = _stop_biased_candidate()
+    for fail_fast in (True, False):
+        for mode in ("exact", "generator"):
+            assert_same_reports(tree, cand, degree=2, mode=mode,
+                                fail_fast=fail_fast)
+
+
+def vector_tree():
+    """l = d = 2: a state-dependent drift and a full diffusion matrix."""
+    return build_tree(
+        dt=HALF, depth=3,
+        branching=[(F(1, 4), (1, 0)), (F(3, 4), (F(-1, 3), F(1, 2)))],
+        x0=(0, 1),
+        drift=lambda t, xs: (xs[-1][1] / 2, 1 - xs[-1][0]),
+        diffusion=((1, 0), (HALF, 1)))
+
+
+def test_vector_instance_matches_oracle():
+    tree = vector_tree()
+    interior = [w for w in tree.nodes() if len(w) < tree.depth]
+    rule = rule_from_map(tree, {w: F(sum(w) % 3, 3) for w in interior})
+    measure = rule_to_measure(tree, rule)
+    genuine = assert_same_reports(tree, measure, degree=2)
+    assert genuine.ok
+    assert_same_reports(tree, measure, degree=2, mode="generator")
+    for cand in (candidate_with_branch_bias(tree, rule, ((1,), F(1, 8))),
+                 candidate_with_state_shift(tree, measure, (1, 0), F(1, 3))):
+        for fail_fast in (True, False):
+            assert not assert_same_reports(tree, cand, degree=2,
+                                           fail_fast=fail_fast).ok
+
+
+def test_standalone_statistic_matches_oracle():
+    # statistic() outside check_membership runs its own sweep for one phi
+    tree, cand = _stop_biased_candidate()
+    for _, phi in monomial_basis(tree.d, tree.l, 2):
+        for s in range(tree.depth):
+            for weight in weight_battery(tree, cand, s, 8):
+                for r in range(s + 1, tree.depth + 1):
+                    for mode in ("exact", "generator"):
+                        assert statistic(cand, phi, s, r, weight, mode) == \
+                            oracle_statistic(cand, phi, s, r, weight, mode)
+
+
+def test_statistic_still_rejects_bad_windows():
+    tree, cand = _stop_biased_candidate()
+    _, phi = monomial_basis(1, 1, 1)[0]
+    trivial = CylinderWeight(label="1", factors=())
+    for s, r in ((1, 1), (-1, 2), (0, tree.depth + 1)):
+        with pytest.raises(ValueError):
+            statistic(cand, phi, s, r, trivial)
+    late = weight_battery(tree, cand, 2, 16)[-1]
+    with pytest.raises(ValueError):
+        statistic(cand, phi, 1, 2, late)
+
+
+def test_sweep_is_dropped_after_check_membership():
+    tree, cand = _stop_biased_candidate()
+    check_membership(tree, cand, fail_fast=True)
+    assert cand._sweep is None
+
+
+def test_generator_gap_decay_matches_oracle_statistics():
+    dts = (F(1), HALF, F(1, 4))
+    study = generator_gap_decay(dts=dts, degree=3)
+    trivial = CylinderWeight(label="1", factors=())
+    for dt, got in zip(dts, study["stats"]):
+        steps = int(1 / dt)
+        w = as_fraction(math.sqrt(float(dt)))
+        tree = build_tree(dt=dt, depth=steps, branching=[(HALF, w), (HALF, -w)],
+                          x0=0, drift=1, diffusion=1)
+        cand = CandidateLaw.from_measure(tree, _stop_at_horizon(tree))
+        want = max(abs(oracle_statistic(cand, phi, 0, steps, trivial, "generator"))
+                   for _, phi in monomial_basis(1, 1, 3))
+        assert got == float(want)
