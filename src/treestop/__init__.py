@@ -16,7 +16,8 @@ from .dpp import (ConditionalBudgets, condition, first_randomization_cut,
                   normalize_cut, paste, verify_dpp)
 from .envelope import ConcaveEnvelope, allocate, merged_envelope
 from .errors import (BudgetBelowDomain, DegreeTooHigh, EmptyBattery, EmptyFamily,
-                     EquivalenceViolation, InvalidBranching, InvalidHorizon,
+                     EquivalenceViolation, ExpressionUndefined,
+                     InvalidBranching, InvalidHorizon,
                      InvariantViolation, NoInstances, NodeNotInTree,
                      RuleShapeMismatch, ShapeMismatch, ShapeTooLarge,
                      SubproblemInfeasible, TreestopError,

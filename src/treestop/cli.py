@@ -123,6 +123,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_dp(args) -> int:
     started = time.perf_counter()
+    if args.grid is not None and args.grid < 0:
+        raise ValueError(f"--grid must be a point count >= 0, got {args.grid}")
     tree = load_instance(args.instance)
     env = root_envelope(tree)
     value = Ext(env.value(Ext.parse(args.budget)))

@@ -8,6 +8,14 @@ non-decreasing concave hull with the stop point.  Mixing the stop point
 against the continuation curve is the same two-point randomization that a
 basic LP solution uses, so the result agrees with the LP oracle exactly.
 
+The sweep runs level by level.  A forward pass over ``TreeInstance.levels``
+reads each node's stop value, reward step and budget step from state paths
+that grow by one Euler step per level; a backward pass then builds each
+level's envelopes from the level below, where BFS order keeps every node's
+children contiguous.  The root envelope depends on the tree only, never on
+the budget, so ``root_envelope`` (and ``dp_value`` through it) computes it
+once per tree and caches it on the instance.
+
 Instances with several constraints or any equality constraint are out of
 this engine's shape (values are not concave in equality targets) and are
 served by the LP oracle instead.
@@ -18,10 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
-from .envelope import ConcaveEnvelope, merged_envelope
+from .envelope import ConcaveEnvelope, _merged_points
 from .errors import UnsupportedConstraintShape
 from .lattice import ROOT, TreeInstance, Word
-from .xreal import Ext
+from .xreal import Ext, as_fraction
 
 
 def _require_scalar_shape(tree: TreeInstance) -> None:
@@ -40,34 +48,53 @@ def backstep(stop_value, reward_step, budget_step, children) -> ConcaveEnvelope:
     ``reward_step`` now, consumes ``budget_step`` now, and then allocates
     the remaining budget across the children.
     """
-    cont = merged_envelope(children).shifted(budget_step, reward_step)
-    points = [(Fraction(0), Fraction(stop_value))]
-    points += list(zip(cont.xs, cont.vs))
+    points = _merged_points(children, as_fraction(budget_step),
+                            as_fraction(reward_step))
+    points.append((Fraction(0), Fraction(stop_value)))
     return ConcaveEnvelope.hull_of_points(points)
 
 
 def node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
-    """Value-in-budget envelope of every node, leaves upward."""
+    """Value-in-budget envelope of every node, computed in one level sweep."""
     _require_scalar_shape(tree)
     g, _ = tree.constraints.inequalities[0]
+    # forward: per level, the words and each node's (stop value, reward
+    # step, budget step), or its envelope at the leaves
+    levels = []
+    for k, level in enumerate(tree.levels()):
+        t = tree.time(k)
+        words, data = [], []
+        for word, prefix in level:
+            words.append(word)
+            pi_here = as_fraction(tree.terminal(t, prefix))
+            if k == tree.depth:
+                data.append(ConcaveEnvelope.constant(0, pi_here))
+            else:
+                data.append((pi_here,
+                             Ext.parse(tree.reward(t, prefix)).fraction() * tree.dt,
+                             Ext.parse(g(t, prefix)).fraction() * tree.dt))
+        levels.append((words, data))
+    # backward: BFS order puts node i's children at i*n .. i*n+n-1 one level down
     env: Dict[Word, ConcaveEnvelope] = {}
-    for word in reversed(list(tree.nodes())):
-        pi_here = tree.terminal_at(word)
-        if len(word) == tree.depth:
-            env[word] = ConcaveEnvelope.constant(0, pi_here)
-            continue
-        t = tree.time(len(word))
-        prefix = tree._prefix_for_call(word)
-        f_step = Ext.parse(tree.reward(t, prefix)).fraction() * tree.dt
-        g_step = Ext.parse(g(t, prefix)).fraction() * tree.dt
-        kids = [(p, env[word + (j,)])
-                for j, (p, _) in enumerate(tree.branching[len(word)])]
-        env[word] = backstep(pi_here, f_step, g_step, kids)
+    below: list = []
+    for k in reversed(range(tree.depth + 1)):
+        words, here = levels.pop()
+        if k < tree.depth:
+            probs = [p for p, _ in tree.branching[k]]
+            n = len(probs)
+            here = [backstep(pi, f_step, g_step,
+                             list(zip(probs, below[i * n:(i + 1) * n])))
+                    for i, (pi, f_step, g_step) in enumerate(here)]
+        env.update(zip(reversed(words), reversed(here)))
+        below = here
     return env
 
 
 def root_envelope(tree: TreeInstance) -> ConcaveEnvelope:
-    return node_envelopes(tree)[ROOT]
+    """The root's envelope, computed once per tree and then cached on it."""
+    if tree._root_envelope is None:
+        tree._root_envelope = node_envelopes(tree)[ROOT]
+    return tree._root_envelope
 
 
 def dp_value(tree: TreeInstance, budget) -> Ext:

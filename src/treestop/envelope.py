@@ -10,20 +10,28 @@ induction runs on.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import BudgetBelowDomain
 from .xreal import Ext, as_fraction
 
+# every leaf envelope starts at budget 0; one shared tuple keeps them small
+_ZERO_XS = (Fraction(0),)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ConcaveEnvelope:
-    """Breakpoints of a concave non-decreasing piecewise-linear function."""
+    """Breakpoints of a concave non-decreasing piecewise-linear function.
+
+    The slopes between breakpoints are computed once, when the envelope is
+    validated, and kept for merging.
+    """
 
     xs: Tuple[Fraction, ...]
     vs: Tuple[Fraction, ...]
+    _slopes: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.xs or len(self.xs) != len(self.vs):
@@ -31,13 +39,15 @@ class ConcaveEnvelope:
         for a, b in zip(self.xs, self.xs[1:]):
             if b <= a:
                 raise ValueError("breakpoints must increase strictly")
-        slopes = self.slopes()
+        slopes = tuple((v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in
+                       zip(self.xs, self.xs[1:], self.vs, self.vs[1:]))
         for s in slopes:
             if s < 0:
                 raise ValueError("envelope must be non-decreasing")
         for a, b in zip(slopes, slopes[1:]):
             if b > a:
                 raise ValueError("envelope must be concave")
+        object.__setattr__(self, "_slopes", slopes)
 
     # -- basic queries -----------------------------------------------------
 
@@ -46,13 +56,12 @@ class ConcaveEnvelope:
         return self.xs[0]
 
     def slopes(self) -> List[Fraction]:
-        return [(v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in
-                zip(self.xs, self.xs[1:], self.vs, self.vs[1:])]
+        return list(self._slopes)
 
     def segments(self) -> List[Tuple[Fraction, Fraction]]:
         """(slope, width) pairs of the strictly rising part."""
         return [(s, x1 - x0) for s, x0, x1 in
-                zip(self.slopes(), self.xs, self.xs[1:]) if s > 0]
+                zip(self._slopes, self.xs, self.xs[1:]) if s > 0]
 
     def value(self, y) -> Fraction:
         """Evaluate at a budget; +inf returns the terminal plateau."""
@@ -79,7 +88,9 @@ class ConcaveEnvelope:
 
     @staticmethod
     def constant(x0, v) -> "ConcaveEnvelope":
-        return ConcaveEnvelope(xs=(as_fraction(x0),), vs=(as_fraction(v),))
+        x0 = as_fraction(x0)
+        return ConcaveEnvelope(xs=_ZERO_XS if x0 == 0 else (x0,),
+                               vs=(as_fraction(v),))
 
     @staticmethod
     def from_breakpoints(xs: Sequence, vs: Sequence) -> "ConcaveEnvelope":
@@ -128,6 +139,32 @@ def _canonical(xs: List[Fraction], vs: List[Fraction]) -> ConcaveEnvelope:
     return ConcaveEnvelope(xs=tuple(keep_x), vs=tuple(keep_v))
 
 
+def _merged_segments(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]):
+    """Children's rising segments as (slope, global width, child index),
+    steepest first; ties go to the lower child index, then to the earlier
+    segment.
+
+    Each child's segments already come steepest first, so the pool is a
+    concatenation of sorted runs, which the sort merges run by run.
+    """
+    pool = [(-s, j, k, p * w) for j, (p, env) in enumerate(children)
+            for k, (s, w) in enumerate(env.segments())]
+    pool.sort()
+    return [(-neg, gwidth, j) for neg, j, _, gwidth in pool]
+
+
+def _merged_points(children, dx=0, dv=0) -> List[Tuple[Fraction, Fraction]]:
+    """Kinks of the merged envelope (not yet canonical), shifted by (dx, dv)."""
+    x = sum(p * env.xs[0] for p, env in children) + dx
+    v = sum(p * env.vs[0] for p, env in children) + dv
+    points = [(x, v)]
+    for slope, gwidth, _ in _merged_segments(children):
+        x += gwidth
+        v += slope * gwidth
+        points.append((x, v))
+    return points
+
+
 def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> ConcaveEnvelope:
     """Value of the best budget split across children, as a function of the
     total budget sum p_j * y_j.
@@ -137,18 +174,8 @@ def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> Con
     and earns its current slope, so the merged function is concave with
     exactly those slopes.
     """
-    base_x = sum(p * env.xs[0] for p, env in children)
-    base_v = sum(p * env.vs[0] for p, env in children)
-    pool = []
-    for j, (p, env) in enumerate(children):
-        for k, (slope, width) in enumerate(env.segments()):
-            pool.append((slope, p * width, j, k))
-    pool.sort(key=lambda t: (-t[0], t[2], t[3]))
-    xs, vs = [base_x], [base_v]
-    for slope, gwidth, _, _ in pool:
-        xs.append(xs[-1] + gwidth)
-        vs.append(vs[-1] + slope * gwidth)
-    return _canonical(xs, vs)
+    points = _merged_points(children)
+    return _canonical([x for x, _ in points], [v for _, v in points])
 
 
 def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
@@ -168,12 +195,7 @@ def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
     value = sum(p * env.vs[0] for p, env in children)
     alloc = [env.xs[0] for _, env in children]
     remaining = None if total.is_pos_inf else total.fraction() - base_x
-    pool = []
-    for j, (p, env) in enumerate(children):
-        for k, (slope, width) in enumerate(env.segments()):
-            pool.append((slope, p * width, j, k))
-    pool.sort(key=lambda t: (-t[0], t[2], t[3]))
-    for slope, gwidth, j, _ in pool:
+    for slope, gwidth, j in _merged_segments(children):
         if remaining is not None:
             if remaining == 0:
                 break

@@ -21,6 +21,10 @@ class NodeNotInTree(TreestopError):
     """An increment word does not identify a node of the tree."""
 
 
+class ExpressionUndefined(TreestopError):
+    """An instance expression has no value at a node (it divides by zero)."""
+
+
 class RuleShapeMismatch(TreestopError):
     """A stopping rule's node set or values do not fit the tree."""
 

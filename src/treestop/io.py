@@ -17,7 +17,7 @@ import os
 from fractions import Fraction
 from typing import Dict, Optional, Union
 
-from .errors import NodeNotInTree
+from .errors import ExpressionUndefined, NodeNotInTree
 from .lattice import TreeInstance, Word, build_tree
 from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule, rule_from_map
@@ -83,10 +83,9 @@ def _eval_node(node, env):
     raise ValueError(f"unsupported expression element {ast.dump(node)}")
 
 
-def _x_parts(prefix):
-    """Current value and running sup of the first state coordinate."""
-    scalars = [p[0] if isinstance(p, tuple) else p for p in prefix]
-    return scalars[-1], max(scalars)
+def _scalar(x):
+    """First coordinate of a state (the state itself when it is scalar)."""
+    return x[0] if isinstance(x, tuple) else x
 
 
 def parse_function(spec) -> tuple:
@@ -98,9 +97,9 @@ def parse_function(spec) -> tuple:
     if low == "zero":
         return (lambda t, prefix: Fraction(0)), "zero"
     if low == "coord":
-        return (lambda t, prefix: _x_parts(prefix)[0]), "coord"
+        return (lambda t, prefix: _scalar(prefix[-1])), "coord"
     if low == "sup":
-        return (lambda t, prefix: _x_parts(prefix)[1]), "sup"
+        return (lambda t, prefix: max(map(_scalar, prefix))), "sup"
     if low.startswith("const:"):
         c = as_fraction(spec.split(":", 1)[1])
         return (lambda t, prefix: c), f"const:{fmt_rational(c)}"
@@ -117,16 +116,44 @@ def parse_function(spec) -> tuple:
                 power = as_fraction(math.pow(float(t), float(q - 1)))
             return a * q * power + lam
 
-        return moment_rate, f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
+        spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
+        return _guarded(moment_rate, spec), spec
     tree_ast = ast.parse(spec, mode="eval")
+    # the running sup costs a pass over the whole prefix; take it only if used
+    uses_sup = any(isinstance(node, ast.Name) and node.id == "x_sup"
+                   for node in ast.walk(tree_ast))
 
     def expr(t, prefix, _ast=tree_ast):
-        cur, sup = _x_parts(prefix)
-        env = {"t": as_fraction(t), "x_current": cur, "x_sup": sup}
+        env = {"t": as_fraction(t), "x_current": _scalar(prefix[-1])}
+        if uses_sup:
+            env["x_sup"] = max(map(_scalar, prefix))
         return _eval_node(_ast, env)
 
-    expr(Fraction(0), (Fraction(0),))  # validate eagerly on a dummy point
+    expr = _guarded(expr, spec)
+    # validate names and operators eagerly on a dummy point; a division by
+    # zero there says nothing about the tree's nodes, which are checked when
+    # they are evaluated
+    try:
+        expr(Fraction(0), (Fraction(0),))
+    except ExpressionUndefined:
+        pass
     return expr, spec
+
+
+def _guarded(fn, spec: str):
+    """fn with a division by zero reported as bad input naming spec, t and
+    the state, instead of a ZeroDivisionError."""
+    def call(t, prefix):
+        try:
+            return fn(t, prefix)
+        except ZeroDivisionError:
+            x = prefix[-1]
+            state = ("(" + ", ".join(map(fmt_rational, x)) + ")"
+                     if isinstance(x, tuple) else fmt_rational(x))
+            raise ExpressionUndefined(
+                f"{spec!r} divides by zero at t = {fmt_rational(t)}, "
+                f"state {state}") from None
+    return call
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,10 @@ class TreeInstance:
     """Immutable finite-depth increment tree with Euler states.
 
     Nodes are increment words.  States, path probabilities and cumulative
-    functionals are computed lazily and cached; instances are safe to share
-    for concurrent reads once constructed (all operations are pure).
+    functionals are computed lazily and cached (``_states``, ``_pathprob``,
+    ``_funcs``), as is the scalar-budget root envelope (``_root_envelope``,
+    filled by ``dp.root_envelope``); instances are safe to share for
+    concurrent reads once constructed (all operations are pure).
     """
 
     def __init__(self, t0, dt, depth, branching, history, coefficients,
@@ -209,6 +211,7 @@ class TreeInstance:
         self._states: dict = {ROOT: self.history[-1]}
         self._funcs: dict = {}
         self._pathprob: dict = {ROOT: Fraction(1)}
+        self._root_envelope = None
 
     # -- structure ---------------------------------------------------------
 
@@ -297,24 +300,43 @@ class TreeInstance:
             return tuple(x[0] for x in full)
         return tuple(full)
 
+    def _child_states(self, k: int, prefix: tuple) -> Tuple[State, ...]:
+        """Euler successors, one per branch, of a depth-k node whose state
+        path (in call form) is ``prefix``."""
+        x = prefix[-1] if self.l > 1 else (prefix[-1],)
+        t = self.time(k)
+        b = _as_vector(self._drift(t, prefix), self.l)
+        sig = _as_matrix(self._diff(t, prefix), self.l, self.d)
+        return tuple(
+            tuple(x[i] + b[i] * self.dt + sum(sig[i][j] * w[j] for j in range(self.d))
+                  for i in range(self.l))
+            for _, w in self.branching[k])
+
     def _state(self, word: Word) -> State:
         got = self._states.get(word)
         if got is not None:
             return got
         parent = word[:-1]
-        x = self._state(parent)
-        k = len(parent)
-        t = self.time(k)
-        prefix = self._prefix_for_call(parent)
-        b = _as_vector(self._drift(t, prefix), self.l)
-        sig = _as_matrix(self._diff(t, prefix), self.l, self.d)
-        _, w = self.branching[k][word[-1]]
-        nxt = tuple(
-            x[i] + b[i] * self.dt + sum(sig[i][j] * w[j] for j in range(self.d))
-            for i in range(self.l)
-        )
-        self._states[word] = nxt
-        return nxt
+        kids = self._child_states(len(parent), self._prefix_for_call(parent))
+        for j, x in enumerate(kids):
+            self._states[parent + (j,)] = x
+        return kids[word[-1]]
+
+    def levels(self):
+        """Each depth's (word, prefix) pairs in BFS order, root level first.
+
+        A prefix is the state path that the instance's functions see at the
+        node (what ``euler_state`` returns); each child's prefix extends its
+        parent's by one Euler step.  Only one level is held at a time, and
+        the state cache is left untouched.
+        """
+        level = [(ROOT, self._prefix_for_call(ROOT))]
+        for k in range(self.depth):
+            yield level
+            level = [(word + (j,), prefix + (self._unwrap(x),))
+                     for word, prefix in level
+                     for j, x in enumerate(self._child_states(k, prefix))]
+        yield level
 
     def state(self, word: Word):
         """State at a node (scalar when the state dimension is 1)."""

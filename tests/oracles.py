@@ -3,15 +3,18 @@
 Everything here deliberately avoids the solver paths under test: values
 come from direct enumeration of (word, stop depth) atoms, plain backward
 induction, brute-force grids, a Fraction-tableau simplex that the integer-row solver
-must match result for result, and a per-statistic membership sweep that the
-shared sweep must match statistic for statistic.
+must match result for result, a per-statistic membership sweep that the
+shared sweep must match statistic for statistic, and a node-by-node envelope
+recursion that the level-order sweep must match envelope for envelope.
 """
 
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from treestop import Ext
+from treestop.dp import _require_scalar_shape
+from treestop.envelope import ConcaveEnvelope, _canonical
 from treestop.errors import DegreeTooHigh
 from treestop.lattice import ROOT, TreeInstance, Word
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
@@ -450,3 +453,68 @@ def oracle_check_membership(tree: TreeInstance, candidate, degree: int = 2,
         if done:
             break
     return report
+
+
+# -- envelope backward induction -------------------------------------------------
+# ``oracle_merged_envelope``, ``oracle_backstep`` and ``oracle_node_envelopes``
+# are the envelope recursion as it was before the level-order sweep: words in
+# reverse BFS order, each node's state path rebuilt on every call, and a sort
+# of the children's pooled segments.  Copied verbatim apart from their names.
+# The library's envelopes must equal theirs node for node.
+
+
+def oracle_merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> ConcaveEnvelope:
+    """Value of the best budget split across children, as a function of the
+    total budget sum p_j * y_j.
+
+    Children's marginal slopes are interleaved in decreasing order; a unit
+    of global budget spent on child j advances its local budget by 1/p_j
+    and earns its current slope, so the merged function is concave with
+    exactly those slopes.
+    """
+    base_x = sum(p * env.xs[0] for p, env in children)
+    base_v = sum(p * env.vs[0] for p, env in children)
+    pool = []
+    for j, (p, env) in enumerate(children):
+        for k, (slope, width) in enumerate(env.segments()):
+            pool.append((slope, p * width, j, k))
+    pool.sort(key=lambda t: (-t[0], t[2], t[3]))
+    xs, vs = [base_x], [base_v]
+    for slope, gwidth, _, _ in pool:
+        xs.append(xs[-1] + gwidth)
+        vs.append(vs[-1] + slope * gwidth)
+    return _canonical(xs, vs)
+
+
+def oracle_backstep(stop_value, reward_step, budget_step, children) -> ConcaveEnvelope:
+    """One backward step: paste the stop point onto the continuation curve.
+
+    children are (probability, envelope) pairs for the successor nodes;
+    stopping costs no budget and pays ``stop_value``; continuing accrues
+    ``reward_step`` now, consumes ``budget_step`` now, and then allocates
+    the remaining budget across the children.
+    """
+    cont = oracle_merged_envelope(children).shifted(budget_step, reward_step)
+    points = [(Fraction(0), Fraction(stop_value))]
+    points += list(zip(cont.xs, cont.vs))
+    return ConcaveEnvelope.hull_of_points(points)
+
+
+def oracle_node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
+    """Value-in-budget envelope of every node, leaves upward."""
+    _require_scalar_shape(tree)
+    g, _ = tree.constraints.inequalities[0]
+    env: Dict[Word, ConcaveEnvelope] = {}
+    for word in reversed(list(tree.nodes())):
+        pi_here = tree.terminal_at(word)
+        if len(word) == tree.depth:
+            env[word] = ConcaveEnvelope.constant(0, pi_here)
+            continue
+        t = tree.time(len(word))
+        prefix = tree._prefix_for_call(word)
+        f_step = Ext.parse(tree.reward(t, prefix)).fraction() * tree.dt
+        g_step = Ext.parse(g(t, prefix)).fraction() * tree.dt
+        kids = [(p, env[word + (j,)])
+                for j, (p, _) in enumerate(tree.branching[len(word)])]
+        env[word] = oracle_backstep(pi_here, f_step, g_step, kids)
+    return env

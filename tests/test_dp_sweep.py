@@ -1,0 +1,162 @@
+"""The level-order envelope sweep against the node-by-node recursion it
+replaced, the per-tree root-envelope cache, and singular expressions."""
+
+from fractions import Fraction
+
+import pytest
+
+from treestop import (BudgetVector, ExpressionUndefined, POS_INF, build_tree,
+                      dp, dp_value, euler_state, load_instance, parse_function,
+                      root_envelope, solve_weak)
+from treestop.generate import generate_instance
+
+from oracles import oracle_node_envelopes
+
+F = Fraction
+HALF = F(1, 2)
+BINOM = [(HALF, 1), (HALF, -1)]
+
+
+def _generated(depth, branches, nonneg_g):
+    doc = generate_instance(seed=7, depth=depth, branches=branches, n_ineq=1,
+                            nonneg_g=nonneg_g)
+    return lambda: load_instance(doc)
+
+
+def _doc_tree(**fields):
+    doc = {"dt": "1", "depth": 3,
+           "branching": [{"p": "1/3", "w": "1"}, {"p": "2/3", "w": "-1/2"}],
+           "constraints": {"ineq": [{"g": "x_current**2", "y": "1"}]}}
+    doc.update(fields)
+    return lambda: load_instance(doc)
+
+
+def _mixed_branching():
+    return build_tree(
+        dt=1, depth=3, x0=0,
+        branching=[[(HALF, 1), (HALF, -1)],
+                   [(F(1, 4), 2), (F(1, 4), 0), (HALF, -1)],
+                   [(F(1, 3), 1), (F(2, 3), F(-1, 2))]],
+        reward=lambda t, xs: xs[-1] / 3, terminal=lambda t, xs: xs[-1] ** 2,
+        inequalities=[(lambda t, xs: 1 + t, 2)])
+
+
+def _vector():
+    return build_tree(
+        dt=HALF, depth=3,
+        branching=[(F(1, 4), (1, 0)), (F(3, 4), (F(-1, 3), HALF))],
+        x0=(0, 1),
+        drift=lambda t, xs: (xs[-1][1] / 2, 1 - xs[-1][0]),
+        diffusion=((1, 0), (HALF, 1)),
+        reward=lambda t, xs: xs[-1][1] / 4,
+        terminal=lambda t, xs: xs[-1][0] * xs[-1][1],
+        inequalities=[(lambda t, xs: xs[-1][0] ** 2 + HALF, 1)])
+
+
+def _negative_g():
+    # g < 0 near the start: continuing earns budget, so the domain starts at -2
+    return build_tree(dt=1, depth=3, branching=BINOM, x0=0,
+                      terminal=lambda t, xs: abs(xs[-1] - HALF) - t,
+                      inequalities=[(lambda t, xs: -1 + abs(xs[-1]) / 2, POS_INF)])
+
+
+def _stop_dominates():
+    return build_tree(dt=1, depth=1, branching=BINOM, x0=0,
+                      terminal=lambda t, xs: 5 if len(xs) == 1 else 0,
+                      inequalities=[(1, POS_INF)])
+
+
+CASES = {
+    "generated-5x3-nonneg": _generated(5, 3, True),
+    "generated-5x3-any": _generated(5, 3, False),
+    "generated-4x4-nonneg": _generated(4, 4, True),
+    "generated-4x4-any": _generated(4, 4, False),
+    "branching-per-level": _mixed_branching,
+    "vector-l2-d2": _vector,
+    "negative-g": _negative_g,
+    "long-history": _doc_tree(x0_history=["1", "-1", "3/2"],
+                              drift="x_current/4", pi="x_sup - x_current"),
+    "x-sup-drift-terminal": _doc_tree(drift="x_sup/2", f="x_sup/3", pi="x_sup"),
+    "stop-dominates": _stop_dominates,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sweep_matches_node_by_node_oracle(case):
+    got = dp.node_envelopes(CASES[case]())
+    want = oracle_node_envelopes(CASES[case]())
+    assert {w: (e.xs, e.vs) for w, e in got.items()} == \
+        {w: (e.xs, e.vs) for w, e in want.items()}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_level_prefixes_equal_euler_states(case):
+    tree = CASES[case]()
+    seen = []
+    for k, level in enumerate(tree.levels()):
+        for word, prefix in level:
+            assert len(word) == k
+            assert prefix == euler_state(tree, word), word
+            seen.append(word)
+    assert seen == list(tree.nodes())
+
+
+def test_root_envelope_is_computed_once_per_tree(monkeypatch):
+    calls = []
+    real = dp.node_envelopes
+
+    def counted(tree):
+        calls.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(dp, "node_envelopes", counted)
+    doc = generate_instance(seed=3, depth=3, branches=2, n_ineq=1, nonneg_g=True)
+    tree = load_instance(doc)
+    values = [dp_value(tree, y) for y in (0, HALF, 1, 3, POS_INF)]
+    env = root_envelope(tree)
+    assert len(calls) == 1
+    assert values == [dp_value(tree, y) for y in (0, HALF, 1, 3, POS_INF)]
+    assert env is root_envelope(tree) and len(calls) == 1
+
+    fresh = load_instance(doc)
+    assert root_envelope(fresh) == env
+    assert calls == [tree, fresh]
+
+
+# -- singular expressions ------------------------------------------------------
+
+def test_division_by_zero_at_the_dummy_point_is_not_a_parse_error():
+    inv_x, _ = parse_function("1/x_current")
+    assert inv_x(F(0), (F(2),)) == HALF
+    inv_t, _ = parse_function("1/t")
+    assert inv_t(F(4), (F(0),)) == F(1, 4)
+    with pytest.raises(ValueError):
+        parse_function("t ** (1/2)")
+
+
+def test_division_by_zero_at_a_node_names_expression_time_and_state():
+    inv_x, _ = parse_function("1/(x_current - 1)")
+    with pytest.raises(ExpressionUndefined,
+                       match=r"'1/\(x_current - 1\)' .* t = 3/2, state 1$"):
+        inv_x(F(3, 2), (F(0), F(1)))
+    with pytest.raises(ExpressionUndefined, match=r"state \(1, 2\)$"):
+        inv_x(F(0), ((F(1), F(2)),))
+    power, _ = parse_function("power:1,0,0")
+    with pytest.raises(ExpressionUndefined, match="'power:1,0,0'"):
+        power(F(0), (F(5),))
+
+
+SINGULAR_DOC = {
+    "dt": "1", "depth": 2, "branching": [{"p": "1/2", "w": "1"},
+                                         {"p": "1/2", "w": "-1"}],
+    "x0_history": ["0"], "pi": "1/(x_current - 1)",
+    "constraints": {"ineq": [{"g": "1", "y": "1"}]},
+}
+
+
+def test_singular_node_is_a_treestop_error_in_dp_and_solve():
+    tree = load_instance(SINGULAR_DOC)  # singular only at the node "+"
+    with pytest.raises(ExpressionUndefined, match="t = 1, state 1$"):
+        dp_value(tree, 1)
+    with pytest.raises(ExpressionUndefined, match="t = 1, state 1$"):
+        solve_weak(load_instance(SINGULAR_DOC), BudgetVector(ys=(F(1),)))

@@ -172,6 +172,12 @@ def test_cli_dp_output_is_unchanged_and_runs_backward_induction_once(
         assert len(calls) == 1
 
 
+def test_cli_dp_grid_zero_means_no_grid(rw2_file, capsys):
+    assert main(["dp", "--instance", rw2_file, "--budget", "1",
+                 "--grid", "0"]) == 0
+    assert capsys.readouterr().out == "value\t1 (1.0)\n\nbudget\tvalue\n0\t0\n2\t2\n"
+
+
 def test_cli_verify_dpp_and_check_class(rw2_file, capsys):
     assert main(["verify-dpp", "--instance", rw2_file, "--tau", "1"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -282,11 +288,21 @@ def _bad_input(tmp_path, case):
         return write('{"dt": 1,')
     if case == "not-an-object":
         return write("[1, 2]")
+    if case == "negative-grid":
+        return ["dp", *write(json.dumps(RW2_DOC))[1:], "--budget", "1",
+                "--grid", "-3"]
+    # 1/(x - 1) is fine at the root and singular at the node "+"
+    singular = json.dumps(dict(RW2_DOC, pi="1/(x_current - 1)"))
+    if case == "singular-solve":
+        return write(singular)
+    if case == "singular-dp":
+        return ["dp", *write(singular)[1:], "--budget", "1"]
     raise AssertionError(case)
 
 
 BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
-              "directory", "invalid-json", "not-an-object")
+              "directory", "invalid-json", "not-an-object", "negative-grid",
+              "singular-solve", "singular-dp")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
