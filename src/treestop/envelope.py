@@ -142,27 +142,35 @@ def _canonical(xs: List[Fraction], vs: List[Fraction]) -> ConcaveEnvelope:
 def _merged_segments(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]):
     """Children's rising segments as (slope, global width, child index),
     steepest first; ties go to the lower child index, then to the earlier
-    segment.
+    segment.  A child of probability 0 has no width to offer.
 
     Each child's segments already come steepest first, so the pool is a
     concatenation of sorted runs, which the sort merges run by run.
     """
-    pool = [(-s, j, k, p * w) for j, (p, env) in enumerate(children)
+    pool = [(-s, j, k, p * w) for j, (p, env) in enumerate(children) if p
             for k, (s, w) in enumerate(env.segments())]
     pool.sort()
     return [(-neg, gwidth, j) for neg, j, _, gwidth in pool]
 
 
-def _merged_points(children, dx=0, dv=0) -> List[Tuple[Fraction, Fraction]]:
-    """Kinks of the merged envelope (not yet canonical), shifted by (dx, dv)."""
+def _merged_chain(children, dx=0, dv=0):
+    """Kinks of the merged envelope shifted by (dx, dv), with the slopes
+    between them: kink i and kink i+1 are joined by slopes[i].
+
+    Equal consecutive slopes are merged while walking, so the chain is
+    canonical: strictly rising with strictly decreasing slopes.
+    """
     x = sum(p * env.xs[0] for p, env in children) + dx
     v = sum(p * env.vs[0] for p, env in children) + dv
-    points = [(x, v)]
+    xs, vs, slopes = [x], [v], []
     for slope, gwidth, _ in _merged_segments(children):
         x += gwidth
         v += slope * gwidth
-        points.append((x, v))
-    return points
+        if slopes and slopes[-1] == slope:
+            xs[-1], vs[-1] = x, v
+        else:
+            xs.append(x), vs.append(v), slopes.append(slope)
+    return xs, vs, slopes
 
 
 def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> ConcaveEnvelope:
@@ -174,8 +182,8 @@ def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> Con
     and earns its current slope, so the merged function is concave with
     exactly those slopes.
     """
-    points = _merged_points(children)
-    return _canonical([x for x, _ in points], [v for _, v in points])
+    xs, vs, _ = _merged_chain(children)
+    return ConcaveEnvelope(xs=tuple(xs), vs=tuple(vs))
 
 
 def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):

@@ -4,7 +4,10 @@ Rationals serialize as "num/den" strings so files stay exact; decimal
 renderings are added next to values only for human eyes.  Function fields
 of instance files are either named built-ins ("zero", "const:c", "coord",
 "sup", "power:a,q,lambda") or small arithmetic expressions in t, x_current
-and x_sup, evaluated in exact rational arithmetic.
+and x_sup, evaluated in exact rational arithmetic.  An expression is
+compiled once, when it is loaded, into nested closures: constant
+sub-expressions are folded, and names, operators, literals and constant
+exponents are checked then, so no node re-reads the syntax tree.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import ast
 import hashlib
 import json
 import math
+import operator
 import os
 from fractions import Fraction
 from typing import Dict, Optional, Union
@@ -50,15 +54,29 @@ def fmt_value(x) -> str:
 # the expression mini-language
 # ---------------------------------------------------------------------------
 
+def _int_exponent(b: Fraction) -> int:
+    if b.denominator != 1:
+        raise ValueError("only integer exponents are supported")
+    return b.numerator
+
+
+def _int_pow(a, b):
+    return a ** _int_exponent(b)
+
+
 _ALLOWED_NAMES = ("t", "x_current", "x_sup")
-_BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
-           ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b,
-           ast.Pow: None}
+_NAMES = {"t": lambda t, x, s: t, "x_current": lambda t, x, s: x,
+          "x_sup": lambda t, x, s: s}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: _int_pow}
 
 
-def _eval_node(node, env):
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, env)
+def _compile(node):
+    """An expression AST as a Fraction, when it is constant, or else as a
+    function of (t, x_current, x_sup).
+
+    Names, operators, literals and constant exponents are checked here, once.
+    """
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric literal {node.value!r}")
@@ -66,21 +84,36 @@ def _eval_node(node, env):
             return Fraction(node.value)
         return Fraction(str(node.value))  # decimal literals parse exactly
     if isinstance(node, ast.Name):
-        if node.id not in env:
+        if node.id not in _NAMES:
             raise ValueError(f"unknown name {node.id!r}; use one of {_ALLOWED_NAMES}")
-        return env[node.id]
+        return _NAMES[node.id]
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        v = _eval_node(node.operand, env)
-        return -v if isinstance(node.op, ast.USub) else v
+        a = _compile(node.operand)
+        if isinstance(node.op, ast.UAdd):
+            return a
+        return (lambda t, x, s: -a(t, x, s)) if callable(a) else -a
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        a = _eval_node(node.left, env)
-        b = _eval_node(node.right, env)
-        if isinstance(node.op, ast.Pow):
-            if b.denominator != 1:
-                raise ValueError("only integer exponents are supported")
-            return a ** b.numerator
-        return _BINOPS[type(node.op)](a, b)
+        a, b = _compile(node.left), _compile(node.right)
+        if isinstance(node.op, ast.Pow) and not callable(b):
+            return _fold(operator.pow, a, _int_exponent(b))
+        return _fold(_BINOPS[type(node.op)], a, b)
     raise ValueError(f"unsupported expression element {ast.dump(node)}")
+
+
+def _fold(op, a, b):
+    """op on two compiled operands: folded now when both are constant
+    (unless that divides by zero, which is reported at each node), else a
+    function evaluating them left to right."""
+    if callable(a) and callable(b):
+        return lambda t, x, s: op(a(t, x, s), b(t, x, s))
+    if callable(a):
+        return lambda t, x, s: op(a(t, x, s), b)
+    if callable(b):
+        return lambda t, x, s: op(a, b(t, x, s))
+    try:
+        return op(a, b)
+    except ZeroDivisionError:
+        return lambda t, x, s: op(a, b)
 
 
 def _scalar(x):
@@ -112,6 +145,8 @@ def parse_function(spec) -> tuple:
             t = as_fraction(t)
             if (q - 1).denominator == 1:
                 power = t ** (q - 1).numerator
+            elif t == 0 and q < 1:
+                raise ZeroDivisionError  # t^(q-1) is 1/t^(1-q)
             else:
                 power = as_fraction(math.pow(float(t), float(q - 1)))
             return a * q * power + lam
@@ -119,20 +154,22 @@ def parse_function(spec) -> tuple:
         spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
         return _guarded(moment_rate, spec), spec
     tree_ast = ast.parse(spec, mode="eval")
+    fn = _compile(tree_ast.body)
+    if not callable(fn):
+        return (lambda t, prefix: fn), spec
     # the running sup costs a pass over the whole prefix; take it only if used
-    uses_sup = any(isinstance(node, ast.Name) and node.id == "x_sup"
-                   for node in ast.walk(tree_ast))
-
-    def expr(t, prefix, _ast=tree_ast):
-        env = {"t": as_fraction(t), "x_current": _scalar(prefix[-1])}
-        if uses_sup:
-            env["x_sup"] = max(map(_scalar, prefix))
-        return _eval_node(_ast, env)
+    if any(isinstance(node, ast.Name) and node.id == "x_sup"
+           for node in ast.walk(tree_ast)):
+        def expr(t, prefix):
+            return fn(as_fraction(t), _scalar(prefix[-1]), max(map(_scalar, prefix)))
+    else:
+        def expr(t, prefix):
+            return fn(as_fraction(t), _scalar(prefix[-1]), None)
 
     expr = _guarded(expr, spec)
-    # validate names and operators eagerly on a dummy point; a division by
-    # zero there says nothing about the tree's nodes, which are checked when
-    # they are evaluated
+    # an exponent that is not constant is checked on a dummy point; a
+    # division by zero there says nothing about the tree's nodes, which are
+    # checked when they are evaluated
     try:
         expr(Fraction(0), (Fraction(0),))
     except ExpressionUndefined:

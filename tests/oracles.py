@@ -5,9 +5,12 @@ come from direct enumeration of (word, stop depth) atoms, plain backward
 induction, brute-force grids, a Fraction-tableau simplex that the integer-row solver
 must match result for result, a per-statistic membership sweep that the
 shared sweep must match statistic for statistic, and a node-by-node envelope
-recursion that the level-order sweep must match envelope for envelope.
+recursion that the level-order sweep must match envelope for envelope, and
+the tree-walking interpreter of instance expressions that the compiled
+expressions must match value for value.
 """
 
+import ast
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -518,3 +521,42 @@ def oracle_node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
                 for j, (p, _) in enumerate(tree.branching[len(word)])]
         env[word] = oracle_backstep(pi_here, f_step, g_step, kids)
     return env
+
+
+# -- instance expressions --------------------------------------------------------
+# ``oracle_eval_node`` is the expression interpreter as it was before
+# expressions were compiled, with its two tables, copied verbatim apart from
+# the names.  It walks the AST on every call; the compiled expressions must
+# give the same values and raise the same exception types.
+
+_ALLOWED_NAMES = ("t", "x_current", "x_sup")
+_BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
+           ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b,
+           ast.Pow: None}
+
+
+def oracle_eval_node(node, env):
+    if isinstance(node, ast.Expression):
+        return oracle_eval_node(node.body, env)
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
+            raise ValueError(f"non-numeric literal {node.value!r}")
+        if isinstance(node.value, int):
+            return Fraction(node.value)
+        return Fraction(str(node.value))  # decimal literals parse exactly
+    if isinstance(node, ast.Name):
+        if node.id not in env:
+            raise ValueError(f"unknown name {node.id!r}; use one of {_ALLOWED_NAMES}")
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        v = oracle_eval_node(node.operand, env)
+        return -v if isinstance(node.op, ast.USub) else v
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        a = oracle_eval_node(node.left, env)
+        b = oracle_eval_node(node.right, env)
+        if isinstance(node.op, ast.Pow):
+            if b.denominator != 1:
+                raise ValueError("only integer exponents are supported")
+            return a ** b.numerator
+        return _BINOPS[type(node.op)](a, b)
+    raise ValueError(f"unsupported expression element {ast.dump(node)}")

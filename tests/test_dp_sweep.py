@@ -1,16 +1,19 @@
 """The level-order envelope sweep against the node-by-node recursion it
-replaced, the per-tree root-envelope cache, and singular expressions."""
+replaced, the stop-point paste against the general hull, the per-tree
+root-envelope cache, and singular expressions."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treestop import (BudgetVector, ExpressionUndefined, POS_INF, build_tree,
-                      dp, dp_value, euler_state, load_instance, parse_function,
-                      root_envelope, solve_weak)
+from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
+                      POS_INF, backstep, build_tree, dp, dp_value, euler_state,
+                      load_instance, parse_function, root_envelope, solve_weak)
 from treestop.generate import generate_instance
 
-from oracles import oracle_node_envelopes
+from oracles import oracle_backstep, oracle_node_envelopes
 
 F = Fraction
 HALF = F(1, 2)
@@ -101,15 +104,104 @@ def test_level_prefixes_equal_euler_states(case):
     assert seen == list(tree.nodes())
 
 
+# -- the stop-point paste -------------------------------------------------------
+
+def _env(xs, vs):
+    return ConcaveEnvelope(xs=tuple(map(F, xs)), vs=tuple(map(F, vs)))
+
+
+# slopes 2 and 1/2 on [0, 3], top value 3; with one child of probability 1
+# the continuation chain is this envelope moved by (budget step, reward step)
+BENT = [(F(1), _env([0, 1, 3], [0, 2, 3]))]
+STAIRS = [(F(1), _env([0, 1, 2, 3, 4], [0, 4, 7, 9, 10]))]
+TIED = [(HALF, _env([0, 1], [0, 1])), (F(1, 4), _env([0, 2], [0, 2])),
+        (F(1, 4), _env([0, 1, 2], [0, 2, 3]))]
+
+# (children, stop value, reward step, budget step), by where the stop point
+# (0, stop value) falls against the continuation chain
+PASTES = {
+    "left-below-start": (BENT, -1, 0, 1),
+    "left-between": (BENT, 1, 0, 1),
+    "left-at-top": (BENT, 3, 0, 1),
+    "left-above-top": (BENT, 4, 0, 1),
+    "first-kink-above": (BENT, 1, 0, 0),
+    "first-kink-equal": (BENT, 0, 0, 0),
+    "first-kink-below": (BENT, -1, 0, 0),
+    "kink-above": (BENT, F(5, 2), 0, -1),
+    "kink-equal": (BENT, 2, 0, -1),
+    "kink-below": (BENT, 1, 0, -1),
+    "kink-at-top": (BENT, 3, 0, -1),
+    "last-kink-above": (BENT, 4, 0, -3),
+    "last-kink-equal": (BENT, 3, 0, -3),
+    "last-kink-below": (BENT, 2, 0, -3),
+    "segment-above": (BENT, F(3, 2), 0, -HALF),
+    "segment-on": (BENT, 1, 0, -HALF),
+    "segment-below": (BENT, HALF, 0, -HALF),
+    "segment-at-top": (BENT, 3, 0, -HALF),
+    "segment-above-top": (BENT, F(7, 2), 0, -HALF),
+    "right-of-plateau-above": (BENT, 4, 0, -4),
+    "right-of-plateau-equal": (BENT, 3, 0, -4),
+    "right-of-plateau-below": (BENT, 2, 0, -4),
+    "reward-step-shifts-values": (BENT, F(4, 3), F(1, 3), -HALF),
+    "covers-kinks-on-both-sides": (STAIRS, F(19, 2), 0, -2),
+    "covers-every-kink-left": (STAIRS, F(19, 2), 0, -F(9, 2)),
+    "tied-child-slopes-segment": (TIED, 2, 0, -1),
+    "tied-child-slopes-below": (TIED, 0, 0, -1),
+    "tied-child-slopes-left": (TIED, 1, 0, F(1, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PASTES))
+def test_backstep_equals_general_hull(case):
+    kids, pi, f_step, g_step = PASTES[case]
+    got = backstep(F(pi), F(f_step), F(g_step), kids)
+    want = oracle_backstep(F(pi), F(f_step), F(g_step), kids)
+    assert (got.xs, got.vs) == (want.xs, want.vs)
+
+
+_SMALL = st.integers(-16, 16).map(lambda n: F(n, 4))
+
+
+@st.composite
+def _concave_envelopes(draw):
+    n = draw(st.integers(0, 4))
+    slopes = sorted(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)),
+                    reverse=True)
+    widths = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    xs, vs = [draw(_SMALL)], [draw(_SMALL)]
+    for slope, width in zip(slopes, widths):
+        xs.append(xs[-1] + F(width, 4))
+        vs.append(vs[-1] + F(slope * width, 12))
+    return ConcaveEnvelope(xs=tuple(xs), vs=tuple(vs))
+
+
+@st.composite
+def _children(draw):
+    envs = draw(st.lists(_concave_envelopes(), min_size=1, max_size=3))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(envs),
+                            max_size=len(envs)))
+    return [(F(w, sum(weights)), env) for w, env in zip(weights, envs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_children(), _SMALL, _SMALL, _SMALL)
+def test_backstep_equals_general_hull_on_random_children(kids, pi, f_step, g_step):
+    got = backstep(pi, f_step, g_step, kids)
+    want = oracle_backstep(pi, f_step, g_step, kids)
+    assert (got.xs, got.vs) == (want.xs, want.vs)
+
+
+# -- one backward induction per tree ----------------------------------------------
+
 def test_root_envelope_is_computed_once_per_tree(monkeypatch):
     calls = []
-    real = dp.node_envelopes
+    real = dp._backward_levels
 
     def counted(tree):
         calls.append(tree)
         return real(tree)
 
-    monkeypatch.setattr(dp, "node_envelopes", counted)
+    monkeypatch.setattr(dp, "_backward_levels", counted)
     doc = generate_instance(seed=3, depth=3, branches=2, n_ineq=1, nonneg_g=True)
     tree = load_instance(doc)
     values = [dp_value(tree, y) for y in (0, HALF, 1, 3, POS_INF)]

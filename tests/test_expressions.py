@@ -1,0 +1,77 @@
+"""Compiled instance expressions against the tree-walking interpreter they
+replaced: the same values and the same exception types at every point."""
+
+import ast
+from fractions import Fraction
+
+import pytest
+
+from treestop import ExpressionUndefined, parse_function
+from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS,
+                               _TERMINALS)
+
+from oracles import oracle_eval_node
+
+F = Fraction
+
+# (t, state path); the last entry is the current state, and a vector state
+# is read through its first coordinate
+POINTS = [(F(0), (F(0),)), (F(1), (F(2),)), (F(1, 2), (F(-1), F(3, 2))),
+          (F(2), (F(1), F(-2), F(1, 3))), (F(3), (F(1),)),
+          (F(-1), (F(5), F(1, 2))), (F(1), ((F(2), F(-1)),))]
+
+GENERATED = sorted(set(_DRIFTS + _DIFFUSIONS + _REWARDS + _TERMINALS
+                       + _G_ANY + _H_ANY))
+HAND_WRITTEN = [
+    "-(-x_current)", "+-+t", "-x_current**2", "(-x_current)**3", "--(1/2)",
+    "x_sup - x_current", "x_sup/2 + t", "0.1 * x_sup", "2 * (t - 1/3) * x_current",
+    "x_current**0", "x_current**-2", "t**2 - 2**-1", "(1/2)**3 * t", "2**t",
+    "(t + 1)**x_current", "x_current**(2/1)", "1/(x_current - 1)", "1/t",
+    "1/0", "0**-1", "t/(t - t)", "x_current / (1/2 - 1/2)",
+]
+REJECTED = ["x_current**(1/2)", "1/x_current + t**(1/2)", "t**-0.5",
+            "y + 1", "x_current + abs(t)", "t if t else 1", "'1'", "True",
+            "1/x_current + z"]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type is the outcome under comparison
+        return type(exc)
+
+
+def _oracle(spec, t, prefix):
+    scalar = [x[0] if isinstance(x, tuple) else x for x in prefix]
+    env = {"t": t, "x_current": scalar[-1], "x_sup": max(scalar)}
+    got = _outcome(oracle_eval_node, ast.parse(spec, mode="eval"), env)
+    # the library reports a division by zero as bad input
+    return ExpressionUndefined if got is ZeroDivisionError else got
+
+
+@pytest.mark.parametrize("spec", GENERATED + HAND_WRITTEN)
+def test_compiled_expression_equals_interpreter(spec):
+    fn, canon = parse_function(spec)
+    assert canon == spec
+    for t, prefix in POINTS:
+        assert _outcome(fn, t, prefix) == _oracle(spec, t, prefix), (t, prefix)
+
+
+@pytest.mark.parametrize("spec", REJECTED)
+def test_load_time_rejection_is_an_interpreter_error(spec):
+    with pytest.raises(ValueError) as info:
+        parse_function(spec)
+    # the interpreter raises the same error wherever no division by zero
+    # comes first
+    outcomes = [_oracle(spec, t, prefix) for t, prefix in POINTS]
+    assert set(outcomes) <= {info.type, ExpressionUndefined}
+    assert info.type in outcomes
+
+
+def test_power_builtin_at_time_zero_is_undefined_not_a_domain_error():
+    fn, _ = parse_function("power:1,1/2,0")
+    with pytest.raises(ExpressionUndefined,
+                       match=r"^'power:1,1/2,0' divides by zero at t = 0, state 1$"):
+        fn(F(0), (F(1),))
+    assert fn(F(4), (F(1),)) == F(1, 4)
+    assert parse_function("power:1,3/2,0")[0](F(0), (F(1),)) == 0

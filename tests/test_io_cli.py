@@ -155,13 +155,13 @@ def test_cli_dp_and_derandomize_and_mc(rw2_file, tmp_path, capsys):
 def test_cli_dp_output_is_unchanged_and_runs_backward_induction_once(
         rw2_file, monkeypatch, capsys):
     calls = []
-    real = dp.node_envelopes
+    real = dp._backward_levels
 
     def counted(tree):
         calls.append(tree)
         return real(tree)
 
-    monkeypatch.setattr(dp, "node_envelopes", counted)
+    monkeypatch.setattr(dp, "_backward_levels", counted)
     table = ("\n\nbudget\tvalue\n0\t0\n2\t2\n"
              "\ngrid_budget\tvalue\n0\t0\n1\t1\n2\t2\n")
     for budget, value in (("1/2", "1/2 (0.5)"), ("inf", "2 (2.0)")):
@@ -297,12 +297,20 @@ def _bad_input(tmp_path, case):
         return write(singular)
     if case == "singular-dp":
         return ["dp", *write(singular)[1:], "--budget", "1"]
+    # the division by zero at load time's dummy point must not hide the exponent
+    if case == "exponent-behind-division":
+        return write(json.dumps(dict(RW2_DOC, pi="1/x_current + t**(1/2)")))
+    if case == "power-at-time-zero":
+        cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
+        return ["dp", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:],
+                "--budget", "1"]
     raise AssertionError(case)
 
 
 BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "directory", "invalid-json", "not-an-object", "negative-grid",
-              "singular-solve", "singular-dp")
+              "singular-solve", "singular-dp", "exponent-behind-division",
+              "power-at-time-zero")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
