@@ -12,13 +12,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 from .errors import BudgetBelowDomain
 from .xreal import Ext, as_fraction
-
-# every leaf envelope starts at budget 0; one shared tuple keeps them small
-_ZERO_XS = (Fraction(0),)
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,17 +34,14 @@ class ConcaveEnvelope:
     def __post_init__(self):
         if not self.xs or len(self.xs) != len(self.vs):
             raise ValueError("need matching, non-empty breakpoint lists")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if b <= a:
-                raise ValueError("breakpoints must increase strictly")
+        if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
+            raise ValueError("breakpoints must increase strictly")
         slopes = tuple((v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in
                        zip(self.xs, self.xs[1:], self.vs, self.vs[1:]))
-        for s in slopes:
-            if s < 0:
-                raise ValueError("envelope must be non-decreasing")
-        for a, b in zip(slopes, slopes[1:]):
-            if b > a:
-                raise ValueError("envelope must be concave")
+        if any(s < 0 for s in slopes):
+            raise ValueError("envelope must be non-decreasing")
+        if any(b > a for a, b in zip(slopes, slopes[1:])):
+            raise ValueError("envelope must be concave")
         object.__setattr__(self, "_slopes", slopes)
 
     # -- basic queries -----------------------------------------------------
@@ -75,9 +70,7 @@ class ConcaveEnvelope:
         if yy >= self.xs[-1]:
             return self.vs[-1]
         i = bisect_right(self.xs, yy) - 1
-        x0, x1 = self.xs[i], self.xs[i + 1]
-        v0, v1 = self.vs[i], self.vs[i + 1]
-        return v0 + (v1 - v0) * (yy - x0) / (x1 - x0)
+        return self.vs[i] + self._slopes[i] * (yy - self.xs[i])
 
     def shifted(self, dx, dv) -> "ConcaveEnvelope":
         dx, dv = as_fraction(dx), as_fraction(dv)
@@ -88,9 +81,7 @@ class ConcaveEnvelope:
 
     @staticmethod
     def constant(x0, v) -> "ConcaveEnvelope":
-        x0 = as_fraction(x0)
-        return ConcaveEnvelope(xs=_ZERO_XS if x0 == 0 else (x0,),
-                               vs=(as_fraction(v),))
+        return ConcaveEnvelope(xs=(as_fraction(x0),), vs=(as_fraction(v),))
 
     @staticmethod
     def from_breakpoints(xs: Sequence, vs: Sequence) -> "ConcaveEnvelope":
@@ -139,38 +130,41 @@ def _canonical(xs: List[Fraction], vs: List[Fraction]) -> ConcaveEnvelope:
     return ConcaveEnvelope(xs=tuple(keep_x), vs=tuple(keep_v))
 
 
-def _merged_segments(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]):
-    """Children's rising segments as (slope, global width, child index),
-    steepest first; ties go to the lower child index, then to the earlier
-    segment.  A child of probability 0 has no width to offer.
-
-    Each child's segments already come steepest first, so the pool is a
-    concatenation of sorted runs, which the sort merges run by run.
-    """
-    pool = [(-s, j, k, p * w) for j, (p, env) in enumerate(children) if p
-            for k, (s, w) in enumerate(env.segments())]
-    pool.sort()
-    return [(-neg, gwidth, j) for neg, j, _, gwidth in pool]
+def _scaled(p, env: ConcaveEnvelope):
+    """p * env as a chain (x0, v0, top value, (slope, width) pairs of the
+    rising part, steepest first); a child of probability 0 has no width."""
+    segments = tuple((s, p * w) for s, w in env.segments()) if p else ()
+    return p * env.xs[0], p * env.vs[0], p * env.vs[-1], segments
 
 
-def _merged_chain(children, dx=0, dv=0):
-    """Kinks of the merged envelope shifted by (dx, dv), with the slopes
-    between them: kink i and kink i+1 are joined by slopes[i].
-
-    Equal consecutive slopes are merged while walking, so the chain is
-    canonical: strictly rising with strictly decreasing slopes.
-    """
-    x = sum(p * env.xs[0] for p, env in children) + dx
-    v = sum(p * env.vs[0] for p, env in children) + dv
-    xs, vs, slopes = [x], [v], []
-    for slope, gwidth, _ in _merged_segments(children):
-        x += gwidth
-        v += slope * gwidth
-        if slopes and slopes[-1] == slope:
-            xs[-1], vs[-1] = x, v
+def _merged(chains, dx=0, dv=0):
+    """The sum of chains in one unit, moved by (dx, dv), segments in a list.
+    The slope sort is stable, so equal slopes keep the chains' order and
+    then each chain's; they merge by adding widths."""
+    x0, v0, top, pool = dx, dv, dv, []
+    for x, v, v_top, chain_segments in chains:
+        x0, v0, top = x0 + x, v0 + v, top + v_top
+        pool += chain_segments
+    pool.sort(key=itemgetter(0), reverse=True)
+    segments = []
+    for s, w in pool:
+        if segments and segments[-1][0] == s:
+            segments[-1] = (s, segments[-1][1] + w)
         else:
-            xs.append(x), vs.append(v), slopes.append(slope)
-    return xs, vs, slopes
+            segments.append((s, w))
+    return x0, v0, top, segments
+
+
+def _built(chain, unit=1) -> ConcaveEnvelope:
+    """The envelope of a chain whose values are ``unit`` times its own."""
+    x, v, _, segments = chain
+    xs, vs = [x], [v]
+    for s, w in segments:
+        x, v = x + w, v + s * w
+        xs.append(x), vs.append(v)
+    if unit != 1:
+        xs, vs = [a / unit for a in xs], [b / unit for b in vs]
+    return ConcaveEnvelope(xs=tuple(xs), vs=tuple(vs))
 
 
 def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> ConcaveEnvelope:
@@ -182,8 +176,7 @@ def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> Con
     and earns its current slope, so the merged function is concave with
     exactly those slopes.
     """
-    xs, vs, _ = _merged_chain(children)
-    return ConcaveEnvelope(xs=tuple(xs), vs=tuple(vs))
+    return _built(_merged([_scaled(p, env) for p, env in children]))
 
 
 def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
@@ -203,7 +196,10 @@ def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
     value = sum(p * env.vs[0] for p, env in children)
     alloc = [env.xs[0] for _, env in children]
     remaining = None if total.is_pos_inf else total.fraction() - base_x
-    for slope, gwidth, j in _merged_segments(children):
+    pool = [(s, p * w, j) for j, (p, env) in enumerate(children) if p
+            for s, w in env.segments()]
+    pool.sort(key=itemgetter(0), reverse=True)  # stable: ties by child, then segment
+    for slope, gwidth, j in pool:
         if remaining is not None:
             if remaining == 0:
                 break

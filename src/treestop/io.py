@@ -6,8 +6,9 @@ of instance files are either named built-ins ("zero", "const:c", "coord",
 "sup", "power:a,q,lambda") or small arithmetic expressions in t, x_current
 and x_sup, evaluated in exact rational arithmetic.  An expression is
 compiled once, when it is loaded, into nested closures: constant
-sub-expressions are folded, and names, operators, literals and constant
-exponents are checked then, so no node re-reads the syntax tree.
+sub-expressions are folded, and names, operators, literals and exponents
+(one that is not constant at a dummy point) are checked then, so no node
+re-reads the syntax tree.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _compile(node):
     """An expression AST as a Fraction, when it is constant, or else as a
     function of (t, x_current, x_sup).
 
-    Names, operators, literals and constant exponents are checked here, once.
+    Names, operators, literals and exponents are checked here, once.
     """
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
@@ -94,10 +95,22 @@ def _compile(node):
         return (lambda t, x, s: -a(t, x, s)) if callable(a) else -a
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         a, b = _compile(node.left), _compile(node.right)
-        if isinstance(node.op, ast.Pow) and not callable(b):
-            return _fold(operator.pow, a, _int_exponent(b))
+        if isinstance(node.op, ast.Pow):
+            if not callable(b):
+                return _fold(operator.pow, a, _int_exponent(b))
+            _check_exponent(b)
         return _fold(_BINOPS[type(node.op)], a, b)
     raise ValueError(f"unsupported expression element {ast.dump(node)}")
+
+
+def _check_exponent(b):
+    """Reject an exponent that is not constant when it is not an integer at
+    the dummy point (t = 0, state 0); a division by zero there says nothing
+    about the tree's nodes, which are checked when they are evaluated."""
+    try:
+        _int_exponent(b(Fraction(0), Fraction(0), Fraction(0)))
+    except ZeroDivisionError:
+        pass
 
 
 def _fold(op, a, b):
@@ -139,6 +152,7 @@ def parse_function(spec) -> tuple:
     if low.startswith("power:"):
         a_s, q_s, lam_s = spec.split(":", 1)[1].split(",")
         a, q, lam = as_fraction(a_s), as_fraction(q_s), as_fraction(lam_s)
+        spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
 
         def moment_rate(t, prefix, a=a, q=q, lam=lam):
             # integrand a*q*t^(q-1) + lam accrues a*((t0+tau)^q - t0^q) + lam*tau
@@ -147,11 +161,14 @@ def parse_function(spec) -> tuple:
                 power = t ** (q - 1).numerator
             elif t == 0 and q < 1:
                 raise ZeroDivisionError  # t^(q-1) is 1/t^(1-q)
+            elif t < 0:
+                raise ExpressionUndefined(
+                    f"{spec!r} takes the non-integer power q - 1 = "
+                    f"{fmt_rational(q - 1)} of a negative time {_where(t, prefix)}")
             else:
                 power = as_fraction(math.pow(float(t), float(q - 1)))
             return a * q * power + lam
 
-        spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
         return _guarded(moment_rate, spec), spec
     tree_ast = ast.parse(spec, mode="eval")
     fn = _compile(tree_ast.body)
@@ -165,16 +182,7 @@ def parse_function(spec) -> tuple:
     else:
         def expr(t, prefix):
             return fn(as_fraction(t), _scalar(prefix[-1]), None)
-
-    expr = _guarded(expr, spec)
-    # an exponent that is not constant is checked on a dummy point; a
-    # division by zero there says nothing about the tree's nodes, which are
-    # checked when they are evaluated
-    try:
-        expr(Fraction(0), (Fraction(0),))
-    except ExpressionUndefined:
-        pass
-    return expr, spec
+    return _guarded(expr, spec), spec
 
 
 def _guarded(fn, spec: str):
@@ -184,13 +192,17 @@ def _guarded(fn, spec: str):
         try:
             return fn(t, prefix)
         except ZeroDivisionError:
-            x = prefix[-1]
-            state = ("(" + ", ".join(map(fmt_rational, x)) + ")"
-                     if isinstance(x, tuple) else fmt_rational(x))
             raise ExpressionUndefined(
-                f"{spec!r} divides by zero at t = {fmt_rational(t)}, "
-                f"state {state}") from None
+                f"{spec!r} divides by zero {_where(t, prefix)}") from None
     return call
+
+
+def _where(t, prefix) -> str:
+    """'at t = ..., state ...' for the node at time t with state path prefix."""
+    x = prefix[-1]
+    state = ("(" + ", ".join(map(fmt_rational, x)) + ")"
+             if isinstance(x, tuple) else fmt_rational(x))
+    return f"at t = {fmt_rational(t)}, state {state}"
 
 
 # ---------------------------------------------------------------------------

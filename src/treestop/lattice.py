@@ -307,9 +307,12 @@ class TreeInstance:
         t = self.time(k)
         b = _as_vector(self._drift(t, prefix), self.l)
         sig = _as_matrix(self._diff(t, prefix), self.l, self.d)
+        mean = [xi + bi * self.dt for xi, bi in zip(x, b)]
+        if self.d == 1:
+            return tuple(tuple(m + row[0] * w[0] for m, row in zip(mean, sig))
+                         for _, w in self.branching[k])
         return tuple(
-            tuple(x[i] + b[i] * self.dt + sum(sig[i][j] * w[j] for j in range(self.d))
-                  for i in range(self.l))
+            tuple(m + sum(a * c for a, c in zip(row, w)) for m, row in zip(mean, sig))
             for _, w in self.branching[k])
 
     def _state(self, word: Word) -> State:

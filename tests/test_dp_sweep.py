@@ -1,11 +1,12 @@
 """The level-order envelope sweep against the node-by-node recursion it
-replaced, the stop-point paste against the general hull, the per-tree
-root-envelope cache, and singular expressions."""
+replaced, on fixed and generated trees; the level prefixes against a
+hand-written Euler recursion; the stop-point paste against the general
+hull; the per-tree root-envelope cache; and singular expressions."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
@@ -34,23 +35,35 @@ def _doc_tree(**fields):
     return lambda: load_instance(doc)
 
 
+# the state dynamics of three trees, kept apart so that the Euler recursion
+# below can be written out by hand against them
+MIXED_DYNAMICS = dict(
+    dt=1, depth=3, x0=0, drift=0, diffusion=1,
+    branching=[[(HALF, 1), (HALF, -1)],
+               [(F(1, 4), 2), (F(1, 4), 0), (HALF, -1)],
+               [(F(1, 3), 1), (F(2, 3), F(-1, 2))]])
+VECTOR_DYNAMICS = dict(
+    dt=HALF, depth=3, x0=(0, 1),
+    branching=[[(F(1, 4), (1, 0)), (F(3, 4), (F(-1, 3), HALF))]] * 3,
+    drift=lambda t, xs: (xs[-1][1] / 2, 1 - xs[-1][0]),
+    diffusion=((1, 0), (HALF, 1)))
+SCALAR_DYNAMICS = dict(
+    dt=F(1, 3), depth=4, x0=F(1, 2), t0=-1,
+    branching=[[(F(1, 3), 1), (F(1, 6), F(-1, 2)), (HALF, F(-3, 2))]] * 4,
+    drift=lambda t, xs: max(xs) / 2 - t * xs[-1],
+    diffusion=lambda t, xs: 1 + xs[-1] ** 2 / 4)
+
+
 def _mixed_branching():
     return build_tree(
-        dt=1, depth=3, x0=0,
-        branching=[[(HALF, 1), (HALF, -1)],
-                   [(F(1, 4), 2), (F(1, 4), 0), (HALF, -1)],
-                   [(F(1, 3), 1), (F(2, 3), F(-1, 2))]],
+        **MIXED_DYNAMICS,
         reward=lambda t, xs: xs[-1] / 3, terminal=lambda t, xs: xs[-1] ** 2,
         inequalities=[(lambda t, xs: 1 + t, 2)])
 
 
 def _vector():
     return build_tree(
-        dt=HALF, depth=3,
-        branching=[(F(1, 4), (1, 0)), (F(3, 4), (F(-1, 3), HALF))],
-        x0=(0, 1),
-        drift=lambda t, xs: (xs[-1][1] / 2, 1 - xs[-1][0]),
-        diffusion=((1, 0), (HALF, 1)),
+        **VECTOR_DYNAMICS,
         reward=lambda t, xs: xs[-1][1] / 4,
         terminal=lambda t, xs: xs[-1][0] * xs[-1][1],
         inequalities=[(lambda t, xs: xs[-1][0] ** 2 + HALF, 1)])
@@ -102,6 +115,40 @@ def test_level_prefixes_equal_euler_states(case):
             assert prefix == euler_state(tree, word), word
             seen.append(word)
     assert seen == list(tree.nodes())
+
+
+def _euler_by_hand(dt, depth, branching, x0, drift, diffusion, t0=0):
+    """Every word's state path from x + b*dt + sigma*w, step by step, with
+    none of the tree's own state code."""
+    def coefficient(c, t, path):
+        return c(t, path) if callable(c) else c
+
+    paths = {(): (tuple(map(F, x0)) if isinstance(x0, tuple) else F(x0),)}
+    for k in range(depth):
+        t = t0 + k * F(dt)
+        for word, path in [(w, p) for w, p in paths.items() if len(w) == k]:
+            x = path[-1]
+            b, sig = coefficient(drift, t, path), coefficient(diffusion, t, path)
+            for j, (_, w) in enumerate(branching[k]):
+                if isinstance(x, tuple):  # vector state: sigma is an l x d matrix
+                    nxt = tuple(x[i] + b[i] * dt
+                                + sum(sig[i][m] * w[m] for m in range(len(w)))
+                                for i in range(len(x)))
+                else:
+                    nxt = x + b * dt + sig * w
+                paths[word + (j,)] = path + (nxt,)
+    return paths
+
+
+@pytest.mark.parametrize("dynamics", [SCALAR_DYNAMICS, VECTOR_DYNAMICS,
+                                      MIXED_DYNAMICS],
+                         ids=["scalar", "vector-l2-d2", "branching-per-level"])
+def test_level_prefixes_and_euler_states_equal_a_hand_written_recursion(dynamics):
+    want = _euler_by_hand(**dynamics)
+    tree = build_tree(**dynamics)
+    got = {word: prefix for level in tree.levels() for word, prefix in level}
+    assert got == want
+    assert {word: euler_state(tree, word) for word in want} == want
 
 
 # -- the stop-point paste -------------------------------------------------------
@@ -189,6 +236,21 @@ def test_backstep_equals_general_hull_on_random_children(kids, pi, f_step, g_ste
     got = backstep(pi, f_step, g_step, kids)
     want = oracle_backstep(pi, f_step, g_step, kids)
     assert (got.xs, got.vs) == (want.xs, want.vs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(1, 4),
+       branches=st.integers(2, 4), nonneg_g=st.booleans())
+# g = x_current below 0: domains start left of x = 0, and the paste walks
+# up to six kinks there
+@example(seed=3, depth=3, branches=3, nonneg_g=False)
+def test_sweep_matches_node_by_node_oracle_on_generated_trees(seed, depth, branches,
+                                                              nonneg_g):
+    doc = generate_instance(seed=seed, depth=depth, branches=branches, n_ineq=1,
+                            nonneg_g=nonneg_g)
+    want = oracle_node_envelopes(load_instance(doc))
+    assert root_envelope(load_instance(doc)) == want[()]
+    assert dp.node_envelopes(load_instance(doc)) == want
 
 
 # -- one backward induction per tree ----------------------------------------------

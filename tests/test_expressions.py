@@ -75,3 +75,29 @@ def test_power_builtin_at_time_zero_is_undefined_not_a_domain_error():
         fn(F(0), (F(1),))
     assert fn(F(4), (F(1),)) == F(1, 4)
     assert parse_function("power:1,3/2,0")[0](F(0), (F(1),)) == 0
+
+
+def test_exponent_that_is_not_constant_is_checked_on_its_own_at_load():
+    # the division by zero at the dummy point comes first in the expression,
+    # and must not hide the exponent, which is 1/2 there
+    with pytest.raises(ValueError, match="^only integer exponents are supported$"):
+        parse_function("1/x_current + t**(x_current + 1/2)")
+    # an exponent that is an integer at the dummy point still loads, and a
+    # division by zero inside one is left to the nodes
+    for spec in ("2**t", "(t + 1)**x_current", "t**(1/x_current)"):
+        fn, _ = parse_function(spec)
+        for t, prefix in POINTS:
+            assert _outcome(fn, t, prefix) == _oracle(spec, t, prefix), (spec, t)
+
+
+def test_power_builtin_at_negative_time_is_undefined_not_a_domain_error():
+    fn, _ = parse_function("power:1,1/2,0")
+    with pytest.raises(ExpressionUndefined,
+                       match=r"^'power:1,1/2,0' takes the non-integer power "
+                             r"q - 1 = -1/2 of a negative time at t = -1, state 1$"):
+        fn(F(-1), (F(1),))
+    with pytest.raises(ExpressionUndefined,
+                       match=r"^'power:1,3/2,0' .* at t = -1/2, state \(1, 2\)$"):
+        parse_function("power:1,3/2,0")[0](F(-1, 2), ((F(1), F(2)),))
+    # integer q - 1 is defined at every t
+    assert parse_function("power:1,3,0")[0](F(-1), (F(1),)) == 3

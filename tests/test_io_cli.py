@@ -300,6 +300,12 @@ def _bad_input(tmp_path, case):
     # the division by zero at load time's dummy point must not hide the exponent
     if case == "exponent-behind-division":
         return write(json.dumps(dict(RW2_DOC, pi="1/x_current + t**(1/2)")))
+    if case == "exponent-not-constant-behind-division":
+        return write(json.dumps(dict(RW2_DOC, pi="1/x_current + t**(x_current + 1/2)")))
+    if case == "power-at-negative-time":
+        cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
+        return ["dp", *write(json.dumps(dict(RW2_DOC, t0="-2", constraints=cons)))[1:],
+                "--budget", "1"]
     if case == "power-at-time-zero":
         cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
         return ["dp", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:],
@@ -310,7 +316,8 @@ def _bad_input(tmp_path, case):
 BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "directory", "invalid-json", "not-an-object", "negative-grid",
               "singular-solve", "singular-dp", "exponent-behind-division",
-              "power-at-time-zero")
+              "power-at-time-zero", "exponent-not-constant-behind-division",
+              "power-at-negative-time")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
