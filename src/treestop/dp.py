@@ -149,6 +149,8 @@ def root_envelope(tree: TreeInstance) -> ConcaveEnvelope:
 
 
 def dp_value(tree: TreeInstance, budget) -> Ext:
-    """V(root, budget) by exact backward induction, equal to the LP oracle's;
-    budget may be +inf (no constraint)."""
+    """V(root, budget) by exact backward induction.
+
+    Agrees with the LP oracle exactly; budget may be +inf (no constraint).
+    """
     return Ext(root_envelope(tree).value(budget))

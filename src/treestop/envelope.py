@@ -34,14 +34,17 @@ class ConcaveEnvelope:
     def __post_init__(self):
         if not self.xs or len(self.xs) != len(self.vs):
             raise ValueError("need matching, non-empty breakpoint lists")
-        if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
-            raise ValueError("breakpoints must increase strictly")
+        for a, b in zip(self.xs, self.xs[1:]):
+            if b <= a:
+                raise ValueError("breakpoints must increase strictly")
         slopes = tuple((v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in
                        zip(self.xs, self.xs[1:], self.vs, self.vs[1:]))
-        if any(s < 0 for s in slopes):
-            raise ValueError("envelope must be non-decreasing")
-        if any(b > a for a, b in zip(slopes, slopes[1:])):
-            raise ValueError("envelope must be concave")
+        for s in slopes:
+            if s < 0:
+                raise ValueError("envelope must be non-decreasing")
+        for a, b in zip(slopes, slopes[1:]):
+            if b > a:
+                raise ValueError("envelope must be concave")
         object.__setattr__(self, "_slopes", slopes)
 
     # -- basic queries -----------------------------------------------------
@@ -70,7 +73,9 @@ class ConcaveEnvelope:
         if yy >= self.xs[-1]:
             return self.vs[-1]
         i = bisect_right(self.xs, yy) - 1
-        return self.vs[i] + self._slopes[i] * (yy - self.xs[i])
+        x0, x1 = self.xs[i], self.xs[i + 1]
+        v0, v1 = self.vs[i], self.vs[i + 1]
+        return v0 + (v1 - v0) * (yy - x0) / (x1 - x0)
 
     def shifted(self, dx, dv) -> "ConcaveEnvelope":
         dx, dv = as_fraction(dx), as_fraction(dv)
@@ -137,17 +142,23 @@ def _scaled(p, env: ConcaveEnvelope):
     return p * env.xs[0], p * env.vs[0], p * env.vs[-1], segments
 
 
+def _steepest_first(pool: list) -> list:
+    """Sort (slope, width, ...) segments steepest first, in place.  The sort
+    is stable, so equal slopes keep their pool order: by chain (child), then
+    along each chain."""
+    pool.sort(key=itemgetter(0), reverse=True)
+    return pool
+
+
 def _merged(chains, dx=0, dv=0):
-    """The sum of chains in one unit, moved by (dx, dv), segments in a list.
-    The slope sort is stable, so equal slopes keep the chains' order and
-    then each chain's; they merge by adding widths."""
+    """The sum of chains in one unit, moved by (dx, dv), segments in a list;
+    equal slopes merge by adding widths."""
     x0, v0, top, pool = dx, dv, dv, []
     for x, v, v_top, chain_segments in chains:
         x0, v0, top = x0 + x, v0 + v, top + v_top
         pool += chain_segments
-    pool.sort(key=itemgetter(0), reverse=True)
     segments = []
-    for s, w in pool:
+    for s, w in _steepest_first(pool):
         if segments and segments[-1][0] == s:
             segments[-1] = (s, segments[-1][1] + w)
         else:
@@ -162,9 +173,8 @@ def _built(chain, unit=1) -> ConcaveEnvelope:
     for s, w in segments:
         x, v = x + w, v + s * w
         xs.append(x), vs.append(v)
-    if unit != 1:
-        xs, vs = [a / unit for a in xs], [b / unit for b in vs]
-    return ConcaveEnvelope(xs=tuple(xs), vs=tuple(vs))
+    return ConcaveEnvelope(xs=tuple(a / unit for a in xs),
+                           vs=tuple(b / unit for b in vs))
 
 
 def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> ConcaveEnvelope:
@@ -198,8 +208,7 @@ def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
     remaining = None if total.is_pos_inf else total.fraction() - base_x
     pool = [(s, p * w, j) for j, (p, env) in enumerate(children) if p
             for s, w in env.segments()]
-    pool.sort(key=itemgetter(0), reverse=True)  # stable: ties by child, then segment
-    for slope, gwidth, j in pool:
+    for slope, gwidth, j in _steepest_first(pool):
         if remaining is not None:
             if remaining == 0:
                 break

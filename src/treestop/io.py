@@ -152,7 +152,6 @@ def parse_function(spec) -> tuple:
     if low.startswith("power:"):
         a_s, q_s, lam_s = spec.split(":", 1)[1].split(",")
         a, q, lam = as_fraction(a_s), as_fraction(q_s), as_fraction(lam_s)
-        spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
 
         def moment_rate(t, prefix, a=a, q=q, lam=lam):
             # integrand a*q*t^(q-1) + lam accrues a*((t0+tau)^q - t0^q) + lam*tau
@@ -169,6 +168,7 @@ def parse_function(spec) -> tuple:
                 power = as_fraction(math.pow(float(t), float(q - 1)))
             return a * q * power + lam
 
+        spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
         return _guarded(moment_rate, spec), spec
     tree_ast = ast.parse(spec, mode="eval")
     fn = _compile(tree_ast.body)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import InvalidBranching, InvalidHorizon, NodeNotInTree, WordTooLong
@@ -308,12 +309,8 @@ class TreeInstance:
         b = _as_vector(self._drift(t, prefix), self.l)
         sig = _as_matrix(self._diff(t, prefix), self.l, self.d)
         mean = [xi + bi * self.dt for xi, bi in zip(x, b)]
-        if self.d == 1:
-            return tuple(tuple(m + row[0] * w[0] for m, row in zip(mean, sig))
-                         for _, w in self.branching[k])
-        return tuple(
-            tuple(m + sum(a * c for a, c in zip(row, w)) for m, row in zip(mean, sig))
-            for _, w in self.branching[k])
+        return tuple(tuple(sum(map(mul, row, w), m) for m, row in zip(mean, sig))
+                     for _, w in self.branching[k])
 
     def _state(self, word: Word) -> State:
         got = self._states.get(word)

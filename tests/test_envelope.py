@@ -93,6 +93,13 @@ def test_allocate_infinite_budget_takes_all_slopes():
     assert value == F(1) and alloc == [F(1), F(2)]
 
 
+def test_allocate_breaks_slope_ties_by_child_order():
+    # equal slopes: the earlier child's segment is spent first
+    e = env([0, 2], [0, 2])
+    value, alloc = allocate([(HALF, e), (HALF, e)], HALF)
+    assert value == HALF and alloc == [F(1), F(0)]
+
+
 def test_merged_envelope_equals_allocate_on_a_grid():
     e1 = env([0, 1, 2], [0, F(3, 2), 2])
     e2 = env([0, 3], [F(1), F(2)])
