@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -45,18 +45,28 @@ class ExperimentRecord:
     version: str = __version__
 
 
-def _write_record(args, record: ExperimentRecord, name: str) -> None:
-    if not args.out:
+def _write_record(out, name: str, tree, parameters: dict, outputs: dict,
+                  seed: int, wall_time_s: float, command=None) -> None:
+    """Persist an experiment record as ``<out>/<name>-<hash12>.json``; the
+    command defaults to the process's arguments.  Does nothing without
+    ``out``."""
+    if not out:
         return
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{name}-{record.instance_hash[:12]}.json")
-    write_json_atomic(path, asdict(record))
+    digest = instance_hash(tree)
+    record = ExperimentRecord(
+        instance_hash=digest,
+        command=sys.argv[1:] if command is None else command,
+        parameters=parameters, outputs=outputs, wall_time_s=wall_time_s,
+        seed=seed)
+    os.makedirs(out, exist_ok=True)
+    write_json_atomic(os.path.join(out, f"{name}-{digest[:12]}.json"),
+                      asdict(record))
 
 
-def _print_table(rows, header) -> None:
-    print("\t".join(header))
+def _print_table(rows, header, file=None) -> None:
+    print("\t".join(header), file=file)
     for row in rows:
-        print("\t".join(str(c) for c in row))
+        print("\t".join(str(c) for c in row), file=file)
 
 
 def _measure_table(tree, measure):
@@ -84,17 +94,15 @@ def _cmd_solve(args) -> int:
         budgets = load_budgets(trees[0], args.budgets) if args.budgets else None
         res, idx = solve_robust(trees, budgets)
         tree = trees[idx] if idx is not None else trees[0]
-        print(f"status\t{res.status}")
-        if idx is not None:
-            print(f"argmax_model\t{idx}\t{paths[idx]}")
     elif args.instance:
         tree = load_instance(args.instance)
         budgets = load_budgets(tree, args.budgets) if args.budgets else None
-        res = solve_weak(tree, budgets)
-        idx = None
-        print(f"status\t{res.status}")
+        res, idx = solve_weak(tree, budgets), None
     else:
         raise ValueError("solve needs --instance or --robust")
+    print(f"status\t{res.status}")
+    if idx is not None:
+        print(f"argmax_model\t{idx}\t{paths[idx]}")
     outputs = {"status": res.status}
     if res.optimal:
         print(f"value\t{fmt_value(res.value)}")
@@ -112,12 +120,9 @@ def _cmd_solve(args) -> int:
     else:
         print(f"reason\t{res.reason}")
         outputs["reason"] = res.reason
-    record = ExperimentRecord(
-        instance_hash=instance_hash(tree), command=sys.argv[1:],
-        parameters={"budgets": args.budgets, "robust": args.robust},
-        outputs=outputs, wall_time_s=time.perf_counter() - started,
-        seed=args.seed)
-    _write_record(args, record, "solve")
+    _write_record(args.out, "solve", tree,
+                  {"budgets": args.budgets, "robust": args.robust}, outputs,
+                  args.seed, time.perf_counter() - started)
     return 0
 
 
@@ -145,12 +150,8 @@ def _cmd_dp(args) -> int:
         print()
         _print_table(grid_rows, ("grid_budget", "value"))
         outputs["grid"] = grid_rows
-    record = ExperimentRecord(
-        instance_hash=instance_hash(tree), command=sys.argv[1:],
-        parameters={"budget": args.budget, "grid": args.grid},
-        outputs=outputs, wall_time_s=time.perf_counter() - started,
-        seed=args.seed)
-    _write_record(args, record, "dp")
+    _write_record(args.out, "dp", tree, {"budget": args.budget, "grid": args.grid},
+                  outputs, args.seed, time.perf_counter() - started)
     return 0
 
 
@@ -162,12 +163,9 @@ def _cmd_derandomize(args) -> int:
     taus = derandomize(tree, theta, args.eta)
     rows = [(word_str(tree, w) or ".", k) for w, k in sorted(taus.items())]
     _print_table(rows, ("word", "stop_depth"))
-    record = ExperimentRecord(
-        instance_hash=instance_hash(tree), command=sys.argv[1:],
-        parameters={"rule": args.rule, "eta": args.eta},
-        outputs={"stop_depths": {word_str(tree, w): k for w, k in taus.items()}},
-        wall_time_s=time.perf_counter() - started, seed=args.seed)
-    _write_record(args, record, "derandomize")
+    _write_record(args.out, "derandomize", tree, {"rule": args.rule, "eta": args.eta},
+                  {"stop_depths": {word_str(tree, w): k for w, k in taus.items()}},
+                  args.seed, time.perf_counter() - started)
     return 0
 
 
@@ -180,12 +178,9 @@ def _cmd_mc(args) -> int:
     rows += [(f"ineq[{i}]", m, se) for i, (m, se) in enumerate(est["ineq"])]
     rows += [(f"eq[{i}]", m, se) for i, (m, se) in enumerate(est["eq"])]
     _print_table(rows, ("functional", "mean", "stderr"))
-    record = ExperimentRecord(
-        instance_hash=instance_hash(tree), command=sys.argv[1:],
-        parameters={"rule": args.rule, "paths": args.paths},
-        outputs={"estimates": {str(r[0]): [r[1], r[2]] for r in rows}},
-        wall_time_s=time.perf_counter() - started, seed=args.seed)
-    _write_record(args, record, "mc")
+    _write_record(args.out, "mc", tree, {"rule": args.rule, "paths": args.paths},
+                  {"estimates": {str(r[0]): [r[1], r[2]] for r in rows}},
+                  args.seed, time.perf_counter() - started)
     return 0
 
 
@@ -221,12 +216,9 @@ def _cmd_verify_dpp(args) -> int:
         } for e in report["per_node"]],
     }
     print(json.dumps(payload, indent=2))
-    record = ExperimentRecord(
-        instance_hash=instance_hash(tree), command=sys.argv[1:],
-        parameters={"tau": args.tau, "budgets": args.budgets},
-        outputs=payload, wall_time_s=time.perf_counter() - started,
-        seed=args.seed)
-    _write_record(args, record, "verify-dpp")
+    _write_record(args.out, "verify-dpp", tree,
+                  {"tau": args.tau, "budgets": args.budgets}, payload,
+                  args.seed, time.perf_counter() - started)
     return 0 if report["pass"] else 1
 
 
@@ -258,12 +250,9 @@ def _cmd_check_class(args) -> int:
         "n_statistics": len(report.clause1),
         "worst_stat": fmt_rational(worst["stat"]) if worst else "0",
     }
-    record = ExperimentRecord(
-        instance_hash=instance_hash(tree), command=sys.argv[1:],
-        parameters={"degree": args.degree, "mode": args.mode, "tol": args.tol},
-        outputs=outputs, wall_time_s=time.perf_counter() - started,
-        seed=args.seed)
-    _write_record(args, record, "check-class")
+    _write_record(args.out, "check-class", tree,
+                  {"degree": args.degree, "mode": args.mode, "tol": args.tol},
+                  outputs, args.seed, time.perf_counter() - started)
     return 0 if report.ok else 1
 
 
@@ -337,38 +326,26 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
             "max_gap": fmt_rational(max(gaps, key=abs)) if gaps else "0",
             "runtime_s": round(time.perf_counter() - started, 4),
         })
-        if out:
-            os.makedirs(out, exist_ok=True)
-            record = ExperimentRecord(
-                instance_hash=instance_hash(tree),
-                command=["suite", suite, path],
-                parameters={"suite": suite}, outputs=rows[-1],
-                wall_time_s=rows[-1]["runtime_s"], seed=seed)
-            write_json_atomic(os.path.join(
-                out, f"suite-{rows[-1]['hash']}.json"), asdict(record))
+        _write_record(out, "suite", tree, {"suite": suite}, rows[-1], seed,
+                      rows[-1]["runtime_s"], command=["suite", suite, path])
     return rows, all_pass
 
 
 def _cmd_suite(args) -> int:
     rows, all_pass = run_suite(args.dir, args.suite, out=args.out, seed=args.seed)
+    table = [(r["instance"], r["hash"], "pass" if r["pass"] else "FAIL",
+              r["max_gap"], r["runtime_s"]) for r in rows]
+    header = ("instance", "hash", "verdict", "max_gap", "runtime_s")
     if args.format == "json":
         print(json.dumps(rows, indent=2, default=str))
     else:
-        _print_table(
-            [(r["instance"], r["hash"], "pass" if r["pass"] else "FAIL",
-              r["max_gap"], r["runtime_s"]) for r in rows],
-            ("instance", "hash", "verdict", "max_gap", "runtime_s"))
+        _print_table(table, header)
     total = len(rows)
     good = sum(1 for r in rows if r["pass"])
     print(f"\n{good}/{total} instances pass")
     if args.out:
-        agg = os.path.join(args.out, f"suite-{args.suite}.tsv")
-        with open(agg, "w") as fh:
-            fh.write("instance\thash\tverdict\tmax_gap\truntime_s\n")
-            for r in rows:
-                fh.write(f"{r['instance']}\t{r['hash']}\t"
-                         f"{'pass' if r['pass'] else 'FAIL'}\t"
-                         f"{r['max_gap']}\t{r['runtime_s']}\n")
+        with open(os.path.join(args.out, f"suite-{args.suite}.tsv"), "w") as fh:
+            _print_table(table, header, file=fh)
     return 0 if all_pass else 1
 
 

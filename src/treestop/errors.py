@@ -22,7 +22,8 @@ class NodeNotInTree(TreestopError):
 
 
 class ExpressionUndefined(TreestopError):
-    """An instance expression has no value at a node (it divides by zero)."""
+    """An instance expression has no value at a node (it divides by zero, or
+    takes a power whose exponent is not an integer there)."""
 
 
 class RuleShapeMismatch(TreestopError):

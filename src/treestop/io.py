@@ -61,8 +61,15 @@ def _int_exponent(b: Fraction) -> int:
     return b.numerator
 
 
+class _NonIntegerExponent(ValueError):
+    """An exponent that is not constant takes a value that is not an integer
+    at a node; ``_guarded`` reports it with the spec, t and the state."""
+
+
 def _int_pow(a, b):
-    return a ** _int_exponent(b)
+    if b.denominator != 1:
+        raise _NonIntegerExponent(b)
+    return a ** b.numerator
 
 
 _ALLOWED_NAMES = ("t", "x_current", "x_sup")
@@ -186,14 +193,18 @@ def parse_function(spec) -> tuple:
 
 
 def _guarded(fn, spec: str):
-    """fn with a division by zero reported as bad input naming spec, t and
-    the state, instead of a ZeroDivisionError."""
+    """fn with a division by zero or a non-integer power at a node reported
+    as bad input naming spec, t and the state."""
     def call(t, prefix):
         try:
             return fn(t, prefix)
         except ZeroDivisionError:
             raise ExpressionUndefined(
                 f"{spec!r} divides by zero {_where(t, prefix)}") from None
+        except _NonIntegerExponent as exc:
+            raise ExpressionUndefined(
+                f"{spec!r} takes the non-integer power {fmt_rational(exc.args[0])} "
+                f"{_where(t, prefix)}") from None
     return call
 
 

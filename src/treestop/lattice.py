@@ -296,10 +296,8 @@ class TreeInstance:
 
     def _prefix_for_call(self, word: Word) -> tuple:
         # history already ends with the root state; append states past it
-        full = list(self.history) + [self._state(w) for w in _prefix_words(word)]
-        if self.l == 1:
-            return tuple(x[0] for x in full)
-        return tuple(full)
+        full = self.history + tuple(self._state(w) for w in _prefix_words(word))
+        return tuple(map(self._unwrap, full))
 
     def _child_states(self, k: int, prefix: tuple) -> Tuple[State, ...]:
         """Euler successors, one per branch, of a depth-k node whose state
@@ -496,11 +494,7 @@ def sampled_lipschitz_report(tree: TreeInstance, samples: int = 64,
         wa, wb = rng.choice(by_depth[k]), rng.choice(by_depth[k])
         t = tree.time(k)
         pa, pb = euler_state(tree, wa), euler_state(tree, wb)
-        if tree.l == 1:
-            pa_n, pb_n = [(x,) for x in pa], [(x,) for x in pb]
-        else:
-            pa_n, pb_n = list(pa), list(pb)
-        dist = _sup_dist(pa_n, pb_n)
+        dist = _sup_dist(pa, pb)
         b_a = _as_vector(tree._drift(t, pa), tree.l)
         b_b = _as_vector(tree._drift(t, pb), tree.l)
         s_a = _as_matrix(tree._diff(t, pa), tree.l, tree.d)

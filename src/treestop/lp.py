@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import simplex
 from .errors import EmptyFamily, InvariantViolation
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
-from .measures import StoppingMeasure
+from .measures import StoppingMeasure, _pushed_forward
 from .rules import RandomizedStoppingRule
 from .xreal import Ext, NEG_INF
 
@@ -147,7 +147,8 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
             f"the mass polytope is bounded, but the LP came back {res.status}")
 
     u_val = {w: res.x[i] for w, i in index.items()}
-    measure = _measure_from_cont(tree, u_val)
+    measure = _pushed_forward(tree, lambda w, arrive: u_val.get(w, Fraction(0)))
+    measure.validate(tree)
     duals_ineq = tuple(
         res.duals[ineq_rows[k]] if ineq_rows[k] is not None else Fraction(0)
         for k in range(len(budgets.ys)))
@@ -159,22 +160,6 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
             f"objective {value} disagrees with the measure's value {check}")
     return SolveResult(status=OPTIMAL, value=value, measure=measure,
                        duals_ineq=duals_ineq, duals_eq=duals_eq)
-
-
-def _measure_from_cont(tree: TreeInstance, u_val: Dict[Word, Fraction]) -> StoppingMeasure:
-    s: Dict[Word, Fraction] = {}
-    u: Dict[Word, Fraction] = {}
-    reach: Dict[Word, Fraction] = {ROOT: Fraction(1)}
-    for w in tree.nodes():
-        if w != ROOT:
-            p, _ = tree.branching[len(w) - 1][w[-1]]
-            reach[w] = p * u[w[:-1]]
-        uw = u_val.get(w, Fraction(0))
-        u[w] = uw
-        s[w] = reach[w] - uw
-    measure = StoppingMeasure(s=s, u=u)
-    measure.validate(tree)
-    return measure
 
 
 def measure_to_rule(tree: TreeInstance, measure: StoppingMeasure) -> RandomizedStoppingRule:

@@ -13,12 +13,16 @@ admissible class is decided by two clauses:
 Two compensator modes are provided.  The exact-discrete compensator is the
 one-step conditional mean under the tree's own branching and Euler
 recursion, which makes the compensated process a true martingale on the
-tree: clause-1 statistics vanish exactly for genuine members and any
-single corruption of a branch probability or state value shows up in some
-degree-<=2 test.  The generator compensator is the drift/second-order form
-evaluated along the claimed path; it is a martingale only up to O(dt) per
-step, so its statistics are held to a tolerance and shrink linearly under
-grid refinement of fixed continuous coefficients.
+tree: clause-1 statistics vanish exactly for genuine members.  A shift
+between two branches shows up in some degree-<=2 test, but n distinct
+increments per step fix a branch law only through its first n - 1
+moments, so a corruption that keeps the lower moments needs degree n - 1
+(with increments -3/2, -1/2, 1/2, 3/2, the root law 11/40, 7/40, 13/40,
+9/40 passes all 285 degree-2 statistics of a depth-3 tree).  The
+generator compensator is the drift/second-order form evaluated along the
+claimed path; it is a martingale only up to O(dt) per step, so its
+statistics are held to a tolerance and shrink linearly under grid
+refinement of fixed continuous coefficients.
 
 Statistics are read from forward sweeps.  Under a cylinder weight, the
 weighted open and stopped masses at each depth depend on neither the test
@@ -37,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooHigh, EmptyBattery
 from .lattice import ROOT, TreeInstance, Word, _as_matrix, _as_vector
-from .measures import StoppingMeasure
+from .measures import StoppingMeasure, _pushed_forward
 from .rules import RandomizedStoppingRule
 from .xreal import Ext, as_fraction
 
@@ -196,27 +200,13 @@ class CandidateLaw:
         return got
 
     def prefix_for_call(self, w: Word) -> tuple:
-        full = list(self.claimed_history[:-1]) + \
-            [self.state(w[:k]) for k in range(len(w) + 1)]
-        if self.tree.l == 1:
-            return tuple(x[0] for x in full)
-        return tuple(full)
+        full = self.claimed_history[:-1] + \
+            tuple(self.state(w[:k]) for k in range(len(w) + 1))
+        return tuple(map(self.tree._unwrap, full))
 
-    def model_children(self, w: Word) -> List[tuple]:
+    def model_children(self, w: Word) -> Tuple[tuple, ...]:
         """Euler-step states of all children, from the claimed prefix."""
-        tree = self.tree
-        k = len(w)
-        t = tree.time(k)
-        prefix = self.prefix_for_call(w)
-        b = _as_vector(tree._drift(t, prefix), tree.l)
-        sig = _as_matrix(tree._diff(t, prefix), tree.l, tree.d)
-        x = self.state(w)
-        out = []
-        for _, inc in tree.branching[k]:
-            out.append(tuple(
-                x[i] + b[i] * tree.dt + sum(sig[i][j] * inc[j] for j in range(tree.d))
-                for i in range(tree.l)))
-        return out
+        return self.tree._child_states(len(w), self.prefix_for_call(w))
 
     def xi(self, w: Word) -> tuple:
         """Claimed (cumulative increment, state) point in R^{d+l}."""
@@ -298,15 +288,8 @@ def compensated_process(tree: TreeInstance, phi: Polynomial,
 
 
 def _stop_at_horizon(tree: TreeInstance) -> StoppingMeasure:
-    s: Dict[Word, Fraction] = {}
-    u: Dict[Word, Fraction] = {}
-    for w in tree.nodes():
-        p = tree.path_prob(w)
-        if len(w) == tree.depth:
-            s[w], u[w] = p, Fraction(0)
-        else:
-            s[w], u[w] = Fraction(0), p
-    return StoppingMeasure(s=s, u=u)
+    return _pushed_forward(
+        tree, lambda w, arrive: arrive if len(w) < tree.depth else Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -576,25 +559,22 @@ def candidate_with_branch_bias(tree: TreeInstance, rule: RandomizedStoppingRule,
     biases = {tuple(w): as_fraction(dv) for w, dv in biases.items()}
     for w in biases:
         tree.check_word(w)
-    s: Dict[Word, Fraction] = {}
-    u: Dict[Word, Fraction] = {}
-    arrive: Dict[Word, Fraction] = {ROOT: Fraction(1)}
-    for w in tree.nodes():
-        if w != ROOT:
-            parent = w[:-1]
-            p, _ = tree.branching[len(parent)][w[-1]]
-            if parent in biases:
-                if w[-1] == j_up:
-                    p = p + biases[parent]
-                elif w[-1] == j_down:
-                    p = p - biases[parent]
-            if p < 0 or p > 1:
-                raise ValueError("biased probability outside [0, 1]")
-            arrive[w] = u[parent] * p
-        q = rule.prob(w)
-        s[w] = arrive[w] * q
-        u[w] = arrive[w] * (1 - q)
-    return CandidateLaw(tree, s=s, u=u)
+
+    def branch_prob(w: Word) -> Fraction:
+        parent = w[:-1]
+        p, _ = tree.branching[len(parent)][w[-1]]
+        if parent in biases:
+            if w[-1] == j_up:
+                p = p + biases[parent]
+            elif w[-1] == j_down:
+                p = p - biases[parent]
+        if p < 0 or p > 1:
+            raise ValueError("biased probability outside [0, 1]")
+        return p
+
+    measure = _pushed_forward(tree, lambda w, arrive: arrive * (1 - rule.prob(w)),
+                              branch_prob)
+    return CandidateLaw(tree, s=measure.s, u=measure.u)
 
 
 def candidate_with_state_shift(tree: TreeInstance, measure: StoppingMeasure,

@@ -8,7 +8,7 @@ Stop masses sum to 1 and nothing continues past the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
@@ -55,6 +55,24 @@ class StoppingMeasure:
     def expectations(self, tree: TreeInstance) -> dict:
         """Expected objective, constraint accruals, and stop time."""
         return expectations_from_stop_mass(tree, self.s)
+
+
+def _pushed_forward(tree: TreeInstance, cont, branch_prob=None) -> StoppingMeasure:
+    """Mass 1 enters at the root; node w continues ``cont(w, arrive)`` of
+    the mass arriving there and stops the rest, and a child receives its
+    branch probability (``branch_prob(child)`` if given) times its parent's
+    continue mass."""
+    s: Dict[Word, Fraction] = {}
+    u: Dict[Word, Fraction] = {}
+    for w in tree.nodes():
+        if w == ROOT:
+            arrive = Fraction(1)
+        else:
+            p = branch_prob(w) if branch_prob else tree.branching[len(w) - 1][w[-1]][0]
+            arrive = p * u[w[:-1]]
+        u[w] = cont(w, arrive)
+        s[w] = arrive - u[w]
+    return StoppingMeasure(s=s, u=u)
 
 
 def expectations_from_stop_mass(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -> dict:

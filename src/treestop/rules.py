@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
 
-from .errors import EquivalenceViolation, RuleShapeMismatch
+from .errors import EquivalenceViolation, InvariantViolation, RuleShapeMismatch
 from .lattice import ROOT, TreeInstance, Word
-from .measures import StoppingMeasure, expectations_from_stop_mass
+from .measures import StoppingMeasure, _pushed_forward, expectations_from_stop_mass
 from .xreal import as_fraction
 
 
@@ -89,14 +89,11 @@ class ThetaProcess:
 def theta_of_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> ThetaProcess:
     """theta_k = 1 - prod_{j<=k} (1 - q) along every word, exactly."""
     rule.validate(tree)
-    survival: Dict[Word, Fraction] = {}
-    theta: Dict[Word, Fraction] = {}
-    for word in tree.nodes():
-        before = Fraction(1) if word == ROOT else survival[word[:-1]]
-        surv = before * (1 - rule.prob(word))
-        survival[word] = surv
-        theta[word] = 1 - surv
-    return ThetaProcess(theta=theta)
+    # the chance of surviving a node given its word: a push with branches
+    # of probability 1
+    survival = _pushed_forward(tree, lambda w, arrive: arrive * (1 - rule.prob(w)),
+                               lambda w: 1).u
+    return ThetaProcess(theta={w: 1 - surv for w, surv in survival.items()})
 
 
 def derandomize(tree: TreeInstance, theta: ThetaProcess, eta) -> Dict[Word, int]:
@@ -119,24 +116,14 @@ def _hit_depth(theta: ThetaProcess, word: Word, eta: Fraction) -> int:
     for k in range(len(word) + 1):
         if theta.at(word[:k]) > eta:
             return k
-    raise AssertionError("theta must reach 1 at the horizon")
+    raise InvariantViolation("theta must reach 1 at the horizon")
 
 
 def rule_to_measure(tree: TreeInstance, rule: RandomizedStoppingRule) -> StoppingMeasure:
     """Push a rule forward to per-node stop/continue masses."""
     rule.validate(tree)
-    s: Dict[Word, Fraction] = {}
-    u: Dict[Word, Fraction] = {}
-    # arrive(v): path probability times survival strictly before v
-    arrive: Dict[Word, Fraction] = {ROOT: Fraction(1)}
-    for word in tree.nodes():
-        if word != ROOT:
-            p, _ = tree.branching[len(word) - 1][word[-1]]
-            arrive[word] = u[word[:-1]] * p
-        q = rule.prob(word)
-        s[word] = arrive[word] * q
-        u[word] = arrive[word] * (1 - q)
-    return StoppingMeasure(s=s, u=u)
+    # arrive: path probability times survival strictly before the node
+    return _pushed_forward(tree, lambda w, arrive: arrive * (1 - rule.prob(w)))
 
 
 def stop_mass_by_eta_integration(tree: TreeInstance, theta: ThetaProcess) -> Dict[Word, Fraction]:

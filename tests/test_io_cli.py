@@ -136,6 +136,68 @@ def test_cli_solve_and_record_replay(rw2_file, tmp_path, capsys):
     assert rec1["version"] and rec1["instance_hash"] == rec2["instance_hash"]
 
 
+RECORD_KEYS = {"instance_hash", "command", "parameters", "outputs",
+               "wall_time_s", "seed", "version"}
+
+
+def _record_command(case, rw2_file, tmp_path):
+    """(arguments, record name, expected parameters) of one recording command."""
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps({"": "0", "+": "1/2", "-": "1/2"}))
+    instance = ["--instance", rw2_file]
+    if case == "dp":
+        return (["dp", *instance, "--budget", "1", "--grid", "3"], "dp",
+                {"budget": "1", "grid": 3})
+    if case == "derandomize":
+        return (["derandomize", *instance, "--rule", str(rule), "--eta", "3/10"],
+                "derandomize", {"rule": str(rule), "eta": "3/10"})
+    if case == "mc":
+        return (["mc", *instance, "--rule", str(rule), "--paths", "200"], "mc",
+                {"rule": str(rule), "paths": 200})
+    if case == "verify-dpp":
+        return (["verify-dpp", *instance, "--tau", "1"], "verify-dpp",
+                {"tau": "1", "budgets": None})
+    if case == "check-class":
+        return (["check-class", *instance], "check-class",
+                {"degree": 2, "mode": "exact", "tol": "1"})
+    if case == "suite":
+        pool = tmp_path / "pool"
+        pool.mkdir()
+        (pool / "rw2.json").write_text(json.dumps(RW2_DOC))
+        return (["suite", "--dir", str(pool), "--suite", "all"], "suite",
+                {"suite": "all"})
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", ["dp", "derandomize", "mc", "verify-dpp",
+                                  "check-class", "suite"])
+def test_cli_record_file_parameters_and_replayed_outputs(rw2_file, tmp_path,
+                                                         capsys, case):
+    argv, name, parameters = _record_command(case, rw2_file, tmp_path)
+    out = tmp_path / "records"
+    digest = instance_hash(load_instance(rw2_file))
+    records = []
+    for _ in range(2):
+        assert main(argv + ["--out", str(out), "--seed", "7"]) == 0
+        capsys.readouterr()
+        expected = {f"{name}-{digest[:12]}.json"}
+        if case == "suite":
+            expected.add("suite-all.tsv")
+        assert set(os.listdir(out)) == expected
+        with open(out / f"{name}-{digest[:12]}.json") as fh:
+            records.append(json.load(fh))
+    first, second = records
+    assert set(first) == RECORD_KEYS
+    assert first["instance_hash"] == digest
+    assert first["parameters"] == parameters
+    assert first["seed"] == 7 and first["version"] == treestop.__version__
+    if case == "suite":
+        assert first["command"] == ["suite", "all", str(tmp_path / "pool" / "rw2.json")]
+        assert first["wall_time_s"] == first["outputs"].pop("runtime_s")
+        second["outputs"].pop("runtime_s")
+    assert first["outputs"] == second["outputs"]
+
+
 def test_cli_dp_and_derandomize_and_mc(rw2_file, tmp_path, capsys):
     assert main(["dp", "--instance", rw2_file, "--budget", "1"]) == 0
     assert "value\t1 (1.0)" in capsys.readouterr().out
@@ -302,6 +364,9 @@ def _bad_input(tmp_path, case):
         return write(json.dumps(dict(RW2_DOC, pi="1/x_current + t**(1/2)")))
     if case == "exponent-not-constant-behind-division":
         return write(json.dumps(dict(RW2_DOC, pi="1/x_current + t**(x_current + 1/2)")))
+    # 2**(x/2) is an integer at the root and at load, and 2**(1/2) at "+"
+    if case == "exponent-fractional-at-a-node":
+        return write(json.dumps(dict(RW2_DOC, pi="2**(x_current/2)")))
     if case == "power-at-negative-time":
         cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
         return ["dp", *write(json.dumps(dict(RW2_DOC, t0="-2", constraints=cons)))[1:],
@@ -317,7 +382,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "directory", "invalid-json", "not-an-object", "negative-grid",
               "singular-solve", "singular-dp", "exponent-behind-division",
               "power-at-time-zero", "exponent-not-constant-behind-division",
-              "power-at-negative-time")
+              "power-at-negative-time", "exponent-fractional-at-a-node")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

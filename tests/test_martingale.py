@@ -97,6 +97,16 @@ def test_branch_bias_fails_first_moment_with_spec_magnitude(rw2, half_rule):
     assert first["phi"] == "w" and first["stat"] == F(1, 5)
 
 
+@pytest.mark.parametrize("node, delta, j_up, j_down",
+                         [((), F(-3, 5), 0, 1), ((1,), F(3, 5), 1, 0)])
+def test_branch_bias_below_zero_probability_is_rejected(rw2, half_rule, node,
+                                                        delta, j_up, j_down):
+    # branch 0 of the node is met first and its probability 1/2 drops to -1/10
+    with pytest.raises(ValueError, match=r"^biased probability outside \[0, 1\]$"):
+        candidate_with_branch_bias(rw2, half_rule, (node, delta),
+                                   j_up=j_up, j_down=j_down)
+
+
 def test_state_shift_fails_state_coordinate(rw2, half_rule):
     m = rule_to_measure(rw2, half_rule)
     cand = candidate_with_state_shift(rw2, m, (1,), 1)

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import (EquivalenceViolation, Ext, RuleShapeMismatch, ThetaProcess,
+from treestop import (EquivalenceViolation, Ext, InvariantViolation,
+                      RuleShapeMismatch, ThetaProcess,
                       derandomize, equivalence_check, monte_carlo_value,
                       rule_from_map, rule_to_measure, stop_mass_by_eta_integration,
                       theta_of_rule)
 from treestop.lattice import build_tree
+from treestop.rules import _hit_depth
 
 from conftest import make_rw
 from oracles import atom_expectations
@@ -115,6 +117,15 @@ def test_equivalence_rejects_corrupted_theta(rw2, half_rule):
     broken[(0, 0)] = Fraction(1, 4)  # decreases along the word
     with pytest.raises(EquivalenceViolation):
         equivalence_check(rw2, half_rule, theta=ThetaProcess(theta=broken))
+
+
+def test_hit_depth_of_a_theta_that_never_exceeds_eta_is_an_invariant_violation():
+    # validate() rejects such a theta, so only a direct call can meet it
+    theta = ThetaProcess(theta={(): Fraction(0), (0,): Fraction(1, 4),
+                                (0, 1): Fraction(1, 2)})
+    assert _hit_depth(theta, (0, 1), Fraction(1, 4)) == 2
+    with pytest.raises(InvariantViolation, match="^theta must reach 1 at the horizon$"):
+        _hit_depth(theta, (0, 1), Fraction(1, 2))
 
 
 @st.composite

@@ -1,15 +1,22 @@
 """The dependency rule: the library and the benchmark import nothing but the
-standard library, treestop itself and the benchmark's own modules."""
+standard library, treestop itself and the benchmark's own modules.  The
+library also states its invariants as exceptions that ``python -O`` keeps."""
 
 import ast
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@lru_cache(maxsize=None)
+def _parsed(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def _imported_modules(path: Path):
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(_parsed(path)):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -29,3 +36,19 @@ def test_library_and_benchmark_import_only_the_standard_library():
                     outside.append(f"{path.relative_to(ROOT)}: {name}")
     assert checked > 10
     assert outside == []
+
+
+def test_library_states_no_invariant_as_an_assertion():
+    # `assert` vanishes under python -O; invariants raise InvariantViolation
+    found, checked = [], 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        checked += 1
+        for node in ast.walk(_parsed(path)):
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if isinstance(node, ast.Assert) or (
+                    isinstance(raised, ast.Name) and raised.id == "AssertionError"):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert checked > 10
+    assert found == []
