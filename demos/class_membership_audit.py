@@ -4,15 +4,18 @@ A law on (increment path, state path, stopping node) belongs to the
 admissible class iff weighted compensated increments of polynomial test
 functions all have expectation zero (plus the support conditions pinning
 the pre-start behavior).  Genuine laws pass with statistics identically
-zero; any single corruption of a branch probability or a state value is
-caught by a degree-<=2 test, and mass leaking before the start is caught
-by the support clause.  The generator-form compensator leaves an O(dt)
-Euler gap that shrinks linearly under grid refinement.
+zero; a shift between two branches or a shifted state value is caught by
+a degree-<=2 test, and mass leaking before the start is caught by the
+support clause.  A branch law that keeps the increment's lower moments
+passes every degree-2 test; the direct check, which compares transitions
+and states with the model node by node, rejects it.  The generator-form
+compensator leaves an O(dt) Euler gap that shrinks linearly under grid
+refinement.
 """
 
 from fractions import Fraction
 
-from treestop import (build_tree, candidate_with_branch_bias,
+from treestop import (CandidateLaw, build_tree, candidate_with_branch_bias,
                       candidate_with_pre_start_mass, candidate_with_state_shift,
                       check_membership, generator_gap_decay, rule_from_map,
                       rule_to_measure, solve_weak)
@@ -46,6 +49,25 @@ leaky = candidate_with_pre_start_mass(tree, measure, Fraction(1, 16))
 report = check_membership(tree, leaky)
 print(f"\nmass stopping before the start: pass = {report.ok}, "
       f"support detail = {report.clause2_detail}")
+
+# four branches of 1/4; the root law below keeps the increment's sum, mean
+# and second moment, and the law never stops before the horizon
+quad = build_tree(dt=1, depth=3, x0=0, branching=[
+    (Fraction(1, 4), w) for w in (Fraction(-3, 2), -HALF, HALF, Fraction(3, 2))])
+law = (Fraction(11, 40), Fraction(7, 40), Fraction(13, 40), Fraction(9, 40))
+mass = {}
+for w in quad.nodes():
+    mass[w] = Fraction(1) if not w else law[w[0]] if len(w) == 1 else mass[w[:-1]] / 4
+horizon = {w: len(w) == quad.depth for w in mass}
+moments = CandidateLaw(quad, s={w: m if horizon[w] else 0 for w, m in mass.items()},
+                       u={w: 0 if horizon[w] else m for w, m in mass.items()})
+report = check_membership(quad, moments)
+print(f"\nmoment-preserving root law 11/40, 7/40, 13/40, 9/40: pass = {report.ok}")
+print(f"  degree-2 battery: {len(report.clause1)} statistics, "
+      f"pass = {report.clause1_pass}")
+print(f"  direct check: {report.direct_detail['check']} at node "
+      f"{report.direct_detail['node']}, claimed "
+      f"{[str(p) for p in report.direct_detail['claimed']]}")
 
 print("\nEuler gap of the generator-form compensator under refinement:")
 study = generator_gap_decay(drift=1, diffusion=1)

@@ -46,16 +46,15 @@ class ExperimentRecord:
 
 
 def _write_record(out, name: str, tree, parameters: dict, outputs: dict,
-                  seed: int, wall_time_s: float, command=None) -> None:
-    """Persist an experiment record as ``<out>/<name>-<hash12>.json``; the
-    command defaults to the process's arguments.  Does nothing without
-    ``out``."""
+                  seed: int, wall_time_s: float, command: list) -> None:
+    """Persist an experiment record as ``<out>/<name>-<hash12>.json``.
+    Does nothing without ``out``."""
     if not out:
         return
     digest = instance_hash(tree)
     record = ExperimentRecord(
         instance_hash=digest,
-        command=sys.argv[1:] if command is None else command,
+        command=command,
         parameters=parameters, outputs=outputs, wall_time_s=wall_time_s,
         seed=seed)
     os.makedirs(out, exist_ok=True)
@@ -122,7 +121,7 @@ def _cmd_solve(args) -> int:
         outputs["reason"] = res.reason
     _write_record(args.out, "solve", tree,
                   {"budgets": args.budgets, "robust": args.robust}, outputs,
-                  args.seed, time.perf_counter() - started)
+                  args.seed, time.perf_counter() - started, args.argv)
     return 0
 
 
@@ -151,7 +150,7 @@ def _cmd_dp(args) -> int:
         _print_table(grid_rows, ("grid_budget", "value"))
         outputs["grid"] = grid_rows
     _write_record(args.out, "dp", tree, {"budget": args.budget, "grid": args.grid},
-                  outputs, args.seed, time.perf_counter() - started)
+                  outputs, args.seed, time.perf_counter() - started, args.argv)
     return 0
 
 
@@ -165,7 +164,7 @@ def _cmd_derandomize(args) -> int:
     _print_table(rows, ("word", "stop_depth"))
     _write_record(args.out, "derandomize", tree, {"rule": args.rule, "eta": args.eta},
                   {"stop_depths": {word_str(tree, w): k for w, k in taus.items()}},
-                  args.seed, time.perf_counter() - started)
+                  args.seed, time.perf_counter() - started, args.argv)
     return 0
 
 
@@ -180,7 +179,7 @@ def _cmd_mc(args) -> int:
     _print_table(rows, ("functional", "mean", "stderr"))
     _write_record(args.out, "mc", tree, {"rule": args.rule, "paths": args.paths},
                   {"estimates": {str(r[0]): [r[1], r[2]] for r in rows}},
-                  args.seed, time.perf_counter() - started)
+                  args.seed, time.perf_counter() - started, args.argv)
     return 0
 
 
@@ -218,7 +217,7 @@ def _cmd_verify_dpp(args) -> int:
     print(json.dumps(payload, indent=2))
     _write_record(args.out, "verify-dpp", tree,
                   {"tau": args.tau, "budgets": args.budgets}, payload,
-                  args.seed, time.perf_counter() - started)
+                  args.seed, time.perf_counter() - started, args.argv)
     return 0 if report["pass"] else 1
 
 
@@ -242,17 +241,19 @@ def _cmd_check_class(args) -> int:
         print(f"worst_stat\t{fmt_rational(worst['stat'])}\tphi={worst['phi']}"
               f"\ts={worst['s']}\tr={worst['r']}\tweight={worst['weight']}")
     print(f"clause2\t{'pass' if report.clause2_pass else 'FAIL'}")
+    print(f"direct\t{'pass' if report.direct_pass else 'FAIL'}")
     print(f"overall\t{'pass' if report.ok else 'FAIL'}")
     outputs = {
         "clause1_pass": report.clause1_pass,
         "clause2_pass": report.clause2_pass,
+        "direct_pass": report.direct_pass,
         "overall": report.ok,
         "n_statistics": len(report.clause1),
         "worst_stat": fmt_rational(worst["stat"]) if worst else "0",
     }
     _write_record(args.out, "check-class", tree,
                   {"degree": args.degree, "mode": args.mode, "tol": args.tol},
-                  outputs, args.seed, time.perf_counter() - started)
+                  outputs, args.seed, time.perf_counter() - started, args.argv)
     return 0 if report.ok else 1
 
 
@@ -283,12 +284,15 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
         verdicts = {}
         gaps = []
         checks = ["equivalence", "dpp", "membership"] if suite == "all" else [suite]
+        res = None  # one LP solve, shared by the equivalence and membership checks
         for check in checks:
-            if check == "equivalence":
-                res = solve_weak(tree)
+            if check in ("equivalence", "membership"):
+                if res is None:
+                    res = solve_weak(tree)
                 if not res.optimal:
                     verdicts[check] = False
                     continue
+            if check == "equivalence":
                 rule = measure_to_rule(tree, res.measure)
                 rep = equivalence_check(tree, rule)
                 same = all(rep["stop_mass_rule"][w] == rep["stop_mass_hitting"][w]
@@ -308,10 +312,6 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
                 verdicts[check] = ok
                 gaps.append(worst)
             elif check == "membership":
-                res = solve_weak(tree)
-                if not res.optimal:
-                    verdicts[check] = False
-                    continue
                 rep = check_membership(tree, res.measure, degree=2, mode="exact")
                 verdicts[check] = rep.ok
             else:
@@ -429,6 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # records name the arguments parsed here, which are the process's own
+    # only when none are passed in
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except (TreestopError, ValueError, OSError) as exc:

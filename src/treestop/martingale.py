@@ -2,13 +2,17 @@
 
 A candidate law claims per-node stop/continue masses, and possibly its own
 state values, over a tree's increment structure.  Membership in the
-admissible class is decided by two clauses:
+admissible class is decided by three checks:
 
 1. for polynomial test functions of the increment/state pair, compensated
    increments weighted by cylinder indicators (boxes on the path, stopped /
-   not-stopped flags) must have expectation zero under the candidate, and
+   not-stopped flags) must have expectation zero under the candidate;
 2. support conditions: no mass may stop before the start time and the
-   pre-start state path must equal the pinned history.
+   pre-start state path must equal the pinned history;
+3. the direct check: wherever the law continues, its pre-stop transition
+   ratios must be the branch probabilities, its post-stop branching must
+   be the tree's, and every claimed state must be the Euler step from
+   the claimed parent prefix.
 
 Two compensator modes are provided.  The exact-discrete compensator is the
 one-step conditional mean under the tree's own branching and Euler
@@ -18,18 +22,24 @@ between two branches shows up in some degree-<=2 test, but n distinct
 increments per step fix a branch law only through its first n - 1
 moments, so a corruption that keeps the lower moments needs degree n - 1
 (with increments -3/2, -1/2, 1/2, 3/2, the root law 11/40, 7/40, 13/40,
-9/40 passes all 285 degree-2 statistics of a depth-3 tree).  The
-generator compensator is the drift/second-order form evaluated along the
-claimed path; it is a martingale only up to O(dt) per step, so its
-statistics are held to a tolerance and shrink linearly under grid
-refinement of fixed continuous coefficients.
+9/40 passes all 285 degree-2 statistics of a depth-3 tree).  Clauses 2
+and 3 decide membership at any degree in O(nodes); clause 1 is the
+paper's martingale-problem characterization, kept as the diagnostic of
+which test function, window and weight fail.  The generator compensator
+is the drift/second-order form evaluated along the claimed path; it is a
+martingale only up to O(dt) per step, so its statistics are held to a
+tolerance and shrink linearly under grid refinement of fixed continuous
+coefficients.
 
-Statistics are read from forward sweeps.  Under a cylinder weight, the
-weighted open and stopped masses at each depth depend on neither the test
-polynomial nor the time window, so one sweep per weight records each
-level's contribution for every polynomial, and the statistic of a window
-s < r sums the levels s .. r-1.  Polynomial values and compensators are
-cached per (polynomial, node) for the length of one ``check_membership``.
+Statistics are read from forward sweeps over per-node tables, built once
+per ``check_membership``: each inner node's child shares and, per
+polynomial, the level contributions of one unit of open and of stopped
+mass (``_Sweep``).  Under a cylinder weight, the weighted open and stopped
+masses at each depth depend on neither the test polynomial nor the time
+window, so one sweep per weight records each level's contribution for
+every polynomial, and the statistic of a window s < r sums the levels
+s .. r-1.  Nodes whose unit contributions vanish are skipped; under a
+genuine law in exact mode that is every node.
 """
 
 from __future__ import annotations
@@ -154,7 +164,8 @@ class CandidateLaw:
         self.claimed_history = (tree.history if claimed_history is None else
                                 tuple(_as_vector(x, tree.l) for x in claimed_history))
         self._states: Dict[Word, tuple] = {}
-        # check_membership's shared sweep, set only while that call runs
+        self._xi: Dict[Word, tuple] = {}
+        # the tables of the last standalone statistic() call
         self._sweep: Optional["_Sweep"] = None
         self._validate_conservation()
 
@@ -188,15 +199,13 @@ class CandidateLaw:
 
     def state(self, w: Word) -> tuple:
         got = self._states.get(w)
-        if got is not None:
-            return got
-        if w in self.state_overrides:
-            got = self.state_overrides[w]
-        elif w == ROOT:
-            got = self.claimed_history[-1]
-        else:
-            got = self.model_children(w[:-1])[w[-1]]
-        self._states[w] = got
+        if got is None:
+            if w == ROOT:
+                got = self.state_overrides.get(ROOT, self.claimed_history[-1])
+                self._states[ROOT] = got
+            else:
+                self.model_children(w[:-1])
+                got = self._states[w]
         return got
 
     def prefix_for_call(self, w: Word) -> tuple:
@@ -205,31 +214,55 @@ class CandidateLaw:
         return tuple(map(self.tree._unwrap, full))
 
     def model_children(self, w: Word) -> Tuple[tuple, ...]:
-        """Euler-step states of all children, from the claimed prefix."""
-        return self.tree._child_states(len(w), self.prefix_for_call(w))
+        """Euler-step states of all children, from the claimed prefix.
+
+        Also caches each child's claimed state: its override if it has one,
+        else its Euler state.
+        """
+        kids = self.tree._child_states(len(w), self.prefix_for_call(w))
+        for j, x in enumerate(kids):
+            child = w + (j,)
+            if child not in self._states:
+                self._states[child] = self.state_overrides.get(child, x)
+        return kids
 
     def xi(self, w: Word) -> tuple:
         """Claimed (cumulative increment, state) point in R^{d+l}."""
-        return self.tree.increment_sum(w) + self.state(w)
+        got = self._xi.get(w)
+        if got is None:
+            got = self._xi[w] = self.tree.increment_sum(w) + self.state(w)
+        return got
 
 
 # ---------------------------------------------------------------------------
 # compensators
 # ---------------------------------------------------------------------------
 
-def _compensator(cand: CandidateLaw, phi: Polynomial, w: Word, mode: str) -> Fraction:
+def _compensators(cand: CandidateLaw, w: Word, mode: str,
+                  phis: Sequence[Polynomial], here: Sequence[Fraction],
+                  kids: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """The compensator of every phi at inner node w.
+
+    ``here`` holds each phi(xi(w)) and ``kids`` each child's row of phi
+    values at its claimed point.  The exact compensator averages phi over
+    the Euler children; a child whose claimed state is the Euler one
+    reuses its row, and the Euler states of the others are computed once
+    for all phi.
+    """
     tree = cand.tree
     k = len(w)
-    xi = cand.xi(w)
     if mode == "exact":
-        here = phi.eval(xi)
-        kids = cand.model_children(w)
-        winc = tree.increment_sum(w)
-        total = Fraction(0)
-        for (p, inc), x_next in zip(tree.branching[k], kids):
-            nxt = tuple(a + b for a, b in zip(winc, inc)) + x_next
-            total += p * phi.eval(nxt)
-        return total - here
+        rows = list(kids)
+        if any(c in cand.state_overrides for c in tree.children(w)):
+            winc = tree.increment_sum(w)
+            for j, ((_, inc), x_next) in enumerate(zip(tree.branching[k],
+                                                       cand.model_children(w))):
+                if w + (j,) in cand.state_overrides:
+                    nxt = tuple(a + b for a, b in zip(winc, inc)) + x_next
+                    rows[j] = [phi.eval(nxt) for phi in phis]
+        probs = [p for p, _ in tree.branching[k]]
+        return [sum((p * row[i] for p, row in zip(probs, rows)), Fraction(0)) - h
+                for i, h in enumerate(here)]
     if mode == "generator":
         t = tree.time(k)
         prefix = cand.prefix_for_call(w)
@@ -237,21 +270,25 @@ def _compensator(cand: CandidateLaw, phi: Polynomial, w: Word, mode: str) -> Fra
         sig = _as_matrix(tree._diff(t, prefix), tree.l, tree.d)
         d, l = tree.d, tree.l
         bbar = tuple([Fraction(0)] * d) + tuple(b)
-        grads = [phi.diff(i) for i in range(d + l)]
-        rate = sum(bbar[i] * grads[i].eval(xi) for i in range(d + l) if bbar[i])
-        # sigma-bar sigma-bar^T has blocks [[I, sig^T], [sig, sig sig^T]]
-        for i in range(d + l):
-            gi = grads[i]
-            if not gi.coeffs:
-                continue
-            for j in range(d + l):
-                a_ij = _sigbar_entry(sig, d, i, j)
-                if a_ij == 0:
+        xi = cand.xi(w)
+        out = []
+        for phi in phis:
+            grads = [phi.diff(i) for i in range(d + l)]
+            rate = sum(bbar[i] * grads[i].eval(xi) for i in range(d + l) if bbar[i])
+            # sigma-bar sigma-bar^T has blocks [[I, sig^T], [sig, sig sig^T]]
+            for i in range(d + l):
+                gi = grads[i]
+                if not gi.coeffs:
                     continue
-                second = gi.diff(j).eval(xi)
-                if second:
-                    rate += Fraction(1, 2) * a_ij * second
-        return rate * tree.dt
+                for j in range(d + l):
+                    a_ij = _sigbar_entry(sig, d, i, j)
+                    if a_ij == 0:
+                        continue
+                    second = gi.diff(j).eval(xi)
+                    if second:
+                        rate += Fraction(1, 2) * a_ij * second
+            out.append(rate * tree.dt)
+        return out
     raise ValueError(f"unknown compensator mode {mode!r}")
 
 
@@ -275,15 +312,15 @@ def compensated_process(tree: TreeInstance, phi: Polynomial,
     continuous compensator.
     """
     cand = CandidateLaw.from_measure(tree, _stop_at_horizon(tree))
-    out: Dict[Word, Fraction] = {}
+    vals = {w: phi.eval(cand.xi(w)) for w in tree.nodes()}
+    out: Dict[Word, Fraction] = {ROOT: vals[ROOT]}
     for w in tree.nodes():
-        if w == ROOT:
-            out[w] = phi.eval(cand.xi(w))
-        else:
-            parent = w[:-1]
-            out[w] = (out[parent]
-                      + phi.eval(cand.xi(w)) - phi.eval(cand.xi(parent))
-                      - _compensator(cand, phi, parent, mode))
+        kids = tree.children(w)
+        if kids:
+            comp, = _compensators(cand, w, mode, (phi,), (vals[w],),
+                                  [(vals[c],) for c in kids])
+            for c in kids:
+                out[c] = out[w] + vals[c] - vals[w] - comp
     return out
 
 
@@ -377,68 +414,145 @@ def weight_battery(tree: TreeInstance, cand: CandidateLaw, s: int,
 class _Sweep:
     """Forward sweeps of one candidate under one compensator mode.
 
-    A weight's sweep carries the weighted open and stopped masses from the
-    root to the horizon once, recording for every phi the contribution of
-    each level k, E[(M_{k+1} - M_k)(phi) * weight].  The masses depend on
-    neither phi nor the time window, so statistic(s, r) sums the levels
-    s .. r-1.  phi(xi) and the compensator are tabulated once per (phi,
-    node) when the sweep is made.
+    Construction tabulates, per inner node w with continue mass u, each
+    child's open share cont(c)/u and stopped share stop(c)/u (both 0 when
+    u = 0), and for every phi the level contribution of one unit of open
+    mass, a = sum_j reach(c_j)/u * (phi(c_j) - phi(w)) - comp(w), and of
+    one unit of stopped mass, b = sum_j post_j * (phi(c_j) - phi(w)) -
+    comp(w).  No a is kept where u = 0: the open mass reaching a node is
+    a multiple of its continue mass, so it is 0 there.  A weight's sweep
+    then carries the weighted open and stopped masses (mo, ms) down the
+    tree, and level k's contribution E[(M_{k+1} - M_k)(phi) * weight] is
+    the sum of mo * a + ms * b over the nodes at depth k.  The masses
+    depend on neither phi nor the time window, so statistic(s, r) sums
+    levels s .. r-1.  All-zero unit rows are stored as None and skipped,
+    and the sweep stops below the last level holding a nonzero row.
     """
 
     def __init__(self, cand: CandidateLaw, mode: str, phis: Sequence[Polynomial]):
         tree = cand.tree
-        inner = [w for w in tree.nodes() if len(w) < tree.depth]
         self.cand, self.mode = cand, mode
-        self.values = {phi: {w: phi.eval(cand.xi(w)) for w in tree.nodes()}
-                       for phi in phis}
-        self.comps = {phi: {w: _compensator(cand, phi, w, mode) for w in inner}
-                      for phi in phis}
-        self._levels: Dict[CylinderWeight, Dict[Polynomial, List[Fraction]]] = {}
+        self.index = {phi: i for i, phi in enumerate(phis)}
+        zero = Fraction(0)
+        self.zero_row = [zero] * len(phis)
+        # per depth, one (w, xi, open shares, stopped shares, a, b) per node
+        self.table: List[list] = []
+        self.live = 0
+        level = [ROOT]
+        vals = [[phi.eval(cand.xi(ROOT)) for phi in phis]]
+        for k in range(tree.depth):
+            post = cand.post_stop[k]
+            rows, nxt, nxt_vals = [], [], []
+            for w, here in zip(level, vals):
+                kids = tree.children(w)
+                kid_vals = [[phi.eval(cand.xi(c)) for phi in phis] for c in kids]
+                comps = _compensators(cand, w, mode, phis, here, kid_vals)
+                u = cand.cont(w)
+                if u:
+                    opens = [cand.cont(c) / u for c in kids]
+                    stops = [cand.stop(c) / u for c in kids]
+                else:
+                    opens = stops = [zero] * len(kids)
+                rises = [[v - h for v, h in zip(kv, here)] for kv in kid_vals]
+                reach = [o + st for o, st in zip(opens, stops)]
+                a = _nonzero([sum((q * rise[i] for q, rise in zip(reach, rises)),
+                                  zero) - c for i, c in enumerate(comps)]) if u else None
+                b = _nonzero([sum((p * rise[i] for p, rise in zip(post, rises)),
+                                  zero) - c for i, c in enumerate(comps)])
+                if a or b:
+                    self.live = k + 1
+                rows.append((w, cand.xi(w), opens, stops, a, b))
+                nxt += kids
+                nxt_vals += kid_vals
+            self.table.append(rows)
+            level, vals = nxt, nxt_vals
+        self._levels: Dict[CylinderWeight, List[List[Fraction]]] = {}
 
-    def levels(self, weight: CylinderWeight) -> Dict[Polynomial, List[Fraction]]:
-        """Per phi, the statistic's contribution of each level 0 .. depth-1."""
-        if weight in self._levels:
-            return self._levels[weight]
+    def levels(self, weight: CylinderWeight) -> List[List[Fraction]]:
+        """Per level 0 .. depth-1, the statistic's contribution for each phi."""
+        if not self.live:
+            return [self.zero_row] * self.cand.tree.depth
+        got = self._levels.get(weight)
+        if got is not None:
+            return got
         cand, zero = self.cand, Fraction(0)
-        out: Dict[Polynomial, List[Fraction]] = {phi: [] for phi in self.values}
+        out = []
         # after-decision weighted masses of the nodes at the current depth;
         # factors zero them out at their times
-        here, m_open = [ROOT], [cand.cont(ROOT)]
+        m_open = [cand.cont(ROOT)]
         m_stop = [cand.stop(ROOT) + cand.pre_t0_stop_mass]
-        for k in range(cand.tree.depth):
-            for f in (f for f in weight.factors if f.time == k):
-                for i, w in enumerate(here):
-                    holds = f.box_holds(cand.xi(w))
+        for k in range(self.live):
+            rows = self.table[k]
+            for f in weight.factors:
+                if f.time != k:
+                    continue
+                for i, row in enumerate(rows):
+                    holds = f.box_holds(row[1])
                     if not (holds and f.flag in ("any", "open")):
                         m_open[i] = zero
                     if not (holds and f.flag in ("any", "stopped")):
                         m_stop[i] = zero
-            for row in out.values():
-                row.append(zero)
-            kids, nxt_open, nxt_stop = [], [], []
-            for i, w in enumerate(here):
-                mo, ms, u = m_open[i], m_stop[i], cand.cont(w)
+            post = cand.post_stop[k]
+            none = [zero] * len(post)
+            acc = self.zero_row
+            nxt_open, nxt_stop = [], []
+            for (_, _, opens, stops, a, b), mo, ms in zip(rows, m_open, m_stop):
                 # pre-stop flow follows the candidate's own mass ratios,
                 # post-stop flow its post-stop branching
-                flows = []
-                for j in range(cand.tree.n_branches(k)):
-                    child = w + (j,)
-                    kids.append(child)
-                    nxt_open.append(mo * cand.cont(child) / u if u else zero)
-                    nxt_stop.append((mo * cand.stop(child) / u if u else zero)
-                                    + ms * cand.post_stop[k][j])
-                    if nxt_open[-1] or nxt_stop[-1]:
-                        flows.append((child, nxt_open[-1] + nxt_stop[-1]))
-                if not (mo or ms or flows):
-                    continue
-                out_flow = sum(flow for _, flow in flows)
-                for phi, row in out.items():
-                    vals = self.values[phi]
-                    row[-1] += sum(flow * vals[child] for child, flow in flows) \
-                        - out_flow * vals[w] - (mo + ms) * self.comps[phi][w]
-            here, m_open, m_stop = kids, nxt_open, nxt_stop
+                if mo:
+                    nxt_open += [mo * o for o in opens]
+                    nxt_stop += ([mo * st + ms * p for st, p in zip(stops, post)]
+                                 if ms else [mo * st for st in stops])
+                else:
+                    nxt_open += none
+                    nxt_stop += [ms * p for p in post] if ms else none
+                if mo and a:
+                    acc = [x + mo * y for x, y in zip(acc, a)]
+                if ms and b:
+                    acc = [x + ms * y for x, y in zip(acc, b)]
+            out.append(acc)
+            m_open, m_stop = nxt_open, nxt_stop
+        out += [self.zero_row] * (cand.tree.depth - self.live)
         self._levels[weight] = out
         return out
+
+    def direct_failure(self) -> dict:
+        """The first departure of the claimed law from the model, or {}.
+
+        In order: a level whose post-stop branching is not the tree's; in
+        BFS order, an inner node with positive continue mass where some
+        child's reach(c)/cont(w) (its open plus stopped share) is not the
+        branch probability; in BFS order, a state override that is not the
+        Euler step from the claimed parent prefix (the claimed history's
+        last state at the root).  O(nodes): together with clause 2 these
+        decide membership.
+        """
+        cand, tree = self.cand, self.cand.tree
+        for k, level in enumerate(tree.branching):
+            model = [p for p, _ in level]
+            if cand.post_stop[k] != model:
+                return {"check": "post_stop", "level": k,
+                        "claimed": cand.post_stop[k], "model": model}
+        for k, rows in enumerate(self.table):
+            model = [p for p, _ in tree.branching[k]]
+            for w, _, opens, stops, _, _ in rows:
+                if not cand.cont(w):
+                    continue
+                claimed = [o + st for o, st in zip(opens, stops)]
+                if claimed != model:
+                    return {"check": "branching", "node": w,
+                            "claimed": claimed, "model": model}
+        for w in sorted(cand.state_overrides, key=lambda w: (len(w), w)):
+            euler = (cand.claimed_history[-1] if w == ROOT else
+                     cand.model_children(w[:-1])[w[-1]])
+            if cand.state_overrides[w] != euler:
+                return {"check": "state", "node": w,
+                        "claimed": cand.state_overrides[w], "model": euler}
+        return {}
+
+
+def _nonzero(row: List[Fraction]) -> Optional[List[Fraction]]:
+    return row if any(row) else None
 
 
 def statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
@@ -446,9 +560,9 @@ def statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
     """Exact expectation of a weighted compensated increment.
 
     The sum of the weight's level contributions over levels s .. r-1 (see
-    ``_Sweep``).  Inside ``check_membership`` one sweep per weight serves
-    every s, r and phi, so a statistic costs a sum of at most ``depth``
-    terms; a call on its own runs one sweep, O(nodes * branches).
+    ``_Sweep``).  The tables are built on the first call, O(nodes *
+    branches), and kept on the candidate for later calls with the same
+    mode and phi; each weight's sweep is cached with them.
     """
     tree = cand.tree
     if not 0 <= s < r <= tree.depth:
@@ -456,9 +570,10 @@ def statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
     if any(f.time > s for f in weight.factors):
         raise ValueError("weight factors must not look past the start time")
     sweep = cand._sweep
-    if sweep is None or sweep.mode != mode or phi not in sweep.values:
-        sweep = _Sweep(cand, mode, (phi,))
-    return sum(sweep.levels(weight)[phi][s:r], Fraction(0))
+    if sweep is None or sweep.mode != mode or phi not in sweep.index:
+        sweep = cand._sweep = _Sweep(cand, mode, (phi,))
+    i = sweep.index[phi]
+    return sum((level[i] for level in sweep.levels(weight)[s:r]), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +588,12 @@ class MembershipReport:
     clause1_pass: bool = True
     clause2_pass: bool = True
     clause2_detail: dict = field(default_factory=dict)
+    direct_pass: bool = True
+    direct_detail: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return self.clause1_pass and self.clause2_pass
+        return self.clause1_pass and self.clause2_pass and self.direct_pass
 
 
 def check_membership(tree: TreeInstance, candidate, degree: int = 2,
@@ -489,9 +606,13 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
     pairs and the deterministic cylinder-weight battery: exact mode demands
     statistics identically zero, generator mode bounds them by
     tolerance * dt.  Clause 2 checks the support conditions (no stopping
-    before the start, pinned pre-start history).  The overall verdict is
-    the conjunction.  A degree or weight budget below 1 would leave clause
-    1 empty and raises ``EmptyBattery``.
+    before the start, pinned pre-start history).  The direct check
+    compares the claimed transitions and states with the model's node by
+    node (``_Sweep.direct_failure``); the battery alone cannot decide, as a
+    corruption that keeps the increment's lower moments passes every
+    low-degree test.  The verdict is the conjunction of all three, and
+    ``fail_fast`` returns at the first that fails.  A degree or weight
+    budget below 1 would leave clause 1 empty and raises ``EmptyBattery``.
     """
     if degree > MAX_DEGREE:
         raise DegreeTooHigh(f"degree {degree} exceeds the cap {MAX_DEGREE}")
@@ -517,26 +638,38 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
         return report
 
     basis = monomial_basis(tree.d, tree.l, degree)
+    sweep = _Sweep(candidate, mode, [phi for _, phi in basis])
+    report.direct_detail = sweep.direct_failure()
+    report.direct_pass = not report.direct_detail
+    if fail_fast and not report.direct_pass:
+        return report
+
     threshold = as_fraction(tolerance) * tree.dt
-    candidate._sweep = _Sweep(candidate, mode, [phi for _, phi in basis])
-    try:
-        for s in range(0, tree.depth):
-            weights = weight_battery(tree, candidate, s, weight_budget)
-            for r in range(s + 1, tree.depth + 1):
-                for label, phi in basis:
-                    for weight in weights:
-                        val = statistic(candidate, phi, s, r, weight, mode=mode)
-                        ok = val == 0 if mode == "exact" else abs(val) <= threshold
-                        report.clause1.append({
-                            "phi": label, "s": s, "r": r, "weight": weight.label,
-                            "stat": val, "pass": ok,
-                        })
-                        if not ok:
-                            report.clause1_pass = False
-                            if fail_fast:
-                                return report
-    finally:
-        candidate._sweep = None
+    for s in range(0, tree.depth):
+        weights = weight_battery(tree, candidate, s, weight_budget)
+        # per weight, the statistics of every phi over the windows s < r, in
+        # order of r: running sums of the weight's level rows
+        windows = []
+        for weight in weights:
+            running, sums = sweep.zero_row, []
+            for level in sweep.levels(weight)[s:]:
+                if any(level):
+                    running = [x + y for x, y in zip(running, level)]
+                sums.append(running)
+            windows.append(sums)
+        for r in range(s + 1, tree.depth + 1):
+            for i, (label, _) in enumerate(basis):
+                for weight, sums in zip(weights, windows):
+                    val = sums[r - s - 1][i]
+                    ok = val == 0 if mode == "exact" else abs(val) <= threshold
+                    report.clause1.append({
+                        "phi": label, "s": s, "r": r, "weight": weight.label,
+                        "stat": val, "pass": ok,
+                    })
+                    if not ok:
+                        report.clause1_pass = False
+                        if fail_fast:
+                            return report
     return report
 
 
@@ -635,7 +768,7 @@ def generator_gap_decay(dts=(Fraction(1), Fraction(1, 2), Fraction(1, 4), Fracti
         phis = [phi for _, phi in monomial_basis(1, 1, degree)]
         levels = _Sweep(cand, "generator", phis).levels(
             CylinderWeight(label="1", factors=()))
-        stats.append(float(max(abs(sum(levels[phi])) for phi in phis)))
+        stats.append(float(max(abs(sum(col, Fraction(0))) for col in zip(*levels))))
     xs = [math.log(float(dt)) for dt in dts]
     ys = [math.log(v) for v in stats]
     n = len(xs)

@@ -12,14 +12,20 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from typing import Dict, Optional
 
 from .errors import EquivalenceViolation, InvariantViolation, RuleShapeMismatch
 from .lattice import ROOT, TreeInstance, Word
 from .measures import StoppingMeasure, _pushed_forward, expectations_from_stop_mass
 from .xreal import as_fraction
+
+_BLOCK = 1024  # stop nodes summed per batch in monte_carlo_value
 
 
 @dataclass(frozen=True)
@@ -197,46 +203,59 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
         raise ValueError("paths must be >= 1")
     rule.validate(tree)
 
-    # flatten the tree into float tables once; the path loop is table-driven
-    stop_value: Dict[Word, float] = {}
-    q_float: Dict[Word, float] = {}
-    accr: Dict[Word, tuple] = {}
-    for word in tree.nodes():
-        F, Gs, Hs = tree._functionals(word)
-        stop_value[word] = float(F + tree.terminal_at(word))
-        q_float[word] = float(rule.prob(word))
-        accr[word] = tuple(float(G) for G in Gs) + tuple(float(H) for H in Hs)
-    thresholds = []
-    for level in tree.branching:
-        acc, cum = 0.0, []
-        for p, _ in level:
-            acc += float(p)
-            cum.append(acc)
-        thresholds.append(cum)
-
+    # number the nodes in BFS order and flatten them into float tables once;
+    # per node: (survival factor 1 - q, first child's number, the level's
+    # cumulative branch probabilities, the last branch's index)
+    thresholds = [list(accumulate(float(p) for p, _ in level))
+                  for level in tree.branching]
     n_funcs = 1 + tree.constraints.n_ineq + tree.constraints.n_eq
+    steps = []
+    # per functional, its value and its square at each node
+    vals = [[] for _ in range(n_funcs)]
+    sqs = [[] for _ in range(n_funcs)]
+    first = 1
+    for word in tree.nodes():
+        k = len(word)
+        F, Gs, Hs = tree._functionals(word)
+        values = (float(F + tree.terminal_at(word)),) + \
+            tuple(float(G) for G in Gs) + tuple(float(H) for H in Hs)
+        for col, sq_col, v in zip(vals, sqs, values):
+            col.append(v)
+            sq_col.append(v * v)
+        cum = thresholds[k] if k < tree.depth else []
+        steps.append((1.0 - float(rule.prob(word)), first, cum, len(cum) - 1))
+        first += len(cum)
+
     sums = [0.0] * n_funcs
     sq = [0.0] * n_funcs
-    rng = random.Random(seed)
+
+    def add_block(block):
+        # path order, without compensated summation, so the sums are
+        # the same doubles a running += gives
+        for i in range(n_funcs):
+            sums[i] = reduce(add, map(vals[i].__getitem__, block), sums[i])
+            sq[i] = reduce(add, map(sqs[i].__getitem__, block), sq[i])
+
+    draw = random.Random(seed).random
+    block = []
     for _ in range(paths):
-        eta = rng.random()
-        word: Word = ROOT
+        eta = draw()
+        node = 0
         not_stopped = 1.0
         while True:
-            theta = 1.0 - not_stopped * (1.0 - q_float[word])
-            if theta > eta:
+            surv, kid0, cum, last = steps[node]
+            survive = not_stopped * surv
+            if 1.0 - survive > eta:  # theta at this node exceeds eta
                 break
-            not_stopped *= 1.0 - q_float[word]
-            r = rng.random()
-            cum = thresholds[len(word)]
-            j = 0
-            while j < len(cum) - 1 and cum[j] <= r:
-                j += 1
-            word = word + (j,)
-        draws = (stop_value[word],) + accr[word]
-        for i, v in enumerate(draws):
-            sums[i] += v
-            sq[i] += v * v
+            not_stopped = survive
+            # the first branch whose cumulative probability exceeds the draw,
+            # the last one if none does
+            node = kid0 + bisect_right(cum, draw(), 0, last)
+        block.append(node)
+        if len(block) == _BLOCK:
+            add_block(block)
+            block = []
+    add_block(block)
 
     def mean_se(i):
         mean = sums[i] / paths

@@ -11,6 +11,8 @@ expressions must match value for value.
 """
 
 import ast
+import math
+import random
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -19,10 +21,10 @@ from treestop import Ext
 from treestop.dp import _require_scalar_shape
 from treestop.envelope import ConcaveEnvelope, _canonical
 from treestop.errors import DegreeTooHigh
-from treestop.lattice import ROOT, TreeInstance, Word
+from treestop.lattice import ROOT, TreeInstance, Word, _as_matrix, _as_vector
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
-                                 _compensator, monomial_basis, weight_battery)
+                                 _sigbar_entry, monomial_basis, weight_battery)
 from treestop.measures import StoppingMeasure
 from treestop.xreal import as_fraction
 from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
@@ -330,10 +332,85 @@ def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str
 
 
 # -- membership statistics -----------------------------------------------------
-# ``oracle_statistic`` and ``oracle_check_membership`` are the per-statistic
-# forward sweep and the clause-1 loop as they were before the library moved
-# to one sweep per weight, copied verbatim apart from their names.  The
-# library's clause-1 lists must equal theirs entry for entry.
+# ``oracle_compensator``, ``oracle_statistic`` and ``oracle_check_membership``
+# are the per-(polynomial, node) compensator, the per-statistic forward sweep
+# and the clause-1 loop as they were before the library moved to one sweep
+# per weight and to per-node unit contributions, copied verbatim apart from
+# their names.  ``oracle_direct_detail`` restates the direct check from its
+# definition, and the clause-1 loop runs it where the library does.  The
+# library's reports must equal theirs entry for entry.
+
+
+def oracle_compensator(cand: CandidateLaw, phi: Polynomial, w: Word,
+                       mode: str) -> Fraction:
+    tree = cand.tree
+    k = len(w)
+    xi = cand.xi(w)
+    if mode == "exact":
+        here = phi.eval(xi)
+        kids = cand.model_children(w)
+        winc = tree.increment_sum(w)
+        total = Fraction(0)
+        for (p, inc), x_next in zip(tree.branching[k], kids):
+            nxt = tuple(a + b for a, b in zip(winc, inc)) + x_next
+            total += p * phi.eval(nxt)
+        return total - here
+    if mode == "generator":
+        t = tree.time(k)
+        prefix = cand.prefix_for_call(w)
+        b = _as_vector(tree._drift(t, prefix), tree.l)
+        sig = _as_matrix(tree._diff(t, prefix), tree.l, tree.d)
+        d, l = tree.d, tree.l
+        bbar = tuple([Fraction(0)] * d) + tuple(b)
+        grads = [phi.diff(i) for i in range(d + l)]
+        rate = sum(bbar[i] * grads[i].eval(xi) for i in range(d + l) if bbar[i])
+        # sigma-bar sigma-bar^T has blocks [[I, sig^T], [sig, sig sig^T]]
+        for i in range(d + l):
+            gi = grads[i]
+            if not gi.coeffs:
+                continue
+            for j in range(d + l):
+                a_ij = _sigbar_entry(sig, d, i, j)
+                if a_ij == 0:
+                    continue
+                second = gi.diff(j).eval(xi)
+                if second:
+                    rate += Fraction(1, 2) * a_ij * second
+        return rate * tree.dt
+    raise ValueError(f"unknown compensator mode {mode!r}")
+
+
+def oracle_direct_detail(tree: TreeInstance, cand: CandidateLaw) -> dict:
+    """The first of: a level with post-stop branching other than the tree's,
+    a node with positive continue mass whose children's reach(c)/cont(w)
+    differ from the branch probabilities, a claimed state other than the
+    Euler step from the claimed parent prefix; {} when there is none."""
+    for k, level in enumerate(tree.branching):
+        model = [p for p, _ in level]
+        if cand.post_stop[k] != model:
+            return {"check": "post_stop", "level": k,
+                    "claimed": cand.post_stop[k], "model": model}
+    for w in tree.nodes():
+        if len(w) == tree.depth or cand.cont(w) == 0:
+            continue
+        model = [p for p, _ in tree.branching[len(w)]]
+        claimed = [cand.reach(c) / cand.cont(w) for c in tree.children(w)]
+        if claimed != model:
+            return {"check": "branching", "node": w,
+                    "claimed": claimed, "model": model}
+    for w in tree.nodes():
+        if w not in cand.state_overrides:
+            continue
+        if w == ROOT:
+            euler = cand.claimed_history[-1]
+        else:
+            parent = w[:-1]
+            euler = tree._child_states(len(parent),
+                                       cand.prefix_for_call(parent))[w[-1]]
+        if cand.state_overrides[w] != euler:
+            return {"check": "state", "node": w,
+                    "claimed": cand.state_overrides[w], "model": euler}
+    return {}
 
 
 def oracle_statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
@@ -371,7 +448,7 @@ def oracle_statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
             m_open, m_stop = open_mass[w], stop_mass[w]
             in_window = k >= s
             if in_window and (m_open or m_stop):
-                stat -= (m_open + m_stop) * _compensator(cand, phi, w, mode)
+                stat -= (m_open + m_stop) * oracle_compensator(cand, phi, w, mode)
             phi_here = phi.eval(cand.xi(w)) if in_window else None
             u_w = cand.cont(w)
             for j in range(tree.n_branches(k)):
@@ -427,6 +504,10 @@ def oracle_check_membership(tree: TreeInstance, candidate, degree: int = 2,
     report.clause2_detail = detail
     report.clause2_pass = not detail
     if fail_fast and not report.clause2_pass:
+        return report
+    report.direct_detail = oracle_direct_detail(tree, candidate)
+    report.direct_pass = not report.direct_detail
+    if fail_fast and not report.direct_pass:
         return report
 
     basis = monomial_basis(tree.d, tree.l, degree)
@@ -560,3 +641,78 @@ def oracle_eval_node(node, env):
             return a ** b.numerator
         return _BINOPS[type(node.op)](a, b)
     raise ValueError(f"unsupported expression element {ast.dump(node)}")
+
+
+# -- Monte Carlo -------------------------------------------------------------------
+# ``monte_carlo_oracle`` is the path loop as it was before the library moved
+# to BFS-numbered float tables, bisected branch picks and block sums, copied
+# verbatim apart from its name.  The library's estimates must equal its
+# result dicts bit for bit.
+
+
+def monte_carlo_oracle(tree: TreeInstance, rule, paths: int, seed: int = 0) -> dict:
+    """Simulate (word, eta) pairs and average reward and accruals.
+
+    Uses the hitting-time realization: each path draws one uniform eta and
+    stops the first time the running theta exceeds it.  Returns mean and
+    standard error per functional; results are bit-identical for a fixed
+    seed (paths are consumed in index order from a single generator).
+    """
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
+    rule.validate(tree)
+
+    # flatten the tree into float tables once; the path loop is table-driven
+    stop_value: Dict[Word, float] = {}
+    q_float: Dict[Word, float] = {}
+    accr: Dict[Word, tuple] = {}
+    for word in tree.nodes():
+        F, Gs, Hs = tree._functionals(word)
+        stop_value[word] = float(F + tree.terminal_at(word))
+        q_float[word] = float(rule.prob(word))
+        accr[word] = tuple(float(G) for G in Gs) + tuple(float(H) for H in Hs)
+    thresholds = []
+    for level in tree.branching:
+        acc, cum = 0.0, []
+        for p, _ in level:
+            acc += float(p)
+            cum.append(acc)
+        thresholds.append(cum)
+
+    n_funcs = 1 + tree.constraints.n_ineq + tree.constraints.n_eq
+    sums = [0.0] * n_funcs
+    sq = [0.0] * n_funcs
+    rng = random.Random(seed)
+    for _ in range(paths):
+        eta = rng.random()
+        word: Word = ROOT
+        not_stopped = 1.0
+        while True:
+            theta = 1.0 - not_stopped * (1.0 - q_float[word])
+            if theta > eta:
+                break
+            not_stopped *= 1.0 - q_float[word]
+            r = rng.random()
+            cum = thresholds[len(word)]
+            j = 0
+            while j < len(cum) - 1 and cum[j] <= r:
+                j += 1
+            word = word + (j,)
+        draws = (stop_value[word],) + accr[word]
+        for i, v in enumerate(draws):
+            sums[i] += v
+            sq[i] += v * v
+
+    def mean_se(i):
+        mean = sums[i] / paths
+        if paths == 1:
+            return mean, 0.0
+        var = max(0.0, (sq[i] - paths * mean * mean) / (paths - 1))
+        return mean, math.sqrt(var / paths)
+
+    out = {"paths": paths, "seed": seed, "value": mean_se(0)}
+    k = 1
+    out["ineq"] = tuple(mean_se(k + i) for i in range(tree.constraints.n_ineq))
+    k += tree.constraints.n_ineq
+    out["eq"] = tuple(mean_se(k + i) for i in range(tree.constraints.n_eq))
+    return out

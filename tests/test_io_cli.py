@@ -11,6 +11,7 @@ from treestop import (NodeNotInTree, ShapeTooLarge, dump_instance, dump_measure,
                       dump_rule, instance_hash, load_instance, load_measure,
                       load_rule, parse_function, solve_weak)
 from treestop import dp
+from treestop import cli
 from treestop.cli import main, run_suite
 from treestop.errors import NoInstances
 from treestop.generate import generate_instance
@@ -284,6 +285,45 @@ def test_cli_gen_and_suite(tmp_path, capsys):
     assert rc == 0
     assert "2/2 instances pass" in out
     assert (tmp_path / "rec" / "suite-all.tsv").exists()
+
+
+def test_suite_all_solves_each_instance_once(tmp_path, monkeypatch):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    for seed in (1, 2):
+        doc = generate_instance(seed=seed, depth=2, branches=2)
+        (inst_dir / f"i{seed}.json").write_text(json.dumps(doc))
+    calls = []
+
+    def counted(tree, *args, **kwargs):
+        calls.append(tree)
+        return solve_weak(tree, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_weak", counted)
+    rows, all_pass = run_suite(str(inst_dir), "all")
+    assert all_pass and len(rows) == 2
+    assert all(set(r["verdicts"]) == {"equivalence", "dpp", "membership"}
+               for r in rows)
+    assert len(calls) == 2
+
+
+def test_cli_record_names_the_parsed_arguments(rw2_file, tmp_path, monkeypatch,
+                                               capsys):
+    # an in-process call under a host program with flags of its own
+    monkeypatch.setattr(sys, "argv", ["host", "--host-flag", "-k", "expr"])
+    out = tmp_path / "records"
+    argv = ["verify-dpp", "--instance", rw2_file, "--tau", "1", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    record_file, = os.listdir(out)
+    with open(out / record_file) as fh:
+        assert json.load(fh)["command"] == argv
+
+
+def test_cli_check_class_reports_the_direct_check(rw2_file, capsys):
+    assert main(["check-class", "--instance", rw2_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("direct\tpass") + 1] == "overall\tpass"
 
 
 def test_suite_dpp_on_twenty_single_inequality_instances(tmp_path):

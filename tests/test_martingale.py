@@ -13,7 +13,7 @@ from treestop import (CandidateLaw, DegreeTooHigh, EmptyBattery, POS_INF,
 from treestop.generate import generate_instance
 from treestop.martingale import CylinderWeight, WeightFactor
 
-from conftest import make_rw
+from conftest import acceptance_corruptions, acceptance_pool, make_rw
 
 F = Fraction
 HALF = F(1, 2)
@@ -206,6 +206,85 @@ def test_never_stopping_mass_is_a_support_violation(rw2):
     rep = check_membership(rw2, CandidateLaw(rw2, s=s, u=u))
     assert not rep.clause2_pass
     assert rep.clause2_detail["mass_never_stopping"] == 1
+
+
+# -- membership: the direct check ------------------------------------------------
+
+def moment_preserving_candidate():
+    """Depth 3, four branches of 1/4 with increments -3/2, -1/2, 1/2, 3/2;
+    the law never stops before the horizon and its root branch law is the
+    model's plus (1, -3, 3, -1)/40, which keeps the increment's sum, mean
+    and second moment."""
+    incs = (F(-3, 2), F(-1, 2), HALF, F(3, 2))
+    tree = build_tree(dt=1, depth=3, branching=[(F(1, 4), w) for w in incs], x0=0)
+    law = (F(11, 40), F(7, 40), F(13, 40), F(9, 40))
+    mass = {}
+    for w in tree.nodes():
+        mass[w] = (F(1) if not w else law[w[0]] if len(w) == 1
+                   else mass[w[:-1]] / 4)
+    leaf = {w: len(w) == tree.depth for w in mass}
+    return tree, CandidateLaw(tree, s={w: m if leaf[w] else 0 for w, m in mass.items()},
+                              u={w: 0 if leaf[w] else m for w, m in mass.items()})
+
+
+def test_moment_preserving_branch_law_is_rejected_at_degree_2():
+    tree, cand = moment_preserving_candidate()
+    rep = check_membership(tree, cand, degree=2)
+    # every one of the 285 degree-2 statistics is zero: the battery alone
+    # would accept the law
+    assert rep.clause1_pass and rep.clause2_pass
+    assert len(rep.clause1) == 285 and all(r["stat"] == 0 for r in rep.clause1)
+    assert not rep.direct_pass and not rep.ok
+    assert rep.direct_detail == {
+        "check": "branching", "node": (),
+        "claimed": [F(11, 40), F(7, 40), F(13, 40), F(9, 40)],
+        "model": [F(1, 4)] * 4}
+    assert not check_membership(tree, cand, degree=3).clause1_pass
+
+
+def test_direct_check_passes_the_pool_and_names_each_corruption():
+    pool = acceptance_pool()
+    for tree in pool:
+        rep = check_membership(tree, solve_weak(tree).measure, fail_fast=True)
+        assert rep.direct_pass and rep.direct_detail == {} and rep.ok
+    for i, kind, eps, tree, cand in acceptance_corruptions(pool):
+        rep = check_membership(tree, cand, fail_fast=True)
+        assert not rep.ok, (i, kind, eps)
+        if kind == "pre_t0":  # the transitions are the model's; clause 2 fails
+            assert not rep.clause2_pass
+            continue
+        node, = (cand.state_overrides if kind == "state" else
+                 [w for w in tree.nodes() if len(w) < tree.depth and
+                  [cand.reach(c) for c in tree.children(w)] !=
+                  [p * cand.cont(w) for p, _ in tree.branching[len(w)]]])
+        assert rep.direct_detail["check"] == ("state" if kind == "state"
+                                              else "branching")
+        assert rep.direct_detail["node"] == node
+        assert rep.clause1 == []  # fail_fast returns at the direct check
+
+
+def test_direct_check_compares_post_stop_branching():
+    tree = make_rw(depth=2)
+    rule = rule_from_map(tree, {(): 0, (0,): HALF, (1,): 0})
+    m = rule_to_measure(tree, rule)
+    post = [[HALF, HALF], [F(3, 8), F(5, 8)]]
+    cand = CandidateLaw(tree, s=dict(m.s), u=dict(m.u), post_stop_branching=post)
+    rep = check_membership(tree, cand)
+    assert not rep.direct_pass and not rep.clause1_pass
+    assert rep.direct_detail == {"check": "post_stop", "level": 1,
+                                 "claimed": post[1], "model": [HALF, HALF]}
+
+
+def test_direct_check_accepts_an_override_equal_to_the_euler_state(rw2, half_rule):
+    m = rule_to_measure(rw2, half_rule)
+    same = CandidateLaw(rw2, s=dict(m.s), u=dict(m.u),
+                        state_overrides={(1,): rw2.state((1,)), (): 0})
+    assert check_membership(rw2, same).ok
+    shifted_root = CandidateLaw(rw2, s=dict(m.s), u=dict(m.u),
+                                state_overrides={(): 1})
+    rep = check_membership(rw2, shifted_root)
+    assert rep.direct_detail == {"check": "state", "node": (),
+                                 "claimed": (F(1),), "model": (F(0),)}
 
 
 # -- polynomials and the refinement study ------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from treestop.lattice import build_tree
 from treestop.rules import _hit_depth
 
 from conftest import make_rw
-from oracles import atom_expectations
+from oracles import atom_expectations, monte_carlo_oracle
 
 HALF = Fraction(1, 2)
 
@@ -206,3 +207,86 @@ def test_mc_error_scales_like_inverse_sqrt_paths(rw2, half_rule):
     slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / \
         sum((x - mx) ** 2 for x in xs)
     assert -0.6 <= slope <= -0.4
+
+
+# -- monte carlo against the per-word loop ---------------------------------------
+
+def third_tree():
+    """Levels of 3, 2 and 3 branches; on the 3-branch levels the float
+    cumulative probabilities end below 1.0 (1/6, 2/3, 1/6 sum to
+    0.9999999999999999, the largest double below 1)."""
+    return build_tree(
+        dt=HALF, depth=3,
+        branching=[[(Fraction(1, 6), 1), (Fraction(2, 3), 0), (Fraction(1, 6), -1)],
+                   [(Fraction(1, 3), 2), (Fraction(2, 3), -1)],
+                   [(Fraction(1, 6), 1), (Fraction(2, 3), 0), (Fraction(1, 6), -1)]],
+        x0=Fraction(1, 3), drift=lambda t, xs: -xs[-1] / 2,
+        reward=lambda t, xs: xs[-1], terminal=lambda t, xs: xs[-1] ** 2,
+        inequalities=[(lambda t, xs: xs[-1] ** 2, 3)],
+        equalities=[(lambda t, xs: 1 + t, 2)])
+
+
+def vector_state_tree():
+    return build_tree(
+        dt=HALF, depth=3,
+        branching=[(Fraction(1, 4), (1, 0)), (Fraction(3, 4), (Fraction(-1, 3), HALF))],
+        x0=(0, 1), drift=lambda t, xs: (xs[-1][1] / 2, 1 - xs[-1][0]),
+        diffusion=((1, 0), (HALF, 1)),
+        terminal=lambda t, xs: xs[-1][0] * xs[-1][1],
+        equalities=[(lambda t, xs: xs[-1][0], 0)])
+
+
+def mixed_rule(tree, seed):
+    """q drawn from {0, 1, 1/3, 5/7} per interior node."""
+    rng = random.Random(seed)
+    choices = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7))
+    return rule_from_map(tree, {w: rng.choice(choices) for w in tree.nodes()
+                                if len(w) < tree.depth})
+
+
+MC_CASES = {
+    "float-cum-below-1": (third_tree, 1),
+    "equalities": (lambda: make_rw(depth=3, eq=[(lambda t, xs: t, 1)]), 2),
+    "vector-state": (vector_state_tree, 3),
+}
+
+
+@pytest.mark.parametrize("paths", [1, 1023, 1025, 2500])
+@pytest.mark.parametrize("case", sorted(MC_CASES))
+def test_mc_is_bit_identical_to_the_per_word_loop(case, paths):
+    make, seed = MC_CASES[case]
+    tree = make()
+    for rule in (mixed_rule(tree, seed), mixed_rule(tree, seed + 10)):
+        assert {v for w, v in rule.q.items() if len(w) < tree.depth} & {0, 1}
+        for mc_seed in (0, 99):
+            got = monte_carlo_value(tree, rule, paths=paths, seed=mc_seed)
+            assert got == monte_carlo_oracle(tree, rule, paths=paths, seed=mc_seed)
+
+
+_Random = random.Random
+
+
+class _ScriptedRandom:
+    """Stands in for random.Random: draws ties with the cumulative
+    probabilities, the largest double below 1, and seeded uniforms."""
+
+    def __init__(self, seed):
+        self._rng = _Random(seed)
+        cum = [1 / 6, 1 / 6 + 2 / 3, 1 / 6 + 2 / 3 + 1 / 6, 1 / 3]
+        self._script = cum + [1 - 2 ** -53, 0.0]
+
+    def random(self):
+        if self._rng.random() < 0.5:
+            return self._rng.choice(self._script)
+        return self._rng.random()
+
+
+def test_mc_branch_pick_matches_the_linear_scan_on_ties_and_the_clamp(monkeypatch):
+    monkeypatch.setattr(random, "Random", _ScriptedRandom)
+    tree = third_tree()
+    rule = rule_from_map(tree, {w: Fraction(1, 9) for w in tree.nodes()
+                                if len(w) < tree.depth})
+    for paths in (1, 1025, 2500):
+        for seed in range(3):
+            got = monte_carlo_value(tree, rule, paths=paths, seed=seed)
+            assert got == monte_carlo_oracle(tree, rule, paths=paths, seed=seed)
