@@ -229,8 +229,7 @@ def _cmd_check_class(args) -> int:
     else:
         res = solve_weak(tree)
         if not res.optimal:
-            print(f"cannot derive a measure: solve is {res.status}")
-            return 2
+            raise ValueError(f"cannot derive a measure: solve is {res.status}")
         measure = res.measure
     report = check_membership(tree, measure, degree=args.degree,
                               mode=args.mode, tolerance=Fraction(str(args.tol)))

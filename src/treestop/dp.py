@@ -95,20 +95,19 @@ def _forward_levels(tree: TreeInstance):
     step), or its chain at the leaves, all times the node's path probability.
     Kept apart so that the leaf level's paths and weights are freed first."""
     _require_scalar_shape(tree)
-    g, _ = tree.constraints.inequalities[0]
     levels, units = [], [Fraction(1)]
     for k, level in enumerate(tree.levels()):
         t = tree.time(k)
         words, data = [], []
         for (word, prefix), unit in zip(level, units):
             words.append(word)
-            stop = unit * as_fraction(tree.terminal(t, prefix))
+            stop = unit * tree._terminal_value(t, prefix)
             if k == tree.depth:
                 data.append((_ZERO, stop, stop, ()))
             else:
                 step = unit * tree.dt
-                data.append((stop, step * Ext.parse(tree.reward(t, prefix)).fraction(),
-                             step * Ext.parse(g(t, prefix)).fraction()))
+                f, (g,), _ = tree._rates(t, prefix)
+                data.append((stop, step * f.fraction(), step * g.fraction()))
         levels.append((words, data))
         if k < tree.depth:
             units = [unit * p for unit in units for p, _ in tree.branching[k]]

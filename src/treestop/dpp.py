@@ -70,15 +70,16 @@ def first_randomization_cut(tree: TreeInstance, rule: RandomizedStoppingRule) ->
     randomizes (0 < q < 1), no later than one step before the horizon."""
     cap = max(1, tree.depth - 1)
     cut: List[Word] = []
-
-    def walk(word: Word):
+    # depth first, children in order; a recursive closure would be a
+    # reference cycle that keeps the tree and its caches alive until the
+    # cyclic collector runs
+    stack = [ROOT]
+    while stack:
+        word = stack.pop()
         if len(word) >= 1 and (len(word) == cap or 0 < rule.prob(word) < 1):
             cut.append(word)
-            return
-        for child in tree.children(word):
-            walk(child)
-
-    walk(ROOT)
+        else:
+            stack.extend(reversed(tree.children(word)))
     return tuple(cut)
 
 
@@ -123,7 +124,7 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
             stopped_before.append({
                 "node": w, "mass": measure.stop(w),
                 "F": F, "G": Gs, "H": Hs,
-                "payoff": F + Ext(tree.terminal_at(w)),
+                "payoff": tree.stop_payoff(w),
             })
 
     survivors: Dict[Word, SurvivorData] = {}

@@ -60,10 +60,6 @@ def _as_matrix(value, rows: int, cols: int) -> Tuple[Tuple[Fraction, ...], ...]:
     raise ValueError(f"expected a {rows}x{cols} matrix, got {value!r}")
 
 
-def _as_ext(value) -> Ext:
-    return Ext.parse(value)
-
-
 def _callable(value) -> Callable:
     """Lift constants to functions of (t, prefix)."""
     if callable(value):
@@ -110,12 +106,6 @@ class Coefficients:
     diffusion: Callable = 1
     lip: Optional[Callable] = None
 
-    def drift_fn(self):
-        return _callable(self.drift)
-
-    def diffusion_fn(self):
-        return _callable(self.diffusion)
-
 
 @dataclass(frozen=True)
 class ConstraintSpec:
@@ -130,8 +120,8 @@ class ConstraintSpec:
     equalities: Tuple[Tuple[Callable, Ext], ...] = ()
 
     def __post_init__(self):
-        ineq = tuple((_callable(g), _as_ext(y)) for g, y in self.inequalities)
-        eq = tuple((_callable(h), _as_ext(z)) for h, z in self.equalities)
+        ineq = tuple((_callable(g), Ext.parse(y)) for g, y in self.inequalities)
+        eq = tuple((_callable(h), Ext.parse(z)) for h, z in self.equalities)
         for _, y in ineq:
             if y.is_neg_inf:
                 raise ValueError("inequality bounds must exceed -inf")
@@ -155,8 +145,8 @@ class BudgetVector:
     zs: Tuple[Ext, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "ys", tuple(_as_ext(y) for y in self.ys))
-        object.__setattr__(self, "zs", tuple(_as_ext(z) for z in self.zs))
+        object.__setattr__(self, "ys", tuple(Ext.parse(y) for y in self.ys))
+        object.__setattr__(self, "zs", tuple(Ext.parse(z) for z in self.zs))
         for y in self.ys:
             if y.is_neg_inf:
                 raise ValueError("inequality bounds must exceed -inf")
@@ -172,11 +162,14 @@ class BudgetVector:
 class TreeInstance:
     """Immutable finite-depth increment tree with Euler states.
 
-    Nodes are increment words.  States, path probabilities and cumulative
-    functionals are computed lazily and cached (``_states``, ``_pathprob``,
-    ``_funcs``), as is the scalar-budget root envelope (``_root_envelope``,
-    filled by ``dp.root_envelope``); instances are safe to share for
-    concurrent reads once constructed (all operations are pure).
+    Nodes are increment words.  State paths (in the form the instance's
+    functions are called with), path probabilities and cumulative
+    functionals are computed lazily and cached per node (``_prefixes``,
+    ``_pathprob``, ``_funcs``), as is the scalar-budget root envelope
+    (``_root_envelope``, filled by ``dp.root_envelope``); instances are safe
+    to share for concurrent reads once constructed (all operations are
+    pure).  Reward, integrands, terminal payoff, drift and diffusion are
+    called and coerced by this class only.
     """
 
     def __init__(self, t0, dt, depth, branching, history, coefficients,
@@ -207,10 +200,12 @@ class TreeInstance:
         self.w_history = tuple(w_history)
         self.source = source
 
-        self._drift = coefficients.drift_fn()
-        self._diff = coefficients.diffusion_fn()
-        self._states: dict = {ROOT: self.history[-1]}
-        self._funcs: dict = {}
+        self._drift = _callable(coefficients.drift)
+        self._diff = _callable(coefficients.diffusion)
+        self._prefixes: dict = {ROOT: tuple(map(self._unwrap, self.history))}
+        zero = Ext(0)
+        self._funcs: dict = {ROOT: (zero, (zero,) * constraints.n_ineq,
+                                    (zero,) * constraints.n_eq)}
         self._pathprob: dict = {ROOT: Fraction(1)}
         self._root_envelope = None
 
@@ -295,30 +290,42 @@ class TreeInstance:
         return x[0] if self.l == 1 else x
 
     def _prefix_for_call(self, word: Word) -> tuple:
-        # history already ends with the root state; append states past it
-        full = self.history + tuple(self._state(w) for w in _prefix_words(word))
-        return tuple(map(self._unwrap, full))
+        """The state path the instance's functions see at a node, cached;
+        a miss steps all the parent's children at once."""
+        got = self._prefixes.get(word)
+        if got is None:
+            parent = word[:-1]
+            prefix = self._prefix_for_call(parent)
+            for j, x in enumerate(self._child_states(len(parent), prefix)):
+                self._prefixes[parent + (j,)] = prefix + (self._unwrap(x),)
+            got = self._prefixes[word]
+        return got
 
     def _child_states(self, k: int, prefix: tuple) -> Tuple[State, ...]:
         """Euler successors, one per branch, of a depth-k node whose state
         path (in call form) is ``prefix``."""
         x = prefix[-1] if self.l > 1 else (prefix[-1],)
-        t = self.time(k)
-        b = _as_vector(self._drift(t, prefix), self.l)
-        sig = _as_matrix(self._diff(t, prefix), self.l, self.d)
+        b, sig = self._coefficients(self.time(k), prefix)
         mean = [xi + bi * self.dt for xi, bi in zip(x, b)]
         return tuple(tuple(sum(map(mul, row, w), m) for m, row in zip(mean, sig))
                      for _, w in self.branching[k])
 
-    def _state(self, word: Word) -> State:
-        got = self._states.get(word)
-        if got is not None:
-            return got
-        parent = word[:-1]
-        kids = self._child_states(len(parent), self._prefix_for_call(parent))
-        for j, x in enumerate(kids):
-            self._states[parent + (j,)] = x
-        return kids[word[-1]]
+    # -- the instance's functions, called here only ---------------------------
+
+    def _coefficients(self, t: Fraction, prefix: tuple):
+        """Drift vector b and l x d diffusion matrix sigma at a state path."""
+        return (_as_vector(self._drift(t, prefix), self.l),
+                _as_matrix(self._diff(t, prefix), self.l, self.d))
+
+    def _rates(self, t: Fraction, prefix: tuple):
+        """Reward f and integrands (g_i), (h_i) at a state path, as Ext."""
+        return (Ext.parse(self.reward(t, prefix)),
+                [Ext.parse(g(t, prefix)) for g, _ in self.constraints.inequalities],
+                [Ext.parse(h(t, prefix)) for h, _ in self.constraints.equalities])
+
+    def _terminal_value(self, t: Fraction, prefix: tuple) -> Fraction:
+        """Terminal payoff pi at a state path."""
+        return as_fraction(self.terminal(t, prefix))
 
     def levels(self):
         """Each depth's (word, prefix) pairs in BFS order, root level first.
@@ -339,7 +346,7 @@ class TreeInstance:
     def state(self, word: Word):
         """State at a node (scalar when the state dimension is 1)."""
         self.check_word(word)
-        return self._unwrap(self._state(word))
+        return self._prefix_for_call(word)[-1]
 
     def increment_sum(self, word: Word) -> Tuple[Fraction, ...]:
         """Cumulative driving increment along a word."""
@@ -356,28 +363,17 @@ class TreeInstance:
         got = self._funcs.get(word)
         if got is not None:
             return got
-        if word == ROOT:
-            zero = Ext(0)
-            got = (zero,
-                   tuple(zero for _ in self.constraints.inequalities),
-                   tuple(zero for _ in self.constraints.equalities))
-        else:
-            parent = word[:-1]
-            F, Gs, Hs = self._functionals(parent)
-            t = self.time(len(parent))
-            prefix = self._prefix_for_call(parent)
-            F = F + _as_ext(self.reward(t, prefix)) * self.dt
-            Gs = tuple(G + _as_ext(g(t, prefix)) * self.dt
-                       for G, (g, _) in zip(Gs, self.constraints.inequalities))
-            Hs = tuple(H + _as_ext(h(t, prefix)) * self.dt
-                       for H, (h, _) in zip(Hs, self.constraints.equalities))
-            got = (F, Gs, Hs)
+        parent = word[:-1]
+        F, Gs, Hs = self._functionals(parent)
+        f, gs, hs = self._rates(self.time(len(parent)), self._prefix_for_call(parent))
+        got = (F + f * self.dt,
+               tuple(G + g * self.dt for G, g in zip(Gs, gs)),
+               tuple(H + h * self.dt for H, h in zip(Hs, hs)))
         self._funcs[word] = got
         return got
 
     def terminal_at(self, word: Word) -> Fraction:
-        t = self.time(len(word))
-        return as_fraction(self.terminal(t, self._prefix_for_call(word)))
+        return self._terminal_value(self.time(len(word)), self._prefix_for_call(word))
 
     def stop_payoff(self, word: Word) -> Ext:
         """Accrued running reward plus terminal payoff when stopping here."""
@@ -389,20 +385,13 @@ class TreeInstance:
         branching tail and all functionals carry over unchanged."""
         self.check_word(word)
         k = len(word)
-        hist = self.history + tuple(self._state(w) for w in _prefix_words(word))
-        sub = TreeInstance(
+        return TreeInstance(
             t0=self.time(k), dt=self.dt, depth=self.depth - k,
             branching=self.branching[k:] if k < self.depth else (),
-            history=hist, coefficients=self.coefficients,
+            history=self._prefix_for_call(word), coefficients=self.coefficients,
             reward=self.reward, terminal=self.terminal,
             constraints=self.constraints, w_history=self.w_history,
         )
-        return sub
-
-
-def _prefix_words(word: Word):
-    """Non-root prefixes of a word, shortest first, including the word."""
-    return [word[: k + 1] for k in range(len(word))]
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +484,8 @@ def sampled_lipschitz_report(tree: TreeInstance, samples: int = 64,
         t = tree.time(k)
         pa, pb = euler_state(tree, wa), euler_state(tree, wb)
         dist = _sup_dist(pa, pb)
-        b_a = _as_vector(tree._drift(t, pa), tree.l)
-        b_b = _as_vector(tree._drift(t, pb), tree.l)
-        s_a = _as_matrix(tree._diff(t, pa), tree.l, tree.d)
-        s_b = _as_matrix(tree._diff(t, pb), tree.l, tree.d)
+        b_a, s_a = tree._coefficients(t, pa)
+        b_b, s_b = tree._coefficients(t, pb)
         lhs = _flat_abs_diff(b_a, b_b) + _flat_abs_diff(s_a, s_b)
         rhs = as_fraction(kappa(t)) * dist
         report.checked += 1

@@ -85,19 +85,18 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
     g_step = [[Fraction(0)] * n for _ in range(tree.constraints.n_ineq)]
     h_step = [[Fraction(0)] * n for _ in range(tree.constraints.n_eq)]
     for w, i in index.items():
-        t = tree.time(len(w))
-        prefix = tree._prefix_for_call(w)
-        f_val = _finite(Ext.parse(tree.reward(t, prefix)), f"reward at {w}")
+        f, gs, hs = tree._rates(tree.time(len(w)), tree._prefix_for_call(w))
+        f_val = _finite(f, f"reward at {w}")
         pi_here = tree.terminal_at(w)
         pi_kids = sum(p * tree.terminal_at(w + (j,))
                       for j, (p, _) in enumerate(tree.branching[len(w)]))
         obj[i] = f_val * tree.dt + pi_kids - pi_here
-        for k, (g, _) in enumerate(tree.constraints.inequalities):
-            g_step[k][i] = _finite(Ext.parse(g(t, prefix)), f"g_{k} at {w}") * tree.dt
-        for k, (h, _) in enumerate(tree.constraints.equalities):
-            h_step[k][i] = _finite(Ext.parse(h(t, prefix)), f"h_{k} at {w}") * tree.dt
+        for k, g in enumerate(gs):
+            g_step[k][i] = _finite(g, f"g_{k} at {w}") * tree.dt
+        for k, h in enumerate(hs):
+            h_step[k][i] = _finite(h, f"h_{k} at {w}") * tree.dt
 
-    rows, senses, rhs, row_tag = [], [], [], []
+    rows, senses, rhs = [], [], []
     for w, i in index.items():
         row = [Fraction(0)] * n
         row[i] = Fraction(1)
@@ -108,7 +107,6 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
             p, _ = tree.branching[len(w) - 1][w[-1]]
             row[parent] = -p
             rows.append(row); senses.append("<="); rhs.append(Fraction(0))
-        row_tag.append(("flow", w))
     ineq_rows = []
     for k, y in enumerate(budgets.ys):
         if y.is_pos_inf:
@@ -116,28 +114,13 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
             continue
         ineq_rows.append(len(rows))
         rows.append(list(g_step[k])); senses.append("<="); rhs.append(y.fraction())
-        row_tag.append(("ineq", k))
     eq_rows = []
     for k, z in enumerate(budgets.zs):
         eq_rows.append(len(rows))
         rows.append(list(h_step[k])); senses.append("="); rhs.append(z.fraction())
-        row_tag.append(("eq", k))
 
-    base = Fraction(tree.terminal_at(ROOT))
-
-    if n == 0:
-        # depth-0 tree: the only measure stops at the root immediately
-        for k, y in enumerate(budgets.ys):
-            if not y.is_pos_inf and y.fraction() < 0:
-                return SolveResult(status=INFEASIBLE, reason="empty constraint set")
-        for z in budgets.zs:
-            if z.fraction() != 0:
-                return SolveResult(status=INFEASIBLE, reason="empty constraint set")
-        measure = StoppingMeasure(s={ROOT: Fraction(1)}, u={ROOT: Fraction(0)})
-        return SolveResult(status=OPTIMAL, value=Ext(base), measure=measure,
-                           duals_ineq=tuple(Fraction(0) for _ in budgets.ys),
-                           duals_eq=tuple(Fraction(0) for _ in budgets.zs))
-
+    # a depth-0 tree has no columns: the simplex then only checks the
+    # budgets against the measure that stops at the root
     res = simplex.solve_lp(obj, rows, senses, rhs, maximize=True)
     if res.status == simplex.INFEASIBLE:
         return SolveResult(status=INFEASIBLE, reason="empty constraint set",
@@ -153,7 +136,7 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
         res.duals[ineq_rows[k]] if ineq_rows[k] is not None else Fraction(0)
         for k in range(len(budgets.ys)))
     duals_eq = tuple(res.duals[eq_rows[k]] for k in range(len(budgets.zs)))
-    value = Ext(res.objective + base)
+    value = Ext(res.objective + tree.terminal_at(ROOT))
     check = measure.expectations(tree)["value"]
     if check != value:
         raise InvariantViolation(

@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooHigh, EmptyBattery
-from .lattice import ROOT, TreeInstance, Word, _as_matrix, _as_vector
+from .lattice import ROOT, TreeInstance, Word, _as_vector
 from .measures import StoppingMeasure, _pushed_forward
 from .rules import RandomizedStoppingRule
 from .xreal import Ext, as_fraction
@@ -161,6 +161,14 @@ class CandidateLaw:
         else:
             self.post_stop = [[as_fraction(p) for p in level]
                               for level in post_stop_branching]
+            if len(self.post_stop) > tree.depth:
+                raise ValueError(f"post_stop_branching has {len(self.post_stop)} "
+                                 f"levels; the tree has {tree.depth}")
+            for k in range(tree.depth):
+                want = tree.n_branches(k)
+                if k >= len(self.post_stop) or len(self.post_stop[k]) != want:
+                    raise ValueError(f"post_stop_branching level {k} needs "
+                                     f"{want} branch probabilities")
         self.claimed_history = (tree.history if claimed_history is None else
                                 tuple(_as_vector(x, tree.l) for x in claimed_history))
         self._states: Dict[Word, tuple] = {}
@@ -265,9 +273,7 @@ def _compensators(cand: CandidateLaw, w: Word, mode: str,
                 for i, h in enumerate(here)]
     if mode == "generator":
         t = tree.time(k)
-        prefix = cand.prefix_for_call(w)
-        b = _as_vector(tree._drift(t, prefix), tree.l)
-        sig = _as_matrix(tree._diff(t, prefix), tree.l, tree.d)
+        b, sig = tree._coefficients(t, cand.prefix_for_call(w))
         d, l = tree.d, tree.l
         bbar = tuple([Fraction(0)] * d) + tuple(b)
         xi = cand.xi(w)
@@ -718,7 +724,7 @@ def candidate_with_state_shift(tree: TreeInstance, measure: StoppingMeasure,
         raise ValueError("shift an interior node; the root state is part of "
                          "the pinned history (a support violation instead)")
     delta = as_fraction(delta)
-    base = tree._state(node)
+    base = _as_vector(tree.state(node), tree.l)
     shifted = (base[0] + delta,) + base[1:]
     return CandidateLaw(tree, s=dict(measure.s), u=dict(measure.u),
                         state_overrides={node: shifted})

@@ -83,8 +83,8 @@ def expectations_from_stop_mass(tree: TreeInstance, stop_mass: Dict[Word, Fracti
     for word, mass in stop_mass.items():
         if mass == 0:
             continue
-        F, Gs, Hs = tree._functionals(word)
-        value = value + (F + Ext(tree.terminal_at(word))) * mass
+        _, Gs, Hs = tree._functionals(word)
+        value = value + tree.stop_payoff(word) * mass
         for i, G in enumerate(Gs):
             gs[i] = gs[i] + G * mass
         for i, H in enumerate(Hs):

@@ -216,8 +216,8 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
     first = 1
     for word in tree.nodes():
         k = len(word)
-        F, Gs, Hs = tree._functionals(word)
-        values = (float(F + tree.terminal_at(word)),) + \
+        _, Gs, Hs = tree._functionals(word)
+        values = (float(tree.stop_payoff(word)),) + \
             tuple(float(G) for G in Gs) + tuple(float(H) for H in Hs)
         for col, sq_col, v in zip(vals, sqs, values):
             col.append(v)

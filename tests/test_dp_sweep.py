@@ -314,3 +314,34 @@ def test_singular_node_is_a_treestop_error_in_dp_and_solve():
         dp_value(tree, 1)
     with pytest.raises(ExpressionUndefined, match="t = 1, state 1$"):
         solve_weak(load_instance(SINGULAR_DOC), BudgetVector(ys=(F(1),)))
+
+
+# 1/(x + 1) is singular only at the horizon state -1: the states inside are
+# 0, 1 and -2, those at the horizon 2, -1, -1 and -4
+HORIZON_SINGULAR_DOC = {
+    "dt": "1", "depth": 2, "branching": [{"p": "1/2", "w": "1"},
+                                         {"p": "1/2", "w": "-2"}],
+    "x0_history": ["0"], "f": "1/(x_current + 1)", "pi": "x_current",
+    "constraints": {"ineq": [{"g": "1/(x_current + 1)", "y": "1"}]},
+}
+
+
+def test_integrands_are_not_evaluated_at_the_horizon():
+    tree = load_instance(HORIZON_SINGULAR_DOC)
+    assert [euler_state(tree, w)[-1] for w in tree.leaves()] == [2, -1, -1, -4]
+    res = solve_weak(load_instance(HORIZON_SINGULAR_DOC))
+    assert res.optimal
+    assert dp_value(load_instance(HORIZON_SINGULAR_DOC), 1) == res.value
+
+
+@pytest.mark.parametrize("dynamics", [VECTOR_DYNAMICS, MIXED_DYNAMICS],
+                         ids=["vector-l2-d2", "branching-per-level"])
+def test_subtree_history_is_the_state_path_of_its_root(dynamics):
+    tree = build_tree(**dynamics)
+    for word in tree.nodes():
+        path = euler_state(tree, word)
+        sub = tree.subtree(word)
+        assert sub.history == tuple(x if isinstance(x, tuple) else (x,)
+                                    for x in path), word
+        for rest in sub.nodes():
+            assert euler_state(sub, rest) == euler_state(tree, word + rest)

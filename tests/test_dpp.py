@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -111,6 +113,23 @@ def test_verify_dpp_randomized_stage_and_heuristic():
     cut = first_randomization_cut(tree, measure_to_rule(tree, base.measure))
     rep2 = verify_dpp(tree, cut)
     assert rep2["gap"] == Ext(0) and rep2["pass"]
+
+
+def test_first_randomization_cut_is_depth_first_and_holds_no_reference():
+    tree = make_rw(depth=4)
+    rule = rule_from_map(tree, {w: HALF if w in ((0,), (1, 1)) else 0
+                                for w in tree.nodes() if len(w) < tree.depth})
+    assert first_randomization_cut(tree, rule) == \
+        ((0,), (1, 0, 0), (1, 0, 1), (1, 1))
+    # nothing the walk leaves behind keeps the tree alive: with the cyclic
+    # collector off, the last reference going frees it at once
+    alive = weakref.ref(tree)
+    gc.disable()
+    try:
+        del tree
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_paste_recompose_identity():

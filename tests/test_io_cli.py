@@ -411,6 +411,9 @@ def _bad_input(tmp_path, case):
         cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
         return ["dp", *write(json.dumps(dict(RW2_DOC, t0="-2", constraints=cons)))[1:],
                 "--budget", "1"]
+    if case == "check-class-infeasible":  # no optimal law to test
+        cons = {"ineq": [{"g": "1", "y": "-1"}], "eq": []}
+        return ["check-class", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:]]
     if case == "power-at-time-zero":
         cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
         return ["dp", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:],
@@ -422,7 +425,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "directory", "invalid-json", "not-an-object", "negative-grid",
               "singular-solve", "singular-dp", "exponent-behind-division",
               "power-at-time-zero", "exponent-not-constant-behind-division",
-              "power-at-negative-time", "exponent-fractional-at-a-node")
+              "power-at-negative-time", "exponent-fractional-at-a-node",
+              "check-class-infeasible")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

@@ -64,6 +64,13 @@ def test_depth_zero_tree():
     res = solve_weak(tree)
     assert res.optimal and res.value == Ext(3)
     assert res.measure.stop(()) == 1
+    budgeted = build_tree(dt=1, depth=0, branching=[], x0=3,
+                          terminal=lambda t, xs: xs[-1],
+                          inequalities=[(1, 1)], equalities=[(1, 0)])
+    res = solve_weak(budgeted)
+    assert res.optimal and res.value == Ext(3)
+    assert (res.measure.s, res.measure.u) == ({(): 1}, {(): 0})
+    assert (res.duals_ineq, res.duals_eq) == ((0,), (0,))
 
 
 def test_measure_to_rule_round_trip(rw2):
@@ -193,8 +200,20 @@ def test_infeasibility_certificate_is_a_farkas_witness(monkeypatch):
                                            n_ineq=2, n_eq=1))
     budgets = BudgetVector.of(tree.constraints)
     tight = BudgetVector(ys=tuple(y - 1000 for y in budgets.ys), zs=budgets.zs)
-    res, [((_, rows, senses, rhs), _)] = solve_weak_recording_lps(
-        monkeypatch, tree, tight)
+    _assert_farkas_witness(*solve_weak_recording_lps(monkeypatch, tree, tight))
+
+
+@pytest.mark.parametrize("budgets", [BudgetVector(ys=(F(-1),), zs=(F(0),)),
+                                     BudgetVector(ys=(F(1),), zs=(F(1, 2),))],
+                         ids=["negative-bound", "nonzero-target"])
+def test_depth_zero_infeasibility_has_a_farkas_witness(monkeypatch, budgets):
+    tree = build_tree(dt=1, depth=0, branching=[], x0=3,
+                      inequalities=[(1, 1)], equalities=[(1, 0)])
+    _assert_farkas_witness(*solve_weak_recording_lps(monkeypatch, tree, budgets))
+
+
+def _assert_farkas_witness(res, lps):
+    [((_, rows, senses, rhs), _)] = lps
     assert res.status == "infeasible"
     y = res.certificate
     assert len(y) == len(rows)

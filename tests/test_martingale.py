@@ -275,6 +275,16 @@ def test_direct_check_compares_post_stop_branching():
                                  "claimed": post[1], "model": [HALF, HALF]}
 
 
+@pytest.mark.parametrize("post", [[[HALF, HALF]],
+                                  [[HALF, HALF], [F(1, 3), F(1, 3), F(1, 3)]]],
+                         ids=["missing-level", "three-branches"])
+def test_post_stop_branching_of_the_wrong_shape_names_the_level(post):
+    tree = make_rw(depth=2)
+    m = solve_weak(tree).measure
+    with pytest.raises(ValueError, match="level 1 needs 2 branch probabilities"):
+        CandidateLaw(tree, s=dict(m.s), u=dict(m.u), post_stop_branching=post)
+
+
 def test_direct_check_accepts_an_override_equal_to_the_euler_state(rw2, half_rule):
     m = rule_to_measure(rw2, half_rule)
     same = CandidateLaw(rw2, s=dict(m.s), u=dict(m.u),

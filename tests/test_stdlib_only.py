@@ -1,6 +1,7 @@
 """The dependency rule: the library and the benchmark import nothing but the
 standard library, treestop itself and the benchmark's own modules.  The
-library also states its invariants as exceptions that ``python -O`` keeps."""
+library also states its invariants as exceptions that ``python -O`` keeps,
+and calls an instance's functions in ``lattice.py`` only."""
 
 import ast
 import sys
@@ -50,5 +51,22 @@ def test_library_states_no_invariant_as_an_assertion():
             if isinstance(node, ast.Assert) or (
                     isinstance(raised, ast.Name) and raised.id == "AssertionError"):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert checked > 10
+    assert found == []
+
+
+def test_only_the_lattice_reads_the_instance_functions():
+    # reward, integrands, terminal payoff, drift and diffusion are called and
+    # coerced in one module; the engines read the results from it
+    functions = {"reward", "terminal", "_drift", "_diff", "inequalities",
+                 "equalities"}
+    found, checked = [], 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        checked += 1
+        if path.name == "lattice.py":
+            continue
+        for node in ast.walk(_parsed(path)):
+            if isinstance(node, ast.Attribute) and node.attr in functions:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} .{node.attr}")
     assert checked > 10
     assert found == []
