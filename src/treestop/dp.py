@@ -107,7 +107,7 @@ def _forward_levels(tree: TreeInstance):
             else:
                 step = unit * tree.dt
                 f, (g,), _ = tree._rates(t, prefix)
-                data.append((stop, step * f.fraction(), step * g.fraction()))
+                data.append((stop, step * f, step * g))
         levels.append((words, data))
         if k < tree.depth:
             units = [unit * p for unit in units for p, _ in tree.branching[k]]

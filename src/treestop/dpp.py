@@ -22,16 +22,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import InvariantViolation, ShapeMismatch, SubproblemInfeasible
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
 from .lp import SolveResult, _budgets_or_default, solve_weak
 from .measures import StoppingMeasure, feasible_for
 from .rules import RandomizedStoppingRule
-from .xreal import Ext
 
 TauSpec = Union[int, Iterable[Word]]
+
+
+def _walk(tree: TreeInstance, stops) -> Iterator[Word]:
+    """The tree's nodes in BFS order from the root, without those below a
+    node in ``stops`` (which is itself yielded)."""
+    level = [ROOT]
+    while level:
+        yield from level
+        level = [kid for w in level if w not in stops for kid in tree.children(w)]
 
 
 def normalize_cut(tree: TreeInstance, tau: TauSpec) -> Tuple[Word, ...]:
@@ -58,10 +66,9 @@ def normalize_cut(tree: TreeInstance, tau: TauSpec) -> Tuple[Word, ...]:
         for k in range(len(w)):
             if w[:k] in seen:
                 raise ValueError(f"cut nodes {w[:k]} and {w} are nested")
-    uncovered = [leaf for leaf in tree.leaves()
-                 if not any(leaf[:k] in seen for k in range(len(leaf) + 1))]
-    if uncovered:
-        raise ValueError(f"cut misses the path to {uncovered[0]}")
+    for w in _walk(tree, seen):
+        if len(w) == tree.depth and w not in seen:
+            raise ValueError(f"cut misses the path to {w}")
     return cut
 
 
@@ -87,9 +94,10 @@ def first_randomization_cut(tree: TreeInstance, rule: RandomizedStoppingRule) ->
 class SurvivorData:
     node: Word
     mass: Fraction                      # reach mass at the cut node
-    ys: Tuple[Ext, ...]                 # conditional remaining inequality accruals
-    zs: Tuple[Ext, ...]                 # conditional remaining equality accruals
+    ys: Tuple[Fraction, ...]            # conditional remaining inequality accruals
+    zs: Tuple[Fraction, ...]            # conditional remaining equality accruals
     measure: StoppingMeasure            # conditional measure on the subtree
+    value: Fraction                     # the conditional measure's value
     subtree: TreeInstance
 
 
@@ -99,8 +107,8 @@ class ConditionalBudgets:
     survivors: Dict[Word, SurvivorData]
     stopped_before: List[dict]
     zero_survival: List[Word]
-    tower_ineq: Tuple[Ext, ...] = ()
-    tower_eq: Tuple[Ext, ...] = ()
+    tower_ineq: Tuple[Fraction, ...] = ()
+    tower_eq: Tuple[Fraction, ...] = ()
 
 
 def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> ConditionalBudgets:
@@ -116,44 +124,37 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
     in_cut = set(cut)
 
     stopped_before: List[dict] = []
-    for w in tree.nodes():
-        if any(w[:k] in in_cut for k in range(len(w) + 1)):
-            continue
-        if measure.stop(w) > 0:
+    for w in _walk(tree, in_cut):
+        if w not in in_cut and measure.stop(w) > 0:
             F, Gs, Hs = tree._functionals(w)
-            stopped_before.append({
-                "node": w, "mass": measure.stop(w),
-                "F": F, "G": Gs, "H": Hs,
-                "payoff": tree.stop_payoff(w),
-            })
+            stopped_before.append({"node": w, "mass": measure.stop(w), "F": F,
+                                   "G": Gs, "H": Hs, "payoff": tree.stop_payoff(w)})
 
     survivors: Dict[Word, SurvivorData] = {}
     zero: List[Word] = []
     n_i, n_e = tree.constraints.n_ineq, tree.constraints.n_eq
-    tower_i = [Ext(0)] * n_i
-    tower_e = [Ext(0)] * n_e
+    tower_i = [Fraction(0)] * n_i
+    tower_e = [Fraction(0)] * n_e
     for nu in cut:
         r = measure.reach(nu)
         if r == 0:
             zero.append(nu)
             continue
         _, G_nu, H_nu = tree._functionals(nu)
-        sub_s: Dict[Word, Fraction] = {}
-        sub_u: Dict[Word, Fraction] = {}
-        ys = [Ext(0)] * n_i
-        zs = [Ext(0)] * n_e
-        k = len(nu)
-        for w in _subtree_words(tree, nu):
-            rel = w[k:]
+        sub_tree = tree.subtree(nu)
+        sub_s, sub_u = {}, {}  # the conditional measure's masses
+        ys = [Fraction(0)] * n_i
+        zs = [Fraction(0)] * n_e
+        for rel in sub_tree.nodes():
+            w = nu + rel
             sub_s[rel] = measure.stop(w) / r
             sub_u[rel] = measure.cont(w) / r
-            if measure.stop(w) > 0:
+            if sub_s[rel] > 0:
                 _, G_w, H_w = tree._functionals(w)
                 for i in range(n_i):
-                    ys[i] = ys[i] + (G_w[i] - G_nu[i]) * (measure.stop(w) / r)
+                    ys[i] += (G_w[i] - G_nu[i]) * sub_s[rel]
                 for i in range(n_e):
-                    zs[i] = zs[i] + (H_w[i] - H_nu[i]) * (measure.stop(w) / r)
-        sub_tree = tree.subtree(nu)
+                    zs[i] += (H_w[i] - H_nu[i]) * sub_s[rel]
         sub_measure = StoppingMeasure(s=sub_s, u=sub_u)
         sub_measure.validate(sub_tree)
         exp = sub_measure.expectations(sub_tree)
@@ -162,22 +163,16 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
                 f"conditional budgets at {nu} differ from the conditional "
                 "measure's accruals")
         for i in range(n_i):
-            tower_i[i] = tower_i[i] + ys[i] * r
+            tower_i[i] += ys[i] * r
         for i in range(n_e):
-            tower_e[i] = tower_e[i] + zs[i] * r
+            tower_e[i] += zs[i] * r
         survivors[nu] = SurvivorData(node=nu, mass=r, ys=tuple(ys), zs=tuple(zs),
-                                     measure=sub_measure, subtree=sub_tree)
+                                     measure=sub_measure, value=exp["value"],
+                                     subtree=sub_tree)
 
     return ConditionalBudgets(cut=cut, survivors=survivors,
                               stopped_before=stopped_before, zero_survival=zero,
                               tower_ineq=tuple(tower_i), tower_eq=tuple(tower_e))
-
-
-def _subtree_words(tree: TreeInstance, nu: Word):
-    k = len(nu)
-    for w in tree.nodes():
-        if len(w) >= k and w[:k] == nu:
-            yield w
 
 
 def paste(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec,
@@ -190,7 +185,6 @@ def paste(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec,
     The result is validated as a measure on the full tree.
     """
     cut = normalize_cut(tree, tau)
-    in_cut = set(cut)
     s: Dict[Word, Fraction] = {}
     u: Dict[Word, Fraction] = {}
     grafted = set()
@@ -201,28 +195,24 @@ def paste(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec,
         r = measure.reach(nu)
         if r == 0 and any(v != 0 for v in list(sub.s.values()) + list(sub.u.values())):
             raise ShapeMismatch(f"submeasure at unreachable node {nu}")
-        k = len(nu)
-        expected = {w[k:] for w in _subtree_words(tree, nu)}
-        given = set(sub.s) | set(sub.u)
-        if not given <= expected:
+        rels = list(tree.subtree(nu).nodes())
+        if not (set(sub.s) | set(sub.u)).issubset(rels):
             raise ShapeMismatch(f"submeasure at {nu} has nodes outside the subtree")
-        for rel in expected:
+        for rel in rels:
             s[nu + rel] = r * sub.stop(rel)
             u[nu + rel] = r * sub.cont(rel)
         grafted.add(nu)
-    for w in tree.nodes():
-        if any(w[:k] in grafted for k in range(len(w) + 1)):
-            continue
-        s[w] = measure.stop(w)
-        u[w] = measure.cont(w)
+    for w in _walk(tree, grafted):
+        if w not in grafted:
+            s[w] = measure.stop(w)
+            u[w] = measure.cont(w)
     pasted = StoppingMeasure(s=s, u=u)
     pasted.validate(tree)
     return pasted
 
 
 def verify_dpp(tree: TreeInstance, tau: TauSpec,
-               budgets: Optional[BudgetVector] = None,
-               tolerance: Fraction = Fraction(0)) -> dict:
+               budgets: Optional[BudgetVector] = None) -> dict:
     """Check both inequality directions of the value recursion at a cut.
 
     lhs is the optimal value.  rhs evaluates the decomposition at the
@@ -238,9 +228,7 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
 
     cond = condition(tree, base.measure, tau)
     per_node = []
-    rhs = Ext(0)
-    for entry in cond.stopped_before:
-        rhs = rhs + entry["payoff"] * entry["mass"]
+    rhs = sum(entry["payoff"] * entry["mass"] for entry in cond.stopped_before)
     submeasures: Dict[Word, StoppingMeasure] = {}
     for nu, data in cond.survivors.items():
         sub_budgets = BudgetVector(ys=data.ys, zs=data.zs)
@@ -251,13 +239,12 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
                 f"(ys={data.ys}, zs={data.zs}); conditioning must preserve "
                 f"feasibility, so this is a bug")
         submeasures[nu] = sub.measure
-        F_nu, _, _ = tree._functionals(nu)
-        rhs = rhs + (F_nu + sub.value) * data.mass
+        rhs = rhs + (tree._functionals(nu)[0] + sub.value) * data.mass
         per_node.append({
             "node": nu, "mass": data.mass,
             "Y": data.ys, "Z": data.zs,
             "subvalue": sub.value,
-            "conditional_value": data.measure.expectations(data.subtree)["value"],
+            "conditional_value": data.value,
         })
 
     pasted = paste(tree, base.measure, cond.cut, submeasures)
@@ -270,16 +257,12 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
             "pasting subtree optima at conditional budgets left the budgets")
 
     gap = rhs - lhs
-    if tolerance == 0:
-        ok = gap == Ext(0)
-    else:
-        ok = abs(float(gap)) <= float(tolerance)
     return {
         "lhs": lhs,
         "rhs_sub": rhs,
         "rhs_super": rhs_super,
         "gap": gap,
-        "pass": ok,
+        "pass": gap == 0,
         "tau": cond.cut,
         "per_node": per_node,
         "stopped_before": cond.stopped_before,

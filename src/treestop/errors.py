@@ -79,7 +79,8 @@ class EmptyBattery(TreestopError):
 
 
 class ShapeTooLarge(TreestopError):
-    """Requested random instance exceeds the generator's size cap."""
+    """A tree has more than ``lattice.MAX_NODES`` nodes, or a requested
+    random instance exceeds the generator's depth or branch cap."""
 
 
 class NoInstances(TreestopError):

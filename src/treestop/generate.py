@@ -33,11 +33,10 @@ _H_ANY = ["1", "x_current", "t", "1/2"]
 
 def generate_instance(seed: int, depth: int = 2, branches: int = 2,
                       n_ineq: int = 1, n_eq: int = 0,
-                      nonneg_g: bool = False, vacuous_rate: float = 0.0,
-                      depth_cap: int = DEPTH_CAP) -> dict:
+                      nonneg_g: bool = False, vacuous_rate: float = 0.0) -> dict:
     """A random instance description, deterministic in the seed."""
-    if depth > depth_cap:
-        raise ShapeTooLarge(f"depth {depth} exceeds the cap {depth_cap}")
+    if depth > DEPTH_CAP:
+        raise ShapeTooLarge(f"depth {depth} exceeds the cap {DEPTH_CAP}")
     if branches > BRANCH_CAP:
         raise ShapeTooLarge(f"{branches} branches exceed the cap {BRANCH_CAP}")
     if depth < 0 or branches < 2:

@@ -193,14 +193,18 @@ def parse_function(spec) -> tuple:
 
 
 def _guarded(fn, spec: str):
-    """fn with a division by zero or a non-integer power at a node reported
-    as bad input naming spec, t and the state."""
+    """fn with a division by zero, a non-integer power or a float overflow
+    (of ``power:``) at a node reported as bad input naming spec, t and the
+    state."""
     def call(t, prefix):
         try:
             return fn(t, prefix)
         except ZeroDivisionError:
             raise ExpressionUndefined(
                 f"{spec!r} divides by zero {_where(t, prefix)}") from None
+        except OverflowError:
+            raise ExpressionUndefined(
+                f"{spec!r} overflows the float range {_where(t, prefix)}") from None
         except _NonIntegerExponent as exc:
             raise ExpressionUndefined(
                 f"{spec!r} takes the non-integer power {fmt_rational(exc.args[0])} "

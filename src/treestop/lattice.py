@@ -13,8 +13,10 @@ reward and constraint integrands accumulate as left-endpoint sums on the
 grid; stopping at a node pays the terminal function there on top of the
 accumulated running reward.
 
-All probabilities and functional values are exact rationals.  Functions
-returning floats are snapped to their exact binary value.
+All probabilities and node data are exact rationals.  Node data are made
+finite Fractions here, where the instance's functions are called (floats
+snap to their exact binary value; +-inf and NaN raise ValueError); only
+budgets and targets may be infinite, as ``Ext``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import InvalidBranching, InvalidHorizon, NodeNotInTree, WordTooLong
+from .errors import (InvalidBranching, InvalidHorizon, NodeNotInTree,
+                     ShapeTooLarge, WordTooLong)
 from .xreal import Ext, as_fraction
 
 Word = Tuple[int, ...]
 State = Tuple[Fraction, ...]
 
 ROOT: Word = ()
+MAX_NODES = 1_000_000  # admits every tree generate_instance makes (8 x 4: 87,381)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +62,16 @@ def _as_matrix(value, rows: int, cols: int) -> Tuple[Tuple[Fraction, ...], ...]:
     if cols == 1:
         return tuple((v,) for v in _as_vector(value, rows))
     raise ValueError(f"expected a {rows}x{cols} matrix, got {value!r}")
+
+
+def _finite(value, what: str, t: Fraction) -> Fraction:
+    """A node value as a finite Fraction: the one check of node data."""
+    if isinstance(value, Fraction):
+        return value
+    x = Ext.parse(value) if value == value else None  # NaN differs from itself
+    if x is None or not x.is_finite:
+        raise ValueError(f"{what} at t = {t} is {value}; node data must be finite")
+    return x.finite
 
 
 def _callable(value) -> Callable:
@@ -162,14 +176,15 @@ class BudgetVector:
 class TreeInstance:
     """Immutable finite-depth increment tree with Euler states.
 
-    Nodes are increment words.  State paths (in the form the instance's
-    functions are called with), path probabilities and cumulative
-    functionals are computed lazily and cached per node (``_prefixes``,
-    ``_pathprob``, ``_funcs``), as is the scalar-budget root envelope
+    Nodes are increment words; more than ``MAX_NODES`` of them are refused
+    before any is built.  State paths (in the form the instance's functions
+    are called with), path probabilities and cumulative functionals are
+    computed lazily and cached per node (``_prefixes``, ``_pathprob``,
+    ``_funcs``, one entry shared by siblings), as is the root envelope
     (``_root_envelope``, filled by ``dp.root_envelope``); instances are safe
     to share for concurrent reads once constructed (all operations are
     pure).  Reward, integrands, terminal payoff, drift and diffusion are
-    called and coerced by this class only.
+    called and coerced by this class only; node data are finite Fractions.
     """
 
     def __init__(self, t0, dt, depth, branching, history, coefficients,
@@ -183,6 +198,12 @@ class TreeInstance:
         self.depth = int(depth)
 
         per_depth = self._normalize_branching(branching, self.depth)
+        count = width = 1
+        for level in per_depth:
+            width *= len(level)
+            count += width
+            if count > MAX_NODES:
+                raise ShapeTooLarge(f"the tree has more than {MAX_NODES} nodes")
         self.branching = per_depth
         self.d = len(per_depth[0][0][1]) if per_depth else 1
 
@@ -203,7 +224,7 @@ class TreeInstance:
         self._drift = _callable(coefficients.drift)
         self._diff = _callable(coefficients.diffusion)
         self._prefixes: dict = {ROOT: tuple(map(self._unwrap, self.history))}
-        zero = Ext(0)
+        zero = Fraction(0)
         self._funcs: dict = {ROOT: (zero, (zero,) * constraints.n_ineq,
                                     (zero,) * constraints.n_eq)}
         self._pathprob: dict = {ROOT: Fraction(1)}
@@ -318,14 +339,16 @@ class TreeInstance:
                 _as_matrix(self._diff(t, prefix), self.l, self.d))
 
     def _rates(self, t: Fraction, prefix: tuple):
-        """Reward f and integrands (g_i), (h_i) at a state path, as Ext."""
-        return (Ext.parse(self.reward(t, prefix)),
-                [Ext.parse(g(t, prefix)) for g, _ in self.constraints.inequalities],
-                [Ext.parse(h(t, prefix)) for h, _ in self.constraints.equalities])
+        """Reward f and integrands (g_i), (h_i) at a state path."""
+        return (_finite(self.reward(t, prefix), "reward", t),
+                [_finite(g(t, prefix), f"g_{i}", t)
+                 for i, (g, _) in enumerate(self.constraints.inequalities)],
+                [_finite(h(t, prefix), f"h_{i}", t)
+                 for i, (h, _) in enumerate(self.constraints.equalities)])
 
     def _terminal_value(self, t: Fraction, prefix: tuple) -> Fraction:
         """Terminal payoff pi at a state path."""
-        return as_fraction(self.terminal(t, prefix))
+        return _finite(self.terminal(t, prefix), "terminal payoff", t)
 
     def levels(self):
         """Each depth's (word, prefix) pairs in BFS order, root level first.
@@ -360,25 +383,25 @@ class TreeInstance:
     # -- functionals -----------------------------------------------------------
 
     def _functionals(self, word: Word):
+        """Accrued (F, (G_i), (H_i)) at a node, cached; a miss evaluates the
+        parent's rates once, into one entry that all its children share."""
         got = self._funcs.get(word)
-        if got is not None:
-            return got
-        parent = word[:-1]
-        F, Gs, Hs = self._functionals(parent)
-        f, gs, hs = self._rates(self.time(len(parent)), self._prefix_for_call(parent))
-        got = (F + f * self.dt,
-               tuple(G + g * self.dt for G, g in zip(Gs, gs)),
-               tuple(H + h * self.dt for H, h in zip(Hs, hs)))
-        self._funcs[word] = got
+        if got is None:
+            parent = word[:-1]
+            F, Gs, Hs = self._functionals(parent)
+            f, gs, hs = self._rates(self.time(len(parent)), self._prefix_for_call(parent))
+            got = (F + f * self.dt,
+                   tuple(G + g * self.dt for G, g in zip(Gs, gs)),
+                   tuple(H + h * self.dt for H, h in zip(Hs, hs)))
+            self._funcs.update(dict.fromkeys(self.children(parent), got))
         return got
 
     def terminal_at(self, word: Word) -> Fraction:
         return self._terminal_value(self.time(len(word)), self._prefix_for_call(word))
 
-    def stop_payoff(self, word: Word) -> Ext:
+    def stop_payoff(self, word: Word) -> Fraction:
         """Accrued running reward plus terminal payoff when stopping here."""
-        F, _, _ = self._functionals(word)
-        return F + Ext(self.terminal_at(word))
+        return self._functionals(word)[0] + self.terminal_at(word)
 
     def subtree(self, word: Word) -> "TreeInstance":
         """The instance seen from a node: time and history advance, the
@@ -441,7 +464,7 @@ def cumulative_functionals(tree: TreeInstance, word: Word):
     """Accrued (F, (G_i...), (H_i...)) when reaching a node.
 
     These are left-endpoint sums of reward and constraint integrands over
-    the steps strictly before the node, in extended-real arithmetic.
+    the steps strictly before the node, as exact Fractions.
     """
     word = tuple(word)
     tree.check_word(word)

@@ -29,7 +29,7 @@ from .errors import EmptyFamily, InvariantViolation
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
 from .measures import StoppingMeasure, _pushed_forward
 from .rules import RandomizedStoppingRule
-from .xreal import Ext, NEG_INF
+from .xreal import Ext
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -49,12 +49,6 @@ class SolveResult:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
-
-
-def _finite(x: Ext, what: str) -> Fraction:
-    if not x.is_finite:
-        raise ValueError(f"{what} is infinite; the solver needs finite node data")
-    return x.fraction()
 
 
 def _budgets_or_default(tree: TreeInstance, budgets: Optional[BudgetVector]) -> BudgetVector:
@@ -80,21 +74,17 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
     index = {w: i for i, w in enumerate(interior)}
     n = len(interior)
 
-    # per-node objective and accrual step coefficients
-    obj = [Fraction(0)] * n
-    g_step = [[Fraction(0)] * n for _ in range(tree.constraints.n_ineq)]
-    h_step = [[Fraction(0)] * n for _ in range(tree.constraints.n_eq)]
-    for w, i in index.items():
-        f, gs, hs = tree._rates(tree.time(len(w)), tree._prefix_for_call(w))
-        f_val = _finite(f, f"reward at {w}")
-        pi_here = tree.terminal_at(w)
-        pi_kids = sum(p * tree.terminal_at(w + (j,))
-                      for j, (p, _) in enumerate(tree.branching[len(w)]))
-        obj[i] = f_val * tree.dt + pi_kids - pi_here
-        for k, g in enumerate(gs):
-            g_step[k][i] = _finite(g, f"g_{k} at {w}") * tree.dt
-        for k, h in enumerate(hs):
-            h_step[k][i] = _finite(h, f"h_{k} at {w}") * tree.dt
+    # per node: continuing's gain, the children's mean stop payoff less the
+    # node's (f*dt + E_children pi - pi), and the step accruals g_i*dt, then
+    # h_i*dt, that every child shares
+    obj, steps = [], []
+    for w in interior:
+        _, Gs, Hs = tree._functionals(w)
+        _, G_kid, H_kid = tree._functionals(w + (0,))
+        steps.append([b - a for a, b in zip(Gs + Hs, G_kid + H_kid)])
+        obj.append(sum(p * tree.stop_payoff(w + (j,))
+                       for j, (p, _) in enumerate(tree.branching[len(w)]))
+                   - tree.stop_payoff(w))
 
     rows, senses, rhs = [], [], []
     for w, i in index.items():
@@ -113,11 +103,12 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
             ineq_rows.append(None)  # vacuous: no constraint at all
             continue
         ineq_rows.append(len(rows))
-        rows.append(list(g_step[k])); senses.append("<="); rhs.append(y.fraction())
+        rows.append([st[k] for st in steps]); senses.append("<="); rhs.append(y.fraction())
     eq_rows = []
     for k, z in enumerate(budgets.zs):
         eq_rows.append(len(rows))
-        rows.append(list(h_step[k])); senses.append("="); rhs.append(z.fraction())
+        rows.append([st[tree.constraints.n_ineq + k] for st in steps])
+        senses.append("="); rhs.append(z.fraction())
 
     # a depth-0 tree has no columns: the simplex then only checks the
     # budgets against the measure that stops at the root

@@ -53,7 +53,7 @@ from .errors import DegreeTooHigh, EmptyBattery
 from .lattice import ROOT, TreeInstance, Word, _as_vector
 from .measures import StoppingMeasure, _pushed_forward
 from .rules import RandomizedStoppingRule
-from .xreal import Ext, as_fraction
+from .xreal import as_fraction
 
 MAX_DEGREE = 4
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Dict
 
 from .lattice import ROOT, TreeInstance, Word
-from .xreal import Ext
 
 
 @dataclass(frozen=True)
@@ -76,19 +75,18 @@ def _pushed_forward(tree: TreeInstance, cont, branch_prob=None) -> StoppingMeasu
 
 
 def expectations_from_stop_mass(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -> dict:
-    value = Ext(0)
-    gs = [Ext(0)] * tree.constraints.n_ineq
-    hs = [Ext(0)] * tree.constraints.n_eq
-    mean_stop = Fraction(0)
+    value = mean_stop = Fraction(0)
+    gs = [Fraction(0)] * tree.constraints.n_ineq
+    hs = [Fraction(0)] * tree.constraints.n_eq
     for word, mass in stop_mass.items():
         if mass == 0:
             continue
         _, Gs, Hs = tree._functionals(word)
-        value = value + tree.stop_payoff(word) * mass
+        value += tree.stop_payoff(word) * mass
         for i, G in enumerate(Gs):
-            gs[i] = gs[i] + G * mass
+            gs[i] += G * mass
         for i, H in enumerate(Hs):
-            hs[i] = hs[i] + H * mass
+            hs[i] += H * mass
         mean_stop += mass * (tree.time(len(word)) - tree.t0)
     return {
         "value": value,

@@ -74,8 +74,7 @@ def test_acceptance_3_dp_engine_vs_lp_oracle():
                                 branches=2 + ((i // 3) % 2),
                                 n_ineq=1, n_eq=0, nonneg_g=True)
         tree = load_instance(doc)
-        g_max = max(tree._functionals(w)[1][0].fraction()
-                    for w in tree.leaves())
+        g_max = max(tree._functionals(w)[1][0] for w in tree.leaves())
         for j in range(11):
             y = g_max * F(j, 10)
             lp = solve_weak(tree, BudgetVector(ys=(y,), zs=()))

@@ -68,7 +68,7 @@ def test_matches_lp_on_budget_grid():
         doc = generate_instance(seed=400 + seed, depth=3, branches=2,
                                 n_ineq=1, nonneg_g=True)
         tree = load_instance(doc)
-        gmax = max(tree._functionals(w)[1][0].fraction() for w in tree.leaves())
+        gmax = max(tree._functionals(w)[1][0] for w in tree.leaves())
         for j in range(11):
             y = gmax * F(j, 10)
             lp = solve_weak(tree, BudgetVector(ys=(y,), zs=()))

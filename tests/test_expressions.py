@@ -123,3 +123,13 @@ def test_power_builtin_at_negative_time_is_undefined_not_a_domain_error():
         parse_function("power:1,3/2,0")[0](F(-1, 2), ((F(1), F(2)),))
     # integer q - 1 is defined at every t
     assert parse_function("power:1,3,0")[0](F(-1), (F(1),)) == 3
+
+
+def test_power_builtin_overflow_is_undefined_not_an_overflow_error():
+    fn, _ = parse_function("power:1,1500.5,0")
+    with pytest.raises(ExpressionUndefined,
+                       match=r"^'power:1,3001/2,0' overflows the float range "
+                             r"at t = 2, state 0$"):
+        fn(F(2), (F(0),))
+    # the same power one step earlier is a (huge) float
+    assert fn(F(1), (F(0),)) == F(3001, 2)

@@ -414,6 +414,12 @@ def _bad_input(tmp_path, case):
     if case == "check-class-infeasible":  # no optimal law to test
         cons = {"ineq": [{"g": "1", "y": "-1"}], "eq": []}
         return ["check-class", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:]]
+    if case == "power-overflow":  # t^(3001/2 - 1) at t = 2 leaves the float range
+        doc = dict(RW2_DOC, t0="2", depth=1, f="power:1,1500.5,0",
+                   constraints={"ineq": [{"g": "1", "y": "1"}], "eq": []})
+        return write(json.dumps(doc))
+    if case == "too-many-nodes":  # 2^41 - 1 nodes, refused before any is built
+        return write(json.dumps(dict(RW2_DOC, depth=40)))
     if case == "power-at-time-zero":
         cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
         return ["dp", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:],
@@ -426,7 +432,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "singular-solve", "singular-dp", "exponent-behind-division",
               "power-at-time-zero", "exponent-not-constant-behind-division",
               "power-at-negative-time", "exponent-fractional-at-a-node",
-              "check-class-infeasible")
+              "check-class-infeasible", "power-overflow", "too-many-nodes")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from treestop import (BudgetVector, Coefficients, ConstraintSpec, Ext, POS_INF,
-                      InvalidBranching, InvalidHorizon, NodeNotInTree,
-                      WordTooLong, build_tree, cumulative_functionals,
-                      euler_state, sampled_lipschitz_report, solve_weak)
-from treestop.lattice import TreeInstance
+from treestop import (BudgetVector, Coefficients, ConstraintSpec, Ext, NEG_INF,
+                      POS_INF, InvalidBranching, InvalidHorizon, NodeNotInTree,
+                      ShapeTooLarge, WordTooLong, build_tree,
+                      cumulative_functionals, dp_value, euler_state,
+                      monte_carlo_value, rule_from_map, rule_to_measure,
+                      sampled_lipschitz_report, solve_weak)
+from treestop.lattice import MAX_NODES, TreeInstance
 
 from conftest import make_rw
 from oracles import straight_line_euler
@@ -101,12 +103,78 @@ def test_cumulative_moment_integrand_left_endpoint_sum():
 
 
 def test_extended_reward_follows_sum_convention():
-    # +inf then -inf accruals collapse to -inf
+    # node data are finite: the +inf reward is rejected where it is
+    # evaluated, before Ext's sum convention could collapse +inf + -inf
     steps = {0: Ext(0, sign=1), 1: Ext(0, sign=-1)}
     tree = build_tree(dt=1, depth=2, branching=BINOM, x0=0,
                       reward=lambda t, xs: steps[int(t)])
-    F, _, _ = cumulative_functionals(tree, (0, 0))
-    assert F.is_neg_inf
+    with pytest.raises(ValueError, match="reward at t = 0 is inf"):
+        cumulative_functionals(tree, (0, 0))
+
+
+BAD_NODE_VALUES = [POS_INF, NEG_INF, float("inf"), float("nan")]
+BAD_NODE_SOURCES = {"reward": "reward", "g": "g_0", "h": "h_0",
+                    "terminal": "terminal payoff"}
+
+
+def _tree_with_bad_value(source, bad):
+    """Depth 2, one inequality (one equality too when h is the source), with
+    the bad value returned at t = 1 only."""
+    fns = {"reward": 0, "terminal": 0, "g": 1, "h": 1}
+    fns[source] = lambda t, xs: bad if t == 1 else Fraction(0)
+    return build_tree(dt=1, depth=2, branching=BINOM, x0=0,
+                      reward=fns["reward"], terminal=fns["terminal"],
+                      inequalities=[(fns["g"], 2)],
+                      equalities=[(fns["h"], 1)] if source == "h" else [])
+
+
+@pytest.mark.parametrize("bad", BAD_NODE_VALUES, ids=["ext+inf", "ext-inf", "inf", "nan"])
+@pytest.mark.parametrize("source", sorted(BAD_NODE_SOURCES))
+def test_non_finite_node_data_is_rejected_at_every_entry_point(source, bad):
+    match = f"^{BAD_NODE_SOURCES[source]} at t = 1 is "
+    rule_map = {(): HALF, (0,): HALF, (1,): HALF}
+    entries = [
+        # a terminal payoff is read at the node, a rate at its children
+        lambda tree: tree.stop_payoff((0,) if source == "terminal" else (0, 0)),
+        lambda tree: solve_weak(tree),
+        lambda tree: rule_to_measure(tree, rule_from_map(tree, rule_map)).expectations(tree),
+        lambda tree: monte_carlo_value(tree, rule_from_map(tree, rule_map), paths=1),
+    ]
+    if source != "terminal":
+        entries.append(lambda tree: cumulative_functionals(tree, (0, 0)))
+    if source != "h":
+        entries.append(lambda tree: dp_value(tree, 1))
+    for entry in entries:
+        with pytest.raises(ValueError, match=match):
+            entry(_tree_with_bad_value(source, bad))
+
+
+def test_cumulative_functionals_are_fractions():
+    tree = make_rw(ineq=[(lambda t, xs: xs[-1], POS_INF)], eq=[(0.5, 0)])
+    for word in tree.nodes():
+        F, Gs, Hs = cumulative_functionals(tree, word)
+        assert all(type(v) is Fraction for v in (F, *Gs, *Hs))
+        assert type(tree.stop_payoff(word)) is Fraction
+
+
+def test_rates_are_evaluated_once_per_interior_node():
+    tree = make_rw(depth=3, ineq=[(1, POS_INF)], eq=[(1, 0)])
+    calls = []
+    rates = tree._rates
+    tree._rates = lambda t, prefix: calls.append(t) or rates(t, prefix)
+    for word in tree.nodes():
+        cumulative_functionals(tree, word)
+    assert len(calls) == 7  # the interior nodes; their 14 children share entries
+    solve_weak(tree)  # reads the cached accruals
+    assert len(calls) == 7
+
+
+def test_node_count_is_capped_before_any_node_is_built():
+    with pytest.raises(ShapeTooLarge, match=f"more than {MAX_NODES} nodes"):
+        build_tree(dt=1, depth=40, branching=BINOM, x0=0)
+    # the largest generator shape, 8 levels of 4 branches, is admitted
+    assert build_tree(dt=1, depth=8, branching=[(Fraction(1, 4), w) for w in range(4)],
+                      x0=0).depth == 8
 
 
 def test_leaf_path_probabilities_sum_to_one_exactly():

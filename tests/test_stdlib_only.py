@@ -1,7 +1,8 @@
 """The dependency rule: the library and the benchmark import nothing but the
 standard library, treestop itself and the benchmark's own modules.  The
 library also states its invariants as exceptions that ``python -O`` keeps,
-and calls an instance's functions in ``lattice.py`` only."""
+and calls an instance's functions in ``lattice.py`` only, where node data
+become finite Fractions."""
 
 import ast
 import sys
@@ -70,3 +71,14 @@ def test_only_the_lattice_reads_the_instance_functions():
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno} .{node.attr}")
     assert checked > 10
     assert found == []
+
+
+def test_node_data_path_holds_no_ext():
+    # lattice.py makes node data finite Fractions; Ext (with its infinities)
+    # is for budgets and targets, so these engines neither import nor unwrap it
+    src = ROOT / "src" / "treestop"
+    for name in ("measures.py", "dpp.py"):
+        assert not [node for node in ast.walk(_parsed(src / name))
+                    if isinstance(node, ast.ImportFrom) and node.module == "xreal"], name
+    assert not [node for node in ast.walk(_parsed(src / "dp.py"))
+                if isinstance(node, ast.Attribute) and node.attr == "fraction"]
