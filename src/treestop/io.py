@@ -3,7 +3,8 @@
 Rationals serialize as "num/den" strings so files stay exact; decimal
 renderings are added next to values only for human eyes.  Function fields
 of instance files are either named built-ins ("zero", "const:c", "coord",
-"sup", "power:a,q,lambda") or small arithmetic expressions in t, x_current
+"sup", "power:a,q,lambda"; "zero", "coord" and "sup" name the expressions
+0, x_current and x_sup) or small arithmetic expressions in t, x_current
 and x_sup, evaluated in exact rational arithmetic.  An expression is
 compiled once, when it is loaded, into nested closures: constant
 sub-expressions are folded, and names, operators, literals and exponents
@@ -141,18 +142,17 @@ def _scalar(x):
     return x[0] if isinstance(x, tuple) else x
 
 
+_ALIASES = {"zero": "0", "coord": "x_current", "sup": "x_sup"}
+
+
 def parse_function(spec) -> tuple:
     """Turn a function field into (callable, canonical spec string)."""
     if isinstance(spec, (int, float)):
         spec = fmt_rational(as_fraction(spec))
     spec = spec.strip()
     low = spec.lower()
-    if low == "zero":
-        return (lambda t, prefix: Fraction(0)), "zero"
-    if low == "coord":
-        return (lambda t, prefix: _scalar(prefix[-1])), "coord"
-    if low == "sup":
-        return (lambda t, prefix: max(map(_scalar, prefix))), "sup"
+    if low in _ALIASES:
+        return parse_function(_ALIASES[low])[0], low
     if low.startswith("const:"):
         c = as_fraction(spec.split(":", 1)[1])
         return (lambda t, prefix: c), f"const:{fmt_rational(c)}"

@@ -185,6 +185,9 @@ class TreeInstance:
     to share for concurrent reads once constructed (all operations are
     pure).  Reward, integrands, terminal payoff, drift and diffusion are
     called and coerced by this class only; node data are finite Fractions.
+    ``_claims`` maps nodes to states that the sibling fill takes instead of
+    the Euler step; only ``_derived`` sets it (for ``CandidateLaw``), and
+    ``levels`` ignores it.
     """
 
     def __init__(self, t0, dt, depth, branching, history, coefficients,
@@ -229,6 +232,7 @@ class TreeInstance:
                                     (zero,) * constraints.n_eq)}
         self._pathprob: dict = {ROOT: Fraction(1)}
         self._root_envelope = None
+        self._claims: dict = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -271,7 +275,7 @@ class TreeInstance:
             raise NodeNotInTree(f"word {word} is longer than depth {self.depth}")
         for k, j in enumerate(word):
             if not 0 <= j < self.n_branches(k):
-                raise NodeNotInTree(f"branch {j} out of range at step {k}")
+                raise NodeNotInTree(f"word {word}: branch {j} out of range at step {k}")
 
     def nodes(self):
         """All increment words, shallowest first."""
@@ -312,13 +316,14 @@ class TreeInstance:
 
     def _prefix_for_call(self, word: Word) -> tuple:
         """The state path the instance's functions see at a node, cached;
-        a miss steps all the parent's children at once."""
+        a miss steps all the parent's children at once (claims override)."""
         got = self._prefixes.get(word)
         if got is None:
             parent = word[:-1]
-            prefix = self._prefix_for_call(parent)
+            prefix, claims = self._prefix_for_call(parent), self._claims
             for j, x in enumerate(self._child_states(len(parent), prefix)):
-                self._prefixes[parent + (j,)] = prefix + (self._unwrap(x),)
+                child = parent + (j,)
+                self._prefixes[child] = prefix + (self._unwrap(claims.get(child, x)),)
             got = self._prefixes[word]
         return got
 
@@ -407,14 +412,15 @@ class TreeInstance:
         """The instance seen from a node: time and history advance, the
         branching tail and all functionals carry over unchanged."""
         self.check_word(word)
-        k = len(word)
-        return TreeInstance(
-            t0=self.time(k), dt=self.dt, depth=self.depth - k,
-            branching=self.branching[k:] if k < self.depth else (),
-            history=self._prefix_for_call(word), coefficients=self.coefficients,
-            reward=self.reward, terminal=self.terminal,
-            constraints=self.constraints, w_history=self.w_history,
-        )
+        return self._derived(len(word), self._prefix_for_call(word))
+
+    def _derived(self, k: int, history, claims=None) -> "TreeInstance":
+        """This instance from depth k on, with another history and claims."""
+        out = TreeInstance(self.time(k), self.dt, self.depth - k, self.branching[k:],
+                           history, self.coefficients, self.reward, self.terminal,
+                           self.constraints, self.w_history)
+        out._claims = claims or {}
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,10 @@ class CandidateLaw:
     (the tree's branching unless stated otherwise).  ``state_overrides``
     lets the candidate claim state values that break the Euler recursion;
     descendants of an overridden node follow Euler from the claimed prefix.
+    ``paths`` holds the claimed state paths: the tree when the law claims
+    no state and has its history, else ``tree._derived`` from the claimed
+    history (ending in a root override, if any) with the overrides as
+    claims, which thus never enter the tree's cache.
     """
 
     def __init__(self, tree: TreeInstance, s: Dict[Word, Fraction],
@@ -155,6 +159,8 @@ class CandidateLaw:
         self.u = {w: as_fraction(v) for w, v in u.items()}
         self.pre_t0_stop_mass = as_fraction(pre_t0_stop_mass)
         overrides = state_overrides or {}
+        for w in overrides:
+            tree.check_word(w)
         self.state_overrides = {w: _as_vector(x, tree.l) for w, x in overrides.items()}
         if post_stop_branching is None:
             self.post_stop = [[p for p, _ in level] for level in tree.branching]
@@ -171,7 +177,11 @@ class CandidateLaw:
                                      f"{want} branch probabilities")
         self.claimed_history = (tree.history if claimed_history is None else
                                 tuple(_as_vector(x, tree.l) for x in claimed_history))
-        self._states: Dict[Word, tuple] = {}
+        history = self.claimed_history
+        if ROOT in self.state_overrides:
+            history = history[:-1] + (self.state_overrides[ROOT],)
+        self.paths = (tree if not self.state_overrides and history == tree.history
+                      else tree._derived(0, history, self.state_overrides))
         self._xi: Dict[Word, tuple] = {}
         # the tables of the last standalone statistic() call
         self._sweep: Optional["_Sweep"] = None
@@ -206,33 +216,14 @@ class CandidateLaw:
     # -- claimed states ------------------------------------------------------
 
     def state(self, w: Word) -> tuple:
-        got = self._states.get(w)
-        if got is None:
-            if w == ROOT:
-                got = self.state_overrides.get(ROOT, self.claimed_history[-1])
-                self._states[ROOT] = got
-            else:
-                self.model_children(w[:-1])
-                got = self._states[w]
-        return got
+        return _as_vector(self.paths._prefix_for_call(w)[-1], self.tree.l)
 
     def prefix_for_call(self, w: Word) -> tuple:
-        full = self.claimed_history[:-1] + \
-            tuple(self.state(w[:k]) for k in range(len(w) + 1))
-        return tuple(map(self.tree._unwrap, full))
+        return self.paths._prefix_for_call(w)
 
     def model_children(self, w: Word) -> Tuple[tuple, ...]:
-        """Euler-step states of all children, from the claimed prefix.
-
-        Also caches each child's claimed state: its override if it has one,
-        else its Euler state.
-        """
-        kids = self.tree._child_states(len(w), self.prefix_for_call(w))
-        for j, x in enumerate(kids):
-            child = w + (j,)
-            if child not in self._states:
-                self._states[child] = self.state_overrides.get(child, x)
-        return kids
+        """Euler-step states of all children, from the claimed prefix."""
+        return self.paths._child_states(len(w), self.paths._prefix_for_call(w))
 
     def xi(self, w: Word) -> tuple:
         """Claimed (cumulative increment, state) point in R^{d+l}."""

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 import treestop
-from treestop import (NodeNotInTree, ShapeTooLarge, dump_instance, dump_measure,
-                      dump_rule, instance_hash, load_instance, load_measure,
-                      load_rule, parse_function, solve_weak)
+from treestop import (NodeNotInTree, ShapeTooLarge, build_tree, dump_instance,
+                      dump_measure, dump_rule, euler_state, instance_hash,
+                      load_instance, load_measure, load_rule, parse_function,
+                      solve_weak)
 from treestop import dp
 from treestop import cli
 from treestop.cli import main, run_suite
@@ -47,6 +48,37 @@ def test_builtin_functions():
     assert sup(F(0), (F(1), F(5), F(2))) == 5
     const, spec = parse_function("const:3/4")
     assert const(F(0), (F(0),)) == F(3, 4) and spec == "const:3/4"
+
+
+ALIASES = {"zero": "0", "coord": "x_current", "sup": "x_sup"}
+
+
+@pytest.mark.parametrize("tree", [
+    build_tree(dt=F(1, 2), depth=3, branching=[(F(1, 3), 1), (F(2, 3), -2)],
+               history=(F(3), F(-1, 2)), drift=lambda t, xs: xs[-1] / 2),
+    build_tree(dt=F(1, 2), depth=3,
+               branching=[(F(1, 4), (1, 0)), (F(3, 4), (F(-1, 3), F(1, 2)))],
+               x0=(0, 1), drift=lambda t, xs: (xs[-1][1] / 2, 1 - xs[-1][0]),
+               diffusion=((1, 0), (F(1, 2), 1)))], ids=["scalar", "vector"])
+def test_builtin_aliases_equal_their_expressions_at_every_node(tree):
+    for name, expr in ALIASES.items():
+        alias, spec = parse_function(name.upper())
+        assert spec == name
+        via_expr, _ = parse_function(expr)
+        for w in tree.nodes():
+            t, prefix = tree.time(len(w)), euler_state(tree, w)
+            assert alias(t, prefix) == via_expr(t, prefix), (name, w)
+
+
+def test_instance_hash_of_builtin_aliases_is_pinned():
+    doc = {"t0": "0", "dt": "1/2", "depth": 2,
+           "branching": [{"p": "1/2", "w": "1"}, {"p": "1/2", "w": "-1"}],
+           "x0_history": ["1", "0"], "drift": "coord", "diffusion": "const:1",
+           "f": "sup", "pi": "zero",
+           "constraints": {"ineq": [{"g": "Coord", "y": "3/2"}],
+                           "eq": [{"h": "SUP", "z": "1"}]}}
+    assert instance_hash(load_instance(doc)) == \
+        "3150725376a2276d0569555bbf07088d3a3f879754b9d3fe7d1cc73f432ff47e"
 
 
 def test_moment_integrand_builtin():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from treestop import (CandidateLaw, DegreeTooHigh, EmptyBattery, POS_INF,
                       check_membership, compensated_process, generator_gap_decay,
                       load_instance, monomial_basis, rule_from_map,
                       rule_to_measure, solve_weak, statistic)
+from treestop.errors import NodeNotInTree
 from treestop.generate import generate_instance
+from treestop.lattice import TreeInstance
 from treestop.martingale import CylinderWeight, WeightFactor
 
 from conftest import acceptance_corruptions, acceptance_pool, make_rw
@@ -295,6 +298,36 @@ def test_direct_check_accepts_an_override_equal_to_the_euler_state(rw2, half_rul
     rep = check_membership(rw2, shifted_root)
     assert rep.direct_detail == {"check": "state", "node": (),
                                  "claimed": (F(1),), "model": (F(0),)}
+
+
+@pytest.mark.parametrize("word", [(0, 5), (0, 0, 0), (0, 0, 0, 0)])
+def test_state_override_outside_the_tree_names_the_word(word):
+    tree = make_rw()
+    m = solve_weak(tree).measure
+    with pytest.raises(NodeNotInTree, match=re.escape(str(word))):
+        CandidateLaw(tree, s=dict(m.s), u=dict(m.u), state_overrides={word: 1})
+
+
+def test_membership_of_a_solved_measure_reads_the_solves_paths(monkeypatch):
+    tree = load_instance(generate_instance(seed=5, depth=3, branches=3))
+    measure = solve_weak(tree).measure
+    calls = []
+    real = TreeInstance._child_states
+    monkeypatch.setattr(TreeInstance, "_child_states",
+                        lambda self, k, prefix: calls.append(k) or real(self, k, prefix))
+    assert check_membership(tree, measure).ok
+    assert calls == []
+
+
+def test_a_claimed_state_never_enters_the_trees_cache():
+    tree = make_rw(depth=3)
+    measure = solve_weak(tree).measure
+    euler = {w: tree.state(w) for w in tree.nodes()}
+    cand = candidate_with_state_shift(tree, measure, (0, 1), HALF)
+    assert cand.paths is not tree and cand.state((0, 1)) == (euler[(0, 1)] + HALF,)
+    assert not check_membership(tree, cand).ok
+    assert {w: tree.state(w) for w in tree.nodes()} == euler
+    assert CandidateLaw.from_measure(tree, measure).paths is tree
 
 
 # -- polynomials and the refinement study ------------------------------------
