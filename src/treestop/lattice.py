@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -173,6 +174,24 @@ class BudgetVector:
         )
 
 
+@dataclass(frozen=True)
+class NodeTable:
+    """A tree's nodes in BFS order, with integer payoff columns.
+
+    ``words[i]`` is node i.  Interior nodes come first, and the children of
+    interior node i are the nodes ``first[i]`` to ``first[i + 1] - 1``
+    (``first`` has one entry more than there are interior nodes).  Column c
+    holds, at every node, the path probability times the stop payoff
+    (c = 0), then times each G_i, then each H_i, as ints over the one
+    denominator ``dens[c]``.
+    """
+
+    words: Tuple[Word, ...]
+    first: Tuple[int, ...]
+    cols: Tuple[Tuple[int, ...], ...]
+    dens: Tuple[int, ...]
+
+
 class TreeInstance:
     """Immutable finite-depth increment tree with Euler states.
 
@@ -181,7 +200,8 @@ class TreeInstance:
     are called with), path probabilities and cumulative functionals are
     computed lazily and cached per node (``_prefixes``, ``_pathprob``,
     ``_funcs``, one entry shared by siblings), as is the root envelope
-    (``_root_envelope``, filled by ``dp.root_envelope``); instances are safe
+    (``_root_envelope``, filled by ``dp.root_envelope``) and the node table
+    (``_node_table``, built by the first ``lp.solve_weak``); instances are safe
     to share for concurrent reads once constructed (all operations are
     pure).  Reward, integrands, terminal payoff, drift and diffusion are
     called and coerced by this class only; node data are finite Fractions.
@@ -232,6 +252,7 @@ class TreeInstance:
                                     (zero,) * constraints.n_eq)}
         self._pathprob: dict = {ROOT: Fraction(1)}
         self._root_envelope = None
+        self._table: Optional[NodeTable] = None
         self._claims: dict = {}
 
     # -- structure ---------------------------------------------------------
@@ -408,6 +429,29 @@ class TreeInstance:
         """Accrued running reward plus terminal payoff when stopping here."""
         return self._functionals(word)[0] + self.terminal_at(word)
 
+    def _node_table(self) -> NodeTable:
+        """The node table, built on first use and cached."""
+        if self._table is None:
+            words = tuple(self.nodes())
+            first = [1]  # ends at len(words): every node but the root is a child
+            for w in words:
+                if len(w) == self.depth:
+                    break
+                first.append(first[-1] + self.n_branches(len(w)))
+            rows = []
+            for w in words:
+                p = self.path_prob(w)
+                F, Gs, Hs = self._functionals(w)
+                rows.append([p * (F + self.terminal_at(w)), *(p * G for G in Gs),
+                             *(p * H for H in Hs)])
+            cols, dens = [], []
+            for col in zip(*rows):
+                den = lcm(*(v.denominator for v in col))
+                cols.append(tuple(v.numerator * (den // v.denominator) for v in col))
+                dens.append(den)
+            self._table = NodeTable(words, tuple(first), tuple(cols), tuple(dens))
+        return self._table
+
     def subtree(self, word: Word) -> "TreeInstance":
         """The instance seen from a node: time and history advance, the
         branching tail and all functionals carry over unchanged."""
@@ -415,10 +459,12 @@ class TreeInstance:
         return self._derived(len(word), self._prefix_for_call(word))
 
     def _derived(self, k: int, history, claims=None) -> "TreeInstance":
-        """This instance from depth k on, with another history and claims."""
+        """This instance from depth k on, with another history and claims;
+        it keeps the increment dimension even when no level is left."""
         out = TreeInstance(self.time(k), self.dt, self.depth - k, self.branching[k:],
                            history, self.coefficients, self.reward, self.terminal,
                            self.constraints, self.w_history)
+        out.d = self.d
         out._claims = claims or {}
         return out
 

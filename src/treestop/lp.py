@@ -1,32 +1,65 @@
-"""Exact linear-programming oracle for the weak formulation.
+"""Exact weak-formulation solver: column generation over pure stopping times.
 
 The optimization is over joint laws of (increments, state path, stopping
-node), encoded by per-node stop/continue masses with flow conservation.
-Flow conservation determines every stop mass from the continue masses, so
-the solver works in the continue masses u(v) of interior nodes:
+node).  On a finite tree the extreme points of that set are the pure
+stopping times, so an optimum mixes at most k + 1 of them, and the solver
+works with such mixtures (Dantzig-Wolfe).  The master LP over the mixture
+weights lam_t of the pure stopping times t found so far,
 
-    maximize    sum_v u(v) * [f(v)*dt + E_children pi - pi(v)]  + pi(root)
-    subject to  u(root) <= 1,   u(child) <= p_j * u(parent),  u >= 0,
-                sum_v u(v) * g_i(v)*dt <= y_i,
-                sum_v u(v) * h_i(v)*dt  = z_i,
+    maximize    sum_t lam_t E[V(t)]
+    subject to  sum_t lam_t E[G_i(t)] <= y_i      (finite y_i only),
+                sum_t lam_t E[H_j(t)]  = z_j,
+                sum_t lam_t = 1,   lam >= 0,
 
-which is the same polytope expressed in fewer variables; the reported
-optimum is returned as a full stop/continue measure.  Everything is exact
-rational arithmetic via a Bland-rule simplex, so optimal values and dual
-prices are exact.  Bounds y_i = +inf drop their row; equality targets of
-+-inf are unsatisfiable on a finite tree and report infeasibility with a
-reason code.
+runs on ``simplex.solve_lp``; V is the stop payoff (accrued reward plus
+terminal payoff) and G_i, H_j the accruals at the stopping node.  Columns
+are priced by one Snell pass over the tree's node table
+(``TreeInstance._node_table``): at weights w on (V, G, H) the payoff
+sum_c w_c P(v) X_c(v) and its envelope S(v) = max(payoff(v), sum of S over
+the children) are ints in path-probability units over one common scale, so
+a pass does no Fraction arithmetic.  Its stopping time stops where the
+payoff attains S (ties stop).
+
+- While the restricted master is infeasible, its Farkas vector y prices: a
+  pure stopping time with y . (E G, E H, 1) > 0 enters.  When none does, y
+  separates the budgets from every law, since every law mixes pure stopping
+  times, and it is the infeasibility certificate.
+- Once the master is feasible, its duals (pi, mu, nu) price: a pure
+  stopping time with E[V - pi.G - mu.H] > nu enters, until none does.  The
+  master's duals are then optimal for the whole problem.
+
+Every entering column has a positive violation or reduced cost, so it
+cannot already be in the master, and the loop ends; a priced column that is
+raises ``InvariantViolation``.
+
+The master's mixture may randomize at more nodes than there are
+constraints, so a crossover returns a vertex.  At the final duals every
+node that the Lagrangian policy reaches is stop-strict, continue-strict or
+tied (payoff equal to the children's sum).  One small LP over the continue
+fractions alpha_t of the tied nodes, in BFS order, with
+0 <= alpha_t <= alpha of the nearest tied ancestor (1 if there is none),
+carries the budget rows less the accruals of stopping at every tie.  Its
+basic optimum is a vertex of the optimal face, so the measure randomizes at
+no more nodes than there are constraints.  With no tie the Lagrangian
+policy is the measure, and no LP runs.
+
+Everything is exact.  Bounds y_i = +inf drop their row and get dual 0;
+equality targets of +-inf are unsatisfiable on a finite tree and report
+infeasibility with a reason code.  An infeasibility certificate holds one
+multiplier per inequality (0 for a vacuous one), then one per equality,
+then the convexity row's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import simplex
 from .errors import EmptyFamily, InvariantViolation
-from .lattice import ROOT, BudgetVector, TreeInstance, Word
+from .lattice import BudgetVector, NodeTable, TreeInstance, Word
 from .measures import StoppingMeasure, _pushed_forward
 from .rules import RandomizedStoppingRule
 from .xreal import Ext
@@ -60,6 +93,42 @@ def _budgets_or_default(tree: TreeInstance, budgets: Optional[BudgetVector]) -> 
     return budgets
 
 
+def _snell(table: NodeTable, weights: Sequence):
+    """One backward pass at ``weights`` on the table's columns.
+
+    Returns (payoff, envelope, scale): per node, the sum over c of
+    weights[c] times column c, and its Snell envelope, both as ints in
+    path-probability units times ``scale``.
+    """
+    qs = [Fraction(w) / den for w, den in zip(weights, table.dens)]
+    scale = lcm(*(q.denominator for q in qs))
+    pay = [0] * len(table.words)
+    for q, col in zip(qs, table.cols):
+        if q:
+            w = q.numerator * (scale // q.denominator)
+            pay = [a + w * b for a, b in zip(pay, col)]
+    env = pay[:]
+    first = table.first
+    for i in range(len(first) - 2, -1, -1):
+        cont = sum(env[first[i]:first[i + 1]])
+        if cont > env[i]:
+            env[i] = cont
+    return pay, env, scale
+
+
+def _stopping_time(table: NodeTable, pay, env) -> Tuple[int, ...]:
+    """The nodes where the pass's policy stops: the first node on each path
+    whose payoff attains the envelope."""
+    first, n_inner = table.first, len(table.first) - 1
+    stops, frontier = [], [0]
+    for i in frontier:
+        if i >= n_inner or pay[i] == env[i]:
+            stops.append(i)
+        else:
+            frontier.extend(range(first[i], first[i + 1]))
+    return tuple(stops)
+
+
 def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> SolveResult:
     """Maximize expected reward over all stopping measures within budgets."""
     budgets = _budgets_or_default(tree, budgets)
@@ -70,70 +139,124 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
                                reason="equality target is infinite; finite trees "
                                       "accrue only finite integrals")
 
-    interior: List[Word] = [w for w in tree.nodes() if len(w) < tree.depth]
-    index = {w: i for i, w in enumerate(interior)}
-    n = len(interior)
+    table = tree._node_table()
+    n_ineq = len(budgets.ys)
+    # budget rows: each finite bound and each target names its table column
+    # (1 + i for G_i, 1 + n_ineq + j for H_j)
+    rows = [1 + i for i, y in enumerate(budgets.ys) if not y.is_pos_inf]
+    rhs = [budgets.ys[r - 1].fraction() for r in rows]
+    senses = ["<="] * len(rows) + ["="] * len(budgets.zs)
+    rows += [1 + n_ineq + j for j in range(len(budgets.zs))]
+    rhs += [z.fraction() for z in budgets.zs]
 
-    # per node: continuing's gain, the children's mean stop payoff less the
-    # node's (f*dt + E_children pi - pi), and the step accruals g_i*dt, then
-    # h_i*dt, that every child shares
-    obj, steps = [], []
-    for w in interior:
-        _, Gs, Hs = tree._functionals(w)
-        _, G_kid, H_kid = tree._functionals(w + (0,))
-        steps.append([b - a for a, b in zip(Gs + Hs, G_kid + H_kid)])
-        obj.append(sum(p * tree.stop_payoff(w + (j,))
-                       for j, (p, _) in enumerate(tree.branching[len(w)]))
-                   - tree.stop_payoff(w))
+    def spread(first, ys):
+        """Per-column weights: ``first`` on the stop payoff, ys on the rows."""
+        out = [first] + [Fraction(0)] * (len(table.cols) - 1)
+        for r, y in zip(rows, ys):
+            out[r] = y
+        return out
 
-    rows, senses, rhs = [], [], []
-    for w, i in index.items():
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        if w == ROOT:
-            rows.append(row); senses.append("<="); rhs.append(Fraction(1))
-        else:
-            parent = index[w[:-1]]
-            p, _ = tree.branching[len(w) - 1][w[-1]]
-            row[parent] = -p
-            rows.append(row); senses.append("<="); rhs.append(Fraction(0))
-    ineq_rows = []
-    for k, y in enumerate(budgets.ys):
-        if y.is_pos_inf:
-            ineq_rows.append(None)  # vacuous: no constraint at all
-            continue
-        ineq_rows.append(len(rows))
-        rows.append([st[k] for st in steps]); senses.append("<="); rhs.append(y.fraction())
-    eq_rows = []
-    for k, z in enumerate(budgets.zs):
-        eq_rows.append(len(rows))
-        rows.append([st[tree.constraints.n_ineq + k] for st in steps])
-        senses.append("="); rhs.append(z.fraction())
+    columns: List[Tuple[Fraction, ...]] = []
+    pay, env, _ = _snell(table, spread(1, ()))  # the unconstrained optimum
+    while True:
+        stops = _stopping_time(table, pay, env)
+        column = tuple(Fraction(sum(col[i] for i in stops), den)
+                       for col, den in zip(table.cols, table.dens))
+        if column in columns:
+            raise InvariantViolation(
+                f"pricing returned a column already in the master: {len(columns)} "
+                f"columns, stopping at {[table.words[i] for i in stops]}")
+        columns.append(column)
+        res = simplex.solve_lp([c[0] for c in columns],
+                               [[c[r] for c in columns] for r in rows]
+                               + [[1] * len(columns)],  # the convexity row
+                               senses + ["="], rhs + [1], maximize=True)
+        if res.status == simplex.INFEASIBLE:
+            y = res.certificate
+            weights = spread(0, y)
+            pay, env, scale = _snell(table, weights)
+            if env[0] + y[-1] * scale > 0:
+                continue
+            return SolveResult(status=INFEASIBLE, reason="empty constraint set",
+                               certificate=weights[1:] + [y[-1]])
+        if res.status != simplex.OPTIMAL:
+            raise InvariantViolation(
+                f"the mass polytope is bounded, but the master LP came back "
+                f"{res.status}")
+        duals = res.duals
+        pay, env, scale = _snell(table, spread(1, [-d for d in duals]))
+        if env[0] <= duals[-1] * scale:
+            break
 
-    # a depth-0 tree has no columns: the simplex then only checks the
-    # budgets against the measure that stops at the root
-    res = simplex.solve_lp(obj, rows, senses, rhs, maximize=True)
-    if res.status == simplex.INFEASIBLE:
-        return SolveResult(status=INFEASIBLE, reason="empty constraint set",
-                           certificate=res.certificate)
-    if res.status != simplex.OPTIMAL:
-        raise InvariantViolation(
-            f"the mass polytope is bounded, but the LP came back {res.status}")
-
-    u_val = {w: res.x[i] for w, i in index.items()}
-    measure = _pushed_forward(tree, lambda w, arrive: u_val.get(w, Fraction(0)))
+    measure = _vertex(tree, table, pay, env, rows, senses, rhs)
     measure.validate(tree)
-    duals_ineq = tuple(
-        res.duals[ineq_rows[k]] if ineq_rows[k] is not None else Fraction(0)
-        for k in range(len(budgets.ys)))
-    duals_eq = tuple(res.duals[eq_rows[k]] for k in range(len(budgets.zs)))
-    value = Ext(res.objective + tree.terminal_at(ROOT))
+    prices = spread(0, duals)
+    value = Ext(res.objective)
     check = measure.expectations(tree)["value"]
     if check != value:
         raise InvariantViolation(
             f"objective {value} disagrees with the measure's value {check}")
     return SolveResult(status=OPTIMAL, value=value, measure=measure,
-                       duals_ineq=duals_ineq, duals_eq=duals_eq)
+                       duals_ineq=tuple(prices[1:1 + n_ineq]),
+                       duals_eq=tuple(prices[1 + n_ineq:]))
+
+
+def _vertex(tree: TreeInstance, table: NodeTable, pay, env, rows, senses,
+            rhs) -> StoppingMeasure:
+    """The crossover: a vertex of the optimal face at the final pass.
+
+    Stop-strict nodes stop, continue-strict nodes continue, and each tied
+    node t continues alpha_t P(t), where alpha solves an LP over the ties.
+    """
+    first, n_inner = table.first, len(table.first) - 1
+    through, tied = set(), []
+    # reached node -> its nearest tied ancestor (None: the root's mass 1);
+    # gain[t] -> the accruals that alpha_t scales, gain[None] -> those of
+    # stopping at every tie, both as ints over the table's denominators
+    anchor, gain = {0: None}, {None: [0] * len(table.cols)}
+    frontier = [0]
+    for i in frontier:
+        a = anchor[i]
+        stop = i >= n_inner or pay[i] > (cont := sum(env[first[i]:first[i + 1]]))
+        if stop or pay[i] == cont:  # stopping here accrues to the anchor
+            gain[a] = [g + col[i] for g, col in zip(gain[a], table.cols)]
+        if stop:
+            continue
+        if pay[i] == cont:
+            tied.append(i)
+            gain[i] = [-col[i] for col in table.cols]
+            a = i
+        else:
+            through.add(table.words[i])
+        for c in range(first[i], first[i + 1]):
+            anchor[c] = a
+            frontier.append(c)
+
+    u: Dict[Word, Fraction] = {}
+    if tied:
+        lp_rows, lp_rhs = [], [int(anchor[t] is None) for t in tied]
+        for j, t in enumerate(tied):  # alpha_t <= alpha of its anchor, or 1
+            row = [0] * len(tied)
+            row[j] = 1
+            if anchor[t] is not None:
+                row[tied.index(anchor[t])] = -1
+            lp_rows.append(row)
+        fixed, dens = gain[None], table.dens
+        for r, b in zip(rows, rhs):
+            lp_rows.append([Fraction(gain[t][r], dens[r]) for t in tied])
+            lp_rhs.append(b - Fraction(fixed[r], dens[r]))
+        res = simplex.solve_lp([Fraction(gain[t][0], dens[0]) for t in tied], lp_rows,
+                               ["<="] * len(tied) + senses, lp_rhs, maximize=True)
+        if res.status != simplex.OPTIMAL:
+            raise InvariantViolation(
+                f"the optimal face holds the master's mixture, but the crossover "
+                f"LP came back {res.status}")
+        for t, alpha in zip(tied, res.x):
+            word = table.words[t]
+            u[word] = alpha * tree.path_prob(word)
+    zero = Fraction(0)
+    return _pushed_forward(tree, lambda w, arrive: arrive if w in through
+                           else u.get(w, zero))
 
 
 def measure_to_rule(tree: TreeInstance, measure: StoppingMeasure) -> RandomizedStoppingRule:

@@ -5,7 +5,10 @@ with senses "<=", ">=", "=".  Bland's rule is used throughout, so the
 method cannot cycle, and the returned optimum is exact.  Every row carries
 an artificial column, which makes phase-one startup uniform and lets dual
 prices be read off the final reduced-cost row.  Sized for desk-scale
-problems (up to a few thousand variables).
+problems: ``lp.solve_weak`` calls it on its column-generation master (one
+row per finite budget plus the convexity row, one column per pure stopping
+time priced in) and on its crossover (one variable per tied node), both
+small whatever the tree's size.
 
 The tableau holds no Fraction objects.  Each constraint row and the
 reduced-cost row is a list of Python ints over one positive row

@@ -9,6 +9,8 @@ from treestop import (POS_INF, build_tree, candidate_with_branch_bias,
                       solve_weak)
 from treestop.generate import generate_instance
 
+from oracles import snell_value
+
 
 def make_rw(depth=2, sigma=1, ineq=None, eq=None, dt=1, x0=0):
     """Symmetric +-1 random walk with quadratic terminal payoff."""
@@ -82,6 +84,35 @@ def solve_weak_recording_lps(monkeypatch, tree, budgets=None):
         patch.setattr(simplex, "solve_lp", record)
         res = solve_weak(tree, budgets)
     return res, seen
+
+
+def assert_separates(tree, budgets, res):
+    """Check that an infeasible result's certificate proves emptiness.
+
+    The certificate holds multipliers (lam, kap, nu) for the inequality
+    rows, the equality rows and the convexity row, with lam <= 0 (0 on a
+    vacuous bound) and lam.y + kap.z + nu > 0.  If no pure stopping time
+    has lam.E[G] + kap.E[H] + nu > 0, neither has any law, since every law
+    mixes pure stopping times.  A law within the budgets would have
+    lam.E[G] + kap.E[H] + nu >= lam.y + kap.z + nu > 0.  So no law is
+    within them.  The best pure stopping time comes from an oracle Snell
+    pass.
+    """
+    assert res.status == "infeasible" and res.reason == "empty constraint set"
+    n = len(budgets.ys)
+    y = res.certificate
+    assert len(y) == n + len(budgets.zs) + 1
+    lam, kap, nu = y[:n], y[n:-1], y[-1]
+    assert all(l <= 0 for l in lam)
+    assert all(l == 0 for l, b in zip(lam, budgets.ys) if b.is_pos_inf)
+    assert sum(l * b.fraction() for l, b in zip(lam, budgets.ys) if l) \
+        + sum(k * z.fraction() for k, z in zip(kap, budgets.zs)) + nu > 0
+
+    def accrual(word):
+        _, Gs, Hs = tree._functionals(word)
+        return sum(l * G for l, G in zip(lam, Gs)) + sum(k * H for k, H in zip(kap, Hs))
+
+    assert snell_value(tree, accrual) + nu <= 0
 
 
 @pytest.fixture

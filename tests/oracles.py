@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the solver paths under test: values
 come from direct enumeration of (word, stop depth) atoms, plain backward
-induction, brute-force grids, a Fraction-tableau simplex that the integer-row solver
-must match result for result, a per-statistic membership sweep that the
+induction, brute-force grids, the dense node LP that column generation
+must match value for value, a Fraction-tableau simplex that the
+integer-row solver must match result for result, a per-statistic membership sweep that the
 shared sweep must match statistic for statistic, and a node-by-node envelope
 recursion that the level-order sweep must match envelope for envelope, and
 the tree-walking interpreter of instance expressions that the compiled
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
-from treestop import Ext
+from treestop import Ext, simplex
 from treestop.dp import _require_scalar_shape
 from treestop.envelope import ConcaveEnvelope, _canonical
 from treestop.errors import DegreeTooHigh
@@ -25,7 +26,9 @@ from treestop.lattice import ROOT, TreeInstance, Word, _as_matrix, _as_vector
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
                                  _sigbar_entry, monomial_basis, weight_battery)
-from treestop.measures import StoppingMeasure
+from treestop.lp import INFEASIBLE as SOLVE_INFEASIBLE
+from treestop.lp import SolveResult, _budgets_or_default
+from treestop.measures import StoppingMeasure, _pushed_forward
 from treestop.xreal import as_fraction
 from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
@@ -75,11 +78,12 @@ def atom_expectations(tree, q):
     return value, tuple(gs), tuple(hs)
 
 
-def snell_value(tree):
-    """Unconstrained optimal stopping value by plain backward induction."""
+def snell_value(tree, payoff=None):
+    """Optimal stopping value by plain backward induction: the best pure
+    stopping time's expected stop payoff, or ``payoff(word)`` if given."""
     memo = {}
     for word in reversed(list(tree.nodes())):
-        stop = tree.stop_payoff(word)
+        stop = payoff(word) if payoff else tree.stop_payoff(word)
         if len(word) == tree.depth:
             memo[word] = stop
             continue
@@ -154,6 +158,79 @@ def best_rule_value(tree, ys, zs):
             if feasible(v_g, v_h) and (best is None or value > best):
                 best = value
     return best if best is not None else Ext(0, sign=-1)
+
+
+def node_lp_solve(tree: TreeInstance, budgets=None, solve_lp=None) -> SolveResult:
+    """The dense node LP that ``solve_weak`` solved before column generation,
+    kept as a differential oracle.
+
+    Its variables are the continue masses u(v) of the interior nodes:
+
+        maximize    sum_v u(v) * [f(v)*dt + E_children pi - pi(v)]  + pi(root)
+        subject to  u(root) <= 1,   u(child) <= p_j * u(parent),  u >= 0,
+                    sum_v u(v) * g_i(v)*dt <= y_i,
+                    sum_v u(v) * h_i(v)*dt  = z_i.
+
+    Status, value, measure and duals come back as ``solve_weak``'s did; the
+    certificate is the simplex's Farkas vector over these rows.  The LP
+    runs on ``solve_lp`` (default: the library's integer-row simplex).
+    """
+    solve_lp = solve_lp or simplex.solve_lp
+    budgets = _budgets_or_default(tree, budgets)
+    if any(not z.is_finite for z in budgets.zs):
+        return SolveResult(status=SOLVE_INFEASIBLE, reason="equality target is infinite")
+
+    interior: List[Word] = [w for w in tree.nodes() if len(w) < tree.depth]
+    index = {w: i for i, w in enumerate(interior)}
+    n = len(interior)
+
+    # per node: continuing's gain, the children's mean stop payoff less the
+    # node's (f*dt + E_children pi - pi), and the step accruals g_i*dt, then
+    # h_i*dt, that every child shares
+    obj, steps = [], []
+    for w in interior:
+        _, Gs, Hs = tree._functionals(w)
+        _, G_kid, H_kid = tree._functionals(w + (0,))
+        steps.append([b - a for a, b in zip(Gs + Hs, G_kid + H_kid)])
+        obj.append(sum(p * tree.stop_payoff(w + (j,))
+                       for j, (p, _) in enumerate(tree.branching[len(w)]))
+                   - tree.stop_payoff(w))
+
+    rows, senses, rhs = [], [], []
+    for w, i in index.items():
+        row = [_ZERO] * n
+        row[i] = _ONE
+        if w == ROOT:
+            rows.append(row); senses.append("<="); rhs.append(_ONE)
+        else:
+            p, _ = tree.branching[len(w) - 1][w[-1]]
+            row[index[w[:-1]]] = -p
+            rows.append(row); senses.append("<="); rhs.append(_ZERO)
+    ineq_rows = []
+    for k, y in enumerate(budgets.ys):
+        if y.is_pos_inf:
+            ineq_rows.append(None)  # vacuous: no constraint at all
+            continue
+        ineq_rows.append(len(rows))
+        rows.append([st[k] for st in steps]); senses.append("<="); rhs.append(y.fraction())
+    eq_rows = []
+    for k, z in enumerate(budgets.zs):
+        eq_rows.append(len(rows))
+        rows.append([st[tree.constraints.n_ineq + k] for st in steps])
+        senses.append("="); rhs.append(z.fraction())
+
+    res = solve_lp(obj, rows, senses, rhs, maximize=True)
+    if res.status == INFEASIBLE:
+        return SolveResult(status=SOLVE_INFEASIBLE, reason="empty constraint set",
+                           certificate=res.certificate)
+    assert res.status == OPTIMAL, res.status
+
+    u_val = {w: res.x[i] for w, i in index.items()}
+    measure = _pushed_forward(tree, lambda w, arrive: u_val.get(w, _ZERO))
+    duals_ineq = tuple(_ZERO if r is None else res.duals[r] for r in ineq_rows)
+    duals_eq = tuple(res.duals[r] for r in eq_rows)
+    return SolveResult(status="optimal", value=Ext(res.objective + tree.terminal_at(ROOT)),
+                       measure=measure, duals_ineq=duals_ineq, duals_eq=duals_eq)
 
 
 def brute_allocate(children, total, steps=200):

@@ -235,6 +235,52 @@ def test_subtree_advances_time_and_history():
     assert sub.state((0,)) == tree.state((0, 0))
 
 
+def test_subtree_keeps_the_increment_dimension():
+    # l = d = 2: a horizon subtree has no level left to read d from
+    tree = build_tree(dt=1, depth=2, x0=(0, 1),
+                      branching=[(Fraction(1, 4), (1, 0)), (Fraction(3, 4), (-1, 2))],
+                      drift=(0, 0), diffusion=((1, 0), (0, 1)))
+    assert tree.d == 2
+    for word in [(0,), (0, 1)]:
+        sub = tree.subtree(word)
+        assert sub.d == tree.d
+        assert len(sub.increment_sum(())) == 2
+
+
+def test_node_table_is_built_by_the_first_solve_only():
+    tree = make_rw(ineq=[(1, 1)])
+    dp_value(tree, 1)
+    assert tree._table is None  # the envelope DP never builds it
+    solve_weak(tree)
+    table = tree._table
+    assert table.words == tuple(tree.nodes())
+    assert table.first == (1, 3, 5, 7)  # children of (), (0,), (1,)
+    solve_weak(tree)
+    assert tree._table is table
+    sub = tree.subtree((0,))
+    assert sub._table is None
+    solve_weak(sub)
+    assert sub._table is not table and sub._table.words == tuple(sub.nodes())
+
+
+def test_node_table_columns_are_path_probability_times_payoff_and_accruals():
+    tree = build_tree(dt=Fraction(1, 2), depth=2, x0=0,
+                      branching=[(Fraction(1, 3), 1), (Fraction(2, 3), Fraction(-1, 2))],
+                      reward=lambda t, xs: xs[-1] / 3, terminal=lambda t, xs: xs[-1] ** 2,
+                      inequalities=[(lambda t, xs: 1 + t, 2)],
+                      equalities=[(lambda t, xs: xs[-1], 0)])
+    table = tree._node_table()
+    for i, w in enumerate(table.words):
+        F, Gs, Hs = cumulative_functionals(tree, w)
+        want = [F + tree.terminal_at(w), *Gs, *Hs]
+        got = [Fraction(col[i], den) for col, den in zip(table.cols, table.dens)]
+        assert got == [tree.path_prob(w) * x for x in want]
+        if len(w) < tree.depth:
+            kids = table.words[table.first[i]:table.first[i + 1]]
+            assert kids == tree.children(w)
+    assert len(table.first) == 1 + 3  # one more entry than interior nodes
+
+
 def test_constraint_spec_rejects_minus_inf_bound():
     with pytest.raises(ValueError):
         ConstraintSpec(inequalities=((1, Ext(0, sign=-1)),))

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from treestop import (BudgetVector, EmptyFamily, Ext, InvariantViolation,
-                      POS_INF, build_tree, fractional_nodes, load_instance,
+                      POS_INF, build_tree, fractional_nodes, load_instance, lp,
                       measure_to_rule, rule_to_measure, simplex, solve_robust,
                       solve_weak)
 from treestop.generate import generate_instance
 from treestop.measures import StoppingMeasure
 
-from conftest import make_rw, solve_weak_recording_lps
+from conftest import assert_separates, make_rw, solve_weak_recording_lps
 from oracles import best_rule_value, snell_value
 
 F = Fraction
@@ -194,39 +194,23 @@ def test_infinite_node_reward_rejected():
         solve_weak(tree)
 
 
-def test_infeasibility_certificate_is_a_farkas_witness(monkeypatch):
+def test_infeasibility_certificate_is_a_farkas_witness():
     # the dense 6x2 instance with every inequality budget lowered by 1000
     tree = load_instance(generate_instance(seed=1, depth=6, branches=2,
                                            n_ineq=2, n_eq=1))
     budgets = BudgetVector.of(tree.constraints)
     tight = BudgetVector(ys=tuple(y - 1000 for y in budgets.ys), zs=budgets.zs)
-    _assert_farkas_witness(*solve_weak_recording_lps(monkeypatch, tree, tight))
+    assert_separates(tree, tight, solve_weak(tree, tight))
 
 
 @pytest.mark.parametrize("budgets", [BudgetVector(ys=(F(-1),), zs=(F(0),)),
-                                     BudgetVector(ys=(F(1),), zs=(F(1, 2),))],
-                         ids=["negative-bound", "nonzero-target"])
-def test_depth_zero_infeasibility_has_a_farkas_witness(monkeypatch, budgets):
+                                     BudgetVector(ys=(F(1),), zs=(F(1, 2),)),
+                                     BudgetVector(ys=(POS_INF,), zs=(F(1, 2),))],
+                         ids=["negative-bound", "nonzero-target", "vacuous-bound"])
+def test_depth_zero_infeasibility_has_a_farkas_witness(budgets):
     tree = build_tree(dt=1, depth=0, branching=[], x0=3,
                       inequalities=[(1, 1)], equalities=[(1, 0)])
-    _assert_farkas_witness(*solve_weak_recording_lps(monkeypatch, tree, budgets))
-
-
-def _assert_farkas_witness(res, lps):
-    [((_, rows, senses, rhs), _)] = lps
-    assert res.status == "infeasible"
-    y = res.certificate
-    assert len(y) == len(rows)
-    assert sum(yi * b for yi, b in zip(y, rhs)) > 0
-    for j in range(len(rows[0])):  # structural columns
-        assert sum(yi * row[j] for yi, row in zip(y, rows)) <= 0
-    for i, sense in enumerate(senses):
-        # the slack column of a "<=" row is +e_i and the surplus column of a
-        # ">=" row is -e_i, so y.col <= 0 there is the row's sign condition
-        if sense == "<=":
-            assert y[i] <= 0
-        elif sense == ">=":
-            assert y[i] >= 0
+    assert_separates(tree, budgets, solve_weak(tree, budgets))
 
 
 def test_unbounded_weak_lp_is_an_invariant_violation(rw2, monkeypatch):
@@ -234,6 +218,34 @@ def test_unbounded_weak_lp_is_an_invariant_violation(rw2, monkeypatch):
                         lambda *args, **kwargs: simplex.LPResult(status=simplex.UNBOUNDED))
     with pytest.raises(InvariantViolation, match="mass polytope"):
         solve_weak(rw2)
+
+
+def test_a_priced_column_already_in_the_master_is_an_invariant_violation(rw2, monkeypatch):
+    # pricing stuck on the first column: stop at the horizon, E[tau] = 2 > 1
+    real, first = lp._stopping_time, []
+
+    def stuck(table, pay, env):
+        if not first:
+            first.append(real(table, pay, env))
+        return first[0]
+
+    monkeypatch.setattr(lp, "_stopping_time", stuck)
+    with pytest.raises(InvariantViolation, match="already in the master"):
+        solve_weak(rw2, budget(y=1))
+
+
+def test_master_has_one_row_per_finite_budget_and_a_convexity_row(monkeypatch):
+    tree = load_instance(generate_instance(seed=1, depth=4, branches=2,
+                                           n_ineq=2, n_eq=1))
+    budgets = BudgetVector(ys=(tree.constraints.inequalities[0][1], POS_INF),
+                           zs=(tree.constraints.equalities[0][1],))
+    res, lps = solve_weak_recording_lps(monkeypatch, tree, budgets)
+    assert res.optimal and res.duals_ineq[1] == 0
+    (c, rows, senses, rhs), _ = lps[0]
+    assert len(c) == 1 and senses == ["<=", "=", "="] and rhs[-1] == 1
+    # one priced column enters per master solve
+    masters = [c for (c, _, senses, _), _ in lps if senses == ["<=", "=", "="]]
+    assert [len(c) for c in masters] == list(range(1, len(masters) + 1))
 
 
 def test_objective_bookkeeping_mismatch_is_an_invariant_violation(rw2, monkeypatch):
