@@ -282,11 +282,10 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
         verdicts = {}
         gaps = []
         checks = ["equivalence", "dpp", "membership"] if suite == "all" else [suite]
-        res = None  # one LP solve, shared by the equivalence and membership checks
+        res = None  # one LP solve, shared by every check
         for check in checks:
             if check in ("equivalence", "membership"):
-                if res is None:
-                    res = solve_weak(tree)
+                res = res or solve_weak(tree)
                 if not res.optimal:
                     verdicts[check] = False
                     continue
@@ -300,7 +299,8 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
                 ok = True
                 worst = Fraction(0)
                 for k in range(1, tree.depth):
-                    rep = verify_dpp(tree, k)
+                    res = res or solve_weak(tree)
+                    rep = verify_dpp(tree, k, result=res)
                     ok = ok and rep["pass"]
                     g = rep["gap"]
                     if g.is_finite and abs(g.fraction()) > abs(worst):

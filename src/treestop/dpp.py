@@ -4,30 +4,45 @@ Cutting a solved instance at an intermediate stopping stage splits every
 feasible measure into a prefix and, per surviving node, a conditional
 measure on the subtree.  Conditioning is budget-stable: each conditional
 measure is feasible for the conditional expected remaining accruals
-(Y, Z) of its node, exactly.  The verifier exploits both directions:
+(Y, Z) of its node, exactly.  ``condition`` and ``paste`` do that split
+and its inverse on explicit measures.
 
-* sub-solution: replacing each conditional measure by the subtree optimum
-  at budgets (Y, Z) can only increase the decomposed value, so the
-  decomposition evaluated at the optimal measure is >= the optimal value;
-* super-solution: pasting those subtree optima back onto the prefix yields
-  a measure that is feasible for the original budgets, so its value is
-  <= the optimal value.
+``verify_dpp`` settles the recursion at any cut from one Snell pass.  Take
+the root solve's duals (pi >= 0, mu) and let S be the Snell envelope of
+the payoff V - pi.G - mu.H, in path-probability units (Lagrangian duality
+for constrained stopping: Kennedy 1982; Ankirchner, Klein & Kruse 2019).
+First the pass certifies the root: the measure is within budget, pi
+prices only bounds it meets, it stops and continues only where S is
+attained, and S(root) + pi.y + mu.z is its value.  Then at a survivor nu
+with path probability P(nu), accruals (F, G, H)(nu) and conditional
+budgets (Y, Z):
 
-Both sides use the same number, hence the reported gap is zero exactly on
-rational instances.  The finite node set replaces measurable-selection
+* super-solution: weak duality on the subtree bounds every law within
+  (Y, Z) by S(nu)/P(nu) - F + pi.(G + Y) + mu.(H + Z), the ``subvalue``;
+* sub-solution: the conditional law of the optimal measure attains S at
+  every node it reaches and meets (Y, Z) exactly, so its value (the
+  ``conditional_value``) is that bound, and the bound is the subtree
+  optimum.
+
+So one O(nodes) pass gives every survivor's subtree optimum at every cut,
+with no subtree built or solved.  The decomposition evaluated at the
+subtree optima (rhs) and at the conditional values (rhs_super) must agree,
+and the accruals before and past the cut must add up to the measure's
+(the tower identity); both are checked.  The reported gap is zero exactly
+on rational instances.  The finite node set replaces measurable-selection
 epsilon-arguments with exact per-node optima.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .errors import InvariantViolation, ShapeMismatch, SubproblemInfeasible
+from .errors import InvariantViolation, ShapeMismatch
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
-from .lp import SolveResult, _budgets_or_default, solve_weak
-from .measures import StoppingMeasure, feasible_for
+from .lp import SolveResult, _budgets_or_default, _certify_optimal, solve_weak
+from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule
 
 TauSpec = Union[int, Iterable[Word]]
@@ -212,61 +227,100 @@ def paste(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec,
 
 
 def verify_dpp(tree: TreeInstance, tau: TauSpec,
-               budgets: Optional[BudgetVector] = None) -> dict:
+               budgets: Optional[BudgetVector] = None,
+               result: Optional[SolveResult] = None) -> dict:
     """Check both inequality directions of the value recursion at a cut.
 
-    lhs is the optimal value.  rhs evaluates the decomposition at the
-    optimal measure with every conditional measure replaced by its subtree
-    optimum at the conditional budgets; pasting those optima back certifies
-    rhs <= lhs, replacement itself certifies rhs >= lhs.  The report's gap
-    is rhs - lhs and equals zero exactly on all-rational instances.
+    lhs is the optimal value: that of ``result``, an optimal ``solve_weak``
+    result of this tree at these budgets, or else of one solve.  Its duals
+    must certify it (``lp._certify_optimal``).  rhs evaluates the
+    decomposition at the optimal measure with every conditional measure
+    replaced by its subtree optimum at the conditional budgets, read off
+    the certificate's envelope; rhs_super evaluates it at the conditional
+    measures themselves, and the two must agree.  The report's gap is
+    rhs - lhs and equals zero exactly on all-rational instances.
     """
-    base = solve_weak(tree, budgets)
+    base = solve_weak(tree, budgets) if result is None else result
     if not base.optimal:
         raise ValueError(f"base solve is {base.status}: {base.reason}")
-    lhs = base.value
+    cut = normalize_cut(tree, tau)
+    env, scale, exp = _certify_optimal(tree, _budgets_or_default(tree, budgets), base)
+    measure, table = base.measure, tree._node_table()
+    prices = base.duals_ineq + base.duals_eq
+    n_i = len(base.duals_ineq)
 
-    cond = condition(tree, base.measure, tau)
-    per_node = []
-    rhs = sum(entry["payoff"] * entry["mass"] for entry in cond.stopped_before)
-    submeasures: Dict[Word, StoppingMeasure] = {}
-    for nu, data in cond.survivors.items():
-        sub_budgets = BudgetVector(ys=data.ys, zs=data.zs)
-        sub = solve_weak(data.subtree, sub_budgets)
-        if not sub.optimal:
-            raise SubproblemInfeasible(
-                f"subtree at {nu} infeasible for conditional budgets "
-                f"(ys={data.ys}, zs={data.zs}); conditioning must preserve "
-                f"feasibility, so this is a bug")
-        submeasures[nu] = sub.measure
-        rhs = rhs + (tree._functionals(nu)[0] + sub.value) * data.mass
+    # stop mass times (V, G, H), summed below each cut node and (at None)
+    # over the nodes that stop before the cut, which are also listed
+    in_cut = set(cut)
+    below = {nu: [Fraction(0)] * (1 + len(prices)) for nu in (None, *cut)}
+    stopped_before: List[dict] = []
+    for w in table.words:
+        mass = measure.s.get(w)
+        if not mass:
+            continue
+        F, Gs, Hs = tree._functionals(w)
+        payoff = tree.stop_payoff(w)
+        nu = next((w[:k] for k in range(1, len(w) + 1) if w[:k] in in_cut), None)
+        if nu is None:
+            stopped_before.append({"node": w, "mass": mass, "F": F, "G": Gs,
+                                   "H": Hs, "payoff": payoff})
+        sums = below[nu]
+        for c, x in enumerate((payoff, *Gs, *Hs)):
+            sums[c] += mass * x
+
+    rhs = rhs_super = below[None][0]
+    # the tower identity's terms: accruals where the measure stops before
+    # the cut and at each survivor, and reach times each survivor's
+    # conditional remaining accruals
+    accrued, tower = below[None][1:], [Fraction(0)] * len(prices)
+    per_node, zero = [], []
+    for nu in cut:
+        r = measure.reach(nu)
+        if r == 0:
+            zero.append(nu)
+            continue
+        F, Gs, Hs = tree._functionals(nu)
+        sums = below[nu]
+        value = sums[0] / r - F
+        at_nu = (*Gs, *Hs)
+        rest = [a / r - x for a, x in zip(sums[1:], at_nu)]
+        i = 0
+        for j in nu:  # nu's row in the table
+            i = table.first[i] + j
+        subvalue = Fraction(env[i], scale) / tree.path_prob(nu) - F \
+            + sum(q * (x + y) for q, x, y in zip(prices, at_nu, rest))
+        rhs += (F + subvalue) * r
+        rhs_super += (F + value) * r
+        for c, (x, y) in enumerate(zip(at_nu, rest)):
+            accrued[c] += x * r
+            tower[c] += y * r
         per_node.append({
-            "node": nu, "mass": data.mass,
-            "Y": data.ys, "Z": data.zs,
-            "subvalue": sub.value,
-            "conditional_value": data.value,
+            "node": nu, "mass": r,
+            "Y": tuple(rest[:n_i]), "Z": tuple(rest[n_i:]),
+            "subvalue": subvalue,
+            "conditional_value": value,
         })
 
-    pasted = paste(tree, base.measure, cond.cut, submeasures)
-    rhs_super = pasted.expectations(tree)["value"]
     if rhs_super != rhs:
         raise InvariantViolation(
-            f"pasted value {rhs_super} differs from the decomposed value {rhs}")
-    if not feasible_for(tree, pasted, _budgets_or_default(tree, budgets)):
+            f"the decomposition at the conditional values, {rhs_super}, differs "
+            f"from the decomposed value {rhs}")
+    if [a + t for a, t in zip(accrued, tower)] != [*exp["ineq"], *exp["eq"]]:
         raise InvariantViolation(
-            "pasting subtree optima at conditional budgets left the budgets")
+            "the accruals before the cut and past it do not add up to the "
+            "measure's expected accruals")
 
-    gap = rhs - lhs
+    gap = rhs - base.value
     return {
-        "lhs": lhs,
+        "lhs": base.value,
         "rhs_sub": rhs,
         "rhs_super": rhs_super,
         "gap": gap,
         "pass": gap == 0,
-        "tau": cond.cut,
+        "tau": cut,
         "per_node": per_node,
-        "stopped_before": cond.stopped_before,
-        "zero_survival": cond.zero_survival,
-        "tower_ineq": cond.tower_ineq,
-        "tower_eq": cond.tower_eq,
+        "stopped_before": stopped_before,
+        "zero_survival": zero,
+        "tower_ineq": tuple(tower[:n_i]),
+        "tower_eq": tuple(tower[n_i:]),
     }

@@ -203,8 +203,9 @@ class TreeInstance:
     (``_root_envelope``, filled by ``dp.root_envelope``) and the node table
     (``_node_table``, built by the first ``lp.solve_weak``); instances are safe
     to share for concurrent reads once constructed (all operations are
-    pure).  Reward, integrands, terminal payoff, drift and diffusion are
-    called and coerced by this class only; node data are finite Fractions.
+    pure).  The grid times are computed once, per depth (``_times``).
+    Reward, integrands, terminal payoff, drift and diffusion are called
+    and coerced by this class only; node data are finite Fractions.
     ``_claims`` maps nodes to states that the sibling fill takes instead of
     the Euler step; only ``_derived`` sets it (for ``CandidateLaw``), and
     ``levels`` ignores it.
@@ -228,6 +229,7 @@ class TreeInstance:
             if count > MAX_NODES:
                 raise ShapeTooLarge(f"the tree has more than {MAX_NODES} nodes")
         self.branching = per_depth
+        self._times = tuple(self.t0 + k * self.dt for k in range(self.depth + 1))
         self.d = len(per_depth[0][0][1]) if per_depth else 1
 
         hist = tuple(history) if isinstance(history, (list, tuple)) else (history,)
@@ -320,7 +322,8 @@ class TreeInstance:
         return tuple(word + (j,) for j in range(self.n_branches(len(word))))
 
     def time(self, depth_k: int) -> Fraction:
-        return self.t0 + depth_k * self.dt
+        """The grid time t0 + k * dt of depth k, from 0 to the depth."""
+        return self._times[depth_k]
 
     def path_prob(self, word: Word) -> Fraction:
         got = self._pathprob.get(word)

@@ -129,6 +129,56 @@ def _stopping_time(table: NodeTable, pay, env) -> Tuple[int, ...]:
     return tuple(stops)
 
 
+def _certify_optimal(tree: TreeInstance, budgets: BudgetVector, result: SolveResult):
+    """Check exactly that an optimal result's duals (pi, mu) prove it optimal.
+
+    With S the Snell envelope of V - pi.G - mu.H, every law within the
+    budgets has E[V] <= S(root) + pi.y + mu.z when pi >= 0 (weak duality).
+    The result attains that bound when: pi >= 0, with 0 on a vacuous bound;
+    its measure (valid, as ``solve_weak`` returns it) is within the
+    budgets; complementary slackness holds (a bound with pi_i > 0 is met,
+    and the measure stops only where the payoff attains S and continues
+    only where the children's S does); and S(root) + pi.y + mu.z, over the
+    finite budgets, is its value.  A failed check raises
+    ``InvariantViolation``.  Returns ``_snell``'s envelope and scale at the
+    duals, and the measure's expectations.
+    """
+    pi, mu = result.duals_ineq, result.duals_eq
+    if any(p < 0 or (p and y.is_pos_inf) for p, y in zip(pi, budgets.ys)):
+        raise InvariantViolation(
+            f"inequality duals {pi} are not >= 0 with 0 on vacuous bounds")
+    exp = result.measure.expectations(tree)
+    if any(not got <= y for got, y in zip(exp["ineq"], budgets.ys)) \
+            or any(got != z for got, z in zip(exp["eq"], budgets.zs)):
+        raise InvariantViolation("the measure leaves the budgets")
+    if any(p and got != y.fraction() for p, got, y in zip(pi, exp["ineq"], budgets.ys)):
+        raise InvariantViolation("a bound with a positive dual has slack")
+
+    table = tree._node_table()
+    pay, env, scale = _snell(table, [1, *(-p for p in pi), *(-m for m in mu)])
+    first, n_inner = table.first, len(table.first) - 1
+    stop, cont = result.measure.s, result.measure.u
+    frontier = [0]
+    for i in frontier:  # the nodes the measure reaches
+        word = table.words[i]
+        if stop.get(word) and pay[i] != env[i]:
+            raise InvariantViolation(
+                f"the measure stops at {word}, where the payoff is below the envelope")
+        if cont.get(word):
+            if i >= n_inner or sum(env[first[i]:first[i + 1]]) != env[i]:
+                raise InvariantViolation(
+                    f"the measure continues at {word}, where stopping beats continuing")
+            frontier.extend(range(first[i], first[i + 1]))
+
+    priced = sum(p * y.fraction() for p, y in zip(pi, budgets.ys) if p) \
+        + sum(m * z.fraction() for m, z in zip(mu, budgets.zs))
+    if Fraction(env[0], scale) + priced != result.value:
+        raise InvariantViolation(
+            f"the duals price the budgets at {Fraction(env[0], scale) + priced}, "
+            f"not at the value {result.value}")
+    return env, scale, exp
+
+
 def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> SolveResult:
     """Maximize expected reward over all stopping measures within budgets."""
     budgets = _budgets_or_default(tree, budgets)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the solver paths under test: values
 come from direct enumeration of (word, stop depth) atoms, plain backward
 induction, brute-force grids, the dense node LP that column generation
-must match value for value, a Fraction-tableau simplex that the
-integer-row solver must match result for result, a per-statistic membership sweep that the
+must match value for value, the per-survivor subtree LPs that the DPP
+verifier's Snell pass must match report for report, a Fraction-tableau
+simplex that the integer-row solver must match result for result, a per-statistic membership sweep that the
 shared sweep must match statistic for statistic, and a node-by-node envelope
 recursion that the level-order sweep must match envelope for envelope, and
 the tree-walking interpreter of instance expressions that the compiled
@@ -20,15 +21,16 @@ from typing import Dict, List, Sequence, Tuple
 
 from treestop import Ext, simplex
 from treestop.dp import _require_scalar_shape
+from treestop.dpp import condition, paste
 from treestop.envelope import ConcaveEnvelope, _canonical
-from treestop.errors import DegreeTooHigh
-from treestop.lattice import ROOT, TreeInstance, Word, _as_matrix, _as_vector
+from treestop.errors import DegreeTooHigh, InvariantViolation, SubproblemInfeasible
+from treestop.lattice import ROOT, BudgetVector, TreeInstance, Word, _as_matrix, _as_vector
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
                                  _sigbar_entry, monomial_basis, weight_battery)
 from treestop.lp import INFEASIBLE as SOLVE_INFEASIBLE
-from treestop.lp import SolveResult, _budgets_or_default
-from treestop.measures import StoppingMeasure, _pushed_forward
+from treestop.lp import SolveResult, _budgets_or_default, solve_weak
+from treestop.measures import StoppingMeasure, _pushed_forward, feasible_for
 from treestop.xreal import as_fraction
 from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
@@ -232,6 +234,68 @@ def node_lp_solve(tree: TreeInstance, budgets=None, solve_lp=None) -> SolveResul
     return SolveResult(status="optimal", value=Ext(res.objective + tree.terminal_at(ROOT)),
                        measure=measure, duals_ineq=duals_ineq, duals_eq=duals_eq)
 
+
+def verify_dpp_by_subtree_lp(tree: TreeInstance, tau, budgets=None) -> dict:
+    """``verify_dpp`` as it was before the Snell pass, kept as a differential
+    oracle: it conditions the optimal measure at the cut, solves each
+    survivor's subtree LP at its conditional budgets and pastes the optima
+    back.
+
+    lhs is the optimal value.  rhs evaluates the decomposition at the
+    optimal measure with every conditional measure replaced by its subtree
+    optimum at the conditional budgets; pasting those optima back certifies
+    rhs <= lhs, replacement itself certifies rhs >= lhs.  The report's gap
+    is rhs - lhs and equals zero exactly on all-rational instances.
+    """
+    base = solve_weak(tree, budgets)
+    if not base.optimal:
+        raise ValueError(f"base solve is {base.status}: {base.reason}")
+    lhs = base.value
+
+    cond = condition(tree, base.measure, tau)
+    per_node = []
+    rhs = sum(entry["payoff"] * entry["mass"] for entry in cond.stopped_before)
+    submeasures: Dict[Word, StoppingMeasure] = {}
+    for nu, data in cond.survivors.items():
+        sub_budgets = BudgetVector(ys=data.ys, zs=data.zs)
+        sub = solve_weak(data.subtree, sub_budgets)
+        if not sub.optimal:
+            raise SubproblemInfeasible(
+                f"subtree at {nu} infeasible for conditional budgets "
+                f"(ys={data.ys}, zs={data.zs}); conditioning must preserve "
+                f"feasibility, so this is a bug")
+        submeasures[nu] = sub.measure
+        rhs = rhs + (tree._functionals(nu)[0] + sub.value) * data.mass
+        per_node.append({
+            "node": nu, "mass": data.mass,
+            "Y": data.ys, "Z": data.zs,
+            "subvalue": sub.value,
+            "conditional_value": data.value,
+        })
+
+    pasted = paste(tree, base.measure, cond.cut, submeasures)
+    rhs_super = pasted.expectations(tree)["value"]
+    if rhs_super != rhs:
+        raise InvariantViolation(
+            f"pasted value {rhs_super} differs from the decomposed value {rhs}")
+    if not feasible_for(tree, pasted, _budgets_or_default(tree, budgets)):
+        raise InvariantViolation(
+            "pasting subtree optima at conditional budgets left the budgets")
+
+    gap = rhs - lhs
+    return {
+        "lhs": lhs,
+        "rhs_sub": rhs,
+        "rhs_super": rhs_super,
+        "gap": gap,
+        "pass": gap == 0,
+        "tau": cond.cut,
+        "per_node": per_node,
+        "stopped_before": cond.stopped_before,
+        "zero_survival": cond.zero_survival,
+        "tower_ineq": cond.tower_ineq,
+        "tower_eq": cond.tower_eq,
+    }
 
 def brute_allocate(children, total, steps=200):
     """Grid search over two-child budget splits (lower bound certificate)."""

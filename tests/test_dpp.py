@@ -4,16 +4,19 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from treestop import (BudgetVector, Ext, InvariantViolation, POS_INF, condition,
-                      first_randomization_cut, load_instance, measure_to_rule,
-                      normalize_cut, paste, rule_from_map, rule_to_measure,
-                      solve_weak, verify_dpp)
+from treestop import (BudgetVector, Ext, InvariantViolation, POS_INF, TreeInstance,
+                      condition, first_randomization_cut, load_instance,
+                      measure_to_rule, normalize_cut, paste, rule_from_map,
+                      rule_to_measure, solve_weak, verify_dpp)
 from treestop import dpp
 from treestop.generate import generate_instance
 from treestop.measures import StoppingMeasure, feasible_for
 
-from conftest import make_rw
+import oracles
+from conftest import acceptance_pool, make_rw
+from test_colgen import CASES
 
 F = Fraction
 HALF = F(1, 2)
@@ -213,13 +216,110 @@ def test_pasted_value_mismatch_is_an_invariant_violation(monkeypatch):
             return res
         return dataclasses.replace(res, value=res.value + Ext(1))
 
-    monkeypatch.setattr(dpp, "solve_weak", inflated_subsolves)
+    monkeypatch.setattr(oracles, "solve_weak", inflated_subsolves)
     with pytest.raises(InvariantViolation, match="decomposed value"):
-        verify_dpp(tree, 1)
+        oracles.verify_dpp_by_subtree_lp(tree, 1)
 
 
 def test_infeasible_pasting_is_an_invariant_violation(monkeypatch):
     tree = make_rw(ineq=[(1, F(3, 2))])
-    monkeypatch.setattr(dpp, "feasible_for", lambda *args: False)
+    monkeypatch.setattr(oracles, "feasible_for", lambda *args: False)
     with pytest.raises(InvariantViolation, match="left the budgets"):
-        verify_dpp(tree, 1)
+        oracles.verify_dpp_by_subtree_lp(tree, 1)
+
+
+def test_perturbed_duals_are_an_invariant_violation():
+    # the time budget's dual is 1; any other price breaks the certificate
+    tree = make_rw(ineq=[(1, F(3, 2))])
+    res = solve_weak(tree)
+    assert res.duals_ineq == (1,)
+    for pi, match in ((F(11, 10), "continues at"), (F(9, 10), "stops at"),
+                      (F(-1), "not >= 0")):
+        bad = dataclasses.replace(res, duals_ineq=(pi,))
+        with pytest.raises(InvariantViolation, match=match):
+            verify_dpp(tree, 1, result=bad)
+    tree = make_rw(eq=[(1, F(3, 2))])
+    res = solve_weak(tree)
+    bad = dataclasses.replace(res, duals_eq=(res.duals_eq[0] + 1,))
+    with pytest.raises(InvariantViolation):
+        verify_dpp(tree, 1, result=bad)
+
+
+def test_stopping_below_the_envelope_is_an_invariant_violation():
+    # unconstrained, the optimum waits for the horizon (value 2); a measure
+    # that stops at the root meets the vacuous budget but not the envelope
+    tree = make_rw(ineq=[(1, POS_INF)])
+    res = solve_weak(tree)
+    at_root = rule_to_measure(tree, rule_from_map(
+        tree, {w: 1 for w in tree.nodes() if len(w) < tree.depth}))
+    bad = dataclasses.replace(res, measure=at_root)
+    with pytest.raises(InvariantViolation, match="payoff is below the envelope"):
+        verify_dpp(tree, 1, result=bad)
+
+
+def test_a_value_the_duals_do_not_price_is_an_invariant_violation():
+    tree = make_rw(ineq=[(1, F(3, 2))])
+    res = solve_weak(tree)
+    bad = dataclasses.replace(res, value=res.value + Ext(1))
+    with pytest.raises(InvariantViolation, match="not at the value"):
+        verify_dpp(tree, 1, result=bad)
+
+
+def test_a_slack_priced_bound_is_an_invariant_violation():
+    tree = make_rw(ineq=[(1, F(3, 2))])
+    res = solve_weak(tree)
+    bad = dataclasses.replace(res, measure=rule_to_measure(
+        tree, rule_from_map(tree, {(): 1, (0,): 1, (1,): 1})))
+    with pytest.raises(InvariantViolation, match="slack"):
+        verify_dpp(tree, 1, result=bad)
+
+
+def test_verify_dpp_makes_one_solve_and_no_subtree(monkeypatch):
+    tree = load_instance(generate_instance(seed=4, depth=3, branches=2,
+                                           n_ineq=1, n_eq=1))
+    solves, subtrees = [], []
+
+    def counted_solve(t, *args, **kwargs):
+        solves.append(t)
+        return solve_weak(t, *args, **kwargs)
+
+    real_subtree = TreeInstance.subtree
+
+    def counted_subtree(self, word):
+        subtrees.append(word)
+        return real_subtree(self, word)
+
+    monkeypatch.setattr(dpp, "solve_weak", counted_solve)
+    monkeypatch.setattr(TreeInstance, "subtree", counted_subtree)
+    rep = verify_dpp(tree, 2)
+    assert solves == [tree] and subtrees == []
+    res = solve_weak(tree)
+    assert verify_dpp(tree, 2, result=res) == rep
+    assert solves == [tree] and subtrees == []
+
+
+def assert_matches_the_oracle(tree, budgets=None):
+    """verify_dpp's reports, with its own solve and with a given one, equal
+    the subtree-LP oracle's at every depth cut and at the first-randomization
+    cut."""
+    res = solve_weak(tree, budgets)
+    rule = measure_to_rule(tree, res.measure)
+    for cut in [*range(1, tree.depth + 1), first_randomization_cut(tree, rule)]:
+        want = oracles.verify_dpp_by_subtree_lp(tree, cut, budgets)
+        assert verify_dpp(tree, cut, budgets) == want, (tree.source, cut)
+        assert verify_dpp(tree, cut, budgets, result=res) == want
+
+
+def test_verify_dpp_matches_the_subtree_lp_oracle_on_the_pool():
+    for tree in acceptance_pool():
+        assert_matches_the_oracle(tree)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=CASES)
+def test_verify_dpp_matches_the_subtree_lp_oracle(case):
+    # column generation's cases: mixes (0,1) to (2,1), +inf bounds, shifted
+    # budgets=, l = d = 2, ties everywhere and per-level branching
+    tree, budgets = case
+    assume(solve_weak(tree, budgets).optimal)
+    assert_matches_the_oracle(tree, budgets)

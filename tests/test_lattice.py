@@ -235,6 +235,17 @@ def test_subtree_advances_time_and_history():
     assert sub.state((0,)) == tree.state((0, 0))
 
 
+def test_grid_times_are_t0_plus_k_dt_in_every_subtree():
+    tree = build_tree(dt=Fraction(1, 3), depth=3, branching=BINOM, x0=0,
+                      t0=Fraction(-1, 2))
+    assert [tree.time(k) for k in range(4)] == \
+        [Fraction(-1, 2) + k * Fraction(1, 3) for k in range(4)]
+    for word in [(), (1,), (0, 1), (1, 0, 1)]:
+        sub = tree.subtree(word)
+        assert [sub.time(k) for k in range(sub.depth + 1)] == \
+            [tree.time(len(word) + k) for k in range(sub.depth + 1)]
+
+
 def test_subtree_keeps_the_increment_dimension():
     # l = d = 2: a horizon subtree has no level left to read d from
     tree = build_tree(dt=1, depth=2, x0=(0, 1),
