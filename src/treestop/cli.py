@@ -33,6 +33,8 @@ from .rules import (derandomize, equivalence_check, monte_carlo_value,
                     theta_of_rule)
 from .xreal import Ext
 
+MAX_GRID = 10_000  # dp --grid points: about 0.7 s of queries and printing at 8 x 3
+
 
 @dataclass
 class ExperimentRecord:
@@ -136,8 +138,9 @@ def _cmd_solve(args):
 
 @_recorded
 def _cmd_dp(args):
-    if args.grid is not None and args.grid < 0:
-        raise ValueError(f"--grid must be a point count >= 0, got {args.grid}")
+    if args.grid is not None and not 0 <= args.grid <= MAX_GRID:
+        raise ValueError(f"--grid must be a point count from 0 to {MAX_GRID}, "
+                         f"got {args.grid}")
     tree = load_instance(args.instance)
     env = root_envelope(tree)
     value = Ext(env.value(Ext.parse(args.budget)))

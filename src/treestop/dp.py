@@ -8,12 +8,22 @@ budget accrual, and take the non-decreasing concave hull with the stop point.
 
 The sweep runs in path-probability units, E[1_node G] = P * E[G | node]:
 a node is a chain (x0, v0, top value, (slope, width) segments steepest
-first) whose children's segments are already in its units, so they merge
-by one stable sort and no width is rescaled.  The stop point (0, P * stop
-value) is pasted by walking kinks from x0 only as far as needed.  Only
-returned envelopes are validated: ``node_envelopes`` divides each node's
-chain by P; ``root_envelope`` builds the root's (P = 1) once per tree and
-caches it on the instance.
+first) whose children's segments are in its units, so they merge by one
+stable sort.  The stop point (0, P * stop value) is pasted by walking kinks
+from x0 only as far as needed.
+
+A node's envelope depends on its path only through what the instance's
+functions read.  When they read only t, the state and its running sup (as
+every loaded instance's do), ``TreeInstance._keyed_levels`` folds each
+depth's nodes with one (state, sup) key into one record, and the sweep
+pastes one chain per key, in units of P at the key's first node in BFS
+order (its representative).  A child's chain is rescaled, by
+P * p_j / P(child's representative), only on an edge that does not lead to
+that representative; on other trees every node is its own key and nothing
+is rescaled.  Only returned envelopes are validated: ``node_envelopes``
+divides each key's chain by its P and hands it to every node with the key;
+``root_envelope`` builds the root's (P = 1) once per tree and caches it on
+the instance.
 
 Other constraint mixes go to the LP oracle.  Values are concave in an
 equality target too (a mixture of stopping laws is a stopping law), but
@@ -90,60 +100,51 @@ def _paste(stop, reward_step, budget_step, kids):
     return xs[0], vs[0], top, (*segments[:i - 1], chord, *right)
 
 
-def _forward_levels(tree: TreeInstance):
-    """Per level, the words and each node's (stop value, reward step, budget
-    step), or its chain at the leaves, all times the node's path probability.
-    Kept apart so that the leaf level's paths and weights are freed first."""
+def _sweep(tree: TreeInstance):
+    """Each level's key records (as ``tree._keyed_levels()`` gives them) and
+    chains, one per key in units of its representative's path probability,
+    leaves first; two levels of chains are held at a time."""
     _require_scalar_shape(tree)
-    levels, units = [], [Fraction(1)]
-    for k, level in enumerate(tree.levels()):
-        t = tree.time(k)
-        words, data = [], []
-        for (word, prefix), unit in zip(level, units):
-            words.append(word)
-            stop = unit * tree._terminal_value(t, prefix)
-            if k == tree.depth:
-                data.append((_ZERO, stop, stop, ()))
-            else:
-                step = unit * tree.dt
-                f, (g,), _ = tree._rates(t, prefix)
-                data.append((stop, step * f, step * g))
-        levels.append((words, data))
-        if k < tree.depth:
-            units = [unit * p for unit in units for p, _ in tree.branching[k]]
-    return levels
-
-
-def _backward_levels(tree: TreeInstance):
-    """Each level's words and chains (in units of the node's path
-    probability) in BFS order, leaves first; two levels are held at a time.
-    BFS order puts node i's children at i*n .. i*n+n-1 one level down."""
-    levels, below = _forward_levels(tree), []
-    for k in reversed(range(tree.depth + 1)):
-        words, here = levels.pop()
-        if k < tree.depth:
-            n = len(tree.branching[k])
-            here = [_paste(stop, f_step, g_step, below[i * n:(i + 1) * n])
-                    for i, (stop, f_step, g_step) in enumerate(here)]
-        yield words, here
+    levels, below = tree._keyed_levels(), []
+    while levels:
+        level, here = levels.pop(), []
+        for _, p, stop, rates, kids in level:
+            if rates is None:
+                here.append((_ZERO, p * stop, p * stop, ()))
+                continue
+            f, (g,), _ = rates
+            step = p * tree.dt
+            here.append(_paste(p * stop, step * f, step * g,
+                               [below[i] if c is None else _rescaled(c, below[i])
+                                for i, c in kids]))
+        yield level, here
         below = here
 
 
+def _rescaled(c, chain):
+    """The chain in units c times its own: every value and width times c."""
+    x0, v0, top, segments = chain
+    return c * x0, c * v0, c * top, [(s, c * w) for s, w in segments]
+
+
 def node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
-    """Value-in-budget envelope of every node, computed in one level sweep."""
-    env: Dict[Word, ConcaveEnvelope] = {}
-    for words, here in _backward_levels(tree):
-        env.update((word, _built(chain, tree.path_prob(word)))
-                   for word, chain in zip(reversed(words), reversed(here)))
-    return env
+    """Value-in-budget envelope of every node, in one sweep: a node's is its
+    key's, built once per key."""
+    levels = [(level, [_built(chain, p) for chain, (_, p, *_) in zip(here, level)])
+              for level, here in _sweep(tree)]
+    words, keys, by_node = iter(tree.nodes()), [0], []
+    for level, envs in reversed(levels):
+        by_node += [(next(words), envs[i]) for i in keys]
+        keys = [i for key in keys for i, _ in level[key][4]]
+    return dict(reversed(by_node))
 
 
 def root_envelope(tree: TreeInstance) -> ConcaveEnvelope:
     """The root's envelope, computed once per tree and then cached on it."""
     if tree._root_envelope is None:
-        for _, level in _backward_levels(tree):
+        for _, here in _sweep(tree):
             pass
-        tree._root_envelope = _built(level[0])
+        tree._root_envelope = _built(here[0])
     return tree._root_envelope
 
 

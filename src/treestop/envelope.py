@@ -88,52 +88,6 @@ class ConcaveEnvelope:
     def constant(x0, v) -> "ConcaveEnvelope":
         return ConcaveEnvelope(xs=(as_fraction(x0),), vs=(as_fraction(v),))
 
-    @staticmethod
-    def from_breakpoints(xs: Sequence, vs: Sequence) -> "ConcaveEnvelope":
-        return _canonical(list(map(as_fraction, xs)), list(map(as_fraction, vs)))
-
-    @staticmethod
-    def hull_of_points(points: Sequence[Tuple[Fraction, Fraction]]) -> "ConcaveEnvelope":
-        """Non-decreasing upper concave hull of finitely many (cost, value) points.
-
-        The hull rises to its peak and stays constant afterwards: spending
-        more budget than the best point costs is never forced.
-        """
-        best: dict = {}
-        for x, v in points:
-            x, v = as_fraction(x), as_fraction(v)
-            if x not in best or v > best[x]:
-                best[x] = v
-        pts = sorted(best.items())
-        hull: List[Tuple[Fraction, Fraction]] = []
-        for x, v in pts:
-            while len(hull) >= 2:
-                (x0, v0), (x1, v1) = hull[-2], hull[-1]
-                # keep slopes strictly decreasing along the upper hull
-                if (v1 - v0) * (x - x1) <= (v - v1) * (x1 - x0):
-                    hull.pop()
-                else:
-                    break
-            hull.append((x, v))
-        peak = max(range(len(hull)), key=lambda i: (hull[i][1], -i))
-        hull = hull[: peak + 1]
-        return _canonical([x for x, _ in hull], [v for _, v in hull])
-
-
-def _canonical(xs: List[Fraction], vs: List[Fraction]) -> ConcaveEnvelope:
-    """Merge collinear pieces and drop the trailing flat segment."""
-    keep_x, keep_v = [xs[0]], [vs[0]]
-    for x, v in zip(xs[1:], vs[1:]):
-        if len(keep_x) >= 2:
-            x0, x1 = keep_x[-2], keep_x[-1]
-            v0, v1 = keep_v[-2], keep_v[-1]
-            if (v1 - v0) * (x - x1) == (v - v1) * (x1 - x0):
-                keep_x.pop(), keep_v.pop()
-        keep_x.append(x), keep_v.append(v)
-    while len(keep_x) >= 2 and keep_v[-1] == keep_v[-2]:
-        keep_x.pop(), keep_v.pop()
-    return ConcaveEnvelope(xs=tuple(keep_x), vs=tuple(keep_v))
-
 
 def _scaled(p, env: ConcaveEnvelope):
     """p * env as a chain (x0, v0, top value, (slope, width) pairs of the

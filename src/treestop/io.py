@@ -304,11 +304,13 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
     w_history = tuple(as_fraction(v) for v in raw.get("w_history", []))
     canon["w_history"] = [fmt_rational(v) for v in w_history]
 
-    return build_tree(
+    tree = build_tree(
         t0=t0, dt=dt, depth=depth, branching=branching, history=history,
         drift=fns["drift"], diffusion=fns["diffusion"],
         reward=fns["f"], terminal=fns["pi"],
         inequalities=ineq, equalities=eq, w_history=w_history, source=canon)
+    tree._markov = True  # every function above reads only t, x_current and x_sup
+    return tree
 
 
 def _branch_json(p, w):

@@ -208,7 +208,10 @@ class TreeInstance:
     and coerced by this class only; node data are finite Fractions.
     ``_claims`` maps nodes to states that the sibling fill takes instead of
     the Euler step; only ``_derived`` sets it (for ``CandidateLaw``), and
-    ``levels`` ignores it.
+    ``_keyed_levels`` ignores it.  ``_markov`` marks a tree whose functions
+    read only t, the state and the running sup of its first coordinate
+    (``io.load_instance`` sets it, ``_derived`` copies it), so that
+    ``_keyed_levels`` may fold nodes by that key.
     """
 
     def __init__(self, t0, dt, depth, branching, history, coefficients,
@@ -256,6 +259,7 @@ class TreeInstance:
         self._root_envelope = None
         self._table: Optional[NodeTable] = None
         self._claims: dict = {}
+        self._markov = False
 
     # -- structure ---------------------------------------------------------
 
@@ -379,21 +383,48 @@ class TreeInstance:
         """Terminal payoff pi at a state path."""
         return _finite(self.terminal(t, prefix), "terminal payoff", t)
 
-    def levels(self):
-        """Each depth's (word, prefix) pairs in BFS order, root level first.
+    def _keyed_levels(self):
+        """The tree's levels, root first, with the nodes that share a Markov
+        key folded into one record per key, in the BFS order of each key's
+        first node (its representative).
 
-        A prefix is the state path that the instance's functions see at the
-        node (what ``euler_state`` returns); each child's prefix extends its
-        parent's by one Euler step.  Only one level is held at a time, and
-        the state cache is left untouched.
+        A record is (prefix, P, stop, rates, children): the representative's
+        state path (what ``euler_state`` returns), path probability, terminal
+        payoff and ``_rates`` (None at the leaves), and per branch j the
+        child's key index one level down with the factor
+        P * p_j / P(child's representative), None when it is 1.  On a tree
+        marked ``_markov`` (its functions read only t, the state and the
+        running sup of its first coordinate) a node's key is that state and
+        sup, seeded by the history's max; otherwise every node is its own
+        key.  Claims are ignored, and the state cache is left untouched.
         """
-        level = [(ROOT, self._prefix_for_call(ROOT))]
-        for k in range(self.depth):
-            yield level
-            level = [(word + (j,), prefix + (self._unwrap(x),))
-                     for word, prefix in level
-                     for j, x in enumerate(self._child_states(k, prefix))]
-        yield level
+        first = (lambda x: x[0]) if self.l > 1 else (lambda x: x)
+        prefix = self._prefix_for_call(ROOT)
+        reps, levels = [(prefix, Fraction(1), max(map(first, prefix)))], []
+        for k in range(self.depth + 1):
+            t, leaf = self.time(k), k == self.depth
+            level = [(prefix, p, self._terminal_value(t, prefix),
+                      None if leaf else self._rates(t, prefix)) for prefix, p, _ in reps]
+            if leaf:
+                levels.append([(*record, ()) for record in level])
+                break
+            below, index, children = [], {}, []
+            for prefix, p, sup in reps:
+                kids = []
+                for (q, _), x in zip(self.branching[k], self._child_states(k, prefix)):
+                    x, q = self._unwrap(x), p * q
+                    s = max(sup, first(x)) if self._markov else None
+                    i = index.setdefault((x, s), len(below)) if self._markov else len(below)
+                    if i == len(below):
+                        below.append((prefix + (x,), q, s))
+                        kids.append((i, None))
+                    else:
+                        c = q / below[i][1]
+                        kids.append((i, None if c == 1 else c))
+                children.append(tuple(kids))
+            levels.append([(*record, kids) for record, kids in zip(level, children)])
+            reps = below
+        return levels
 
     def state(self, word: Word):
         """State at a node (scalar when the state dimension is 1)."""
@@ -469,6 +500,7 @@ class TreeInstance:
                            self.constraints, self.w_history)
         out.d = self.d
         out._claims = claims or {}
+        out._markov = self._markov
         return out
 
 

