@@ -108,15 +108,16 @@ def _sweep(tree: TreeInstance):
     levels, below = tree._keyed_levels(), []
     while levels:
         level, here = levels.pop(), []
-        for _, p, stop, rates, kids in level:
-            if rates is None:
+        for record in level:
+            p, stop = record.prob, record.stop
+            if record.rates is None:
                 here.append((_ZERO, p * stop, p * stop, ()))
                 continue
-            f, (g,), _ = rates
+            f, (g,), _ = record.rates
             step = p * tree.dt
             here.append(_paste(p * stop, step * f, step * g,
                                [below[i] if c is None else _rescaled(c, below[i])
-                                for i, c in kids]))
+                                for i, c in record.kids]))
         yield level, here
         below = here
 
@@ -130,12 +131,12 @@ def _rescaled(c, chain):
 def node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
     """Value-in-budget envelope of every node, in one sweep: a node's is its
     key's, built once per key."""
-    levels = [(level, [_built(chain, p) for chain, (_, p, *_) in zip(here, level)])
+    levels = [(level, [_built(chain, record.prob) for chain, record in zip(here, level)])
               for level, here in _sweep(tree)]
     words, keys, by_node = iter(tree.nodes()), [0], []
     for level, envs in reversed(levels):
         by_node += [(next(words), envs[i]) for i in keys]
-        keys = [i for key in keys for i, _ in level[key][4]]
+        keys = [i for key in keys for i, _ in level[key].kids]
     return dict(reversed(by_node))
 
 

@@ -42,7 +42,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from .errors import InvariantViolation, ShapeMismatch
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
 from .lp import SolveResult, _budgets_or_default, _certify_optimal, solve_weak
-from .measures import StoppingMeasure
+from .measures import StoppingMeasure, _stop_weights
 from .rules import RandomizedStoppingRule
 
 TauSpec = Union[int, Iterable[Word]]
@@ -155,9 +155,10 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
         if r == 0:
             zero.append(nu)
             continue
-        _, G_nu, H_nu = tree._functionals(nu)
+        F_nu, G_nu, H_nu = tree._functionals(nu)
         sub_tree = tree.subtree(nu)
         sub_s, sub_u = {}, {}  # the conditional measure's masses
+        stops = {}  # the conditional stop mass, on the tree's own words
         ys = [Fraction(0)] * n_i
         zs = [Fraction(0)] * n_e
         for rel in sub_tree.nodes():
@@ -165,6 +166,7 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
             sub_s[rel] = measure.stop(w) / r
             sub_u[rel] = measure.cont(w) / r
             if sub_s[rel] > 0:
+                stops[w] = sub_s[rel]
                 _, G_w, H_w = tree._functionals(w)
                 for i in range(n_i):
                     ys[i] += (G_w[i] - G_nu[i]) * sub_s[rel]
@@ -172,8 +174,12 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
                     zs[i] += (H_w[i] - H_nu[i]) * sub_s[rel]
         sub_measure = StoppingMeasure(s=sub_s, u=sub_u)
         sub_measure.validate(sub_tree)
-        exp = sub_measure.expectations(sub_tree)
-        if tuple(exp["ineq"]) != tuple(ys) or tuple(exp["eq"]) != tuple(zs):
+        # read from the tree's table (expectations read only the stop mass);
+        # the subtree accrues from 0 at nu, so its own are these less nu's
+        exp = StoppingMeasure(s=stops, u={}).expectations(tree)
+        value = exp["value"] - F_nu
+        if (tuple(a - a_nu for a, a_nu in zip(exp["ineq"], G_nu)) != tuple(ys)
+                or tuple(a - a_nu for a, a_nu in zip(exp["eq"], H_nu)) != tuple(zs)):
             raise InvariantViolation(
                 f"conditional budgets at {nu} differ from the conditional "
                 "measure's accruals")
@@ -182,7 +188,7 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
         for i in range(n_e):
             tower_e[i] += zs[i] * r
         survivors[nu] = SurvivorData(node=nu, mass=r, ys=tuple(ys), zs=tuple(zs),
-                                     measure=sub_measure, value=exp["value"],
+                                     measure=sub_measure, value=value,
                                      subtree=sub_tree)
 
     return ConditionalBudgets(cut=cut, survivors=survivors,
@@ -244,29 +250,30 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
     if not base.optimal:
         raise ValueError(f"base solve is {base.status}: {base.reason}")
     cut = normalize_cut(tree, tau)
-    env, scale, exp = _certify_optimal(tree, _budgets_or_default(tree, budgets), base)
+    env, env_scale, exp = _certify_optimal(tree, _budgets_or_default(tree, budgets), base)
     measure, table = base.measure, tree._node_table()
     prices = base.duals_ineq + base.duals_eq
     n_i = len(base.duals_ineq)
 
     # stop mass times (V, G, H), summed below each cut node and (at None)
-    # over the nodes that stop before the cut, which are also listed
+    # over the nodes that stop before the cut, which are also listed; the
+    # sums are ints over the table's denominators times one scale
     in_cut = set(cut)
-    below = {nu: [Fraction(0)] * (1 + len(prices)) for nu in (None, *cut)}
+    below = {nu: [0] * len(table.cols) for nu in (None, *cut)}
     stopped_before: List[dict] = []
-    for w in table.words:
-        mass = measure.s.get(w)
-        if not mass:
-            continue
-        F, Gs, Hs = tree._functionals(w)
-        payoff = tree.stop_payoff(w)
+    rows, weights, scale = _stop_weights(table, measure.s)
+    for i, weight in sorted(zip(rows, weights)):
+        w = table.words[i]
         nu = next((w[:k] for k in range(1, len(w) + 1) if w[:k] in in_cut), None)
         if nu is None:
-            stopped_before.append({"node": w, "mass": mass, "F": F, "G": Gs,
-                                   "H": Hs, "payoff": payoff})
+            F, Gs, Hs = tree._functionals(w)
+            stopped_before.append({"node": w, "mass": measure.s[w], "F": F, "G": Gs,
+                                   "H": Hs, "payoff": table.value(0, i)})
         sums = below[nu]
-        for c, x in enumerate((payoff, *Gs, *Hs)):
-            sums[c] += mass * x
+        for c, col in enumerate(table.cols):
+            sums[c] += weight * col[i]
+    below = {nu: [Fraction(x, scale * den) for x, den in zip(sums, table.dens)]
+             for nu, sums in below.items()}
 
     rhs = rhs_super = below[None][0]
     # the tower identity's terms: accruals where the measure stops before
@@ -284,10 +291,8 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
         value = sums[0] / r - F
         at_nu = (*Gs, *Hs)
         rest = [a / r - x for a, x in zip(sums[1:], at_nu)]
-        i = 0
-        for j in nu:  # nu's row in the table
-            i = table.first[i] + j
-        subvalue = Fraction(env[i], scale) / tree.path_prob(nu) - F \
+        i = table.index[nu]
+        subvalue = Fraction(env[i] * table.prob_den, env_scale * table.probs[i]) - F \
             + sum(q * (x + y) for q, x, y in zip(prices, at_nu, rest))
         rhs += (F + subvalue) * r
         rhs_super += (F + value) * r

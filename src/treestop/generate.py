@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .errors import ShapeTooLarge
 from .io import fmt_rational, load_instance
-from .rules import rule_from_map, rule_to_measure
-from .xreal import as_fraction
 
 DEPTH_CAP = 8
 BRANCH_CAP = 4
@@ -69,18 +67,41 @@ def generate_instance(seed: int, depth: int = 2, branches: int = 2,
 
     # bound the constraints by the accruals of a random reference rule, so
     # the instance is feasible by construction
-    tree = load_instance(doc)
-    q_map = {}
-    for w in tree.nodes():
-        if len(w) < depth:
-            q_map[w] = Fraction(rng.randint(0, 4), 4)
-    rule = rule_from_map(tree, q_map)
-    exp = rule_to_measure(tree, rule).expectations(tree)
+    accrued = _reference_accruals(load_instance(doc), rng)
     for i, item in enumerate(doc["constraints"]["ineq"]):
         if rng.random() < vacuous_rate:
             item["y"] = "inf"
         else:
-            item["y"] = fmt_rational(exp["ineq"][i])
+            item["y"] = fmt_rational(accrued[i])
     for i, item in enumerate(doc["constraints"]["eq"]):
-        item["z"] = fmt_rational(exp["eq"][i])
+        item["z"] = fmt_rational(accrued[n_ineq + i])
     return load_instance(doc).source
+
+
+def _reference_accruals(tree, rng: random.Random) -> list:
+    """Expected accruals (G_i, then H_j) of the reference rule that stops
+    each interior node with probability q = r/4, r = rng.randint(0, 4)
+    drawn in BFS order.
+
+    A node's accruals are its ancestors' rates times dt, so the expectation
+    is dt times the sum over interior nodes of continue mass u times the
+    rates of the node's key (``TreeInstance._keyed_levels``).  u is an int
+    per node over one denominator per depth; the sum takes one Fraction
+    per key.
+    """
+    levels, (units, branch) = tree._keyed_levels(), tree._branch_ints()
+    totals = [Fraction(0)] * (tree.constraints.n_ineq + tree.constraints.n_eq)
+    nodes, den = [(0, 1)], 1  # (key, arriving mass over den) in BFS order
+    for level, unit, probs in zip(levels, units, branch):
+        cont, below = [0] * len(level), []
+        for key, arrive in nodes:
+            u = arrive * (4 - rng.randint(0, 4))  # over den * 4
+            cont[key] += u
+            below += [(kid, u * p) for (kid, _), p in zip(level[key].kids, probs)]
+        den *= 4
+        for record, u in zip(level, cont):
+            _, gs, hs = record.rates
+            for c, rate in enumerate((*gs, *hs)):
+                totals[c] += rate * Fraction(u, den)
+        nodes, den = below, den * unit
+    return [total * tree.dt for total in totals]

@@ -24,12 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from operator import mul
-from typing import Callable, Optional, Sequence, Tuple
+from math import gcd, lcm
+from operator import add, mul
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (InvalidBranching, InvalidHorizon, NodeNotInTree,
-                     ShapeTooLarge, WordTooLong)
+from .errors import (InvalidBranching, InvalidHorizon, InvariantViolation,
+                     NodeNotInTree, ShapeTooLarge, WordTooLong)
 from .xreal import Ext, as_fraction
 
 Word = Tuple[int, ...]
@@ -174,6 +174,16 @@ class BudgetVector:
         )
 
 
+class KeyRecord(NamedTuple):
+    """One Markov key of a level, as ``TreeInstance._keyed_levels`` gives it."""
+
+    state: object           # its nodes' last ``euler_state`` entry
+    prob: Fraction          # the representative's path probability P
+    stop: Fraction          # the terminal payoff
+    rates: Optional[tuple]  # ``_rates``, None at the leaves
+    kids: tuple             # per branch: (child's key index, factor or None)
+
+
 @dataclass(frozen=True)
 class NodeTable:
     """A tree's nodes in BFS order, with integer payoff columns.
@@ -183,13 +193,26 @@ class NodeTable:
     (``first`` has one entry more than there are interior nodes).  Column c
     holds, at every node, the path probability times the stop payoff
     (c = 0), then times each G_i, then each H_i, as ints over the one
-    denominator ``dens[c]``.
+    denominator ``dens[c]``; ``probs`` holds the path probabilities as ints
+    over ``prob_den``.  Each denominator is the least common one, so node
+    i's exact value in column c is ``cols[c][i] * prob_den / (dens[c] *
+    probs[i])`` (``value``).  ``index`` maps each word to its node.
     """
 
     words: Tuple[Word, ...]
     first: Tuple[int, ...]
     cols: Tuple[Tuple[int, ...], ...]
     dens: Tuple[int, ...]
+    probs: Tuple[int, ...]
+    prob_den: int
+    index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
+
+    def value(self, c: int, i: int) -> Fraction:
+        """Node i's stop payoff (c = 0), G_i or H_i, exactly."""
+        return Fraction(self.cols[c][i] * self.prob_den, self.dens[c] * self.probs[i])
 
 
 class TreeInstance:
@@ -197,21 +220,23 @@ class TreeInstance:
 
     Nodes are increment words; more than ``MAX_NODES`` of them are refused
     before any is built.  State paths (in the form the instance's functions
-    are called with), path probabilities and cumulative functionals are
-    computed lazily and cached per node (``_prefixes``, ``_pathprob``,
-    ``_funcs``, one entry shared by siblings), as is the root envelope
-    (``_root_envelope``, filled by ``dp.root_envelope``) and the node table
-    (``_node_table``, built by the first ``lp.solve_weak``); instances are safe
-    to share for concurrent reads once constructed (all operations are
-    pure).  The grid times are computed once, per depth (``_times``).
-    Reward, integrands, terminal payoff, drift and diffusion are called
-    and coerced by this class only; node data are finite Fractions.
-    ``_claims`` maps nodes to states that the sibling fill takes instead of
-    the Euler step; only ``_derived`` sets it (for ``CandidateLaw``), and
-    ``_keyed_levels`` ignores it.  ``_markov`` marks a tree whose functions
-    read only t, the state and the running sup of its first coordinate
-    (``io.load_instance`` sets it, ``_derived`` copies it), so that
-    ``_keyed_levels`` may fold nodes by that key.
+    are called with), path probabilities, rates and cumulative functionals
+    are computed lazily and cached per node (``_prefixes``, ``_pathprob``,
+    ``_node_rates``, ``_funcs``, one accrual entry shared by siblings), as
+    is the root envelope (``_root_envelope``, filled by
+    ``dp.root_envelope``) and the node table (``_table``, built whole by
+    the first ``_node_table()`` call, which also fills every node's state
+    path and accruals); instances are safe to share for concurrent reads
+    once constructed (all operations are pure).  The grid times are
+    computed once, per depth (``_times``).  Reward, integrands, terminal
+    payoff, drift and diffusion are called and coerced by this class only;
+    node data are finite Fractions.  ``_claims`` maps nodes to states that
+    the sibling fill takes instead of the Euler step; only ``_derived``
+    sets it (for ``CandidateLaw``), ``_keyed_levels`` ignores it, and a
+    tree that has it builds no node table.  ``_markov`` marks a tree whose
+    functions read only t, the state and the running sup of its first
+    coordinate (``io.load_instance`` sets it, ``_derived`` copies it), so
+    that ``_keyed_levels`` may fold nodes by that key.
     """
 
     def __init__(self, t0, dt, depth, branching, history, coefficients,
@@ -255,6 +280,7 @@ class TreeInstance:
         zero = Fraction(0)
         self._funcs: dict = {ROOT: (zero, (zero,) * constraints.n_ineq,
                                     (zero,) * constraints.n_eq)}
+        self._node_rates: dict = {}
         self._pathprob: dict = {ROOT: Fraction(1)}
         self._root_envelope = None
         self._table: Optional[NodeTable] = None
@@ -385,46 +411,57 @@ class TreeInstance:
 
     def _keyed_levels(self):
         """The tree's levels, root first, with the nodes that share a Markov
-        key folded into one record per key, in the BFS order of each key's
-        first node (its representative).
+        key folded into one ``KeyRecord`` per key, in the BFS order of each
+        key's first node (its representative).
 
-        A record is (prefix, P, stop, rates, children): the representative's
-        state path (what ``euler_state`` returns), path probability, terminal
-        payoff and ``_rates`` (None at the leaves), and per branch j the
-        child's key index one level down with the factor
-        P * p_j / P(child's representative), None when it is 1.  On a tree
-        marked ``_markov`` (its functions read only t, the state and the
-        running sup of its first coordinate) a node's key is that state and
-        sup, seeded by the history's max; otherwise every node is its own
-        key.  Claims are ignored, and the state cache is left untouched.
+        A record holds the key's state (the last entry of its nodes'
+        ``euler_state``), the representative's path probability P,
+        terminal payoff and ``_rates`` (None at the leaves; read from
+        ``_node_rates`` when it holds them), and per branch j the child's
+        key index one level down with the factor P * p_j / P(child's
+        representative), None when it is 1.  On a tree marked ``_markov``
+        (its functions read only t, the state and the running sup of its
+        first coordinate) a node's key is that state and sup, seeded by the
+        history's max; otherwise every node is its own key.  Claims are
+        ignored, and the caches are left untouched.
         """
         first = (lambda x: x[0]) if self.l > 1 else (lambda x: x)
-        prefix = self._prefix_for_call(ROOT)
-        reps, levels = [(prefix, Fraction(1), max(map(first, prefix)))], []
+        prefix, rates = self._prefix_for_call(ROOT), self._node_rates
+        # the representatives of one level: word, state path, P and sup
+        reps, levels = [(ROOT, prefix, Fraction(1), max(map(first, prefix)))], []
         for k in range(self.depth + 1):
             t, leaf = self.time(k), k == self.depth
-            level = [(prefix, p, self._terminal_value(t, prefix),
-                      None if leaf else self._rates(t, prefix)) for prefix, p, _ in reps]
+            level = [(prefix[-1], p, self._terminal_value(t, prefix),
+                      None if leaf else rates.get(word) or self._rates(t, prefix))
+                     for word, prefix, p, _ in reps]
             if leaf:
-                levels.append([(*record, ()) for record in level])
+                levels.append([KeyRecord(*record, ()) for record in level])
                 break
             below, index, children = [], {}, []
-            for prefix, p, sup in reps:
+            for word, prefix, p, sup in reps:
                 kids = []
-                for (q, _), x in zip(self.branching[k], self._child_states(k, prefix)):
+                for j, ((q, _), x) in enumerate(zip(self.branching[k],
+                                                    self._child_states(k, prefix))):
                     x, q = self._unwrap(x), p * q
                     s = max(sup, first(x)) if self._markov else None
                     i = index.setdefault((x, s), len(below)) if self._markov else len(below)
                     if i == len(below):
-                        below.append((prefix + (x,), q, s))
+                        below.append((word + (j,), prefix + (x,), q, s))
                         kids.append((i, None))
                     else:
-                        c = q / below[i][1]
+                        c = q / below[i][2]
                         kids.append((i, None if c == 1 else c))
                 children.append(tuple(kids))
-            levels.append([(*record, kids) for record, kids in zip(level, children)])
+            levels.append([KeyRecord(*record, kids) for record, kids in zip(level, children)])
             reps = below
         return levels
+
+    def _branch_ints(self):
+        """Per level, the branch probabilities as ints over their least
+        common denominator: (denominators, numerators)."""
+        units = [lcm(*(p.denominator for p, _ in level)) for level in self.branching]
+        return units, [[p.numerator * (unit // p.denominator) for p, _ in level]
+                       for level, unit in zip(self.branching, units)]
 
     def state(self, word: Word):
         """State at a node (scalar when the state dimension is 1)."""
@@ -443,13 +480,18 @@ class TreeInstance:
     # -- functionals -----------------------------------------------------------
 
     def _functionals(self, word: Word):
-        """Accrued (F, (G_i), (H_i)) at a node, cached; a miss evaluates the
-        parent's rates once, into one entry that all its children share."""
+        """Accrued (F, (G_i), (H_i)) at a node, cached; a miss reads the
+        parent's rates (evaluated once, into ``_node_rates``) into one entry
+        that all its children share."""
         got = self._funcs.get(word)
         if got is None:
             parent = word[:-1]
             F, Gs, Hs = self._functionals(parent)
-            f, gs, hs = self._rates(self.time(len(parent)), self._prefix_for_call(parent))
+            rates = self._node_rates.get(parent)
+            if rates is None:
+                rates = self._node_rates[parent] = self._rates(
+                    self.time(len(parent)), self._prefix_for_call(parent))
+            f, gs, hs = rates
             got = (F + f * self.dt,
                    tuple(G + g * self.dt for G, g in zip(Gs, gs)),
                    tuple(H + h * self.dt for H, h in zip(Hs, hs)))
@@ -464,26 +506,74 @@ class TreeInstance:
         return self._functionals(word)[0] + self.terminal_at(word)
 
     def _node_table(self) -> NodeTable:
-        """The node table, built on first use and cached."""
-        if self._table is None:
-            words = tuple(self.nodes())
-            first = [1]  # ends at len(words): every node but the root is a child
-            for w in words:
-                if len(w) == self.depth:
-                    break
-                first.append(first[-1] + self.n_branches(len(w)))
-            rows = []
-            for w in words:
-                p = self.path_prob(w)
-                F, Gs, Hs = self._functionals(w)
-                rows.append([p * (F + self.terminal_at(w)), *(p * G for G in Gs),
-                             *(p * H for H in Hs)])
-            cols, dens = [], []
-            for col in zip(*rows):
-                den = lcm(*(v.denominator for v in col))
-                cols.append(tuple(v.numerator * (den // v.denominator) for v in col))
-                dens.append(den)
-            self._table = NodeTable(words, tuple(first), tuple(cols), tuple(dens))
+        """The node table, built on first use and cached.
+
+        One walk over ``_keyed_levels()``, whose records hold each key's
+        rates, terminal payoff and Euler step: a node costs only int work.
+        Its path probability is an int over the product of the levels'
+        probability denominators, and its accruals are ints over one
+        denominator per column, both carried down from its parent; one gcd
+        per column then reduces the columns.  The walk also caches every
+        node's state path (its parent's plus its key's state) and, shared
+        by siblings, its accruals.  A tree with claims has no table: the
+        walk would cache unclaimed paths.
+        """
+        if self._table is not None:
+            return self._table
+        if self._claims:
+            raise InvariantViolation("a tree with claimed states has no node table")
+        levels, dt, n_ineq = self._keyed_levels(), self.dt, self.constraints.n_ineq
+        # per key: its stop payoff, and at interior keys its accrual step
+        pays = [[record.stop for record in level] for level in levels]
+        steps = [[(f * dt, *(g * dt for g in gs), *(h * dt for h in hs))
+                  for f, gs, hs in (record.rates for record in level)]
+                 for level in levels[:-1]]
+        # each column's one denominator for them, and the steps as ints over it
+        ones = [lcm(*(step[c].denominator for level in steps for step in level))
+                for c in range(1 + n_ineq + self.constraints.n_eq)]
+        ones[0] = lcm(ones[0], *(v.denominator for level in pays for v in level))
+        steps = [[tuple(v.numerator * (one // v.denominator) for v, one in zip(step, ones))
+                  for step in level] for level in steps]
+        # P is an int over the product of the levels' branch denominators
+        units, branch = self._branch_ints()
+        scale = 1
+        for unit in units:
+            scale *= unit
+
+        words, first, probs, rows = [], [1], [], []
+        prefixes, funcs = self._prefixes, self._funcs
+        nodes = [(ROOT, 0, scale, (0,) * len(ones))]  # word, key, P, accruals
+        for k, level in enumerate(levels):
+            pay = [v.numerator * (ones[0] // v.denominator) for v in pays[k]]
+            below = []
+            for word, key, p, acc in nodes:
+                words.append(word)
+                probs.append(p)
+                row = [p * a for a in acc]
+                row[0] += p * pay[key]
+                rows.append(row)
+                if k == self.depth:
+                    continue
+                acc = tuple(map(add, acc, steps[k][key]))
+                F, *accrued = map(Fraction, acc, ones)
+                shared = (F, tuple(accrued[:n_ineq]), tuple(accrued[n_ineq:]))
+                prefix, kids = prefixes[word], level[key].kids
+                first.append(first[-1] + len(kids))
+                p //= units[k]
+                for j, ((kid, _), q) in enumerate(zip(kids, branch[k])):
+                    child = word + (j,)
+                    prefixes[child] = prefix + (levels[k + 1][kid].state,)
+                    funcs[child] = shared
+                    below.append((child, kid, p * q, acc))
+            nodes = below
+
+        cols, dens = [], []
+        for col, one in zip(zip(*rows), ones):
+            g = gcd(scale * one, *col)
+            cols.append(tuple(v // g for v in col))
+            dens.append(scale * one // g)
+        self._table = NodeTable(tuple(words), tuple(first), tuple(cols), tuple(dens),
+                                tuple(probs), scale)
         return self._table
 
     def subtree(self, word: Word) -> "TreeInstance":

@@ -302,8 +302,7 @@ def _vertex(tree: TreeInstance, table: NodeTable, pay, env, rows, senses,
                 f"the optimal face holds the master's mixture, but the crossover "
                 f"LP came back {res.status}")
         for t, alpha in zip(tied, res.x):
-            word = table.words[t]
-            u[word] = alpha * tree.path_prob(word)
+            u[table.words[t]] = alpha * Fraction(table.probs[t], table.prob_den)
     zero = Fraction(0)
     return _pushed_forward(tree, lambda w, arrive: arrive if w in through
                            else u.get(w, zero))

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Dict
 
-from .lattice import ROOT, TreeInstance, Word
+from .errors import NodeNotInTree
+from .lattice import ROOT, NodeTable, TreeInstance, Word
 
 
 @dataclass(frozen=True)
@@ -74,25 +77,37 @@ def _pushed_forward(tree: TreeInstance, cont, branch_prob=None) -> StoppingMeasu
     return StoppingMeasure(s=s, u=u)
 
 
-def expectations_from_stop_mass(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -> dict:
-    value = mean_stop = Fraction(0)
-    gs = [Fraction(0)] * tree.constraints.n_ineq
-    hs = [Fraction(0)] * tree.constraints.n_eq
+def _stop_weights(table: NodeTable, stop_mass: Dict[Word, Fraction]):
+    """The rows that a stop mass charges and, per row, its mass over the
+    node's path probability, as ints over one scale: (rows, weights,
+    scale).  A mass on a word that is not a node raises NodeNotInTree."""
+    rows, ratios = [], []
     for word, mass in stop_mass.items():
-        if mass == 0:
-            continue
-        _, Gs, Hs = tree._functionals(word)
-        value += tree.stop_payoff(word) * mass
-        for i, G in enumerate(Gs):
-            gs[i] += G * mass
-        for i, H in enumerate(Hs):
-            hs[i] += H * mass
-        mean_stop += mass * (tree.time(len(word)) - tree.t0)
+        if mass:
+            i = table.index.get(word)
+            if i is None:
+                raise NodeNotInTree(f"stop mass {mass} on {word}, which is not a node")
+            rows.append(i)
+            ratios.append(Fraction(mass.numerator * table.prob_den,
+                                   mass.denominator * table.probs[i]))
+    scale = lcm(*(r.denominator for r in ratios))
+    return rows, [r.numerator * (scale // r.denominator) for r in ratios], scale
+
+
+def expectations_from_stop_mass(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -> dict:
+    """Expected stop payoff, accruals and stop time under a stop mass: per
+    column, stop mass times the node table's row, summed as ints."""
+    table = tree._node_table()
+    rows, weights, scale = _stop_weights(table, stop_mass)
+    value, *accrued = (Fraction(sum(map(mul, weights, map(col.__getitem__, rows))),
+                                scale * den) for col, den in zip(table.cols, table.dens))
+    steps = sum(w * table.probs[i] * len(table.words[i]) for i, w in zip(rows, weights))
+    n_ineq = tree.constraints.n_ineq
     return {
         "value": value,
-        "ineq": tuple(gs),
-        "eq": tuple(hs),
-        "mean_stop_time": mean_stop,
+        "ineq": tuple(accrued[:n_ineq]),
+        "eq": tuple(accrued[n_ineq:]),
+        "mean_stop_time": Fraction(steps, scale * table.prob_den) * tree.dt,
     }
 
 

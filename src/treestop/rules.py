@@ -203,28 +203,27 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
         raise ValueError("paths must be >= 1")
     rule.validate(tree)
 
-    # number the nodes in BFS order and flatten them into float tables once;
-    # per node: (survival factor 1 - q, first child's number, the level's
-    # cumulative branch probabilities, the last branch's index)
-    thresholds = [list(accumulate(float(p) for p, _ in level))
-                  for level in tree.branching]
-    n_funcs = 1 + tree.constraints.n_ineq + tree.constraints.n_eq
+    # flatten the node table into float tables once: per column, each
+    # node's value (int true division rounds as float(Fraction) does) and
+    # its square; per node, the threshold theta that stops a path there
+    # (1 - its survival product, the doubles a running product gives), its
+    # first child's row and its level's cumulative branch probabilities
+    # without the last (a draw past them all takes the last branch)
+    table = tree._node_table()
+    vals = [[c * table.prob_den / (den * p) for c, p in zip(col, table.probs)]
+            for col, den in zip(table.cols, table.dens)]
+    sqs = [[v * v for v in col] for col in vals]
+    n_funcs = len(vals)
+    cums = [list(accumulate(float(p) for p, _ in level))[:-1] for level in tree.branching]
+    alive = [1.0 - float(rule.prob(w)) for w in table.words]
     steps = []
-    # per functional, its value and its square at each node
-    vals = [[] for _ in range(n_funcs)]
-    sqs = [[] for _ in range(n_funcs)]
-    first = 1
-    for word in tree.nodes():
-        k = len(word)
-        _, Gs, Hs = tree._functionals(word)
-        values = (float(tree.stop_payoff(word)),) + \
-            tuple(float(G) for G in Gs) + tuple(float(H) for H in Hs)
-        for col, sq_col, v in zip(vals, sqs, values):
-            col.append(v)
-            sq_col.append(v * v)
-        cum = thresholds[k] if k < tree.depth else []
-        steps.append((1.0 - float(rule.prob(word)), first, cum, len(cum) - 1))
-        first += len(cum)
+    for i, word in enumerate(table.words):
+        if len(word) < tree.depth:
+            for kid in range(table.first[i], table.first[i + 1]):
+                alive[kid] *= alive[i]
+            steps.append((1.0 - alive[i], table.first[i], cums[len(word)]))
+        else:
+            steps.append((1.0 - alive[i], 0, []))
 
     sums = [0.0] * n_funcs
     sq = [0.0] * n_funcs
@@ -241,16 +240,11 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
     for _ in range(paths):
         eta = draw()
         node = 0
-        not_stopped = 1.0
         while True:
-            surv, kid0, cum, last = steps[node]
-            survive = not_stopped * surv
-            if 1.0 - survive > eta:  # theta at this node exceeds eta
+            theta, kid0, cum = steps[node]
+            if theta > eta:
                 break
-            not_stopped = survive
-            # the first branch whose cumulative probability exceeds the draw,
-            # the last one if none does
-            node = kid0 + bisect_right(cum, draw(), 0, last)
+            node = kid0 + bisect_right(cum, draw())
         block.append(node)
         if len(block) == _BLOCK:
             add_block(block)

@@ -9,7 +9,9 @@ simplex that the integer-row solver must match result for result, a per-statisti
 shared sweep must match statistic for statistic, and a node-by-node envelope
 recursion that the level-order sweep must match envelope for envelope, and
 the tree-walking interpreter of instance expressions that the compiled
-expressions must match value for value.
+expressions must match value for value, and the word-by-word node table,
+expectations and instance generator that the keyed integer walk must match
+value for value.
 """
 
 import ast
@@ -24,13 +26,19 @@ from treestop.dp import _require_scalar_shape
 from treestop.dpp import condition, paste
 from treestop.envelope import ConcaveEnvelope
 from treestop.errors import DegreeTooHigh, InvariantViolation, SubproblemInfeasible
-from treestop.lattice import ROOT, BudgetVector, TreeInstance, Word, _as_matrix, _as_vector
+from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _G_NONNEG, _H_ANY,
+                                _INCREMENTS, _REWARDS, _TERMINALS, BRANCH_CAP, DEPTH_CAP)
+from treestop.errors import ShapeTooLarge
+from treestop.io import fmt_rational, load_instance
+from treestop.lattice import (ROOT, BudgetVector, NodeTable, TreeInstance, Word,
+                              _as_matrix, _as_vector)
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
                                  _sigbar_entry, monomial_basis, weight_battery)
 from treestop.lp import INFEASIBLE as SOLVE_INFEASIBLE
 from treestop.lp import SolveResult, _budgets_or_default, solve_weak
 from treestop.measures import StoppingMeasure, _pushed_forward, feasible_for
+from treestop.rules import rule_from_map, rule_to_measure
 from treestop.xreal import as_fraction
 from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
@@ -906,3 +914,115 @@ def monte_carlo_oracle(tree: TreeInstance, rule, paths: int, seed: int = 0) -> d
     k += tree.constraints.n_ineq
     out["eq"] = tuple(mean_se(k + i) for i in range(tree.constraints.n_eq))
     return out
+
+
+# -- the node table, expectations and generation, word by word -----------------------
+# ``node_table_by_words`` is ``TreeInstance._node_table`` as it was before
+# the keyed integer walk (each node's path probability, accruals and terminal
+# payoff as Fractions from the per-word caches), with the path probabilities
+# added; ``expectations_by_words`` is ``measures.expectations_from_stop_mass``
+# and ``oracle_generate_instance`` is ``generate.generate_instance`` as they
+# were, the generator's reference rule pushed forward to a measure.  Each is
+# copied verbatim apart from its name; give them a freshly loaded tree, whose
+# caches no table walk has filled.
+
+def node_table_by_words(tree: TreeInstance) -> NodeTable:
+    words = tuple(tree.nodes())
+    first = [1]  # ends at len(words): every node but the root is a child
+    for w in words:
+        if len(w) == tree.depth:
+            break
+        first.append(first[-1] + tree.n_branches(len(w)))
+    rows = []
+    for w in words:
+        p = tree.path_prob(w)
+        F, Gs, Hs = tree._functionals(w)
+        rows.append([p * (F + tree.terminal_at(w)), *(p * G for G in Gs),
+                     *(p * H for H in Hs)])
+    cols, dens = [], []
+    for col in zip(*rows):
+        den = math.lcm(*(v.denominator for v in col))
+        cols.append(tuple(v.numerator * (den // v.denominator) for v in col))
+        dens.append(den)
+    probs = [tree.path_prob(w) for w in words]
+    prob_den = math.lcm(*(p.denominator for p in probs))
+    return NodeTable(words, tuple(first), tuple(cols), tuple(dens),
+                     tuple(p.numerator * (prob_den // p.denominator) for p in probs),
+                     prob_den)
+
+
+def expectations_by_words(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -> dict:
+    value = mean_stop = Fraction(0)
+    gs = [Fraction(0)] * tree.constraints.n_ineq
+    hs = [Fraction(0)] * tree.constraints.n_eq
+    for word, mass in stop_mass.items():
+        if mass == 0:
+            continue
+        _, Gs, Hs = tree._functionals(word)
+        value += tree.stop_payoff(word) * mass
+        for i, G in enumerate(Gs):
+            gs[i] += G * mass
+        for i, H in enumerate(Hs):
+            hs[i] += H * mass
+        mean_stop += mass * (tree.time(len(word)) - tree.t0)
+    return {
+        "value": value,
+        "ineq": tuple(gs),
+        "eq": tuple(hs),
+        "mean_stop_time": mean_stop,
+    }
+
+
+def oracle_generate_instance(seed: int, depth: int = 2, branches: int = 2,
+                             n_ineq: int = 1, n_eq: int = 0,
+                             nonneg_g: bool = False, vacuous_rate: float = 0.0) -> dict:
+    """A random instance description, deterministic in the seed."""
+    if depth > DEPTH_CAP:
+        raise ShapeTooLarge(f"depth {depth} exceeds the cap {DEPTH_CAP}")
+    if branches > BRANCH_CAP:
+        raise ShapeTooLarge(f"{branches} branches exceed the cap {BRANCH_CAP}")
+    if depth < 0 or branches < 2:
+        raise ValueError("need depth >= 0 and at least 2 branches")
+    rng = random.Random(seed)
+
+    weights = [rng.randint(1, 4) for _ in range(branches)]
+    total = sum(weights)
+    probs = [Fraction(w, total) for w in weights]
+    incs = rng.sample(_INCREMENTS, branches)
+
+    g_pool = _G_NONNEG if nonneg_g else _G_ANY
+    doc = {
+        "t0": "0",
+        "dt": "1",
+        "depth": depth,
+        "branching": [{"p": fmt_rational(p), "w": fmt_rational(w)}
+                      for p, w in zip(probs, incs)],
+        "x0_history": [fmt_rational(Fraction(rng.randint(-2, 2)))],
+        "drift": rng.choice(_DRIFTS),
+        "diffusion": rng.choice(_DIFFUSIONS),
+        "f": rng.choice(_REWARDS),
+        "pi": rng.choice(_TERMINALS),
+        "constraints": {
+            "ineq": [{"g": rng.choice(g_pool), "y": "0"} for _ in range(n_ineq)],
+            "eq": [{"h": rng.choice(_H_ANY), "z": "0"} for _ in range(n_eq)],
+        },
+        "w_history": [],
+    }
+
+    # bound the constraints by the accruals of a random reference rule, so
+    # the instance is feasible by construction
+    tree = load_instance(doc)
+    q_map = {}
+    for w in tree.nodes():
+        if len(w) < depth:
+            q_map[w] = Fraction(rng.randint(0, 4), 4)
+    rule = rule_from_map(tree, q_map)
+    exp = rule_to_measure(tree, rule).expectations(tree)
+    for i, item in enumerate(doc["constraints"]["ineq"]):
+        if rng.random() < vacuous_rate:
+            item["y"] = "inf"
+        else:
+            item["y"] = fmt_rational(exp["ineq"][i])
+    for i, item in enumerate(doc["constraints"]["eq"]):
+        item["z"] = fmt_rational(exp["eq"][i])
+    return load_instance(doc).source

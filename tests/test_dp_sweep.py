@@ -1,8 +1,8 @@
 """The level-order envelope sweep against the node-by-node recursion it
 replaced, on fixed and generated trees; the keyed level walk's records
-against ``euler_state`` and a hand-written Euler recursion; one chain per
-Markov key on loaded instances, and one per node where the functions read
-the whole path; the stop-point paste against the general hull; the
+(each key's state) against ``euler_state`` and a hand-written Euler
+recursion; one chain per Markov key on loaded instances, and one per node
+where the functions read the whole path; the stop-point paste against the general hull; the
 per-tree root-envelope cache; and singular expressions."""
 
 from fractions import Fraction
@@ -140,7 +140,7 @@ def test_level_prefixes_equal_euler_states(case):
         assert [w for level in reps for w in level.values()] == list(tree.nodes())
     for k, level in enumerate(levels):
         words = list(reps[k].values())
-        assert [prefix for prefix, *_ in level] == [euler_state(tree, w) for w in words]
+        assert [x for x, *_ in level] == [euler_state(tree, w)[-1] for w in words]
         for word, (_, p, stop, rates, kids) in zip(words, level):
             assert p == tree.path_prob(word) and stop == tree.terminal_at(word)
             assert (rates is None) == (k == tree.depth)
@@ -181,8 +181,9 @@ def _euler_by_hand(dt, depth, branching, x0, drift, diffusion, t0=0):
 def test_level_prefixes_and_euler_states_equal_a_hand_written_recursion(dynamics):
     want = _euler_by_hand(**dynamics)
     tree = build_tree(**dynamics)
-    got = [prefix for level in tree._keyed_levels() for prefix, *_ in level]
-    assert got == list(want.values())  # every node is its own key, in BFS order
+    got = [x for level in tree._keyed_levels() for x, *_ in level]
+    # every node is its own key, in BFS order
+    assert got == [path[-1] for path in want.values()]
     assert {word: euler_state(tree, word) for word in want} == want
 
 

@@ -1,0 +1,243 @@
+"""The node table from the keyed integer walk against the word-by-word
+builder it replaced (``oracles.node_table_by_words``), on the benchmark's
+trees and on hypothesis-drawn loaded and callable-built trees, with the
+state and accrual caches the walk fills; one evaluation per key; the
+table-driven readers (expectations, Monte Carlo, ``generate_instance``)
+against their per-word forms; and the table's refusals."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treestop import (InvariantViolation, NodeNotInTree, TreeInstance, build_tree,
+                      cumulative_functionals, euler_state, expectations_from_stop_mass,
+                      load_instance, monte_carlo_value, rule_from_map, rule_to_measure,
+                      solve_weak)
+from treestop.generate import generate_instance
+from treestop.martingale import candidate_with_state_shift
+
+from conftest import make_rw
+from oracles import (expectations_by_words, monte_carlo_oracle, node_table_by_words,
+                     oracle_generate_instance)
+
+F = Fraction
+HALF = F(1, 2)
+
+# the benchmark's instances (bench/workloads.py), as generate_instance arguments
+BENCH_SPECS = {
+    "dense-6x2": dict(seed=1, depth=6, branches=2, n_ineq=2, n_eq=1),
+    "dense-5x3": dict(seed=1, depth=5, branches=3, n_ineq=2, n_eq=1),
+    "dense-4x4": dict(seed=1, depth=4, branches=4, n_ineq=2, n_eq=1),
+    "ineq-6x2": dict(seed=1, depth=6, branches=2, n_ineq=1),
+    "env-8x3": dict(seed=1, depth=8, branches=3, n_ineq=1, nonneg_g=True),
+    "env-6x4": dict(seed=1, depth=6, branches=4, n_ineq=1, nonneg_g=True),
+    "pool-0": dict(seed=3, depth=3, branches=2, n_ineq=1),
+    "pool-1": dict(seed=1, depth=4, branches=2, n_ineq=0, n_eq=1),
+    "pool-2": dict(seed=2, depth=3, branches=3, n_ineq=1, n_eq=1),
+    "pool-3": dict(seed=2, depth=4, branches=2, n_ineq=2),
+    "pool-4": dict(seed=4, depth=3, branches=2, n_ineq=1),
+    "pool-5": dict(seed=3, depth=3, branches=3, n_ineq=0, n_eq=1),
+    "pool-6": dict(seed=5, depth=4, branches=2, n_ineq=1, n_eq=1),
+    "pool-7": dict(seed=4, depth=3, branches=3, n_ineq=2),
+}
+
+
+def assert_table_and_caches_match(make):
+    """``make()``'s table equals the word-by-word one of another fresh
+    tree, and so do the state paths and accruals its walk cached."""
+    tree = make()
+    table = tree._node_table()
+    assert table == node_table_by_words(make())
+    fresh = make()
+    for w in table.words:
+        assert tree._prefixes[w] == euler_state(fresh, w)
+        assert tree._funcs[w] == cumulative_functionals(fresh, w)
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SPECS))
+def test_keyed_table_equals_the_word_by_word_table_on_bench_trees(name):
+    doc = generate_instance(**BENCH_SPECS[name])
+    table = assert_table_and_caches_match(lambda: load_instance(doc))
+    assert table.index == {w: i for i, w in enumerate(table.words)}
+
+
+# -- hypothesis-drawn trees ----------------------------------------------------------
+
+_EXPRS = ["0", "1/2", "t", "x_current", "x_sup", "x_current**2", "x_sup - x_current",
+          "t/2 + x_current/3", "-x_sup/2"]
+_LINEAR = ["0", "1/2", "x_current/2", "x_sup/3 - t/4", "-x_current/3"]
+_INCS = [F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)]
+
+
+@st.composite
+def _level(draw, width=1):
+    """One level's (p, w) pairs: 2 or 3 branches, increments of ``width``."""
+    n = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    incs = [tuple(draw(st.sampled_from(_INCS)) for _ in range(width)) for _ in range(n)]
+    return [(F(w, sum(weights)), x if width > 1 else x[0]) for w, x in zip(weights, incs)]
+
+
+@st.composite
+def loaded_trees(draw):
+    """A loaded instance (one Markov key per state and running sup) with
+    per-level or shared branching and a history of up to three states."""
+    depth = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        branching = [[{"p": str(p), "w": str(w)} for p, w in draw(_level())]
+                     for _ in range(depth)]
+    else:
+        branching = [{"p": str(p), "w": str(w)} for p, w in draw(_level())]
+    doc = {
+        "t0": draw(st.sampled_from(["0", "-1", "1/2"])),
+        "dt": draw(st.sampled_from(["1", "1/2", "1/3"])),
+        "depth": depth,
+        "branching": branching,
+        "x0_history": draw(st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2"]),
+                                    min_size=1, max_size=3)),
+        "drift": draw(st.sampled_from(_LINEAR)),
+        "diffusion": draw(st.sampled_from(["1", "1/2", "3/2", "1 + t/4"])),
+        "f": draw(st.sampled_from(_EXPRS)),
+        "pi": draw(st.sampled_from(_EXPRS)),
+        "constraints": {
+            "ineq": [{"g": g, "y": "1"}
+                     for g in draw(st.lists(st.sampled_from(_EXPRS), max_size=2))],
+            "eq": [{"h": h, "z": "0"}
+                   for h in draw(st.lists(st.sampled_from(_EXPRS), max_size=1))],
+        },
+    }
+    return lambda: load_instance(doc)
+
+
+@st.composite
+def built_trees(draw):
+    """A tree from callables that read the whole path (every node its own
+    key): scalar, or l = d = 2; branching shared or per level."""
+    depth = draw(st.integers(0, 3))
+    vector = draw(st.booleans())
+    width = 2 if vector else 1
+    levels = [draw(_level(width)) for _ in range(depth)] if draw(st.booleans()) \
+        else draw(_level(width))
+    c = draw(st.sampled_from([F(0), F(1, 3), F(-1, 2)]))
+    if vector:
+        fields = dict(
+            x0=(0, 1), drift=lambda t, xs: (xs[-1][1] / 2 + c, 1 - xs[0][0]),
+            diffusion=((1, 0), (HALF, 1)),
+            reward=lambda t, xs: xs[-1][1] / 4 - c * len(xs),
+            terminal=lambda t, xs: xs[-1][0] * xs[-1][1],
+            inequalities=[(lambda t, xs: xs[-1][0] ** 2 + HALF, 1)],
+            equalities=[(lambda t, xs: xs[-1][1] - c, 0)])
+    else:
+        fields = dict(
+            history=(F(1), F(0)), drift=lambda t, xs: (xs[-2] - xs[0]) / len(xs) + c,
+            diffusion=lambda t, xs: 1 + xs[-1] ** 2 / 4,
+            reward=lambda t, xs: xs[-1] / 3, terminal=lambda t, xs: xs[-1] - xs[-2],
+            inequalities=[(lambda t, xs: 1 + t, 2), (lambda t, xs: max(xs), 1)])
+    dt = draw(st.sampled_from([1, HALF]))
+    return lambda: build_tree(dt=dt, depth=depth, branching=levels, t0=c, **fields)
+
+
+@settings(max_examples=150, deadline=None)
+@given(make=st.one_of(loaded_trees(), built_trees()))
+def test_keyed_table_equals_the_word_by_word_table(make):
+    assert_table_and_caches_match(make)
+
+
+@pytest.mark.parametrize("depth, branches", [(0, 2), (2, 4), (3, 3), (4, 2), (5, 2)])
+def test_keyed_table_equals_the_word_by_word_table_on_generated_trees(depth, branches):
+    for seed in range(20):
+        doc = generate_instance(seed=seed, depth=depth, branches=branches,
+                                n_ineq=seed % 3, n_eq=seed % 2)
+        assert_table_and_caches_match(lambda: load_instance(doc))
+
+
+def test_table_evaluates_each_key_once(monkeypatch):
+    doc = generate_instance(seed=1, depth=4, branches=4, n_ineq=1, n_eq=1)
+    levels = load_instance(doc)._keyed_levels()
+    keys, interior = sum(map(len, levels)), sum(map(len, levels[:-1]))
+    calls = {"step": 0, "rates": 0, "terminal": 0}
+    for name, attr in [("step", "_child_states"), ("rates", "_rates"),
+                       ("terminal", "_terminal_value")]:
+        def counted(self, *args, _name=name, _real=getattr(TreeInstance, attr)):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(TreeInstance, attr, counted)
+    tree = load_instance(doc)
+    tree._node_table()
+    assert calls == {"step": interior, "rates": interior, "terminal": keys}
+    assert keys < len(tree._node_table().words)
+
+
+# -- readers ----------------------------------------------------------------------
+
+def _random_rule(tree, seed):
+    rng = random.Random(seed)
+    return rule_from_map(tree, {w: F(rng.randint(0, 6), 6) for w in tree.nodes()
+                                if len(w) < tree.depth})
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(0, 3), branches=st.integers(2, 3),
+       n_ineq=st.integers(0, 2), n_eq=st.integers(0, 1))
+def test_expectations_equal_the_per_word_sum(seed, depth, branches, n_ineq, n_eq):
+    doc = generate_instance(seed=seed, depth=depth, branches=branches, n_ineq=n_ineq,
+                            n_eq=n_eq)
+    tree = load_instance(doc)
+    res = solve_weak(tree)
+    measures = [rule_to_measure(tree, _random_rule(tree, seed))]
+    if res.optimal:
+        measures.append(res.measure)
+    for measure in measures:
+        assert measure.expectations(tree) == \
+            expectations_by_words(load_instance(doc), measure.s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=built_trees(), seed=st.integers(0, 10**6))
+def test_expectations_equal_the_per_word_sum_on_built_trees(make, seed):
+    tree = make()
+    measure = rule_to_measure(tree, _random_rule(tree, seed))
+    assert expectations_from_stop_mass(tree, measure.s) == \
+        expectations_by_words(make(), measure.s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(0, 4), branches=st.integers(2, 4),
+       n_ineq=st.integers(0, 2), n_eq=st.integers(0, 2), nonneg_g=st.booleans(),
+       vacuous_rate=st.sampled_from([0.0, 0.5]))
+def test_generated_budgets_equal_the_reference_rules_accruals(**spec):
+    assert generate_instance(**spec) == oracle_generate_instance(**spec)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mc_on_a_keyed_table_is_bit_identical_to_the_per_word_loop(seed):
+    doc = generate_instance(seed=seed, depth=3, branches=3, n_ineq=1, n_eq=1)
+    rule = _random_rule(load_instance(doc), seed)
+    for paths in (1, 1500):
+        got = monte_carlo_value(load_instance(doc), rule, paths=paths, seed=seed)
+        assert got == monte_carlo_oracle(load_instance(doc), rule, paths=paths, seed=seed)
+
+
+# -- refusals -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("word", [(2,), (0, 0, 0), (0, 5)])
+def test_stop_mass_outside_the_tree_raises(word):
+    tree = make_rw()
+    with pytest.raises(NodeNotInTree):
+        expectations_from_stop_mass(tree, {(): HALF, word: HALF})
+    # a zero entry charges no node
+    got = expectations_from_stop_mass(tree, {(): F(1), word: F(0)})
+    assert got == expectations_by_words(make_rw(), {(): F(1)})
+
+
+def test_a_tree_with_claims_builds_no_table():
+    tree = load_instance(generate_instance(seed=2, depth=3, branches=2))
+    cand = candidate_with_state_shift(tree, solve_weak(tree).measure, (0, 1), HALF)
+    assert cand.paths._claims
+    with pytest.raises(InvariantViolation, match="claimed states"):
+        cand.paths._node_table()
+    assert cand.paths._table is None
