@@ -25,10 +25,10 @@ from .dpp import verify_dpp
 from .errors import NoInstances, TreestopError
 from .generate import generate_instance
 from .io import (dump_measure, dump_rule, fmt_rational, fmt_value, instance_hash,
-                 load_budgets, load_instance, load_measure, load_rule, parse_word,
+                 load_budgets, load_instance, load_masses, load_rule, parse_word,
                  word_str, write_json_atomic)
 from .lp import measure_to_rule, solve_robust, solve_weak
-from .martingale import check_membership
+from .martingale import CandidateLaw, check_membership
 from .rules import (derandomize, equivalence_check, monte_carlo_value,
                     theta_of_rule)
 from .xreal import Ext
@@ -72,13 +72,9 @@ def _print_table(rows, header, file=None) -> None:
 
 def _measure_table(tree, measure):
     rule = measure_to_rule(tree, measure)
-    rows = []
-    for w in tree.nodes():
-        rows.append((word_str(tree, w) or ".",
-                     fmt_rational(measure.stop(w)),
-                     fmt_rational(measure.cont(w)),
-                     fmt_rational(rule.prob(w))))
-    return rows
+    return [(word_str(tree, w) or ".", fmt_rational(s), fmt_rational(u),
+             fmt_rational(rule.prob(w)))
+            for (w, s), u in zip(measure.s.items(), measure.u.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +224,14 @@ def _cmd_verify_dpp(args):
 @_recorded
 def _cmd_check_class(args):
     tree = load_instance(args.instance)
-    if args.measure:
-        measure = load_measure(tree, args.measure)
+    if args.measure:  # a law, which may depart from the tree's branching
+        law = CandidateLaw(tree, *load_masses(tree, args.measure))
     else:
         res = solve_weak(tree)
         if not res.optimal:
             raise ValueError(f"cannot derive a measure: solve is {res.status}")
-        measure = res.measure
-    report = check_membership(tree, measure, degree=args.degree,
+        law = res.measure
+    report = check_membership(tree, law, degree=args.degree,
                               mode=args.mode, tolerance=Fraction(str(args.tol)))
     worst = max(report.clause1, key=lambda r: abs(r["stat"]), default=None)
     print(f"clause1\t{'pass' if report.clause1_pass else 'FAIL'}"
@@ -296,8 +292,7 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
                 rule = measure_to_rule(tree, res.measure)
                 # equivalence_check raises unless the two stop-mass vectors agree
                 rep = equivalence_check(tree, rule)
-                verdicts[check] = rep["stop_mass_rule"] == {
-                    w: res.measure.stop(w) for w in tree.nodes()}
+                verdicts[check] = rep["stop_mass_rule"] == res.measure.s
             elif check == "dpp":
                 ok = True
                 worst = Fraction(0)

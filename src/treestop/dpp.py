@@ -37,24 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import InvariantViolation, ShapeMismatch
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
 from .lp import SolveResult, _budgets_or_default, _certify_optimal, solve_weak
-from .measures import StoppingMeasure, _stop_weights
+from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule
 
 TauSpec = Union[int, Iterable[Word]]
-
-
-def _walk(tree: TreeInstance, stops) -> Iterator[Word]:
-    """The tree's nodes in BFS order from the root, without those below a
-    node in ``stops`` (which is itself yielded)."""
-    level = [ROOT]
-    while level:
-        yield from level
-        level = [kid for w in level if w not in stops for kid in tree.children(w)]
 
 
 def normalize_cut(tree: TreeInstance, tau: TauSpec) -> Tuple[Word, ...]:
@@ -81,10 +72,27 @@ def normalize_cut(tree: TreeInstance, tau: TauSpec) -> Tuple[Word, ...]:
         for k in range(len(w)):
             if w[:k] in seen:
                 raise ValueError(f"cut nodes {w[:k]} and {w} are nested")
-    for w in _walk(tree, seen):
-        if len(w) == tree.depth and w not in seen:
-            raise ValueError(f"cut misses the path to {w}")
+    shape = tree._shape()
+    covered = {j for w in cut for j in shape.rows_below(shape.index[w])}
+    for j in range(len(shape.first) - 1, len(shape.words)):  # the leaves
+        if j not in covered:
+            raise ValueError(f"cut misses the path to {shape.words[j]}")
     return cut
+
+
+def _before_cut(tree: TreeInstance, measure: StoppingMeasure, cut):
+    """Each row at or below a cut node, mapped to that node, and the nodes
+    where the measure stops before the cut, listed in BFS order."""
+    table = tree._node_table()
+    shape = table.shape
+    owner = {j: nu for nu in cut for j in shape.rows_below(shape.index[nu])}
+    stopped = []
+    for i, w in enumerate(shape.words):
+        if measure.stops[i] and i not in owner:
+            F, Gs, Hs = tree._functionals(w)
+            stopped.append({"node": w, "mass": measure.stop(w), "F": F, "G": Gs,
+                            "H": Hs, "payoff": table.value(0, i)})
+    return owner, stopped
 
 
 def first_randomization_cut(tree: TreeInstance, rule: RandomizedStoppingRule) -> Tuple[Word, ...]:
@@ -136,64 +144,50 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
     """
     cut = normalize_cut(tree, tau)
     measure.validate(tree)
-    in_cut = set(cut)
-
-    stopped_before: List[dict] = []
-    for w in _walk(tree, in_cut):
-        if w not in in_cut and measure.stop(w) > 0:
-            F, Gs, Hs = tree._functionals(w)
-            stopped_before.append({"node": w, "mass": measure.stop(w), "F": F,
-                                   "G": Gs, "H": Hs, "payoff": tree.stop_payoff(w)})
-
+    _, stopped_before = _before_cut(tree, measure, cut)
     survivors: Dict[Word, SurvivorData] = {}
-    zero: List[Word] = []
-    n_i, n_e = tree.constraints.n_ineq, tree.constraints.n_eq
-    tower_i = [Fraction(0)] * n_i
-    tower_e = [Fraction(0)] * n_e
+    table, stops, conts = tree._node_table(), measure.stops, measure.conts
+    shape, n_i, zero = table.shape, tree.constraints.n_ineq, []
+    tower = [Fraction(0)] * (len(table.cols) - 1)
     for nu in cut:
-        r = measure.reach(nu)
-        if r == 0:
+        i = shape.index[nu]
+        reach = stops[i] + conts[i]
+        if reach == 0:
             zero.append(nu)
             continue
-        F_nu, G_nu, H_nu = tree._functionals(nu)
+        # the subtree's rows are i's descendants, and its shares are the
+        # tree's over reach; the conditional budgets, per stopping row,
+        # are its conditional stop mass times its accruals past nu
+        rows = shape.rows_below(i)
         sub_tree = tree.subtree(nu)
-        sub_s, sub_u = {}, {}  # the conditional measure's masses
-        stops = {}  # the conditional stop mass, on the tree's own words
-        ys = [Fraction(0)] * n_i
-        zs = [Fraction(0)] * n_e
-        for rel in sub_tree.nodes():
-            w = nu + rel
-            sub_s[rel] = measure.stop(w) / r
-            sub_u[rel] = measure.cont(w) / r
-            if sub_s[rel] > 0:
-                stops[w] = sub_s[rel]
-                _, G_w, H_w = tree._functionals(w)
-                for i in range(n_i):
-                    ys[i] += (G_w[i] - G_nu[i]) * sub_s[rel]
-                for i in range(n_e):
-                    zs[i] += (H_w[i] - H_nu[i]) * sub_s[rel]
-        sub_measure = StoppingMeasure(s=sub_s, u=sub_u)
+        sub_measure = StoppingMeasure(sub_tree._shape(), tuple(stops[j] for j in rows),
+                                      tuple(conts[j] for j in rows), reach)
         sub_measure.validate(sub_tree)
-        # read from the tree's table (expectations read only the stop mass);
-        # the subtree accrues from 0 at nu, so its own are these less nu's
-        exp = StoppingMeasure(s=stops, u={}).expectations(tree)
-        value = exp["value"] - F_nu
-        if (tuple(a - a_nu for a, a_nu in zip(exp["ineq"], G_nu)) != tuple(ys)
-                or tuple(a - a_nu for a, a_nu in zip(exp["eq"], H_nu)) != tuple(zs)):
+        F_nu, G_nu, H_nu = tree._functionals(nu)
+        at_nu, rest, on_rows = (*G_nu, *H_nu), [Fraction(0)] * len(tower), [0] * len(stops)
+        for j in rows:
+            if stops[j]:
+                mass = Fraction(stops[j] * shape.probs[j], reach * shape.probs[i])
+                rest = [y + (table.value(c, j) - x) * mass
+                        for c, (y, x) in enumerate(zip(rest, at_nu), 1)]
+                on_rows[j] = stops[j] * shape.prob_den
+        # read from the tree's table: the conditional stop mass on its rows
+        exp = StoppingMeasure(shape, tuple(on_rows), (0,) * len(stops),
+                              reach * shape.probs[i]).expectations(tree)
+        if [a - x for a, x in zip((*exp["ineq"], *exp["eq"]), at_nu)] != rest:
             raise InvariantViolation(
                 f"conditional budgets at {nu} differ from the conditional "
                 "measure's accruals")
-        for i in range(n_i):
-            tower_i[i] += ys[i] * r
-        for i in range(n_e):
-            tower_e[i] += zs[i] * r
-        survivors[nu] = SurvivorData(node=nu, mass=r, ys=tuple(ys), zs=tuple(zs),
-                                     measure=sub_measure, value=value,
-                                     subtree=sub_tree)
+        r = measure.reach(nu)
+        for c, y in enumerate(rest):
+            tower[c] += y * r
+        survivors[nu] = SurvivorData(node=nu, mass=r, ys=tuple(rest[:n_i]),
+                                     zs=tuple(rest[n_i:]), measure=sub_measure,
+                                     value=exp["value"] - F_nu, subtree=sub_tree)
 
     return ConditionalBudgets(cut=cut, survivors=survivors,
                               stopped_before=stopped_before, zero_survival=zero,
-                              tower_ineq=tuple(tower_i), tower_eq=tuple(tower_e))
+                              tower_ineq=tuple(tower[:n_i]), tower_eq=tuple(tower[n_i:]))
 
 
 def paste(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec,
@@ -206,28 +200,23 @@ def paste(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec,
     The result is validated as a measure on the full tree.
     """
     cut = normalize_cut(tree, tau)
-    s: Dict[Word, Fraction] = {}
-    u: Dict[Word, Fraction] = {}
-    grafted = set()
+    shape = measure._shape_on(tree)
+    stops = [Fraction(v, measure.scale) for v in measure.stops]
+    conts = [Fraction(v, measure.scale) for v in measure.conts]
     for nu in cut:
         sub = submeasures.get(nu)
         if sub is None:
             continue
-        r = measure.reach(nu)
-        if r == 0 and any(v != 0 for v in list(sub.s.values()) + list(sub.u.values())):
+        i = shape.index[nu]
+        reach = stops[i] + conts[i]
+        if reach == 0 and any(sub.stops + sub.conts):
             raise ShapeMismatch(f"submeasure at unreachable node {nu}")
-        rels = list(tree.subtree(nu).nodes())
-        if not (set(sub.s) | set(sub.u)).issubset(rels):
-            raise ShapeMismatch(f"submeasure at {nu} has nodes outside the subtree")
-        for rel in rels:
-            s[nu + rel] = r * sub.stop(rel)
-            u[nu + rel] = r * sub.cont(rel)
-        grafted.add(nu)
-    for w in _walk(tree, grafted):
-        if w not in grafted:
-            s[w] = measure.stop(w)
-            u[w] = measure.cont(w)
-    pasted = StoppingMeasure(s=s, u=u)
+        if sub.shape != tree.subtree(nu)._shape():
+            raise ShapeMismatch(f"submeasure at {nu} is not on the subtree's nodes")
+        # below nu, the submeasure's shares times nu's reach share
+        for j, s, u in zip(shape.rows_below(i), sub.stops, sub.conts):
+            stops[j], conts[j] = reach * Fraction(s, sub.scale), reach * Fraction(u, sub.scale)
+    pasted = StoppingMeasure.from_shares(shape, stops, conts)
     pasted.validate(tree)
     return pasted
 
@@ -252,27 +241,21 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
     cut = normalize_cut(tree, tau)
     env, env_scale, exp = _certify_optimal(tree, _budgets_or_default(tree, budgets), base)
     measure, table = base.measure, tree._node_table()
+    shape = table.shape
     prices = base.duals_ineq + base.duals_eq
     n_i = len(base.duals_ineq)
 
-    # stop mass times (V, G, H), summed below each cut node and (at None)
-    # over the nodes that stop before the cut, which are also listed; the
-    # sums are ints over the table's denominators times one scale
-    in_cut = set(cut)
+    # stop share times (V, G, H), summed below each cut node and (at None)
+    # over the nodes that stop before the cut; the sums are ints over the
+    # table's denominators times the measure's scale
+    owner, stopped_before = _before_cut(tree, measure, cut)
     below = {nu: [0] * len(table.cols) for nu in (None, *cut)}
-    stopped_before: List[dict] = []
-    rows, weights, scale = _stop_weights(table, measure.s)
-    for i, weight in sorted(zip(rows, weights)):
-        w = table.words[i]
-        nu = next((w[:k] for k in range(1, len(w) + 1) if w[:k] in in_cut), None)
-        if nu is None:
-            F, Gs, Hs = tree._functionals(w)
-            stopped_before.append({"node": w, "mass": measure.s[w], "F": F, "G": Gs,
-                                   "H": Hs, "payoff": table.value(0, i)})
-        sums = below[nu]
-        for c, col in enumerate(table.cols):
-            sums[c] += weight * col[i]
-    below = {nu: [Fraction(x, scale * den) for x, den in zip(sums, table.dens)]
+    for i, weight in enumerate(measure.stops):
+        if weight:
+            sums = below[owner.get(i)]
+            for c, col in enumerate(table.cols):
+                sums[c] += weight * col[i]
+    below = {nu: [Fraction(x, measure.scale * den) for x, den in zip(sums, table.dens)]
              for nu, sums in below.items()}
 
     rhs = rhs_super = below[None][0]
@@ -291,8 +274,8 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
         value = sums[0] / r - F
         at_nu = (*Gs, *Hs)
         rest = [a / r - x for a, x in zip(sums[1:], at_nu)]
-        i = table.index[nu]
-        subvalue = Fraction(env[i] * table.prob_den, env_scale * table.probs[i]) - F \
+        i = shape.index[nu]
+        subvalue = Fraction(env[i] * shape.prob_den, env_scale * shape.probs[i]) - F \
             + sum(q * (x + y) for q, x, y in zip(prices, at_nu, rest))
         rhs += (F + subvalue) * r
         rhs_super += (F + value) * r

@@ -77,11 +77,6 @@ class ConcaveEnvelope:
         v0, v1 = self.vs[i], self.vs[i + 1]
         return v0 + (v1 - v0) * (yy - x0) / (x1 - x0)
 
-    def shifted(self, dx, dv) -> "ConcaveEnvelope":
-        dx, dv = as_fraction(dx), as_fraction(dv)
-        return ConcaveEnvelope(xs=tuple(x + dx for x in self.xs),
-                               vs=tuple(v + dv for v in self.vs))
-
     # -- constructors --------------------------------------------------------
 
     @staticmethod

@@ -21,7 +21,7 @@ import math
 import operator
 import os
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Union
 
 from .errors import ExpressionUndefined, NodeNotInTree
 from .lattice import TreeInstance, Word, build_tree
@@ -352,15 +352,15 @@ def dump_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> dict:
     return {word_str(tree, w): fmt_rational(rule.prob(w)) for w in tree.nodes()}
 
 
+def load_masses(tree: TreeInstance, source: Union[str, dict]):
+    """A measure file's absolute stop and continue masses: (s, u) by word."""
+    raw = {parse_word(tree, key): entry for key, entry in _read_obj(source).items()}
+    return ({w: as_fraction(entry.get("s", 0)) for w, entry in raw.items()},
+            {w: as_fraction(entry.get("u", 0)) for w, entry in raw.items()})
+
+
 def load_measure(tree: TreeInstance, source: Union[str, dict]) -> StoppingMeasure:
-    raw = _read_obj(source)
-    s: Dict[Word, Fraction] = {}
-    u: Dict[Word, Fraction] = {}
-    for key, entry in raw.items():
-        w = parse_word(tree, key)
-        s[w] = as_fraction(entry.get("s", 0))
-        u[w] = as_fraction(entry.get("u", 0))
-    measure = StoppingMeasure(s=s, u=u)
+    measure = StoppingMeasure.from_masses(tree, *load_masses(tree, source))
     measure.validate(tree)
     return measure
 

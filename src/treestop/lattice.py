@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -185,58 +185,83 @@ class KeyRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class NodeTable:
-    """A tree's nodes in BFS order, with integer payoff columns.
+class Shape:
+    """A tree's nodes in BFS order, from its branching alone.
 
     ``words[i]`` is node i.  Interior nodes come first, and the children of
     interior node i are the nodes ``first[i]`` to ``first[i + 1] - 1``
-    (``first`` has one entry more than there are interior nodes).  Column c
-    holds, at every node, the path probability times the stop payoff
-    (c = 0), then times each G_i, then each H_i, as ints over the one
-    denominator ``dens[c]``; ``probs`` holds the path probabilities as ints
-    over ``prob_den``.  Each denominator is the least common one, so node
-    i's exact value in column c is ``cols[c][i] * prob_den / (dens[c] *
-    probs[i])`` (``value``).  ``index`` maps each word to its node.
+    (``first`` has one entry more than there are interior nodes), and
+    ``parent[i]`` is node i's parent (0 at the root).  ``probs`` holds the
+    path probabilities as ints over ``prob_den``, the product of the
+    levels' branch denominators.  ``index`` maps each word to its node.
     """
 
     words: Tuple[Word, ...]
     first: Tuple[int, ...]
-    cols: Tuple[Tuple[int, ...], ...]
-    dens: Tuple[int, ...]
     probs: Tuple[int, ...]
     prob_den: int
     index: dict = field(init=False, repr=False, compare=False)
+    parent: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        first = self.first
         object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
+        object.__setattr__(self, "parent", (0, *(i for i in range(len(first) - 1)
+                                                 for _ in range(first[i], first[i + 1]))))
+
+    def rows_below(self, i: int) -> list:
+        """Node i and its descendants in BFS order: the rows of the subtree
+        at node i, in the subtree's own order."""
+        rows, n_inner = [i], len(self.first) - 1
+        for r in rows:
+            if r < n_inner:
+                rows.extend(range(self.first[r], self.first[r + 1]))
+        return rows
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """A tree's integer payoff columns on its shape's rows.
+
+    Column c holds, at every node, the path probability times the stop
+    payoff (c = 0), then times each G_i, then each H_i, as ints over the
+    one denominator ``dens[c]``, the least common one.  So node i's exact
+    value in column c is ``cols[c][i] * shape.prob_den / (dens[c] *
+    shape.probs[i])`` (``value``).
+    """
+
+    shape: Shape
+    cols: Tuple[Tuple[int, ...], ...]
+    dens: Tuple[int, ...]
 
     def value(self, c: int, i: int) -> Fraction:
         """Node i's stop payoff (c = 0), G_i or H_i, exactly."""
-        return Fraction(self.cols[c][i] * self.prob_den, self.dens[c] * self.probs[i])
+        return Fraction(self.cols[c][i] * self.shape.prob_den,
+                        self.dens[c] * self.shape.probs[i])
 
 
 class TreeInstance:
     """Immutable finite-depth increment tree with Euler states.
 
     Nodes are increment words; more than ``MAX_NODES`` of them are refused
-    before any is built.  State paths (in the form the instance's functions
-    are called with), path probabilities, rates and cumulative functionals
-    are computed lazily and cached per node (``_prefixes``, ``_pathprob``,
-    ``_node_rates``, ``_funcs``, one accrual entry shared by siblings), as
-    is the root envelope (``_root_envelope``, filled by
-    ``dp.root_envelope``) and the node table (``_table``, built whole by
-    the first ``_node_table()`` call, which also fills every node's state
-    path and accruals); instances are safe to share for concurrent reads
-    once constructed (all operations are pure).  The grid times are
-    computed once, per depth (``_times``).  Reward, integrands, terminal
-    payoff, drift and diffusion are called and coerced by this class only;
-    node data are finite Fractions.  ``_claims`` maps nodes to states that
-    the sibling fill takes instead of the Euler step; only ``_derived``
-    sets it (for ``CandidateLaw``), ``_keyed_levels`` ignores it, and a
-    tree that has it builds no node table.  ``_markov`` marks a tree whose
-    functions read only t, the state and the running sup of its first
-    coordinate (``io.load_instance`` sets it, ``_derived`` copies it), so
-    that ``_keyed_levels`` may fold nodes by that key.
+    before any is built.  These are computed lazily and cached: the shape
+    (``_shape_cache``: words, children and path probabilities, built by
+    ``_shape()`` from the branching alone), state paths in the form the
+    instance's functions are called with (``_prefixes``, per node), the
+    root envelope (``_root_envelope``, filled by ``dp.root_envelope``) and
+    the node table (``_table``, built whole by the first ``_node_table()``
+    call, which also fills every node's state path and its accruals in
+    ``_funcs``, one entry shared by siblings); instances are safe to share
+    for concurrent reads once constructed (all operations are pure).  The
+    grid times are computed once, per depth (``_times``).  Reward,
+    integrands, terminal payoff, drift and diffusion are called and coerced
+    by this class only; node data are finite Fractions.  ``_claims`` maps
+    nodes to states that the sibling fill takes instead of the Euler step;
+    only ``_derived`` sets it (for ``CandidateLaw``), ``_keyed_levels``
+    ignores it, and a tree that has it builds no node table.  ``_markov``
+    marks a tree whose functions read only t, the state and the running
+    sup of its first coordinate (``io.load_instance`` sets it, ``_derived``
+    copies it), so that ``_keyed_levels`` may fold nodes by that key.
     """
 
     def __init__(self, t0, dt, depth, branching, history, coefficients,
@@ -277,11 +302,8 @@ class TreeInstance:
         self._drift = _callable(coefficients.drift)
         self._diff = _callable(coefficients.diffusion)
         self._prefixes: dict = {ROOT: tuple(map(self._unwrap, self.history))}
-        zero = Fraction(0)
-        self._funcs: dict = {ROOT: (zero, (zero,) * constraints.n_ineq,
-                                    (zero,) * constraints.n_eq)}
-        self._node_rates: dict = {}
-        self._pathprob: dict = {ROOT: Fraction(1)}
+        self._funcs: dict = {}
+        self._shape_cache: Optional[Shape] = None
         self._root_envelope = None
         self._table: Optional[NodeTable] = None
         self._claims: dict = {}
@@ -332,19 +354,11 @@ class TreeInstance:
 
     def nodes(self):
         """All increment words, shallowest first."""
-        level = [ROOT]
-        yield ROOT
-        for k in range(self.depth):
-            nxt = []
-            for word in level:
-                for j in range(self.n_branches(k)):
-                    child = word + (j,)
-                    nxt.append(child)
-                    yield child
-            level = nxt
+        return iter(self._shape().words)
 
     def leaves(self):
-        return (w for w in self.nodes() if len(w) == self.depth)
+        shape = self._shape()
+        return iter(shape.words[len(shape.first) - 1:])
 
     def children(self, word: Word):
         if len(word) >= self.depth:
@@ -356,12 +370,26 @@ class TreeInstance:
         return self._times[depth_k]
 
     def path_prob(self, word: Word) -> Fraction:
-        got = self._pathprob.get(word)
-        if got is None:
-            p, _ = self.branching[len(word) - 1][word[-1]]
-            got = self.path_prob(word[:-1]) * p
-            self._pathprob[word] = got
-        return got
+        shape = self._shape()
+        return Fraction(shape.probs[shape.index[word]], shape.prob_den)
+
+    def _shape(self) -> Shape:
+        """The tree's nodes in BFS order with their path probabilities,
+        built from the branching alone on first use and cached."""
+        if self._shape_cache is None:
+            units, branch = self._branch_ints()
+            words, first, probs = [ROOT], [1], [prod(units)]
+            for i, word in enumerate(words):
+                k = len(word)
+                if k == self.depth:
+                    break
+                p = probs[i] // units[k]
+                words += [word + (j,) for j in range(len(branch[k]))]
+                probs += [p * q for q in branch[k]]
+                first.append(len(words))
+            self._shape_cache = Shape(tuple(words), tuple(first), tuple(probs),
+                                      prob_den=probs[0])  # P(root) = 1
+        return self._shape_cache
 
     # -- states --------------------------------------------------------------
 
@@ -416,8 +444,8 @@ class TreeInstance:
 
         A record holds the key's state (the last entry of its nodes'
         ``euler_state``), the representative's path probability P,
-        terminal payoff and ``_rates`` (None at the leaves; read from
-        ``_node_rates`` when it holds them), and per branch j the child's
+        terminal payoff and ``_rates`` (None at the leaves), each evaluated
+        once per key, and per branch j the child's
         key index one level down with the factor P * p_j / P(child's
         representative), None when it is 1.  On a tree marked ``_markov``
         (its functions read only t, the state and the running sup of its
@@ -426,30 +454,29 @@ class TreeInstance:
         ignored, and the caches are left untouched.
         """
         first = (lambda x: x[0]) if self.l > 1 else (lambda x: x)
-        prefix, rates = self._prefix_for_call(ROOT), self._node_rates
-        # the representatives of one level: word, state path, P and sup
-        reps, levels = [(ROOT, prefix, Fraction(1), max(map(first, prefix)))], []
+        prefix = self._prefix_for_call(ROOT)
+        # the representatives of one level: state path, P and sup
+        reps, levels = [(prefix, Fraction(1), max(map(first, prefix)))], []
         for k in range(self.depth + 1):
             t, leaf = self.time(k), k == self.depth
             level = [(prefix[-1], p, self._terminal_value(t, prefix),
-                      None if leaf else rates.get(word) or self._rates(t, prefix))
-                     for word, prefix, p, _ in reps]
+                      None if leaf else self._rates(t, prefix))
+                     for prefix, p, _ in reps]
             if leaf:
                 levels.append([KeyRecord(*record, ()) for record in level])
                 break
             below, index, children = [], {}, []
-            for word, prefix, p, sup in reps:
+            for prefix, p, sup in reps:
                 kids = []
-                for j, ((q, _), x) in enumerate(zip(self.branching[k],
-                                                    self._child_states(k, prefix))):
+                for (q, _), x in zip(self.branching[k], self._child_states(k, prefix)):
                     x, q = self._unwrap(x), p * q
                     s = max(sup, first(x)) if self._markov else None
                     i = index.setdefault((x, s), len(below)) if self._markov else len(below)
                     if i == len(below):
-                        below.append((word + (j,), prefix + (x,), q, s))
+                        below.append((prefix + (x,), q, s))
                         kids.append((i, None))
                     else:
-                        c = q / below[i][2]
+                        c = q / below[i][1]
                         kids.append((i, None if c == 1 else c))
                 children.append(tuple(kids))
             levels.append([KeyRecord(*record, kids) for record, kids in zip(level, children)])
@@ -480,39 +507,23 @@ class TreeInstance:
     # -- functionals -----------------------------------------------------------
 
     def _functionals(self, word: Word):
-        """Accrued (F, (G_i), (H_i)) at a node, cached; a miss reads the
-        parent's rates (evaluated once, into ``_node_rates``) into one entry
-        that all its children share."""
-        got = self._funcs.get(word)
-        if got is None:
-            parent = word[:-1]
-            F, Gs, Hs = self._functionals(parent)
-            rates = self._node_rates.get(parent)
-            if rates is None:
-                rates = self._node_rates[parent] = self._rates(
-                    self.time(len(parent)), self._prefix_for_call(parent))
-            f, gs, hs = rates
-            got = (F + f * self.dt,
-                   tuple(G + g * self.dt for G, g in zip(Gs, gs)),
-                   tuple(H + h * self.dt for H, h in zip(Hs, hs)))
-            self._funcs.update(dict.fromkeys(self.children(parent), got))
-        return got
-
-    def terminal_at(self, word: Word) -> Fraction:
-        return self._terminal_value(self.time(len(word)), self._prefix_for_call(word))
+        """Accrued (F, (G_i), (H_i)) at a node, as the node table's walk
+        caches them (siblings share one entry)."""
+        self._node_table()
+        return self._funcs[word]
 
     def stop_payoff(self, word: Word) -> Fraction:
         """Accrued running reward plus terminal payoff when stopping here."""
-        return self._functionals(word)[0] + self.terminal_at(word)
+        table = self._node_table()
+        return table.value(0, table.shape.index[word])
 
     def _node_table(self) -> NodeTable:
         """The node table, built on first use and cached.
 
         One walk over ``_keyed_levels()``, whose records hold each key's
-        rates, terminal payoff and Euler step: a node costs only int work.
-        Its path probability is an int over the product of the levels'
-        probability denominators, and its accruals are ints over one
-        denominator per column, both carried down from its parent; one gcd
+        rates, terminal payoff and Euler step, in the rows of ``_shape()``:
+        a node costs only int work.  Its accruals are ints over one
+        denominator per column, carried down from its parent, and one gcd
         per column then reduces the columns.  The walk also caches every
         node's state path (its parent's plus its key's state) and, shared
         by siblings, its accruals.  A tree with claims has no table: the
@@ -534,46 +545,39 @@ class TreeInstance:
         ones[0] = lcm(ones[0], *(v.denominator for level in pays for v in level))
         steps = [[tuple(v.numerator * (one // v.denominator) for v, one in zip(step, ones))
                   for step in level] for level in steps]
-        # P is an int over the product of the levels' branch denominators
-        units, branch = self._branch_ints()
-        scale = 1
-        for unit in units:
-            scale *= unit
+        pays = [[v.numerator * (ones[0] // v.denominator) for v in level] for level in pays]
 
-        words, first, probs, rows = [], [1], [], []
+        shape = self._shape()
+        words, first, n_inner = shape.words, shape.first, len(shape.first) - 1
         prefixes, funcs = self._prefixes, self._funcs
-        nodes = [(ROOT, 0, scale, (0,) * len(ones))]  # word, key, P, accruals
-        for k, level in enumerate(levels):
-            pay = [v.numerator * (ones[0] // v.denominator) for v in pays[k]]
-            below = []
-            for word, key, p, acc in nodes:
-                words.append(word)
-                probs.append(p)
-                row = [p * a for a in acc]
-                row[0] += p * pay[key]
-                rows.append(row)
-                if k == self.depth:
-                    continue
-                acc = tuple(map(add, acc, steps[k][key]))
-                F, *accrued = map(Fraction, acc, ones)
-                shared = (F, tuple(accrued[:n_ineq]), tuple(accrued[n_ineq:]))
-                prefix, kids = prefixes[word], level[key].kids
-                first.append(first[-1] + len(kids))
-                p //= units[k]
-                for j, ((kid, _), q) in enumerate(zip(kids, branch[k])):
-                    child = word + (j,)
-                    prefixes[child] = prefix + (levels[k + 1][kid].state,)
-                    funcs[child] = shared
-                    below.append((child, kid, p * q, acc))
-            nodes = below
+
+        def accrued(acc):  # (F, (G_i), (H_i)) as Fractions
+            F, *rest = map(Fraction, acc, ones)
+            return F, tuple(rest[:n_ineq]), tuple(rest[n_ineq:])
+
+        zero = (0,) * len(ones)
+        funcs[ROOT] = accrued(zero)
+        keys, accs, rows = [0] * len(words), [zero] * len(words), []
+        for i, (word, p) in enumerate(zip(words, shape.probs)):
+            k, key, acc = len(word), keys[i], accs[i]
+            row = [p * a for a in acc]
+            row[0] += p * pays[k][key]
+            rows.append(row)
+            if i >= n_inner:
+                continue
+            acc = tuple(map(add, acc, steps[k][key]))
+            shared, prefix = accrued(acc), prefixes[word]
+            for c, (kid, _) in zip(range(first[i], first[i + 1]), levels[k][key].kids):
+                prefixes[words[c]] = prefix + (levels[k + 1][kid].state,)
+                funcs[words[c]] = shared
+                keys[c], accs[c] = kid, acc
 
         cols, dens = [], []
         for col, one in zip(zip(*rows), ones):
-            g = gcd(scale * one, *col)
+            g = gcd(shape.prob_den * one, *col)
             cols.append(tuple(v // g for v in col))
-            dens.append(scale * one // g)
-        self._table = NodeTable(tuple(words), tuple(first), tuple(cols), tuple(dens),
-                                tuple(probs), scale)
+            dens.append(shape.prob_den * one // g)
+        self._table = NodeTable(shape, tuple(cols), tuple(dens))
         return self._table
 
     def subtree(self, word: Word) -> "TreeInstance":

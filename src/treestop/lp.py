@@ -55,12 +55,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import simplex
 from .errors import EmptyFamily, InvariantViolation
 from .lattice import BudgetVector, NodeTable, TreeInstance, Word
-from .measures import StoppingMeasure, _pushed_forward
+from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule
 from .xreal import Ext
 
@@ -102,13 +102,13 @@ def _snell(table: NodeTable, weights: Sequence):
     """
     qs = [Fraction(w) / den for w, den in zip(weights, table.dens)]
     scale = lcm(*(q.denominator for q in qs))
-    pay = [0] * len(table.words)
+    pay = [0] * len(table.shape.words)
     for q, col in zip(qs, table.cols):
         if q:
             w = q.numerator * (scale // q.denominator)
             pay = [a + w * b for a, b in zip(pay, col)]
     env = pay[:]
-    first = table.first
+    first = table.shape.first
     for i in range(len(first) - 2, -1, -1):
         cont = sum(env[first[i]:first[i + 1]])
         if cont > env[i]:
@@ -119,7 +119,7 @@ def _snell(table: NodeTable, weights: Sequence):
 def _stopping_time(table: NodeTable, pay, env) -> Tuple[int, ...]:
     """The nodes where the pass's policy stops: the first node on each path
     whose payoff attains the envelope."""
-    first, n_inner = table.first, len(table.first) - 1
+    first, n_inner = table.shape.first, len(table.shape.first) - 1
     stops, frontier = [], [0]
     for i in frontier:
         if i >= n_inner or pay[i] == env[i]:
@@ -156,18 +156,17 @@ def _certify_optimal(tree: TreeInstance, budgets: BudgetVector, result: SolveRes
 
     table = tree._node_table()
     pay, env, scale = _snell(table, [1, *(-p for p in pi), *(-m for m in mu)])
-    first, n_inner = table.first, len(table.first) - 1
-    stop, cont = result.measure.s, result.measure.u
+    words, first = table.shape.words, table.shape.first
+    stops, conts = result.measure.stops, result.measure.conts
     frontier = [0]
     for i in frontier:  # the nodes the measure reaches
-        word = table.words[i]
-        if stop.get(word) and pay[i] != env[i]:
+        if stops[i] and pay[i] != env[i]:
             raise InvariantViolation(
-                f"the measure stops at {word}, where the payoff is below the envelope")
-        if cont.get(word):
-            if i >= n_inner or sum(env[first[i]:first[i + 1]]) != env[i]:
+                f"the measure stops at {words[i]}, where the payoff is below the envelope")
+        if conts[i]:
+            if i >= len(first) - 1 or sum(env[first[i]:first[i + 1]]) != env[i]:
                 raise InvariantViolation(
-                    f"the measure continues at {word}, where stopping beats continuing")
+                    f"the measure continues at {words[i]}, where stopping beats continuing")
             frontier.extend(range(first[i], first[i + 1]))
 
     priced = sum(p * y.fraction() for p, y in zip(pi, budgets.ys) if p) \
@@ -215,7 +214,7 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
         if column in columns:
             raise InvariantViolation(
                 f"pricing returned a column already in the master: {len(columns)} "
-                f"columns, stopping at {[table.words[i] for i in stops]}")
+                f"columns, stopping at {[table.shape.words[i] for i in stops]}")
         columns.append(column)
         res = simplex.solve_lp([c[0] for c in columns],
                                [[c[r] for c in columns] for r in rows]
@@ -238,7 +237,7 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
         if env[0] <= duals[-1] * scale:
             break
 
-    measure = _vertex(tree, table, pay, env, rows, senses, rhs)
+    measure = _vertex(table, pay, env, rows, senses, rhs)
     measure.validate(tree)
     prices = spread(0, duals)
     value = Ext(res.objective)
@@ -251,15 +250,17 @@ def solve_weak(tree: TreeInstance, budgets: Optional[BudgetVector] = None) -> So
                        duals_eq=tuple(prices[1 + n_ineq:]))
 
 
-def _vertex(tree: TreeInstance, table: NodeTable, pay, env, rows, senses,
-            rhs) -> StoppingMeasure:
+def _vertex(table: NodeTable, pay, env, rows, senses, rhs) -> StoppingMeasure:
     """The crossover: a vertex of the optimal face at the final pass.
 
     Stop-strict nodes stop, continue-strict nodes continue, and each tied
-    node t continues alpha_t P(t), where alpha solves an LP over the ties.
+    node t continues the share alpha_t of its path probability, where
+    alpha solves an LP over the ties.  A reached node receives the share
+    its nearest tied ancestor continues (1 if there is none).
     """
-    first, n_inner = table.first, len(table.first) - 1
-    through, tied = set(), []
+    shape = table.shape
+    first, n_inner = shape.first, len(shape.first) - 1
+    tied = []
     # reached node -> its nearest tied ancestor (None: the root's mass 1);
     # gain[t] -> the accruals that alpha_t scales, gain[None] -> those of
     # stopping at every tie, both as ints over the table's denominators
@@ -276,13 +277,11 @@ def _vertex(tree: TreeInstance, table: NodeTable, pay, env, rows, senses,
             tied.append(i)
             gain[i] = [-col[i] for col in table.cols]
             a = i
-        else:
-            through.add(table.words[i])
         for c in range(first[i], first[i + 1]):
             anchor[c] = a
             frontier.append(c)
 
-    u: Dict[Word, Fraction] = {}
+    alpha = {None: Fraction(1)}
     if tied:
         lp_rows, lp_rhs = [], [int(anchor[t] is None) for t in tied]
         for j, t in enumerate(tied):  # alpha_t <= alpha of its anchor, or 1
@@ -301,11 +300,13 @@ def _vertex(tree: TreeInstance, table: NodeTable, pay, env, rows, senses,
             raise InvariantViolation(
                 f"the optimal face holds the master's mixture, but the crossover "
                 f"LP came back {res.status}")
-        for t, alpha in zip(tied, res.x):
-            u[table.words[t]] = alpha * Fraction(table.probs[t], table.prob_den)
-    zero = Fraction(0)
-    return _pushed_forward(tree, lambda w, arrive: arrive if w in through
-                           else u.get(w, zero))
+        alpha.update(zip(tied, res.x))
+    stops, conts = [Fraction(0)] * len(shape.words), [Fraction(0)] * len(shape.words)
+    for i in frontier:  # a node that is not tied continues iff its children are reached
+        arrive = alpha[anchor[i]]
+        conts[i] = alpha.get(i, arrive if i < n_inner and first[i] in anchor else Fraction(0))
+        stops[i] = arrive - conts[i]
+    return StoppingMeasure.from_shares(shape, stops, conts)
 
 
 def measure_to_rule(tree: TreeInstance, measure: StoppingMeasure) -> RandomizedStoppingRule:
@@ -314,18 +315,18 @@ def measure_to_rule(tree: TreeInstance, measure: StoppingMeasure) -> RandomizedS
     Round-trips exactly: pushing the rule forward recovers the measure on
     every node (unreachable subtrees carry zero mass on both sides).
     """
-    q: Dict[Word, Fraction] = {}
-    for w in tree.nodes():
-        r = measure.reach(w)
-        q[w] = measure.stop(w) / r if r > 0 else Fraction(1)
-    rule = RandomizedStoppingRule(q=q)
+    shape = measure._shape_on(tree)
+    rule = RandomizedStoppingRule(q={
+        w: Fraction(s, s + u) if s + u else Fraction(1)
+        for w, s, u in zip(shape.words, measure.stops, measure.conts)})
     rule.validate(tree)
     return rule
 
 
 def fractional_nodes(tree: TreeInstance, measure: StoppingMeasure) -> List[Word]:
     """Nodes where the measure genuinely randomizes (0 < q < 1)."""
-    return [w for w in tree.nodes() if measure.stop(w) > 0 and measure.cont(w) > 0]
+    return [w for w, s, u in zip(measure._shape_on(tree).words, measure.stops, measure.conts)
+            if s > 0 and u > 0]
 
 
 def solve_robust(trees: Sequence[TreeInstance],

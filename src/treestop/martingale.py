@@ -51,8 +51,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooHigh, EmptyBattery
 from .lattice import ROOT, TreeInstance, Word, _as_vector
-from .measures import StoppingMeasure, _pushed_forward
-from .rules import RandomizedStoppingRule
+from .measures import StoppingMeasure
+from .rules import RandomizedStoppingRule, rule_from_map, rule_to_measure
 from .xreal import as_fraction
 
 MAX_DEGREE = 4
@@ -189,7 +189,7 @@ class CandidateLaw:
 
     @staticmethod
     def from_measure(tree: TreeInstance, measure: StoppingMeasure) -> "CandidateLaw":
-        return CandidateLaw(tree, s=dict(measure.s), u=dict(measure.u))
+        return CandidateLaw(tree, s=measure.s, u=measure.u)
 
     def stop(self, w: Word) -> Fraction:
         return self.s.get(w, Fraction(0))
@@ -322,8 +322,8 @@ def compensated_process(tree: TreeInstance, phi: Polynomial,
 
 
 def _stop_at_horizon(tree: TreeInstance) -> StoppingMeasure:
-    return _pushed_forward(
-        tree, lambda w, arrive: arrive if len(w) < tree.depth else Fraction(0))
+    return rule_to_measure(tree, rule_from_map(
+        tree, {w: 0 for w in tree.nodes() if len(w) < tree.depth}))
 
 
 # ---------------------------------------------------------------------------
@@ -690,21 +690,20 @@ def candidate_with_branch_bias(tree: TreeInstance, rule: RandomizedStoppingRule,
     for w in biases:
         tree.check_word(w)
 
-    def branch_prob(w: Word) -> Fraction:
-        parent = w[:-1]
-        p, _ = tree.branching[len(parent)][w[-1]]
-        if parent in biases:
-            if w[-1] == j_up:
-                p = p + biases[parent]
-            elif w[-1] == j_down:
-                p = p - biases[parent]
-        if p < 0 or p > 1:
-            raise ValueError("biased probability outside [0, 1]")
-        return p
-
-    measure = _pushed_forward(tree, lambda w, arrive: arrive * (1 - rule.prob(w)),
-                              branch_prob)
-    return CandidateLaw(tree, s=measure.s, u=measure.u)
+    # the rule's law pushed forward with the biased branch probabilities
+    s, u = {}, {}
+    for w in tree.nodes():
+        arrive = Fraction(1)
+        if w:
+            parent, j = w[:-1], w[-1]
+            p, bias = tree.branching[len(parent)][j][0], biases.get(parent, 0)
+            p = p + bias if j == j_up else p - bias if j == j_down else p
+            if p < 0 or p > 1:
+                raise ValueError("biased probability outside [0, 1]")
+            arrive = p * u[parent]
+        u[w] = arrive * (1 - rule.prob(w))
+        s[w] = arrive - u[w]
+    return CandidateLaw(tree, s=s, u=u)
 
 
 def candidate_with_state_shift(tree: TreeInstance, measure: StoppingMeasure,
@@ -717,7 +716,7 @@ def candidate_with_state_shift(tree: TreeInstance, measure: StoppingMeasure,
     delta = as_fraction(delta)
     base = _as_vector(tree.state(node), tree.l)
     shifted = (base[0] + delta,) + base[1:]
-    return CandidateLaw(tree, s=dict(measure.s), u=dict(measure.u),
+    return CandidateLaw(tree, s=measure.s, u=measure.u,
                         state_overrides={node: shifted})
 
 

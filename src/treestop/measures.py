@@ -1,114 +1,131 @@
-"""Joint laws of (path, stopping node) encoded as per-node masses.
+"""Joint laws of (path, stopping node) as survival shares on a tree's rows.
 
-A stopping measure assigns each node a stop mass s(v) and a continue mass
-u(v).  Flow conservation ties them to the branching law: the root receives
-total mass 1, and a node receives p_j times the continue mass of its parent.
-Stop masses sum to 1 and nothing continues past the horizon.
+A stopping measure holds, per row of the tree's BFS order, the shares of
+the node's path probability that stop there and that continue past it.
+In these units flow conservation needs no branch probability: the root's
+shares sum to 1, each child's to its parent's continue share, and nothing
+continues past the horizon.  Absolute masses (share times path
+probability) appear only at the boundary: ``stop``, ``cont``, ``reach``,
+the ``s`` and ``u`` dicts, and ``from_masses``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
-from .errors import NodeNotInTree
-from .lattice import ROOT, NodeTable, TreeInstance, Word
+from .errors import NodeNotInTree, ShapeMismatch
+from .lattice import Shape, TreeInstance, Word
 
 
 @dataclass(frozen=True)
 class StoppingMeasure:
-    """Per-node stop and continue masses with flow conservation."""
+    """Stop and continue shares per row, as ints over ``scale``.
 
-    s: Dict[Word, Fraction]
-    u: Dict[Word, Fraction]
+    Row i's stop mass is ``stops[i] / scale`` times node i's path
+    probability, and its continue mass ``conts[i] / scale`` times it.  The
+    scale is reduced, so equal measures compare equal.
+    """
+
+    shape: Shape
+    stops: Tuple[int, ...]
+    conts: Tuple[int, ...]
+    scale: int
+
+    def __post_init__(self):
+        g = gcd(self.scale, *self.stops, *self.conts)
+        object.__setattr__(self, "stops", tuple(v // g for v in self.stops))
+        object.__setattr__(self, "conts", tuple(v // g for v in self.conts))
+        object.__setattr__(self, "scale", self.scale // g)
+
+    @classmethod
+    def from_shares(cls, shape: Shape, stops: Sequence[Fraction],
+                    conts: Sequence[Fraction]) -> "StoppingMeasure":
+        """The measure with these stop and continue shares per row."""
+        scale = lcm(*(v.denominator for v in chain(stops, conts)))
+        return cls(shape, tuple(v.numerator * (scale // v.denominator) for v in stops),
+                   tuple(v.numerator * (scale // v.denominator) for v in conts), scale)
+
+    @classmethod
+    def from_masses(cls, tree: TreeInstance, s: Dict[Word, Fraction],
+                    u: Dict[Word, Fraction]) -> "StoppingMeasure":
+        """The measure with these absolute masses per word (0 where absent);
+        a mass on a word that is not a node raises NodeNotInTree."""
+        shape = tree._shape()
+        for what, masses in (("stop", s), ("continue", u)):
+            for word, mass in masses.items():
+                if mass and word not in shape.index:
+                    raise NodeNotInTree(f"{what} mass {mass} on {word}, which is not a node")
+        return cls.from_shares(shape, *([Fraction(masses.get(w, 0) * shape.prob_den, p)
+                                         for w, p in zip(shape.words, shape.probs)]
+                                        for masses in (s, u)))
+
+    def _mass(self, shares, word: Word) -> Fraction:
+        i = self.shape.index.get(word)  # a word outside the tree holds 0
+        return Fraction(0) if i is None else \
+            Fraction(shares[i] * self.shape.probs[i], self.scale * self.shape.prob_den)
+
+    def _masses(self, shares) -> Dict[Word, Fraction]:
+        shape, den = self.shape, self.scale * self.shape.prob_den
+        return {w: Fraction(v * p, den) for w, v, p in zip(shape.words, shares, shape.probs)}
 
     def stop(self, word: Word) -> Fraction:
-        return self.s.get(word, Fraction(0))
+        return self._mass(self.stops, word)
 
     def cont(self, word: Word) -> Fraction:
-        return self.u.get(word, Fraction(0))
+        return self._mass(self.conts, word)
 
     def reach(self, word: Word) -> Fraction:
         return self.stop(word) + self.cont(word)
 
+    # absolute stop and continue mass per node, every node present
+    s = property(lambda self: self._masses(self.stops))
+    u = property(lambda self: self._masses(self.conts))
+
+    def _shape_on(self, tree: TreeInstance) -> Shape:
+        """The tree's shape, which must be this measure's."""
+        shape = tree._shape()
+        if shape is not self.shape and shape != self.shape:
+            raise ShapeMismatch("the measure is not on this tree's nodes")
+        return shape
+
     def validate(self, tree: TreeInstance) -> None:
-        """Check flow conservation, nonnegativity and total stop mass 1."""
-        total = Fraction(0)
-        for word in tree.nodes():
-            s, u = self.stop(word), self.cont(word)
+        """Check nonnegativity, flow conservation and nothing continuing
+        past the horizon, row by row in BFS order.  The stop masses then
+        sum to 1."""
+        shape = self._shape_on(tree)
+        n_inner = len(shape.first) - 1
+        for i, (word, parent, s, u) in enumerate(zip(shape.words, shape.parent,
+                                                     self.stops, self.conts)):
             if s < 0 or u < 0:
                 raise ValueError(f"negative mass at {word}")
-            if len(word) == tree.depth and u != 0:
+            if i >= n_inner and u != 0:
                 raise ValueError(f"continue mass at horizon node {word}")
-            if word == ROOT:
-                if s + u != 1:
-                    raise ValueError("root masses must sum to 1")
-            else:
-                p, _ = tree.branching[len(word) - 1][word[-1]]
-                if s + u != p * self.cont(word[:-1]):
-                    raise ValueError(f"flow conservation fails at {word}")
-            total += s
-        if total != 1:
-            raise ValueError(f"stop masses sum to {total}, not 1")
+            if s + u != (self.conts[parent] if i else self.scale):
+                raise ValueError(f"flow conservation fails at {word}" if i else
+                                 "root masses must sum to 1")
 
     def expectations(self, tree: TreeInstance) -> dict:
-        """Expected objective, constraint accruals, and stop time."""
-        return expectations_from_stop_mass(tree, self.s)
-
-
-def _pushed_forward(tree: TreeInstance, cont, branch_prob=None) -> StoppingMeasure:
-    """Mass 1 enters at the root; node w continues ``cont(w, arrive)`` of
-    the mass arriving there and stops the rest, and a child receives its
-    branch probability (``branch_prob(child)`` if given) times its parent's
-    continue mass."""
-    s: Dict[Word, Fraction] = {}
-    u: Dict[Word, Fraction] = {}
-    for w in tree.nodes():
-        if w == ROOT:
-            arrive = Fraction(1)
-        else:
-            p = branch_prob(w) if branch_prob else tree.branching[len(w) - 1][w[-1]][0]
-            arrive = p * u[w[:-1]]
-        u[w] = cont(w, arrive)
-        s[w] = arrive - u[w]
-    return StoppingMeasure(s=s, u=u)
-
-
-def _stop_weights(table: NodeTable, stop_mass: Dict[Word, Fraction]):
-    """The rows that a stop mass charges and, per row, its mass over the
-    node's path probability, as ints over one scale: (rows, weights,
-    scale).  A mass on a word that is not a node raises NodeNotInTree."""
-    rows, ratios = [], []
-    for word, mass in stop_mass.items():
-        if mass:
-            i = table.index.get(word)
-            if i is None:
-                raise NodeNotInTree(f"stop mass {mass} on {word}, which is not a node")
-            rows.append(i)
-            ratios.append(Fraction(mass.numerator * table.prob_den,
-                                   mass.denominator * table.probs[i]))
-    scale = lcm(*(r.denominator for r in ratios))
-    return rows, [r.numerator * (scale // r.denominator) for r in ratios], scale
+        """Expected objective, constraint accruals, and stop time: per
+        column of the node table, the stop shares times its rows."""
+        shape, table = self._shape_on(tree), tree._node_table()
+        value, *accrued = (Fraction(sum(map(mul, self.stops, col)), self.scale * den)
+                           for col, den in zip(table.cols, table.dens))
+        steps = sum(s * p * len(w) for s, p, w in zip(self.stops, shape.probs, shape.words)
+                    if s)
+        n = tree.constraints.n_ineq
+        return {"value": value, "ineq": tuple(accrued[:n]), "eq": tuple(accrued[n:]),
+                "mean_stop_time": Fraction(steps, self.scale * shape.prob_den) * tree.dt}
 
 
 def expectations_from_stop_mass(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -> dict:
-    """Expected stop payoff, accruals and stop time under a stop mass: per
-    column, stop mass times the node table's row, summed as ints."""
-    table = tree._node_table()
-    rows, weights, scale = _stop_weights(table, stop_mass)
-    value, *accrued = (Fraction(sum(map(mul, weights, map(col.__getitem__, rows))),
-                                scale * den) for col, den in zip(table.cols, table.dens))
-    steps = sum(w * table.probs[i] * len(table.words[i]) for i, w in zip(rows, weights))
-    n_ineq = tree.constraints.n_ineq
-    return {
-        "value": value,
-        "ineq": tuple(accrued[:n_ineq]),
-        "eq": tuple(accrued[n_ineq:]),
-        "mean_stop_time": Fraction(steps, scale * table.prob_den) * tree.dt,
-    }
+    """Expected stop payoff, accruals and stop time under absolute stop
+    masses.  A mass on a word that is not a node raises NodeNotInTree."""
+    return StoppingMeasure.from_masses(tree, stop_mass, {}).expectations(tree)
 
 
 def feasible_for(tree: TreeInstance, measure: StoppingMeasure, budgets) -> bool:

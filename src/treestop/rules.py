@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from .errors import EquivalenceViolation, InvariantViolation, RuleShapeMismatch
 from .lattice import ROOT, TreeInstance, Word
-from .measures import StoppingMeasure, _pushed_forward, expectations_from_stop_mass
+from .measures import StoppingMeasure, expectations_from_stop_mass
 from .xreal import as_fraction
 
 _BLOCK = 1024  # stop nodes summed per batch in monte_carlo_value
@@ -94,12 +94,10 @@ class ThetaProcess:
 
 def theta_of_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> ThetaProcess:
     """theta_k = 1 - prod_{j<=k} (1 - q) along every word, exactly."""
-    rule.validate(tree)
-    # the chance of surviving a node given its word: a push with branches
-    # of probability 1
-    survival = _pushed_forward(tree, lambda w, arrive: arrive * (1 - rule.prob(w)),
-                               lambda w: 1).u
-    return ThetaProcess(theta={w: 1 - surv for w, surv in survival.items()})
+    # the continue share of the rule's measure is the chance of surviving
+    measure = rule_to_measure(tree, rule)
+    return ThetaProcess(theta={w: 1 - Fraction(u, measure.scale)
+                               for w, u in zip(measure.shape.words, measure.conts)})
 
 
 def derandomize(tree: TreeInstance, theta: ThetaProcess, eta) -> Dict[Word, int]:
@@ -126,10 +124,16 @@ def _hit_depth(theta: ThetaProcess, word: Word, eta: Fraction) -> int:
 
 
 def rule_to_measure(tree: TreeInstance, rule: RandomizedStoppingRule) -> StoppingMeasure:
-    """Push a rule forward to per-node stop/continue masses."""
+    """A rule's measure: a node's continue share is the product of 1 - q
+    over its path, itself included, and its stop share is the rest of the
+    share that its parent continues."""
     rule.validate(tree)
-    # arrive: path probability times survival strictly before the node
-    return _pushed_forward(tree, lambda w, arrive: arrive * (1 - rule.prob(w)))
+    shape, stops, conts = tree._shape(), [], []
+    for word, parent in zip(shape.words, shape.parent):
+        arrive = conts[parent] if word else Fraction(1)
+        conts.append(arrive * (1 - rule.prob(word)))
+        stops.append(arrive - conts[-1])
+    return StoppingMeasure.from_shares(shape, stops, conts)
 
 
 def stop_mass_by_eta_integration(tree: TreeInstance, theta: ThetaProcess) -> Dict[Word, Fraction]:
@@ -171,9 +175,9 @@ def equivalence_check(tree: TreeInstance, rule: RandomizedStoppingRule,
         raise EquivalenceViolation(f"invalid theta process: {exc}") from exc
     direct = rule_to_measure(tree, rule)
     report = {
-        "stop_mass_rule": dict(direct.s),
+        "stop_mass_rule": direct.s,
         "stop_mass_hitting": via_eta,
-        "expectations_rule": expectations_from_stop_mass(tree, direct.s),
+        "expectations_rule": direct.expectations(tree),
         "expectations_hitting": expectations_from_stop_mass(tree, via_eta),
         "pass": True,
     }
@@ -210,18 +214,19 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
     # first child's row and its level's cumulative branch probabilities
     # without the last (a draw past them all takes the last branch)
     table = tree._node_table()
-    vals = [[c * table.prob_den / (den * p) for c, p in zip(col, table.probs)]
+    shape = table.shape
+    vals = [[c * shape.prob_den / (den * p) for c, p in zip(col, shape.probs)]
             for col, den in zip(table.cols, table.dens)]
     sqs = [[v * v for v in col] for col in vals]
     n_funcs = len(vals)
     cums = [list(accumulate(float(p) for p, _ in level))[:-1] for level in tree.branching]
-    alive = [1.0 - float(rule.prob(w)) for w in table.words]
+    alive = [1.0 - float(rule.prob(w)) for w in shape.words]
     steps = []
-    for i, word in enumerate(table.words):
+    for i, word in enumerate(shape.words):
         if len(word) < tree.depth:
-            for kid in range(table.first[i], table.first[i + 1]):
+            for kid in range(shape.first[i], shape.first[i + 1]):
                 alive[kid] *= alive[i]
-            steps.append((1.0 - alive[i], table.first[i], cums[len(word)]))
+            steps.append((1.0 - alive[i], shape.first[i], cums[len(word)]))
         else:
             steps.append((1.0 - alive[i], 0, []))
 

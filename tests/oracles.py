@@ -9,9 +9,10 @@ simplex that the integer-row solver must match result for result, a per-statisti
 shared sweep must match statistic for statistic, and a node-by-node envelope
 recursion that the level-order sweep must match envelope for envelope, and
 the tree-walking interpreter of instance expressions that the compiled
-expressions must match value for value, and the word-by-word node table,
-expectations and instance generator that the keyed integer walk must match
-value for value.
+expressions must match value for value, the word-by-word node table,
+accruals, expectations and instance generator that the keyed integer walk
+must match value for value, and the word-keyed forward push and measure
+validator that the measures' row form must match mass for mass.
 """
 
 import ast
@@ -30,14 +31,14 @@ from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _G_NONNEG, _H_ANY,
                                 _INCREMENTS, _REWARDS, _TERMINALS, BRANCH_CAP, DEPTH_CAP)
 from treestop.errors import ShapeTooLarge
 from treestop.io import fmt_rational, load_instance
-from treestop.lattice import (ROOT, BudgetVector, NodeTable, TreeInstance, Word,
+from treestop.lattice import (ROOT, BudgetVector, NodeTable, Shape, TreeInstance, Word,
                               _as_matrix, _as_vector)
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
                                  _sigbar_entry, monomial_basis, weight_battery)
 from treestop.lp import INFEASIBLE as SOLVE_INFEASIBLE
 from treestop.lp import SolveResult, _budgets_or_default, solve_weak
-from treestop.measures import StoppingMeasure, _pushed_forward, feasible_for
+from treestop.measures import StoppingMeasure, feasible_for
 from treestop.rules import rule_from_map, rule_to_measure
 from treestop.xreal import as_fraction
 from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
@@ -80,7 +81,7 @@ def atom_expectations(tree, q):
             # leaves under a stop node split its mass; summing over leaves
             # recovers the node's full stop mass since branch probs sum to 1
             F, Gs, Hs = tree._functionals(node)
-            value = value + (F + Ext(tree.terminal_at(node))) * mass
+            value = value + (F + Ext(terminal_at(tree, node))) * mass
             for i, G in enumerate(Gs):
                 gs[i] = gs[i] + G * mass
             for i, H in enumerate(Hs):
@@ -236,10 +237,11 @@ def node_lp_solve(tree: TreeInstance, budgets=None, solve_lp=None) -> SolveResul
     assert res.status == OPTIMAL, res.status
 
     u_val = {w: res.x[i] for w, i in index.items()}
-    measure = _pushed_forward(tree, lambda w, arrive: u_val.get(w, _ZERO))
+    measure = StoppingMeasure.from_masses(
+        tree, *pushed_forward_by_words(tree, lambda w, arrive: u_val.get(w, _ZERO)))
     duals_ineq = tuple(_ZERO if r is None else res.duals[r] for r in ineq_rows)
     duals_eq = tuple(res.duals[r] for r in eq_rows)
-    return SolveResult(status="optimal", value=Ext(res.objective + tree.terminal_at(ROOT)),
+    return SolveResult(status="optimal", value=Ext(res.objective + terminal_at(tree, ROOT)),
                        measure=measure, duals_ineq=duals_ineq, duals_eq=duals_eq)
 
 
@@ -768,6 +770,13 @@ def oracle_merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]])
     return canonical_envelope(xs, vs)
 
 
+def shifted(env: ConcaveEnvelope, dx, dv) -> ConcaveEnvelope:
+    """``env`` moved by dx in budget and dv in value."""
+    dx, dv = as_fraction(dx), as_fraction(dv)
+    return ConcaveEnvelope(xs=tuple(x + dx for x in env.xs),
+                           vs=tuple(v + dv for v in env.vs))
+
+
 def oracle_backstep(stop_value, reward_step, budget_step, children) -> ConcaveEnvelope:
     """One backward step: paste the stop point onto the continuation curve.
 
@@ -776,7 +785,7 @@ def oracle_backstep(stop_value, reward_step, budget_step, children) -> ConcaveEn
     ``reward_step`` now, consumes ``budget_step`` now, and then allocates
     the remaining budget across the children.
     """
-    cont = oracle_merged_envelope(children).shifted(budget_step, reward_step)
+    cont = shifted(oracle_merged_envelope(children), budget_step, reward_step)
     points = [(Fraction(0), Fraction(stop_value))]
     points += list(zip(cont.xs, cont.vs))
     return hull_of_points(points)
@@ -788,7 +797,7 @@ def oracle_node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
     g, _ = tree.constraints.inequalities[0]
     env: Dict[Word, ConcaveEnvelope] = {}
     for word in reversed(list(tree.nodes())):
-        pi_here = tree.terminal_at(word)
+        pi_here = terminal_at(tree, word)
         if len(word) == tree.depth:
             env[word] = ConcaveEnvelope.constant(0, pi_here)
             continue
@@ -866,7 +875,7 @@ def monte_carlo_oracle(tree: TreeInstance, rule, paths: int, seed: int = 0) -> d
     accr: Dict[Word, tuple] = {}
     for word in tree.nodes():
         F, Gs, Hs = tree._functionals(word)
-        stop_value[word] = float(F + tree.terminal_at(word))
+        stop_value[word] = float(F + terminal_at(tree, word))
         q_float[word] = float(rule.prob(word))
         accr[word] = tuple(float(G) for G in Gs) + tuple(float(H) for H in Hs)
     thresholds = []
@@ -917,17 +926,51 @@ def monte_carlo_oracle(tree: TreeInstance, rule, paths: int, seed: int = 0) -> d
 
 
 # -- the node table, expectations and generation, word by word -----------------------
-# ``node_table_by_words`` is ``TreeInstance._node_table`` as it was before
-# the keyed integer walk (each node's path probability, accruals and terminal
-# payoff as Fractions from the per-word caches), with the path probabilities
-# added; ``expectations_by_words`` is ``measures.expectations_from_stop_mass``
+# ``words_by_levels``, ``path_prob_by_words``, ``functionals_by_words`` and
+# ``terminal_at`` give each node's word, path probability, accruals and
+# terminal payoff from the branching and the instance's functions, with none
+# of the tree's shape or table.  ``node_table_by_words`` is
+# ``TreeInstance._node_table`` as it was before the keyed integer walk, built
+# from them; ``expectations_by_words`` is ``measures.expectations_from_stop_mass``
 # and ``oracle_generate_instance`` is ``generate.generate_instance`` as they
-# were, the generator's reference rule pushed forward to a measure.  Each is
-# copied verbatim apart from its name; give them a freshly loaded tree, whose
-# caches no table walk has filled.
+# were, the generator's reference rule pushed forward to a measure.  Give
+# them a freshly loaded tree, whose caches no table walk has filled.
+
+def words_by_levels(tree: TreeInstance) -> List[Word]:
+    """Every word, level by level, each level in lexicographic order."""
+    words, level = [ROOT], [ROOT]
+    for k in range(tree.depth):
+        level = [w + (j,) for w in level for j in range(len(tree.branching[k]))]
+        words += level
+    return words
+
+
+def path_prob_by_words(tree: TreeInstance, word: Word) -> Fraction:
+    p = _ONE
+    for k, j in enumerate(word):
+        p *= tree.branching[k][j][0]
+    return p
+
+
+def terminal_at(tree: TreeInstance, word: Word) -> Fraction:
+    """The terminal payoff at a node, evaluated on every call."""
+    return tree._terminal_value(tree.time(len(word)), tree._prefix_for_call(word))
+
+
+def functionals_by_words(tree: TreeInstance, word: Word):
+    """Accrued (F, (G_i), (H_i)) at a node: the rates of every node on its
+    path, times dt, summed from the root."""
+    F, Gs, Hs = _ZERO, [_ZERO] * tree.constraints.n_ineq, [_ZERO] * tree.constraints.n_eq
+    for k in range(len(word)):
+        f, gs, hs = tree._rates(tree.time(k), tree._prefix_for_call(word[:k]))
+        F += f * tree.dt
+        Gs = [G + g * tree.dt for G, g in zip(Gs, gs)]
+        Hs = [H + h * tree.dt for H, h in zip(Hs, hs)]
+    return F, tuple(Gs), tuple(Hs)
+
 
 def node_table_by_words(tree: TreeInstance) -> NodeTable:
-    words = tuple(tree.nodes())
+    words = tuple(words_by_levels(tree))
     first = [1]  # ends at len(words): every node but the root is a child
     for w in words:
         if len(w) == tree.depth:
@@ -935,20 +978,62 @@ def node_table_by_words(tree: TreeInstance) -> NodeTable:
         first.append(first[-1] + tree.n_branches(len(w)))
     rows = []
     for w in words:
-        p = tree.path_prob(w)
-        F, Gs, Hs = tree._functionals(w)
-        rows.append([p * (F + tree.terminal_at(w)), *(p * G for G in Gs),
+        p = path_prob_by_words(tree, w)
+        F, Gs, Hs = functionals_by_words(tree, w)
+        rows.append([p * (F + terminal_at(tree, w)), *(p * G for G in Gs),
                      *(p * H for H in Hs)])
     cols, dens = [], []
     for col in zip(*rows):
         den = math.lcm(*(v.denominator for v in col))
         cols.append(tuple(v.numerator * (den // v.denominator) for v in col))
         dens.append(den)
-    probs = [tree.path_prob(w) for w in words]
+    probs = [path_prob_by_words(tree, w) for w in words]
     prob_den = math.lcm(*(p.denominator for p in probs))
-    return NodeTable(words, tuple(first), tuple(cols), tuple(dens),
-                     tuple(p.numerator * (prob_den // p.denominator) for p in probs),
-                     prob_den)
+    return NodeTable(Shape(words, tuple(first),
+                           tuple(p.numerator * (prob_den // p.denominator) for p in probs),
+                           prob_den), tuple(cols), tuple(dens))
+
+
+def pushed_forward_by_words(tree: TreeInstance, cont, branch_prob=None):
+    """Absolute stop and continue masses, (s, u) dicts by word: mass 1
+    enters at the root; node w continues ``cont(w, arrive)`` of the mass
+    arriving there and stops the rest, and a child receives its branch
+    probability (``branch_prob(child)`` if given) times its parent's
+    continue mass."""
+    s: Dict[Word, Fraction] = {}
+    u: Dict[Word, Fraction] = {}
+    for w in words_by_levels(tree):
+        if w == ROOT:
+            arrive = _ONE
+        else:
+            p = branch_prob(w) if branch_prob else tree.branching[len(w) - 1][w[-1]][0]
+            arrive = p * u[w[:-1]]
+        u[w] = cont(w, arrive)
+        s[w] = arrive - u[w]
+    return s, u
+
+
+def validate_by_words(tree: TreeInstance, s: Dict[Word, Fraction],
+                      u: Dict[Word, Fraction]) -> None:
+    """Flow conservation, nonnegativity and total stop mass 1 of absolute
+    masses, word by word (absent words hold 0)."""
+    total = _ZERO
+    for word in words_by_levels(tree):
+        sw, uw = s.get(word, _ZERO), u.get(word, _ZERO)
+        if sw < 0 or uw < 0:
+            raise ValueError(f"negative mass at {word}")
+        if len(word) == tree.depth and uw != 0:
+            raise ValueError(f"continue mass at horizon node {word}")
+        if word == ROOT:
+            if sw + uw != 1:
+                raise ValueError("root masses must sum to 1")
+        else:
+            p, _ = tree.branching[len(word) - 1][word[-1]]
+            if sw + uw != p * u.get(word[:-1], _ZERO):
+                raise ValueError(f"flow conservation fails at {word}")
+        total += sw
+    if total != 1:
+        raise ValueError(f"stop masses sum to {total}, not 1")
 
 
 def expectations_by_words(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -> dict:
@@ -958,8 +1043,8 @@ def expectations_by_words(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -
     for word, mass in stop_mass.items():
         if mass == 0:
             continue
-        _, Gs, Hs = tree._functionals(word)
-        value += tree.stop_payoff(word) * mass
+        F, Gs, Hs = functionals_by_words(tree, word)
+        value += (F + terminal_at(tree, word)) * mass
         for i, G in enumerate(Gs):
             gs[i] += G * mass
         for i, H in enumerate(Hs):

@@ -17,7 +17,7 @@ from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
                       solve_weak)
 from treestop.generate import generate_instance
 
-from oracles import oracle_backstep, oracle_node_envelopes
+from oracles import oracle_backstep, oracle_node_envelopes, terminal_at
 
 F = Fraction
 HALF = F(1, 2)
@@ -142,7 +142,7 @@ def test_level_prefixes_equal_euler_states(case):
         words = list(reps[k].values())
         assert [x for x, *_ in level] == [euler_state(tree, w)[-1] for w in words]
         for word, (_, p, stop, rates, kids) in zip(words, level):
-            assert p == tree.path_prob(word) and stop == tree.terminal_at(word)
+            assert p == tree.path_prob(word) and stop == terminal_at(tree, word)
             assert (rates is None) == (k == tree.depth)
             assert len(kids) == len(tree.children(word))
             for child, (at, factor) in zip(tree.children(word), kids):

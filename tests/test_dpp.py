@@ -148,8 +148,9 @@ def test_paste_flags_budget_violation_in_audit():
     tree = make_rw(eq=[(1, F(3, 2))])
     res = solve_weak(tree)
     # graft subtrees that stop immediately: the accrual drops below target
-    sub = StoppingMeasure(s={(): F(1), (0,): F(0), (1,): F(0)},
-                          u={(): F(0), (0,): F(0), (1,): F(0)})
+    sub = StoppingMeasure.from_masses(tree.subtree((0,)),
+                                      s={(): F(1), (0,): F(0), (1,): F(0)},
+                                      u={(): F(0), (0,): F(0), (1,): F(0)})
     pasted = paste(tree, res.measure, 1, {(0,): sub, (1,): sub})
     assert not feasible_for(tree, pasted, BudgetVector(ys=(), zs=(F(3, 2),)))
 

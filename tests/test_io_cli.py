@@ -307,6 +307,23 @@ def test_cli_check_class_rejects_flow_violating_measure_file(rw2_file, tmp_path,
     capsys.readouterr()
 
 
+def test_cli_check_class_audits_a_law_that_departs_from_the_tree(tmp_path, capsys):
+    # p = 1/2 on both branches; the law continues at the root and sends 3/4
+    # of its mass up, then stops: mass is conserved, the branching is not
+    doc = generate_instance(seed=3, depth=2)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    tree = load_instance(doc)
+    masses = {(): ("0", "1"), (0,): ("3/4", "0"), (1,): ("1/4", "0")}
+    law = {word_str(tree, w): {"s": s, "u": u} for w, (s, u) in masses.items()}
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    with pytest.raises(ValueError, match=r"flow conservation fails at \(0,\)"):
+        load_measure(tree, str(path))  # a measure holds only the tree's branching
+    assert main(["check-class", "--instance", str(inst), "--measure", str(path)]) == 1
+    assert "direct\tFAIL" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("flag", [["--degree", "0"], ["--degree", "-2"]])
 def test_cli_check_class_with_no_statistics_is_an_error(rw2_file, capsys, flag):
     assert main(["check-class", "--instance", rw2_file] + flag) == 2

@@ -11,7 +11,7 @@ from treestop import (BudgetVector, Coefficients, ConstraintSpec, Ext, NEG_INF,
 from treestop.lattice import MAX_NODES, TreeInstance
 
 from conftest import make_rw
-from oracles import straight_line_euler
+from oracles import functionals_by_words, straight_line_euler, terminal_at
 
 HALF = Fraction(1, 2)
 BINOM = [(HALF, 1), (HALF, -1)]
@@ -264,14 +264,14 @@ def test_node_table_is_built_by_the_first_solve_only():
     assert tree._table is None  # the envelope DP never builds it
     solve_weak(tree)
     table = tree._table
-    assert table.words == tuple(tree.nodes())
-    assert table.first == (1, 3, 5, 7)  # children of (), (0,), (1,)
+    assert table.shape.words == tuple(tree.nodes())
+    assert table.shape.first == (1, 3, 5, 7)  # children of (), (0,), (1,)
     solve_weak(tree)
     assert tree._table is table
     sub = tree.subtree((0,))
     assert sub._table is None
     solve_weak(sub)
-    assert sub._table is not table and sub._table.words == tuple(sub.nodes())
+    assert sub._table is not table and sub._table.shape.words == tuple(sub.nodes())
 
 
 def test_node_table_columns_are_path_probability_times_payoff_and_accruals():
@@ -281,15 +281,15 @@ def test_node_table_columns_are_path_probability_times_payoff_and_accruals():
                       inequalities=[(lambda t, xs: 1 + t, 2)],
                       equalities=[(lambda t, xs: xs[-1], 0)])
     table = tree._node_table()
-    for i, w in enumerate(table.words):
-        F, Gs, Hs = cumulative_functionals(tree, w)
-        want = [F + tree.terminal_at(w), *Gs, *Hs]
+    words, first = table.shape.words, table.shape.first
+    for i, w in enumerate(words):
+        F, Gs, Hs = functionals_by_words(tree, w)
+        want = [F + terminal_at(tree, w), *Gs, *Hs]
         got = [Fraction(col[i], den) for col, den in zip(table.cols, table.dens)]
         assert got == [tree.path_prob(w) * x for x in want]
         if len(w) < tree.depth:
-            kids = table.words[table.first[i]:table.first[i + 1]]
-            assert kids == tree.children(w)
-    assert len(table.first) == 1 + 3  # one more entry than interior nodes
+            assert words[first[i]:first[i + 1]] == tree.children(w)
+    assert len(first) == 1 + 3  # one more entry than interior nodes
 
 
 def test_constraint_spec_rejects_minus_inf_bound():

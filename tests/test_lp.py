@@ -86,7 +86,7 @@ def test_measure_to_rule_unreachable_convention(rw2):
     u = {w: F(0) for w in rw2.nodes()}
     u[()] = F(1)
     s[(0,)] = s[(1,)] = HALF
-    m = StoppingMeasure(s=s, u=u)
+    m = StoppingMeasure.from_masses(rw2, s, u)
     rule = measure_to_rule(rw2, m)
     assert all(rule.prob(w) == 1 for w in rw2.leaves())  # unreachable: q = 1
     back = rule_to_measure(rw2, rule)

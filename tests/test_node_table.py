@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treestop import (InvariantViolation, NodeNotInTree, TreeInstance, build_tree,
-                      cumulative_functionals, euler_state, expectations_from_stop_mass,
+                      euler_state, expectations_from_stop_mass,
                       load_instance, monte_carlo_value, rule_from_map, rule_to_measure,
                       solve_weak)
 from treestop.generate import generate_instance
 from treestop.martingale import candidate_with_state_shift
 
 from conftest import make_rw
-from oracles import (expectations_by_words, monte_carlo_oracle, node_table_by_words,
-                     oracle_generate_instance)
+from oracles import (expectations_by_words, functionals_by_words, monte_carlo_oracle,
+                     node_table_by_words, oracle_generate_instance)
 
 F = Fraction
 HALF = F(1, 2)
@@ -52,9 +52,9 @@ def assert_table_and_caches_match(make):
     table = tree._node_table()
     assert table == node_table_by_words(make())
     fresh = make()
-    for w in table.words:
+    for w in table.shape.words:
         assert tree._prefixes[w] == euler_state(fresh, w)
-        assert tree._funcs[w] == cumulative_functionals(fresh, w)
+        assert tree._funcs[w] == functionals_by_words(fresh, w)
     return table
 
 
@@ -62,7 +62,7 @@ def assert_table_and_caches_match(make):
 def test_keyed_table_equals_the_word_by_word_table_on_bench_trees(name):
     doc = generate_instance(**BENCH_SPECS[name])
     table = assert_table_and_caches_match(lambda: load_instance(doc))
-    assert table.index == {w: i for i, w in enumerate(table.words)}
+    assert table.shape.index == {w: i for i, w in enumerate(table.shape.words)}
 
 
 # -- hypothesis-drawn trees ----------------------------------------------------------
@@ -169,7 +169,7 @@ def test_table_evaluates_each_key_once(monkeypatch):
     tree = load_instance(doc)
     tree._node_table()
     assert calls == {"step": interior, "rates": interior, "terminal": keys}
-    assert keys < len(tree._node_table().words)
+    assert keys < len(tree._node_table().shape.words)
 
 
 # -- readers ----------------------------------------------------------------------
