@@ -80,19 +80,48 @@ def normalize_cut(tree: TreeInstance, tau: TauSpec) -> Tuple[Word, ...]:
     return cut
 
 
-def _before_cut(tree: TreeInstance, measure: StoppingMeasure, cut):
-    """Each row at or below a cut node, mapped to that node, and the nodes
-    where the measure stops before the cut, listed in BFS order."""
+def _split(tree: TreeInstance, measure: StoppingMeasure, cut):
+    """A measure split at a cut: its stop shares times the node table's
+    columns, summed as ints below each cut node.  Returns the value of the
+    stops before the cut, the accruals up to the cut (theirs plus reach
+    times each survivor's), those stops, the unreached cut nodes, per
+    survivor (nu, reach mass, F and (G, H) at nu, conditional value,
+    remaining accruals), and the tower sums (reach times the latter)."""
     table = tree._node_table()
     shape = table.shape
     owner = {j: nu for nu in cut for j in shape.rows_below(shape.index[nu])}
+    sums = {nu: [0] * len(table.cols) for nu in (None, *cut)}
     stopped = []
-    for i, w in enumerate(shape.words):
-        if measure.stops[i] and i not in owner:
-            F, Gs, Hs = tree._functionals(w)
-            stopped.append({"node": w, "mass": measure.stop(w), "F": F, "G": Gs,
-                            "H": Hs, "payoff": table.value(0, i)})
-    return owner, stopped
+    for i, weight in enumerate(measure.stops):
+        if weight:
+            nu = owner.get(i)
+            for c, col in enumerate(table.cols):
+                sums[nu][c] += weight * col[i]
+            if nu is None:
+                w = shape.words[i]
+                F, Gs, Hs = tree._functionals(w)
+                stopped.append({"node": w, "mass": measure.stop(w), "F": F, "G": Gs,
+                                "H": Hs, "payoff": table.value(0, i)})
+    value_before, *accrued = (Fraction(x, measure.scale * den)
+                              for x, den in zip(sums[None], table.dens))
+    survivors, zero, tower = [], [], [Fraction(0)] * len(accrued)
+    for nu in cut:
+        i = shape.index[nu]
+        reach = measure.stops[i] + measure.conts[i]
+        if reach == 0:
+            zero.append(nu)
+            continue
+        r = Fraction(reach * shape.probs[i], measure.scale * shape.prob_den)
+        F, Gs, Hs = tree._functionals(nu)
+        # the sums below nu over its reach mass
+        value, *below = (Fraction(x * shape.prob_den, den * reach * shape.probs[i])
+                         for x, den in zip(sums[nu], table.dens))
+        at_nu = (*Gs, *Hs)
+        rest = [a - x for a, x in zip(below, at_nu)]
+        accrued = [a + x * r for a, x in zip(accrued, at_nu)]
+        tower = [t + y * r for t, y in zip(tower, rest)]
+        survivors.append((nu, r, F, at_nu, value - F, rest))
+    return value_before, accrued, stopped, zero, survivors, tower
 
 
 def first_randomization_cut(tree: TreeInstance, rule: RandomizedStoppingRule) -> Tuple[Word, ...]:
@@ -144,46 +173,32 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
     """
     cut = normalize_cut(tree, tau)
     measure.validate(tree)
-    _, stopped_before = _before_cut(tree, measure, cut)
+    _, _, stopped_before, zero, split, tower = _split(tree, measure, cut)
+    shape, n_i = tree._shape(), tree.constraints.n_ineq
     survivors: Dict[Word, SurvivorData] = {}
-    table, stops, conts = tree._node_table(), measure.stops, measure.conts
-    shape, n_i, zero = table.shape, tree.constraints.n_ineq, []
-    tower = [Fraction(0)] * (len(table.cols) - 1)
-    for nu in cut:
+    for nu, r, F, at_nu, value, rest in split:
+        # the subtree's rows are nu's descendants, and its shares are the
+        # tree's over nu's reach share
         i = shape.index[nu]
-        reach = stops[i] + conts[i]
-        if reach == 0:
-            zero.append(nu)
-            continue
-        # the subtree's rows are i's descendants, and its shares are the
-        # tree's over reach; the conditional budgets, per stopping row,
-        # are its conditional stop mass times its accruals past nu
-        rows = shape.rows_below(i)
+        rows, reach = shape.rows_below(i), measure.stops[i] + measure.conts[i]
         sub_tree = tree.subtree(nu)
-        sub_measure = StoppingMeasure(sub_tree._shape(), tuple(stops[j] for j in rows),
-                                      tuple(conts[j] for j in rows), reach)
+        sub_measure = StoppingMeasure(sub_tree._shape(), tuple(measure.stops[j] for j in rows),
+                                      tuple(measure.conts[j] for j in rows), reach)
         sub_measure.validate(sub_tree)
-        F_nu, G_nu, H_nu = tree._functionals(nu)
-        at_nu, rest, on_rows = (*G_nu, *H_nu), [Fraction(0)] * len(tower), [0] * len(stops)
-        for j in rows:
-            if stops[j]:
-                mass = Fraction(stops[j] * shape.probs[j], reach * shape.probs[i])
-                rest = [y + (table.value(c, j) - x) * mass
-                        for c, (y, x) in enumerate(zip(rest, at_nu), 1)]
-                on_rows[j] = stops[j] * shape.prob_den
         # read from the tree's table: the conditional stop mass on its rows
-        exp = StoppingMeasure(shape, tuple(on_rows), (0,) * len(stops),
+        on_rows = [0] * len(shape.words)
+        for j in rows:
+            on_rows[j] = measure.stops[j] * shape.prob_den
+        exp = StoppingMeasure(shape, tuple(on_rows), (0,) * len(on_rows),
                               reach * shape.probs[i]).expectations(tree)
-        if [a - x for a, x in zip((*exp["ineq"], *exp["eq"]), at_nu)] != rest:
+        if [a - x for a, x in zip((exp["value"], *exp["ineq"], *exp["eq"]), (F, *at_nu))] \
+                != [value, *rest]:
             raise InvariantViolation(
-                f"conditional budgets at {nu} differ from the conditional "
-                "measure's accruals")
-        r = measure.reach(nu)
-        for c, y in enumerate(rest):
-            tower[c] += y * r
+                f"the conditional value and budgets at {nu} differ from the "
+                "conditional measure's value and accruals")
         survivors[nu] = SurvivorData(node=nu, mass=r, ys=tuple(rest[:n_i]),
                                      zs=tuple(rest[n_i:]), measure=sub_measure,
-                                     value=exp["value"] - F_nu, subtree=sub_tree)
+                                     value=value, subtree=sub_tree)
 
     return ConditionalBudgets(cut=cut, survivors=survivors,
                               stopped_before=stopped_before, zero_survival=zero,
@@ -240,48 +255,18 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
         raise ValueError(f"base solve is {base.status}: {base.reason}")
     cut = normalize_cut(tree, tau)
     env, env_scale, exp = _certify_optimal(tree, _budgets_or_default(tree, budgets), base)
-    measure, table = base.measure, tree._node_table()
-    shape = table.shape
+    shape = tree._shape()
     prices = base.duals_ineq + base.duals_eq
     n_i = len(base.duals_ineq)
 
-    # stop share times (V, G, H), summed below each cut node and (at None)
-    # over the nodes that stop before the cut; the sums are ints over the
-    # table's denominators times the measure's scale
-    owner, stopped_before = _before_cut(tree, measure, cut)
-    below = {nu: [0] * len(table.cols) for nu in (None, *cut)}
-    for i, weight in enumerate(measure.stops):
-        if weight:
-            sums = below[owner.get(i)]
-            for c, col in enumerate(table.cols):
-                sums[c] += weight * col[i]
-    below = {nu: [Fraction(x, measure.scale * den) for x, den in zip(sums, table.dens)]
-             for nu, sums in below.items()}
-
-    rhs = rhs_super = below[None][0]
-    # the tower identity's terms: accruals where the measure stops before
-    # the cut and at each survivor, and reach times each survivor's
-    # conditional remaining accruals
-    accrued, tower = below[None][1:], [Fraction(0)] * len(prices)
-    per_node, zero = [], []
-    for nu in cut:
-        r = measure.reach(nu)
-        if r == 0:
-            zero.append(nu)
-            continue
-        F, Gs, Hs = tree._functionals(nu)
-        sums = below[nu]
-        value = sums[0] / r - F
-        at_nu = (*Gs, *Hs)
-        rest = [a / r - x for a, x in zip(sums[1:], at_nu)]
+    rhs, accrued, stopped_before, zero, split, tower = _split(tree, base.measure, cut)
+    rhs_super, per_node = rhs, []
+    for nu, r, F, at_nu, value, rest in split:
         i = shape.index[nu]
         subvalue = Fraction(env[i] * shape.prob_den, env_scale * shape.probs[i]) - F \
             + sum(q * (x + y) for q, x, y in zip(prices, at_nu, rest))
         rhs += (F + subvalue) * r
         rhs_super += (F + value) * r
-        for c, (x, y) in enumerate(zip(at_nu, rest)):
-            accrued[c] += x * r
-            tower[c] += y * r
         per_node.append({
             "node": nu, "mass": r,
             "Y": tuple(rest[:n_i]), "Z": tuple(rest[n_i:]),

@@ -47,11 +47,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooHigh, EmptyBattery
 from .lattice import ROOT, TreeInstance, Word, _as_vector
-from .measures import StoppingMeasure
+from .measures import StoppingMeasure, _on_rows
 from .rules import RandomizedStoppingRule, rule_from_map, rule_to_measure
 from .xreal import as_fraction
 
@@ -147,7 +148,9 @@ class CandidateLaw:
     ``paths`` holds the claimed state paths: the tree when the law claims
     no state and has its history, else ``tree._derived`` from the claimed
     history (ending in a root override, if any) with the overrides as
-    claims, which thus never enter the tree's cache.
+    claims, which thus never enter the tree's cache.  Per row of
+    ``tree._shape()``, ``stops``, ``conts`` and ``points`` hold the masses
+    and the claimed (increment, state) point; a mass off the tree raises.
     """
 
     def __init__(self, tree: TreeInstance, s: Dict[Word, Fraction],
@@ -157,6 +160,9 @@ class CandidateLaw:
         self.tree = tree
         self.s = {w: as_fraction(v) for w, v in s.items()}
         self.u = {w: as_fraction(v) for w, v in u.items()}
+        self.shape = shape = tree._shape()
+        self.stops, self.conts = (_on_rows(shape, "stop", self.s),
+                                  _on_rows(shape, "continue", self.u))
         self.pre_t0_stop_mass = as_fraction(pre_t0_stop_mass)
         overrides = state_overrides or {}
         for w in overrides:
@@ -182,10 +188,27 @@ class CandidateLaw:
             history = history[:-1] + (self.state_overrides[ROOT],)
         self.paths = (tree if not self.state_overrides and history == tree.history
                       else tree._derived(0, history, self.state_overrides))
-        self._xi: Dict[Word, tuple] = {}
+        # level k holds the rows bounds[k] .. bounds[k + 1] - 1
+        self.bounds = [0]
+        for _ in range(tree.depth + 1):
+            self.bounds.append(shape.first[self.bounds[-1]])
+        # each row's cumulative increment: its parent's plus its branch's
+        incs = [(Fraction(0),) * tree.d]
+        for w, parent in zip(shape.words[1:], shape.parent[1:]):
+            incs.append(tuple(map(add, incs[parent], tree.branching[len(w) - 1][w[-1]][1])))
+        self.points = [inc + self.state(w) for inc, w in zip(incs, shape.words)]
         # the tables of the last standalone statistic() call
         self._sweep: Optional["_Sweep"] = None
-        self._validate_conservation()
+        stops, conts, n_inner = self.stops, self.conts, len(shape.first) - 1
+        if self.pre_t0_stop_mass + stops[0] + conts[0] != 1:
+            raise ValueError("total mass must be 1")
+        for i, w in enumerate(shape.words):
+            if stops[i] < 0 or conts[i] < 0:
+                raise ValueError(f"negative mass at {w}")
+            if i < n_inner:
+                kids = range(shape.first[i], shape.first[i + 1])
+                if sum(stops[c] + conts[c] for c in kids) != conts[i]:
+                    raise ValueError(f"mass is not conserved below {w}")
 
     @staticmethod
     def from_measure(tree: TreeInstance, measure: StoppingMeasure) -> "CandidateLaw":
@@ -199,19 +222,6 @@ class CandidateLaw:
 
     def reach(self, w: Word) -> Fraction:
         return self.stop(w) + self.cont(w)
-
-    def _validate_conservation(self) -> None:
-        tree = self.tree
-        if self.pre_t0_stop_mass + self.reach(ROOT) != 1:
-            raise ValueError("total mass must be 1")
-        for w in tree.nodes():
-            if self.stop(w) < 0 or self.cont(w) < 0:
-                raise ValueError(f"negative mass at {w}")
-            if len(w) < tree.depth:
-                flow = sum(self.reach(w + (j,))
-                           for j in range(tree.n_branches(len(w))))
-                if flow != self.cont(w):
-                    raise ValueError(f"mass is not conserved below {w}")
 
     # -- claimed states ------------------------------------------------------
 
@@ -227,47 +237,43 @@ class CandidateLaw:
 
     def xi(self, w: Word) -> tuple:
         """Claimed (cumulative increment, state) point in R^{d+l}."""
-        got = self._xi.get(w)
-        if got is None:
-            got = self._xi[w] = self.tree.increment_sum(w) + self.state(w)
-        return got
+        return self.points[self.shape.index[w]]
 
 
 # ---------------------------------------------------------------------------
 # compensators
 # ---------------------------------------------------------------------------
 
-def _compensators(cand: CandidateLaw, w: Word, mode: str,
+def _compensators(cand: CandidateLaw, row: int, mode: str,
                   phis: Sequence[Polynomial], here: Sequence[Fraction],
                   kids: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """The compensator of every phi at inner node w.
+    """The compensator of every phi at an inner row.
 
-    ``here`` holds each phi(xi(w)) and ``kids`` each child's row of phi
-    values at its claimed point.  The exact compensator averages phi over
-    the Euler children; a child whose claimed state is the Euler one
-    reuses its row, and the Euler states of the others are computed once
-    for all phi.
+    ``here`` holds each phi at the row's claimed point and ``kids`` each
+    child's row of phi values at its claimed point.  The exact compensator
+    averages phi over the Euler children; a child whose claimed state is
+    the Euler one reuses its row, and the Euler states of the others are
+    computed once for all phi.
     """
-    tree = cand.tree
+    tree, shape = cand.tree, cand.shape
+    w = shape.words[row]
     k = len(w)
     if mode == "exact":
-        rows = list(kids)
-        if any(c in cand.state_overrides for c in tree.children(w)):
-            winc = tree.increment_sum(w)
-            for j, ((_, inc), x_next) in enumerate(zip(tree.branching[k],
-                                                       cand.model_children(w))):
-                if w + (j,) in cand.state_overrides:
-                    nxt = tuple(a + b for a, b in zip(winc, inc)) + x_next
-                    rows[j] = [phi.eval(nxt) for phi in phis]
+        vals, claims = list(kids), cand.state_overrides
+        kid_rows = range(shape.first[row], shape.first[row + 1])
+        if claims and any(shape.words[c] in claims for c in kid_rows):
+            for j, (c, x_next) in enumerate(zip(kid_rows, cand.model_children(w))):
+                if shape.words[c] in claims:  # the child's increment, the Euler state
+                    vals[j] = [phi.eval(cand.points[c][:tree.d] + x_next) for phi in phis]
         probs = [p for p, _ in tree.branching[k]]
-        return [sum((p * row[i] for p, row in zip(probs, rows)), Fraction(0)) - h
+        return [sum((p * val[i] for p, val in zip(probs, vals)), Fraction(0)) - h
                 for i, h in enumerate(here)]
     if mode == "generator":
         t = tree.time(k)
         b, sig = tree._coefficients(t, cand.prefix_for_call(w))
         d, l = tree.d, tree.l
         bbar = tuple([Fraction(0)] * d) + tuple(b)
-        xi = cand.xi(w)
+        xi = cand.points[row]
         out = []
         for phi in phis:
             grads = [phi.diff(i) for i in range(d + l)]
@@ -309,16 +315,15 @@ def compensated_process(tree: TreeInstance, phi: Polynomial,
     continuous compensator.
     """
     cand = CandidateLaw.from_measure(tree, _stop_at_horizon(tree))
-    vals = {w: phi.eval(cand.xi(w)) for w in tree.nodes()}
-    out: Dict[Word, Fraction] = {ROOT: vals[ROOT]}
-    for w in tree.nodes():
-        kids = tree.children(w)
-        if kids:
-            comp, = _compensators(cand, w, mode, (phi,), (vals[w],),
-                                  [(vals[c],) for c in kids])
-            for c in kids:
-                out[c] = out[w] + vals[c] - vals[w] - comp
-    return out
+    first = cand.shape.first
+    vals = [phi.eval(pt) for pt in cand.points]
+    out = vals[:1] * len(vals)
+    for i in range(len(first) - 1):
+        kids = range(first[i], first[i + 1])
+        comp, = _compensators(cand, i, mode, (phi,), (vals[i],), [(vals[c],) for c in kids])
+        for c in kids:
+            out[c] = out[i] + vals[c] - vals[i] - comp
+    return dict(zip(cand.shape.words, out))
 
 
 def _stop_at_horizon(tree: TreeInstance) -> StoppingMeasure:
@@ -370,35 +375,28 @@ def weight_battery(tree: TreeInstance, cand: CandidateLaw, s: int,
         for flag in ("stopped", "open"):
             out.append(CylinderWeight(
                 label=f"{flag}@{time}", factors=(WeightFactor(time=time, flag=flag),)))
-    # boxes that isolate the claimed path of each node at depth <= s
+    # boxes that isolate the claimed path of each node at depth <= s, by
+    # half the least gap between the claimed values at each depth
+    shape, points, bounds = cand.shape, cand.points, cand.bounds
     eps: Dict[int, Fraction] = {}
-    values: Dict[int, list] = {}
-    for w in tree.nodes():
-        if len(w) > s:
-            continue
-        values.setdefault(len(w), []).append(cand.xi(w))
-    for depth, pts in values.items():
-        gaps = []
-        for i in range(tree.d + tree.l):
-            coords = sorted({pt[i] for pt in pts})
-            gaps += [b - a for a, b in zip(coords, coords[1:])]
-        eps[depth] = min(gaps) / 2 if gaps else Fraction(1)
-    for w in tree.nodes():
+    pins = {0: ()}  # per row, the boxes on its path from depth 1 down
+    for i in range(1, bounds[min(s, tree.depth) + 1]):
         if len(out) >= budget:
             break
-        if not 1 <= len(w) <= s:
-            continue
-        factors = []
-        for k in range(1, len(w) + 1):
-            pt = cand.xi(w[:k])
-            box = tuple((c, c + eps[k]) for c in pt)
-            factors.append(WeightFactor(time=k, box=box))
+        w = shape.words[i]
+        k = len(w)
+        if k not in eps:
+            gaps = []
+            for n in range(tree.d + tree.l):
+                coords = sorted({pt[n] for pt in points[bounds[k]:bounds[k + 1]]})
+                gaps += [b - a for a, b in zip(coords, coords[1:])]
+            eps[k] = min(gaps) / 2 if gaps else Fraction(1)
+        box = tuple((c, c + eps[k]) for c in points[i])
+        pins[i] = pins[shape.parent[i]] + (WeightFactor(time=k, box=box),)
         for flag in ("any", "open", "stopped"):
-            pinned = factors[:-1] + [WeightFactor(time=len(w),
-                                                  box=factors[-1].box, flag=flag)]
             out.append(CylinderWeight(
                 label=f"pin{''.join(map(str, w))}/{flag}",
-                factors=tuple(pinned)))
+                factors=pins[i][:-1] + (WeightFactor(time=k, box=box, flag=flag),)))
             if len(out) >= budget:
                 break
     return out[:budget]
@@ -427,42 +425,31 @@ class _Sweep:
     """
 
     def __init__(self, cand: CandidateLaw, mode: str, phis: Sequence[Polynomial]):
-        tree = cand.tree
+        shape = cand.shape
         self.cand, self.mode = cand, mode
         self.index = {phi: i for i, phi in enumerate(phis)}
         zero = Fraction(0)
         self.zero_row = [zero] * len(phis)
-        # per depth, one (w, xi, open shares, stopped shares, a, b) per node
-        self.table: List[list] = []
+        # per inner row, (open shares, stopped shares, their sums, a, b)
+        self.table: List[tuple] = []
         self.live = 0
-        level = [ROOT]
-        vals = [[phi.eval(cand.xi(ROOT)) for phi in phis]]
-        for k in range(tree.depth):
-            post = cand.post_stop[k]
-            rows, nxt, nxt_vals = [], [], []
-            for w, here in zip(level, vals):
-                kids = tree.children(w)
-                kid_vals = [[phi.eval(cand.xi(c)) for phi in phis] for c in kids]
-                comps = _compensators(cand, w, mode, phis, here, kid_vals)
-                u = cand.cont(w)
-                if u:
-                    opens = [cand.cont(c) / u for c in kids]
-                    stops = [cand.stop(c) / u for c in kids]
-                else:
-                    opens = stops = [zero] * len(kids)
-                rises = [[v - h for v, h in zip(kv, here)] for kv in kid_vals]
-                reach = [o + st for o, st in zip(opens, stops)]
-                a = _nonzero([sum((q * rise[i] for q, rise in zip(reach, rises)),
-                                  zero) - c for i, c in enumerate(comps)]) if u else None
-                b = _nonzero([sum((p * rise[i] for p, rise in zip(post, rises)),
-                                  zero) - c for i, c in enumerate(comps)])
-                if a or b:
-                    self.live = k + 1
-                rows.append((w, cand.xi(w), opens, stops, a, b))
-                nxt += kids
-                nxt_vals += kid_vals
-            self.table.append(rows)
-            level, vals = nxt, nxt_vals
+        vals = [[phi.eval(pt) for phi in phis] for pt in cand.points]
+        for row, (w, here) in enumerate(zip(shape.words[:len(shape.first) - 1], vals)):
+            kids = range(shape.first[row], shape.first[row + 1])
+            kid_vals = vals[kids.start:kids.stop]
+            comps = _compensators(cand, row, mode, phis, here, kid_vals)
+            u = cand.conts[row]
+            opens = [cand.conts[c] / u if u else zero for c in kids]
+            stops = [cand.stops[c] / u if u else zero for c in kids]
+            rises = [[v - h for v, h in zip(kv, here)] for kv in kid_vals]
+            reach = [o + st for o, st in zip(opens, stops)]
+            a = _nonzero([sum((q * rise[i] for q, rise in zip(reach, rises)),
+                              zero) - c for i, c in enumerate(comps)]) if u else None
+            b = _nonzero([sum((p * rise[i] for p, rise in zip(cand.post_stop[len(w)], rises)),
+                              zero) - c for i, c in enumerate(comps)])
+            if a or b:
+                self.live = len(w) + 1
+            self.table.append((opens, stops, reach, a, b))
         self._levels: Dict[CylinderWeight, List[List[Fraction]]] = {}
 
     def levels(self, weight: CylinderWeight) -> List[List[Fraction]]:
@@ -472,43 +459,41 @@ class _Sweep:
         got = self._levels.get(weight)
         if got is not None:
             return got
-        cand, zero = self.cand, Fraction(0)
+        cand, zero, first = self.cand, Fraction(0), self.cand.shape.first
         out = []
-        # after-decision weighted masses of the nodes at the current depth;
+        # after-decision weighted masses per row, set a level at a time;
         # factors zero them out at their times
-        m_open = [cand.cont(ROOT)]
-        m_stop = [cand.stop(ROOT) + cand.pre_t0_stop_mass]
+        m_open, m_stop = [zero] * len(cand.points), [zero] * len(cand.points)
+        m_open[0], m_stop[0] = cand.conts[0], cand.stops[0] + cand.pre_t0_stop_mass
         for k in range(self.live):
-            rows = self.table[k]
+            rows = range(cand.bounds[k], cand.bounds[k + 1])
             for f in weight.factors:
                 if f.time != k:
                     continue
-                for i, row in enumerate(rows):
-                    holds = f.box_holds(row[1])
+                for i in rows:
+                    holds = f.box_holds(cand.points[i])
                     if not (holds and f.flag in ("any", "open")):
                         m_open[i] = zero
                     if not (holds and f.flag in ("any", "stopped")):
                         m_stop[i] = zero
             post = cand.post_stop[k]
-            none = [zero] * len(post)
             acc = self.zero_row
-            nxt_open, nxt_stop = [], []
-            for (_, _, opens, stops, a, b), mo, ms in zip(rows, m_open, m_stop):
+            for i in rows:
+                (opens, stops, _, a, b), mo, ms = self.table[i], m_open[i], m_stop[i]
+                kids = slice(first[i], first[i + 1])
                 # pre-stop flow follows the candidate's own mass ratios,
                 # post-stop flow its post-stop branching
                 if mo:
-                    nxt_open += [mo * o for o in opens]
-                    nxt_stop += ([mo * st + ms * p for st, p in zip(stops, post)]
-                                 if ms else [mo * st for st in stops])
-                else:
-                    nxt_open += none
-                    nxt_stop += [ms * p for p in post] if ms else none
+                    m_open[kids] = [mo * o for o in opens]
+                    m_stop[kids] = ([mo * st + ms * p for st, p in zip(stops, post)]
+                                    if ms else [mo * st for st in stops])
+                elif ms:
+                    m_stop[kids] = [ms * p for p in post]
                 if mo and a:
                     acc = [x + mo * y for x, y in zip(acc, a)]
                 if ms and b:
                     acc = [x + ms * y for x, y in zip(acc, b)]
             out.append(acc)
-            m_open, m_stop = nxt_open, nxt_stop
         out += [self.zero_row] * (cand.tree.depth - self.live)
         self._levels[weight] = out
         return out
@@ -524,21 +509,16 @@ class _Sweep:
         last state at the root).  O(nodes): together with clause 2 these
         decide membership.
         """
-        cand, tree = self.cand, self.cand.tree
-        for k, level in enumerate(tree.branching):
-            model = [p for p, _ in level]
+        cand, tree, words = self.cand, self.cand.tree, self.cand.shape.words
+        models = [[p for p, _ in level] for level in tree.branching]
+        for k, model in enumerate(models):
             if cand.post_stop[k] != model:
                 return {"check": "post_stop", "level": k,
                         "claimed": cand.post_stop[k], "model": model}
-        for k, rows in enumerate(self.table):
-            model = [p for p, _ in tree.branching[k]]
-            for w, _, opens, stops, _, _ in rows:
-                if not cand.cont(w):
-                    continue
-                claimed = [o + st for o, st in zip(opens, stops)]
-                if claimed != model:
-                    return {"check": "branching", "node": w,
-                            "claimed": claimed, "model": model}
+        for i, (_, _, reach, _, _) in enumerate(self.table):
+            if cand.conts[i] and reach != models[len(words[i])]:
+                return {"check": "branching", "node": words[i],
+                        "claimed": reach, "model": models[len(words[i])]}
         for w in sorted(cand.state_overrides, key=lambda w: (len(w), w)):
             euler = (cand.claimed_history[-1] if w == ROOT else
                      cand.model_children(w[:-1])[w[-1]])
@@ -626,7 +606,7 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
     if candidate.claimed_history != tree.history:
         detail["history"] = {"claimed": candidate.claimed_history,
                              "pinned": tree.history}
-    never_stops = sum(candidate.cont(w) for w in tree.leaves())
+    never_stops = sum(candidate.conts[len(candidate.shape.first) - 1:])
     if never_stops != 0:
         detail["mass_never_stopping"] = never_stops
     report.clause2_detail = detail

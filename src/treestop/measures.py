@@ -56,13 +56,9 @@ class StoppingMeasure:
         """The measure with these absolute masses per word (0 where absent);
         a mass on a word that is not a node raises NodeNotInTree."""
         shape = tree._shape()
-        for what, masses in (("stop", s), ("continue", u)):
-            for word, mass in masses.items():
-                if mass and word not in shape.index:
-                    raise NodeNotInTree(f"{what} mass {mass} on {word}, which is not a node")
-        return cls.from_shares(shape, *([Fraction(masses.get(w, 0) * shape.prob_den, p)
-                                         for w, p in zip(shape.words, shape.probs)]
-                                        for masses in (s, u)))
+        return cls.from_shares(shape, *([Fraction(mass * shape.prob_den, p) for mass, p
+                                         in zip(_on_rows(shape, what, masses), shape.probs)]
+                                        for what, masses in (("stop", s), ("continue", u))))
 
     def _mass(self, shares, word: Word) -> Fraction:
         i = self.shape.index.get(word)  # a word outside the tree holds 0
@@ -120,6 +116,15 @@ class StoppingMeasure:
         n = tree.constraints.n_ineq
         return {"value": value, "ineq": tuple(accrued[:n]), "eq": tuple(accrued[n:]),
                 "mean_stop_time": Fraction(steps, self.scale * shape.prob_den) * tree.dt}
+
+
+def _on_rows(shape: Shape, what: str, masses: Dict[Word, Fraction]) -> list:
+    """Per row of the shape, the mass on its word (0 where absent); a
+    nonzero mass on a word that is not a node raises NodeNotInTree."""
+    for word, mass in masses.items():
+        if mass and word not in shape.index:
+            raise NodeNotInTree(f"{what} mass {mass} on {word}, which is not a node")
+    return [masses.get(w, Fraction(0)) for w in shape.words]
 
 
 def expectations_from_stop_mass(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -> dict:

@@ -6,7 +6,9 @@ induction, brute-force grids, the dense node LP that column generation
 must match value for value, the per-survivor subtree LPs that the DPP
 verifier's Snell pass must match report for report, a Fraction-tableau
 simplex that the integer-row solver must match result for result, a per-statistic membership sweep that the
-shared sweep must match statistic for statistic, and a node-by-node envelope
+shared sweep must match statistic for statistic (with the word-keyed claimed
+points and cylinder-weight battery that the row form must match weight for
+weight), and a node-by-node envelope
 recursion that the level-order sweep must match envelope for envelope, and
 the tree-walking interpreter of instance expressions that the compiled
 expressions must match value for value, the word-by-word node table,
@@ -18,6 +20,7 @@ validator that the measures' row form must match mass for mass.
 import ast
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -35,7 +38,7 @@ from treestop.lattice import (ROOT, BudgetVector, NodeTable, Shape, TreeInstance
                               _as_matrix, _as_vector)
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
-                                 _sigbar_entry, monomial_basis, weight_battery)
+                                 _sigbar_entry, monomial_basis)
 from treestop.lp import INFEASIBLE as SOLVE_INFEASIBLE
 from treestop.lp import SolveResult, _budgets_or_default, solve_weak
 from treestop.measures import StoppingMeasure, feasible_for
@@ -487,16 +490,80 @@ def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str
 # are the per-(polynomial, node) compensator, the per-statistic forward sweep
 # and the clause-1 loop as they were before the library moved to one sweep
 # per weight and to per-node unit contributions, copied verbatim apart from
-# their names.  ``oracle_direct_detail`` restates the direct check from its
+# their names, and reading claimed points through ``oracle_xi`` and the
+# battery through ``oracle_weight_battery``: the word-keyed ``xi`` and
+# ``weight_battery`` as they were before the library moved to the tree's
+# rows.  ``oracle_direct_detail`` restates the direct check from its
 # definition, and the clause-1 loop runs it where the library does.  The
 # library's reports must equal theirs entry for entry.
+
+
+_XI: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def oracle_xi(cand: CandidateLaw, w: Word) -> tuple:
+    """Claimed (cumulative increment, state) point in R^{d+l}, cached per
+    candidate as the library cached it before."""
+    cache = _XI.setdefault(cand, {})
+    got = cache.get(w)
+    if got is None:
+        got = cache[w] = cand.tree.increment_sum(w) + cand.state(w)
+    return got
+
+
+def oracle_weight_battery(tree: TreeInstance, cand: CandidateLaw, s: int,
+                          budget: int) -> List[CylinderWeight]:
+    """Deterministic cylinder-weight family for tests ending at time s.
+
+    Enumerates, in order: the trivial weight; stopped / not-stopped flags
+    at each time <= s; path-pinning boxes (built on rational thresholds
+    separating the claimed values at each depth) with a flag at the pinned
+    node's time.  The enumeration is capped at ``budget`` weights.
+    """
+    out = [CylinderWeight(label="1", factors=())]
+    for time in range(0, s + 1):
+        for flag in ("stopped", "open"):
+            out.append(CylinderWeight(
+                label=f"{flag}@{time}", factors=(WeightFactor(time=time, flag=flag),)))
+    # boxes that isolate the claimed path of each node at depth <= s
+    eps: Dict[int, Fraction] = {}
+    values: Dict[int, list] = {}
+    for w in tree.nodes():
+        if len(w) > s:
+            continue
+        values.setdefault(len(w), []).append(oracle_xi(cand, w))
+    for depth, pts in values.items():
+        gaps = []
+        for i in range(tree.d + tree.l):
+            coords = sorted({pt[i] for pt in pts})
+            gaps += [b - a for a, b in zip(coords, coords[1:])]
+        eps[depth] = min(gaps) / 2 if gaps else Fraction(1)
+    for w in tree.nodes():
+        if len(out) >= budget:
+            break
+        if not 1 <= len(w) <= s:
+            continue
+        factors = []
+        for k in range(1, len(w) + 1):
+            pt = oracle_xi(cand, w[:k])
+            box = tuple((c, c + eps[k]) for c in pt)
+            factors.append(WeightFactor(time=k, box=box))
+        for flag in ("any", "open", "stopped"):
+            pinned = factors[:-1] + [WeightFactor(time=len(w),
+                                                  box=factors[-1].box, flag=flag)]
+            out.append(CylinderWeight(
+                label=f"pin{''.join(map(str, w))}/{flag}",
+                factors=tuple(pinned)))
+            if len(out) >= budget:
+                break
+    return out[:budget]
 
 
 def oracle_compensator(cand: CandidateLaw, phi: Polynomial, w: Word,
                        mode: str) -> Fraction:
     tree = cand.tree
     k = len(w)
-    xi = cand.xi(w)
+    xi = oracle_xi(cand, w)
     if mode == "exact":
         here = phi.eval(xi)
         kids = cand.model_children(w)
@@ -590,7 +657,7 @@ def oracle_statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
         for f in by_time.get(k, ()):
             for masses, here in ((open_mass, "open"), (stop_mass, "stopped")):
                 for w in list(masses):
-                    ok = f.flag in ("any", here) and f.box_holds(cand.xi(w))
+                    ok = f.flag in ("any", here) and f.box_holds(oracle_xi(cand, w))
                     if not ok:
                         masses[w] = Fraction(0)
         nxt_open: Dict[Word, Fraction] = {}
@@ -600,7 +667,7 @@ def oracle_statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
             in_window = k >= s
             if in_window and (m_open or m_stop):
                 stat -= (m_open + m_stop) * oracle_compensator(cand, phi, w, mode)
-            phi_here = phi.eval(cand.xi(w)) if in_window else None
+            phi_here = phi.eval(oracle_xi(cand, w)) if in_window else None
             u_w = cand.cont(w)
             for j in range(tree.n_branches(k)):
                 child = w + (j,)
@@ -609,7 +676,7 @@ def oracle_statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
                 flow_stop = m_stop * cand.post_stop[k][j]
                 if flow_open or flow_stop:
                     if in_window:
-                        dphi = phi.eval(cand.xi(child)) - phi_here
+                        dphi = phi.eval(oracle_xi(cand, child)) - phi_here
                         stat += (flow_open + flow_stop) * dphi
                     nxt_stop[child] = nxt_stop.get(child, Fraction(0)) + \
                         flow_stop + flow_open * (cand.stop(child) / cand.reach(child)
@@ -665,7 +732,7 @@ def oracle_check_membership(tree: TreeInstance, candidate, degree: int = 2,
     threshold = as_fraction(tolerance) * tree.dt
     done = False
     for s in range(0, tree.depth):
-        weights = weight_battery(tree, candidate, s, weight_budget)
+        weights = oracle_weight_battery(tree, candidate, s, weight_budget)
         for r in range(s + 1, tree.depth + 1):
             for label, phi in basis:
                 for weight in weights:

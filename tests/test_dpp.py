@@ -173,18 +173,19 @@ def test_conditioning_preserves_feasibility_for_random_measures():
                                     BudgetVector(ys=data.ys, zs=data.zs))
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", [*range(4), "pool"])
 def test_condition_reads_the_trees_table_not_the_subtrees(seed):
     # survivors' values and budgets come from the tree's own table; each
     # subtree, asked afterwards, gives the same ones from its own table
-    tree = load_instance(generate_instance(seed=700 + seed, depth=3, branches=3,
-                                           n_ineq=1, n_eq=1))
-    m = solve_weak(tree).measure
-    for k in (1, 2, 3):
-        for data in condition(tree, m, k).survivors.values():
-            assert data.subtree._table is None
-            exp = data.measure.expectations(data.subtree)
-            assert (exp["value"], exp["ineq"], exp["eq"]) == (data.value, data.ys, data.zs)
+    trees = acceptance_pool() if seed == "pool" else [load_instance(generate_instance(
+        seed=700 + seed, depth=3, branches=3, n_ineq=1, n_eq=1))]
+    for tree in trees:
+        m = solve_weak(tree).measure
+        for k in range(1, tree.depth + 1):
+            for data in condition(tree, m, k).survivors.values():
+                assert data.subtree._table is None
+                exp = data.measure.expectations(data.subtree)
+                assert (exp["value"], exp["ineq"], exp["eq"]) == (data.value, data.ys, data.zs)
 
 
 def test_tower_identity_matches_direct_post_cut_sum():

@@ -200,6 +200,16 @@ def test_candidate_requires_mass_conservation(rw2):
         CandidateLaw(rw2, s=s, u=u)
 
 
+def test_candidate_mass_off_the_tree_raises_naming_the_word():
+    tree = build_tree(dt=1, depth=2, branching=[(HALF, 1), (HALF, -1)], x0=0)
+    with pytest.raises(NodeNotInTree, match=re.escape("(7,)")):
+        CandidateLaw(tree, s={(): 1, (7,): HALF, (0, 0, 0): 3}, u={(9, 9): 1})
+    with pytest.raises(NodeNotInTree, match=re.escape("(9, 9)")):
+        CandidateLaw(tree, s={(): 1}, u={(9, 9): 1})
+    # a zero mass off the tree holds nothing, as in StoppingMeasure.from_masses
+    assert check_membership(tree, CandidateLaw(tree, s={(): 1, (7,): 0}, u={})).ok
+
+
 def test_never_stopping_mass_is_a_support_violation(rw2):
     s = {w: F(0) for w in rw2.nodes()}
     u = {w: F(0) for w in rw2.nodes()}

@@ -21,7 +21,9 @@ from treestop.martingale import (CylinderWeight, _stop_at_horizon, monomial_basi
 from treestop.xreal import as_fraction
 
 from conftest import acceptance_corruptions, acceptance_pool, make_rw
-from oracles import oracle_check_membership, oracle_statistic
+from oracles import (oracle_check_membership, oracle_statistic, oracle_weight_battery,
+                     oracle_xi)
+from test_martingale import moment_preserving_candidate
 
 F = Fraction
 HALF = F(1, 2)
@@ -63,6 +65,22 @@ def test_corruptions_match_oracle_and_are_rejected():
         assert not rep.ok, (i, kind, eps)
         if i < 15:  # five of each kind, also with every statistic
             assert not assert_same_reports(tree, cand, degree=2).ok
+    # a branch law that keeps the increment's lower moments
+    tree, cand = moment_preserving_candidate()
+    for degree in (2, 3):
+        assert not assert_same_reports(tree, cand, degree=degree).ok
+
+
+def test_claimed_points_and_battery_match_word_references(pool_measures):
+    # the oracle's membership reports read these references, so a fault
+    # in the rows' points or battery would not show there
+    pool = [tree for tree, _ in pool_measures]
+    cands = [(tree, CandidateLaw.from_measure(tree, m)) for tree, m in pool_measures]
+    cands += [(tree, cand) for i, _, _, tree, cand in acceptance_corruptions(pool) if i < 30]
+    for tree, cand in cands:
+        assert [cand.xi(w) for w in tree.nodes()] == [oracle_xi(cand, w) for w in tree.nodes()]
+        for s in range(tree.depth):
+            assert weight_battery(tree, cand, s, 16) == oracle_weight_battery(tree, cand, s, 16)
 
 
 def _stop_biased_candidate():
