@@ -72,8 +72,8 @@ def test_corruptions_match_oracle_and_are_rejected():
 
 
 def test_claimed_points_and_battery_match_word_references(pool_measures):
-    # the oracle's membership reports read these references, so a fault
-    # in the rows' points or battery would not show there
+    # the row form's points and battery against the word-keyed references
+    # that the oracle's membership reports read
     pool = [tree for tree, _ in pool_measures]
     cands = [(tree, CandidateLaw.from_measure(tree, m)) for tree, m in pool_measures]
     cands += [(tree, cand) for i, _, _, tree, cand in acceptance_corruptions(pool) if i < 30]
