@@ -180,7 +180,8 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
         # the subtree's rows are nu's descendants, and its shares are the
         # tree's over nu's reach share
         i = shape.index[nu]
-        rows, reach = shape.rows_below(i), measure.stops[i] + measure.conts[i]
+        rows = shape.rows_below(i)
+        reach = measure.stops[i] + measure.conts[i]
         sub_tree = tree.subtree(nu)
         sub_measure = StoppingMeasure(sub_tree._shape(), tuple(measure.stops[j] for j in rows),
                                       tuple(measure.conts[j] for j in rows), reach)

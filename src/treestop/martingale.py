@@ -259,12 +259,11 @@ def _compensators(cand: CandidateLaw, row: int, mode: str,
     w = shape.words[row]
     k = len(w)
     if mode == "exact":
-        vals, claims = list(kids), cand.state_overrides
-        kid_rows = range(shape.first[row], shape.first[row + 1])
-        if claims and any(shape.words[c] in claims for c in kid_rows):
-            for j, (c, x_next) in enumerate(zip(kid_rows, cand.model_children(w))):
-                if shape.words[c] in claims:  # the child's increment, the Euler state
-                    vals[j] = [phi.eval(cand.points[c][:tree.d] + x_next) for phi in phis]
+        vals = list(kids)
+        for j, c in enumerate(range(shape.first[row], shape.first[row + 1])):
+            if shape.words[c] in cand.state_overrides:  # the increment, the Euler state
+                nxt = cand.points[c][:tree.d] + cand.model_children(w)[j]
+                vals[j] = [phi.eval(nxt) for phi in phis]
         probs = [p for p, _ in tree.branching[k]]
         return [sum((p * val[i] for p, val in zip(probs, vals)), Fraction(0)) - h
                 for i, h in enumerate(here)]
