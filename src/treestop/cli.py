@@ -33,7 +33,7 @@ from .rules import (derandomize, equivalence_check, monte_carlo_value,
                     theta_of_rule)
 from .xreal import Ext
 
-MAX_GRID = 10_000  # dp --grid points: about 0.7 s of queries and printing at 8 x 3
+MAX_GRID = 10_000  # dp --grid points: about 0.35 s of queries and printing at 8 x 3
 
 
 @dataclass

@@ -2,9 +2,12 @@
 
 An envelope is a concave, non-decreasing function on [domain_start, inf),
 stored as exact rational breakpoints and constant beyond the last one.
-The algebra here (pointwise shifts, probability-weighted merging of
-marginal slopes, upper concave hulls) is what the scalar-budget backward
-induction runs on.
+The backward induction in the budget runs on chains: an envelope's start
+point, top value and rising (rise, width) segments, steepest first, as
+ints over one budget unit and one value unit.  Children's chains merge by
+an exact sort of their pooled segments (``_merged``), and ``_built`` turns
+a chain back into an envelope; Fractions are met only there and in
+``_int_chains``, which brings (probability, envelope) pairs to ints.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
+from math import lcm
 from operator import itemgetter
 from typing import List, Sequence, Tuple
 
@@ -84,46 +89,62 @@ class ConcaveEnvelope:
         return ConcaveEnvelope(xs=(as_fraction(x0),), vs=(as_fraction(v),))
 
 
-def _scaled(p, env: ConcaveEnvelope):
-    """p * env as a chain (x0, v0, top value, (slope, width) pairs of the
-    rising part, steepest first); a child of probability 0 has no width."""
-    segments = tuple((s, p * w) for s, w in env.segments()) if p else ()
-    return p * env.xs[0], p * env.vs[0], p * env.vs[-1], segments
-
-
-def _steepest_first(pool: list) -> list:
-    """Sort (slope, width, ...) segments steepest first, in place.  The sort
-    is stable, so equal slopes keep their pool order: by chain (child), then
-    along each chain."""
-    pool.sort(key=itemgetter(0), reverse=True)
-    return pool
+# (rise, width) segment a sorts before b when its slope is greater
+_STEEPEST_FIRST = cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
 
 
 def _merged(chains, dx=0, dv=0):
-    """The sum of chains in one unit, moved by (dx, dv), segments in a list;
-    equal slopes merge by adding widths."""
+    """The sum of (weight, chain) pairs, moved by (dx, dv).
+
+    A chain is (x0, v0, top value, (rise, width) segments of its rising
+    part, steepest first), all ints in one pair of units; a weight is an
+    int.  The pooled segments sort steepest first by exact cross
+    multiplication, and equal slopes merge by adding rises and widths.
+    """
     x0, v0, top, pool = dx, dv, dv, []
-    for x, v, v_top, chain_segments in chains:
-        x0, v0, top = x0 + x, v0 + v, top + v_top
-        pool += chain_segments
+    for b, (x, v, v_top, chain_segments) in chains:
+        x0, v0, top = x0 + b * x, v0 + b * v, top + b * v_top
+        pool += [(b * r, b * w) for r, w in chain_segments]
+    pool.sort(key=_STEEPEST_FIRST)
     segments = []
-    for s, w in _steepest_first(pool):
-        if segments and segments[-1][0] == s:
-            segments[-1] = (s, segments[-1][1] + w)
+    for r, w in pool:
+        if segments and segments[-1][0] * w == r * segments[-1][1]:
+            r0, w0 = segments[-1]
+            segments[-1] = (r0 + r, w0 + w)
         else:
-            segments.append((s, w))
+            segments.append((r, w))
     return x0, v0, top, segments
 
 
-def _built(chain, unit=1) -> ConcaveEnvelope:
-    """The envelope of a chain whose values are ``unit`` times its own."""
+def _int_chains(children, xs=(), vs=()):
+    """(probability, envelope) children as chains of ints over one budget
+    unit X and one value unit V: the least common denominators of every
+    p * x and p * v and of the extra Fractions ``xs`` and ``vs``.  Returns
+    (X, V, the (1, chain) pairs, xs and vs as ints over X and V).  A child
+    of probability 0 has no segments."""
+    rows = [([p * x for x in env.xs], [p * v for v in env.vs])
+            for p, env in ((as_fraction(p), env) for p, env in children)]
+    rows.append((xs, vs))
+    X = lcm(*(x.denominator for px, _ in rows for x in px))
+    V = lcm(*(v.denominator for _, pv in rows for v in pv))
+    *rows, (xs, vs) = [([x.numerator * (X // x.denominator) for x in px],
+                        [v.numerator * (V // v.denominator) for v in pv]) for px, pv in rows]
+    chains = [(1, (px[0], pv[0], pv[-1], [(v1 - v0, x1 - x0) for x0, x1, v0, v1
+                                          in zip(px, px[1:], pv, pv[1:]) if v1 > v0]))
+              for px, pv in rows]
+    return X, V, chains, xs, vs
+
+
+def _built(chain, x_unit, v_unit) -> ConcaveEnvelope:
+    """The envelope of an int chain whose budgets are over ``x_unit`` and
+    values over ``v_unit``."""
     x, v, _, segments = chain
     xs, vs = [x], [v]
-    for s, w in segments:
-        x, v = x + w, v + s * w
+    for r, w in segments:
+        x, v = x + w, v + r
         xs.append(x), vs.append(v)
-    return ConcaveEnvelope(xs=tuple(a / unit for a in xs),
-                           vs=tuple(b / unit for b in vs))
+    return ConcaveEnvelope(xs=tuple(Fraction(a, x_unit) for a in xs),
+                           vs=tuple(Fraction(b, v_unit) for b in vs))
 
 
 def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> ConcaveEnvelope:
@@ -135,7 +156,8 @@ def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> Con
     and earns its current slope, so the merged function is concave with
     exactly those slopes.
     """
-    return _built(_merged([_scaled(p, env) for p, env in children]))
+    X, V, chains, _, _ = _int_chains(children)
+    return _built(_merged(chains), X, V)
 
 
 def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
@@ -157,7 +179,8 @@ def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
     remaining = None if total.is_pos_inf else total.fraction() - base_x
     pool = [(s, p * w, j) for j, (p, env) in enumerate(children) if p
             for s, w in env.segments()]
-    for slope, gwidth, j in _steepest_first(pool):
+    pool.sort(key=itemgetter(0), reverse=True)  # stable: ties keep child order
+    for slope, gwidth, j in pool:
         if remaining is not None:
             if remaining == 0:
                 break

@@ -97,7 +97,7 @@ def _reference_accruals(tree, rng: random.Random) -> list:
         for key, arrive in nodes:
             u = arrive * (4 - rng.randint(0, 4))  # over den * 4
             cont[key] += u
-            below += [(kid, u * p) for (kid, _), p in zip(level[key].kids, probs)]
+            below += [(kid, u * p) for kid, p in zip(level[key].kids, probs)]
         den *= 4
         for record, u in zip(level, cont):
             _, gs, hs = record.rates

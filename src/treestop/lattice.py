@@ -178,10 +178,9 @@ class KeyRecord(NamedTuple):
     """One Markov key of a level, as ``TreeInstance._keyed_levels`` gives it."""
 
     state: object           # its nodes' last ``euler_state`` entry
-    prob: Fraction          # the representative's path probability P
     stop: Fraction          # the terminal payoff
     rates: Optional[tuple]  # ``_rates``, None at the leaves
-    kids: tuple             # per branch: (child's key index, factor or None)
+    kids: tuple             # per branch, the child's key index one level down
 
 
 @dataclass(frozen=True)
@@ -443,45 +442,61 @@ class TreeInstance:
         key's first node (its representative).
 
         A record holds the key's state (the last entry of its nodes'
-        ``euler_state``), the representative's path probability P,
-        terminal payoff and ``_rates`` (None at the leaves), each evaluated
-        once per key, and per branch j the child's
-        key index one level down with the factor P * p_j / P(child's
-        representative), None when it is 1.  On a tree marked ``_markov``
-        (its functions read only t, the state and the running sup of its
-        first coordinate) a node's key is that state and sup, seeded by the
-        history's max; otherwise every node is its own key.  Claims are
-        ignored, and the caches are left untouched.
+        ``euler_state``), its terminal payoff and ``_rates`` (None at the
+        leaves), each evaluated once per key at the representative, and per
+        branch the child's key index one level down.  Records carry no path
+        probability: a node's future depends on its key alone, and the
+        branch probabilities are the level's (``_branch_ints``).  On a tree
+        marked ``_markov`` (its functions read only t, the state and the
+        running sup of its first coordinate) a node's key is that state and
+        sup, seeded by the history's max; otherwise every node is its own
+        key.  Claims are ignored, and the caches are left untouched.
         """
         first = (lambda x: x[0]) if self.l > 1 else (lambda x: x)
         prefix = self._prefix_for_call(ROOT)
-        # the representatives of one level: state path, P and sup
-        reps, levels = [(prefix, Fraction(1), max(map(first, prefix)))], []
+        # the representatives of one level: state path and sup
+        reps, levels = [(prefix, max(map(first, prefix)))], []
         for k in range(self.depth + 1):
             t, leaf = self.time(k), k == self.depth
-            level = [(prefix[-1], p, self._terminal_value(t, prefix),
+            level = [(prefix[-1], self._terminal_value(t, prefix),
                       None if leaf else self._rates(t, prefix))
-                     for prefix, p, _ in reps]
+                     for prefix, _ in reps]
             if leaf:
                 levels.append([KeyRecord(*record, ()) for record in level])
                 break
             below, index, children = [], {}, []
-            for prefix, p, sup in reps:
+            for prefix, sup in reps:
                 kids = []
-                for (q, _), x in zip(self.branching[k], self._child_states(k, prefix)):
-                    x, q = self._unwrap(x), p * q
+                for x in self._child_states(k, prefix):
+                    x = self._unwrap(x)
                     s = max(sup, first(x)) if self._markov else None
                     i = index.setdefault((x, s), len(below)) if self._markov else len(below)
                     if i == len(below):
-                        below.append((prefix + (x,), q, s))
-                        kids.append((i, None))
-                    else:
-                        c = q / below[i][1]
-                        kids.append((i, None if c == 1 else c))
+                        below.append((prefix + (x,), s))
+                    kids.append(i)
                 children.append(tuple(kids))
             levels.append([KeyRecord(*record, kids) for record, kids in zip(level, children)])
             reps = below
         return levels
+
+    def _key_ints(self, levels):
+        """Per key of ``levels`` (as ``_keyed_levels`` gives them), the stop
+        payoff and, at interior keys, the accrual step dt * (f, g_i, h_i),
+        as ints over one denominator per column, the least common one; the
+        stop payoffs share column 0's.  Returns (denominators, payoffs per
+        level, steps per interior level)."""
+        dt = self.dt
+        pays = [[record.stop for record in level] for level in levels]
+        steps = [[(f * dt, *(g * dt for g in gs), *(h * dt for h in hs))
+                  for f, gs, hs in (record.rates for record in level)]
+                 for level in levels[:-1]]
+        ones = [lcm(*(step[c].denominator for level in steps for step in level))
+                for c in range(1 + self.constraints.n_ineq + self.constraints.n_eq)]
+        ones[0] = lcm(ones[0], *(v.denominator for level in pays for v in level))
+        steps = [[tuple(v.numerator * (one // v.denominator) for v, one in zip(step, ones))
+                  for step in level] for level in steps]
+        pays = [[v.numerator * (ones[0] // v.denominator) for v in level] for level in pays]
+        return ones, pays, steps
 
     def _branch_ints(self):
         """Per level, the branch probabilities as ints over their least
@@ -533,19 +548,8 @@ class TreeInstance:
             return self._table
         if self._claims:
             raise InvariantViolation("a tree with claimed states has no node table")
-        levels, dt, n_ineq = self._keyed_levels(), self.dt, self.constraints.n_ineq
-        # per key: its stop payoff, and at interior keys its accrual step
-        pays = [[record.stop for record in level] for level in levels]
-        steps = [[(f * dt, *(g * dt for g in gs), *(h * dt for h in hs))
-                  for f, gs, hs in (record.rates for record in level)]
-                 for level in levels[:-1]]
-        # each column's one denominator for them, and the steps as ints over it
-        ones = [lcm(*(step[c].denominator for level in steps for step in level))
-                for c in range(1 + n_ineq + self.constraints.n_eq)]
-        ones[0] = lcm(ones[0], *(v.denominator for level in pays for v in level))
-        steps = [[tuple(v.numerator * (one // v.denominator) for v, one in zip(step, ones))
-                  for step in level] for level in steps]
-        pays = [[v.numerator * (ones[0] // v.denominator) for v in level] for level in pays]
+        levels, n_ineq = self._keyed_levels(), self.constraints.n_ineq
+        ones, pays, steps = self._key_ints(levels)
 
         shape = self._shape()
         words, first, n_inner = shape.words, shape.first, len(shape.first) - 1
@@ -567,7 +571,7 @@ class TreeInstance:
                 continue
             acc = tuple(map(add, acc, steps[k][key]))
             shared, prefix = accrued(acc), prefixes[word]
-            for c, (kid, _) in zip(range(first[i], first[i + 1]), levels[k][key].kids):
+            for c, kid in zip(range(first[i], first[i + 1]), levels[k][key].kids):
                 prefixes[words[c]] = prefix + (levels[k + 1][kid].state,)
                 funcs[words[c]] = shared
                 keys[c], accs[c] = kid, acc

@@ -18,7 +18,8 @@ def as_fraction(x) -> Fraction:
     """Coerce a number to an exact Fraction.
 
     ints and Fractions are taken as-is.  Floats are snapped to their exact
-    binary value.  Strings accept "num/den" and decimal literals.
+    binary value.  Strings accept "num/den" and decimal literals; one
+    with a zero denominator raises ValueError naming it.
     """
     if isinstance(x, Fraction):
         return x
@@ -27,7 +28,11 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        x = x.strip()
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"rational literal {x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
@@ -59,7 +64,7 @@ class Ext:
                 return POS_INF
             if s in ("-inf", "-infinity"):
                 return NEG_INF
-            return Ext(Fraction(s))
+            return Ext(as_fraction(s))
         if isinstance(x, float):
             if x == float("inf"):
                 return POS_INF

@@ -504,6 +504,19 @@ def _bad_input(tmp_path, case):
         return write(json.dumps(doc))
     if case == "too-many-nodes":  # 2^41 - 1 nodes, refused before any is built
         return write(json.dumps(dict(RW2_DOC, depth=40)))
+    # a rational literal with a zero denominator, in each field that takes one
+    if case == "zero-denominator-budget":
+        return ["dp", *write(json.dumps(RW2_DOC))[1:], "--budget", "1/0"]
+    if case == "zero-denominator-p":
+        return write(json.dumps(dict(RW2_DOC, branching=[{"p": "1/0", "w": "1"},
+                                                         {"p": "1/2", "w": "-1"}])))
+    if case == "zero-denominator-y":
+        return write(json.dumps(dict(RW2_DOC, constraints={
+            "ineq": [{"g": "const:1", "y": "1/0"}], "eq": []})))
+    if case.startswith("zero-denominator-"):  # dt, t0 and x0_history
+        field = case[len("zero-denominator-"):].replace("-", "_")
+        return write(json.dumps(dict(RW2_DOC, **{
+            field: ["1/0"] if field == "x0_history" else "1/0"})))
     if case == "power-at-time-zero":
         cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
         return ["dp", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:],
@@ -516,7 +529,9 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "huge-grid", "singular-solve", "singular-dp", "exponent-behind-division",
               "power-at-time-zero", "exponent-not-constant-behind-division",
               "power-at-negative-time", "exponent-fractional-at-a-node",
-              "check-class-infeasible", "power-overflow", "too-many-nodes")
+              "check-class-infeasible", "power-overflow", "too-many-nodes",
+              "zero-denominator-budget", "zero-denominator-dt", "zero-denominator-t0",
+              "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

@@ -49,3 +49,6 @@ def test_as_fraction_snaps_floats_to_exact_binary():
     assert as_fraction("7/3") == Fraction(7, 3)
     with pytest.raises(TypeError):
         as_fraction(object())
+    for parse in (as_fraction, Ext.parse):  # a zero denominator is bad input
+        with pytest.raises(ValueError, match="'1/0'"):
+            parse(" 1/0")
