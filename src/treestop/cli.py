@@ -278,17 +278,15 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
     for path in paths:
         tree = load_instance(path)
         started = time.perf_counter()
-        verdicts = {}
-        gaps = []
         checks = ["equivalence", "dpp", "membership"] if suite == "all" else [suite]
-        res = None  # one LP solve, shared by every check
+        res = solve_weak(tree)  # one solve per instance, shared by every check
+        verdicts, gaps = {}, []
         for check in checks:
-            if check in ("equivalence", "membership"):
-                res = res or solve_weak(tree)
-                if not res.optimal:
-                    verdicts[check] = False
-                    continue
-            if check == "equivalence":
+            if check not in ("equivalence", "dpp", "membership"):
+                raise ValueError(f"unknown suite {check!r}")
+            if not res.optimal:
+                verdicts[check] = False
+            elif check == "equivalence":
                 rule = measure_to_rule(tree, res.measure)
                 # equivalence_check raises unless the two stop-mass vectors agree
                 rep = equivalence_check(tree, rule)
@@ -297,19 +295,15 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
                 ok = True
                 worst = Fraction(0)
                 for k in range(1, tree.depth):
-                    res = res or solve_weak(tree)
                     rep = verify_dpp(tree, k, result=res)
                     ok = ok and rep["pass"]
-                    g = rep["gap"]
-                    if g.is_finite and abs(g.fraction()) > abs(worst):
-                        worst = g.fraction()
+                    if abs(rep["gap"]) > abs(worst):
+                        worst = rep["gap"]
                 verdicts[check] = ok
                 gaps.append(worst)
-            elif check == "membership":
+            else:
                 rep = check_membership(tree, res.measure, degree=2, mode="exact")
                 verdicts[check] = rep.ok
-            else:
-                raise ValueError(f"unknown suite {check!r}")
         passed = all(verdicts.values())
         all_pass = all_pass and passed
         rows.append({

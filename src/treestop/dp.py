@@ -10,16 +10,17 @@ A node's envelope depends on its path only through what the instance's
 functions read.  When they read only t, the state and its running sup (as
 every loaded instance's do), ``TreeInstance._keyed_levels`` folds each
 depth's nodes with one (state, sup) key into one record; on other trees
-every node is its own key.  The sweep keeps one chain per key: its value
-conditional on reaching the key, as (x0, v0, top value, (rise, width)
-segments steepest first), all Python ints.  At depth k budgets are ints
-over U_k * G and values over U_k * V, where U_k is the product of the
-branch denominators of levels k to depth - 1 (``_branch_ints``), and G
-and V are the least common denominators of the budget steps g * dt and of
-the reward steps f * dt and stop payoffs (``_key_ints``).  So a parent's
-continuation is the sum of its children's chains times their int branch
-numerators; segments sort steepest first by cross multiplication, and
-equal slopes merge by adding rises and widths.  The stop point (0, stop
+every node is its own key.  The sweep reads the tree's cached walk
+(``TreeInstance._keys``, as the node table does) and keeps one chain per
+key: its value conditional on reaching the key, as (x0, v0, top value,
+(rise, width) segments steepest first), all Python ints.  At depth k
+budgets are ints over U_k * G and values over U_k * V, where U_k is the
+product of the branch denominators of levels k to depth - 1
+(``_branch_ints``), and G and V are the least common denominators of the
+budget steps g * dt and of the reward steps f * dt and stop payoffs
+(``_keys``).  So a parent's continuation is the sum of its children's
+chains times their int branch numerators; segments sort steepest first by
+cross multiplication, and equal slopes merge by adding rises and widths.  The stop point (0, stop
 value) is pasted by walking kinks from x0 only as far as needed.
 
 Fractions appear only at the boundary: ``_built`` divides a chain by its
@@ -108,16 +109,14 @@ def _paste(stop, reward_step, budget_step, kids):
 
 
 def _sweep(tree: TreeInstance):
-    """Each level's child key indices (per key, as ``tree._keyed_levels()``
-    gives them), chains and units, leaves first; two levels of chains are
-    held at a time.  A depth-k key's chain is its value conditional on
-    reaching the key, budgets as ints over U_k * G and values over U_k * V:
-    the level's units."""
+    """Each level's child key indices (per key, as the tree's cached walk
+    ``tree._keys()`` holds them), chains and units, leaves first; two levels
+    of chains are held at a time.  A depth-k key's chain is its value
+    conditional on reaching the key, budgets as ints over U_k * G and values
+    over U_k * V: the level's units."""
     _require_scalar_shape(tree)
-    levels, (units, branch) = tree._keyed_levels(), tree._branch_ints()
-    (V, G), pays, steps = tree._key_ints(levels)
-    kids = [[record.kids for record in level] for level in levels]
-    del levels  # the records' Fractions are all in pays and steps now
+    walk, (units, branch) = tree._keys(), tree._branch_ints()
+    (V, G), pays, steps, kids = walk.ones, walk.pays, walk.steps, walk.kids
     below, u = [], 1
     for k in reversed(range(len(kids))):
         if k == tree.depth:

@@ -284,7 +284,7 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
             "the accruals before the cut and past it do not add up to the "
             "measure's expected accruals")
 
-    gap = rhs - base.value
+    gap = rhs - base.value.fraction()
     return {
         "lhs": base.value,
         "rhs_sub": rhs,

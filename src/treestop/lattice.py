@@ -25,11 +25,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, getitem, mul
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (InvalidBranching, InvalidHorizon, InvariantViolation,
-                     NodeNotInTree, ShapeTooLarge, WordTooLong)
+from .errors import (InvalidBranching, InvalidHorizon, NodeNotInTree, ShapeTooLarge,
+                     WordTooLong)
 from .xreal import Ext, as_fraction
 
 Word = Tuple[int, ...]
@@ -183,6 +183,20 @@ class KeyRecord(NamedTuple):
     kids: tuple             # per branch, the child's key index one level down
 
 
+class KeyedWalk(NamedTuple):
+    """The keyed levels as ``TreeInstance._keys()`` caches them, root first:
+    per level, each key's state and kids (as in its ``KeyRecord``), stop
+    payoff and, at interior levels, accrual step dt * (f, g_i, h_i), as
+    ints over one denominator per column, ``ones[c]``, the least common
+    one; the stop payoffs share column 0's."""
+
+    states: list
+    kids: list
+    ones: list
+    pays: list
+    steps: list
+
+
 @dataclass(frozen=True)
 class Shape:
     """A tree's nodes in BFS order, from its branching alone.
@@ -243,23 +257,17 @@ class TreeInstance:
     """Immutable finite-depth increment tree with Euler states.
 
     Nodes are increment words; more than ``MAX_NODES`` of them are refused
-    before any is built.  These are computed lazily and cached: the shape
-    (``_shape_cache``: words, children and path probabilities, built by
-    ``_shape()`` from the branching alone), state paths in the form the
-    instance's functions are called with (``_prefixes``, per node), the
-    root envelope (``_root_envelope``, filled by ``dp.root_envelope``) and
-    the node table (``_table``, built whole by the first ``_node_table()``
-    call, which also fills every node's state path and its accruals in
-    ``_funcs``, one entry shared by siblings); instances are safe to share
-    for concurrent reads once constructed (all operations are pure).  The
-    grid times are computed once, per depth (``_times``).  Reward,
-    integrands, terminal payoff, drift and diffusion are called and coerced
-    by this class only; node data are finite Fractions.  ``_claims`` maps
-    nodes to states that the sibling fill takes instead of the Euler step;
-    only ``_derived`` sets it (for ``CandidateLaw``), ``_keyed_levels``
-    ignores it, and a tree that has it builds no node table.  ``_markov``
-    marks a tree whose functions read only t, the state and the running
-    sup of its first coordinate (``io.load_instance`` sets it, ``_derived``
+    before any is built.  Built whole on first use and cached: the shape
+    (``_shape()``, from the branching alone), the keyed walk (``_keys()``)
+    and the node table (``_node_table()``); ``dp.root_envelope`` caches
+    ``_root_envelope``.  No node has a cache of its own: its state path and
+    accruals are read along its word's keys, so the first such query runs
+    the whole walk, and a non-finite node value anywhere raises there.
+    Instances are safe to share for concurrent reads once constructed.
+    Reward, integrands, terminal payoff, drift and diffusion are called and
+    coerced by this class only; node data are finite Fractions.  ``_markov``
+    marks a tree whose functions read only t, the state and the running sup
+    of its first coordinate (``io.load_instance`` sets it, ``subtree``
     copies it), so that ``_keyed_levels`` may fold nodes by that key.
     """
 
@@ -300,12 +308,10 @@ class TreeInstance:
 
         self._drift = _callable(coefficients.drift)
         self._diff = _callable(coefficients.diffusion)
-        self._prefixes: dict = {ROOT: tuple(map(self._unwrap, self.history))}
-        self._funcs: dict = {}
         self._shape_cache: Optional[Shape] = None
+        self._walk: Optional[KeyedWalk] = None
         self._root_envelope = None
         self._table: Optional[NodeTable] = None
-        self._claims: dict = {}
         self._markov = False
 
     # -- structure ---------------------------------------------------------
@@ -347,8 +353,8 @@ class TreeInstance:
     def check_word(self, word: Word) -> None:
         if len(word) > self.depth:
             raise NodeNotInTree(f"word {word} is longer than depth {self.depth}")
-        for k, j in enumerate(word):
-            if not 0 <= j < self.n_branches(k):
+        for k, (j, level) in enumerate(zip(word, self.branching)):
+            if not 0 <= j < len(level):
                 raise NodeNotInTree(f"word {word}: branch {j} out of range at step {k}")
 
     def nodes(self):
@@ -395,18 +401,26 @@ class TreeInstance:
     def _unwrap(self, x: State):
         return x[0] if self.l == 1 else x
 
+    def _key_path(self, word: Word) -> list:
+        """The key index of every node along a word, root first."""
+        key, path = 0, [0]
+        for level, j in zip(self._keys().kids, word):
+            key = level[key][j]
+            path.append(key)
+        return path
+
     def _prefix_for_call(self, word: Word) -> tuple:
-        """The state path the instance's functions see at a node, cached;
-        a miss steps all the parent's children at once (claims override)."""
-        got = self._prefixes.get(word)
-        if got is None:
-            parent = word[:-1]
-            prefix, claims = self._prefix_for_call(parent), self._claims
-            for j, x in enumerate(self._child_states(len(parent), prefix)):
-                child = parent + (j,)
-                self._prefixes[child] = prefix + (self._unwrap(claims.get(child, x)),)
-            got = self._prefixes[word]
-        return got
+        """The state path the functions see at a node: history, then keys' states."""
+        return (*map(self._unwrap, self.history[:-1]),
+                *map(getitem, self._keys().states, self._key_path(word)))
+
+    def _row_keys(self) -> list:
+        """The key index of every row of ``_shape()``, each from its parent's."""
+        shape, kids = self._shape(), self._keys().kids
+        keys = [0]
+        for i in range(len(shape.first) - 1):
+            keys += kids[len(shape.words[i])][keys[i]]
+        return keys
 
     def _child_states(self, k: int, prefix: tuple) -> Tuple[State, ...]:
         """Euler successors, one per branch, of a depth-k node whose state
@@ -439,21 +453,22 @@ class TreeInstance:
     def _keyed_levels(self):
         """The tree's levels, root first, with the nodes that share a Markov
         key folded into one ``KeyRecord`` per key, in the BFS order of each
-        key's first node (its representative).
+        key's first node (its representative).  The one walk that calls the
+        instance's functions; ``_keys()`` runs it once per tree.
 
         A record holds the key's state (the last entry of its nodes'
         ``euler_state``), its terminal payoff and ``_rates`` (None at the
-        leaves), each evaluated once per key at the representative, and per
-        branch the child's key index one level down.  Records carry no path
-        probability: a node's future depends on its key alone, and the
-        branch probabilities are the level's (``_branch_ints``).  On a tree
-        marked ``_markov`` (its functions read only t, the state and the
-        running sup of its first coordinate) a node's key is that state and
-        sup, seeded by the history's max; otherwise every node is its own
-        key.  Claims are ignored, and the caches are left untouched.
+        leaves), each evaluated once per key at the representative's state
+        path, and per branch the child's key index one level down.  Records
+        carry no path probability: a node's future depends on its key alone,
+        and the branch probabilities are the level's (``_branch_ints``).  On
+        a tree marked ``_markov`` (its functions read only t, the state and
+        the running sup of its first coordinate) a node's key is that state
+        and sup, seeded by the history's max; otherwise every node is its
+        own key.
         """
         first = (lambda x: x[0]) if self.l > 1 else (lambda x: x)
-        prefix = self._prefix_for_call(ROOT)
+        prefix = tuple(map(self._unwrap, self.history))
         # the representatives of one level: state path and sup
         reps, levels = [(prefix, max(map(first, prefix)))], []
         for k in range(self.depth + 1):
@@ -479,13 +494,12 @@ class TreeInstance:
             reps = below
         return levels
 
-    def _key_ints(self, levels):
-        """Per key of ``levels`` (as ``_keyed_levels`` gives them), the stop
-        payoff and, at interior keys, the accrual step dt * (f, g_i, h_i),
-        as ints over one denominator per column, the least common one; the
-        stop payoffs share column 0's.  Returns (denominators, payoffs per
-        level, steps per interior level)."""
-        dt = self.dt
+    def _keys(self) -> KeyedWalk:
+        """The keyed walk, run once on first use and cached, with each
+        record's Fractions brought to ints and the records dropped."""
+        if self._walk is not None:
+            return self._walk
+        levels, dt = self._keyed_levels(), self.dt
         pays = [[record.stop for record in level] for level in levels]
         steps = [[(f * dt, *(g * dt for g in gs), *(h * dt for h in hs))
                   for f, gs, hs in (record.rates for record in level)]
@@ -496,7 +510,10 @@ class TreeInstance:
         steps = [[tuple(v.numerator * (one // v.denominator) for v, one in zip(step, ones))
                   for step in level] for level in steps]
         pays = [[v.numerator * (ones[0] // v.denominator) for v in level] for level in pays]
-        return ones, pays, steps
+        self._walk = KeyedWalk([[record.state for record in level] for level in levels],
+                               [[record.kids for record in level] for level in levels],
+                               ones, pays, steps)
+        return self._walk
 
     def _branch_ints(self):
         """Per level, the branch probabilities as ints over their least
@@ -522,10 +539,12 @@ class TreeInstance:
     # -- functionals -----------------------------------------------------------
 
     def _functionals(self, word: Word):
-        """Accrued (F, (G_i), (H_i)) at a node, as the node table's walk
-        caches them (siblings share one entry)."""
-        self._node_table()
-        return self._funcs[word]
+        """Accrued (F, (G_i), (H_i)) at a node: the int steps of its
+        ancestors' keys summed, then one Fraction per column."""
+        walk, n_ineq = self._keys(), self.constraints.n_ineq
+        steps = map(getitem, walk.steps, self._key_path(word)[:-1])
+        F, *rest = map(Fraction, map(sum, zip([0] * len(walk.ones), *steps)), walk.ones)
+        return F, tuple(rest[:n_ineq]), tuple(rest[n_ineq:])
 
     def stop_payoff(self, word: Word) -> Fraction:
         """Accrued running reward plus terminal payoff when stopping here."""
@@ -535,49 +554,27 @@ class TreeInstance:
     def _node_table(self) -> NodeTable:
         """The node table, built on first use and cached.
 
-        One walk over ``_keyed_levels()``, whose records hold each key's
-        rates, terminal payoff and Euler step, in the rows of ``_shape()``:
-        a node costs only int work.  Its accruals are ints over one
-        denominator per column, carried down from its parent, and one gcd
-        per column then reduces the columns.  The walk also caches every
-        node's state path (its parent's plus its key's state) and, shared
-        by siblings, its accruals.  A tree with claims has no table: the
-        walk would cache unclaimed paths.
+        One int walk down the rows of ``_shape()``, reading each row's key
+        (``_row_keys()``) in ``_keys()``, whose levels hold every key's stop
+        payoff and accrual step as ints: a node costs only int work.  Its
+        accruals are ints over one denominator per column, carried down from
+        its parent, and one gcd per column then reduces the columns.
         """
         if self._table is not None:
             return self._table
-        if self._claims:
-            raise InvariantViolation("a tree with claimed states has no node table")
-        levels, n_ineq = self._keyed_levels(), self.constraints.n_ineq
-        ones, pays, steps = self._key_ints(levels)
-
-        shape = self._shape()
-        words, first, n_inner = shape.words, shape.first, len(shape.first) - 1
-        prefixes, funcs = self._prefixes, self._funcs
-
-        def accrued(acc):  # (F, (G_i), (H_i)) as Fractions
-            F, *rest = map(Fraction, acc, ones)
-            return F, tuple(rest[:n_ineq]), tuple(rest[n_ineq:])
-
-        zero = (0,) * len(ones)
-        funcs[ROOT] = accrued(zero)
-        keys, accs, rows = [0] * len(words), [zero] * len(words), []
-        for i, (word, p) in enumerate(zip(words, shape.probs)):
+        walk, shape, keys = self._keys(), self._shape(), self._row_keys()
+        first, n_inner = shape.first, len(shape.first) - 1
+        accs, rows = [(0,) * len(walk.ones)], []
+        for i, (word, p) in enumerate(zip(shape.words, shape.probs)):
             k, key, acc = len(word), keys[i], accs[i]
             row = [p * a for a in acc]
-            row[0] += p * pays[k][key]
+            row[0] += p * walk.pays[k][key]
             rows.append(row)
-            if i >= n_inner:
-                continue
-            acc = tuple(map(add, acc, steps[k][key]))
-            shared, prefix = accrued(acc), prefixes[word]
-            for c, kid in zip(range(first[i], first[i + 1]), levels[k][key].kids):
-                prefixes[words[c]] = prefix + (levels[k + 1][kid].state,)
-                funcs[words[c]] = shared
-                keys[c], accs[c] = kid, acc
+            if i < n_inner:
+                accs += [tuple(map(add, acc, walk.steps[k][key]))] * (first[i + 1] - first[i])
 
         cols, dens = [], []
-        for col, one in zip(zip(*rows), ones):
+        for col, one in zip(zip(*rows), walk.ones):
             g = gcd(shape.prob_den * one, *col)
             cols.append(tuple(v // g for v in col))
             dens.append(shape.prob_den * one // g)
@@ -586,19 +583,14 @@ class TreeInstance:
 
     def subtree(self, word: Word) -> "TreeInstance":
         """The instance seen from a node: time and history advance, the
-        branching tail and all functionals carry over unchanged."""
+        branching tail and all functionals carry over unchanged, and so do
+        ``_markov`` and the increment dimension, even with no level left."""
         self.check_word(word)
-        return self._derived(len(word), self._prefix_for_call(word))
-
-    def _derived(self, k: int, history, claims=None) -> "TreeInstance":
-        """This instance from depth k on, with another history and claims;
-        it keeps the increment dimension even when no level is left."""
+        k = len(word)
         out = TreeInstance(self.time(k), self.dt, self.depth - k, self.branching[k:],
-                           history, self.coefficients, self.reward, self.terminal,
-                           self.constraints, self.w_history)
-        out.d = self.d
-        out._claims = claims or {}
-        out._markov = self._markov
+                           self._prefix_for_call(word), self.coefficients, self.reward,
+                           self.terminal, self.constraints, self.w_history)
+        out.d, out._markov = self.d, self._markov
         return out
 
 

@@ -145,10 +145,9 @@ class CandidateLaw:
     (the tree's branching unless stated otherwise).  ``state_overrides``
     lets the candidate claim state values that break the Euler recursion;
     descendants of an overridden node follow Euler from the claimed prefix.
-    ``paths`` holds the claimed state paths: the tree when the law claims
-    no state and has its history, else ``tree._derived`` from the claimed
-    history (ending in a root override, if any) with the overrides as
-    claims, which thus never enter the tree's cache.  Per row of
+    A law that claims no state and has the tree's history reads its state
+    paths off the tree; otherwise it holds its own, one per row, each its
+    parent's plus the Euler step or the override.  Per row of
     ``tree._shape()``, ``stops``, ``conts`` and ``points`` hold the masses
     and the claimed (increment, state) point; a mass off the tree raises.
     """
@@ -183,11 +182,19 @@ class CandidateLaw:
                                      f"{want} branch probabilities")
         self.claimed_history = (tree.history if claimed_history is None else
                                 tuple(_as_vector(x, tree.l) for x in claimed_history))
-        history = self.claimed_history
-        if ROOT in self.state_overrides:
-            history = history[:-1] + (self.state_overrides[ROOT],)
-        self.paths = (tree if not self.state_overrides and history == tree.history
-                      else tree._derived(0, history, self.state_overrides))
+        claims, unwrap = self.state_overrides, tree._unwrap
+        self._paths = None  # the claimed state path per row, when not the tree's
+        if claims or self.claimed_history != tree.history:
+            *before, x0 = self.claimed_history
+            paths = self._paths = [(*map(unwrap, before), unwrap(claims.get(ROOT, x0)))]
+            for i in range(len(shape.first) - 1):
+                kids = zip(shape.words[shape.first[i]:shape.first[i + 1]],
+                           tree._child_states(len(shape.words[i]), paths[i]))
+                paths += [paths[i] + (unwrap(claims.get(c, x)),) for c, x in kids]
+            states = [path[-1] for path in paths]
+        else:
+            walk = tree._keys()
+            states = [walk.states[len(w)][key] for w, key in zip(shape.words, tree._row_keys())]
         # level k holds the rows bounds[k] .. bounds[k + 1] - 1
         self.bounds = [0]
         for _ in range(tree.depth + 1):
@@ -196,7 +203,7 @@ class CandidateLaw:
         incs = [(Fraction(0),) * tree.d]
         for w, parent in zip(shape.words[1:], shape.parent[1:]):
             incs.append(tuple(map(add, incs[parent], tree.branching[len(w) - 1][w[-1]][1])))
-        self.points = [inc + self.state(w) for inc, w in zip(incs, shape.words)]
+        self.points = [inc + ((x,) if tree.l == 1 else x) for inc, x in zip(incs, states)]
         # the tables of the last standalone statistic() call
         self._sweep: Optional["_Sweep"] = None
         stops, conts, n_inner = self.stops, self.conts, len(shape.first) - 1
@@ -226,14 +233,15 @@ class CandidateLaw:
     # -- claimed states ------------------------------------------------------
 
     def state(self, w: Word) -> tuple:
-        return _as_vector(self.paths._prefix_for_call(w)[-1], self.tree.l)
+        return self.points[self.shape.index[w]][self.tree.d:]
 
     def prefix_for_call(self, w: Word) -> tuple:
-        return self.paths._prefix_for_call(w)
+        return (self.tree._prefix_for_call(w) if self._paths is None
+                else self._paths[self.shape.index[w]])
 
     def model_children(self, w: Word) -> Tuple[tuple, ...]:
         """Euler-step states of all children, from the claimed prefix."""
-        return self.paths._child_states(len(w), self.paths._prefix_for_call(w))
+        return self.tree._child_states(len(w), self.prefix_for_call(w))
 
     def xi(self, w: Word) -> tuple:
         """Claimed (cumulative increment, state) point in R^{d+l}."""

@@ -20,7 +20,8 @@ from itertools import accumulate
 from operator import add
 from typing import Dict, Optional
 
-from .errors import EquivalenceViolation, InvariantViolation, RuleShapeMismatch
+from .errors import (EquivalenceViolation, InvariantViolation, NodeNotInTree,
+                     RuleShapeMismatch)
 from .lattice import ROOT, TreeInstance, Word
 from .measures import StoppingMeasure, expectations_from_stop_mass
 from .xreal import as_fraction
@@ -55,8 +56,13 @@ class RandomizedStoppingRule:
 def rule_from_map(tree: TreeInstance, q_map: Dict[Word, object]) -> RandomizedStoppingRule:
     """Build a rule from a possibly partial node map.
 
-    Horizon nodes default to 1; all interior nodes must be present.
+    Horizon nodes default to 1; all interior nodes must be present.  A
+    word that is not a node raises NodeNotInTree.
     """
+    index = tree._shape().index
+    for word in q_map:
+        if word not in index:
+            raise NodeNotInTree(f"rule probability on {word}, which is not a node")
     q: Dict[Word, Fraction] = {}
     for word in tree.nodes():
         if word in q_map:

@@ -869,7 +869,7 @@ def oracle_node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
             env[word] = ConcaveEnvelope.constant(0, pi_here)
             continue
         t = tree.time(len(word))
-        prefix = tree._prefix_for_call(word)
+        prefix = oracle_prefix(tree, word)
         f_step = Ext.parse(tree.reward(t, prefix)).fraction() * tree.dt
         g_step = Ext.parse(g(t, prefix)).fraction() * tree.dt
         kids = [(p, env[word + (j,)])
@@ -993,15 +993,15 @@ def monte_carlo_oracle(tree: TreeInstance, rule, paths: int, seed: int = 0) -> d
 
 
 # -- the node table, expectations and generation, word by word -----------------------
-# ``words_by_levels``, ``path_prob_by_words``, ``functionals_by_words`` and
-# ``terminal_at`` give each node's word, path probability, accruals and
-# terminal payoff from the branching and the instance's functions, with none
-# of the tree's shape or table.  ``node_table_by_words`` is
+# ``words_by_levels``, ``path_prob_by_words``, ``oracle_prefix``,
+# ``functionals_by_words`` and ``terminal_at`` give each node's word, path
+# probability, state path, accruals and terminal payoff from the branching
+# and the instance's functions, with none of the tree's shape, keyed walk or
+# table.  ``node_table_by_words`` is
 # ``TreeInstance._node_table`` as it was before the keyed integer walk, built
 # from them; ``expectations_by_words`` is ``measures.expectations_from_stop_mass``
 # and ``oracle_generate_instance`` is ``generate.generate_instance`` as they
-# were, the generator's reference rule pushed forward to a measure.  Give
-# them a freshly loaded tree, whose caches no table walk has filled.
+# were, the generator's reference rule pushed forward to a measure.
 
 def words_by_levels(tree: TreeInstance) -> List[Word]:
     """Every word, level by level, each level in lexicographic order."""
@@ -1019,9 +1019,28 @@ def path_prob_by_words(tree: TreeInstance, word: Word) -> Fraction:
     return p
 
 
+_PREFIXES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def oracle_prefix(tree: TreeInstance, word: Word) -> tuple:
+    """The state path the instance's functions see at a node: the Euler
+    step along the word, starting from the history.  Cached per tree as
+    the tree cached it before the keyed walk: a miss steps all the parent's
+    children at once."""
+    cache = _PREFIXES.setdefault(tree, {ROOT: tuple(map(tree._unwrap, tree.history))})
+    got = cache.get(word)
+    if got is None:
+        parent = word[:-1]
+        prefix = oracle_prefix(tree, parent)
+        for j, x in enumerate(tree._child_states(len(parent), prefix)):
+            cache[parent + (j,)] = prefix + (tree._unwrap(x),)
+        got = cache[word]
+    return got
+
+
 def terminal_at(tree: TreeInstance, word: Word) -> Fraction:
     """The terminal payoff at a node, evaluated on every call."""
-    return tree._terminal_value(tree.time(len(word)), tree._prefix_for_call(word))
+    return tree._terminal_value(tree.time(len(word)), oracle_prefix(tree, word))
 
 
 def functionals_by_words(tree: TreeInstance, word: Word):
@@ -1029,7 +1048,7 @@ def functionals_by_words(tree: TreeInstance, word: Word):
     path, times dt, summed from the root."""
     F, Gs, Hs = _ZERO, [_ZERO] * tree.constraints.n_ineq, [_ZERO] * tree.constraints.n_eq
     for k in range(len(word)):
-        f, gs, hs = tree._rates(tree.time(k), tree._prefix_for_call(word[:k]))
+        f, gs, hs = tree._rates(tree.time(k), oracle_prefix(tree, word[:k]))
         F += f * tree.dt
         Gs = [G + g * tree.dt for G, g in zip(Gs, gs)]
         Hs = [H + h * tree.dt for H, h in zip(Hs, hs)]

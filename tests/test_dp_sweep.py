@@ -1,7 +1,7 @@
 """The level-order envelope sweep against the node-by-node recursion it
 replaced, on fixed and generated trees; the keyed level walk's records
-(each key's state) against ``euler_state`` and a hand-written Euler
-recursion; one chain per Markov key on loaded instances, and one per node
+(each key's state) against the oracle's Euler fill and a hand-written
+Euler recursion; one chain per Markov key on loaded instances, and one per node
 where the functions read the whole path; the stop-point paste against the general hull; the
 per-tree root-envelope cache; and singular expressions."""
 
@@ -19,7 +19,7 @@ from treestop.envelope import merged_envelope
 from treestop.generate import generate_instance
 
 from oracles import (oracle_backstep, oracle_merged_envelope, oracle_node_envelopes,
-                     terminal_at)
+                     oracle_prefix, terminal_at)
 
 F = Fraction
 HALF = F(1, 2)
@@ -123,7 +123,7 @@ def _key(tree, word):
     coordinate on a tree marked Markov, else the word itself."""
     if not tree._markov:
         return word
-    path = euler_state(tree, word)
+    path = oracle_prefix(tree, word)
     return path[-1], max(x[0] if isinstance(x, tuple) else x for x in path)
 
 
@@ -146,7 +146,7 @@ def test_level_prefixes_equal_euler_states(case):
         assert [w for level in reps for w in level.values()] == list(tree.nodes())
     for k, level in enumerate(levels):
         words = list(reps[k].values())
-        assert [x for x, *_ in level] == [euler_state(tree, w)[-1] for w in words]
+        assert [x for x, *_ in level] == [oracle_prefix(tree, w)[-1] for w in words]
         for word, (_, stop, rates, kids) in zip(words, level):
             assert stop == terminal_at(tree, word)
             assert (rates is None) == (k == tree.depth)

@@ -388,6 +388,23 @@ def test_suite_all_solves_a_deep_instance_once(tmp_path, monkeypatch, capsys):
     assert calls == [4]
 
 
+@pytest.mark.parametrize("suite", ["equivalence", "dpp", "membership", "all"])
+def test_suite_fails_an_infeasible_instance_and_goes_on(tmp_path, capsys, suite):
+    # the one solve per instance runs before the checks; an infeasible one
+    # fails every check instead of aborting the suite
+    inst_dir = tmp_path / "mixed"
+    inst_dir.mkdir()
+    doc = generate_instance(seed=4, depth=3)
+    (inst_dir / "feasible.json").write_text(json.dumps(doc))
+    doc["constraints"]["ineq"][0].update(g="1", y="-1000")
+    (inst_dir / "infeasible.json").write_text(json.dumps(doc))
+    assert main(["suite", "--dir", str(inst_dir), "--suite", suite]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[:3:2] for line in lines[1:3]] == [
+        ["feasible.json", "pass"], ["infeasible.json", "FAIL"]]
+    assert lines[-1] == "1/2 instances pass"
+
+
 def test_cli_record_names_the_parsed_arguments(rw2_file, tmp_path, monkeypatch,
                                                capsys):
     # an in-process call under a host program with flags of its own

@@ -142,6 +142,8 @@ def test_non_finite_node_data_is_rejected_at_every_entry_point(source, bad):
     ]
     if source != "terminal":
         entries.append(lambda tree: cumulative_functionals(tree, (0, 0)))
+    # a state is read off the keyed walk, which evaluates every node's data
+    entries.append(lambda tree: euler_state(tree, (0,)))
     if source != "h":
         entries.append(lambda tree: dp_value(tree, 1))
     for entry in entries:

@@ -1,9 +1,10 @@
 """The node table from the keyed integer walk against the word-by-word
 builder it replaced (``oracles.node_table_by_words``), on the benchmark's
 trees and on hypothesis-drawn loaded and callable-built trees, with the
-state and accrual caches the walk fills; one evaluation per key; the
-table-driven readers (expectations, Monte Carlo, ``generate_instance``)
-against their per-word forms; and the table's refusals."""
+state paths, accruals and stop payoffs read along each word's keys; one
+evaluation per key; the table-driven readers (expectations, Monte Carlo,
+``generate_instance``) against their per-word forms; and the table's
+refusals."""
 
 import random
 from fractions import Fraction
@@ -12,16 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import (InvariantViolation, NodeNotInTree, TreeInstance, build_tree,
-                      euler_state, expectations_from_stop_mass,
-                      load_instance, monte_carlo_value, rule_from_map, rule_to_measure,
-                      solve_weak)
+from treestop import (NodeNotInTree, TreeInstance, build_tree, cumulative_functionals,
+                      dp_value, euler_state, expectations_from_stop_mass, load_instance,
+                      monte_carlo_value, rule_from_map, rule_to_measure, solve_weak)
 from treestop.generate import generate_instance
-from treestop.martingale import candidate_with_state_shift
 
 from conftest import make_rw
 from oracles import (expectations_by_words, functionals_by_words, monte_carlo_oracle,
-                     node_table_by_words, oracle_generate_instance)
+                     node_table_by_words, oracle_generate_instance, oracle_prefix,
+                     terminal_at)
 
 F = Fraction
 HALF = F(1, 2)
@@ -45,23 +45,26 @@ BENCH_SPECS = {
 }
 
 
-def assert_table_and_caches_match(make):
+def assert_table_and_node_data_match(make):
     """``make()``'s table equals the word-by-word one of another fresh
-    tree, and so do the state paths and accruals its walk cached."""
+    tree, and so do its state paths, accruals and stop payoffs, read along
+    each word's keys."""
     tree = make()
     table = tree._node_table()
     assert table == node_table_by_words(make())
     fresh = make()
     for w in table.shape.words:
-        assert tree._prefixes[w] == euler_state(fresh, w)
-        assert tree._funcs[w] == functionals_by_words(fresh, w)
+        assert euler_state(tree, w) == oracle_prefix(fresh, w)
+        F, Gs, Hs = functionals_by_words(fresh, w)
+        assert cumulative_functionals(tree, w) == (F, Gs, Hs)
+        assert tree.stop_payoff(w) == F + terminal_at(fresh, w)
     return table
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_SPECS))
 def test_keyed_table_equals_the_word_by_word_table_on_bench_trees(name):
     doc = generate_instance(**BENCH_SPECS[name])
-    table = assert_table_and_caches_match(lambda: load_instance(doc))
+    table = assert_table_and_node_data_match(lambda: load_instance(doc))
     assert table.shape.index == {w: i for i, w in enumerate(table.shape.words)}
 
 
@@ -144,7 +147,7 @@ def built_trees(draw):
 @settings(max_examples=150, deadline=None)
 @given(make=st.one_of(loaded_trees(), built_trees()))
 def test_keyed_table_equals_the_word_by_word_table(make):
-    assert_table_and_caches_match(make)
+    assert_table_and_node_data_match(make)
 
 
 @pytest.mark.parametrize("depth, branches", [(0, 2), (2, 4), (3, 3), (4, 2), (5, 2)])
@@ -152,7 +155,7 @@ def test_keyed_table_equals_the_word_by_word_table_on_generated_trees(depth, bra
     for seed in range(20):
         doc = generate_instance(seed=seed, depth=depth, branches=branches,
                                 n_ineq=seed % 3, n_eq=seed % 2)
-        assert_table_and_caches_match(lambda: load_instance(doc))
+        assert_table_and_node_data_match(lambda: load_instance(doc))
 
 
 def test_table_evaluates_each_key_once(monkeypatch):
@@ -170,6 +173,36 @@ def test_table_evaluates_each_key_once(monkeypatch):
     tree._node_table()
     assert calls == {"step": interior, "rates": interior, "terminal": keys}
     assert keys < len(tree._node_table().shape.words)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_instance(generate_instance(seed=1, depth=4, branches=3, n_ineq=1)),
+    lambda: build_tree(dt=HALF, depth=3, branching=[(F(1, 3), 1), (F(2, 3), -HALF)],
+                       x0=0, drift=lambda t, xs: xs[0] / 2 - xs[-1] / 3,
+                       reward=lambda t, xs: xs[-1] / 4, terminal=lambda t, xs: max(xs),
+                       inequalities=[(lambda t, xs: xs[-1] ** 2, 1)]),
+], ids=["loaded", "built"])
+def test_engines_and_node_reads_share_one_keyed_walk(monkeypatch, make):
+    """solve_weak, dp_value and every node's state path and accruals run
+    ``_keyed_levels`` once between them, and no instance function after it."""
+    tree, calls = make(), {"walks": 0, "after": 0}
+    real_walk = TreeInstance._keyed_levels
+
+    def walk(self):
+        out = real_walk(self)
+        calls["walks"] += 1
+        return out
+    monkeypatch.setattr(TreeInstance, "_keyed_levels", walk)
+    for attr in ("_child_states", "_coefficients", "_rates", "_terminal_value"):
+        def counted(self, *args, _real=getattr(TreeInstance, attr)):
+            calls["after"] += calls["walks"] > 0
+            return _real(self, *args)
+        monkeypatch.setattr(TreeInstance, attr, counted)
+    assert solve_weak(tree).optimal
+    dp_value(tree, 1)
+    for w in tree.nodes():
+        euler_state(tree, w), cumulative_functionals(tree, w)
+    assert calls == {"walks": 1, "after": 0}
 
 
 # -- readers ----------------------------------------------------------------------
@@ -233,11 +266,3 @@ def test_stop_mass_outside_the_tree_raises(word):
     got = expectations_from_stop_mass(tree, {(): F(1), word: F(0)})
     assert got == expectations_by_words(make_rw(), {(): F(1)})
 
-
-def test_a_tree_with_claims_builds_no_table():
-    tree = load_instance(generate_instance(seed=2, depth=3, branches=2))
-    cand = candidate_with_state_shift(tree, solve_weak(tree).measure, (0, 1), HALF)
-    assert cand.paths._claims
-    with pytest.raises(InvariantViolation, match="claimed states"):
-        cand.paths._node_table()
-    assert cand.paths._table is None

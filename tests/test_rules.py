@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import (EquivalenceViolation, Ext, InvariantViolation,
+from treestop import (EquivalenceViolation, Ext, InvariantViolation, NodeNotInTree,
                       RuleShapeMismatch, ThetaProcess,
                       derandomize, equivalence_check, monte_carlo_value,
                       rule_from_map, rule_to_measure, stop_mass_by_eta_integration,
@@ -50,6 +51,13 @@ def test_rule_missing_node_rejected(rw2):
         rule_from_map(rw2, {(): 0})
     with pytest.raises(RuleShapeMismatch):
         rule_from_map(rw2, {(): 2, (0,): 0, (1,): 0})
+
+
+@pytest.mark.parametrize("word", [(7,), (0, 0, 0), (0, 5)])
+def test_rule_probability_off_the_tree_names_the_word(rw2, word):
+    q = {(): 0, (0,): 1, (1,): 1, word: Fraction(1, 3)}
+    with pytest.raises(NodeNotInTree, match=re.escape(str(word))):
+        rule_from_map(rw2, q)
 
 
 # -- derandomize --------------------------------------------------------------
