@@ -25,7 +25,7 @@ from .dpp import verify_dpp
 from .errors import NoInstances, TreestopError
 from .generate import generate_instance
 from .io import (dump_measure, dump_rule, fmt_rational, fmt_value, instance_hash,
-                 load_budgets, load_instance, load_masses, load_rule, parse_word,
+                 load_budgets, load_cut, load_instance, load_masses, load_rule,
                  word_str, write_json_atomic)
 from .lp import measure_to_rule, solve_robust, solve_weak
 from .martingale import CandidateLaw, check_membership
@@ -189,11 +189,7 @@ def _parse_tau(tree, text):
     try:
         return int(text)
     except ValueError:
-        pass
-    with open(text) as fh:
-        raw = json.load(fh)
-    words = raw["cut"] if isinstance(raw, dict) else raw
-    return [parse_word(tree, w) for w in words]
+        return load_cut(tree, text)
 
 
 @_recorded

@@ -8,12 +8,12 @@ budget accrual, and take the non-decreasing concave hull with the stop point.
 
 A node's envelope depends on its path only through what the instance's
 functions read.  When they read only t, the state and its running sup (as
-every loaded instance's do), ``TreeInstance._keyed_levels`` folds each
-depth's nodes with one (state, sup) key into one record; on other trees
-every node is its own key.  The sweep reads the tree's cached walk
-(``TreeInstance._keys``, as the node table does) and keeps one chain per
-key: its value conditional on reaching the key, as (x0, v0, top value,
-(rise, width) segments steepest first), all Python ints.  At depth k
+every loaded instance's do), the tree's cached keyed walk
+(``TreeInstance._keys``) folds each depth's nodes with one (state, sup)
+into one key; on other trees every node is its own key.  The sweep reads
+that walk, as the node table does, and keeps one chain per key: its value
+conditional on reaching the key, as (x0, v0, top value, (rise, width)
+segments steepest first), all Python ints.  At depth k
 budgets are ints over U_k * G and values over U_k * V, where U_k is the
 product of the branch denominators of levels k to depth - 1
 (``_branch_ints``), and G and V are the least common denominators of the
@@ -109,42 +109,36 @@ def _paste(stop, reward_step, budget_step, kids):
 
 
 def _sweep(tree: TreeInstance):
-    """Each level's child key indices (per key, as the tree's cached walk
-    ``tree._keys()`` holds them), chains and units, leaves first; two levels
-    of chains are held at a time.  A depth-k key's chain is its value
-    conditional on reaching the key, budgets as ints over U_k * G and values
-    over U_k * V: the level's units."""
+    """Each level's chains and units, leaves first, from the tree's cached
+    walk ``tree._keys()``; two levels of chains are held at a time.  A
+    depth-k key's chain is its value conditional on reaching the key,
+    budgets as ints over U_k * G and values over U_k * V: the level's units."""
     _require_scalar_shape(tree)
     walk, (units, branch) = tree._keys(), tree._branch_ints()
     (V, G), pays, steps, kids = walk.ones, walk.pays, walk.steps, walk.kids
     below, u = [], 1
-    for k in reversed(range(len(kids))):
+    for k in reversed(range(tree.depth + 1)):
         if k == tree.depth:
             here = [(0, stop, stop, ()) for stop in pays[k]]
         else:
             u *= units[k]
             here = [_paste(u * stop, u * f, u * g, [(b, below[i]) for b, i in zip(branch[k], ks)])
                     for stop, (f, g), ks in zip(pays[k], steps[k], kids[k])]
-        yield kids[k], here, (u * G, u * V)
+        yield here, (u * G, u * V)
         below = here
 
 
 def node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
     """Value-in-budget envelope of every node, in one sweep: a node's is its
     key's, built once per key."""
-    levels = [(kids, [_built(chain, *unit) for chain in here])
-              for kids, here, unit in _sweep(tree)]
-    words, keys, by_node = iter(tree.nodes()), [0], []
-    for kids, envs in reversed(levels):
-        by_node += [(next(words), envs[i]) for i in keys]
-        keys = [i for key in keys for i in kids[key]]
-    return dict(reversed(by_node))
+    envs = [[_built(chain, *unit) for chain in here] for here, unit in _sweep(tree)][::-1]
+    return {w: envs[len(w)][key] for w, key in zip(tree._shape().words, tree._row_keys())}
 
 
 def root_envelope(tree: TreeInstance) -> ConcaveEnvelope:
     """The root's envelope, computed once per tree and then cached on it."""
     if tree._root_envelope is None:
-        for _, here, unit in _sweep(tree):
+        for here, unit in _sweep(tree):
             pass
         tree._root_envelope = _built(here[0], *unit)
     return tree._root_envelope

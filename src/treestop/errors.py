@@ -13,12 +13,12 @@ class InvalidHorizon(TreestopError):
     """Tree depth is negative."""
 
 
-class WordTooLong(TreestopError):
-    """An increment word is longer than the tree horizon."""
-
-
 class NodeNotInTree(TreestopError):
     """An increment word does not identify a node of the tree."""
+
+
+class WordTooLong(NodeNotInTree):
+    """An increment word is longer than the tree horizon."""
 
 
 class ExpressionUndefined(TreestopError):

@@ -83,25 +83,25 @@ def _reference_accruals(tree, rng: random.Random) -> list:
     each interior node with probability q = r/4, r = rng.randint(0, 4)
     drawn in BFS order.
 
-    A node's accruals are its ancestors' rates times dt, so the expectation
-    is dt times the sum over interior nodes of continue mass u times the
-    rates of the node's key (``TreeInstance._keyed_levels``).  u is an int
-    per node over one denominator per depth; the sum takes one Fraction
-    per key.
+    A node's accruals are its ancestors' accrual steps, so the expectation
+    is the sum over interior nodes of continue mass u times the step of the
+    node's key in the tree's keyed walk (``TreeInstance._keys``).  u is an
+    int per node over one denominator per depth, and the steps are ints
+    over one per column; the sum takes one Fraction per column per depth.
     """
-    levels, (units, branch) = tree._keyed_levels(), tree._branch_ints()
-    totals = [Fraction(0)] * (tree.constraints.n_ineq + tree.constraints.n_eq)
+    walk, (units, branch) = tree._keys(), tree._branch_ints()
+    cols = range(1, len(walk.ones))
+    totals = [Fraction(0)] * len(cols)
     nodes, den = [(0, 1)], 1  # (key, arriving mass over den) in BFS order
-    for level, unit, probs in zip(levels, units, branch):
-        cont, below = [0] * len(level), []
+    for kids, steps, unit, probs in zip(walk.kids, walk.steps, units, branch):
+        cont, below = [0] * len(steps), []
         for key, arrive in nodes:
             u = arrive * (4 - rng.randint(0, 4))  # over den * 4
             cont[key] += u
-            below += [(kid, u * p) for kid, p in zip(level[key].kids, probs)]
+            below += [(kid, u * p) for kid, p in zip(kids[key], probs)]
         den *= 4
-        for record, u in zip(level, cont):
-            _, gs, hs = record.rates
-            for c, rate in enumerate((*gs, *hs)):
-                totals[c] += rate * Fraction(u, den)
+        totals = [total + Fraction(sum(u * step[c] for u, step in zip(cont, steps)),
+                                   den * walk.ones[c])
+                  for total, c in zip(totals, cols)]
         nodes, den = below, den * unit
-    return [total * tree.dt for total in totals]
+    return totals

@@ -9,7 +9,8 @@ and x_sup, evaluated in exact rational arithmetic.  An expression is
 compiled once, when it is loaded, into nested closures: constant
 sub-expressions are folded, and names, operators, literals and exponents
 (one that is not constant at a dummy point) are checked then, so no node
-re-reads the syntax tree.
+re-reads the syntax tree; exponents are integers of magnitude at most
+``MAX_EXPONENT``.  Loaders check each field's JSON type before reading it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import operator
 import os
+import reprlib
 from fractions import Fraction
 from typing import Union
 
@@ -56,20 +58,27 @@ def fmt_value(x) -> str:
 # the expression mini-language
 # ---------------------------------------------------------------------------
 
+MAX_EXPONENT = 64  # |n| of a power x ** n; the generator uses 2
+
+
 def _int_exponent(b: Fraction) -> int:
     if b.denominator != 1:
         raise ValueError("only integer exponents are supported")
+    if abs(b) > MAX_EXPONENT:
+        raise ValueError(f"exponents are capped at {MAX_EXPONENT} in absolute value")
     return b.numerator
 
 
-class _NonIntegerExponent(ValueError):
-    """An exponent that is not constant takes a value that is not an integer
-    at a node; ``_guarded`` reports it with the spec, t and the state."""
+class _BadExponent(ValueError):
+    """An exponent that is not constant is no integer, or above the cap, at a
+    node; ``_guarded`` reports the power its argument names, with t and state."""
 
 
 def _int_pow(a, b):
     if b.denominator != 1:
-        raise _NonIntegerExponent(b)
+        raise _BadExponent(f"the non-integer power {fmt_rational(b)}")
+    if abs(b) > MAX_EXPONENT:
+        raise _BadExponent(f"a power whose exponent is above the cap {MAX_EXPONENT}")
     return a ** b.numerator
 
 
@@ -112,7 +121,7 @@ def _compile(node):
 
 
 def _check_exponent(b):
-    """Reject an exponent that is not constant when it is not an integer at
+    """Reject an exponent that is not constant when ``_int_exponent`` does at
     the dummy point (t = 0, state 0); a division by zero there says nothing
     about the tree's nodes, which are checked when they are evaluated."""
     try:
@@ -164,7 +173,7 @@ def parse_function(spec) -> tuple:
             # integrand a*q*t^(q-1) + lam accrues a*((t0+tau)^q - t0^q) + lam*tau
             t = as_fraction(t)
             if (q - 1).denominator == 1:
-                power = t ** (q - 1).numerator
+                power = _int_pow(t, q - 1)
             elif t == 0 and q < 1:
                 raise ZeroDivisionError  # t^(q-1) is 1/t^(1-q)
             elif t < 0:
@@ -193,9 +202,9 @@ def parse_function(spec) -> tuple:
 
 
 def _guarded(fn, spec: str):
-    """fn with a division by zero, a non-integer power or a float overflow
-    (of ``power:``) at a node reported as bad input naming spec, t and the
-    state."""
+    """fn with a division by zero, a non-integer or too large power or a
+    float overflow (of ``power:``) at a node reported as bad input naming
+    spec, t and the state."""
     def call(t, prefix):
         try:
             return fn(t, prefix)
@@ -205,10 +214,9 @@ def _guarded(fn, spec: str):
         except OverflowError:
             raise ExpressionUndefined(
                 f"{spec!r} overflows the float range {_where(t, prefix)}") from None
-        except _NonIntegerExponent as exc:
+        except _BadExponent as exc:
             raise ExpressionUndefined(
-                f"{spec!r} takes the non-integer power {fmt_rational(exc.args[0])} "
-                f"{_where(t, prefix)}") from None
+                f"{spec!r} takes {exc.args[0]} {_where(t, prefix)}") from None
     return call
 
 
@@ -226,6 +234,8 @@ def _where(t, prefix) -> str:
 
 def parse_word(tree: TreeInstance, text: str) -> Word:
     """Word strings: digits index branches; "+"/"-" alias 0/1 on binary trees."""
+    if not isinstance(text, str):
+        raise NodeNotInTree(f"a word must be a string, got {reprlib.repr(text)}")
     if text in ("", "root"):
         return ()
     if set(text) <= {"+", "-"}:
@@ -252,20 +262,20 @@ def word_str(tree: TreeInstance, word: Word) -> str:
 def load_instance(source: Union[str, dict]) -> TreeInstance:
     raw = _read_obj(source)
     canon: dict = {}
-    t0 = as_fraction(raw.get("t0", 0))
-    dt = as_fraction(_field(raw, "dt", "instance"))
-    depth = int(_field(raw, "depth", "instance"))
+    t0 = as_fraction(_field(raw, "t0", "instance", _NUMBER, 0))
+    dt = as_fraction(_field(raw, "dt", "instance", _NUMBER))
+    depth = _field(raw, "depth", "instance", int)
     canon["t0"], canon["dt"], canon["depth"] = fmt_rational(t0), fmt_rational(dt), depth
 
     def level_of(entries):
         out = []
-        for e in entries:
-            w = _field(e, "w", "branch")
-            w = [as_fraction(c) for c in w] if isinstance(w, list) else as_fraction(w)
-            out.append((as_fraction(_field(e, "p", "branch")), w))
+        for e in _kind(entries, list, "a branching level"):
+            e = _kind(e, dict, "a branch")
+            w = _rationals(_field(e, "w", "branch", _VECTOR), "branch field 'w'")
+            out.append((as_fraction(_field(e, "p", "branch", _NUMBER)), w))
         return out
 
-    braw = _field(raw, "branching", "instance")
+    braw = _field(raw, "branching", "instance", list)
     if braw and isinstance(braw[0], list):
         branching = [level_of(level) for level in braw]
         canon["branching"] = [[_branch_json(p, w) for p, w in level]
@@ -274,48 +284,43 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
         branching = level_of(braw)
         canon["branching"] = [_branch_json(p, w) for p, w in branching]
 
-    hist = raw.get("x0_history", [0])
-    history = [[as_fraction(c) for c in x] if isinstance(x, list) else as_fraction(x)
-               for x in hist]
+    history = [_rationals(x, "an x0_history entry")
+               for x in _field(raw, "x0_history", "instance", list, [0])]
     canon["x0_history"] = [_vec_json(x) for x in history]
 
     fns = {}
     for key, default in (("drift", "zero"), ("diffusion", "const:1"),
                          ("f", "zero"), ("pi", "zero")):
-        fn, spec = parse_function(raw.get(key, default))
-        fns[key] = fn
-        canon[key] = spec
+        fns[key], canon[key] = parse_function(_field(raw, key, "instance", _NUMBER, default))
 
-    cons = raw.get("constraints", {})
-    ineq, eq = [], []
-    canon_cons = {"ineq": [], "eq": []}
-    for item in cons.get("ineq", []):
-        g, g_spec = parse_function(_field(item, "g", "inequality"))
-        y = Ext.parse(_field(item, "y", "inequality"))
-        ineq.append((g, y))
-        canon_cons["ineq"].append({"g": g_spec, "y": fmt_rational(y)})
-    for item in cons.get("eq", []):
-        h, h_spec = parse_function(_field(item, "h", "equality"))
-        z = Ext.parse(_field(item, "z", "equality"))
-        eq.append((h, z))
-        canon_cons["eq"].append({"h": h_spec, "z": fmt_rational(z)})
-    canon["constraints"] = canon_cons
+    cons = _field(raw, "constraints", "instance", dict, {})
+    pairs, canon["constraints"] = {}, {"ineq": [], "eq": []}
+    for key, fn_key, bound_key, what in (("ineq", "g", "y", "inequality"),
+                                         ("eq", "h", "z", "equality")):
+        pairs[key] = []
+        for item in _field(cons, key, "constraints", list, []):
+            item = _kind(item, dict, f"an {what}")
+            fn, spec = parse_function(_field(item, fn_key, what, _NUMBER))
+            bound = Ext.parse(_field(item, bound_key, what, _NUMBER))
+            pairs[key].append((fn, bound))
+            canon["constraints"][key].append({fn_key: spec, bound_key: fmt_rational(bound)})
 
-    w_history = tuple(as_fraction(v) for v in raw.get("w_history", []))
+    w_history = tuple(_rationals(_field(raw, "w_history", "instance", list, []),
+                                 "instance field 'w_history'"))
     canon["w_history"] = [fmt_rational(v) for v in w_history]
 
     tree = build_tree(
         t0=t0, dt=dt, depth=depth, branching=branching, history=history,
         drift=fns["drift"], diffusion=fns["diffusion"],
         reward=fns["f"], terminal=fns["pi"],
-        inequalities=ineq, equalities=eq, w_history=w_history, source=canon)
+        inequalities=pairs["ineq"], equalities=pairs["eq"], w_history=w_history,
+        source=canon)
     tree._markov = True  # every function above reads only t, x_current and x_sup
     return tree
 
 
 def _branch_json(p, w):
-    wj = _vec_json(w) if isinstance(w, (list, tuple)) else fmt_rational(w)
-    return {"p": fmt_rational(p), "w": wj}
+    return {"p": fmt_rational(p), "w": _vec_json(w)}
 
 
 def _vec_json(x):
@@ -344,7 +349,8 @@ def instance_hash(source: Union[TreeInstance, dict]) -> str:
 
 def load_rule(tree: TreeInstance, source: Union[str, dict]) -> RandomizedStoppingRule:
     raw = _read_obj(source)
-    q = {parse_word(tree, k): as_fraction(v) for k, v in raw.items()}
+    q = {parse_word(tree, k): as_fraction(_kind(v, _NUMBER, f"rule entry {k!r}"))
+         for k, v in raw.items()}
     return rule_from_map(tree, q)
 
 
@@ -354,9 +360,12 @@ def dump_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> dict:
 
 def load_masses(tree: TreeInstance, source: Union[str, dict]):
     """A measure file's absolute stop and continue masses: (s, u) by word."""
-    raw = {parse_word(tree, key): entry for key, entry in _read_obj(source).items()}
-    return ({w: as_fraction(entry.get("s", 0)) for w, entry in raw.items()},
-            {w: as_fraction(entry.get("u", 0)) for w, entry in raw.items()})
+    s, u = {}, {}
+    for key, entry in _read_obj(source).items():
+        word, what = parse_word(tree, key), f"measure entry {key!r}"
+        s[word], u[word] = (as_fraction(_field(_kind(entry, dict, what), c, what, _NUMBER, 0))
+                            for c in "su")
+    return s, u
 
 
 def load_measure(tree: TreeInstance, source: Union[str, dict]) -> StoppingMeasure:
@@ -374,15 +383,25 @@ def dump_measure(tree: TreeInstance, measure: StoppingMeasure) -> dict:
 def load_budgets(tree: TreeInstance, source: Union[str, dict]):
     from .lattice import BudgetVector
     raw = _read_obj(source)
-    return BudgetVector(ys=tuple(Ext.parse(v) for v in raw.get("ineq", [])),
-                        zs=tuple(Ext.parse(v) for v in raw.get("eq", [])))
+    return BudgetVector(*(tuple(Ext.parse(_kind(v, _NUMBER, f"a budget in {key!r}"))
+                                for v in _field(raw, key, "budgets", list, []))
+                          for key in ("ineq", "eq")))
+
+
+def load_cut(tree: TreeInstance, source: str) -> list:
+    """A cut file's words: a list of word strings, bare or as {"cut": [...]}."""
+    raw = _read_obj(source, (dict, list))
+    if isinstance(raw, dict):
+        raw = _field(raw, "cut", "cut file", list)
+    return [parse_word(tree, w) for w in raw]
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _read_obj(source: Union[str, dict]) -> dict:
+def _read_obj(source: Union[str, dict], kind=dict):
+    """A JSON file's value, of the kind given; a dict is taken as read."""
     if isinstance(source, dict):
         return source
     with open(source) as fh:
@@ -390,16 +409,39 @@ def _read_obj(source: Union[str, dict]) -> dict:
             raw = json.load(fh)
         except ValueError as exc:
             raise ValueError(f"{source} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{source} must hold a JSON object")
-    return raw
+    return _kind(raw, kind, str(source))
 
 
-def _field(obj: dict, key: str, what: str):
-    """A required field; a missing one is an input error, not a KeyError."""
+_NUMBER = (int, float, str)  # a rational: a JSON number or string
+_VECTOR = (*_NUMBER, list)  # a rational or a list of them
+_KINDS = {_NUMBER: "a number or a string", _VECTOR: "a number, a string or a list",
+          int: "an integer", list: "a list", dict: "an object",
+          (dict, list): "an object or a list"}
+
+
+def _kind(value, kind, what: str):
+    """value, when it has the JSON kind (a key of ``_KINDS``, never a
+    boolean); else an input error naming what, not a TypeError later."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+def _field(obj: dict, key: str, what: str, kind, default=None):
+    """A field of a JSON object, of the kind given; a missing one is its
+    default, and an input error when that is None."""
     if key not in obj:
-        raise ValueError(f"{what} entry lacks the required field {key!r}")
-    return obj[key]
+        if default is None:
+            raise ValueError(f"{what} entry lacks the required field {key!r}")
+        return default
+    return _kind(obj[key], kind, f"{what} field {key!r}")
+
+
+def _rationals(value, what: str):
+    """A rational, or a list of them, as a Fraction or a list of Fractions."""
+    if isinstance(_kind(value, _VECTOR, what), list):
+        return [as_fraction(_kind(c, _NUMBER, f"an entry of {what}")) for c in value]
+    return as_fraction(value)
 
 
 def write_json_atomic(path: str, obj) -> None:

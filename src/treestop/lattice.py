@@ -174,21 +174,13 @@ class BudgetVector:
         )
 
 
-class KeyRecord(NamedTuple):
-    """One Markov key of a level, as ``TreeInstance._keyed_levels`` gives it."""
-
-    state: object           # its nodes' last ``euler_state`` entry
-    stop: Fraction          # the terminal payoff
-    rates: Optional[tuple]  # ``_rates``, None at the leaves
-    kids: tuple             # per branch, the child's key index one level down
-
-
 class KeyedWalk(NamedTuple):
-    """The keyed levels as ``TreeInstance._keys()`` caches them, root first:
-    per level, each key's state and kids (as in its ``KeyRecord``), stop
-    payoff and, at interior levels, accrual step dt * (f, g_i, h_i), as
-    ints over one denominator per column, ``ones[c]``, the least common
-    one; the stop payoffs share column 0's."""
+    """The keyed levels as ``TreeInstance._keys()`` walks and caches them,
+    root first: per level, each key's state and stop payoff and, at
+    interior levels, its kids (per branch, the child's key index one level
+    down) and accrual step dt * (f, g_i, h_i).  Payoffs and steps are ints
+    over one denominator per column, ``ones[c]``, the least common one; the
+    stop payoffs share column 0's."""
 
     states: list
     kids: list
@@ -268,7 +260,7 @@ class TreeInstance:
     coerced by this class only; node data are finite Fractions.  ``_markov``
     marks a tree whose functions read only t, the state and the running sup
     of its first coordinate (``io.load_instance`` sets it, ``subtree``
-    copies it), so that ``_keyed_levels`` may fold nodes by that key.
+    copies it), so that ``_keys`` may fold nodes by that key.
     """
 
     def __init__(self, t0, dt, depth, branching, history, coefficients,
@@ -352,7 +344,7 @@ class TreeInstance:
 
     def check_word(self, word: Word) -> None:
         if len(word) > self.depth:
-            raise NodeNotInTree(f"word {word} is longer than depth {self.depth}")
+            raise WordTooLong(f"word {word} is longer than depth {self.depth}")
         for k, (j, level) in enumerate(zip(word, self.branching)):
             if not 0 <= j < len(level):
                 raise NodeNotInTree(f"word {word}: branch {j} out of range at step {k}")
@@ -450,69 +442,56 @@ class TreeInstance:
         """Terminal payoff pi at a state path."""
         return _finite(self.terminal(t, prefix), "terminal payoff", t)
 
-    def _keyed_levels(self):
-        """The tree's levels, root first, with the nodes that share a Markov
-        key folded into one ``KeyRecord`` per key, in the BFS order of each
-        key's first node (its representative).  The one walk that calls the
-        instance's functions; ``_keys()`` runs it once per tree.
+    def _keys(self) -> KeyedWalk:
+        """The keyed walk (``KeyedWalk``): the tree's levels, root first, with
+        the nodes that share a Markov key folded into one key, in the BFS
+        order of each key's first node (its representative).  Walked once on
+        first use and cached; the one walk that calls the instance's functions.
 
-        A record holds the key's state (the last entry of its nodes'
-        ``euler_state``), its terminal payoff and ``_rates`` (None at the
-        leaves), each evaluated once per key at the representative's state
-        path, and per branch the child's key index one level down.  Records
-        carry no path probability: a node's future depends on its key alone,
-        and the branch probabilities are the level's (``_branch_ints``).  On
-        a tree marked ``_markov`` (its functions read only t, the state and
-        the running sup of its first coordinate) a node's key is that state
-        and sup, seeded by the history's max; otherwise every node is its
-        own key.
+        A key's terminal payoff and, at interior levels, ``_rates`` are
+        evaluated once, at its representative's state path.  No path
+        probability is kept: a node's future depends on its key alone, and
+        the branch probabilities are the level's (``_branch_ints``).  On a
+        tree marked ``_markov`` (its functions read only t, the state and the
+        running sup of its first coordinate) a node's key is that state and
+        sup, seeded by the history's max; otherwise every node is its own key.
         """
+        if self._walk is not None:
+            return self._walk
         first = (lambda x: x[0]) if self.l > 1 else (lambda x: x)
         prefix = tuple(map(self._unwrap, self.history))
         # the representatives of one level: state path and sup
-        reps, levels = [(prefix, max(map(first, prefix)))], []
+        reps, dt = [(prefix, max(map(first, prefix)))], self.dt
+        states, kids, pays, steps = [], [], [], []
         for k in range(self.depth + 1):
             t, leaf = self.time(k), k == self.depth
-            level = [(prefix[-1], self._terminal_value(t, prefix),
-                      None if leaf else self._rates(t, prefix))
+            level = [(self._terminal_value(t, prefix), None if leaf else self._rates(t, prefix))
                      for prefix, _ in reps]
+            states.append([prefix[-1] for prefix, _ in reps])
+            pays.append([stop for stop, _ in level])
             if leaf:
-                levels.append([KeyRecord(*record, ()) for record in level])
                 break
-            below, index, children = [], {}, []
+            steps.append([tuple(v * dt for v in (f, *gs, *hs)) for _, (f, gs, hs) in level])
+            below, index, here = [], {}, []
             for prefix, sup in reps:
-                kids = []
+                ks = []
                 for x in self._child_states(k, prefix):
                     x = self._unwrap(x)
                     s = max(sup, first(x)) if self._markov else None
                     i = index.setdefault((x, s), len(below)) if self._markov else len(below)
                     if i == len(below):
                         below.append((prefix + (x,), s))
-                    kids.append(i)
-                children.append(tuple(kids))
-            levels.append([KeyRecord(*record, kids) for record, kids in zip(level, children)])
+                    ks.append(i)
+                here.append(tuple(ks))
+            kids.append(here)
             reps = below
-        return levels
-
-    def _keys(self) -> KeyedWalk:
-        """The keyed walk, run once on first use and cached, with each
-        record's Fractions brought to ints and the records dropped."""
-        if self._walk is not None:
-            return self._walk
-        levels, dt = self._keyed_levels(), self.dt
-        pays = [[record.stop for record in level] for level in levels]
-        steps = [[(f * dt, *(g * dt for g in gs), *(h * dt for h in hs))
-                  for f, gs, hs in (record.rates for record in level)]
-                 for level in levels[:-1]]
         ones = [lcm(*(step[c].denominator for level in steps for step in level))
                 for c in range(1 + self.constraints.n_ineq + self.constraints.n_eq)]
         ones[0] = lcm(ones[0], *(v.denominator for level in pays for v in level))
         steps = [[tuple(v.numerator * (one // v.denominator) for v, one in zip(step, ones))
                   for step in level] for level in steps]
         pays = [[v.numerator * (ones[0] // v.denominator) for v in level] for level in pays]
-        self._walk = KeyedWalk([[record.state for record in level] for level in levels],
-                               [[record.kids for record in level] for level in levels],
-                               ones, pays, steps)
+        self._walk = KeyedWalk(states, kids, ones, pays, steps)
         return self._walk
 
     def _branch_ints(self):
@@ -631,8 +610,6 @@ def euler_state(tree: TreeInstance, word: Word):
     Deterministic in the word: repeated calls return identical values.
     """
     word = tuple(word)
-    if len(word) > tree.depth:
-        raise WordTooLong(f"word of length {len(word)} exceeds depth {tree.depth}")
     tree.check_word(word)
     return tree._prefix_for_call(word)
 

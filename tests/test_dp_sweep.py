@@ -139,19 +139,22 @@ def _representatives(tree, k):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_level_prefixes_equal_euler_states(case):
     tree = CASES[case]()
-    levels = tree._keyed_levels()
+    walk = tree._keys()
     reps = [_representatives(CASES[case](), k) for k in range(tree.depth + 1)]
-    assert len(levels) == len(reps)
+    assert len(walk.states) == len(walk.pays) == len(reps)
+    assert len(walk.kids) == len(walk.steps) == tree.depth  # interior levels only
     if not tree._markov:  # every node is its own key
         assert [w for level in reps for w in level.values()] == list(tree.nodes())
-    for k, level in enumerate(levels):
+    for k, (states, pays) in enumerate(zip(walk.states, walk.pays)):
         words = list(reps[k].values())
-        assert [x for x, *_ in level] == [oracle_prefix(tree, w)[-1] for w in words]
-        for word, (_, stop, rates, kids) in zip(words, level):
-            assert stop == terminal_at(tree, word)
-            assert (rates is None) == (k == tree.depth)
-            assert len(kids) == len(tree.children(word))
-            for child, at in zip(tree.children(word), kids):
+        assert states == [oracle_prefix(tree, w)[-1] for w in words]
+        assert [F(pay, walk.ones[0]) for pay in pays] == [terminal_at(tree, w) for w in words]
+        if k == tree.depth:
+            break
+        assert len(walk.kids[k]) == len(walk.steps[k]) == len(words)
+        for word, ks in zip(words, walk.kids[k]):
+            assert len(ks) == len(tree.children(word))
+            for child, at in zip(tree.children(word), ks):
                 assert at == list(reps[k + 1]).index(_key(tree, child))
 
 
@@ -184,7 +187,7 @@ def _euler_by_hand(dt, depth, branching, x0, drift, diffusion, t0=0):
 def test_level_prefixes_and_euler_states_equal_a_hand_written_recursion(dynamics):
     want = _euler_by_hand(**dynamics)
     tree = build_tree(**dynamics)
-    got = [x for level in tree._keyed_levels() for x, *_ in level]
+    got = [x for level in tree._keys().states for x in level]
     # every node is its own key, in BFS order
     assert got == [path[-1] for path in want.values()]
     assert {word: euler_state(tree, word) for word in want} == want
@@ -348,10 +351,10 @@ HIGH_HISTORY_DOC = {
 
 def test_sup_seeded_by_the_history_and_subtrees_match_the_oracle():
     tree = load_instance(HIGH_HISTORY_DOC)
-    levels = tree._keyed_levels()
-    assert sum(map(len, levels)) < len(list(tree.nodes()))
+    walk = tree._keys()
+    assert sum(map(len, walk.states)) < len(list(tree.nodes()))
     # some edge leads to a key that another edge reached first
-    edges = [i for level in levels for *_, kids in level for i in kids]
+    edges = [i for level in walk.kids for ks in level for i in ks]
     assert len(set(edges)) < len(edges)
     want = oracle_node_envelopes(load_instance(HIGH_HISTORY_DOC))
     assert dp.node_envelopes(tree) == want

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from treestop import ExpressionUndefined, parse_function
+from treestop.io import MAX_EXPONENT
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS,
                                _TERMINALS)
 
@@ -110,6 +111,24 @@ def test_exponent_that_is_not_constant_is_an_integer_or_undefined_at_a_node():
                        match=r"^'1/t \+ t\*\*x_current' divides by zero at t = 0, "
                              r"state \(1/3, 0\)$"):
         parse_function("1/t + t**x_current")[0](F(0), ((F(1, 3), F(0)),))
+
+
+def test_exponents_are_capped_at_load_and_at_nodes():
+    cap = MAX_EXPONENT
+    assert parse_function(f"x_current ** {cap}")[0](F(0), (F(2),)) == 2 ** cap
+    assert parse_function(f"x_current ** -{cap}")[0](F(0), (F(2),)) == F(1, 2 ** cap)
+    with pytest.raises(ValueError, match=f"^exponents are capped at {cap} in absolute value$"):
+        parse_function(f"x_current ** {cap + 1}")
+    # an exponent that is not constant is 0 at load's dummy point
+    fn, _ = parse_function("2 ** (x_current * 65)")
+    assert fn(F(0), (F(-1, 65),)) == F(1, 2) and cap < 65
+    with pytest.raises(ExpressionUndefined, match=r"^'2 \*\* \(x_current \* 65\)' takes a "
+                       rf"power whose exponent is above the cap {cap} at t = 0, state 1$"):
+        fn(F(0), (F(1),))
+    # so is the power built-in's integer q - 1
+    assert parse_function(f"power:1,{cap + 1},0")[0](F(1), (F(0),)) == cap + 1
+    with pytest.raises(ExpressionUndefined, match="above the cap"):
+        parse_function(f"power:1,{cap + 2},0")[0](F(1), (F(0),))
 
 
 def test_power_builtin_at_negative_time_is_undefined_not_a_domain_error():

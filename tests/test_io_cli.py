@@ -467,12 +467,55 @@ def test_suite_requires_instances(tmp_path):
     assert main(["suite", "--dir", str(empty), "--suite", "all"]) == 2
 
 
+# one instance field of the wrong JSON type each; all but the last two
+# raised a TypeError or AttributeError, and those two were coerced
+WRONG_TYPES = {
+    "branching-of-strings": dict(branching=["w"]),
+    "branching-a-number": dict(branching=5),
+    "constraints-a-list": dict(constraints=[1]),
+    "inequality-a-string": dict(constraints={"ineq": ["g"]}),
+    "drift-a-list": dict(drift=[1]),
+    "dt-a-list": dict(dt=[1]),
+    "branch-p-null": dict(branching=[{"p": None, "w": "1"}, {"p": "1/2", "w": "-1"}]),
+    "branch-w-an-object": dict(branching=[{"p": "1/2", "w": {"a": 1}},
+                                          {"p": "1/2", "w": "-1"}]),
+    "w-history-a-number": dict(w_history=5),
+    "depth-fractional": dict(depth=2.5),  # ran at depth 2
+    "drift-a-boolean": dict(drift=True),  # ran as drift 1
+}
+# cut files that are not a list of words, bare or under "cut"
+WRONG_CUTS = {"cut-missing": {"nocut": []}, "cut-a-number": 5, "cut-word-a-number": [5]}
+
+
 def _bad_input(tmp_path, case):
     """Command-line arguments for one kind of bad input."""
     def write(text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         return ["solve", "--instance", str(path)]
+
+    def side_file(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    if case in WRONG_TYPES:
+        return write(json.dumps(dict(RW2_DOC, **WRONG_TYPES[case])))
+    if case in WRONG_CUTS:
+        return ["verify-dpp", *write(json.dumps(RW2_DOC))[1:],
+                "--tau", side_file("cut.json", WRONG_CUTS[case])]
+    if case == "measure-entry-a-number":
+        return ["check-class", *write(json.dumps(RW2_DOC))[1:],
+                "--measure", side_file("measure.json", {"+": 3})]
+    if case == "budgets-a-string":  # was read as the list ["1"]
+        return [*write(json.dumps(RW2_DOC)), "--budgets",
+                side_file("budgets.json", {"ineq": "1"})]
+    # an exponent above io.MAX_EXPONENT: a million ran for minutes
+    if case == "exponent-huge":
+        return write(json.dumps(dict(RW2_DOC, pi="x_current ** 1000000")))
+    # 0 at load's dummy point and at the root, a million at "+"
+    if case == "exponent-huge-at-a-node":
+        return write(json.dumps(dict(RW2_DOC, pi="2 ** (1000000 * x_current)")))
 
     if case == "no-instance":
         return ["solve"]
@@ -548,7 +591,9 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "power-at-negative-time", "exponent-fractional-at-a-node",
               "check-class-infeasible", "power-overflow", "too-many-nodes",
               "zero-denominator-budget", "zero-denominator-dt", "zero-denominator-t0",
-              "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history")
+              "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history",
+              *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
+              "exponent-huge", "exponent-huge-at-a-node")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

@@ -68,6 +68,10 @@ def test_euler_word_too_long_and_bad_branch():
     tree = make_rw()
     with pytest.raises(WordTooLong):
         euler_state(tree, (0, 0, 0))
+    with pytest.raises(WordTooLong):
+        tree.state((0, 0, 0))
+    with pytest.raises(WordTooLong):
+        cumulative_functionals(tree, (0, 0, 0))
     with pytest.raises(NodeNotInTree):
         cumulative_functionals(tree, (0, 5))
 

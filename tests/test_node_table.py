@@ -160,8 +160,8 @@ def test_keyed_table_equals_the_word_by_word_table_on_generated_trees(depth, bra
 
 def test_table_evaluates_each_key_once(monkeypatch):
     doc = generate_instance(seed=1, depth=4, branches=4, n_ineq=1, n_eq=1)
-    levels = load_instance(doc)._keyed_levels()
-    keys, interior = sum(map(len, levels)), sum(map(len, levels[:-1]))
+    states = load_instance(doc)._keys().states
+    keys, interior = sum(map(len, states)), sum(map(len, states[:-1]))
     calls = {"step": 0, "rates": 0, "terminal": 0}
     for name, attr in [("step", "_child_states"), ("rates", "_rates"),
                        ("terminal", "_terminal_value")]:
@@ -184,15 +184,16 @@ def test_table_evaluates_each_key_once(monkeypatch):
 ], ids=["loaded", "built"])
 def test_engines_and_node_reads_share_one_keyed_walk(monkeypatch, make):
     """solve_weak, dp_value and every node's state path and accruals run
-    ``_keyed_levels`` once between them, and no instance function after it."""
+    the keyed walk once between them, and no instance function after it."""
     tree, calls = make(), {"walks": 0, "after": 0}
-    real_walk = TreeInstance._keyed_levels
+    real_walk = TreeInstance._keys
 
     def walk(self):
+        cold = self._walk is None  # this call walks the levels
         out = real_walk(self)
-        calls["walks"] += 1
+        calls["walks"] += cold
         return out
-    monkeypatch.setattr(TreeInstance, "_keyed_levels", walk)
+    monkeypatch.setattr(TreeInstance, "_keys", walk)
     for attr in ("_child_states", "_coefficients", "_rates", "_terminal_value"):
         def counted(self, *args, _real=getattr(TreeInstance, attr)):
             calls["after"] += calls["walks"] > 0
