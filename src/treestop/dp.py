@@ -9,18 +9,18 @@ budget accrual, and take the non-decreasing concave hull with the stop point.
 A node's envelope depends on its path only through what the instance's
 functions read.  When they read only t, the state and its running sup (as
 every loaded instance's do), the tree's cached keyed walk
-(``TreeInstance._keys``) folds each depth's nodes with one (state, sup)
-into one key; on other trees every node is its own key.  The sweep reads
-that walk, as the node table does, and keeps one chain per key: its value
+(``TreeInstance._keys``, which the node table reads too) folds each
+depth's nodes with one (state, sup) into one key; on other trees every
+node is its own key.  The sweep keeps one chain per key: its value
 conditional on reaching the key, as (x0, v0, top value, (rise, width)
-segments steepest first), all Python ints.  At depth k
-budgets are ints over U_k * G and values over U_k * V, where U_k is the
-product of the branch denominators of levels k to depth - 1
-(``_branch_ints``), and G and V are the least common denominators of the
-budget steps g * dt and of the reward steps f * dt and stop payoffs
-(``_keys``).  So a parent's continuation is the sum of its children's
-chains times their int branch numerators; segments sort steepest first by
-cross multiplication, and equal slopes merge by adding rises and widths.  The stop point (0, stop
+segments steepest first), all Python ints.  At depth k budgets are ints
+over U_k * G and values over U_k * V, where U_k is the product of the
+branch denominators of levels k to depth - 1 (``_branch_ints``), and G
+and V are the least common denominators of the budget steps g * dt and
+of the reward steps f * dt and stop payoffs (``_keys``).  So a parent's
+continuation is the sum of its children's chains times their int branch
+numerators; segments sort steepest first by cross multiplication, and
+equal slopes merge by adding rises and widths.  The stop point (0, stop
 value) is pasted by walking kinks from x0 only as far as needed.
 
 Fractions appear only at the boundary: ``_built`` divides a chain by its
