@@ -24,9 +24,9 @@ from .dp import root_envelope
 from .dpp import verify_dpp
 from .errors import NoInstances, TreestopError
 from .generate import generate_instance
-from .io import (dump_measure, dump_rule, fmt_rational, fmt_value, instance_hash,
-                 load_budgets, load_cut, load_instance, load_masses, load_rule,
-                 word_str, write_json_atomic)
+from .io import (decimal_value, dump_measure, dump_rule, fmt_rational, fmt_value,
+                 instance_hash, load_budgets, load_cut, load_instance, load_masses,
+                 load_rule, word_str, write_json_atomic)
 from .lp import measure_to_rule, solve_robust, solve_weak
 from .martingale import CandidateLaw, check_membership
 from .rules import (derandomize, equivalence_check, monte_carlo_value,
@@ -116,7 +116,7 @@ def _cmd_solve(args):
     if res.optimal:
         print(f"value\t{fmt_value(res.value)}")
         outputs["value"] = fmt_rational(res.value)
-        outputs["value_decimal"] = float(res.value)
+        outputs["value_decimal"] = decimal_value(res.value)
         if idx is not None:
             outputs["argmax_model"] = idx
         print("duals_ineq\t" + "\t".join(map(fmt_rational, res.duals_ineq)))

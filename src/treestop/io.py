@@ -5,8 +5,11 @@ renderings are added next to values only for human eyes.  Function fields
 of instance files are either named built-ins ("zero", "const:c", "coord",
 "sup", "power:a,q,lambda"; "zero", "coord" and "sup" name the expressions
 0, x_current and x_sup) or small arithmetic expressions in t, x_current
-and x_sup, evaluated in exact rational arithmetic.  An expression is
-compiled once, when it is loaded, into nested closures: constant
+and x_sup, evaluated in exact rational arithmetic.  Every field is
+compiled once, when it is loaded, into one form: a ``lattice.KeyFunction``
+of the Markov key (t, state, sup), x_current being the state's first
+coordinate and x_sup its running max, which the tree's keyed walk calls
+at each key.  An expression becomes nested closures: constant
 sub-expressions are folded, and names, operators, literals and exponents
 (one that is not constant at a dummy point) are checked then, so no node
 re-reads the syntax tree; exponents are integers of magnitude at most
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ExpressionUndefined, NodeNotInTree
-from .lattice import TreeInstance, Word, build_tree
+from .lattice import KeyFunction, TreeInstance, Word, build_tree
 from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule, rule_from_map
 from .xreal import Ext, as_fraction
@@ -51,7 +54,30 @@ def fmt_value(x) -> str:
     x = Ext.parse(x)
     if not x.is_finite:
         return fmt_rational(x)
-    return f"{fmt_rational(x)} ({float(x)})"
+    return f"{fmt_rational(x)} ({decimal_value(x)})"
+
+
+def decimal_value(x):
+    """A finite x as a float for humans, or, beyond the float range, where
+    float() overflows, as text in float's scientific form: 17 significant
+    digits, rounded half to even from the exact numerator and denominator."""
+    x = Ext.parse(x).fraction()
+    try:
+        return float(x)
+    except OverflowError:
+        pass
+    n, d = abs(x.numerator), x.denominator
+    e = (n.bit_length() - d.bit_length()) * 1233 >> 12  # about log10(n / d) >= 308
+    while n >= d * 10 ** (e + 1):
+        e += 1
+    while n < d * 10 ** e:
+        e -= 1
+    m = round(Fraction(n, d * 10 ** (e - 16)))  # 10**16 <= m <= 10**17
+    if m == 10 ** 17:
+        m, e = m // 10, e + 1
+    digits = str(m).rstrip("0")
+    mantissa = digits[0] + (f".{digits[1:]}" if digits[1:] else "")
+    return f"{'-' if x < 0 else ''}{mantissa}e+{e}"
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +97,8 @@ def _int_exponent(b: Fraction) -> int:
 
 class _BadExponent(ValueError):
     """An exponent that is not constant is no integer, or above the cap, at a
-    node; ``_guarded`` reports the power its argument names, with t and state."""
+    node (or ``power:`` takes a non-integer power of a negative time);
+    ``_guarded`` reports the power its argument names, with t and state."""
 
 
 def _int_pow(a, b):
@@ -146,16 +173,12 @@ def _fold(op, a, b):
         return lambda t, x, s: op(a, b)
 
 
-def _scalar(x):
-    """First coordinate of a state (the state itself when it is scalar)."""
-    return x[0] if isinstance(x, tuple) else x
-
-
 _ALIASES = {"zero": "0", "coord": "x_current", "sup": "x_sup"}
 
 
 def parse_function(spec) -> tuple:
-    """Turn a function field into (callable, canonical spec string)."""
+    """Turn a function field into (``KeyFunction``, canonical spec string):
+    a function of the Markov key (t, state, sup), compiled once."""
     if isinstance(spec, (int, float)):
         spec = fmt_rational(as_fraction(spec))
     spec = spec.strip()
@@ -164,12 +187,12 @@ def parse_function(spec) -> tuple:
         return parse_function(_ALIASES[low])[0], low
     if low.startswith("const:"):
         c = as_fraction(spec.split(":", 1)[1])
-        return (lambda t, prefix: c), f"const:{fmt_rational(c)}"
+        return KeyFunction(lambda t, x, s: c), f"const:{fmt_rational(c)}"
     if low.startswith("power:"):
         a_s, q_s, lam_s = spec.split(":", 1)[1].split(",")
         a, q, lam = as_fraction(a_s), as_fraction(q_s), as_fraction(lam_s)
 
-        def moment_rate(t, prefix, a=a, q=q, lam=lam):
+        def moment_rate(t, x, s, a=a, q=q, lam=lam):
             # integrand a*q*t^(q-1) + lam accrues a*((t0+tau)^q - t0^q) + lam*tau
             t = as_fraction(t)
             if (q - 1).denominator == 1:
@@ -177,52 +200,40 @@ def parse_function(spec) -> tuple:
             elif t == 0 and q < 1:
                 raise ZeroDivisionError  # t^(q-1) is 1/t^(1-q)
             elif t < 0:
-                raise ExpressionUndefined(
-                    f"{spec!r} takes the non-integer power q - 1 = "
-                    f"{fmt_rational(q - 1)} of a negative time {_where(t, prefix)}")
+                raise _BadExponent(f"the non-integer power q - 1 = {fmt_rational(q - 1)} "
+                                   "of a negative time")
             else:
                 power = as_fraction(math.pow(float(t), float(q - 1)))
             return a * q * power + lam
 
         spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
         return _guarded(moment_rate, spec), spec
-    tree_ast = ast.parse(spec, mode="eval")
-    fn = _compile(tree_ast.body)
+    fn = _compile(ast.parse(spec, mode="eval").body)
     if not callable(fn):
-        return (lambda t, prefix: fn), spec
-    # the running sup costs a pass over the whole prefix; take it only if used
-    if any(isinstance(node, ast.Name) and node.id == "x_sup"
-           for node in ast.walk(tree_ast)):
-        def expr(t, prefix):
-            return fn(as_fraction(t), _scalar(prefix[-1]), max(map(_scalar, prefix)))
-    else:
-        def expr(t, prefix):
-            return fn(as_fraction(t), _scalar(prefix[-1]), None)
-    return _guarded(expr, spec), spec
+        return KeyFunction(lambda t, x, s: fn), spec
+    return _guarded(fn, spec), spec
 
 
-def _guarded(fn, spec: str):
-    """fn with a division by zero, a non-integer or too large power or a
-    float overflow (of ``power:``) at a node reported as bad input naming
-    spec, t and the state."""
-    def call(t, prefix):
+def _guarded(fn, spec: str) -> KeyFunction:
+    """fn(t, x_current, x_sup) as a ``KeyFunction`` of (t, state, sup),
+    x_current being the state's first coordinate, with a division by zero,
+    a non-integer or too large power or a float overflow (of ``power:``)
+    reported as bad input naming spec, t and the state."""
+    def at(t, x, s):
         try:
-            return fn(t, prefix)
+            return fn(t, x[0] if isinstance(x, tuple) else x, s)
         except ZeroDivisionError:
-            raise ExpressionUndefined(
-                f"{spec!r} divides by zero {_where(t, prefix)}") from None
+            raise ExpressionUndefined(f"{spec!r} divides by zero {_where(t, x)}") from None
         except OverflowError:
             raise ExpressionUndefined(
-                f"{spec!r} overflows the float range {_where(t, prefix)}") from None
+                f"{spec!r} overflows the float range {_where(t, x)}") from None
         except _BadExponent as exc:
-            raise ExpressionUndefined(
-                f"{spec!r} takes {exc.args[0]} {_where(t, prefix)}") from None
-    return call
+            raise ExpressionUndefined(f"{spec!r} takes {exc.args[0]} {_where(t, x)}") from None
+    return KeyFunction(at)
 
 
-def _where(t, prefix) -> str:
-    """'at t = ..., state ...' for the node at time t with state path prefix."""
-    x = prefix[-1]
+def _where(t, x) -> str:
+    """'at t = ..., state ...' for the node at time t with state x."""
     state = ("(" + ", ".join(map(fmt_rational, x)) + ")"
              if isinstance(x, tuple) else fmt_rational(x))
     return f"at t = {fmt_rational(t)}, state {state}"
@@ -309,14 +320,12 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
                                  "instance field 'w_history'"))
     canon["w_history"] = [fmt_rational(v) for v in w_history]
 
-    tree = build_tree(
+    return build_tree(
         t0=t0, dt=dt, depth=depth, branching=branching, history=history,
         drift=fns["drift"], diffusion=fns["diffusion"],
         reward=fns["f"], terminal=fns["pi"],
         inequalities=pairs["ineq"], equalities=pairs["eq"], w_history=w_history,
         source=canon)
-    tree._markov = True  # every function above reads only t, x_current and x_sup
-    return tree
 
 
 def _branch_json(p, w):

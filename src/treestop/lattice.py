@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm, prod
 from operator import add, getitem, mul
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -80,6 +82,56 @@ def _callable(value) -> Callable:
     if callable(value):
         return value
     return lambda t, prefix, _v=value: _v
+
+
+def _first(x):
+    """A state's first coordinate (the state itself when it is scalar)."""
+    return x[0] if isinstance(x, tuple) else x
+
+
+class KeyFunction:
+    """An instance function of the Markov key, ``at(t, state, sup)``: sup is
+    the running max of the state's first coordinate along the path, seeded
+    by the history.  ``io`` compiles every function field to one.  Called as
+    ``fn(t, prefix)``, the form of functions built from Python callables, it
+    reads its key off the state path."""
+
+    __slots__ = ("at",)
+
+    def __init__(self, at: Callable):
+        self.at = at
+
+    def __call__(self, t, prefix):
+        return self.at(as_fraction(t), prefix[-1], max(map(_first, prefix)))
+
+
+def _over_ones(pays: list, rates: list, dt: Fraction, n_cols: int):
+    """Every key's stop payoff and accrual step dt * (f, g_i, h_i) as ints
+    over one denominator per column, the least common one: (ones, pays,
+    steps), with ``pays`` and ``rates`` split by level as given.
+
+    A column's values are ints m_i over M, dt's denominator times the least
+    common one of its rates (and of the stop payoffs in column 0), formed
+    from the numerators; the least denominator is then M / gcd(M, m_1, ...).
+    """
+    p, q = dt.numerator, dt.denominator
+    stops = [v for level in pays for v in level]
+    cols, ones = [], []
+    for c, col in enumerate(list(zip(*(r for level in rates for r in level)))
+                            or [()] * n_cols):
+        one, ints = lcm(*(v.denominator for v in col)) * q, []
+        if c == 0:  # the stop payoffs share column 0's denominator
+            one = lcm(one, *(v.denominator for v in stops))
+            ints = [v.numerator * (one // v.denominator) for v in stops]
+        unit = one // q  # a multiple of every rate's denominator
+        ints += [v.numerator * p * (unit // v.denominator) for v in col]
+        g = gcd(one, *ints)
+        ones.append(one // g)
+        cols.append([m // g for m in ints] if g > 1 else ints)
+    n = len(stops)
+    pay_ints, steps = iter(cols[0][:n]), iter(zip(cols[0][n:], *cols[1:]))
+    return (ones, [list(islice(pay_ints, len(level))) for level in pays],
+            [list(islice(steps, len(level))) for level in rates])
 
 
 def _sup_dist(a: Sequence, b: Sequence) -> Fraction:
@@ -180,7 +232,8 @@ class KeyedWalk(NamedTuple):
     interior levels, its kids (per branch, the child's key index one level
     down) and accrual step dt * (f, g_i, h_i).  Payoffs and steps are ints
     over one denominator per column, ``ones[c]``, the least common one; the
-    stop payoffs share column 0's."""
+    stop payoffs share column 0's.  No state path is kept: a node's path is
+    its history and the states of the keys along its word."""
 
     states: list
     kids: list
@@ -258,9 +311,10 @@ class TreeInstance:
     Instances are safe to share for concurrent reads once constructed.
     Reward, integrands, terminal payoff, drift and diffusion are called and
     coerced by this class only; node data are finite Fractions.  ``_markov``
-    marks a tree whose functions read only t, the state and the running sup
-    of its first coordinate (``io.load_instance`` sets it, ``subtree``
-    copies it), so that ``_keys`` may fold nodes by that key.
+    marks a tree with a scalar state and scalar increments whose functions
+    are all ``KeyFunction``s, as ``io.load_instance`` builds them: they read
+    only t, the state and its running sup, so ``_keys`` walks such a tree by
+    that key (``subtree`` copies the mark).
     """
 
     def __init__(self, t0, dt, depth, branching, history, coefficients,
@@ -304,7 +358,10 @@ class TreeInstance:
         self._walk: Optional[KeyedWalk] = None
         self._root_envelope = None
         self._table: Optional[NodeTable] = None
-        self._markov = False
+        fns = (self.reward, self.terminal, self._drift, self._diff,
+               *(fn for fn, _ in constraints.inequalities + constraints.equalities))
+        self._markov = self.l == self.d == 1 and all(isinstance(fn, KeyFunction)
+                                                     for fn in fns)
 
     # -- structure ---------------------------------------------------------
 
@@ -430,17 +487,29 @@ class TreeInstance:
         return (_as_vector(self._drift(t, prefix), self.l),
                 _as_matrix(self._diff(t, prefix), self.l, self.d))
 
-    def _rates(self, t: Fraction, prefix: tuple):
-        """Reward f and integrands (g_i), (h_i) at a state path."""
-        return (_finite(self.reward(t, prefix), "reward", t),
-                [_finite(g(t, prefix), f"g_{i}", t)
-                 for i, (g, _) in enumerate(self.constraints.inequalities)],
-                [_finite(h(t, prefix), f"h_{i}", t)
-                 for i, (h, _) in enumerate(self.constraints.equalities)])
+    def _path_step(self, k: int, t: Fraction, prefix: tuple) -> list:
+        """(state, representative) of each child of a depth-k node whose
+        representative is its state path."""
+        return [(x, (prefix + (x,),))
+                for x in map(self._unwrap, self._child_states(k, prefix))]
 
-    def _terminal_value(self, t: Fraction, prefix: tuple) -> Fraction:
-        """Terminal payoff pi at a state path."""
-        return _finite(self.terminal(t, prefix), "terminal payoff", t)
+    def _key_step(self, levels: list, k: int, t: Fraction, x: Fraction,
+                  sup: Fraction) -> list:
+        """(state, key) of each child of a depth-k Markov key (x, sup): the
+        scalar Euler step x + b * dt + sigma * w_j, in ints over one
+        denominator, and the sup carried on.  ``levels[k]`` holds the level's
+        increments w_j as ints over their least common denominator, and it."""
+        mean = x + as_fraction(self._drift.at(t, x, sup)) * self.dt
+        sig = as_fraction(self._diff.at(t, x, sup))
+        incs, unit = levels[k]
+        m, s = mean.numerator * sig.denominator * unit, sig.numerator * mean.denominator
+        den = mean.denominator * sig.denominator * unit
+        top, out = sup.numerator * den, []
+        for w in incs:
+            y = m + s * w
+            y, above = Fraction(y, den), y * sup.denominator > top
+            out.append((y, (y, y if above else sup)))
+        return out
 
     def _keys(self) -> KeyedWalk:
         """The keyed walk (``KeyedWalk``): the tree's levels, root first, with
@@ -448,50 +517,58 @@ class TreeInstance:
         order of each key's first node (its representative).  Walked once on
         first use and cached; the one walk that calls the instance's functions.
 
-        A key's terminal payoff and, at interior levels, ``_rates`` are
-        evaluated once, at its representative's state path.  No path
-        probability is kept: a node's future depends on its key alone, and
-        the branch probabilities are the level's (``_branch_ints``).  On a
-        tree marked ``_markov`` (its functions read only t, the state and the
-        running sup of its first coordinate) a node's key is that state and
-        sup, seeded by the history's max; otherwise every node is its own key.
+        At each key its terminal payoff and, at interior levels, reward and
+        integrands (in that order) are evaluated once, and then, level by
+        level, the Euler steps to its children.  No path probability is kept:
+        a node's future depends on its key alone, and the branch
+        probabilities are the level's (``_branch_ints``).  On a tree marked
+        ``_markov`` a representative is its key, the state and the running
+        sup of the path, seeded by the history's max: the functions are
+        called at (t, state, sup) and a step costs O(1).  Otherwise it is the
+        node's state path, every node is its own key, and the functions see
+        the whole path.
         """
         if self._walk is not None:
             return self._walk
-        first = (lambda x: x[0]) if self.l > 1 else (lambda x: x)
-        prefix = tuple(map(self._unwrap, self.history))
-        # the representatives of one level: state path and sup
-        reps, dt = [(prefix, max(map(first, prefix)))], self.dt
-        states, kids, pays, steps = [], [], [], []
+        spec = self.constraints
+        fns = (self.terminal, self.reward, *(g for g, _ in spec.inequalities),
+               *(h for h, _ in spec.equalities))
+        names = ("terminal payoff", "reward", *(f"g_{i}" for i in range(spec.n_ineq)),
+                 *(f"h_{i}" for i in range(spec.n_eq)))
+        # a representative is (its state, the arguments after t that the
+        # functions take): (state, sup) on a Markov tree, else (state path,)
+        x0 = self._unwrap(self.history[-1])
+        if self._markov:
+            units = [lcm(*(w.denominator for _, (w,) in level)) for level in self.branching]
+            incs = [([w.numerator * (unit // w.denominator) for _, (w,) in level], unit)
+                    for level, unit in zip(self.branching, units)]
+            fns, step = [fn.at for fn in fns], partial(self._key_step, incs)
+            reps = [(x0, (x0, max(x for x, in self.history)))]
+        else:
+            step, reps = self._path_step, [(x0, (tuple(map(self._unwrap, self.history)),))]
+        states, kids, pays, rates = [], [], [], []
         for k in range(self.depth + 1):
-            t, leaf = self.time(k), k == self.depth
-            level = [(self._terminal_value(t, prefix), None if leaf else self._rates(t, prefix))
-                     for prefix, _ in reps]
-            states.append([prefix[-1] for prefix, _ in reps])
-            pays.append([stop for stop, _ in level])
+            t, leaf = self._times[k], k == self.depth
+            level = [[_finite(fn(t, *at), name, t)
+                      for fn, name in zip(fns[:1] if leaf else fns, names)]
+                     for _, at in reps]
+            states.append([x for x, _ in reps])
+            pays.append([values[0] for values in level])
             if leaf:
                 break
-            steps.append([tuple(v * dt for v in (f, *gs, *hs)) for _, (f, gs, hs) in level])
+            rates.append([values[1:] for values in level])
             below, index, here = [], {}, []
-            for prefix, sup in reps:
+            for _, at in reps:
                 ks = []
-                for x in self._child_states(k, prefix):
-                    x = self._unwrap(x)
-                    s = max(sup, first(x)) if self._markov else None
-                    i = index.setdefault((x, s), len(below)) if self._markov else len(below)
+                for x, kid in step(k, t, *at):
+                    i = index.setdefault(kid, len(below)) if self._markov else len(below)
                     if i == len(below):
-                        below.append((prefix + (x,), s))
+                        below.append((x, kid))
                     ks.append(i)
                 here.append(tuple(ks))
             kids.append(here)
             reps = below
-        ones = [lcm(*(step[c].denominator for level in steps for step in level))
-                for c in range(1 + self.constraints.n_ineq + self.constraints.n_eq)]
-        ones[0] = lcm(ones[0], *(v.denominator for level in pays for v in level))
-        steps = [[tuple(v.numerator * (one // v.denominator) for v, one in zip(step, ones))
-                  for step in level] for level in steps]
-        pays = [[v.numerator * (ones[0] // v.denominator) for v in level] for level in pays]
-        self._walk = KeyedWalk(states, kids, ones, pays, steps)
+        self._walk = KeyedWalk(states, kids, *_over_ones(pays, rates, self.dt, len(fns) - 1))
         return self._walk
 
     def _branch_ints(self):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from treestop import (POS_INF, build_tree, candidate_with_branch_bias,
                       load_instance, rule_from_map, rule_to_measure, simplex,
                       solve_weak)
 from treestop.generate import generate_instance
+from treestop.lattice import ConstraintSpec, KeyFunction
 
 from oracles import snell_value
 
@@ -22,6 +24,31 @@ def make_rw(depth=2, sigma=1, ineq=None, eq=None, dt=1, x0=0):
         inequalities=ineq if ineq is not None else [],
         equalities=eq if eq is not None else [],
     )
+
+
+def count_calls(tree) -> Counter:
+    """Wrap the tree's own functions so that the Counter returned counts
+    their calls by name: "terminal", "reward", "drift", "diffusion", "g" and
+    "h".  A ``KeyFunction`` stays one, so a loaded tree is still walked by
+    key, and a call in either of its forms counts once."""
+    calls = Counter()
+
+    def counted(name, fn):
+        if isinstance(fn, KeyFunction):
+            return KeyFunction(counted(name, fn.at))
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    tree.terminal = counted("terminal", tree.terminal)
+    tree.reward = counted("reward", tree.reward)
+    tree._drift, tree._diff = counted("drift", tree._drift), counted("diffusion", tree._diff)
+    tree.constraints = ConstraintSpec(
+        inequalities=[(counted("g", g), y) for g, y in tree.constraints.inequalities],
+        equalities=[(counted("h", h), z) for h, z in tree.constraints.equalities])
+    return calls
 
 
 POOL_SHAPES = [

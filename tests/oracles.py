@@ -13,7 +13,9 @@ recursion that the level-order sweep must match envelope for envelope, and
 the tree-walking interpreter of instance expressions that the compiled
 expressions must match value for value, the word-by-word node table,
 accruals, expectations and instance generator that the keyed integer walk
-must match value for value, and the word-keyed forward push and measure
+must match value for value, the keyed walk that carried every
+representative's state path, which the walk by (state, sup) key must
+match level for level, and the word-keyed forward push and measure
 validator that the measures' row form must match mass for mass.
 """
 
@@ -34,8 +36,8 @@ from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _G_NONNEG, _H_ANY,
                                 _INCREMENTS, _REWARDS, _TERMINALS, BRANCH_CAP, DEPTH_CAP)
 from treestop.errors import ShapeTooLarge
 from treestop.io import fmt_rational, load_instance
-from treestop.lattice import (ROOT, BudgetVector, NodeTable, Shape, TreeInstance, Word,
-                              _as_matrix, _as_vector)
+from treestop.lattice import (ROOT, BudgetVector, KeyedWalk, NodeTable, Shape, TreeInstance,
+                              Word, _as_matrix, _as_vector, _finite)
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
                                  _sigbar_entry, monomial_basis)
@@ -1038,9 +1040,65 @@ def oracle_prefix(tree: TreeInstance, word: Word) -> tuple:
     return got
 
 
+def terminal_value(tree: TreeInstance, t: Fraction, prefix: tuple) -> Fraction:
+    """Terminal payoff pi at a state path, called in (t, prefix) form."""
+    return _finite(tree.terminal(t, prefix), "terminal payoff", t)
+
+
+def rates_at(tree: TreeInstance, t: Fraction, prefix: tuple):
+    """Reward f and integrands (g_i), (h_i) at a state path, called in
+    (t, prefix) form."""
+    return (_finite(tree.reward(t, prefix), "reward", t),
+            [_finite(g(t, prefix), f"g_{i}", t)
+             for i, (g, _) in enumerate(tree.constraints.inequalities)],
+            [_finite(h(t, prefix), f"h_{i}", t)
+             for i, (h, _) in enumerate(tree.constraints.equalities)])
+
+
 def terminal_at(tree: TreeInstance, word: Word) -> Fraction:
     """The terminal payoff at a node, evaluated on every call."""
-    return tree._terminal_value(tree.time(len(word)), oracle_prefix(tree, word))
+    return terminal_value(tree, tree.time(len(word)), oracle_prefix(tree, word))
+
+
+def oracle_keyed_walk(tree: TreeInstance) -> KeyedWalk:
+    """The keyed walk as the tree made it when each representative carried
+    its whole state path: the functions called in (t, prefix) form, the
+    Euler steps by ``_child_states``, a Markov tree's nodes folded by (state,
+    running sup) with the sup of the path, and each step dt * rate a
+    Fraction brought to its column's least common denominator."""
+    first = (lambda x: x[0]) if tree.l > 1 else (lambda x: x)
+    prefix = tuple(map(tree._unwrap, tree.history))
+    reps, dt = [(prefix, max(map(first, prefix)))], tree.dt
+    states, kids, pays, steps = [], [], [], []
+    for k in range(tree.depth + 1):
+        t, leaf = tree.time(k), k == tree.depth
+        level = [(terminal_value(tree, t, prefix), None if leaf else rates_at(tree, t, prefix))
+                 for prefix, _ in reps]
+        states.append([prefix[-1] for prefix, _ in reps])
+        pays.append([stop for stop, _ in level])
+        if leaf:
+            break
+        steps.append([tuple(v * dt for v in (f, *gs, *hs)) for _, (f, gs, hs) in level])
+        below, index, here = [], {}, []
+        for prefix, sup in reps:
+            ks = []
+            for x in tree._child_states(k, prefix):
+                x = tree._unwrap(x)
+                s = max(sup, first(x)) if tree._markov else None
+                i = index.setdefault((x, s), len(below)) if tree._markov else len(below)
+                if i == len(below):
+                    below.append((prefix + (x,), s))
+                ks.append(i)
+            here.append(tuple(ks))
+        kids.append(here)
+        reps = below
+    ones = [math.lcm(*(step[c].denominator for level in steps for step in level))
+            for c in range(1 + tree.constraints.n_ineq + tree.constraints.n_eq)]
+    ones[0] = math.lcm(ones[0], *(v.denominator for level in pays for v in level))
+    steps = [[tuple(v.numerator * (one // v.denominator) for v, one in zip(step, ones))
+              for step in level] for level in steps]
+    pays = [[v.numerator * (ones[0] // v.denominator) for v in level] for level in pays]
+    return KeyedWalk(states, kids, ones, pays, steps)
 
 
 def functionals_by_words(tree: TreeInstance, word: Word):
@@ -1048,7 +1106,7 @@ def functionals_by_words(tree: TreeInstance, word: Word):
     path, times dt, summed from the root."""
     F, Gs, Hs = _ZERO, [_ZERO] * tree.constraints.n_ineq, [_ZERO] * tree.constraints.n_eq
     for k in range(len(word)):
-        f, gs, hs = tree._rates(tree.time(k), oracle_prefix(tree, word[:k]))
+        f, gs, hs = rates_at(tree, tree.time(k), oracle_prefix(tree, word[:k]))
         F += f * tree.dt
         Gs = [G + g * tree.dt for G, g in zip(Gs, gs)]
         Hs = [H + h * tree.dt for H, h in zip(Hs, hs)]

@@ -5,6 +5,7 @@ Euler recursion; one chain per Markov key on loaded instances, and one per node
 where the functions read the whole path; the stop-point paste against the general hull; the
 per-tree root-envelope cache; and singular expressions."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
-                      POS_INF, TreeInstance, backstep, build_tree, dp, dp_value,
-                      euler_state, load_instance, parse_function, root_envelope,
-                      solve_weak)
+                      POS_INF, backstep, build_tree, dp, dp_value, euler_state,
+                      load_instance, parse_function, root_envelope, solve_weak)
 from treestop.envelope import merged_envelope
 from treestop.generate import generate_instance
 
+from conftest import count_calls
 from oracles import (oracle_backstep, oracle_merged_envelope, oracle_node_envelopes,
                      oracle_prefix, terminal_at)
 
@@ -309,18 +310,18 @@ def test_sweep_matches_node_by_node_oracle_on_generated_trees(seed, depth, branc
 
 # -- one chain per Markov key ------------------------------------------------------
 
-def test_root_envelope_steps_each_interior_key_once(monkeypatch):
+def test_root_envelope_steps_each_interior_key_once():
     doc = generate_instance(seed=1, depth=4, branches=4, n_ineq=1, nonneg_g=True)
     want = oracle_node_envelopes(load_instance(doc))[()]
     tree = load_instance(doc)
     inner = [w for w in tree.nodes() if len(w) < tree.depth]
     keys = {(len(w), _key(tree, w)) for w in inner}
-    calls = []
-    real = TreeInstance._child_states
-    monkeypatch.setattr(TreeInstance, "_child_states",
-                        lambda self, k, prefix: calls.append(k) or real(self, k, prefix))
-    assert root_envelope(load_instance(doc)) == want
-    assert len(calls) == len(keys) < len(inner)  # 42 keys, 85 interior nodes
+    fresh = load_instance(doc)
+    calls = count_calls(fresh)
+    assert root_envelope(fresh) == want
+    # one Euler step (one drift call) and one set of rates per interior key:
+    # 42 keys, 85 interior nodes
+    assert calls["drift"] == calls["reward"] == len(keys) < len(inner)
 
 
 def test_drift_reading_the_whole_path_keeps_one_chain_per_node():
@@ -427,6 +428,32 @@ def test_singular_node_is_a_treestop_error_in_dp_and_solve():
         dp_value(tree, 1)
     with pytest.raises(ExpressionUndefined, match="t = 1, state 1$"):
         solve_weak(load_instance(SINGULAR_DOC), BudgetVector(ys=(F(1),)))
+
+
+@pytest.mark.parametrize("history, pi, where", [
+    (["2", "1"], "1/(x_sup - 2)", "t = 0, state 1"),  # the sup of the history
+    (["0"], "1/(x_sup - x_current - 1)", "t = 1, state -1"),  # a state 1 below its sup
+])
+def test_a_division_by_zero_only_the_running_sup_reaches_names_its_node(history, pi, where):
+    doc = dict(SINGULAR_DOC, x0_history=history, pi=pi)
+    message = re.escape(f"{pi!r} divides by zero at {where}") + "$"
+    with pytest.raises(ExpressionUndefined, match=message):
+        dp_value(load_instance(doc), 1)
+    with pytest.raises(ExpressionUndefined, match=message):
+        solve_weak(load_instance(doc))
+
+
+@pytest.mark.parametrize("field", [
+    dict(x0_history=[["0", "1"]]),
+    dict(branching=[{"p": "1/2", "w": ["1", "0"]}, {"p": "1/2", "w": ["-1", "1"]}]),
+], ids=["vector-x0-history", "vector-increment"])
+def test_a_loaded_vector_state_or_increment_is_an_input_error(field):
+    # the expressions give a scalar drift and diffusion, which a two-coordinate
+    # state or increment cannot take
+    tree = load_instance(dict(SINGULAR_DOC, **field))
+    assert not tree._markov
+    with pytest.raises(ValueError, match="expected a vector of length 2, got scalar"):
+        solve_weak(tree)
 
 
 # 1/(x + 1) is singular only at the horizon state -1: the states inside are

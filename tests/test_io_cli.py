@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import treestop
 from treestop import (NodeNotInTree, ShapeTooLarge, build_tree, dump_instance,
@@ -16,7 +19,7 @@ from treestop import cli
 from treestop.cli import main, run_suite
 from treestop.errors import NoInstances
 from treestop.generate import generate_instance
-from treestop.io import fmt_rational, parse_word, word_str
+from treestop.io import decimal_value, fmt_rational, fmt_value, parse_word, word_str
 
 F = Fraction
 
@@ -577,6 +580,18 @@ def _bad_input(tmp_path, case):
         field = case[len("zero-denominator-"):].replace("-", "_")
         return write(json.dumps(dict(RW2_DOC, **{
             field: ["1/0"] if field == "x0_history" else "1/0"})))
+    # x_sup - 2 is 0 at the root, whose state is 1; and x_sup - x_current - 1
+    # first at t = 1, state -1, below the root's sup 0
+    if case == "singular-at-the-history-sup":
+        return write(json.dumps(dict(RW2_DOC, x0_history=["2", "1"], pi="1/(x_sup - 2)")))
+    if case == "singular-below-the-sup":
+        return write(json.dumps(dict(RW2_DOC, pi="1/(x_sup - x_current - 1)")))
+    # the expressions read a scalar state stepped by scalar increments
+    if case == "vector-x0-history":
+        return write(json.dumps(dict(RW2_DOC, x0_history=[["0", "1"]])))
+    if case == "vector-increment":
+        return write(json.dumps(dict(RW2_DOC, branching=[{"p": "1/2", "w": ["1", "0"]},
+                                                         {"p": "1/2", "w": ["-1", "1"]}])))
     if case == "power-at-time-zero":
         cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
         return ["dp", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:],
@@ -593,7 +608,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "zero-denominator-budget", "zero-denominator-dt", "zero-denominator-t0",
               "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history",
               *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
-              "exponent-huge", "exponent-huge-at-a-node")
+              "exponent-huge", "exponent-huge-at-a-node", "singular-at-the-history-sup",
+              "singular-below-the-sup", "vector-x0-history", "vector-increment")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -620,3 +636,57 @@ def test_fmt_rational():
     assert fmt_rational(F(3, 2)) == "3/2"
     assert fmt_rational(F(4)) == "4"
     assert fmt_rational(float("inf")) == "inf"
+
+
+# -- values beyond the float range ------------------------------------------------
+
+def _decimal_oracle(x: Fraction) -> str:
+    """x to 17 significant digits, half to even, in float's scientific form."""
+    with localcontext(Context(prec=17, rounding=ROUND_HALF_EVEN, Emax=10**6)):
+        return f"{(Decimal(x.numerator) / Decimal(x.denominator)).normalize():e}"
+
+
+@given(x=st.fractions(min_value=-(2 ** 1000), max_value=2 ** 1000))
+def test_a_value_inside_the_float_range_renders_as_float_does(x):
+    assert decimal_value(x) == float(x)
+    assert fmt_value(x) == f"{fmt_rational(x)} ({float(x)})"
+
+
+@given(n=st.integers(2 ** 1100, 2 ** 1700), d=st.integers(1, 2 ** 60), negative=st.booleans())
+def test_a_value_beyond_the_float_range_renders_from_its_numerator(n, d, negative):
+    x = F(-n if negative else n, d)
+    with pytest.raises(OverflowError):
+        float(x)
+    assert decimal_value(x) == _decimal_oracle(x)
+    assert fmt_value(x) == f"{fmt_rational(x)} ({decimal_value(x)})"
+
+
+def test_decimal_at_the_edge_of_the_float_range():
+    biggest = F(2 ** 1024 - 2 ** 971)  # the largest float
+    assert decimal_value(biggest) == float(biggest) == 1.7976931348623157e308
+    above = F(2 ** 1024)  # float() overflows
+    assert decimal_value(above) == "1.7976931348623159e+308" == _decimal_oracle(above)
+    assert decimal_value(F(10) ** 400 - 1) == "1e+400"  # rounds up to the next power of 10
+    assert decimal_value(F(-(10 ** 400) + 1, 3)) == "-3.3333333333333333e+399"
+
+
+# pi = x**4096 at the states 6 and -2 of a depth-2 tree: a value near 2^10586
+HUGE_VALUE_DOC = {
+    "dt": "1", "depth": 2, "branching": [{"p": "1/2", "w": "1"}, {"p": "1/2", "w": "-1"}],
+    "diffusion": "x_current + 2", "pi": "(x_current**64)**64",
+}
+
+
+def test_cli_solve_prints_and_records_a_value_beyond_the_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_VALUE_DOC))
+    assert main(["solve", "--instance", str(path), "--out", str(tmp_path / "rec")]) == 0
+    value = solve_weak(load_instance(HUGE_VALUE_DOC)).value.fraction()
+    # stop at "-" (state -2) and at both leaves below "+" (states 6 and -2)
+    assert value == F(2) ** 4096 / 2 + (F(6) ** 4096 + F(2) ** 4096) / 4
+    text = _decimal_oracle(value)
+    assert text == "5.0752983834290093e+3186"
+    assert f"value\t{fmt_rational(value)} ({text})\n" in capsys.readouterr().out
+    (record,) = (tmp_path / "rec").iterdir()
+    outputs = json.loads(record.read_text())["outputs"]
+    assert (outputs["value"], outputs["value_decimal"]) == (fmt_rational(value), text)

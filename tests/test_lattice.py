@@ -10,7 +10,7 @@ from treestop import (BudgetVector, Coefficients, ConstraintSpec, Ext, NEG_INF,
                       sampled_lipschitz_report, solve_weak)
 from treestop.lattice import MAX_NODES, TreeInstance
 
-from conftest import make_rw
+from conftest import count_calls, make_rw
 from oracles import functionals_by_words, straight_line_euler, terminal_at
 
 HALF = Fraction(1, 2)
@@ -165,14 +165,12 @@ def test_cumulative_functionals_are_fractions():
 
 def test_rates_are_evaluated_once_per_interior_node():
     tree = make_rw(depth=3, ineq=[(1, POS_INF)], eq=[(1, 0)])
-    calls = []
-    rates = tree._rates
-    tree._rates = lambda t, prefix: calls.append(t) or rates(t, prefix)
+    calls = count_calls(tree)
     for word in tree.nodes():
         cumulative_functionals(tree, word)
-    assert len(calls) == 7  # the interior nodes; their 14 children share entries
+    assert calls["reward"] == 7  # the interior nodes; their 14 children share entries
     solve_weak(tree)  # reads the cached accruals
-    assert len(calls) == 7
+    assert calls["reward"] == calls["g"] == calls["h"] == 7
 
 
 def test_node_count_is_capped_before_any_node_is_built():

@@ -8,6 +8,7 @@ refusals."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,10 @@ from treestop import (NodeNotInTree, TreeInstance, build_tree, cumulative_functi
                       monte_carlo_value, rule_from_map, rule_to_measure, solve_weak)
 from treestop.generate import generate_instance
 
-from conftest import make_rw
+from conftest import count_calls, make_rw
 from oracles import (expectations_by_words, functionals_by_words, monte_carlo_oracle,
-                     node_table_by_words, oracle_generate_instance, oracle_prefix,
-                     terminal_at)
+                     node_table_by_words, oracle_generate_instance, oracle_keyed_walk,
+                     oracle_prefix, terminal_at)
 
 F = Fraction
 HALF = F(1, 2)
@@ -86,7 +87,7 @@ def _level(draw, width=1):
 
 
 @st.composite
-def loaded_trees(draw):
+def loaded_trees(draw, dts=("1", "1/2", "1/3"), drifts=tuple(_LINEAR), payoffs=tuple(_EXPRS)):
     """A loaded instance (one Markov key per state and running sup) with
     per-level or shared branching and a history of up to three states."""
     depth = draw(st.integers(0, 4))
@@ -97,15 +98,15 @@ def loaded_trees(draw):
         branching = [{"p": str(p), "w": str(w)} for p, w in draw(_level())]
     doc = {
         "t0": draw(st.sampled_from(["0", "-1", "1/2"])),
-        "dt": draw(st.sampled_from(["1", "1/2", "1/3"])),
+        "dt": draw(st.sampled_from(dts)),
         "depth": depth,
         "branching": branching,
         "x0_history": draw(st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2"]),
                                     min_size=1, max_size=3)),
-        "drift": draw(st.sampled_from(_LINEAR)),
+        "drift": draw(st.sampled_from(drifts)),
         "diffusion": draw(st.sampled_from(["1", "1/2", "3/2", "1 + t/4"])),
         "f": draw(st.sampled_from(_EXPRS)),
-        "pi": draw(st.sampled_from(_EXPRS)),
+        "pi": draw(st.sampled_from(payoffs)),
         "constraints": {
             "ineq": [{"g": g, "y": "1"}
                      for g in draw(st.lists(st.sampled_from(_EXPRS), max_size=2))],
@@ -150,6 +151,33 @@ def test_keyed_table_equals_the_word_by_word_table(make):
     assert_table_and_node_data_match(make)
 
 
+_SUP_DRIFTS = ("x_sup/2", "x_sup/3 - t/4", "x_current/2 - x_sup/4", "1 - x_sup")
+_SUP_PAYOFFS = ("x_sup", "x_sup - x_current", "x_sup**2/3 - t", "2*x_sup - x_current**2")
+
+
+def _column_ints(walk):
+    """Each column's ints over its ``ones`` entry: column 0 holds the stop
+    payoffs and the reward steps, column c > 0 the steps of integrand c."""
+    steps = [step for level in walk.steps for step in level]
+    return [[pay for level in walk.pays for pay in level] + [step[0] for step in steps],
+            *([step[c] for step in steps] for c in range(1, len(walk.ones)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(make=st.one_of(loaded_trees(dts=("1", "1/2", "2/3"), drifts=_SUP_DRIFTS,
+                                   payoffs=_SUP_PAYOFFS), built_trees()))
+def test_keyed_walk_equals_the_prefix_path_walk(make):
+    """The walk by (state, sup) key on loaded trees, and by state path on
+    trees built from callables, equals the walk that carried every
+    representative's state path and made each step a Fraction; its ints
+    are over the least denominators."""
+    walk = make()._keys()
+    assert walk == oracle_keyed_walk(make())
+    assert len(walk.ones) == len(_column_ints(walk))
+    for one, ints in zip(walk.ones, _column_ints(walk)):
+        assert gcd(one, *ints) == 1
+
+
 @pytest.mark.parametrize("depth, branches", [(0, 2), (2, 4), (3, 3), (4, 2), (5, 2)])
 def test_keyed_table_equals_the_word_by_word_table_on_generated_trees(depth, branches):
     for seed in range(20):
@@ -158,20 +186,17 @@ def test_keyed_table_equals_the_word_by_word_table_on_generated_trees(depth, bra
         assert_table_and_node_data_match(lambda: load_instance(doc))
 
 
-def test_table_evaluates_each_key_once(monkeypatch):
+def test_table_evaluates_each_key_once():
     doc = generate_instance(seed=1, depth=4, branches=4, n_ineq=1, n_eq=1)
     states = load_instance(doc)._keys().states
     keys, interior = sum(map(len, states)), sum(map(len, states[:-1]))
-    calls = {"step": 0, "rates": 0, "terminal": 0}
-    for name, attr in [("step", "_child_states"), ("rates", "_rates"),
-                       ("terminal", "_terminal_value")]:
-        def counted(self, *args, _name=name, _real=getattr(TreeInstance, attr)):
-            calls[_name] += 1
-            return _real(self, *args)
-        monkeypatch.setattr(TreeInstance, attr, counted)
     tree = load_instance(doc)
+    calls = count_calls(tree)
     tree._node_table()
-    assert calls == {"step": interior, "rates": interior, "terminal": keys}
+    # one terminal payoff per key; one set of rates and one Euler step per
+    # interior key
+    assert calls == {"terminal": keys, "reward": interior, "g": interior, "h": interior,
+                     "drift": interior, "diffusion": interior}
     assert keys < len(tree._node_table().shape.words)
 
 
@@ -185,25 +210,24 @@ def test_table_evaluates_each_key_once(monkeypatch):
 def test_engines_and_node_reads_share_one_keyed_walk(monkeypatch, make):
     """solve_weak, dp_value and every node's state path and accruals run
     the keyed walk once between them, and no instance function after it."""
-    tree, calls = make(), {"walks": 0, "after": 0}
+    tree, seen = make(), {"walks": 0}
+    calls = count_calls(tree)
     real_walk = TreeInstance._keys
 
     def walk(self):
         cold = self._walk is None  # this call walks the levels
         out = real_walk(self)
-        calls["walks"] += cold
+        if cold:
+            seen["walks"] += 1
+            seen["calls"] = sum(calls.values())  # the instance's calls, up to here
         return out
     monkeypatch.setattr(TreeInstance, "_keys", walk)
-    for attr in ("_child_states", "_coefficients", "_rates", "_terminal_value"):
-        def counted(self, *args, _real=getattr(TreeInstance, attr)):
-            calls["after"] += calls["walks"] > 0
-            return _real(self, *args)
-        monkeypatch.setattr(TreeInstance, attr, counted)
     assert solve_weak(tree).optimal
     dp_value(tree, 1)
     for w in tree.nodes():
         euler_state(tree, w), cumulative_functionals(tree, w)
-    assert calls == {"walks": 1, "after": 0}
+    assert seen == {"walks": 1, "calls": sum(calls.values())}  # and none after the walk
+    assert calls["terminal"] > 0
 
 
 # -- readers ----------------------------------------------------------------------
