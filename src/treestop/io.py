@@ -278,11 +278,21 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
     depth = _field(raw, "depth", "instance", int)
     canon["t0"], canon["dt"], canon["depth"] = fmt_rational(t0), fmt_rational(dt), depth
 
+    def scalar(value, what):
+        """``_rationals`` of value; past depth 0 an input error when it has
+        more than one coordinate, since the Euler steps would give a vector
+        state."""
+        x = _rationals(value, what)
+        if depth >= 1 and isinstance(x, list) and len(x) != 1:
+            raise ValueError(f"{what} has {len(x)} coordinates, but instance "
+                             f"expressions read a scalar state")
+        return x
+
     def level_of(entries):
         out = []
         for e in _kind(entries, list, "a branching level"):
             e = _kind(e, dict, "a branch")
-            w = _rationals(_field(e, "w", "branch", _VECTOR), "branch field 'w'")
+            w = scalar(_field(e, "w", "branch", _VECTOR), "branch field 'w'")
             out.append((as_fraction(_field(e, "p", "branch", _NUMBER)), w))
         return out
 
@@ -295,7 +305,7 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
         branching = level_of(braw)
         canon["branching"] = [_branch_json(p, w) for p, w in branching]
 
-    history = [_rationals(x, "an x0_history entry")
+    history = [scalar(x, "an x0_history entry")
                for x in _field(raw, "x0_history", "instance", list, [0])]
     canon["x0_history"] = [_vec_json(x) for x in history]
 

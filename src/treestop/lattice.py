@@ -305,10 +305,13 @@ class TreeInstance:
     before any is built.  Built whole on first use and cached: the shape
     (``_shape()``, from the branching alone), the keyed walk (``_keys()``)
     and the node table (``_node_table()``); ``dp.root_envelope`` caches
-    ``_root_envelope``.  No node has a cache of its own: its state path and
+    ``_root_envelope``, and ``lp.solve_weak`` keeps its last result, with
+    the budgets it solved at, in ``_solved`` (one slot, so a budget sweep
+    holds one measure).  No node has a cache of its own: its state path and
     accruals are read along its word's keys, so the first such query runs
     the whole walk, and a non-finite node value anywhere raises there.
-    Instances are safe to share for concurrent reads once constructed.
+    Instances are safe to share for concurrent reads once constructed; two
+    racing solves at equal budgets store equal results.
     Reward, integrands, terminal payoff, drift and diffusion are called and
     coerced by this class only; node data are finite Fractions.  ``_markov``
     marks a tree with a scalar state and scalar increments whose functions
@@ -357,6 +360,7 @@ class TreeInstance:
         self._shape_cache: Optional[Shape] = None
         self._walk: Optional[KeyedWalk] = None
         self._root_envelope = None
+        self._solved = None
         self._table: Optional[NodeTable] = None
         fns = (self.reward, self.terminal, self._drift, self._diff,
                *(fn for fn, _ in constraints.inequalities + constraints.equalities))

@@ -216,25 +216,26 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
     # flatten the node table into float tables once: per column, each
     # node's value (int true division rounds as float(Fraction) does) and
     # its square; per node, the threshold theta that stops a path there
-    # (1 - its survival product, the doubles a running product gives), its
-    # first child's row and its level's cumulative branch probabilities
-    # without the last (a draw past them all takes the last branch)
+    # (1 - its survival product, the doubles a running product gives) and,
+    # at interior nodes, its first child's row and its level's cumulative
+    # branch probabilities without the last (a draw past them all takes the
+    # last branch).  A leaf's theta is 1, above every draw, so the walk
+    # never reads past the interior nodes.
     table = tree._node_table()
     shape = table.shape
     vals = [[c * shape.prob_den / (den * p) for c, p in zip(col, shape.probs)]
             for col, den in zip(table.cols, table.dens)]
     sqs = [[v * v for v in col] for col in vals]
     n_funcs = len(vals)
-    cums = [list(accumulate(float(p) for p, _ in level))[:-1] for level in tree.branching]
+    level_cums = [list(accumulate(float(p) for p, _ in level))[:-1]
+                  for level in tree.branching]
+    kids = shape.first
     alive = [1.0 - float(rule.prob(w)) for w in shape.words]
-    steps = []
-    for i, word in enumerate(shape.words):
-        if len(word) < tree.depth:
-            for kid in range(shape.first[i], shape.first[i + 1]):
-                alive[kid] *= alive[i]
-            steps.append((1.0 - alive[i], shape.first[i], cums[len(word)]))
-        else:
-            steps.append((1.0 - alive[i], 0, []))
+    for i in range(len(kids) - 1):
+        for kid in range(kids[i], kids[i + 1]):
+            alive[kid] *= alive[i]
+    thetas = [1.0 - a for a in alive]
+    cums = [level_cums[len(w)] for w in shape.words[:len(kids) - 1]]
 
     sums = [0.0] * n_funcs
     sq = [0.0] * n_funcs
@@ -247,20 +248,16 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
             sq[i] = reduce(add, map(sqs[i].__getitem__, block), sq[i])
 
     draw = random.Random(seed).random
-    block = []
-    for _ in range(paths):
-        eta = draw()
-        node = 0
-        while True:
-            theta, kid0, cum = steps[node]
-            if theta > eta:
-                break
-            node = kid0 + bisect_right(cum, draw())
-        block.append(node)
-        if len(block) == _BLOCK:
-            add_block(block)
-            block = []
-    add_block(block)
+    for start in range(0, paths, _BLOCK):
+        block = []
+        append = block.append
+        for _ in range(min(_BLOCK, paths - start)):
+            eta = draw()
+            node = 0
+            while thetas[node] <= eta:
+                node = kids[node] + bisect_right(cums[node], draw())
+            append(node)
+        add_block(block)
 
     def mean_se(i):
         mean = sums[i] / paths

@@ -449,11 +449,22 @@ def test_a_division_by_zero_only_the_running_sup_reaches_names_its_node(history,
 ], ids=["vector-x0-history", "vector-increment"])
 def test_a_loaded_vector_state_or_increment_is_an_input_error(field):
     # the expressions give a scalar drift and diffusion, which a two-coordinate
-    # state or increment cannot take
-    tree = load_instance(dict(SINGULAR_DOC, **field))
-    assert not tree._markov
-    with pytest.raises(ValueError, match="expected a vector of length 2, got scalar"):
-        solve_weak(tree)
+    # state or increment cannot take: the loader names the field
+    (name, value), = field.items()
+    what = "an x0_history entry" if name == "x0_history" else "branch field 'w'"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what} has 2 coordinates, but instance expressions read a scalar state")):
+        load_instance(dict(SINGULAR_DOC, **field))
+    # no step is taken at depth 0, so the same fields load and solve there
+    assert solve_weak(load_instance(dict(SINGULAR_DOC, depth=0, **field))).optimal
+
+
+def test_a_loaded_one_coordinate_state_and_increment_are_scalars():
+    scalar = dict(SINGULAR_DOC, pi="x_current**2")
+    tree = load_instance(dict(scalar, x0_history=[["0"]], branching=[
+        {"p": "1/2", "w": ["1"]}, {"p": "1/2", "w": ["-1"]}]))
+    assert tree._markov
+    assert solve_weak(tree).value == solve_weak(load_instance(scalar)).value
 
 
 # 1/(x + 1) is singular only at the horizon state -1: the states inside are

@@ -10,7 +10,7 @@ from treestop import (BudgetVector, Ext, InvariantViolation, POS_INF, TreeInstan
                       condition, first_randomization_cut, load_instance,
                       measure_to_rule, normalize_cut, paste, rule_from_map,
                       rule_to_measure, solve_weak, verify_dpp)
-from treestop import dpp
+from treestop import dpp, simplex
 from treestop.generate import generate_instance
 from treestop.measures import StoppingMeasure, feasible_for
 
@@ -116,6 +116,27 @@ def test_verify_dpp_randomized_stage_and_heuristic():
     cut = first_randomization_cut(tree, measure_to_rule(tree, base.measure))
     rep2 = verify_dpp(tree, cut)
     assert rep2["gap"] == Ext(0) and rep2["pass"]
+
+
+def test_verify_dpp_after_one_solve_runs_no_lp(monkeypatch):
+    # every cut reads the tree's stored solve, at the default budgets and
+    # at an equal vector passed in
+    tree = load_instance(generate_instance(seed=17, depth=3, branches=2, n_ineq=1))
+    real, lps = simplex.solve_lp, []
+
+    def record(*args, **kwargs):
+        lps.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_lp", record)
+    base = solve_weak(tree)
+    assert lps  # the solve itself runs the master LP
+    lps.clear()
+    cut = first_randomization_cut(tree, measure_to_rule(tree, base.measure))
+    for tau in [*range(1, tree.depth + 1), cut]:
+        assert verify_dpp(tree, tau)["pass"]
+        assert verify_dpp(tree, tau, BudgetVector.of(tree.constraints))["pass"]
+    assert lps == []
 
 
 def test_first_randomization_cut_is_depth_first_and_holds_no_reference():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -259,3 +260,50 @@ def test_objective_bookkeeping_mismatch_is_an_invariant_violation(rw2, monkeypat
     monkeypatch.setattr(simplex, "solve_lp", shifted)
     with pytest.raises(InvariantViolation, match="disagrees"):
         solve_weak(rw2)
+
+
+# -- the tree's solve memo ----------------------------------------------------
+
+def test_a_repeat_solve_at_equal_budgets_returns_the_stored_result(monkeypatch):
+    tree = load_instance(generate_instance(seed=1, depth=3, branches=2, n_ineq=1))
+    res = solve_weak(tree)
+    assert solve_weak(tree) is res
+    # an equal budget vector built apart, from Fractions, hits the slot
+    apart = BudgetVector(ys=tuple(y.fraction() for y in BudgetVector.of(tree.constraints).ys))
+    again, lps = solve_weak_recording_lps(monkeypatch, tree, apart)
+    assert again is res and lps == []
+
+
+def test_the_solve_memo_holds_one_budget_vector(rw2, monkeypatch):
+    first, lps = solve_weak_recording_lps(monkeypatch, rw2, budget(y=1))
+    assert lps and first.value == Ext(1)
+    second, lps = solve_weak_recording_lps(monkeypatch, rw2, budget(y=HALF))
+    assert lps and second.value == Ext(HALF)
+    # b1, b2, b1: the slot holds b2, so the master LP runs again
+    third, lps = solve_weak_recording_lps(monkeypatch, rw2, budget(y=1))
+    assert lps and third is not first and third == first
+    # an infeasible result is stored too
+    empty = solve_weak(rw2, budget(y=-1))
+    assert not empty.optimal and solve_weak(rw2, budget(y=-1)) is empty
+
+
+def test_solve_results_are_frozen(rw2):
+    res = solve_weak(rw2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.value = Ext(0)
+    assert isinstance(solve_weak(rw2, budget(y=-1)).certificate, tuple)
+
+
+def test_a_solve_returns_the_result_it_matched_when_another_store_races_in(rw2):
+    # a racing solve at other budgets stores its result between the budget
+    # check and the return
+    other = solve_weak(rw2, budget(y=HALF))
+
+    class Racing(BudgetVector):
+        def __eq__(self, them):
+            rw2._solved = (budget(y=HALF), other)
+            return super().__eq__(them)
+
+    ys = Racing(ys=(F(1),))
+    first = solve_weak(rw2, ys)
+    assert first.value == Ext(1) and solve_weak(rw2, ys) is first

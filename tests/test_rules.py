@@ -259,7 +259,7 @@ MC_CASES = {
 }
 
 
-@pytest.mark.parametrize("paths", [1, 1023, 1025, 2500])
+@pytest.mark.parametrize("paths", [1, 1023, 1024, 1025, 2048, 2500])
 @pytest.mark.parametrize("case", sorted(MC_CASES))
 def test_mc_is_bit_identical_to_the_per_word_loop(case, paths):
     make, seed = MC_CASES[case]
