@@ -2,10 +2,12 @@
 
 Cutting the optimal law at a stage splits it into a prefix and per-node
 conditional laws; each surviving node carries the conditional expectation
-of its remaining constraint accruals as budget states.  Re-solving every
-subtree at those budgets and pasting the optima back onto the prefix gives
-a feasible law with the decomposed value, which certifies both directions
-of the value recursion at once: the reported gap is exactly zero.
+of its remaining constraint accruals as budget states.  ``verify_dpp``
+solves no subtree: it reads every survivor's subtree optimum at those
+budgets off one Snell envelope at the root solve's duals, and the
+conditional laws attain it.  So replacing the conditional laws by subtree
+optima neither gains nor loses value, which certifies both directions of
+the value recursion at once: the reported gap is exactly zero.
 """
 
 from fractions import Fraction

@@ -27,15 +27,13 @@ from .io import (dump_instance, dump_measure, dump_rule, instance_hash,
                  load_budgets, load_instance, load_measure, load_rule,
                  parse_function)
 from .lattice import (BudgetVector, Coefficients, ConstraintSpec, TreeInstance,
-                      build_tree, cumulative_functionals, euler_state,
-                      sampled_lipschitz_report)
+                      build_tree, cumulative_functionals, euler_state)
 from .lp import (SolveResult, fractional_nodes, measure_to_rule, solve_robust,
                  solve_weak)
 from .martingale import (CandidateLaw, MembershipReport, Polynomial,
                          candidate_with_branch_bias, candidate_with_pre_start_mass,
                          candidate_with_state_shift, check_membership,
-                         compensated_process, generator_gap_decay,
-                         monomial_basis, statistic)
+                         generator_gap_decay, monomial_basis, statistic)
 from .measures import StoppingMeasure, expectations_from_stop_mass, feasible_for
 from .rules import (RandomizedStoppingRule, ThetaProcess, derandomize,
                     equivalence_check, monte_carlo_value, rule_from_map,

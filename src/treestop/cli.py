@@ -275,7 +275,7 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
         tree = load_instance(path)
         started = time.perf_counter()
         checks = ["equivalence", "dpp", "membership"] if suite == "all" else [suite]
-        res = solve_weak(tree)  # one solve per instance, shared by every check
+        res = solve_weak(tree)
         verdicts, gaps = {}, []
         for check in checks:
             if check not in ("equivalence", "dpp", "membership"):
@@ -291,7 +291,7 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
                 ok = True
                 worst = Fraction(0)
                 for k in range(1, tree.depth):
-                    rep = verify_dpp(tree, k, result=res)
+                    rep = verify_dpp(tree, k)
                     ok = ok and rep["pass"]
                     if abs(rep["gap"]) > abs(worst):
                         worst = rep["gap"]

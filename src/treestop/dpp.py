@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import InvariantViolation, ShapeMismatch
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
-from .lp import SolveResult, _budgets_or_default, _certify_optimal, solve_weak
+from .lp import _budgets_or_default, _certify_optimal, solve_weak
 from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule
 
@@ -238,24 +238,24 @@ def paste(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec,
 
 
 def verify_dpp(tree: TreeInstance, tau: TauSpec,
-               budgets: Optional[BudgetVector] = None,
-               result: Optional[SolveResult] = None) -> dict:
+               budgets: Optional[BudgetVector] = None) -> dict:
     """Check both inequality directions of the value recursion at a cut.
 
-    lhs is the optimal value: that of ``result``, an optimal ``solve_weak``
-    result of this tree at these budgets, or else of one solve.  Its duals
-    must certify it (``lp._certify_optimal``).  rhs evaluates the
-    decomposition at the optimal measure with every conditional measure
-    replaced by its subtree optimum at the conditional budgets, read off
-    the certificate's envelope; rhs_super evaluates it at the conditional
-    measures themselves, and the two must agree.  The report's gap is
-    rhs - lhs and equals zero exactly on all-rational instances.
+    lhs is the optimal value of ``solve_weak(tree, budgets)``, which is the
+    tree's stored solve when its budgets are these.  Its duals must certify
+    it (``lp._certify_optimal``).  rhs evaluates the decomposition at the
+    optimal measure with every conditional measure replaced by its subtree
+    optimum at the conditional budgets, read off the certificate's
+    envelope; rhs_super evaluates it at the conditional measures
+    themselves, and the two must agree.  The report's gap is rhs - lhs and
+    equals zero exactly on all-rational instances.
     """
-    base = solve_weak(tree, budgets) if result is None else result
+    budgets = _budgets_or_default(tree, budgets)
+    base = solve_weak(tree, budgets)
     if not base.optimal:
         raise ValueError(f"base solve is {base.status}: {base.reason}")
     cut = normalize_cut(tree, tau)
-    env, env_scale, exp = _certify_optimal(tree, _budgets_or_default(tree, budgets), base)
+    env, env_scale, exp = _certify_optimal(tree, budgets, base)
     shape = tree._shape()
     prices = base.duals_ineq + base.duals_eq
     n_i = len(base.duals_ineq)

@@ -21,14 +21,13 @@ budgets and targets may be infinite, as ``Ext``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm, prod
 from operator import add, getitem, mul
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .errors import (InvalidBranching, InvalidHorizon, NodeNotInTree, ShapeTooLarge,
                      WordTooLong)
@@ -134,26 +133,6 @@ def _over_ones(pays: list, rates: list, dt: Fraction, n_cols: int):
             [list(islice(steps, len(level))) for level in rates])
 
 
-def _sup_dist(a: Sequence, b: Sequence) -> Fraction:
-    """Sup-norm distance between two equally long state prefixes."""
-    out = Fraction(0)
-    for xa, xb in zip(a, b):
-        if isinstance(xa, tuple):
-            d = max(abs(ca - cb) for ca, cb in zip(xa, xb))
-        else:
-            d = abs(xa - xb)
-        if d > out:
-            out = d
-    return out
-
-
-def _flat_abs_diff(a, b) -> Fraction:
-    """Entrywise absolute difference of two vectors or matrices, summed."""
-    if isinstance(a[0], tuple):
-        return sum(sum(abs(x - y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-    return sum(abs(x - y) for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -163,15 +142,11 @@ class Coefficients:
     """Drift and diffusion of the state recursion.
 
     drift(t, prefix) returns a length-l vector, diffusion(t, prefix) an
-    l x d matrix (scalars are accepted when l = d = 1).  ``lip`` optionally
-    declares a non-decreasing kappa(t) for the sampled Lipschitz audit; the
-    audit reports violations but never rejects an instance, since callers
-    may deliberately supply non-Lipschitz coefficients.
+    l x d matrix (scalars are accepted when l = d = 1).
     """
 
     drift: Callable = 0
     diffusion: Callable = 1
-    lip: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -587,15 +562,6 @@ class TreeInstance:
         self.check_word(word)
         return self._prefix_for_call(word)[-1]
 
-    def increment_sum(self, word: Word) -> Tuple[Fraction, ...]:
-        """Cumulative driving increment along a word."""
-        total = [Fraction(0)] * self.d
-        for k, j in enumerate(word):
-            _, w = self.branching[k][j]
-            for i in range(self.d):
-                total[i] += w[i]
-        return tuple(total)
-
     # -- functionals -----------------------------------------------------------
 
     def _functionals(self, word: Word):
@@ -660,7 +626,7 @@ class TreeInstance:
 
 def build_tree(dt, depth, branching, x0=None, history=None, t0=0,
                drift=0, diffusion=1, reward=0, terminal=0,
-               inequalities=(), equalities=(), lip=None,
+               inequalities=(), equalities=(),
                w_history=(), source=None) -> TreeInstance:
     """Validate an instance description and return a TreeInstance.
 
@@ -676,7 +642,7 @@ def build_tree(dt, depth, branching, x0=None, history=None, t0=0,
         history = (x0,)
     elif x0 is not None:
         raise ValueError("give x0 or history, not both")
-    coeffs = Coefficients(drift=drift, diffusion=diffusion, lip=lip)
+    coeffs = Coefficients(drift=drift, diffusion=diffusion)
     spec = ConstraintSpec(inequalities=tuple(inequalities),
                           equalities=tuple(equalities))
     return TreeInstance(t0=t0, dt=dt, depth=depth, branching=branching,
@@ -705,49 +671,3 @@ def cumulative_functionals(tree: TreeInstance, word: Word):
     tree.check_word(word)
     return tree._functionals(word)
 
-
-@dataclass
-class LipschitzReport:
-    checked: int = 0
-    violations: list = field(default_factory=list)
-    kappa_declared: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def sampled_lipschitz_report(tree: TreeInstance, samples: int = 64,
-                             seed: int = 0) -> LipschitzReport:
-    """Spot-check the declared coefficient modulus on random prefix pairs.
-
-    For pairs of same-depth tree prefixes the report compares
-    |b(t,x)-b(t,x')| + |sigma(t,x)-sigma(t,x')| against kappa(t) times the
-    sup distance of the prefixes.  Violations are collected, not raised.
-    """
-    kappa = tree.coefficients.lip
-    if kappa is None:
-        return LipschitzReport(checked=0, kappa_declared=False)
-    rng = random.Random(seed)
-    report = LipschitzReport()
-    if tree.depth == 0:
-        return report
-    words = list(tree.nodes())
-    by_depth: dict = {}
-    for w in words:
-        by_depth.setdefault(len(w), []).append(w)
-    for _ in range(samples):
-        k = rng.randrange(0, tree.depth)
-        wa, wb = rng.choice(by_depth[k]), rng.choice(by_depth[k])
-        t = tree.time(k)
-        pa, pb = euler_state(tree, wa), euler_state(tree, wb)
-        dist = _sup_dist(pa, pb)
-        b_a, s_a = tree._coefficients(t, pa)
-        b_b, s_b = tree._coefficients(t, pb)
-        lhs = _flat_abs_diff(b_a, b_b) + _flat_abs_diff(s_a, s_b)
-        rhs = as_fraction(kappa(t)) * dist
-        report.checked += 1
-        if lhs > rhs:
-            report.violations.append({"t": t, "a": wa, "b": wb,
-                                      "lhs": lhs, "rhs": rhs})
-    return report

@@ -312,27 +312,6 @@ def _sigbar_entry(sig, d: int, i: int, j: int) -> Fraction:
     return sum(sig[i - d][k] * sig[j - d][k] for k in range(len(sig[0])))
 
 
-def compensated_process(tree: TreeInstance, phi: Polynomial,
-                        mode: str = "exact") -> Dict[Word, Fraction]:
-    """Per-node values of the compensated process along the tree's paths.
-
-    In exact mode the compensator is the one-step conditional mean, making
-    this a martingale on the tree by construction; in generator mode it is
-    the drift/second-order rate times dt, the literal grid form of the
-    continuous compensator.
-    """
-    cand = CandidateLaw.from_measure(tree, _stop_at_horizon(tree))
-    first = cand.shape.first
-    vals = [phi.eval(pt) for pt in cand.points]
-    out = vals[:1] * len(vals)
-    for i in range(len(first) - 1):
-        kids = range(first[i], first[i + 1])
-        comp, = _compensators(cand, i, mode, (phi,), (vals[i],), [(vals[c],) for c in kids])
-        for c in kids:
-            out[c] = out[i] + vals[c] - vals[i] - comp
-    return dict(zip(cand.shape.words, out))
-
-
 def _stop_at_horizon(tree: TreeInstance) -> StoppingMeasure:
     return rule_to_measure(tree, rule_from_map(
         tree, {w: 0 for w in tree.nodes() if len(w) < tree.depth}))

@@ -17,6 +17,10 @@ must match value for value, the keyed walk that carried every
 representative's state path, which the walk by (state, sup) key must
 match level for level, and the word-keyed forward push and measure
 validator that the measures' row form must match mass for mass.
+
+Two helpers here are test-only API rather than independent references:
+``increment_sum`` and ``compensated_process``, the latter built on the
+library's own ``_compensators``.
 """
 
 import ast
@@ -40,7 +44,8 @@ from treestop.lattice import (ROOT, BudgetVector, KeyedWalk, NodeTable, Shape, T
                               Word, _as_matrix, _as_vector, _finite)
 from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
-                                 _sigbar_entry, monomial_basis)
+                                 _compensators, _sigbar_entry, _stop_at_horizon,
+                                 monomial_basis)
 from treestop.lp import INFEASIBLE as SOLVE_INFEASIBLE
 from treestop.lp import SolveResult, _budgets_or_default, solve_weak
 from treestop.measures import StoppingMeasure, feasible_for
@@ -503,13 +508,22 @@ def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str
 _XI: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+def increment_sum(tree: TreeInstance, word: Word) -> Tuple[Fraction, ...]:
+    """Cumulative driving increment along a word."""
+    total = [_ZERO] * tree.d
+    for k, j in enumerate(word):
+        _, w = tree.branching[k][j]
+        total = [a + b for a, b in zip(total, w)]
+    return tuple(total)
+
+
 def oracle_xi(cand: CandidateLaw, w: Word) -> tuple:
     """Claimed (cumulative increment, state) point in R^{d+l}, cached per
     candidate as the library cached it before."""
     cache = _XI.setdefault(cand, {})
     got = cache.get(w)
     if got is None:
-        got = cache[w] = cand.tree.increment_sum(w) + cand.state(w)
+        got = cache[w] = increment_sum(cand.tree, w) + cand.state(w)
     return got
 
 
@@ -569,7 +583,7 @@ def oracle_compensator(cand: CandidateLaw, phi: Polynomial, w: Word,
     if mode == "exact":
         here = phi.eval(xi)
         kids = cand.model_children(w)
-        winc = tree.increment_sum(w)
+        winc = increment_sum(tree, w)
         total = Fraction(0)
         for (p, inc), x_next in zip(tree.branching[k], kids):
             nxt = tuple(a + b for a, b in zip(winc, inc)) + x_next
@@ -598,6 +612,27 @@ def oracle_compensator(cand: CandidateLaw, phi: Polynomial, w: Word,
                     rate += Fraction(1, 2) * a_ij * second
         return rate * tree.dt
     raise ValueError(f"unknown compensator mode {mode!r}")
+
+
+def compensated_process(tree: TreeInstance, phi: Polynomial,
+                        mode: str = "exact") -> Dict[Word, Fraction]:
+    """Per-node values of the compensated process along the tree's paths.
+
+    In exact mode the compensator is the one-step conditional mean, making
+    this a martingale on the tree by construction; in generator mode it is
+    the drift/second-order rate times dt, the literal grid form of the
+    continuous compensator.
+    """
+    cand = CandidateLaw.from_measure(tree, _stop_at_horizon(tree))
+    first = cand.shape.first
+    vals = [phi.eval(pt) for pt in cand.points]
+    out = vals[:1] * len(vals)
+    for i in range(len(first) - 1):
+        kids = range(first[i], first[i + 1])
+        comp, = _compensators(cand, i, mode, (phi,), (vals[i],), [(vals[c],) for c in kids])
+        for c in kids:
+            out[c] = out[i] + vals[c] - vals[i] - comp
+    return dict(zip(cand.shape.words, out))
 
 
 def oracle_direct_detail(tree: TreeInstance, cand: CandidateLaw) -> dict:

@@ -265,6 +265,13 @@ def test_infeasible_pasting_is_an_invariant_violation(monkeypatch):
         oracles.verify_dpp_by_subtree_lp(tree, 1)
 
 
+def verify_stored(tree, bad):
+    """verify_dpp at cut 1, reading ``bad`` as the tree's stored solve at
+    its default budgets."""
+    tree._solved = (BudgetVector.of(tree.constraints), bad)
+    return verify_dpp(tree, 1)
+
+
 def test_perturbed_duals_are_an_invariant_violation():
     # the time budget's dual is 1; any other price breaks the certificate
     tree = make_rw(ineq=[(1, F(3, 2))])
@@ -274,12 +281,12 @@ def test_perturbed_duals_are_an_invariant_violation():
                       (F(-1), "not >= 0")):
         bad = dataclasses.replace(res, duals_ineq=(pi,))
         with pytest.raises(InvariantViolation, match=match):
-            verify_dpp(tree, 1, result=bad)
+            verify_stored(tree, bad)
     tree = make_rw(eq=[(1, F(3, 2))])
     res = solve_weak(tree)
     bad = dataclasses.replace(res, duals_eq=(res.duals_eq[0] + 1,))
     with pytest.raises(InvariantViolation):
-        verify_dpp(tree, 1, result=bad)
+        verify_stored(tree, bad)
 
 
 def test_stopping_below_the_envelope_is_an_invariant_violation():
@@ -291,7 +298,7 @@ def test_stopping_below_the_envelope_is_an_invariant_violation():
         tree, {w: 1 for w in tree.nodes() if len(w) < tree.depth}))
     bad = dataclasses.replace(res, measure=at_root)
     with pytest.raises(InvariantViolation, match="payoff is below the envelope"):
-        verify_dpp(tree, 1, result=bad)
+        verify_stored(tree, bad)
 
 
 def test_a_value_the_duals_do_not_price_is_an_invariant_violation():
@@ -299,7 +306,7 @@ def test_a_value_the_duals_do_not_price_is_an_invariant_violation():
     res = solve_weak(tree)
     bad = dataclasses.replace(res, value=res.value + Ext(1))
     with pytest.raises(InvariantViolation, match="not at the value"):
-        verify_dpp(tree, 1, result=bad)
+        verify_stored(tree, bad)
 
 
 def test_a_slack_priced_bound_is_an_invariant_violation():
@@ -308,7 +315,7 @@ def test_a_slack_priced_bound_is_an_invariant_violation():
     bad = dataclasses.replace(res, measure=rule_to_measure(
         tree, rule_from_map(tree, {(): 1, (0,): 1, (1,): 1})))
     with pytest.raises(InvariantViolation, match="slack"):
-        verify_dpp(tree, 1, result=bad)
+        verify_stored(tree, bad)
 
 
 def test_verify_dpp_makes_one_solve_and_no_subtree(monkeypatch):
@@ -328,23 +335,31 @@ def test_verify_dpp_makes_one_solve_and_no_subtree(monkeypatch):
 
     monkeypatch.setattr(dpp, "solve_weak", counted_solve)
     monkeypatch.setattr(TreeInstance, "subtree", counted_subtree)
-    rep = verify_dpp(tree, 2)
-    assert solves == [tree] and subtrees == []
-    res = solve_weak(tree)
-    assert verify_dpp(tree, 2, result=res) == rep
+    verify_dpp(tree, 2)
     assert solves == [tree] and subtrees == []
 
 
 def assert_matches_the_oracle(tree, budgets=None):
-    """verify_dpp's reports, with its own solve and with a given one, equal
-    the subtree-LP oracle's at every depth cut and at the first-randomization
-    cut."""
-    res = solve_weak(tree, budgets)
-    rule = measure_to_rule(tree, res.measure)
+    """verify_dpp's reports equal the subtree-LP oracle's at every depth cut
+    and at the first-randomization cut."""
+    rule = measure_to_rule(tree, solve_weak(tree, budgets).measure)
     for cut in [*range(1, tree.depth + 1), first_randomization_cut(tree, rule)]:
         want = oracles.verify_dpp_by_subtree_lp(tree, cut, budgets)
         assert verify_dpp(tree, cut, budgets) == want, (tree.source, cut)
-        assert verify_dpp(tree, cut, budgets, result=res) == want
+
+
+def test_the_stored_solve_never_answers_other_budgets():
+    # the tree keeps one solve: alternating budgets must re-solve each time,
+    # never report off the other budgets' stored result
+    tree = make_rw(depth=3, ineq=[(1, F(5, 2))])
+    tight = BudgetVector(ys=(1,))
+    order = [tight, BudgetVector.of(tree.constraints), tight]
+    reports = [[verify_dpp(tree, cut, b) for cut in range(1, tree.depth + 1)]
+               for b in order]
+    assert reports[0] != reports[1]
+    for b, got in zip(order, reports):
+        assert got == [oracles.verify_dpp_by_subtree_lp(tree, cut, b)
+                       for cut in range(1, tree.depth + 1)]
 
 
 def test_verify_dpp_matches_the_subtree_lp_oracle_on_the_pool():

@@ -14,7 +14,7 @@ from treestop import (NodeNotInTree, ShapeTooLarge, build_tree, dump_instance,
                       dump_measure, dump_rule, euler_state, instance_hash,
                       load_instance, load_measure, load_rule, parse_function,
                       solve_weak)
-from treestop import dp, dpp
+from treestop import dp, lp
 from treestop import cli
 from treestop.cli import main, run_suite
 from treestop.errors import NoInstances
@@ -373,19 +373,20 @@ def test_suite_all_solves_each_instance_once(tmp_path, monkeypatch):
 
 
 def test_suite_all_solves_a_deep_instance_once(tmp_path, monkeypatch, capsys):
-    # every DPP stage reuses the solve that equivalence and membership share
+    # every check and DPP stage reads the tree's stored solve: the master LP
+    # runs once (memo hits of solve_weak are not solves)
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()
     doc = generate_instance(seed=5, depth=4, branches=2, n_ineq=1, n_eq=1)
     (inst_dir / "deep.json").write_text(json.dumps(doc))
     calls = []
+    real_solve = lp._solve
 
-    def counted(tree, *args, **kwargs):
+    def counted(tree, budgets):
         calls.append(tree.depth)
-        return solve_weak(tree, *args, **kwargs)
+        return real_solve(tree, budgets)
 
-    monkeypatch.setattr(cli, "solve_weak", counted)
-    monkeypatch.setattr(dpp, "solve_weak", counted)
+    monkeypatch.setattr(lp, "_solve", counted)
     assert main(["suite", "--dir", str(inst_dir), "--suite", "all"]) == 0
     assert "1/1 instances pass" in capsys.readouterr().out
     assert calls == [4]

@@ -7,7 +7,7 @@ from treestop import (BudgetVector, Coefficients, ConstraintSpec, Ext, NEG_INF,
                       ShapeTooLarge, WordTooLong, build_tree,
                       cumulative_functionals, dp_value, euler_state,
                       monte_carlo_value, rule_from_map, rule_to_measure,
-                      sampled_lipschitz_report, solve_weak)
+                      solve_weak)
 from treestop.lattice import MAX_NODES, TreeInstance
 
 from conftest import count_calls, make_rw
@@ -208,27 +208,6 @@ def test_vacuous_constraints_match_removal_exactly():
     assert all(v0.measure.stop(w) == v1.measure.stop(w) for w in base.nodes())
 
 
-def test_lipschitz_report_clean_for_lipschitz_coefficients():
-    tree = build_tree(dt=1, depth=3, branching=BINOM, x0=0,
-                      drift=lambda t, xs: max(xs) / 2, diffusion=1,
-                      lip=lambda t: 1)
-    rep = sampled_lipschitz_report(tree, samples=128, seed=3)
-    assert rep.kappa_declared and rep.checked == 128 and rep.ok
-
-
-def test_lipschitz_report_flags_violations_without_raising():
-    tree = build_tree(dt=1, depth=2, branching=BINOM, x0=0,
-                      drift=lambda t, xs: xs[-1], diffusion=1,
-                      lip=lambda t: Fraction(1, 100))
-    rep = sampled_lipschitz_report(tree, samples=200, seed=0)
-    assert not rep.ok and rep.violations
-
-
-def test_lipschitz_report_skipped_without_declared_modulus():
-    rep = sampled_lipschitz_report(make_rw(), samples=16)
-    assert not rep.kappa_declared and rep.checked == 0
-
-
 def test_subtree_advances_time_and_history():
     tree = build_tree(dt=1, depth=3, branching=BINOM, x0=0, t0=2,
                       drift=lambda t, xs: max(xs), diffusion=1)
@@ -259,7 +238,6 @@ def test_subtree_keeps_the_increment_dimension():
     for word in [(0,), (0, 1)]:
         sub = tree.subtree(word)
         assert sub.d == tree.d
-        assert len(sub.increment_sum(())) == 2
 
 
 def test_node_table_is_built_by_the_first_solve_only():
