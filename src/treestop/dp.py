@@ -10,10 +10,11 @@ A node's envelope depends on its path only through what the instance's
 functions read.  When they read only t, the state and its running sup (as
 every loaded instance's do), the tree's cached keyed walk
 (``TreeInstance._keys``, which the node table reads too) folds each
-depth's nodes with one (state, sup) into one key; on other trees every
-node is its own key.  The sweep keeps one chain per key: its value
-conditional on reaching the key, as (x0, v0, top value, (rise, width)
-segments steepest first), all Python ints.  At depth k budgets are ints
+depth's nodes with one (state, sup), matched by its reduced int
+numerators and denominators, into one key; on other trees every node is
+its own key.  The sweep keeps one chain per key: its value conditional
+on reaching the key, as (x0, v0, top value, (rise, width) segments
+steepest first), all Python ints.  At depth k budgets are ints
 over U_k * G and values over U_k * V, where U_k is the product of the
 branch denominators of levels k to depth - 1 (``_branch_ints``), and G
 and V are the least common denominators of the budget steps g * dt and
@@ -23,8 +24,9 @@ numerators; segments sort steepest first by cross multiplication, and
 equal slopes merge by adding rises and widths.  The stop point (0, stop
 value) is pasted by walking kinks from x0 only as far as needed.
 
-Fractions appear only at the boundary: ``_built`` divides a chain by its
-level's two units when an envelope is returned (``node_envelopes`` builds
+Fractions appear only at the boundary: ``_built`` checks a chain in ints
+and divides it by its level's two units when an envelope is returned,
+with no second pass over Fraction slopes (``node_envelopes`` builds
 one per key and hands it to every node with the key; ``root_envelope``
 builds the root's once per tree and caches it on the instance), and
 ``backstep`` brings its Fraction inputs to ints over common denominators

@@ -6,8 +6,11 @@ The backward induction in the budget runs on chains: an envelope's start
 point, top value and rising (rise, width) segments, steepest first, as
 ints over one budget unit and one value unit.  Children's chains merge by
 an exact sort of their pooled segments (``_merged``), and ``_built`` turns
-a chain back into an envelope; Fractions are met only there and in
-``_int_chains``, which brings (probability, envelope) pairs to ints.
+a chain back into an envelope after checking it in ints (positive widths,
+nonnegative rises, falling slopes by cross multiplication), so no slope is
+re-derived by Fraction arithmetic; Fractions are met only there, one per
+breakpoint coordinate and slope, and in ``_int_chains``, which brings
+(probability, envelope) pairs to ints.
 """
 
 from __future__ import annotations
@@ -137,14 +140,28 @@ def _int_chains(children, xs=(), vs=()):
 
 def _built(chain, x_unit, v_unit) -> ConcaveEnvelope:
     """The envelope of an int chain whose budgets are over ``x_unit`` and
-    values over ``v_unit``."""
+    values over ``v_unit``.  The chain is checked in ints, with the public
+    constructor's messages: every width positive, every rise nonnegative,
+    and slopes falling by cross multiplication; each slope is then one
+    Fraction, r * x_unit / (w * v_unit)."""
     x, v, _, segments = chain
-    xs, vs = [x], [v]
+    if any(w <= 0 for _, w in segments):
+        raise ValueError("breakpoints must increase strictly")
+    if any(r < 0 for r, _ in segments):
+        raise ValueError("envelope must be non-decreasing")
+    for (r0, w0), (r1, w1) in zip(segments, segments[1:]):
+        if r1 * w0 > r0 * w1:
+            raise ValueError("envelope must be concave")
+    xs, vs = [Fraction(x, x_unit)], [Fraction(v, v_unit)]
     for r, w in segments:
         x, v = x + w, v + r
-        xs.append(x), vs.append(v)
-    return ConcaveEnvelope(xs=tuple(Fraction(a, x_unit) for a in xs),
-                           vs=tuple(Fraction(b, v_unit) for b in vs))
+        xs.append(Fraction(x, x_unit)), vs.append(Fraction(v, v_unit))
+    env = object.__new__(ConcaveEnvelope)  # checked: no __post_init__ pass
+    object.__setattr__(env, "xs", tuple(xs))
+    object.__setattr__(env, "vs", tuple(vs))
+    object.__setattr__(env, "_slopes", tuple(Fraction(r * x_unit, w * v_unit)
+                                             for r, w in segments))
+    return env
 
 
 def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> ConcaveEnvelope:

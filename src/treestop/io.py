@@ -13,7 +13,9 @@ at each key.  An expression becomes nested closures: constant
 sub-expressions are folded, and names, operators, literals and exponents
 (one that is not constant at a dummy point) are checked then, so no node
 re-reads the syntax tree; exponents are integers of magnitude at most
-``MAX_EXPONENT``.  Loaders check each field's JSON type before reading it.
+``MAX_EXPONENT``, and an expression's degree, which nested powers multiply,
+is at most ``MAX_DEGREE``.  Loaders check each field's JSON type before
+reading it.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ def decimal_value(x):
 # ---------------------------------------------------------------------------
 
 MAX_EXPONENT = 64  # |n| of a power x ** n; the generator uses 2
+MAX_DEGREE = MAX_EXPONENT ** 2  # of an expression, so (x ** 64) ** 64 loads
 
 
 def _int_exponent(b: Fraction) -> int:
@@ -117,8 +120,13 @@ _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
 
 
 def _compile(node):
-    """An expression AST as a Fraction, when it is constant, or else as a
-    function of (t, x_current, x_sup).
+    """An expression AST as (value, degree): the value a Fraction, when it is
+    constant, or else a function of (t, x_current, x_sup); the degree a
+    bound on its degree as a rational function of t, x_current and x_sup
+    (0 when constant).  A constant exponent multiplies its base's degree; one
+    that is not constant, checked against ``MAX_EXPONENT`` at each node, makes
+    it ``MAX_EXPONENT`` times the base's degree, or that cap when the base is
+    constant; ``*`` and ``/`` add degrees, and ``+`` and ``-`` take the larger.
 
     Names, operators, literals and exponents are checked here, once.
     """
@@ -126,24 +134,30 @@ def _compile(node):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric literal {node.value!r}")
         if isinstance(node.value, int):
-            return Fraction(node.value)
-        return Fraction(str(node.value))  # decimal literals parse exactly
+            return Fraction(node.value), 0
+        return Fraction(str(node.value)), 0  # decimal literals parse exactly
     if isinstance(node, ast.Name):
         if node.id not in _NAMES:
             raise ValueError(f"unknown name {node.id!r}; use one of {_ALLOWED_NAMES}")
-        return _NAMES[node.id]
+        return _NAMES[node.id], 1
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        a = _compile(node.operand)
+        a, degree = _compile(node.operand)
         if isinstance(node.op, ast.UAdd):
-            return a
-        return (lambda t, x, s: -a(t, x, s)) if callable(a) else -a
+            return a, degree
+        return ((lambda t, x, s: -a(t, x, s)) if callable(a) else -a), degree
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        a, b = _compile(node.left), _compile(node.right)
+        (a, da), (b, db) = _compile(node.left), _compile(node.right)
         if isinstance(node.op, ast.Pow):
             if not callable(b):
-                return _fold(operator.pow, a, _int_exponent(b))
+                n = _int_exponent(b)
+                return _fold(operator.pow, a, n), da * abs(n)
             _check_exponent(b)
-        return _fold(_BINOPS[type(node.op)], a, b)
+            degree = max(da, 1) * MAX_EXPONENT
+        elif isinstance(node.op, (ast.Mult, ast.Div)):
+            degree = da + db
+        else:
+            degree = max(da, db)
+        return _fold(_BINOPS[type(node.op)], a, b), degree
     raise ValueError(f"unsupported expression element {ast.dump(node)}")
 
 
@@ -176,9 +190,12 @@ def _fold(op, a, b):
 _ALIASES = {"zero": "0", "coord": "x_current", "sup": "x_sup"}
 
 
-def parse_function(spec) -> tuple:
+def parse_function(spec, field: str = "expression") -> tuple:
     """Turn a function field into (``KeyFunction``, canonical spec string):
-    a function of the Markov key (t, state, sup), compiled once."""
+    a function of the Markov key (t, state, sup), compiled once.  An
+    expression whose degree (``_compile``) is above ``MAX_DEGREE`` is
+    refused with a ValueError naming ``field``: nesting powers would
+    otherwise compose the exponent cap without bound."""
     if isinstance(spec, (int, float)):
         spec = fmt_rational(as_fraction(spec))
     spec = spec.strip()
@@ -208,7 +225,10 @@ def parse_function(spec) -> tuple:
 
         spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
         return _guarded(moment_rate, spec), spec
-    fn = _compile(ast.parse(spec, mode="eval").body)
+    fn, degree = _compile(ast.parse(spec, mode="eval").body)
+    if degree > MAX_DEGREE:
+        raise ValueError(f"{field} {spec!r} has degree {degree}, above the cap "
+                         f"{MAX_DEGREE} (MAX_EXPONENT ** 2)")
     if not callable(fn):
         return KeyFunction(lambda t, x, s: fn), spec
     return _guarded(fn, spec), spec
@@ -312,7 +332,8 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
     fns = {}
     for key, default in (("drift", "zero"), ("diffusion", "const:1"),
                          ("f", "zero"), ("pi", "zero")):
-        fns[key], canon[key] = parse_function(_field(raw, key, "instance", _NUMBER, default))
+        fns[key], canon[key] = parse_function(_field(raw, key, "instance", _NUMBER, default),
+                                              f"instance field {key!r}")
 
     cons = _field(raw, "constraints", "instance", dict, {})
     pairs, canon["constraints"] = {}, {"ineq": [], "eq": []}
@@ -321,7 +342,8 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
         pairs[key] = []
         for item in _field(cons, key, "constraints", list, []):
             item = _kind(item, dict, f"an {what}")
-            fn, spec = parse_function(_field(item, fn_key, what, _NUMBER))
+            fn, spec = parse_function(_field(item, fn_key, what, _NUMBER),
+                                      f"{what} field {fn_key!r}")
             bound = Ext.parse(_field(item, bound_key, what, _NUMBER))
             pairs[key].append((fn, bound))
             canon["constraints"][key].append({fn_key: spec, bound_key: fmt_rational(bound)})

@@ -26,7 +26,7 @@ from functools import partial
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm, prod
-from operator import add, getitem, mul
+from operator import add, getitem, lt, mul
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .errors import (InvalidBranching, InvalidHorizon, NodeNotInTree, ShapeTooLarge,
@@ -208,7 +208,10 @@ class KeyedWalk(NamedTuple):
     down) and accrual step dt * (f, g_i, h_i).  Payoffs and steps are ints
     over one denominator per column, ``ones[c]``, the least common one; the
     stop payoffs share column 0's.  No state path is kept: a node's path is
-    its history and the states of the keys along its word."""
+    its history and the states of the keys along its word.  On a Markov tree
+    the walk folds children by their (state, sup) as reduced int numerators
+    and denominators, and a key's state is a Fraction built once, when the
+    key is first reached."""
 
     states: list
     kids: list
@@ -313,6 +316,7 @@ class TreeInstance:
             if count > MAX_NODES:
                 raise ShapeTooLarge(f"the tree has more than {MAX_NODES} nodes")
         self.branching = per_depth
+        self._widths = tuple(map(len, per_depth))
         self._times = tuple(self.t0 + k * self.dt for k in range(self.depth + 1))
         self.d = len(per_depth[0][0][1]) if per_depth else 1
 
@@ -376,14 +380,17 @@ class TreeInstance:
         return tuple(out)
 
     def n_branches(self, depth_k: int) -> int:
-        return len(self.branching[depth_k])
+        return self._widths[depth_k]
 
     def check_word(self, word: Word) -> None:
+        """Raise unless word is a node: compared whole against the levels'
+        branch counts, and step by step only to name the first bad branch."""
         if len(word) > self.depth:
             raise WordTooLong(f"word {word} is longer than depth {self.depth}")
-        for k, (j, level) in enumerate(zip(word, self.branching)):
-            if not 0 <= j < len(level):
-                raise NodeNotInTree(f"word {word}: branch {j} out of range at step {k}")
+        if word and (min(word) < 0 or not all(map(lt, word, self._widths))):
+            k, j = next((k, j) for k, (j, n) in enumerate(zip(word, self._widths))
+                        if not 0 <= j < n)
+            raise NodeNotInTree(f"word {word}: branch {j} out of range at step {k}")
 
     def nodes(self):
         """All increment words, shallowest first."""
@@ -466,28 +473,48 @@ class TreeInstance:
         return (_as_vector(self._drift(t, prefix), self.l),
                 _as_matrix(self._diff(t, prefix), self.l, self.d))
 
-    def _path_step(self, k: int, t: Fraction, prefix: tuple) -> list:
-        """(state, representative) of each child of a depth-k node whose
-        representative is its state path."""
-        return [(x, (prefix + (x,),))
-                for x in map(self._unwrap, self._child_states(k, prefix))]
+    def _path_step(self, k: int, t: Fraction, at: tuple, below: list, index: dict) -> range:
+        """Append to ``below`` the (state, representative) of each child of a
+        depth-k node whose representative is its state path, ``at = (prefix,)``,
+        and return their indices there: every child is a key of its own, so
+        ``index`` is not read."""
+        prefix, = at
+        start = len(below)
+        below += [(x, (prefix + (x,),))
+                  for x in map(self._unwrap, self._child_states(k, prefix))]
+        return range(start, len(below))
 
-    def _key_step(self, levels: list, k: int, t: Fraction, x: Fraction,
-                  sup: Fraction) -> list:
-        """(state, key) of each child of a depth-k Markov key (x, sup): the
-        scalar Euler step x + b * dt + sigma * w_j, in ints over one
-        denominator, and the sup carried on.  ``levels[k]`` holds the level's
-        increments w_j as ints over their least common denominator, and it."""
-        mean = x + as_fraction(self._drift.at(t, x, sup)) * self.dt
-        sig = as_fraction(self._diff.at(t, x, sup))
-        incs, unit = levels[k]
-        m, s = mean.numerator * sig.denominator * unit, sig.numerator * mean.denominator
-        den = mean.denominator * sig.denominator * unit
-        top, out = sup.numerator * den, []
+    def _key_step(self, levels: list, dt: tuple, k: int, t: Fraction, at: tuple,
+                  below: list, index: dict) -> list:
+        """The index in ``below`` of each child of a depth-k Markov key ``at =
+        (x, sup)``, appending the keys not yet in ``index``.  The scalar Euler step
+        x + b * dt + sigma * w_j is taken in ints over one denominator and
+        reduced by one gcd; ``index`` keys each child by its state and sup as
+        reduced ints, (state num, state den, sup num, sup den), the sup
+        being the state when that lies above the old one.  A key's Fractions
+        are built once, when it is first seen.  ``levels[k]`` holds the
+        level's increments w_j as ints over their least common denominator,
+        and it; ``dt`` is (numerator, denominator)."""
+        x, sup = at
+        b, sig = as_fraction(self._drift.at(t, x, sup)), as_fraction(self._diff.at(t, x, sup))
+        (incs, unit), (p, q) = levels[k], dt
+        xd, bd = x.denominator, b.denominator * q
+        mn, md = x.numerator * bd + b.numerator * p * xd, xd * bd  # the mean x + b * dt
+        sd = sig.denominator * unit
+        m, s, den = mn * sd, sig.numerator * md, md * sd
+        sup_n, sup_d = sup.numerator, sup.denominator
+        top, out = sup_n * den, []
         for w in incs:
             y = m + s * w
-            y, above = Fraction(y, den), y * sup.denominator > top
-            out.append((y, (y, y if above else sup)))
+            g, above = gcd(y, den), y * sup_d > top
+            n, d = y // g, den // g
+            key = (n, d, n, d) if above else (n, d, sup_n, sup_d)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(below)
+                y = Fraction(n, d)
+                below.append((y, (y, y if above else sup)))
+            out.append(i)
         return out
 
     def _keys(self) -> KeyedWalk:
@@ -503,9 +530,10 @@ class TreeInstance:
         probabilities are the level's (``_branch_ints``).  On a tree marked
         ``_markov`` a representative is its key, the state and the running
         sup of the path, seeded by the history's max: the functions are
-        called at (t, state, sup) and a step costs O(1).  Otherwise it is the
-        node's state path, every node is its own key, and the functions see
-        the whole path.
+        called at (t, state, sup), a step costs O(1) int work, and children
+        fold by their key's reduced int numerators and denominators, so no
+        Fraction is hashed (``_key_step``).  Otherwise it is the node's state
+        path, every node is its own key, and the functions see the whole path.
         """
         if self._walk is not None:
             return self._walk
@@ -521,7 +549,8 @@ class TreeInstance:
             units = [lcm(*(w.denominator for _, (w,) in level)) for level in self.branching]
             incs = [([w.numerator * (unit // w.denominator) for _, (w,) in level], unit)
                     for level, unit in zip(self.branching, units)]
-            fns, step = [fn.at for fn in fns], partial(self._key_step, incs)
+            dt = (self.dt.numerator, self.dt.denominator)
+            fns, step = [fn.at for fn in fns], partial(self._key_step, incs, dt)
             reps = [(x0, (x0, max(x for x, in self.history)))]
         else:
             step, reps = self._path_step, [(x0, (tuple(map(self._unwrap, self.history)),))]
@@ -536,16 +565,8 @@ class TreeInstance:
             if leaf:
                 break
             rates.append([values[1:] for values in level])
-            below, index, here = [], {}, []
-            for _, at in reps:
-                ks = []
-                for x, kid in step(k, t, *at):
-                    i = index.setdefault(kid, len(below)) if self._markov else len(below)
-                    if i == len(below):
-                        below.append((x, kid))
-                    ks.append(i)
-                here.append(tuple(ks))
-            kids.append(here)
+            below, index = [], {}
+            kids.append([tuple(step(k, t, at, below, index)) for _, at in reps])
             reps = below
         self._walk = KeyedWalk(states, kids, *_over_ones(pays, rates, self.dt, len(fns) - 1))
         return self._walk

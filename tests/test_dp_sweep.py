@@ -19,8 +19,8 @@ from treestop.envelope import merged_envelope
 from treestop.generate import generate_instance
 
 from conftest import count_calls
-from oracles import (oracle_backstep, oracle_merged_envelope, oracle_node_envelopes,
-                     oracle_prefix, terminal_at)
+from oracles import (oracle_backstep, oracle_keyed_walk, oracle_merged_envelope,
+                     oracle_node_envelopes, oracle_prefix, terminal_at)
 
 F = Fraction
 HALF = F(1, 2)
@@ -365,6 +365,50 @@ def test_sup_seeded_by_the_history_and_subtrees_match_the_oracle():
         got = dp.node_envelopes(sub)
         assert got == oracle_node_envelopes(tree.subtree(word))
         assert got == {rest: want[word + rest] for rest in sub.nodes()}
+
+
+def _fold_doc(x0_history, *levels):
+    """A loaded tree, one branching level per argument after the history,
+    whose functions read the running sup."""
+    return {"dt": "1", "depth": len(levels), "x0_history": x0_history,
+            "branching": [[{"p": "1/2", "w": w} for w in level] for level in levels],
+            "pi": "x_sup - x_current", "constraints": {"ineq": [{"g": "x_sup", "y": "1"}]}}
+
+
+def test_a_state_reached_in_two_int_forms_folds_to_one_key():
+    # 1/3 + 1/6 is 9/18 and 1/2 + 0 is 6/12 in the step's ints; the sup stays 1
+    doc = _fold_doc(["1", "0"], ["1/3", "1/2"], ["1/6", "0"])
+    walk = load_instance(doc)._keys()
+    assert walk.states[2] == [HALF, F(1, 3), F(2, 3)]
+    assert walk.kids[1] == [(0, 1), (2, 0)]
+    assert walk == oracle_keyed_walk(load_instance(doc))
+
+
+def test_a_state_equal_to_the_old_sup_folds_with_the_child_that_sets_it():
+    # 1/2 + 1/2 = 1 sets the sup to 1; 1 + 0 = 1 equals its old sup 1
+    doc = _fold_doc(["0"], ["1/2", "1"], ["1/2", "0"])
+    tree = load_instance(doc)
+    walk = tree._keys()
+    assert walk.states[2] == [F(1), HALF, F(3, 2)]
+    assert walk.kids[1] == [(0, 1), (2, 0)]
+    assert walk == oracle_keyed_walk(load_instance(doc))
+    assert dp.node_envelopes(tree) == oracle_node_envelopes(load_instance(doc))
+
+
+def test_the_keyed_walk_hashes_no_fraction(monkeypatch):
+    tree = load_instance(HIGH_HISTORY_DOC)
+    calls = []
+    real = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    walk = tree._keys()
+    monkeypatch.undo()
+    assert calls == [] and len(walk.states) == tree.depth + 1
+    assert walk == oracle_keyed_walk(load_instance(HIGH_HISTORY_DOC))
 
 
 # -- one backward induction per tree ----------------------------------------------

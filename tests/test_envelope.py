@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from treestop import BudgetBelowDomain, ConcaveEnvelope, Ext, POS_INF, allocate
-from treestop.envelope import merged_envelope
+from treestop.envelope import _STEEPEST_FIRST, _built, merged_envelope
 
 from oracles import brute_allocate, envelope_from_breakpoints, hull_of_points
 
@@ -122,3 +125,49 @@ def test_hull_degenerates_when_first_point_dominates():
     h = hull_of_points([(F(0), F(9)), (F(2), F(4))])
     assert h.xs == (F(0),) and h.vs == (F(9),)
     assert h.value(100) == 9
+
+
+# -- int chains to envelopes --------------------------------------------------------
+
+def _breakpoints(chain, x_unit, v_unit):
+    """A chain's breakpoints as Fractions, for the public constructor."""
+    x, v, _, segments = chain
+    xs = accumulate((w for _, w in segments), initial=x)
+    vs = accumulate((r for r, _ in segments), initial=v)
+    return (tuple(F(a, x_unit) for a in xs), tuple(F(b, v_unit) for b in vs))
+
+
+def _outcome(build):
+    """The envelope built, with its slopes, or the message of its ValueError."""
+    try:
+        env = build()
+    except ValueError as exc:
+        return str(exc)
+    return env, env.slopes()
+
+
+UNITS = st.integers(1, 36)
+STARTS = st.integers(-50, 50)
+
+
+@given(x=STARTS, v=STARTS, x_unit=UNITS, v_unit=UNITS,
+       segments=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40)), max_size=8))
+def test_built_equals_the_constructor_on_concave_chains(x, v, x_unit, v_unit, segments):
+    segments.sort(key=_STEEPEST_FIRST)  # a concave chain: slopes fall
+    chain = (x, v, v + sum(r for r, _ in segments), segments)
+    env, slopes = _outcome(lambda: _built(chain, x_unit, v_unit))
+    assert (env, slopes) == _outcome(lambda: ConcaveEnvelope(*_breakpoints(chain, x_unit, v_unit)))
+    assert slopes == [F(r * x_unit, w * v_unit) for r, w in segments]
+
+
+@given(x=STARTS, v=STARTS, x_unit=UNITS, v_unit=UNITS,
+       segments=st.lists(st.tuples(st.integers(-5, 20), st.integers(-2, 20)), max_size=6))
+@example(x=0, v=0, x_unit=1, v_unit=1, segments=[(1, 1), (1, 0)])  # a zero width
+@example(x=0, v=0, x_unit=2, v_unit=3, segments=[(2, 1), (-1, 1)])  # a negative rise
+@example(x=0, v=0, x_unit=1, v_unit=1, segments=[(1, 2), (1, 1)])  # a slope that rises
+@example(x=0, v=0, x_unit=1, v_unit=1, segments=[(1, 2), (-1, 1), (1, 0)])  # all three
+def test_built_checks_int_chains_with_the_constructors_messages(x, v, x_unit, v_unit,
+                                                                segments):
+    chain = (x, v, v, segments)
+    got = _outcome(lambda: _built(chain, x_unit, v_unit))
+    assert got == _outcome(lambda: ConcaveEnvelope(*_breakpoints(chain, x_unit, v_unit)))

@@ -2,12 +2,13 @@
 replaced: the same values and the same exception types at every point."""
 
 import ast
+import re
 from fractions import Fraction
 
 import pytest
 
-from treestop import ExpressionUndefined, parse_function
-from treestop.io import MAX_EXPONENT
+from treestop import ExpressionUndefined, load_instance, parse_function
+from treestop.io import MAX_DEGREE, MAX_EXPONENT, _compile
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS,
                                _TERMINALS)
 
@@ -129,6 +130,34 @@ def test_exponents_are_capped_at_load_and_at_nodes():
     assert parse_function(f"power:1,{cap + 1},0")[0](F(1), (F(0),)) == cap + 1
     with pytest.raises(ExpressionUndefined, match="above the cap"):
         parse_function(f"power:1,{cap + 2},0")[0](F(1), (F(0),))
+
+
+@pytest.mark.parametrize("spec, degree", [
+    ("(x_current**64)**64", 4096), ("x_current**-64 * x_current**-64 * x_sup**-64", 192),
+    ("(x_current**x_current)**64", 4096), ("(2**x_current)**64", 4096),
+    ("x_current**64 / t**64 - (x_sup + 1)**64", 128), ("(2**64)**64", 0),
+])
+def test_nested_powers_within_the_degree_cap_load(spec, degree):
+    assert _compile(ast.parse(spec, mode="eval").body)[1] == degree <= MAX_DEGREE
+    parse_function(spec)
+
+
+@pytest.mark.parametrize("spec, degree", [
+    ("((x_current**64)**64)**64", 262144), ("(x_current**64)**64 * x_sup", 4097),
+    ("(x_current**64)**-64 / t", 4097), ("((2**x_current)**64)**64", 262144),
+    ("-(x_current**32 * x_sup**33 + t)**64", 4160),
+])
+def test_nested_powers_above_the_degree_cap_are_refused_at_load(spec, degree):
+    assert MAX_DEGREE == MAX_EXPONENT ** 2 == 4096
+    message = rf"^expression '{re.escape(spec)}' has degree {degree}, above the cap 4096"
+    with pytest.raises(ValueError, match=message):
+        parse_function(spec)
+    doc = {"dt": "1", "depth": 1, "branching": [{"p": "1", "w": "1"}],
+           "constraints": {"ineq": [{"g": spec, "y": "1"}]}}
+    with pytest.raises(ValueError, match=r"^inequality field 'g' '"):
+        load_instance(doc)
+    with pytest.raises(ValueError, match=r"^instance field 'pi' '"):
+        load_instance(dict(doc, constraints={}, pi=spec))
 
 
 def test_power_builtin_at_negative_time_is_undefined_not_a_domain_error():

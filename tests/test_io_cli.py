@@ -517,6 +517,9 @@ def _bad_input(tmp_path, case):
     # an exponent above io.MAX_EXPONENT: a million ran for minutes
     if case == "exponent-huge":
         return write(json.dumps(dict(RW2_DOC, pi="x_current ** 1000000")))
+    # each power within the cap, their composition x ** 262144 above MAX_DEGREE
+    if case == "exponent-nested":
+        return write(json.dumps(dict(RW2_DOC, pi="((x_current**64)**64)**64")))
     # 0 at load's dummy point and at the root, a million at "+"
     if case == "exponent-huge-at-a-node":
         return write(json.dumps(dict(RW2_DOC, pi="2 ** (1000000 * x_current)")))
@@ -609,7 +612,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "zero-denominator-budget", "zero-denominator-dt", "zero-denominator-t0",
               "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history",
               *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
-              "exponent-huge", "exponent-huge-at-a-node", "singular-at-the-history-sup",
+              "exponent-huge", "exponent-nested", "exponent-huge-at-a-node",
+              "singular-at-the-history-sup",
               "singular-below-the-sup", "vector-x0-history", "vector-increment")
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from treestop import (BudgetVector, Coefficients, ConstraintSpec, Ext, NEG_INF,
                       POS_INF, InvalidBranching, InvalidHorizon, NodeNotInTree,
@@ -74,6 +76,38 @@ def test_euler_word_too_long_and_bad_branch():
         cumulative_functionals(tree, (0, 0, 0))
     with pytest.raises(NodeNotInTree):
         cumulative_functionals(tree, (0, 5))
+
+
+def _check_word_step_by_step(tree, word):
+    """The word check as one Python loop over the word, one len per step."""
+    if len(word) > tree.depth:
+        raise WordTooLong(f"word {word} is longer than depth {tree.depth}")
+    for k, (j, level) in enumerate(zip(word, tree.branching)):
+        if not 0 <= j < len(level):
+            raise NodeNotInTree(f"word {word}: branch {j} out of range at step {k}")
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except (WordTooLong, NodeNotInTree) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+PER_LEVEL = build_tree(dt=1, depth=3, x0=0, branching=[
+    [(HALF, 1), (HALF, -1)], [(Fraction(1, 3), 1), (Fraction(1, 3), 0), (Fraction(1, 3), -1)],
+    [(HALF, 1), (HALF, -1)]])
+
+
+@given(word=st.lists(st.integers(-2, 3), max_size=4).map(tuple))
+@example(word=(1, 2, 1))
+@example(word=(1, 2, 2))  # the last level has two branches
+@example(word=(-1, 5))
+@example(word=(0, 1, 0, 0))
+def test_check_word_raises_the_step_by_step_messages(word):
+    assert _raised(PER_LEVEL.check_word, word) == _raised(_check_word_step_by_step,
+                                                          PER_LEVEL, word)
 
 
 def test_euler_state_deterministic_bit_for_bit():
