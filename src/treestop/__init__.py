@@ -20,14 +20,14 @@ from .errors import (BudgetBelowDomain, DegreeTooHigh, EmptyBattery, EmptyFamily
                      InvalidBranching, InvalidHorizon,
                      InvariantViolation, NoInstances, NodeNotInTree,
                      RuleShapeMismatch, ShapeMismatch, ShapeTooLarge,
-                     SubproblemInfeasible, TreestopError,
+                     TreestopError,
                      UnsupportedConstraintShape, WordTooLong)
 from .generate import generate_instance
 from .io import (dump_instance, dump_measure, dump_rule, instance_hash,
                  load_budgets, load_instance, load_measure, load_rule,
                  parse_function)
-from .lattice import (BudgetVector, Coefficients, ConstraintSpec, TreeInstance,
-                      build_tree, cumulative_functionals, euler_state)
+from .lattice import (BudgetVector, ConstraintSpec, TreeInstance, build_tree,
+                      cumulative_functionals, euler_state)
 from .lp import (SolveResult, fractional_nodes, measure_to_rule, solve_robust,
                  solve_weak)
 from .martingale import (CandidateLaw, MembershipReport, Polynomial,

@@ -24,14 +24,13 @@ from .dp import root_envelope
 from .dpp import verify_dpp
 from .errors import NoInstances, TreestopError
 from .generate import generate_instance
-from .io import (decimal_value, dump_measure, dump_rule, fmt_rational, fmt_value,
-                 instance_hash, load_budgets, load_cut, load_instance, load_masses,
-                 load_rule, word_str, write_json_atomic)
+from .io import (decimal_value, dump_measure, fmt_rational, fmt_value, instance_hash,
+                 load_budgets, load_cut, load_instance, load_masses, load_rule, word_str,
+                 write_json_atomic)
 from .lp import measure_to_rule, solve_robust, solve_weak
 from .martingale import CandidateLaw, check_membership
 from .rules import (derandomize, equivalence_check, monte_carlo_value,
                     theta_of_rule)
-from .xreal import Ext
 
 MAX_GRID = 10_000  # dp --grid points: about 0.35 s of queries and printing at 8 x 3
 
@@ -139,7 +138,7 @@ def _cmd_dp(args):
                          f"got {args.grid}")
     tree = load_instance(args.instance)
     env = root_envelope(tree)
-    value = Ext(env.value(Ext.parse(args.budget)))
+    value = env.value(args.budget)
     print(f"value\t{fmt_value(value)}")
     print()
     _print_table([(fmt_rational(x), fmt_rational(v)) for x, v in zip(env.xs, env.vs)],

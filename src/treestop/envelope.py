@@ -1,6 +1,6 @@
 """Piecewise-linear concave value-in-budget functions.
 
-An envelope is a concave, non-decreasing function on [domain_start, inf),
+An envelope is a concave, non-decreasing function on [xs[0], inf),
 stored as exact rational breakpoints and constant beyond the last one.
 The backward induction in the budget runs on chains: an envelope's start
 point, top value and rising (rise, width) segments, steepest first, as
@@ -57,13 +57,6 @@ class ConcaveEnvelope:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def domain_start(self) -> Fraction:
-        return self.xs[0]
-
-    def slopes(self) -> List[Fraction]:
-        return list(self._slopes)
-
     def segments(self) -> List[Tuple[Fraction, Fraction]]:
         """(slope, width) pairs of the strictly rising part."""
         return [(s, x1 - x0) for s, x0, x1 in
@@ -84,12 +77,6 @@ class ConcaveEnvelope:
         x0, x1 = self.xs[i], self.xs[i + 1]
         v0, v1 = self.vs[i], self.vs[i + 1]
         return v0 + (v1 - v0) * (yy - x0) / (x1 - x0)
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def constant(x0, v) -> "ConcaveEnvelope":
-        return ConcaveEnvelope(xs=(as_fraction(x0),), vs=(as_fraction(v),))
 
 
 # (rise, width) segment a sorts before b when its slope is greater

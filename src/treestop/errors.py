@@ -45,14 +45,6 @@ class UnsupportedConstraintShape(TreestopError):
     """The scalar-budget engine only handles one inequality constraint."""
 
 
-class SubproblemInfeasible(TreestopError):
-    """A conditioned sub-problem is infeasible for its conditional budgets.
-
-    Conditioning preserves feasibility, so this signals an implementation
-    bug rather than a property of the instance.
-    """
-
-
 class InvariantViolation(TreestopError):
     """An internal invariant failed.
 

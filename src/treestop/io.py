@@ -88,6 +88,7 @@ def decimal_value(x):
 
 MAX_EXPONENT = 64  # |n| of a power x ** n; the generator uses 2
 MAX_DEGREE = MAX_EXPONENT ** 2  # of an expression, so (x ** 64) ** 64 loads
+MAX_CONSTANT_BITS = 14_000  # printable in 4300 digits, so (10 ** 64) ** 64 loads
 
 
 def _int_exponent(b: Fraction) -> int:
@@ -96,6 +97,18 @@ def _int_exponent(b: Fraction) -> int:
     if abs(b) > MAX_EXPONENT:
         raise ValueError(f"exponents are capped at {MAX_EXPONENT} in absolute value")
     return b.numerator
+
+
+class _ConstantTooLarge(ValueError):
+    """A constant above ``MAX_CONSTANT_BITS``; ``parse_function`` names the field."""
+
+
+def _constant(x: Fraction, times: int = 1) -> Fraction:
+    """x, unless x ** times, estimated before it is taken, has too many bits."""
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length()) * times
+    if bits > MAX_CONSTANT_BITS:
+        raise _ConstantTooLarge(bits)
+    return x
 
 
 class _BadExponent(ValueError):
@@ -128,14 +141,14 @@ def _compile(node):
     it ``MAX_EXPONENT`` times the base's degree, or that cap when the base is
     constant; ``*`` and ``/`` add degrees, and ``+`` and ``-`` take the larger.
 
-    Names, operators, literals and exponents are checked here, once.
+    Names, operators, literals, exponents and constants' sizes are checked here, once.
     """
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric literal {node.value!r}")
         if isinstance(node.value, int):
-            return Fraction(node.value), 0
-        return Fraction(str(node.value)), 0  # decimal literals parse exactly
+            return _constant(Fraction(node.value)), 0
+        return _constant(Fraction(str(node.value))), 0  # decimal literals parse exactly
     if isinstance(node, ast.Name):
         if node.id not in _NAMES:
             raise ValueError(f"unknown name {node.id!r}; use one of {_ALLOWED_NAMES}")
@@ -150,6 +163,8 @@ def _compile(node):
         if isinstance(node.op, ast.Pow):
             if not callable(b):
                 n = _int_exponent(b)
+                if not callable(a):
+                    _constant(a, abs(n))
                 return _fold(operator.pow, a, n), da * abs(n)
             _check_exponent(b)
             degree = max(da, 1) * MAX_EXPONENT
@@ -182,9 +197,10 @@ def _fold(op, a, b):
     if callable(b):
         return lambda t, x, s: op(a, b(t, x, s))
     try:
-        return op(a, b)
+        value = op(a, b)
     except ZeroDivisionError:
         return lambda t, x, s: op(a, b)
+    return _constant(value)
 
 
 _ALIASES = {"zero": "0", "coord": "x_current", "sup": "x_sup"}
@@ -193,7 +209,7 @@ _ALIASES = {"zero": "0", "coord": "x_current", "sup": "x_sup"}
 def parse_function(spec, field: str = "expression") -> tuple:
     """Turn a function field into (``KeyFunction``, canonical spec string):
     a function of the Markov key (t, state, sup), compiled once.  An
-    expression whose degree (``_compile``) is above ``MAX_DEGREE`` is
+    expression whose degree (``_compile``) or constant is above its cap is
     refused with a ValueError naming ``field``: nesting powers would
     otherwise compose the exponent cap without bound."""
     if isinstance(spec, (int, float)):
@@ -225,7 +241,11 @@ def parse_function(spec, field: str = "expression") -> tuple:
 
         spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
         return _guarded(moment_rate, spec), spec
-    fn, degree = _compile(ast.parse(spec, mode="eval").body)
+    try:
+        fn, degree = _compile(ast.parse(spec, mode="eval").body)
+    except _ConstantTooLarge as exc:
+        raise ValueError(f"{field} {spec!r} has a constant of about {exc.args[0]} bits, "
+                         f"above the cap {MAX_CONSTANT_BITS}") from None
     if degree > MAX_DEGREE:
         raise ValueError(f"{field} {spec!r} has degree {degree}, above the cap "
                          f"{MAX_DEGREE} (MAX_EXPONENT ** 2)")

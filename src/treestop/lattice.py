@@ -138,18 +138,6 @@ def _over_ones(pays: list, rates: list, dt: Fraction, n_cols: int):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Coefficients:
-    """Drift and diffusion of the state recursion.
-
-    drift(t, prefix) returns a length-l vector, diffusion(t, prefix) an
-    l x d matrix (scalars are accepted when l = d = 1).
-    """
-
-    drift: Callable = 0
-    diffusion: Callable = 1
-
-
-@dataclass(frozen=True)
 class ConstraintSpec:
     """Inequality and equality accrual constraints.
 
@@ -277,7 +265,12 @@ class NodeTable:
 
 
 class TreeInstance:
-    """Immutable finite-depth increment tree with Euler states.
+    """Immutable finite-depth increment tree with Euler states, also named
+    ``build_tree``.  ``branching`` is a list of (p, w) pairs used at every
+    step, or one such list per step; give exactly one of ``x0`` (state at
+    t0) and ``history`` (state path up to and including t0).  drift(t,
+    prefix) is a length-l vector, diffusion(t, prefix) an l x d matrix
+    (scalars when l = d = 1); constants stand for constant functions.
 
     Nodes are increment words; more than ``MAX_NODES`` of them are refused
     before any is built.  Built whole on first use and cached: the shape
@@ -298,10 +291,18 @@ class TreeInstance:
     that key (``subtree`` copies the mark).
     """
 
-    def __init__(self, t0, dt, depth, branching, history, coefficients,
-                 reward, terminal, constraints, w_history=(), source=None):
+    def __init__(self, dt, depth, branching, x0=None, history=None, t0=0,
+                 drift=0, diffusion=1, reward=0, terminal=0,
+                 inequalities=(), equalities=(), w_history=(), source=None):
         if depth < 0:
             raise InvalidHorizon(f"depth must be >= 0, got {depth}")
+        if history is None:
+            if x0 is None:
+                raise ValueError("give x0 or history")
+            history = (x0,)
+        elif x0 is not None:
+            raise ValueError("give x0 or history, not both")
+        self.constraints = spec = ConstraintSpec(tuple(inequalities), tuple(equalities))
         self.t0 = as_fraction(t0)
         self.dt = as_fraction(dt)
         if self.dt <= 0:
@@ -327,22 +328,20 @@ class TreeInstance:
         self.l = len(first) if isinstance(first, (list, tuple)) else 1
         self.history: Tuple[State, ...] = tuple(_as_vector(x, self.l) for x in hist)
 
-        self.coefficients = coefficients
         self.reward = _callable(reward)
         self.terminal = _callable(terminal)
-        self.constraints = constraints
         self.w_history = tuple(w_history)
         self.source = source
 
-        self._drift = _callable(coefficients.drift)
-        self._diff = _callable(coefficients.diffusion)
+        self._drift = _callable(drift)
+        self._diff = _callable(diffusion)
         self._shape_cache: Optional[Shape] = None
         self._walk: Optional[KeyedWalk] = None
         self._root_envelope = None
         self._solved = None
         self._table: Optional[NodeTable] = None
         fns = (self.reward, self.terminal, self._drift, self._diff,
-               *(fn for fn, _ in constraints.inequalities + constraints.equalities))
+               *(fn for fn, _ in spec.inequalities + spec.equalities))
         self._markov = self.l == self.d == 1 and all(isinstance(fn, KeyFunction)
                                                      for fn in fns)
 
@@ -634,9 +633,12 @@ class TreeInstance:
         ``_markov`` and the increment dimension, even with no level left."""
         self.check_word(word)
         k = len(word)
-        out = TreeInstance(self.time(k), self.dt, self.depth - k, self.branching[k:],
-                           self._prefix_for_call(word), self.coefficients, self.reward,
-                           self.terminal, self.constraints, self.w_history)
+        spec = self.constraints
+        out = TreeInstance(self.dt, self.depth - k, self.branching[k:], t0=self.time(k),
+                           history=self._prefix_for_call(word), drift=self._drift,
+                           diffusion=self._diff, reward=self.reward, terminal=self.terminal,
+                           inequalities=spec.inequalities, equalities=spec.equalities,
+                           w_history=self.w_history)
         out.d, out._markov = self.d, self._markov
         return out
 
@@ -645,31 +647,7 @@ class TreeInstance:
 # operations
 # ---------------------------------------------------------------------------
 
-def build_tree(dt, depth, branching, x0=None, history=None, t0=0,
-               drift=0, diffusion=1, reward=0, terminal=0,
-               inequalities=(), equalities=(),
-               w_history=(), source=None) -> TreeInstance:
-    """Validate an instance description and return a TreeInstance.
-
-    ``branching`` is a list of (p, w) pairs used at every step, or a list of
-    such lists with one entry per step.  Exactly one of ``x0`` (state at t0)
-    and ``history`` (state path up to and including t0) must be given.
-    """
-    if depth < 0:
-        raise InvalidHorizon(f"depth must be >= 0, got {depth}")
-    if history is None:
-        if x0 is None:
-            raise ValueError("give x0 or history")
-        history = (x0,)
-    elif x0 is not None:
-        raise ValueError("give x0 or history, not both")
-    coeffs = Coefficients(drift=drift, diffusion=diffusion)
-    spec = ConstraintSpec(inequalities=tuple(inequalities),
-                          equalities=tuple(equalities))
-    return TreeInstance(t0=t0, dt=dt, depth=depth, branching=branching,
-                        history=history, coefficients=coeffs, reward=reward,
-                        terminal=terminal, constraints=spec,
-                        w_history=w_history, source=source)
+build_tree = TreeInstance
 
 
 def euler_state(tree: TreeInstance, word: Word):

@@ -204,8 +204,6 @@ class CandidateLaw:
         for w, parent in zip(shape.words[1:], shape.parent[1:]):
             incs.append(tuple(map(add, incs[parent], tree.branching[len(w) - 1][w[-1]][1])))
         self.points = [inc + ((x,) if tree.l == 1 else x) for inc, x in zip(incs, states)]
-        # the tables of the last standalone statistic() call
-        self._sweep: Optional["_Sweep"] = None
         stops, conts, n_inner = self.stops, self.conts, len(shape.first) - 1
         if self.pre_t0_stop_mass + stops[0] + conts[0] != 1:
             raise ValueError("total mass must be 1")
@@ -232,9 +230,6 @@ class CandidateLaw:
 
     # -- claimed states ------------------------------------------------------
 
-    def state(self, w: Word) -> tuple:
-        return self.points[self.shape.index[w]][self.tree.d:]
-
     def prefix_for_call(self, w: Word) -> tuple:
         return (self.tree._prefix_for_call(w) if self._paths is None
                 else self._paths[self.shape.index[w]])
@@ -242,10 +237,6 @@ class CandidateLaw:
     def model_children(self, w: Word) -> Tuple[tuple, ...]:
         """Euler-step states of all children, from the claimed prefix."""
         return self.tree._child_states(len(w), self.prefix_for_call(w))
-
-    def xi(self, w: Word) -> tuple:
-        """Claimed (cumulative increment, state) point in R^{d+l}."""
-        return self.points[self.shape.index[w]]
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +403,7 @@ class _Sweep:
 
     def __init__(self, cand: CandidateLaw, mode: str, phis: Sequence[Polynomial]):
         shape = cand.shape
-        self.cand, self.mode = cand, mode
-        self.index = {phi: i for i, phi in enumerate(phis)}
+        self.cand = cand
         zero = Fraction(0)
         self.zero_row = [zero] * len(phis)
         # per inner row, (open shares, stopped shares, their sums, a, b)
@@ -523,20 +513,16 @@ def statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
     """Exact expectation of a weighted compensated increment.
 
     The sum of the weight's level contributions over levels s .. r-1 (see
-    ``_Sweep``).  The tables are built on the first call, O(nodes *
-    branches), and kept on the candidate for later calls with the same
-    mode and phi; each weight's sweep is cached with them.
+    ``_Sweep``), from tables built for this call alone, O(nodes *
+    branches); ``check_membership`` builds one sweep for all its statistics.
     """
     tree = cand.tree
     if not 0 <= s < r <= tree.depth:
         raise ValueError(f"need 0 <= s < r <= {tree.depth}")
     if any(f.time > s for f in weight.factors):
         raise ValueError("weight factors must not look past the start time")
-    sweep = cand._sweep
-    if sweep is None or sweep.mode != mode or phi not in sweep.index:
-        sweep = cand._sweep = _Sweep(cand, mode, (phi,))
-    i = sweep.index[phi]
-    return sum((level[i] for level in sweep.levels(weight)[s:r]), Fraction(0))
+    levels = _Sweep(cand, mode, (phi,)).levels(weight)
+    return sum((level[0] for level in levels[s:r]), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ the node's path probability that stop there and that continue past it.
 In these units flow conservation needs no branch probability: the root's
 shares sum to 1, each child's to its parent's continue share, and nothing
 continues past the horizon.  Absolute masses (share times path
-probability) appear only at the boundary: ``stop``, ``cont``, ``reach``,
-the ``s`` and ``u`` dicts, and ``from_masses``.
+probability) appear only at the boundary: ``stop``, ``cont``, the ``s``
+and ``u`` dicts, and ``from_masses``.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ class StoppingMeasure:
 
     def cont(self, word: Word) -> Fraction:
         return self._mass(self.conts, word)
-
-    def reach(self, word: Word) -> Fraction:
-        return self.stop(word) + self.cont(word)
 
     # absolute stop and continue mass per node, every node present
     s = property(lambda self: self._masses(self.stops))

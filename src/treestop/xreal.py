@@ -1,6 +1,7 @@
 """Extended rational numbers.
 
-Values are exact rationals extended with +inf and -inf.  Addition uses the
+Values are exact rationals extended with +inf and -inf, for budgets and
+targets: they parse, order and shift, and never scale.  Addition uses the
 integration convention (+inf) + (-inf) = (-inf) + (+inf) = -inf, so sums of
 mixed infinite accruals collapse to -inf instead of raising.  Comparison is
 total: -inf < every finite value < +inf.
@@ -9,9 +10,6 @@ total: -inf < every finite value < +inf.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
 
 
 def as_fraction(x) -> Fraction:
@@ -106,8 +104,6 @@ class Ext:
             return self
         return NEG_INF
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Ext":
         if self.sign == 0:
             return Ext(-self.finite)
@@ -115,26 +111,6 @@ class Ext:
 
     def __sub__(self, other) -> "Ext":
         return self + (-Ext.parse(other))
-
-    def __rsub__(self, other) -> "Ext":
-        return Ext.parse(other) + (-self)
-
-    def __mul__(self, other) -> "Ext":
-        """Scale by a rational.  0 * inf = 0 (integration convention)."""
-        other = Ext.parse(other)
-        if self.sign == 0 and other.sign == 0:
-            return Ext(self.finite * other.finite)
-        a, b = self, other
-        if a.sign == 0:
-            a, b = b, a
-        # a infinite, b may be finite or infinite
-        if b.sign == 0:
-            if b.finite == 0:
-                return Ext(0)
-            return a if b.finite > 0 else -a
-        return POS_INF if a.sign == b.sign else NEG_INF
-
-    __rmul__ = __mul__
 
     # -- total order --------------------------------------------------------
 

@@ -35,7 +35,7 @@ from treestop import Ext, simplex
 from treestop.dp import _require_scalar_shape
 from treestop.dpp import condition, paste
 from treestop.envelope import ConcaveEnvelope
-from treestop.errors import DegreeTooHigh, InvariantViolation, SubproblemInfeasible
+from treestop.errors import DegreeTooHigh, InvariantViolation, TreestopError
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _G_NONNEG, _H_ANY,
                                 _INCREMENTS, _REWARDS, _TERMINALS, BRANCH_CAP, DEPTH_CAP)
 from treestop.errors import ShapeTooLarge
@@ -75,9 +75,9 @@ def atom_expectations(tree, q):
     Enumerates every (full word, stop depth) atom with its probability
     P(word) * prod_{j<k} (1-q) * q(at k) and sums payoffs directly.
     """
-    value = Ext(0)
-    gs = [Ext(0)] * tree.constraints.n_ineq
-    hs = [Ext(0)] * tree.constraints.n_eq
+    value = Fraction(0)
+    gs = [Fraction(0)] * tree.constraints.n_ineq
+    hs = [Fraction(0)] * tree.constraints.n_eq
     for leaf in tree.leaves():
         pw = tree.path_prob(leaf)
         for k in range(len(leaf) + 1):
@@ -91,7 +91,7 @@ def atom_expectations(tree, q):
             # leaves under a stop node split its mass; summing over leaves
             # recovers the node's full stop mass since branch probs sum to 1
             F, Gs, Hs = tree._functionals(node)
-            value = value + (F + Ext(terminal_at(tree, node))) * mass
+            value = value + (F + terminal_at(tree, node)) * mass
             for i, G in enumerate(Gs):
                 gs[i] = gs[i] + G * mass
             for i, H in enumerate(Hs):
@@ -109,7 +109,7 @@ def snell_value(tree, payoff=None):
             memo[word] = stop
             continue
         # children's payoffs already contain this step's accrued reward
-        cont = Ext(0)
+        cont = Fraction(0)
         for j, (p, _) in enumerate(tree.branching[len(word)]):
             cont = cont + memo[word + (j,)] * p
         memo[word] = max(stop, cont)
@@ -166,11 +166,9 @@ def best_rule_value(tree, ys, zs):
                 _, g1, h1 = atom_expectations(tree, q1)
                 a0 = (g0[idx] if kind == "ineq" else h0[idx])
                 a1 = (g1[idx] if kind == "ineq" else h1[idx])
-                if a0 == a1 or not (a0.is_finite and a1.is_finite):
+                if a0 == a1:
                     continue
-                target = bound.fraction()
-                qstar = Fraction(target - a0.fraction()) / \
-                    (a1.fraction() - a0.fraction())
+                qstar = (bound.fraction() - a0) / (a1 - a0)
                 if 0 <= qstar <= 1:
                     candidates.append((free_node, qstar))
         for free_node, free_val in candidates:
@@ -255,6 +253,14 @@ def node_lp_solve(tree: TreeInstance, budgets=None, solve_lp=None) -> SolveResul
                        measure=measure, duals_ineq=duals_ineq, duals_eq=duals_eq)
 
 
+class SubproblemInfeasible(TreestopError):
+    """A conditioned sub-problem is infeasible for its conditional budgets.
+
+    Conditioning preserves feasibility, so this signals an implementation
+    bug rather than a property of the instance.
+    """
+
+
 def verify_dpp_by_subtree_lp(tree: TreeInstance, tau, budgets=None) -> dict:
     """``verify_dpp`` as it was before the Snell pass, kept as a differential
     oracle: it conditions the optimal measure at the cut, solves each
@@ -270,7 +276,7 @@ def verify_dpp_by_subtree_lp(tree: TreeInstance, tau, budgets=None) -> dict:
     base = solve_weak(tree, budgets)
     if not base.optimal:
         raise ValueError(f"base solve is {base.status}: {base.reason}")
-    lhs = base.value
+    lhs = base.value.fraction()
 
     cond = condition(tree, base.measure, tau)
     per_node = []
@@ -285,7 +291,7 @@ def verify_dpp_by_subtree_lp(tree: TreeInstance, tau, budgets=None) -> dict:
                 f"(ys={data.ys}, zs={data.zs}); conditioning must preserve "
                 f"feasibility, so this is a bug")
         submeasures[nu] = sub.measure
-        rhs = rhs + (tree._functionals(nu)[0] + sub.value) * data.mass
+        rhs = rhs + (tree._functionals(nu)[0] + sub.value.fraction()) * data.mass
         per_node.append({
             "node": nu, "mass": data.mass,
             "Y": data.ys, "Z": data.zs,
@@ -523,7 +529,8 @@ def oracle_xi(cand: CandidateLaw, w: Word) -> tuple:
     cache = _XI.setdefault(cand, {})
     got = cache.get(w)
     if got is None:
-        got = cache[w] = increment_sum(cand.tree, w) + cand.state(w)
+        state = _as_vector(cand.prefix_for_call(w)[-1], cand.tree.l)
+        got = cache[w] = increment_sum(cand.tree, w) + state
     return got
 
 
@@ -903,7 +910,7 @@ def oracle_node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
     for word in reversed(list(tree.nodes())):
         pi_here = terminal_at(tree, word)
         if len(word) == tree.depth:
-            env[word] = ConcaveEnvelope.constant(0, pi_here)
+            env[word] = ConcaveEnvelope(xs=(Fraction(0),), vs=(pi_here,))
             continue
         t = tree.time(len(word))
         prefix = oracle_prefix(tree, word)

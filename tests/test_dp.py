@@ -48,8 +48,8 @@ def test_stop_dominates_gives_constant_envelope():
 
 
 def test_backstep_mixes_stop_point_with_continuation():
-    kids = [(HALF, ConcaveEnvelope.constant(0, F(4))),
-            (HALF, ConcaveEnvelope.constant(0, F(0)))]
+    kids = [(HALF, ConcaveEnvelope(xs=(F(0),), vs=(F(4),))),
+            (HALF, ConcaveEnvelope(xs=(F(0),), vs=(F(0),)))]
     env = backstep(F(1), F(0), F(1), kids)
     # continuing costs 1 of budget and is worth 2; stopping is worth 1
     assert env.value(0) == 1 and env.value(1) == 2
@@ -98,6 +98,6 @@ def test_envelopes_stay_concave_and_monotone():
     doc = generate_instance(seed=99, depth=3, branches=3, n_ineq=1)
     tree = load_instance(doc)
     for env in node_envelopes(tree).values():
-        slopes = env.slopes()
+        slopes = env._slopes
         assert all(s >= 0 for s in slopes)
         assert all(a >= b for a, b in zip(slopes, slopes[1:]))

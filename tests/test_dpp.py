@@ -234,7 +234,7 @@ def test_condition_budget_mismatch_is_an_invariant_violation(monkeypatch):
     class Skewed(StoppingMeasure):
         def expectations(self, tree):
             exp = super().expectations(tree)
-            exp["ineq"] = [v + Ext(1) for v in exp["ineq"]]
+            exp["ineq"] = [v + 1 for v in exp["ineq"]]
             return exp
 
     tree = make_rw(ineq=[(1, F(3, 2))])

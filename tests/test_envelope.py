@@ -75,8 +75,8 @@ def test_allocate_matches_brute_force_grid():
 
 
 def test_allocate_constant_children_ignore_budget():
-    e1 = ConcaveEnvelope.constant(0, F(3))
-    e2 = ConcaveEnvelope.constant(0, F(-1))
+    e1 = ConcaveEnvelope(xs=(F(0),), vs=(F(3),))
+    e2 = ConcaveEnvelope(xs=(F(0),), vs=(F(-1),))
     value, _ = allocate([(HALF, e1), (HALF, e2)], F(100))
     assert value == F(1)
     value2, _ = allocate([(HALF, e1), (HALF, e2)], F(0))
@@ -143,7 +143,7 @@ def _outcome(build):
         env = build()
     except ValueError as exc:
         return str(exc)
-    return env, env.slopes()
+    return env, list(env._slopes)
 
 
 UNITS = st.integers(1, 36)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from treestop import ExpressionUndefined, load_instance, parse_function
-from treestop.io import MAX_DEGREE, MAX_EXPONENT, _compile
+from treestop.io import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_EXPONENT, _compile
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS,
                                _TERMINALS)
 
@@ -158,6 +158,33 @@ def test_nested_powers_above_the_degree_cap_are_refused_at_load(spec, degree):
         load_instance(doc)
     with pytest.raises(ValueError, match=r"^instance field 'pi' '"):
         load_instance(dict(doc, constraints={}, pi=spec))
+
+
+def test_constants_within_the_bit_cap_load():
+    # 10 ** 4096 has 13,607 bits; a constant power is estimated as its
+    # base's bits times the exponent, 213 * 64 = 13,632 here
+    assert MAX_CONSTANT_BITS == 14_000
+    for spec, value in (("(10**64)**64", F(10) ** 4096), ("(10**-64)**64", F(10) ** -4096),
+                        ("(10**64)**64 / (10**64)**63", F(10) ** 64)):
+        assert parse_function(spec)[0](F(0), (F(0),)) == value
+
+
+@pytest.mark.parametrize("spec, bits", [
+    ("((10**64)**64)**64", 13607 * 64), ("(((10**64)**64)**64)**64", 13607 * 64),
+    ("(10**64)**64 * (10**64)**64", 27214), ("1 / (10**64)**64 / (10**64)**64", 27214),
+    ("x_current + (10**64)**64 * 10**64 * 10**64", 14032),
+    ("0x" + "f" * 3501, 14004),
+])
+def test_constants_above_the_bit_cap_are_refused_at_load(spec, bits):
+    # a constant power is refused from its estimate, before it is taken: the
+    # four-level power was still folding after 30 s
+    message = (rf"^expression '{re.escape(spec)}' has a constant of about {bits} bits, "
+               rf"above the cap {MAX_CONSTANT_BITS}$")
+    with pytest.raises(ValueError, match=message):
+        parse_function(spec)
+    with pytest.raises(ValueError, match=r"^instance field 'pi' '"):
+        load_instance({"dt": "1", "depth": 1, "branching": [{"p": "1", "w": "1"}],
+                       "pi": spec})
 
 
 def test_power_builtin_at_negative_time_is_undefined_not_a_domain_error():

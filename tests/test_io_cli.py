@@ -520,6 +520,10 @@ def _bad_input(tmp_path, case):
     # each power within the cap, their composition x ** 262144 above MAX_DEGREE
     if case == "exponent-nested":
         return write(json.dumps(dict(RW2_DOC, pi="((x_current**64)**64)**64")))
+    # every power's exponent within the cap and its degree 0: each power of
+    # 10 ** 4096 is 64 times as long, and folding ran for more than 30 s
+    if case == "exponent-constant-nested":
+        return write(json.dumps(dict(RW2_DOC, pi="(((10**64)**64)**64)**64")))
     # 0 at load's dummy point and at the root, a million at "+"
     if case == "exponent-huge-at-a-node":
         return write(json.dumps(dict(RW2_DOC, pi="2 ** (1000000 * x_current)")))
@@ -612,7 +616,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "zero-denominator-budget", "zero-denominator-dt", "zero-denominator-t0",
               "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history",
               *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
-              "exponent-huge", "exponent-nested", "exponent-huge-at-a-node",
+              "exponent-huge", "exponent-nested", "exponent-constant-nested",
+              "exponent-huge-at-a-node",
               "singular-at-the-history-sup",
               "singular-below-the-sup", "vector-x0-history", "vector-increment")
 

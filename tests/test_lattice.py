@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from treestop import (BudgetVector, Coefficients, ConstraintSpec, Ext, NEG_INF,
+from treestop import (BudgetVector, ConstraintSpec, Ext, NEG_INF,
                       POS_INF, InvalidBranching, InvalidHorizon, NodeNotInTree,
                       ShapeTooLarge, WordTooLong, build_tree,
                       cumulative_functionals, dp_value, euler_state,

@@ -335,7 +335,7 @@ def test_a_claimed_state_never_enters_the_trees_cache():
     measure = solve_weak(tree).measure
     euler = {w: tree.state(w) for w in tree.nodes()}
     cand = candidate_with_state_shift(tree, measure, (0, 1), HALF)
-    assert cand.state((0, 1)) == (euler[(0, 1)] + HALF,)
+    assert cand.prefix_for_call((0, 1))[-1] == euler[(0, 1)] + HALF
     assert not check_membership(tree, cand).ok
     assert {w: tree.state(w) for w in tree.nodes()} == euler
 

@@ -78,7 +78,7 @@ def test_claimed_points_and_battery_match_word_references(pool_measures):
     cands = [(tree, CandidateLaw.from_measure(tree, m)) for tree, m in pool_measures]
     cands += [(tree, cand) for i, _, _, tree, cand in acceptance_corruptions(pool) if i < 30]
     for tree, cand in cands:
-        assert [cand.xi(w) for w in tree.nodes()] == [oracle_xi(cand, w) for w in tree.nodes()]
+        assert cand.points == [oracle_xi(cand, w) for w in tree.nodes()]
         for s in range(tree.depth):
             assert weight_battery(tree, cand, s, 16) == oracle_weight_battery(tree, cand, s, 16)
 
@@ -149,12 +149,6 @@ def test_statistic_still_rejects_bad_windows():
     late = weight_battery(tree, cand, 2, 16)[-1]
     with pytest.raises(ValueError):
         statistic(cand, phi, 1, 2, late)
-
-
-def test_sweep_is_dropped_after_check_membership():
-    tree, cand = _stop_biased_candidate()
-    check_membership(tree, cand, fail_fast=True)
-    assert cand._sweep is None
 
 
 def test_generator_gap_decay_matches_oracle_statistics():

@@ -22,16 +22,19 @@ def test_order_is_total():
 def test_finite_arithmetic_is_exact():
     a = Ext(Fraction(1, 3)) + Ext(Fraction(1, 6))
     assert a == Ext(Fraction(1, 2))
-    assert a * Fraction(2, 5) == Ext(Fraction(1, 5))
     assert -a == Ext(Fraction(-1, 2))
     assert a - Ext(2) == Ext(Fraction(-3, 2))
 
 
-def test_scaling_infinities():
-    assert POS_INF * Fraction(3, 7) == POS_INF
-    assert POS_INF * Fraction(-1) == NEG_INF
-    assert POS_INF * 0 == Ext(0)  # integration convention
-    assert NEG_INF * Fraction(-2) == POS_INF
+def test_budgets_shift_but_never_scale():
+    # Ext holds budgets and targets: no scaling and no reflected arithmetic
+    for op in (lambda: Ext(1) * 2, lambda: 2 * Ext(1), lambda: 2 + Ext(1),
+               lambda: 2 - Ext(1)):
+        with pytest.raises(TypeError):
+            op()
+    # a budget tightened by a rational, finite or not
+    assert Ext(3) - 1000 == Ext(-997)
+    assert POS_INF - 1000 == POS_INF
 
 
 def test_parse_and_render():
