@@ -11,10 +11,9 @@ martingale-problem membership tests for candidate laws.
 
 __version__ = "0.1.0"
 
-from .dp import backstep, dp_value, node_envelopes, root_envelope
-from .dpp import (ConditionalBudgets, condition, first_randomization_cut,
-                  normalize_cut, paste, verify_dpp)
-from .envelope import ConcaveEnvelope, allocate, merged_envelope
+from .dp import dp_value, node_envelopes, root_envelope
+from .dpp import condition, first_randomization_cut, normalize_cut, verify_dpp
+from .envelope import ConcaveEnvelope, allocate
 from .errors import (BudgetBelowDomain, DegreeTooHigh, EmptyBattery, EmptyFamily,
                      EquivalenceViolation, ExpressionUndefined,
                      InvalidBranching, InvalidHorizon,

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -35,17 +34,6 @@ from .rules import (derandomize, equivalence_check, monte_carlo_value,
 MAX_GRID = 10_000  # dp --grid points: about 0.35 s of queries and printing at 8 x 3
 
 
-@dataclass
-class ExperimentRecord:
-    instance_hash: str
-    command: list
-    parameters: dict
-    outputs: dict
-    wall_time_s: float
-    seed: int
-    version: str = __version__
-
-
 def _write_record(out, name: str, tree, parameters: dict, outputs: dict,
                   seed: int, wall_time_s: float, command: list) -> None:
     """Persist an experiment record as ``<out>/<name>-<hash12>.json``.
@@ -53,14 +41,11 @@ def _write_record(out, name: str, tree, parameters: dict, outputs: dict,
     if not out:
         return
     digest = instance_hash(tree)
-    record = ExperimentRecord(
-        instance_hash=digest,
-        command=command,
-        parameters=parameters, outputs=outputs, wall_time_s=wall_time_s,
-        seed=seed)
+    record = {"instance_hash": digest, "command": command, "parameters": parameters,
+              "outputs": outputs, "wall_time_s": wall_time_s, "seed": seed,
+              "version": __version__}
     os.makedirs(out, exist_ok=True)
-    write_json_atomic(os.path.join(out, f"{name}-{digest[:12]}.json"),
-                      asdict(record))
+    write_json_atomic(os.path.join(out, f"{name}-{digest[:12]}.json"), record)
 
 
 def _print_table(rows, header, file=None) -> None:

@@ -28,9 +28,7 @@ Fractions appear only at the boundary: ``_built`` checks a chain in ints
 and divides it by its level's two units when an envelope is returned,
 with no second pass over Fraction slopes (``node_envelopes`` builds
 one per key and hands it to every node with the key; ``root_envelope``
-builds the root's once per tree and caches it on the instance), and
-``backstep`` brings its Fraction inputs to ints over common denominators
-and runs the same ``_paste``.
+builds the root's once per tree and caches it on the instance).
 
 Other constraint mixes go to the LP oracle.  Values are concave in an
 equality target too (a mixture of stopping laws is a stopping law), but
@@ -41,10 +39,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from .envelope import ConcaveEnvelope, _built, _int_chains, _merged
+from .envelope import ConcaveEnvelope, _built, _merged
 from .errors import UnsupportedConstraintShape
 from .lattice import TreeInstance, Word
-from .xreal import Ext, as_fraction
+from .xreal import Ext
 
 
 def _require_scalar_shape(tree: TreeInstance) -> None:
@@ -53,20 +51,6 @@ def _require_scalar_shape(tree: TreeInstance) -> None:
         raise UnsupportedConstraintShape(
             "the budget engine handles exactly one inequality constraint; "
             "use the LP oracle for general constraint mixes")
-
-
-def backstep(stop_value, reward_step, budget_step, children) -> ConcaveEnvelope:
-    """One backward step: paste the stop point onto the continuation curve.
-
-    children are (probability, envelope) pairs for the successor nodes;
-    stopping costs no budget and pays ``stop_value``; continuing accrues
-    ``reward_step`` now, consumes ``budget_step`` now, and then allocates
-    the remaining budget across the children.
-    """
-    X, V, kids, (budget,), (stop, reward) = _int_chains(
-        children, (as_fraction(budget_step),),
-        (as_fraction(stop_value), as_fraction(reward_step)))
-    return _built(_paste(stop, reward, budget, kids), X, V)
 
 
 def _paste(stop, reward_step, budget_step, kids):

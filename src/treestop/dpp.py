@@ -1,11 +1,12 @@
-"""Conditioning, pasting, and two-sided verification of the value recursion.
+"""Conditioning and two-sided verification of the value recursion.
 
 Cutting a solved instance at an intermediate stopping stage splits every
 feasible measure into a prefix and, per surviving node, a conditional
 measure on the subtree.  Conditioning is budget-stable: each conditional
 measure is feasible for the conditional expected remaining accruals
-(Y, Z) of its node, exactly.  ``condition`` and ``paste`` do that split
-and its inverse on explicit measures.
+(Y, Z) of its node, exactly.  ``condition`` does that split on an
+explicit measure; its inverse, pasting subtree measures back below the
+cut, is a test oracle.
 
 ``verify_dpp`` settles the recursion at any cut from one Snell pass.  Take
 the root solve's duals (pi >= 0, mu) and let S be the Snell envelope of
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .errors import InvariantViolation, ShapeMismatch
+from .errors import InvariantViolation
 from .lattice import ROOT, BudgetVector, TreeInstance, Word
 from .lp import _budgets_or_default, _certify_optimal, solve_weak
 from .measures import StoppingMeasure
@@ -204,37 +205,6 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
     return ConditionalBudgets(cut=cut, survivors=survivors,
                               stopped_before=stopped_before, zero_survival=zero,
                               tower_ineq=tuple(tower[:n_i]), tower_eq=tuple(tower[n_i:]))
-
-
-def paste(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec,
-          submeasures: Dict[Word, StoppingMeasure]) -> StoppingMeasure:
-    """Replace the subtree behavior of a measure past a cut.
-
-    Keeps the prefix of ``measure`` up to the cut; below each cut node with
-    positive reach, grafts the supplied subtree measure scaled by the reach
-    mass.  Cut nodes without a replacement keep their original subtree.
-    The result is validated as a measure on the full tree.
-    """
-    cut = normalize_cut(tree, tau)
-    shape = measure._shape_on(tree)
-    stops = [Fraction(v, measure.scale) for v in measure.stops]
-    conts = [Fraction(v, measure.scale) for v in measure.conts]
-    for nu in cut:
-        sub = submeasures.get(nu)
-        if sub is None:
-            continue
-        i = shape.index[nu]
-        reach = stops[i] + conts[i]
-        if reach == 0 and any(sub.stops + sub.conts):
-            raise ShapeMismatch(f"submeasure at unreachable node {nu}")
-        if sub.shape != tree.subtree(nu)._shape():
-            raise ShapeMismatch(f"submeasure at {nu} is not on the subtree's nodes")
-        # below nu, the submeasure's shares times nu's reach share
-        for j, s, u in zip(shape.rows_below(i), sub.stops, sub.conts):
-            stops[j], conts[j] = reach * Fraction(s, sub.scale), reach * Fraction(u, sub.scale)
-    pasted = StoppingMeasure.from_shares(shape, stops, conts)
-    pasted.validate(tree)
-    return pasted
 
 
 def verify_dpp(tree: TreeInstance, tau: TauSpec,

@@ -9,8 +9,7 @@ an exact sort of their pooled segments (``_merged``), and ``_built`` turns
 a chain back into an envelope after checking it in ints (positive widths,
 nonnegative rises, falling slopes by cross multiplication), so no slope is
 re-derived by Fraction arithmetic; Fractions are met only there, one per
-breakpoint coordinate and slope, and in ``_int_chains``, which brings
-(probability, envelope) pairs to ints.
+breakpoint coordinate and slope.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
 from operator import itemgetter
 from typing import List, Sequence, Tuple
 
@@ -106,25 +104,6 @@ def _merged(chains, dx=0, dv=0):
     return x0, v0, top, segments
 
 
-def _int_chains(children, xs=(), vs=()):
-    """(probability, envelope) children as chains of ints over one budget
-    unit X and one value unit V: the least common denominators of every
-    p * x and p * v and of the extra Fractions ``xs`` and ``vs``.  Returns
-    (X, V, the (1, chain) pairs, xs and vs as ints over X and V).  A child
-    of probability 0 has no segments."""
-    rows = [([p * x for x in env.xs], [p * v for v in env.vs])
-            for p, env in ((as_fraction(p), env) for p, env in children)]
-    rows.append((xs, vs))
-    X = lcm(*(x.denominator for px, _ in rows for x in px))
-    V = lcm(*(v.denominator for _, pv in rows for v in pv))
-    *rows, (xs, vs) = [([x.numerator * (X // x.denominator) for x in px],
-                        [v.numerator * (V // v.denominator) for v in pv]) for px, pv in rows]
-    chains = [(1, (px[0], pv[0], pv[-1], [(v1 - v0, x1 - x0) for x0, x1, v0, v1
-                                          in zip(px, px[1:], pv, pv[1:]) if v1 > v0]))
-              for px, pv in rows]
-    return X, V, chains, xs, vs
-
-
 def _built(chain, x_unit, v_unit) -> ConcaveEnvelope:
     """The envelope of an int chain whose budgets are over ``x_unit`` and
     values over ``v_unit``.  The chain is checked in ints, with the public
@@ -149,19 +128,6 @@ def _built(chain, x_unit, v_unit) -> ConcaveEnvelope:
     object.__setattr__(env, "_slopes", tuple(Fraction(r * x_unit, w * v_unit)
                                              for r, w in segments))
     return env
-
-
-def merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]]) -> ConcaveEnvelope:
-    """Value of the best budget split across children, as a function of the
-    total budget sum p_j * y_j.
-
-    Children's marginal slopes are interleaved in decreasing order; a unit
-    of global budget spent on child j advances its local budget by 1/p_j
-    and earns its current slope, so the merged function is concave with
-    exactly those slopes.
-    """
-    X, V, chains, _, _ = _int_chains(children)
-    return _built(_merged(chains), X, V)
 
 
 def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):

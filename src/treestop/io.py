@@ -14,8 +14,9 @@ sub-expressions are folded, and names, operators, literals and exponents
 (one that is not constant at a dummy point) are checked then, so no node
 re-reads the syntax tree; exponents are integers of magnitude at most
 ``MAX_EXPONENT``, and an expression's degree, which nested powers multiply,
-is at most ``MAX_DEGREE``.  Loaders check each field's JSON type before
-reading it.
+is at most ``MAX_DEGREE``.  A function's value at a node, like a constant,
+has at most ``MAX_CONSTANT_BITS`` bits of numerator and of denominator.
+Loaders check each field's JSON type before reading it.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ def decimal_value(x):
 MAX_EXPONENT = 64  # |n| of a power x ** n; the generator uses 2
 MAX_DEGREE = MAX_EXPONENT ** 2  # of an expression, so (x ** 64) ** 64 loads
 MAX_CONSTANT_BITS = 14_000  # printable in 4300 digits, so (10 ** 64) ** 64 loads
+_SHOWN_BITS = 128  # a longer state coordinate shows in an error as its bit count
 
 
 def _int_exponent(b: Fraction) -> int:
@@ -103,9 +105,14 @@ class _ConstantTooLarge(ValueError):
     """A constant above ``MAX_CONSTANT_BITS``; ``parse_function`` names the field."""
 
 
+def _bits(x: Fraction) -> int:
+    """The bits of x's numerator or denominator, whichever has more."""
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
 def _constant(x: Fraction, times: int = 1) -> Fraction:
     """x, unless x ** times, estimated before it is taken, has too many bits."""
-    bits = max(x.numerator.bit_length(), x.denominator.bit_length()) * times
+    bits = _bits(x) * times
     if bits > MAX_CONSTANT_BITS:
         raise _ConstantTooLarge(bits)
     return x
@@ -257,11 +264,15 @@ def parse_function(spec, field: str = "expression") -> tuple:
 def _guarded(fn, spec: str) -> KeyFunction:
     """fn(t, x_current, x_sup) as a ``KeyFunction`` of (t, state, sup),
     x_current being the state's first coordinate, with a division by zero,
-    a non-integer or too large power or a float overflow (of ``power:``)
-    reported as bad input naming spec, t and the state."""
+    a non-integer or too large power, a float overflow (of ``power:``) or
+    a value whose numerator or denominator has more than
+    ``MAX_CONSTANT_BITS`` bits reported as bad input naming spec, t and
+    the state.  The expression caps bound each expression but not its value
+    at a node, and the Euler step composes the drift's values level by
+    level, so the value is bounded here, where it is evaluated."""
     def at(t, x, s):
         try:
-            return fn(t, x[0] if isinstance(x, tuple) else x, s)
+            v = fn(t, x[0] if isinstance(x, tuple) else x, s)
         except ZeroDivisionError:
             raise ExpressionUndefined(f"{spec!r} divides by zero {_where(t, x)}") from None
         except OverflowError:
@@ -269,14 +280,23 @@ def _guarded(fn, spec: str) -> KeyFunction:
                 f"{spec!r} overflows the float range {_where(t, x)}") from None
         except _BadExponent as exc:
             raise ExpressionUndefined(f"{spec!r} takes {exc.args[0]} {_where(t, x)}") from None
+        if (v.numerator.bit_length() > MAX_CONSTANT_BITS
+                or v.denominator.bit_length() > MAX_CONSTANT_BITS):
+            raise ExpressionUndefined(f"{spec!r} has a value of {_bits(v)} bits, above the "
+                                      f"cap {MAX_CONSTANT_BITS}, {_where(t, x)}")
+        return v
     return KeyFunction(at)
 
 
 def _where(t, x) -> str:
-    """'at t = ..., state ...' for the node at time t with state x."""
-    state = ("(" + ", ".join(map(fmt_rational, x)) + ")"
-             if isinstance(x, tuple) else fmt_rational(x))
+    """'at t = ..., state ...' for the node at time t with state x; a
+    coordinate of more than ``_SHOWN_BITS`` bits shows as its bit count."""
+    state = ("(" + ", ".join(map(_shown, x)) + ")" if isinstance(x, tuple) else _shown(x))
     return f"at t = {fmt_rational(t)}, state {state}"
+
+
+def _shown(x) -> str:
+    return fmt_rational(x) if _bits(x) <= _SHOWN_BITS else f"of {_bits(x)} bits"
 
 
 # ---------------------------------------------------------------------------

@@ -592,11 +592,6 @@ class TreeInstance:
         F, *rest = map(Fraction, map(sum, zip([0] * len(walk.ones), *steps)), walk.ones)
         return F, tuple(rest[:n_ineq]), tuple(rest[n_ineq:])
 
-    def stop_payoff(self, word: Word) -> Fraction:
-        """Accrued running reward plus terminal payoff when stopping here."""
-        table = self._node_table()
-        return table.value(0, table.shape.index[word])
-
     def _node_table(self) -> NodeTable:
         """The node table, built on first use and cached.
 

@@ -75,9 +75,6 @@ class Polynomial:
     def monomial(nvars: int, exps: Sequence[int], coeff=1) -> "Polynomial":
         return Polynomial(nvars, {tuple(exps): as_fraction(coeff)})
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
         for exps, c in self.coeffs.items():
@@ -157,11 +154,9 @@ class CandidateLaw:
                  post_stop_branching=None, pre_t0_stop_mass=0,
                  claimed_history=None):
         self.tree = tree
-        self.s = {w: as_fraction(v) for w, v in s.items()}
-        self.u = {w: as_fraction(v) for w, v in u.items()}
         self.shape = shape = tree._shape()
-        self.stops, self.conts = (_on_rows(shape, "stop", self.s),
-                                  _on_rows(shape, "continue", self.u))
+        self.stops = _on_rows(shape, "stop", {w: as_fraction(v) for w, v in s.items()})
+        self.conts = _on_rows(shape, "continue", {w: as_fraction(v) for w, v in u.items()})
         self.pre_t0_stop_mass = as_fraction(pre_t0_stop_mass)
         overrides = state_overrides or {}
         for w in overrides:
@@ -218,15 +213,6 @@ class CandidateLaw:
     @staticmethod
     def from_measure(tree: TreeInstance, measure: StoppingMeasure) -> "CandidateLaw":
         return CandidateLaw(tree, s=measure.s, u=measure.u)
-
-    def stop(self, w: Word) -> Fraction:
-        return self.s.get(w, Fraction(0))
-
-    def cont(self, w: Word) -> Fraction:
-        return self.u.get(w, Fraction(0))
-
-    def reach(self, w: Word) -> Fraction:
-        return self.stop(w) + self.cont(w)
 
     # -- claimed states ------------------------------------------------------
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import add
-from typing import Dict, Optional
+from typing import Dict
 
 from .errors import (EquivalenceViolation, InvariantViolation, NodeNotInTree,
                      RuleShapeMismatch)
@@ -100,8 +100,12 @@ class ThetaProcess:
 
 def theta_of_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> ThetaProcess:
     """theta_k = 1 - prod_{j<=k} (1 - q) along every word, exactly."""
-    # the continue share of the rule's measure is the chance of surviving
-    measure = rule_to_measure(tree, rule)
+    return _theta(rule_to_measure(tree, rule))
+
+
+def _theta(measure: StoppingMeasure) -> ThetaProcess:
+    """A rule's theta from its measure: the continue share of the rule's
+    measure is the chance of surviving."""
     return ThetaProcess(theta={w: 1 - Fraction(u, measure.scale)
                                for w, u in zip(measure.shape.words, measure.conts)})
 
@@ -161,25 +165,17 @@ def stop_mass_by_eta_integration(tree: TreeInstance, theta: ThetaProcess) -> Dic
     return mass
 
 
-def equivalence_check(tree: TreeInstance, rule: RandomizedStoppingRule,
-                      theta: Optional[ThetaProcess] = None) -> dict:
+def equivalence_check(tree: TreeInstance, rule: RandomizedStoppingRule) -> dict:
     """Certify that the rule and its hitting-time construction agree.
 
     Computes stop masses once by the product formula and once by exact eta
-    integration of the hitting time, and compares the vectors and all
+    integration of the hitting time of the rule's theta, both from one
+    rule-to-measure push, and compares the vectors and all
     objective/constraint expectations exactly.  Disagreement raises
-    EquivalenceViolation, since equality is guaranteed; an invalid theta
-    (non-monotone, or not ending at 1) raises the same error.
+    EquivalenceViolation, since equality is guaranteed.
     """
-    rule.validate(tree)
-    if theta is None:
-        theta = theta_of_rule(tree, rule)
-    try:
-        theta.validate(tree)
-        via_eta = stop_mass_by_eta_integration(tree, theta)
-    except RuleShapeMismatch as exc:
-        raise EquivalenceViolation(f"invalid theta process: {exc}") from exc
     direct = rule_to_measure(tree, rule)
+    via_eta = stop_mass_by_eta_integration(tree, _theta(direct))
     report = {
         "stop_mass_rule": direct.s,
         "stop_mass_hitting": via_eta,

@@ -18,9 +18,13 @@ representative's state path, which the walk by (state, sup) key must
 match level for level, and the word-keyed forward push and measure
 validator that the measures' row form must match mass for mass.
 
-Two helpers here are test-only API rather than independent references:
-``increment_sum`` and ``compensated_process``, the latter built on the
-library's own ``_compensators``.
+Some helpers here are test-only API rather than independent references:
+``increment_sum``; ``compensated_process``, built on the library's own
+``_compensators``; ``paste``, the inverse of ``condition``; ``stop_payoff``,
+read off the node table; ``stop_of``, ``cont_of`` and ``reach_of``, a
+candidate law's masses at a node; and ``int_chains``, which brings Fraction
+envelopes to the int chains that ``kernel_backstep`` and
+``kernel_merged_envelope`` run the library's ``_paste`` and ``_merged`` on.
 """
 
 import ast
@@ -32,10 +36,10 @@ from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from treestop import Ext, simplex
-from treestop.dp import _require_scalar_shape
-from treestop.dpp import condition, paste
-from treestop.envelope import ConcaveEnvelope
-from treestop.errors import DegreeTooHigh, InvariantViolation, TreestopError
+from treestop.dp import _paste, _require_scalar_shape
+from treestop.dpp import condition, normalize_cut
+from treestop.envelope import ConcaveEnvelope, _built, _merged
+from treestop.errors import DegreeTooHigh, InvariantViolation, ShapeMismatch, TreestopError
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _G_NONNEG, _H_ANY,
                                 _INCREMENTS, _REWARDS, _TERMINALS, BRANCH_CAP, DEPTH_CAP)
 from treestop.errors import ShapeTooLarge
@@ -99,12 +103,19 @@ def atom_expectations(tree, q):
     return value, tuple(gs), tuple(hs)
 
 
+def stop_payoff(tree: TreeInstance, word: Word) -> Fraction:
+    """Accrued running reward plus terminal payoff when stopping at a node,
+    read off the tree's node table."""
+    table = tree._node_table()
+    return table.value(0, table.shape.index[word])
+
+
 def snell_value(tree, payoff=None):
     """Optimal stopping value by plain backward induction: the best pure
     stopping time's expected stop payoff, or ``payoff(word)`` if given."""
     memo = {}
     for word in reversed(list(tree.nodes())):
-        stop = payoff(word) if payoff else tree.stop_payoff(word)
+        stop = payoff(word) if payoff else stop_payoff(tree, word)
         if len(word) == tree.depth:
             memo[word] = stop
             continue
@@ -211,9 +222,9 @@ def node_lp_solve(tree: TreeInstance, budgets=None, solve_lp=None) -> SolveResul
         _, Gs, Hs = tree._functionals(w)
         _, G_kid, H_kid = tree._functionals(w + (0,))
         steps.append([b - a for a, b in zip(Gs + Hs, G_kid + H_kid)])
-        obj.append(sum(p * tree.stop_payoff(w + (j,))
+        obj.append(sum(p * stop_payoff(tree, w + (j,))
                        for j, (p, _) in enumerate(tree.branching[len(w)]))
-                   - tree.stop_payoff(w))
+                   - stop_payoff(tree, w))
 
     rows, senses, rhs = [], [], []
     for w, i in index.items():
@@ -251,6 +262,39 @@ def node_lp_solve(tree: TreeInstance, budgets=None, solve_lp=None) -> SolveResul
     duals_eq = tuple(res.duals[r] for r in eq_rows)
     return SolveResult(status="optimal", value=Ext(res.objective + terminal_at(tree, ROOT)),
                        measure=measure, duals_ineq=duals_ineq, duals_eq=duals_eq)
+
+
+def paste(tree: TreeInstance, measure: StoppingMeasure, tau,
+          submeasures: Dict[Word, StoppingMeasure]) -> StoppingMeasure:
+    """Replace the subtree behavior of a measure past a cut.
+
+    Keeps the prefix of ``measure`` up to the cut; below each cut node with
+    positive reach, grafts the supplied subtree measure scaled by the reach
+    mass.  Cut nodes without a replacement keep their original subtree.
+    The result is validated as a measure on the full tree.  The inverse of
+    ``condition``, which ``verify_dpp_by_subtree_lp`` pastes its subtree
+    optima with.
+    """
+    cut = normalize_cut(tree, tau)
+    shape = measure._shape_on(tree)
+    stops = [Fraction(v, measure.scale) for v in measure.stops]
+    conts = [Fraction(v, measure.scale) for v in measure.conts]
+    for nu in cut:
+        sub = submeasures.get(nu)
+        if sub is None:
+            continue
+        i = shape.index[nu]
+        reach = stops[i] + conts[i]
+        if reach == 0 and any(sub.stops + sub.conts):
+            raise ShapeMismatch(f"submeasure at unreachable node {nu}")
+        if sub.shape != tree.subtree(nu)._shape():
+            raise ShapeMismatch(f"submeasure at {nu} is not on the subtree's nodes")
+        # below nu, the submeasure's shares times nu's reach share
+        for j, s, u in zip(shape.rows_below(i), sub.stops, sub.conts):
+            stops[j], conts[j] = reach * Fraction(s, sub.scale), reach * Fraction(u, sub.scale)
+    pasted = StoppingMeasure.from_shares(shape, stops, conts)
+    pasted.validate(tree)
+    return pasted
 
 
 class SubproblemInfeasible(TreestopError):
@@ -508,7 +552,20 @@ def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str
 # ``weight_battery`` as they were before the library moved to the tree's
 # rows.  ``oracle_direct_detail`` restates the direct check from its
 # definition, and the clause-1 loop runs it where the library does.  The
-# library's reports must equal theirs entry for entry.
+# library's reports must equal theirs entry for entry.  A candidate keeps
+# its masses by row; ``stop_of``, ``cont_of`` and ``reach_of`` read a node's.
+
+
+def stop_of(cand: CandidateLaw, w: Word) -> Fraction:
+    return cand.stops[cand.shape.index[w]]
+
+
+def cont_of(cand: CandidateLaw, w: Word) -> Fraction:
+    return cand.conts[cand.shape.index[w]]
+
+
+def reach_of(cand: CandidateLaw, w: Word) -> Fraction:
+    return stop_of(cand, w) + cont_of(cand, w)
 
 
 _XI: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -653,10 +710,10 @@ def oracle_direct_detail(tree: TreeInstance, cand: CandidateLaw) -> dict:
             return {"check": "post_stop", "level": k,
                     "claimed": cand.post_stop[k], "model": model}
     for w in tree.nodes():
-        if len(w) == tree.depth or cand.cont(w) == 0:
+        if len(w) == tree.depth or cont_of(cand, w) == 0:
             continue
         model = [p for p, _ in tree.branching[len(w)]]
-        claimed = [cand.reach(c) / cand.cont(w) for c in tree.children(w)]
+        claimed = [reach_of(cand, c) / cont_of(cand, w) for c in tree.children(w)]
         if claimed != model:
             return {"check": "branching", "node": w,
                     "claimed": claimed, "model": model}
@@ -694,8 +751,8 @@ def oracle_statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
         by_time.setdefault(f.time, []).append(f)
 
     # after-decision weighted masses per node at the current depth
-    open_mass: Dict[Word, Fraction] = {ROOT: cand.cont(ROOT)}
-    stop_mass: Dict[Word, Fraction] = {ROOT: cand.stop(ROOT) + cand.pre_t0_stop_mass}
+    open_mass: Dict[Word, Fraction] = {ROOT: cont_of(cand, ROOT)}
+    stop_mass: Dict[Word, Fraction] = {ROOT: stop_of(cand, ROOT) + cand.pre_t0_stop_mass}
     stat = Fraction(0)
     for k in range(0, r):
         for f in by_time.get(k, ()):
@@ -712,22 +769,22 @@ def oracle_statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
             if in_window and (m_open or m_stop):
                 stat -= (m_open + m_stop) * oracle_compensator(cand, phi, w, mode)
             phi_here = phi.eval(oracle_xi(cand, w)) if in_window else None
-            u_w = cand.cont(w)
+            u_w = cont_of(cand, w)
             for j in range(tree.n_branches(k)):
                 child = w + (j,)
                 # pre-stop flow: candidate's own conditional ratios
-                flow_open = m_open * cand.reach(child) / u_w if u_w else Fraction(0)
+                flow_open = m_open * reach_of(cand, child) / u_w if u_w else Fraction(0)
                 flow_stop = m_stop * cand.post_stop[k][j]
                 if flow_open or flow_stop:
                     if in_window:
                         dphi = phi.eval(oracle_xi(cand, child)) - phi_here
                         stat += (flow_open + flow_stop) * dphi
                     nxt_stop[child] = nxt_stop.get(child, Fraction(0)) + \
-                        flow_stop + flow_open * (cand.stop(child) / cand.reach(child)
-                                                 if cand.reach(child) else Fraction(0))
+                        flow_stop + flow_open * (stop_of(cand, child) / reach_of(cand, child)
+                                                 if reach_of(cand, child) else Fraction(0))
                     nxt_open[child] = nxt_open.get(child, Fraction(0)) + \
-                        flow_open * (cand.cont(child) / cand.reach(child)
-                                     if cand.reach(child) else Fraction(0))
+                        flow_open * (cont_of(cand, child) / reach_of(cand, child)
+                                     if reach_of(cand, child) else Fraction(0))
                 else:
                     nxt_open.setdefault(child, Fraction(0))
                     nxt_stop.setdefault(child, Fraction(0))
@@ -760,7 +817,7 @@ def oracle_check_membership(tree: TreeInstance, candidate, degree: int = 2,
     if candidate.claimed_history != tree.history:
         detail["history"] = {"claimed": candidate.claimed_history,
                              "pinned": tree.history}
-    never_stops = sum(candidate.cont(w) for w in tree.leaves())
+    never_stops = sum(cont_of(candidate, w) for w in tree.leaves())
     if never_stops != 0:
         detail["mass_never_stopping"] = never_stops
     report.clause2_detail = detail
@@ -920,6 +977,44 @@ def oracle_node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
                 for j, (p, _) in enumerate(tree.branching[len(word)])]
         env[word] = oracle_backstep(pi_here, f_step, g_step, kids)
     return env
+
+
+# The library's int chain kernels (``dp._paste``, ``envelope._merged`` and
+# ``_built``) on Fraction inputs, for comparison with the two oracles above:
+# ``int_chains`` brings (probability, envelope) pairs and extra Fractions to
+# ints over common denominators.
+
+def int_chains(children, xs=(), vs=()):
+    """(probability, envelope) children as chains of ints over one budget
+    unit X and one value unit V: the least common denominators of every
+    p * x and p * v and of the extra Fractions ``xs`` and ``vs``.  Returns
+    (X, V, the (1, chain) pairs, xs and vs as ints over X and V).  A child
+    of probability 0 has no segments."""
+    rows = [([p * x for x in env.xs], [p * v for v in env.vs])
+            for p, env in ((as_fraction(p), env) for p, env in children)]
+    rows.append((xs, vs))
+    X = math.lcm(*(x.denominator for px, _ in rows for x in px))
+    V = math.lcm(*(v.denominator for _, pv in rows for v in pv))
+    *rows, (xs, vs) = [([x.numerator * (X // x.denominator) for x in px],
+                        [v.numerator * (V // v.denominator) for v in pv]) for px, pv in rows]
+    chains = [(1, (px[0], pv[0], pv[-1], [(v1 - v0, x1 - x0) for x0, x1, v0, v1
+                                          in zip(px, px[1:], pv, pv[1:]) if v1 > v0]))
+              for px, pv in rows]
+    return X, V, chains, xs, vs
+
+
+def kernel_merged_envelope(children) -> ConcaveEnvelope:
+    """``oracle_merged_envelope`` by the library's ``_merged``."""
+    X, V, chains, _, _ = int_chains(children)
+    return _built(_merged(chains), X, V)
+
+
+def kernel_backstep(stop_value, reward_step, budget_step, children) -> ConcaveEnvelope:
+    """``oracle_backstep`` by the library's ``_paste``."""
+    X, V, kids, (budget,), (stop, reward) = int_chains(
+        children, (as_fraction(budget_step),),
+        (as_fraction(stop_value), as_fraction(reward_step)))
+    return _built(_paste(stop, reward, budget, kids), X, V)
 
 
 # -- instance expressions --------------------------------------------------------

@@ -15,7 +15,7 @@ from treestop.generate import generate_instance
 from treestop.measures import feasible_for
 
 from conftest import assert_separates, make_rw
-from oracles import best_rule_value, node_lp_solve, snell_value
+from oracles import best_rule_value, node_lp_solve, snell_value, stop_payoff
 
 F = Fraction
 HALF = F(1, 2)
@@ -128,7 +128,7 @@ def test_column_generation_matches_the_node_lp(case):
 
     def lagrangian(word):
         _, Gs, Hs = tree._functionals(word)
-        return tree.stop_payoff(word) - sum(p * G for p, G in zip(pi, Gs)) \
+        return stop_payoff(tree, word) - sum(p * G for p, G in zip(pi, Gs)) \
             - sum(m * H for m, H in zip(mu, Hs))
 
     priced = sum(p * y.fraction() for p, y in zip(pi, budgets.ys) if p) \

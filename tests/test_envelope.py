@@ -6,9 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from treestop import BudgetBelowDomain, ConcaveEnvelope, Ext, POS_INF, allocate
-from treestop.envelope import _STEEPEST_FIRST, _built, merged_envelope
+from treestop.envelope import _STEEPEST_FIRST, _built
 
-from oracles import brute_allocate, envelope_from_breakpoints, hull_of_points
+from oracles import (brute_allocate, envelope_from_breakpoints, hull_of_points,
+                     kernel_merged_envelope)
 
 F = Fraction
 HALF = F(1, 2)
@@ -107,7 +108,7 @@ def test_merged_envelope_equals_allocate_on_a_grid():
     e1 = env([0, 1, 2], [0, F(3, 2), 2])
     e2 = env([0, 3], [F(1), F(2)])
     children = [(F(1, 4), e1), (F(3, 4), e2)]
-    merged = merged_envelope(children)
+    merged = kernel_merged_envelope(children)
     for k in range(0, 13):
         y = F(k, 4)
         assert merged.value(y) == allocate(children, y)[0]

@@ -187,6 +187,29 @@ def test_constants_above_the_bit_cap_are_refused_at_load(spec, bits):
                        "pi": spec})
 
 
+def test_values_above_the_bit_cap_are_undefined_at_a_node():
+    # the expression is within its caps, but its value at a node is not; the
+    # message gives the bit counts of the value and of a long state, never
+    # their digits
+    fn, _ = parse_function("((10**64)**64)**(x_current + 2)")
+    assert fn(F(0), (F(-1),)) == F(10) ** 4096
+    with pytest.raises(ExpressionUndefined, match=r"^'\(\(10\*\*64\)\*\*64\)\*\*\(x_current \+ 2\)' "
+                       rf"has a value of 27214 bits, above the cap {MAX_CONSTANT_BITS}, "
+                       r"at t = 0, state 0$"):
+        fn(F(0), (F(0),))
+    fn, _ = parse_function("x_current**64")
+    assert fn(F(1), (F(2) ** 218,)) == F(2) ** (218 * 64)
+    state = F(2) ** 219 / 3
+    with pytest.raises(ExpressionUndefined, match=r"^'x_current\*\*64' has a value of 14017 "
+                       rf"bits, above the cap {MAX_CONSTANT_BITS}, at t = 1, state of 220 bits$"):
+        fn(F(1), (state,))
+    with pytest.raises(ExpressionUndefined, match=r"above the cap .* state \(of 220 bits, 1\)$"):
+        fn(F(1), ((state, F(1)),))
+    # a coordinate of 128 bits still shows as its value
+    with pytest.raises(ExpressionUndefined, match=rf"at t = 1, state {2 ** 127}$"):
+        parse_function("(x_current**64)**2")[0](F(1), (F(2) ** 127,))
+
+
 def test_power_builtin_at_negative_time_is_undefined_not_a_domain_error():
     fn, _ = parse_function("power:1,1/2,0")
     with pytest.raises(ExpressionUndefined,

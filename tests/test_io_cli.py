@@ -527,6 +527,16 @@ def _bad_input(tmp_path, case):
     # 0 at load's dummy point and at the root, a million at "+"
     if case == "exponent-huge-at-a-node":
         return write(json.dumps(dict(RW2_DOC, pi="2 ** (1000000 * x_current)")))
+    # a constant and a degree within their caps, but 10 ** 8192 at the root:
+    # the solve printed its status and then failed to print the value
+    if case == "constant-power-at-a-node":
+        return write(json.dumps(dict(RW2_DOC, pi="((10**64)**64)**(x_current + 2)")))
+    # the Euler step composes x ** 64 level by level: 2 ** 262144 at t = 2,
+    # and the next level ran for more than 60 s
+    if case == "drift-power-cascade":
+        return write(json.dumps(dict(RW2_DOC, depth=4, x0_history=["2"], drift="x_current**64",
+                                     branching=[{"p": "1/2", "w": "1/3"},
+                                                {"p": "1/2", "w": "-1/3"}])))
 
     if case == "no-instance":
         return ["solve"]
@@ -617,7 +627,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history",
               *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
               "exponent-huge", "exponent-nested", "exponent-constant-nested",
-              "exponent-huge-at-a-node",
+              "exponent-huge-at-a-node", "constant-power-at-a-node", "drift-power-cascade",
               "singular-at-the-history-sup",
               "singular-below-the-sup", "vector-x0-history", "vector-increment")
 

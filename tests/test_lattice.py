@@ -13,7 +13,7 @@ from treestop import (BudgetVector, ConstraintSpec, Ext, NEG_INF,
 from treestop.lattice import MAX_NODES, TreeInstance
 
 from conftest import count_calls, make_rw
-from oracles import functionals_by_words, straight_line_euler, terminal_at
+from oracles import functionals_by_words, stop_payoff, straight_line_euler, terminal_at
 
 HALF = Fraction(1, 2)
 BINOM = [(HALF, 1), (HALF, -1)]
@@ -173,7 +173,7 @@ def test_non_finite_node_data_is_rejected_at_every_entry_point(source, bad):
     rule_map = {(): HALF, (0,): HALF, (1,): HALF}
     entries = [
         # a terminal payoff is read at the node, a rate at its children
-        lambda tree: tree.stop_payoff((0,) if source == "terminal" else (0, 0)),
+        lambda tree: stop_payoff(tree, (0,) if source == "terminal" else (0, 0)),
         lambda tree: solve_weak(tree),
         lambda tree: rule_to_measure(tree, rule_from_map(tree, rule_map)).expectations(tree),
         lambda tree: monte_carlo_value(tree, rule_from_map(tree, rule_map), paths=1),
@@ -194,7 +194,7 @@ def test_cumulative_functionals_are_fractions():
     for word in tree.nodes():
         F, Gs, Hs = cumulative_functionals(tree, word)
         assert all(type(v) is Fraction for v in (F, *Gs, *Hs))
-        assert type(tree.stop_payoff(word)) is Fraction
+        assert type(stop_payoff(tree, word)) is Fraction
 
 
 def test_rates_are_evaluated_once_per_interior_node():

