@@ -70,7 +70,7 @@ print(f"  direct check: {report.direct_detail['check']} at node "
       f"{[str(p) for p in report.direct_detail['claimed']]}")
 
 print("\nEuler gap of the generator-form compensator under refinement:")
-study = generator_gap_decay(drift=1, diffusion=1)
+study = generator_gap_decay()
 for dt, stat in zip(study["dts"], study["stats"]):
     print(f"  dt = {str(dt):<4}: max |statistic| = {stat:.6f}")
 print(f"log-log slope = {study['slope']:.3f} (linear decay)")

@@ -24,24 +24,18 @@ numerators; segments sort steepest first by cross multiplication, and
 equal slopes merge by adding rises and widths.  The stop point (0, stop
 value) is pasted by walking kinks from x0 only as far as needed.
 
-Fractions appear only at the boundary: ``_built`` checks a chain in ints
-and divides it by its level's two units when an envelope is returned,
-with no second pass over Fraction slopes (``node_envelopes`` builds
-one per key and hands it to every node with the key; ``root_envelope``
-builds the root's once per tree and caches it on the instance).
+Fractions appear only at the boundary: ``_built`` checks the root's chain
+in ints and divides it by the root level's two units, once per tree
+(``root_envelope`` caches the envelope on the instance).
 
-Other constraint mixes go to the LP oracle.  Values are concave in an
-equality target too (a mixture of stopping laws is a stopping law), but
-envelopes on a bounded target interval are not handled yet.
+Other constraint mixes, equality targets included, go to the LP oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from .envelope import ConcaveEnvelope, _built, _merged
 from .errors import UnsupportedConstraintShape
-from .lattice import TreeInstance, Word
+from .lattice import TreeInstance
 from .xreal import Ext
 
 
@@ -112,13 +106,6 @@ def _sweep(tree: TreeInstance):
                     for stop, (f, g), ks in zip(pays[k], steps[k], kids[k])]
         yield here, (u * G, u * V)
         below = here
-
-
-def node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
-    """Value-in-budget envelope of every node, in one sweep: a node's is its
-    key's, built once per key."""
-    envs = [[_built(chain, *unit) for chain in here] for here, unit in _sweep(tree)][::-1]
-    return {w: envs[len(w)][key] for w, key in zip(tree._shape().words, tree._row_keys())}
 
 
 def root_envelope(tree: TreeInstance) -> ConcaveEnvelope:

@@ -9,56 +9,38 @@ an exact sort of their pooled segments (``_merged``), and ``_built`` turns
 a chain back into an envelope after checking it in ints (positive widths,
 nonnegative rises, falling slopes by cross multiplication), so no slope is
 re-derived by Fraction arithmetic; Fractions are met only there, one per
-breakpoint coordinate and slope.
+breakpoint coordinate.  The public constructor brings its breakpoints to
+one such chain and runs the same check.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import itemgetter
-from typing import List, Sequence, Tuple
+from math import lcm
+from typing import Tuple
 
 from .errors import BudgetBelowDomain
-from .xreal import Ext, as_fraction
+from .xreal import Ext
 
 
 @dataclass(frozen=True, slots=True)
 class ConcaveEnvelope:
-    """Breakpoints of a concave non-decreasing piecewise-linear function.
-
-    The slopes between breakpoints are computed once, when the envelope is
-    validated, and kept for merging.
-    """
+    """Breakpoints of a concave non-decreasing piecewise-linear function."""
 
     xs: Tuple[Fraction, ...]
     vs: Tuple[Fraction, ...]
-    _slopes: Tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.xs or len(self.xs) != len(self.vs):
             raise ValueError("need matching, non-empty breakpoint lists")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if b <= a:
-                raise ValueError("breakpoints must increase strictly")
-        slopes = tuple((v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in
-                       zip(self.xs, self.xs[1:], self.vs, self.vs[1:]))
-        for s in slopes:
-            if s < 0:
-                raise ValueError("envelope must be non-decreasing")
-        for a, b in zip(slopes, slopes[1:]):
-            if b > a:
-                raise ValueError("envelope must be concave")
-        object.__setattr__(self, "_slopes", slopes)
-
-    # -- basic queries -----------------------------------------------------
-
-    def segments(self) -> List[Tuple[Fraction, Fraction]]:
-        """(slope, width) pairs of the strictly rising part."""
-        return [(s, x1 - x0) for s, x0, x1 in
-                zip(self._slopes, self.xs, self.xs[1:]) if s > 0]
+        X = lcm(*(x.denominator for x in self.xs))
+        V = lcm(*(v.denominator for v in self.vs))
+        xs = [x.numerator * (X // x.denominator) for x in self.xs]
+        vs = [v.numerator * (V // v.denominator) for v in self.vs]
+        _check([(v1 - v0, x1 - x0) for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:])])
 
     def value(self, y) -> Fraction:
         """Evaluate at a budget; +inf returns the terminal plateau."""
@@ -104,13 +86,9 @@ def _merged(chains, dx=0, dv=0):
     return x0, v0, top, segments
 
 
-def _built(chain, x_unit, v_unit) -> ConcaveEnvelope:
-    """The envelope of an int chain whose budgets are over ``x_unit`` and
-    values over ``v_unit``.  The chain is checked in ints, with the public
-    constructor's messages: every width positive, every rise nonnegative,
-    and slopes falling by cross multiplication; each slope is then one
-    Fraction, r * x_unit / (w * v_unit)."""
-    x, v, _, segments = chain
+def _check(segments) -> None:
+    """Check int (rise, width) segments: every width positive, every rise
+    nonnegative, and slopes falling by cross multiplication."""
     if any(w <= 0 for _, w in segments):
         raise ValueError("breakpoints must increase strictly")
     if any(r < 0 for r, _ in segments):
@@ -118,6 +96,13 @@ def _built(chain, x_unit, v_unit) -> ConcaveEnvelope:
     for (r0, w0), (r1, w1) in zip(segments, segments[1:]):
         if r1 * w0 > r0 * w1:
             raise ValueError("envelope must be concave")
+
+
+def _built(chain, x_unit, v_unit) -> ConcaveEnvelope:
+    """The envelope of an int chain whose budgets are over ``x_unit`` and
+    values over ``v_unit``, checked by ``_check``."""
+    x, v, _, segments = chain
+    _check(segments)
     xs, vs = [Fraction(x, x_unit)], [Fraction(v, v_unit)]
     for r, w in segments:
         x, v = x + w, v + r
@@ -125,39 +110,4 @@ def _built(chain, x_unit, v_unit) -> ConcaveEnvelope:
     env = object.__new__(ConcaveEnvelope)  # checked: no __post_init__ pass
     object.__setattr__(env, "xs", tuple(xs))
     object.__setattr__(env, "vs", tuple(vs))
-    object.__setattr__(env, "_slopes", tuple(Fraction(r * x_unit, w * v_unit)
-                                             for r, w in segments))
     return env
-
-
-def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
-    """Best value of sum p_j V_j(y_j) subject to sum p_j y_j <= total.
-
-    Greedy on merged marginal slopes; exact.  Returns the value and one
-    attaining allocation (per-child budgets).  total may be +inf.
-    """
-    children = [(as_fraction(p), env) for p, env in children]
-    if not children:
-        raise ValueError("allocate needs at least one child")
-    total = Ext.parse(total)
-    base_x = sum(p * env.xs[0] for p, env in children)
-    if total.is_neg_inf or (total.is_finite and total.fraction() < base_x):
-        raise BudgetBelowDomain(
-            f"total {total} below minimal feasible sum {base_x}")
-    value = sum(p * env.vs[0] for p, env in children)
-    alloc = [env.xs[0] for _, env in children]
-    remaining = None if total.is_pos_inf else total.fraction() - base_x
-    pool = [(s, p * w, j) for j, (p, env) in enumerate(children) if p
-            for s, w in env.segments()]
-    pool.sort(key=itemgetter(0), reverse=True)  # stable: ties keep child order
-    for slope, gwidth, j in pool:
-        if remaining is not None:
-            if remaining == 0:
-                break
-            take = min(remaining, gwidth)
-            remaining -= take
-        else:
-            take = gwidth
-        value += slope * take
-        alloc[j] += take / children[j][0]
-    return value, alloc

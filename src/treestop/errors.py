@@ -65,8 +65,8 @@ class DegreeTooHigh(TreestopError):
 class EmptyBattery(TreestopError):
     """A membership check would run no clause-1 statistic at all.
 
-    A degree or weight budget below 1 leaves clause 1 vacuous, so it
-    could not reject any candidate.
+    A degree below 1 leaves clause 1 vacuous, so it could not reject any
+    candidate.
     """
 
 

@@ -129,7 +129,16 @@ def _int_pow(a, b):
         raise _BadExponent(f"the non-integer power {fmt_rational(b)}")
     if abs(b) > MAX_EXPONENT:
         raise _BadExponent(f"a power whose exponent is above the cap {MAX_EXPONENT}")
-    return a ** b.numerator
+    return _power(a, b.numerator)
+
+
+def _power(a, n: int):
+    """a ** n, refused unbuilt when |n| * (bits(a) - 1) + 1, a lower bound on
+    its bits, is above 2 * ``MAX_CONSTANT_BITS``; ``_guarded`` checks the rest."""
+    bits = abs(n) * (_bits(a) - 1) + 1
+    if bits > 2 * MAX_CONSTANT_BITS:
+        raise _BadExponent(f"a power of at least {bits} bits, above the cap {MAX_CONSTANT_BITS},")
+    return a ** n
 
 
 _ALLOWED_NAMES = ("t", "x_current", "x_sup")
@@ -172,7 +181,7 @@ def _compile(node):
                 n = _int_exponent(b)
                 if not callable(a):
                     _constant(a, abs(n))
-                return _fold(operator.pow, a, n), da * abs(n)
+                return _fold(_power, a, n), da * abs(n)
             _check_exponent(b)
             degree = max(da, 1) * MAX_EXPONENT
         elif isinstance(node.op, (ast.Mult, ast.Div)):

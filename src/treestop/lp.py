@@ -235,7 +235,7 @@ def _solve(tree: TreeInstance, budgets: BudgetVector) -> SolveResult:
         res = simplex.solve_lp([c[0] for c in columns],
                                [[c[r] for c in columns] for r in rows]
                                + [[1] * len(columns)],  # the convexity row
-                               senses + ["="], rhs + [1], maximize=True)
+                               senses + ["="], rhs + [1])
         if res.status == simplex.INFEASIBLE:
             y = res.certificate
             weights = spread(0, y)
@@ -311,7 +311,7 @@ def _vertex(table: NodeTable, pay, env, rows, senses, rhs) -> StoppingMeasure:
             lp_rows.append([Fraction(gain[t][r], dens[r]) for t in tied])
             lp_rhs.append(b - Fraction(fixed[r], dens[r]))
         res = simplex.solve_lp([Fraction(gain[t][0], dens[0]) for t in tied], lp_rows,
-                               ["<="] * len(tied) + senses, lp_rhs, maximize=True)
+                               ["<="] * len(tied) + senses, lp_rhs)
         if res.status != simplex.OPTIMAL:
             raise InvariantViolation(
                 f"the optimal face holds the master's mixture, but the crossover "

@@ -48,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
+from statistics import linear_regression
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooHigh, EmptyBattery
@@ -57,6 +58,7 @@ from .rules import RandomizedStoppingRule, rule_from_map, rule_to_measure
 from .xreal import as_fraction
 
 MAX_DEGREE = 4
+_WEIGHT_BUDGET = 16  # cylinder weights per start time in clause 1
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +74,8 @@ class Polynomial:
                        if as_fraction(c) != 0}
 
     @staticmethod
-    def monomial(nvars: int, exps: Sequence[int], coeff=1) -> "Polynomial":
-        return Polynomial(nvars, {tuple(exps): as_fraction(coeff)})
+    def monomial(nvars: int, exps: Sequence[int]) -> "Polynomial":
+        return Polynomial(nvars, {tuple(exps): Fraction(1)})
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
@@ -304,18 +306,11 @@ class WeightFactor:
     point and a stopped/not-stopped flag ("any" tests the box alone)."""
 
     time: int
-    box: Optional[Tuple[Tuple[Optional[Fraction], Optional[Fraction]], ...]] = None
+    box: Optional[Tuple[Tuple[Fraction, Fraction], ...]] = None  # [lo, hi) per coordinate
     flag: str = "any"  # "stopped" | "open" | "any"
 
     def box_holds(self, point) -> bool:
-        if self.box is None:
-            return True
-        for c, (lo, hi) in zip(point, self.box):
-            if lo is not None and c < lo:
-                return False
-            if hi is not None and c >= hi:
-                return False
-        return True
+        return self.box is None or all(lo <= c < hi for c, (lo, hi) in zip(point, self.box))
 
 
 @dataclass(frozen=True)
@@ -324,14 +319,13 @@ class CylinderWeight:
     factors: Tuple[WeightFactor, ...]
 
 
-def weight_battery(tree: TreeInstance, cand: CandidateLaw, s: int,
-                   budget: int) -> List[CylinderWeight]:
+def weight_battery(tree: TreeInstance, cand: CandidateLaw, s: int) -> List[CylinderWeight]:
     """Deterministic cylinder-weight family for tests ending at time s.
 
     Enumerates, in order: the trivial weight; stopped / not-stopped flags
     at each time <= s; path-pinning boxes (built on rational thresholds
     separating the claimed values at each depth) with a flag at the pinned
-    node's time.  The enumeration is capped at ``budget`` weights.
+    node's time.  The enumeration is capped at ``_WEIGHT_BUDGET`` weights.
     """
     out = [CylinderWeight(label="1", factors=())]
     for time in range(0, s + 1):
@@ -344,7 +338,7 @@ def weight_battery(tree: TreeInstance, cand: CandidateLaw, s: int,
     eps: Dict[int, Fraction] = {}
     pins = {0: ()}  # per row, the boxes on its path from depth 1 down
     for i in range(1, bounds[min(s, tree.depth) + 1]):
-        if len(out) >= budget:
+        if len(out) >= _WEIGHT_BUDGET:
             break
         w = shape.words[i]
         k = len(w)
@@ -360,9 +354,7 @@ def weight_battery(tree: TreeInstance, cand: CandidateLaw, s: int,
             out.append(CylinderWeight(
                 label=f"pin{''.join(map(str, w))}/{flag}",
                 factors=pins[i][:-1] + (WeightFactor(time=k, box=box, flag=flag),)))
-            if len(out) >= budget:
-                break
-    return out[:budget]
+    return out[:_WEIGHT_BUDGET]
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +524,7 @@ class MembershipReport:
 
 
 def check_membership(tree: TreeInstance, candidate, degree: int = 2,
-                     mode: str = "exact", tolerance=Fraction(1),
-                     weight_budget: int = 16,
-                     fail_fast: bool = False) -> MembershipReport:
+                     mode: str = "exact", tolerance=Fraction(1)) -> MembershipReport:
     """Decide membership of a candidate in the admissible law class.
 
     Clause 1 runs every monomial up to ``degree`` against all grid time
@@ -545,14 +535,13 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
     compares the claimed transitions and states with the model's node by
     node (``_Sweep.direct_failure``); the battery alone cannot decide, as a
     corruption that keeps the increment's lower moments passes every
-    low-degree test.  The verdict is the conjunction of all three, and
-    ``fail_fast`` returns at the first that fails.  A degree or weight
-    budget below 1 would leave clause 1 empty and raises ``EmptyBattery``.
+    low-degree test.  The verdict is the conjunction of all three.  A
+    degree below 1 would leave clause 1 empty and raises ``EmptyBattery``.
     """
     if degree > MAX_DEGREE:
         raise DegreeTooHigh(f"degree {degree} exceeds the cap {MAX_DEGREE}")
-    if degree < 1 or weight_budget < 1:
-        raise EmptyBattery(f"degree {degree} and weight budget {weight_budget} "
+    if degree < 1:
+        raise EmptyBattery(f"degree {degree} and weight budget {_WEIGHT_BUDGET} "
                            "must both be at least 1, or clause 1 tests nothing")
     if isinstance(candidate, StoppingMeasure):
         candidate = CandidateLaw.from_measure(tree, candidate)
@@ -569,19 +558,15 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
         detail["mass_never_stopping"] = never_stops
     report.clause2_detail = detail
     report.clause2_pass = not detail
-    if fail_fast and not report.clause2_pass:
-        return report
 
     basis = monomial_basis(tree.d, tree.l, degree)
     sweep = _Sweep(candidate, mode, [phi for _, phi in basis])
     report.direct_detail = sweep.direct_failure()
     report.direct_pass = not report.direct_detail
-    if fail_fast and not report.direct_pass:
-        return report
 
     threshold = as_fraction(tolerance) * tree.dt
     for s in range(0, tree.depth):
-        weights = weight_battery(tree, candidate, s, weight_budget)
+        weights = weight_battery(tree, candidate, s)
         # per weight, the statistics of every phi over the windows s < r, in
         # order of r: running sums of the weight's level rows
         windows = []
@@ -603,8 +588,6 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
                     })
                     if not ok:
                         report.clause1_pass = False
-                        if fail_fast:
-                            return report
     return report
 
 
@@ -613,20 +596,14 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
 # ---------------------------------------------------------------------------
 
 def candidate_with_branch_bias(tree: TreeInstance, rule: RandomizedStoppingRule,
-                               biases, j_up: int = 0,
-                               j_down: int = 1) -> CandidateLaw:
-    """Masses of a rule whose pre-stop flow is biased at the given nodes.
+                               bias) -> CandidateLaw:
+    """Masses of a rule whose pre-stop flow is biased at one node.
 
-    ``biases`` maps nodes to deltas (a single (node, delta) pair is also
-    accepted): at each biased node, branch ``j_up`` gains delta of
-    probability and branch ``j_down`` loses it.
+    ``bias`` is a (node, delta) pair: at the node, branch 0 gains delta of
+    probability and branch 1 loses it.
     """
-    if not isinstance(biases, dict):
-        node, delta = biases
-        biases = {tuple(node): delta}
-    biases = {tuple(w): as_fraction(dv) for w, dv in biases.items()}
-    for w in biases:
-        tree.check_word(w)
+    node, delta = tuple(bias[0]), as_fraction(bias[1])
+    tree.check_word(node)
 
     # the rule's law pushed forward with the biased branch probabilities
     s, u = {}, {}
@@ -634,8 +611,9 @@ def candidate_with_branch_bias(tree: TreeInstance, rule: RandomizedStoppingRule,
         arrive = Fraction(1)
         if w:
             parent, j = w[:-1], w[-1]
-            p, bias = tree.branching[len(parent)][j][0], biases.get(parent, 0)
-            p = p + bias if j == j_up else p - bias if j == j_down else p
+            p = tree.branching[len(parent)][j][0]
+            if parent == node and j < 2:
+                p = p + delta if j == 0 else p - delta
             if p < 0 or p > 1:
                 raise ValueError("biased probability outside [0, 1]")
             arrive = p * u[parent]
@@ -676,37 +654,27 @@ def candidate_with_pre_start_mass(tree: TreeInstance, measure: StoppingMeasure,
 # grid-refinement study of the generator gap
 # ---------------------------------------------------------------------------
 
-def generator_gap_decay(dts=(Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)),
-                        horizon: Fraction = Fraction(1), drift=1, diffusion=1,
-                        x0=0, degree: int = 2) -> dict:
+def generator_gap_decay() -> dict:
     """Largest generator-mode statistic across grid refinements.
 
-    Builds symmetric binomial trees with increments +-sqrt(dt) (snapped to
-    exact binary rationals) for the same constant coefficients, measures
-    the maximal absolute clause-1 statistic with the trivial weight over
-    the whole horizon, and fits a log-log slope.  The exact compensator
-    would give zero; the generator form leaves the Euler gap, which decays
-    linearly in dt.
+    Builds symmetric binomial trees on [0, 1] with dt = 1, 1/2, 1/4 and 1/8,
+    increments +-sqrt(dt) (snapped to exact binary rationals), drift and
+    diffusion 1 and x0 = 0, measures the maximal absolute degree-2 clause-1
+    statistic with the trivial weight over the whole horizon, and fits a
+    log-log slope.  The exact compensator would give zero; the generator
+    form leaves the Euler gap, which decays linearly in dt.
     """
-    from .lattice import build_tree  # local import avoids a cycle at load
-
+    dts = [Fraction(1, 2 ** k) for k in range(4)]
+    phis = [phi for _, phi in monomial_basis(1, 1, 2)]
     stats: List[float] = []
     for dt in dts:
-        dt = as_fraction(dt)
-        steps = int(horizon / dt)
         w = as_fraction(math.sqrt(float(dt)))
-        tree = build_tree(dt=dt, depth=steps,
-                          branching=[(Fraction(1, 2), w), (Fraction(1, 2), -w)],
-                          x0=x0, drift=drift, diffusion=diffusion)
+        tree = TreeInstance(dt=dt, depth=dt.denominator,  # horizon 1
+                            branching=[(Fraction(1, 2), w), (Fraction(1, 2), -w)],
+                            x0=0, drift=1, diffusion=1)
         cand = CandidateLaw.from_measure(tree, _stop_at_horizon(tree))
-        phis = [phi for _, phi in monomial_basis(1, 1, degree)]
         levels = _Sweep(cand, "generator", phis).levels(
             CylinderWeight(label="1", factors=()))
         stats.append(float(max(abs(sum(col, Fraction(0))) for col in zip(*levels))))
-    xs = [math.log(float(dt)) for dt in dts]
-    ys = [math.log(v) for v in stats]
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / \
-        sum((x - mx) ** 2 for x in xs)
-    return {"dts": [as_fraction(dt) for dt in dts], "stats": stats, "slope": slope}
+    slope = linear_regression([math.log(dt) for dt in dts], [math.log(v) for v in stats]).slope
+    return {"dts": dts, "stats": stats, "slope": slope}

@@ -1,6 +1,6 @@
 """Dense two-phase simplex over exact rationals, on integer rows.
 
-Solves  min/max c.x  subject to  rows[i] . x  <sense_i>  rhs[i],  x >= 0
+Solves  max c.x  subject to  rows[i] . x  <sense_i>  rhs[i],  x >= 0
 with senses "<=", ">=", "=".  Bland's rule is used throughout, so the
 method cannot cycle, and the returned optimum is exact.  Every row carries
 an artificial column, which makes phase-one startup uniform and lets dual
@@ -42,15 +42,13 @@ class LPResult:
     status: str
     x: Optional[List[Fraction]] = None
     objective: Optional[Fraction] = None
-    # duals[i] = d(objective)/d(rhs[i]) at the optimum, in the caller's
-    # orientation (max problems: relaxing a <= row cannot decrease value).
+    # duals[i] = d(objective)/d(rhs[i]) at the optimum: relaxing a <= row
+    # cannot decrease the value.
     duals: Optional[List[Fraction]] = None
     # Farkas certificate when infeasible: multipliers y per original row
     # with y . rhs > 0 and y . col <= 0 for every column of the standard
     # form (structural and slack), witnessing emptiness.
     certificate: Optional[List[Fraction]] = None
-    basis: Optional[List[int]] = None
-    n_structural: int = 0
 
 
 def _scaled(values: Sequence):
@@ -117,12 +115,10 @@ def _run(T, D, basis, m, limit) -> str:
 
 
 def solve_lp(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
-             rhs: Sequence, maximize: bool = False) -> LPResult:
+             rhs: Sequence) -> LPResult:
     n = len(c)
     m = len(rows)
     c = [Fraction(v) for v in c]
-    if maximize:
-        c = [-v for v in c]
 
     # orient all rows to rhs >= 0, remembering the sign flips for duals
     sense = list(senses)
@@ -186,7 +182,7 @@ def solve_lp(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
         # duals of phase one give the emptiness certificate
         r1, d1 = T[m], D[m]
         y = [Fraction(d1 - r1[art0 + i], d1) * flip[i] for i in range(m)]
-        return LPResult(status=INFEASIBLE, certificate=y, n_structural=n)
+        return LPResult(status=INFEASIBLE, certificate=y)
 
     # drive basic artificials out on any nonzero entry (their rows are at 0)
     for i in range(m):
@@ -196,26 +192,20 @@ def solve_lp(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
                     _pivot(T, D, basis, i, j)
                     break
 
-    # phase two
-    nums, den = _scaled(c)
+    # phase two minimizes -c.x
+    nums, den = _scaled([-v for v in c])
     T[m] = nums + [0] * (n_slack + m) + [0]
     D[m] = den
     price_out()
     status = _run(T, D, basis, m, art0)
     if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED, n_structural=n)
+        return LPResult(status=UNBOUNDED)
 
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = Fraction(T[i][width], D[i])
-    obj_min = sum(ci * xi for ci, xi in zip(c, x))
     r2, d2 = T[m], D[m]
-    duals = [Fraction(-r2[art0 + i], d2) * flip[i] for i in range(m)]
-    if maximize:
-        obj = -obj_min
-        duals = [-y for y in duals]
-    else:
-        obj = obj_min
-    return LPResult(status=OPTIMAL, x=x, objective=obj, duals=duals,
-                    basis=list(basis), n_structural=n)
+    duals = [Fraction(r2[art0 + i], d2) * flip[i] for i in range(m)]
+    return LPResult(status=OPTIMAL, x=x, objective=sum(ci * xi for ci, xi in zip(c, x)),
+                    duals=duals)

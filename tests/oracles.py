@@ -22,9 +22,12 @@ Some helpers here are test-only API rather than independent references:
 ``increment_sum``; ``compensated_process``, built on the library's own
 ``_compensators``; ``paste``, the inverse of ``condition``; ``stop_payoff``,
 read off the node table; ``stop_of``, ``cont_of`` and ``reach_of``, a
-candidate law's masses at a node; and ``int_chains``, which brings Fraction
+candidate law's masses at a node; ``int_chains``, which brings Fraction
 envelopes to the int chains that ``kernel_backstep`` and
-``kernel_merged_envelope`` run the library's ``_paste`` and ``_merged`` on.
+``kernel_merged_envelope`` run the library's ``_paste`` and ``_merged`` on;
+``node_envelopes``, every node's envelope from the library's sweep;
+``allocate``, the greedy budget split across children; and ``slopes`` and
+``segments``, read off an envelope's breakpoints.
 """
 
 import ast
@@ -33,20 +36,22 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from treestop import Ext, simplex
-from treestop.dp import _paste, _require_scalar_shape
+from treestop.dp import _paste, _require_scalar_shape, _sweep
 from treestop.dpp import condition, normalize_cut
 from treestop.envelope import ConcaveEnvelope, _built, _merged
-from treestop.errors import DegreeTooHigh, InvariantViolation, ShapeMismatch, TreestopError
+from treestop.errors import (BudgetBelowDomain, DegreeTooHigh, InvariantViolation,
+                             ShapeMismatch, TreestopError)
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _G_NONNEG, _H_ANY,
                                 _INCREMENTS, _REWARDS, _TERMINALS, BRANCH_CAP, DEPTH_CAP)
 from treestop.errors import ShapeTooLarge
 from treestop.io import fmt_rational, load_instance
 from treestop.lattice import (ROOT, BudgetVector, KeyedWalk, NodeTable, Shape, TreeInstance,
                               Word, _as_matrix, _as_vector, _finite)
-from treestop.martingale import (MAX_DEGREE, CandidateLaw, CylinderWeight,
+from treestop.martingale import (_WEIGHT_BUDGET, MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
                                  _compensators, _sigbar_entry, _stop_at_horizon,
                                  monomial_basis)
@@ -249,7 +254,7 @@ def node_lp_solve(tree: TreeInstance, budgets=None, solve_lp=None) -> SolveResul
         rows.append([st[tree.constraints.n_ineq + k] for st in steps])
         senses.append("="); rhs.append(z.fraction())
 
-    res = solve_lp(obj, rows, senses, rhs, maximize=True)
+    res = solve_lp(obj, rows, senses, rhs)
     if res.status == INFEASIBLE:
         return SolveResult(status=SOLVE_INFEASIBLE, reason="empty constraint set",
                            certificate=res.certificate)
@@ -386,18 +391,17 @@ def brute_allocate(children, total, steps=200):
 
 
 def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str],
-                     rhs: Sequence, maximize: bool = False) -> LPResult:
+                     rhs: Sequence, basis_out: list = None) -> LPResult:
     """The dense Fraction-tableau simplex, kept as a differential oracle.
 
-    Same Bland-rule two-phase method as ``treestop.simplex.solve_lp`` with a
-    Fraction per tableau entry; the library solver must return an identical
-    LPResult on every input.
+    Same Bland-rule two-phase method as ``treestop.simplex.solve_lp``
+    (maximize c.x) with a Fraction per tableau entry; the library solver
+    must return an identical LPResult on every input.  The final basis is
+    appended to ``basis_out`` when one is given.
     """
     n = len(c)
     m = len(rows)
-    c = [Fraction(v) for v in c]
-    if maximize:
-        c = [-v for v in c]
+    c = [-Fraction(v) for v in c]  # phase two minimizes -c.x
 
     # orient all rows to rhs >= 0, remembering the sign flips for duals
     A = [[Fraction(v) for v in row] for row in rows]
@@ -501,7 +505,7 @@ def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str
     if -r1[width] > 0:  # leftover infeasibility: r1 rhs is -(phase-1 value)
         # duals of phase one give the emptiness certificate
         y = [(1 - r1[art0 + i]) * flip[i] for i in range(m)]
-        return LPResult(status=INFEASIBLE, certificate=y, n_structural=n)
+        return LPResult(status=INFEASIBLE, certificate=y)
 
     # drive basic artificials out on any nonzero entry (their rows are at 0)
     for i in range(m):
@@ -525,21 +529,16 @@ def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str
     allowed2 = [j < art0 for j in range(width)]
     status = run(r2, allowed2)
     if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED, n_structural=n)
+        return LPResult(status=UNBOUNDED)
 
     x = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = T[i][width]
-    obj_min = sum(ci * xi for ci, xi in zip(c, x))
-    duals = [-r2[art0 + i] * flip[i] for i in range(m)]
-    if maximize:
-        obj = -obj_min
-        duals = [-y for y in duals]
-    else:
-        obj = obj_min
-    return LPResult(status=OPTIMAL, x=x, objective=obj, duals=duals,
-                    basis=list(basis), n_structural=n)
+    if basis_out is not None:
+        basis_out += basis
+    return LPResult(status=OPTIMAL, x=x, objective=-sum(ci * xi for ci, xi in zip(c, x)),
+                    duals=[r2[art0 + i] * flip[i] for i in range(m)])
 
 
 # -- membership statistics -----------------------------------------------------
@@ -793,9 +792,7 @@ def oracle_statistic(cand: CandidateLaw, phi: Polynomial, s: int, r: int,
 
 
 def oracle_check_membership(tree: TreeInstance, candidate, degree: int = 2,
-                            mode: str = "exact", tolerance=Fraction(1),
-                            weight_budget: int = 16,
-                            fail_fast: bool = False) -> MembershipReport:
+                            mode: str = "exact", tolerance=Fraction(1)) -> MembershipReport:
     """Decide membership of a candidate in the admissible law class.
 
     Clause 1 runs every monomial up to ``degree`` against all grid time
@@ -822,18 +819,13 @@ def oracle_check_membership(tree: TreeInstance, candidate, degree: int = 2,
         detail["mass_never_stopping"] = never_stops
     report.clause2_detail = detail
     report.clause2_pass = not detail
-    if fail_fast and not report.clause2_pass:
-        return report
     report.direct_detail = oracle_direct_detail(tree, candidate)
     report.direct_pass = not report.direct_detail
-    if fail_fast and not report.direct_pass:
-        return report
 
     basis = monomial_basis(tree.d, tree.l, degree)
     threshold = as_fraction(tolerance) * tree.dt
-    done = False
     for s in range(0, tree.depth):
-        weights = oracle_weight_battery(tree, candidate, s, weight_budget)
+        weights = oracle_weight_battery(tree, candidate, s, _WEIGHT_BUDGET)
         for r in range(s + 1, tree.depth + 1):
             for label, phi in basis:
                 for weight in weights:
@@ -845,16 +837,6 @@ def oracle_check_membership(tree: TreeInstance, candidate, degree: int = 2,
                     })
                     if not ok:
                         report.clause1_pass = False
-                        if fail_fast:
-                            done = True
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
     return report
 
 
@@ -928,7 +910,7 @@ def oracle_merged_envelope(children: Sequence[Tuple[Fraction, ConcaveEnvelope]])
     base_v = sum(p * env.vs[0] for p, env in children)
     pool = []
     for j, (p, env) in enumerate(children):
-        for k, (slope, width) in enumerate(env.segments()):
+        for k, (slope, width) in enumerate(segments(env)):
             pool.append((slope, p * width, j, k))
     pool.sort(key=lambda t: (-t[0], t[2], t[3]))
     xs, vs = [base_x], [base_v]
@@ -1016,6 +998,62 @@ def kernel_backstep(stop_value, reward_step, budget_step, children) -> ConcaveEn
         (as_fraction(stop_value), as_fraction(reward_step)))
     return _built(_paste(stop, reward, budget, kids), X, V)
 
+
+# -- the envelope DP's test-only surface --------------------------------------------
+# ``node_envelopes`` (every node's envelope from the library's level-order
+# sweep) and ``allocate`` (the best budget split across children, with the
+# split) have no program caller; the DP tests read them.  ``slopes`` and
+# ``segments`` read an envelope's breakpoints.
+
+def slopes(env: ConcaveEnvelope) -> List[Fraction]:
+    """The slopes between an envelope's consecutive breakpoints."""
+    return [(v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in
+            zip(env.xs, env.xs[1:], env.vs, env.vs[1:])]
+
+
+def segments(env: ConcaveEnvelope) -> List[Tuple[Fraction, Fraction]]:
+    """(slope, width) pairs of the strictly rising part."""
+    return [(s, x1 - x0) for s, x0, x1 in zip(slopes(env), env.xs, env.xs[1:]) if s > 0]
+
+
+def node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
+    """Value-in-budget envelope of every node, in one sweep: a node's is its
+    key's, built once per key."""
+    envs = [[_built(chain, *unit) for chain in here] for here, unit in _sweep(tree)][::-1]
+    return {w: envs[len(w)][key] for w, key in zip(tree._shape().words, tree._row_keys())}
+
+
+def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
+    """Best value of sum p_j V_j(y_j) subject to sum p_j y_j <= total.
+
+    Greedy on merged marginal slopes; exact.  Returns the value and one
+    attaining allocation (per-child budgets).  total may be +inf.
+    """
+    children = [(as_fraction(p), env) for p, env in children]
+    if not children:
+        raise ValueError("allocate needs at least one child")
+    total = Ext.parse(total)
+    base_x = sum(p * env.xs[0] for p, env in children)
+    if total.is_neg_inf or (total.is_finite and total.fraction() < base_x):
+        raise BudgetBelowDomain(
+            f"total {total} below minimal feasible sum {base_x}")
+    value = sum(p * env.vs[0] for p, env in children)
+    alloc = [env.xs[0] for _, env in children]
+    remaining = None if total.is_pos_inf else total.fraction() - base_x
+    pool = [(s, p * w, j) for j, (p, env) in enumerate(children) if p
+            for s, w in segments(env)]
+    pool.sort(key=itemgetter(0), reverse=True)  # stable: ties keep child order
+    for slope, gwidth, j in pool:
+        if remaining is not None:
+            if remaining == 0:
+                break
+            take = min(remaining, gwidth)
+            remaining -= take
+        else:
+            take = gwidth
+        value += slope * take
+        alloc[j] += take / children[j][0]
+    return value, alloc
 
 # -- instance expressions --------------------------------------------------------
 # ``oracle_eval_node`` is the expression interpreter as it was before

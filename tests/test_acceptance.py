@@ -125,12 +125,12 @@ def test_acceptance_5_membership_tests(pool, pool_solutions):
     # (b) each single corruption is rejected
     rejected = 0
     for i, kind, eps, tree, cand in acceptance_corruptions(pool):
-        report = check_membership(tree, cand, degree=2, fail_fast=True)
+        report = check_membership(tree, cand, degree=2)
         assert not report.ok, (i, kind, eps)
         rejected += 1
 
     # (c) generator-mode statistics decay linearly under grid refinement
-    study = generator_gap_decay(drift=1, diffusion=1)
+    study = generator_gap_decay()
     assert study["slope"] >= 0.9, study
     elapsed = time.perf_counter() - started
     print(f"\nACCEPTANCE 5 membership tests: PASS "

@@ -5,11 +5,10 @@ import pytest
 from treestop import (BudgetBelowDomain, BudgetVector, ConcaveEnvelope, Ext,
                       POS_INF, UnsupportedConstraintShape, build_tree,
                       dp_value, load_instance, root_envelope, solve_weak)
-from treestop.dp import node_envelopes
 from treestop.generate import generate_instance
 
 from conftest import make_rw
-from oracles import kernel_backstep
+from oracles import kernel_backstep, node_envelopes, slopes
 
 F = Fraction
 HALF = F(1, 2)
@@ -99,6 +98,6 @@ def test_envelopes_stay_concave_and_monotone():
     doc = generate_instance(seed=99, depth=3, branches=3, n_ineq=1)
     tree = load_instance(doc)
     for env in node_envelopes(tree).values():
-        slopes = env._slopes
-        assert all(s >= 0 for s in slopes)
-        assert all(a >= b for a, b in zip(slopes, slopes[1:]))
+        env_slopes = slopes(env)
+        assert all(s >= 0 for s in env_slopes)
+        assert all(a >= b for a, b in zip(env_slopes, env_slopes[1:]))

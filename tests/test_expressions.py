@@ -210,6 +210,22 @@ def test_values_above_the_bit_cap_are_undefined_at_a_node():
         parse_function("(x_current**64)**2")[0](F(1), (F(2) ** 127,))
 
 
+def test_a_power_above_twice_the_bit_cap_is_refused_before_it_is_taken():
+    # |n| * (bits(base) - 1) bounds the power's bits from below; at twice the
+    # cap the power is refused unbuilt, and below it taken and checked exactly
+    fn, _ = parse_function("(x_current**64)**64")
+    state = 8 + F(2) ** 12288 + F(1, 3)  # a state of 12,290 bits
+    with pytest.raises(ExpressionUndefined, match=r"^'\(x_current\*\*64\)\*\*64' takes a "
+                       r"power of at least 786497 bits, above the cap 14000, "
+                       r"at t = 1, state of 12290 bits$"):
+        fn(F(1), (state,))
+    fn, _ = parse_function("x_current**(2 * t)")
+    with pytest.raises(ExpressionUndefined, match=r"takes a power of at least 28001 bits"):
+        fn(F(1), (F(2) ** 14000,))
+    with pytest.raises(ExpressionUndefined, match=r"has a value of 27999 bits"):
+        fn(F(1), (F(2) ** 13999,))
+
+
 def test_power_builtin_at_negative_time_is_undefined_not_a_domain_error():
     fn, _ = parse_function("power:1,1/2,0")
     with pytest.raises(ExpressionUndefined,

@@ -537,6 +537,13 @@ def _bad_input(tmp_path, case):
         return write(json.dumps(dict(RW2_DOC, depth=4, x0_history=["2"], drift="x_current**64",
                                      branching=[{"p": "1/2", "w": "1/3"},
                                                 {"p": "1/2", "w": "-1/3"}])))
+    # (x ** 64) ** 64 from 8: 2 ** 12288 at the root, and at t = 1 a power
+    # near 2 ** 50338141, which took 18 s to build before it was refused
+    if case == "drift-nested-power":
+        return write(json.dumps(dict(RW2_DOC, depth=4, x0_history=["8"],
+                                     drift="(x_current**64)**64",
+                                     branching=[{"p": "1/2", "w": "1/3"},
+                                                {"p": "1/2", "w": "-1/3"}])))
 
     if case == "no-instance":
         return ["solve"]
@@ -628,6 +635,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
               "exponent-huge", "exponent-nested", "exponent-constant-nested",
               "exponent-huge-at-a-node", "constant-power-at-a-node", "drift-power-cascade",
+              "drift-nested-power",
               "singular-at-the-history-sup",
               "singular-below-the-sup", "vector-x0-history", "vector-increment")
 

@@ -3,8 +3,7 @@
 ``check_membership`` reads every clause-1 statistic from one forward sweep
 per cylinder weight.  ``oracles.oracle_check_membership`` runs a full
 forward sweep per statistic.  Every report must be equal: the clause-1
-list in order, labels, exact values and pass flags, and the verdicts,
-with and without ``fail_fast``.
+list in order, labels, exact values and pass flags, and the verdicts.
 """
 
 import math
@@ -61,10 +60,8 @@ def test_acceptance_pool_matches_oracle_at_degree_3(pool_measures):
 def test_corruptions_match_oracle_and_are_rejected():
     pool = acceptance_pool()
     for i, kind, eps, tree, cand in acceptance_corruptions(pool):
-        rep = assert_same_reports(tree, cand, degree=2, fail_fast=True)
+        rep = assert_same_reports(tree, cand, degree=2)
         assert not rep.ok, (i, kind, eps)
-        if i < 15:  # five of each kind, also with every statistic
-            assert not assert_same_reports(tree, cand, degree=2).ok
     # a branch law that keeps the increment's lower moments
     tree, cand = moment_preserving_candidate()
     for degree in (2, 3):
@@ -80,7 +77,7 @@ def test_claimed_points_and_battery_match_word_references(pool_measures):
     for tree, cand in cands:
         assert cand.points == [oracle_xi(cand, w) for w in tree.nodes()]
         for s in range(tree.depth):
-            assert weight_battery(tree, cand, s, 16) == oracle_weight_battery(tree, cand, s, 16)
+            assert weight_battery(tree, cand, s) == oracle_weight_battery(tree, cand, s, 16)
 
 
 def _stop_biased_candidate():
@@ -97,10 +94,8 @@ def _stop_biased_candidate():
 
 def test_post_stop_branching_matches_oracle():
     tree, cand = _stop_biased_candidate()
-    for fail_fast in (True, False):
-        for mode in ("exact", "generator"):
-            assert_same_reports(tree, cand, degree=2, mode=mode,
-                                fail_fast=fail_fast)
+    for mode in ("exact", "generator"):
+        assert_same_reports(tree, cand, degree=2, mode=mode)
 
 
 def vector_tree():
@@ -123,9 +118,7 @@ def test_vector_instance_matches_oracle():
     assert_same_reports(tree, measure, degree=2, mode="generator")
     for cand in (candidate_with_branch_bias(tree, rule, ((1,), F(1, 8))),
                  candidate_with_state_shift(tree, measure, (1, 0), F(1, 3))):
-        for fail_fast in (True, False):
-            assert not assert_same_reports(tree, cand, degree=2,
-                                           fail_fast=fail_fast).ok
+        assert not assert_same_reports(tree, cand, degree=2).ok
 
 
 def test_standalone_statistic_matches_oracle():
@@ -133,7 +126,7 @@ def test_standalone_statistic_matches_oracle():
     tree, cand = _stop_biased_candidate()
     for _, phi in monomial_basis(tree.d, tree.l, 2):
         for s in range(tree.depth):
-            for weight in weight_battery(tree, cand, s, 8):
+            for weight in weight_battery(tree, cand, s)[:8]:
                 for r in range(s + 1, tree.depth + 1):
                     for mode in ("exact", "generator"):
                         assert statistic(cand, phi, s, r, weight, mode) == \
@@ -147,21 +140,21 @@ def test_statistic_still_rejects_bad_windows():
     for s, r in ((1, 1), (-1, 2), (0, tree.depth + 1)):
         with pytest.raises(ValueError):
             statistic(cand, phi, s, r, trivial)
-    late = weight_battery(tree, cand, 2, 16)[-1]
+    late = weight_battery(tree, cand, 2)[-1]
     with pytest.raises(ValueError):
         statistic(cand, phi, 1, 2, late)
 
 
 def test_generator_gap_decay_matches_oracle_statistics():
-    dts = (F(1), HALF, F(1, 4))
-    study = generator_gap_decay(dts=dts, degree=3)
+    study = generator_gap_decay()
     trivial = CylinderWeight(label="1", factors=())
-    for dt, got in zip(dts, study["stats"]):
+    assert study["dts"] == [F(1), HALF, F(1, 4), F(1, 8)]
+    for dt, got in zip(study["dts"], study["stats"]):
         steps = int(1 / dt)
         w = as_fraction(math.sqrt(float(dt)))
         tree = build_tree(dt=dt, depth=steps, branching=[(HALF, w), (HALF, -w)],
                           x0=0, drift=1, diffusion=1)
         cand = CandidateLaw.from_measure(tree, _stop_at_horizon(tree))
         want = max(abs(oracle_statistic(cand, phi, 0, steps, trivial, "generator"))
-                   for _, phi in monomial_basis(1, 1, 3))
+                   for _, phi in monomial_basis(1, 1, 2))
         assert got == float(want)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import (Ext, InvariantViolation, NodeNotInTree,
-                      RuleShapeMismatch, ThetaProcess,
+from treestop import (EquivalenceViolation, Ext, InvariantViolation, NodeNotInTree,
+                      RuleShapeMismatch, ThetaProcess, rules,
                       derandomize, equivalence_check, monte_carlo_value,
                       rule_from_map, rule_to_measure, stop_mass_by_eta_integration,
                       theta_of_rule)
@@ -118,6 +118,26 @@ def test_equivalence_half_rule_values(rw2, half_rule):
 def test_equivalence_trivial_immediate_stop(rw2):
     rep = equivalence_check(rw2, rule_q(rw2, {(): 1, (0,): 1, (1,): 1}))
     assert rep["pass"]
+
+
+def test_equivalence_check_raises_when_the_hitting_time_moves_mass(rw2, half_rule,
+                                                                  monkeypatch):
+    # a hitting-time integration that moves 1/8 of stop mass from "+" to "-"
+    real = rules.stop_mass_by_eta_integration
+
+    def moved(tree, theta):
+        mass = dict(real(tree, theta))
+        mass[(0,)] -= Fraction(1, 8)
+        mass[(1,)] += Fraction(1, 8)
+        return mass
+
+    monkeypatch.setattr(rules, "stop_mass_by_eta_integration", moved)
+    with pytest.raises(EquivalenceViolation) as exc:
+        equivalence_check(rw2, half_rule)
+    message, report = exc.value.args
+    assert message == "stop masses differ at (0,): 1/4 vs 1/8"
+    assert report["pass"] is False
+    assert report["stop_mass_hitting"][(1,)] == Fraction(3, 8)
 
 
 def test_equivalence_rejects_corrupted_theta(rw2, half_rule):

@@ -16,7 +16,7 @@ F = Fraction
 
 def test_simple_max():
     # max x + y st x + 2y <= 4, 3x + y <= 6
-    res = solve_lp([1, 1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6], maximize=True)
+    res = solve_lp([1, 1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6])
     assert res.status == OPTIMAL
     assert res.objective == F(14, 5)
     assert res.x == [F(8, 5), F(6, 5)]
@@ -24,17 +24,17 @@ def test_simple_max():
 
 def test_equality_and_duals():
     # max 2x + y st x + y = 1 -> optimum at x=1, dual of the row is 2
-    res = solve_lp([2, 1], [[1, 1]], ["="], [1], maximize=True)
+    res = solve_lp([2, 1], [[1, 1]], ["="], [1])
     assert res.status == OPTIMAL and res.objective == 2
     assert res.duals == [F(2)]
 
 
 def test_dual_of_binding_inequality_is_marginal_value():
     # max x st x <= 3: relaxing the bound gains 1 per unit
-    res = solve_lp([1], [[1]], ["<="], [3], maximize=True)
+    res = solve_lp([1], [[1]], ["<="], [3])
     assert res.objective == 3 and res.duals == [F(1)]
     # non-binding row prices at zero
-    res = solve_lp([1], [[1], [1]], ["<=", "<="], [3, 5], maximize=True)
+    res = solve_lp([1], [[1], [1]], ["<=", "<="], [3, 5])
     assert res.duals == [F(1), F(0)]
 
 
@@ -42,7 +42,7 @@ def test_infeasible_with_farkas_certificate():
     rows = [[1, 1], [-1, -1]]
     senses = ["<=", "<="]
     rhs = [1, -3]  # x + y <= 1 and x + y >= 3
-    res = solve_lp([1, 0], rows, senses, rhs, maximize=True)
+    res = solve_lp([1, 0], rows, senses, rhs)
     assert res.status == INFEASIBLE
     y = res.certificate
     # certificate: y.A <= 0 per column, y.rhs > 0, y <= 0 on "<=" rows
@@ -54,19 +54,19 @@ def test_infeasible_with_farkas_certificate():
 
 
 def test_unbounded_detected():
-    res = solve_lp([1], [[-1]], ["<="], [0], maximize=True)
+    res = solve_lp([1], [[-1]], ["<="], [0])
     assert res.status == UNBOUNDED
 
 
 def test_degenerate_zero_row_is_harmless():
-    res = solve_lp([1], [[1], [0]], ["<=", "="], [2, 0], maximize=True)
+    res = solve_lp([1], [[1], [0]], ["<=", "="], [2, 0])
     assert res.status == OPTIMAL and res.objective == 2
 
 
 def test_negative_rhs_orientation():
-    # x >= 2 written as -x <= -2, minimize x
-    res = solve_lp([1], [[-1]], ["<="], [-2])
-    assert res.status == OPTIMAL and res.objective == 2
+    # x >= 2 written as -x <= -2, minimize x (maximize -x)
+    res = solve_lp([-1], [[-1]], ["<="], [-2])
+    assert res.status == OPTIMAL and res.objective == -2
 
 
 def _enumerate_vertices(c, rows, senses, rhs):
@@ -128,7 +128,7 @@ def test_matches_vertex_enumeration_on_random_lps():
         rows = [[F(rng.randint(-2, 3)) for _ in range(n)] for _ in range(m)]
         senses = [rng.choice(["<=", "<=", "="]) for _ in range(m)]
         rhs = [F(rng.randint(0, 4)) for _ in range(m)]
-        res = solve_lp(c, rows, senses, rhs, maximize=True)
+        res = solve_lp(c, rows, senses, rhs)
         best = _enumerate_vertices(c, rows, senses, rhs)
         if res.status == OPTIMAL:
             assert best is not None and res.objective == best, (trial, c, rows)
@@ -163,7 +163,9 @@ def _random_lp(rng):
         for j in range(m):
             if rng.random() < 0.4:
                 rhs[j] = F(0)
-    return c, rows, senses, rhs, rng.random() < 0.5
+    if rng.random() < 0.5:  # half of them minimize c.x, as max -c.x
+        c = [-v for v in c]
+    return c, rows, senses, rhs
 
 
 def test_matches_fraction_tableau_on_random_lps():
@@ -171,29 +173,29 @@ def test_matches_fraction_tableau_on_random_lps():
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     mixed = negative = zero_row = degenerate = 0
     for trial in range(600):
-        c, rows, senses, rhs, maximize = lp = _random_lp(rng)
-        got = solve_lp(c, rows, senses, rhs, maximize=maximize)
-        assert got == fraction_simplex(c, rows, senses, rhs, maximize=maximize), \
-            (trial, lp)
+        c, rows, senses, rhs = lp = _random_lp(rng)
+        got, basis = solve_lp(c, rows, senses, rhs), []
+        assert got == fraction_simplex(c, rows, senses, rhs, basis), (trial, lp)
         statuses[got.status] += 1
         mixed += len(set(senses)) > 1
         negative += any(b < 0 for b in rhs)
         zero_row += any(not any(row) for row in rows)
         degenerate += got.status == OPTIMAL and any(
-            got.x[j] == 0 for j in got.basis if j < len(c))
+            got.x[j] == 0 for j in basis if j < len(c))
     assert min(statuses.values()) >= 50, statuses
     assert min(mixed, negative, zero_row, degenerate) >= 20, \
         (mixed, negative, zero_row, degenerate)
 
 
 def test_matches_fraction_tableau_on_bland_cycling_example():
-    # Beale's example cycles under the largest-coefficient rule; Bland's
-    # rule leaves the degenerate vertex, identically in both tableaux
-    c = [F(-3, 4), 20, F(-1, 2), 6]
+    # Beale's example (minimize -3/4 x1 + 20 x2 - 1/2 x3 + 6 x4) cycles under
+    # the largest-coefficient rule; Bland's rule leaves the degenerate
+    # vertex, identically in both tableaux
+    c = [F(3, 4), -20, F(1, 2), -6]
     rows = [[F(1, 4), -8, -1, 9], [F(1, 2), -12, F(-1, 2), 3], [0, 0, 1, 0]]
     got = solve_lp(c, rows, ["<="] * 3, [0, 0, 1])
     assert got == fraction_simplex(c, rows, ["<="] * 3, [0, 0, 1])
-    assert got.status == OPTIMAL and got.objective == F(-5, 4)
+    assert got.status == OPTIMAL and got.objective == F(5, 4)
 
 
 def _assert_weak_lps_match(monkeypatch, tree, budgets):
