@@ -9,8 +9,8 @@ an exact sort of their pooled segments (``_merged``), and ``_built`` turns
 a chain back into an envelope after checking it in ints (positive widths,
 nonnegative rises, falling slopes by cross multiplication), so no slope is
 re-derived by Fraction arithmetic; Fractions are met only there, one per
-breakpoint coordinate.  The public constructor brings its breakpoints to
-one such chain and runs the same check.
+breakpoint coordinate.  The public constructor runs the same check on
+its breakpoints' Fraction (rise, width) pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
 from typing import Tuple
 
 from .errors import BudgetBelowDomain
@@ -36,11 +35,8 @@ class ConcaveEnvelope:
     def __post_init__(self):
         if not self.xs or len(self.xs) != len(self.vs):
             raise ValueError("need matching, non-empty breakpoint lists")
-        X = lcm(*(x.denominator for x in self.xs))
-        V = lcm(*(v.denominator for v in self.vs))
-        xs = [x.numerator * (X // x.denominator) for x in self.xs]
-        vs = [v.numerator * (V // v.denominator) for v in self.vs]
-        _check([(v1 - v0, x1 - x0) for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:])])
+        _check([(v1 - v0, x1 - x0) for x0, x1, v0, v1 in
+                zip(self.xs, self.xs[1:], self.vs, self.vs[1:])])
 
     def value(self, y) -> Fraction:
         """Evaluate at a budget; +inf returns the terminal plateau."""
@@ -87,8 +83,9 @@ def _merged(chains, dx=0, dv=0):
 
 
 def _check(segments) -> None:
-    """Check int (rise, width) segments: every width positive, every rise
-    nonnegative, and slopes falling by cross multiplication."""
+    """Check (rise, width) segments, ints or Fractions: every width
+    positive, every rise nonnegative, and slopes falling by cross
+    multiplication."""
     if any(w <= 0 for _, w in segments):
         raise ValueError("breakpoints must increase strictly")
     if any(r < 0 for r, _ in segments):

@@ -137,7 +137,8 @@ def _power(a, n: int):
     its bits, is above 2 * ``MAX_CONSTANT_BITS``; ``_guarded`` checks the rest."""
     bits = abs(n) * (_bits(a) - 1) + 1
     if bits > 2 * MAX_CONSTANT_BITS:
-        raise _BadExponent(f"a power of at least {bits} bits, above the cap {MAX_CONSTANT_BITS},")
+        raise _BadExponent(f"a power of at least {bits} bits, above twice the cap "
+                          f"{MAX_CONSTANT_BITS},")
     return a ** n
 
 

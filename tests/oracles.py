@@ -1003,12 +1003,30 @@ def kernel_backstep(stop_value, reward_step, budget_step, children) -> ConcaveEn
 # ``node_envelopes`` (every node's envelope from the library's level-order
 # sweep) and ``allocate`` (the best budget split across children, with the
 # split) have no program caller; the DP tests read them.  ``slopes`` and
-# ``segments`` read an envelope's breakpoints.
+# ``segments`` read an envelope's breakpoints, and ``checked_envelope`` is a
+# reference for the library's envelope check.
 
 def slopes(env: ConcaveEnvelope) -> List[Fraction]:
     """The slopes between an envelope's consecutive breakpoints."""
     return [(v1 - v0) / (x1 - x0) for x0, x1, v0, v1 in
             zip(env.xs, env.xs[1:], env.vs, env.vs[1:])]
+
+
+def checked_envelope(xs: Sequence[Fraction], vs: Sequence[Fraction]) -> ConcaveEnvelope:
+    """The envelope on breakpoints (xs, vs), checked in Fractions apart from
+    the library's check, with its messages in its order: breakpoints that
+    do not increase strictly, then a falling slope, then a rising one."""
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError("breakpoints must increase strictly")
+    env = object.__new__(ConcaveEnvelope)  # unchecked: built to read its slopes
+    object.__setattr__(env, "xs", tuple(xs))
+    object.__setattr__(env, "vs", tuple(vs))
+    ss = slopes(env)
+    if any(s < 0 for s in ss):
+        raise ValueError("envelope must be non-decreasing")
+    if any(b > a for a, b in zip(ss, ss[1:])):
+        raise ValueError("envelope must be concave")
+    return env
 
 
 def segments(env: ConcaveEnvelope) -> List[Tuple[Fraction, Fraction]]:

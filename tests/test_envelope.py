@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from treestop import BudgetBelowDomain, ConcaveEnvelope, Ext, POS_INF
 from treestop.envelope import _STEEPEST_FIRST, _built
 
-from oracles import (allocate, brute_allocate, envelope_from_breakpoints, hull_of_points,
-                     kernel_merged_envelope, slopes)
+from oracles import (allocate, brute_allocate, checked_envelope, envelope_from_breakpoints,
+                     hull_of_points, kernel_merged_envelope, slopes)
 
 F = Fraction
 HALF = F(1, 2)
@@ -158,6 +158,7 @@ def test_built_equals_the_constructor_on_concave_chains(x, v, x_unit, v_unit, se
     chain = (x, v, v + sum(r for r, _ in segments), segments)
     env, slopes = _outcome(lambda: _built(chain, x_unit, v_unit))
     assert (env, slopes) == _outcome(lambda: ConcaveEnvelope(*_breakpoints(chain, x_unit, v_unit)))
+    assert (env, slopes) == _outcome(lambda: checked_envelope(*_breakpoints(chain, x_unit, v_unit)))
     assert slopes == [F(r * x_unit, w * v_unit) for r, w in segments]
 
 
@@ -172,3 +173,4 @@ def test_built_checks_int_chains_with_the_constructors_messages(x, v, x_unit, v_
     chain = (x, v, v, segments)
     got = _outcome(lambda: _built(chain, x_unit, v_unit))
     assert got == _outcome(lambda: ConcaveEnvelope(*_breakpoints(chain, x_unit, v_unit)))
+    assert got == _outcome(lambda: checked_envelope(*_breakpoints(chain, x_unit, v_unit)))

@@ -216,11 +216,12 @@ def test_a_power_above_twice_the_bit_cap_is_refused_before_it_is_taken():
     fn, _ = parse_function("(x_current**64)**64")
     state = 8 + F(2) ** 12288 + F(1, 3)  # a state of 12,290 bits
     with pytest.raises(ExpressionUndefined, match=r"^'\(x_current\*\*64\)\*\*64' takes a "
-                       r"power of at least 786497 bits, above the cap 14000, "
+                       r"power of at least 786497 bits, above twice the cap 14000, "
                        r"at t = 1, state of 12290 bits$"):
         fn(F(1), (state,))
     fn, _ = parse_function("x_current**(2 * t)")
-    with pytest.raises(ExpressionUndefined, match=r"takes a power of at least 28001 bits"):
+    with pytest.raises(ExpressionUndefined,
+                       match=r"takes a power of at least 28001 bits, above twice the cap 14000,"):
         fn(F(1), (F(2) ** 14000,))
     with pytest.raises(ExpressionUndefined, match=r"has a value of 27999 bits"):
         fn(F(1), (F(2) ** 13999,))

@@ -15,7 +15,7 @@ from treestop import (CandidateLaw, build_tree, candidate_with_branch_bias,
                       candidate_with_state_shift, check_membership,
                       generator_gap_decay, rule_from_map, rule_to_measure,
                       solve_weak, statistic)
-from treestop.martingale import (CylinderWeight, _stop_at_horizon, monomial_basis,
+from treestop.martingale import (CylinderWeight, _stop_at_horizon, _Sweep, monomial_basis,
                                  weight_battery)
 from treestop.xreal import as_fraction
 
@@ -94,8 +94,9 @@ def _stop_biased_candidate():
 
 def test_post_stop_branching_matches_oracle():
     tree, cand = _stop_biased_candidate()
-    for mode in ("exact", "generator"):
-        assert_same_reports(tree, cand, degree=2, mode=mode)
+    for degree in (2, 3):
+        for mode in ("exact", "generator"):
+            assert_same_reports(tree, cand, degree=degree, mode=mode)
 
 
 def vector_tree():
@@ -145,6 +146,17 @@ def test_statistic_still_rejects_bad_windows():
         statistic(cand, phi, 1, 2, late)
 
 
+def _largest_generator_statistic(cand, steps, degree, trivial):
+    """The largest |statistic| of the degree's monomials over [0, steps], by
+    one generator-mode sweep and by the oracle."""
+    phis = [phi for _, phi in monomial_basis(1, 1, degree)]
+    levels = _Sweep(cand, "generator", phis).levels(trivial)
+    got = max(abs(sum(col, F(0))) for col in zip(*levels))
+    want = max(abs(oracle_statistic(cand, phi, 0, steps, trivial, "generator"))
+               for phi in phis)
+    return got, want
+
+
 def test_generator_gap_decay_matches_oracle_statistics():
     study = generator_gap_decay()
     trivial = CylinderWeight(label="1", factors=())
@@ -158,3 +170,7 @@ def test_generator_gap_decay_matches_oracle_statistics():
         want = max(abs(oracle_statistic(cand, phi, 0, steps, trivial, "generator"))
                    for _, phi in monomial_basis(1, 1, 2))
         assert got == float(want)
+        # the cubic monomials too, on the three coarsest grids
+        if dt >= F(1, 4):
+            sweep, oracle = _largest_generator_statistic(cand, steps, 3, trivial)
+            assert sweep == oracle
