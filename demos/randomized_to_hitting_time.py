@@ -1,10 +1,11 @@
 """From a randomized rule to an implementable hitting time.
 
 A randomized stopping rule q gives each node a conditional stop
-probability.  Its cumulative-stop process theta is non-decreasing along
-every increment word and ends at 1; stopping once theta exceeds a single
-uniform draw eta reproduces the rule's law exactly.  This script shows
-the construction and certifies the equivalence by exact eta-integration,
+probability.  Its cumulative-stop process theta, one minus the continue
+share of the rule's measure, is non-decreasing along every increment
+word and ends at 1; stopping once theta exceeds a single uniform draw
+eta reproduces the rule's law exactly.  This script shows the
+construction and certifies the equivalence by exact eta-integration,
 then cross-checks with Monte Carlo.
 """
 
@@ -23,10 +24,10 @@ print("Rule: never stop at the root, flip a fair coin at depth 1,")
 print("forced stop at the horizon.\n")
 
 theta = theta_of_rule(tree, rule)
-print("theta along any word:", [str(theta.at(w)) for w in [(), (0,), (0, 0)]])
+print("theta along any word:", [str(theta[w]) for w in [(), (0,), (0, 0)]])
 
 for eta in (Fraction(3, 10), HALF, Fraction(9, 10)):
-    taus = derandomize(tree, theta, eta)
+    taus = derandomize(tree, rule, eta)
     depths = sorted(set(taus.values()))
     print(f"eta = {eta}: every path stops at depth {depths}")
 print("(eta = 1/2 continues: the hitting inequality theta > eta is strict)\n")

@@ -33,8 +33,8 @@ from .martingale import (CandidateLaw, MembershipReport, Polynomial,
                          candidate_with_branch_bias, candidate_with_pre_start_mass,
                          candidate_with_state_shift, check_membership,
                          generator_gap_decay, monomial_basis, statistic)
-from .measures import StoppingMeasure, expectations_from_stop_mass, feasible_for
-from .rules import (RandomizedStoppingRule, ThetaProcess, derandomize,
-                    equivalence_check, monte_carlo_value, rule_from_map,
-                    rule_to_measure, stop_mass_by_eta_integration, theta_of_rule)
+from .measures import StoppingMeasure, feasible_for
+from .rules import (RandomizedStoppingRule, derandomize, equivalence_check,
+                    monte_carlo_value, rule_from_map, rule_to_measure,
+                    stop_mass_by_eta_integration, theta_of_rule)
 from .xreal import Ext, NEG_INF, POS_INF, as_fraction

@@ -28,8 +28,7 @@ from .io import (decimal_value, dump_measure, fmt_rational, fmt_value, instance_
                  write_json_atomic)
 from .lp import measure_to_rule, solve_robust, solve_weak
 from .martingale import CandidateLaw, check_membership
-from .rules import (derandomize, equivalence_check, monte_carlo_value,
-                    theta_of_rule)
+from .rules import derandomize, equivalence_check, monte_carlo_value
 
 MAX_GRID = 10_000  # dp --grid points: about 0.35 s of queries and printing at 8 x 3
 
@@ -55,10 +54,9 @@ def _print_table(rows, header, file=None) -> None:
 
 
 def _measure_table(tree, measure):
-    rule = measure_to_rule(tree, measure)
-    return [(word_str(tree, w) or ".", fmt_rational(s), fmt_rational(u),
-             fmt_rational(rule.prob(w)))
-            for (w, s), u in zip(measure.s.items(), measure.u.values())]
+    return [(word_str(tree, w) or ".", fmt_rational(s), fmt_rational(u), fmt_rational(q))
+            for (w, s), u, q in zip(measure.s.items(), measure.u.values(),
+                                    measure_to_rule(tree, measure).q)]
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +146,7 @@ def _cmd_dp(args):
 def _cmd_derandomize(args):
     tree = load_instance(args.instance)
     rule = load_rule(tree, args.rule)
-    theta = theta_of_rule(tree, rule)
-    taus = derandomize(tree, theta, args.eta)
+    taus = derandomize(tree, rule, args.eta)
     rows = [(word_str(tree, w) or ".", k) for w, k in sorted(taus.items())]
     _print_table(rows, ("word", "stop_depth"))
     return (tree, {"rule": args.rule, "eta": args.eta},
@@ -268,9 +265,9 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
                 verdicts[check] = False
             elif check == "equivalence":
                 rule = measure_to_rule(tree, res.measure)
-                # equivalence_check raises unless the two stop-mass vectors agree
+                # equivalence_check raises unless the two measures agree
                 rep = equivalence_check(tree, rule)
-                verdicts[check] = rep["stop_mass_rule"] == res.measure.s
+                verdicts[check] = rep["stop_mass_rule"] == res.measure
             elif check == "dpp":
                 ok = True
                 worst = Fraction(0)

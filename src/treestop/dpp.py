@@ -128,6 +128,7 @@ def _split(tree: TreeInstance, measure: StoppingMeasure, cut):
 def first_randomization_cut(tree: TreeInstance, rule: RandomizedStoppingRule) -> Tuple[Word, ...]:
     """Adapted stage heuristic: cut where the rule first genuinely
     randomizes (0 < q < 1), no later than one step before the horizon."""
+    rule.validate(tree)
     cap = max(1, tree.depth - 1)
     cut: List[Word] = []
     # depth first, children in order; a recursive closure would be a

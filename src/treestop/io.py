@@ -438,10 +438,20 @@ def instance_hash(source: Union[TreeInstance, dict]) -> str:
 # rule / measure / budget files
 # ---------------------------------------------------------------------------
 
+def _entries(tree: TreeInstance, source: Union[str, dict], kind: str):
+    """A rule or measure file's entries in file order, each as its word,
+    its value and a name for it; two keys that name one node raise."""
+    keys: dict = {}
+    for key, value in _read_obj(source).items():
+        word = parse_word(tree, key)
+        if keys.setdefault(word, key) != key:
+            raise ValueError(f"{kind} keys {keys[word]!r} and {key!r} both name node {word}")
+        yield word, value, f"{kind} entry {key!r}"
+
+
 def load_rule(tree: TreeInstance, source: Union[str, dict]) -> RandomizedStoppingRule:
-    raw = _read_obj(source)
-    q = {parse_word(tree, k): as_fraction(_kind(v, _NUMBER, f"rule entry {k!r}"))
-         for k, v in raw.items()}
+    q = {word: as_fraction(_kind(v, _NUMBER, what))
+         for word, v, what in _entries(tree, source, "rule")}
     return rule_from_map(tree, q)
 
 
@@ -452,8 +462,7 @@ def dump_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> dict:
 def load_masses(tree: TreeInstance, source: Union[str, dict]):
     """A measure file's absolute stop and continue masses: (s, u) by word."""
     s, u = {}, {}
-    for key, entry in _read_obj(source).items():
-        word, what = parse_word(tree, key), f"measure entry {key!r}"
+    for word, entry, what in _entries(tree, source, "measure"):
         s[word], u[word] = (as_fraction(_field(_kind(entry, dict, what), c, what, _NUMBER, 0))
                             for c in "su")
     return s, u

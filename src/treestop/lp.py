@@ -332,9 +332,8 @@ def measure_to_rule(tree: TreeInstance, measure: StoppingMeasure) -> RandomizedS
     every node (unreachable subtrees carry zero mass on both sides).
     """
     shape = measure._shape_on(tree)
-    rule = RandomizedStoppingRule(q={
-        w: Fraction(s, s + u) if s + u else Fraction(1)
-        for w, s, u in zip(shape.words, measure.stops, measure.conts)})
+    rule = RandomizedStoppingRule(shape, tuple(Fraction(s, s + u) if s + u else Fraction(1)
+                                               for s, u in zip(measure.stops, measure.conts)))
     rule.validate(tree)
     return rule
 

@@ -543,6 +543,8 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
     if degree < 1:
         raise EmptyBattery(f"degree {degree} and weight budget {_WEIGHT_BUDGET} "
                            "must both be at least 1, or clause 1 tests nothing")
+    if as_fraction(tolerance) < 0:
+        raise ValueError(f"tolerance {tolerance} is negative")
     if isinstance(candidate, StoppingMeasure):
         candidate = CandidateLaw.from_measure(tree, candidate)
     report = MembershipReport(mode=mode, degree=degree)
@@ -605,20 +607,17 @@ def candidate_with_branch_bias(tree: TreeInstance, rule: RandomizedStoppingRule,
     node, delta = tuple(bias[0]), as_fraction(bias[1])
     tree.check_word(node)
 
-    # the rule's law pushed forward with the biased branch probabilities
-    s, u = {}, {}
-    for w in tree.nodes():
-        arrive = Fraction(1)
-        if w:
-            parent, j = w[:-1], w[-1]
-            p = tree.branching[len(parent)][j][0]
-            if parent == node and j < 2:
-                p = p + delta if j == 0 else p - delta
-            if p < 0 or p > 1:
-                raise ValueError("biased probability outside [0, 1]")
-            arrive = p * u[parent]
-        u[w] = arrive * (1 - rule.prob(w))
-        s[w] = arrive - u[w]
+    # the rule's law with the biased branch probabilities: below the
+    # node's first two children every mass scales by (p +- delta) / p
+    measure = rule_to_measure(tree, rule)
+    shape, s, u = measure.shape, measure.s, measure.u
+    for j, (child, sign) in enumerate(zip(tree.children(node), (1, -1))):
+        p = tree.branching[len(node)][j][0]
+        if not 0 <= p + sign * delta <= 1:
+            raise ValueError("biased probability outside [0, 1]")
+        for i in shape.rows_below(shape.index[child]):
+            s[shape.words[i]] *= (p + sign * delta) / p
+            u[shape.words[i]] *= (p + sign * delta) / p
     return CandidateLaw(tree, s=s, u=u)
 
 

@@ -124,12 +124,6 @@ def _on_rows(shape: Shape, what: str, masses: Dict[Word, Fraction]) -> list:
     return [masses.get(w, Fraction(0)) for w in shape.words]
 
 
-def expectations_from_stop_mass(tree: TreeInstance, stop_mass: Dict[Word, Fraction]) -> dict:
-    """Expected stop payoff, accruals and stop time under absolute stop
-    masses.  A mass on a word that is not a node raises NodeNotInTree."""
-    return StoppingMeasure.from_masses(tree, stop_mass, {}).expectations(tree)
-
-
 def feasible_for(tree: TreeInstance, measure: StoppingMeasure, budgets) -> bool:
     """Whether a measure's accruals satisfy the given budget vector."""
     exp = measure.expectations(tree)

@@ -1,11 +1,13 @@
 """Randomized stopping rules and their hitting-time realization.
 
-A randomized rule assigns each node a conditional stop probability q(v).
-Its cumulative-stop process theta gives, per increment word, the chance of
-having stopped by each step; it is non-decreasing and ends at 1.  Drawing a
-single uniform threshold eta and stopping the first time theta exceeds eta
-reproduces the rule's joint law exactly, which is what ``equivalence_check``
-certifies by integrating eta over the finitely many theta breakpoints.
+A randomized rule assigns each node a conditional stop probability q(v),
+one per row of the tree's shape.  One minus the continue share of the
+rule's measure is its cumulative-stop process theta: per increment word,
+the chance of having stopped by each step, non-decreasing and 1 at the
+horizon.  Drawing a single uniform threshold eta and stopping the first
+time theta exceeds eta reproduces the rule's joint law exactly, which is
+what ``equivalence_check`` certifies by integrating eta over the finitely
+many theta breakpoints.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import add
-from typing import Dict
+from typing import Dict, Tuple
 
-from .errors import (EquivalenceViolation, InvariantViolation, NodeNotInTree,
-                     RuleShapeMismatch)
-from .lattice import ROOT, TreeInstance, Word
-from .measures import StoppingMeasure, expectations_from_stop_mass
+from .errors import EquivalenceViolation, NodeNotInTree, RuleShapeMismatch
+from .lattice import Shape, TreeInstance, Word
+from .measures import StoppingMeasure
 from .xreal import as_fraction
 
 _BLOCK = 1024  # stop nodes summed per batch in monte_carlo_value
@@ -31,25 +32,29 @@ _BLOCK = 1024  # stop nodes summed per batch in monte_carlo_value
 
 @dataclass(frozen=True)
 class RandomizedStoppingRule:
-    """Conditional stop probabilities per node.
+    """Conditional stop probabilities, ``q[i]`` at row i of ``shape``.
 
-    q(v) in [0, 1] everywhere; q = 1 at the horizon (forced terminal stop).
-    Adaptedness is structural: q is indexed by increment words.
+    q in [0, 1] everywhere; q = 1 at the horizon (forced terminal stop).
+    Adaptedness is structural: q is indexed by the shape's nodes.
     """
 
-    q: Dict[Word, Fraction]
+    shape: Shape
+    q: Tuple[Fraction, ...]
 
     def prob(self, word: Word) -> Fraction:
-        return self.q[word]
+        return self.q[self.shape.index[word]]
 
     def validate(self, tree: TreeInstance) -> None:
-        for word in tree.nodes():
-            got = self.q.get(word)
-            if got is None:
-                raise RuleShapeMismatch(f"rule has no entry for node {word}")
-            if not 0 <= got <= 1:
-                raise RuleShapeMismatch(f"q{word} = {got} outside [0, 1]")
-            if len(word) == tree.depth and got != 1:
+        """Check that the tree has this rule's nodes, q in [0, 1] and q = 1
+        at the horizon."""
+        shape = tree._shape()
+        if shape is not self.shape and shape.words != self.shape.words:
+            raise RuleShapeMismatch("the rule is not on this tree's nodes")
+        n_inner = len(shape.first) - 1
+        for i, (word, q) in enumerate(zip(shape.words, self.q)):
+            if not 0 <= q <= 1:
+                raise RuleShapeMismatch(f"q{word} = {q} outside [0, 1]")
+            if i >= n_inner and q != 1:
                 raise RuleShapeMismatch(f"q{word} must be 1 at the horizon")
 
 
@@ -59,78 +64,16 @@ def rule_from_map(tree: TreeInstance, q_map: Dict[Word, object]) -> RandomizedSt
     Horizon nodes default to 1; all interior nodes must be present.  A
     word that is not a node raises NodeNotInTree.
     """
-    index = tree._shape().index
+    shape = tree._shape()
     for word in q_map:
-        if word not in index:
+        if word not in shape.index:
             raise NodeNotInTree(f"rule probability on {word}, which is not a node")
-    q: Dict[Word, Fraction] = {}
-    for word in tree.nodes():
-        if word in q_map:
-            q[word] = as_fraction(q_map[word])
-        elif len(word) == tree.depth:
-            q[word] = Fraction(1)
-        else:
+    for word in shape.words[:len(shape.first) - 1]:
+        if word not in q_map:
             raise RuleShapeMismatch(f"rule is missing interior node {word}")
-    rule = RandomizedStoppingRule(q=q)
+    rule = RandomizedStoppingRule(shape, tuple(as_fraction(q_map.get(w, 1)) for w in shape.words))
     rule.validate(tree)
     return rule
-
-
-@dataclass(frozen=True)
-class ThetaProcess:
-    """Cumulative conditional stop probabilities along each word."""
-
-    theta: Dict[Word, Fraction]
-
-    def at(self, word: Word) -> Fraction:
-        return self.theta[word]
-
-    def validate(self, tree: TreeInstance) -> None:
-        for word in tree.nodes():
-            got = self.theta.get(word)
-            if got is None:
-                raise RuleShapeMismatch(f"theta has no entry for node {word}")
-            if not 0 <= got <= 1:
-                raise RuleShapeMismatch(f"theta{word} = {got} outside [0, 1]")
-            if len(word) == tree.depth and got != 1:
-                raise RuleShapeMismatch(f"theta{word} must equal 1 at the horizon")
-            if word != ROOT and got < self.theta[word[:-1]]:
-                raise RuleShapeMismatch(f"theta decreases into node {word}")
-
-
-def theta_of_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> ThetaProcess:
-    """theta_k = 1 - prod_{j<=k} (1 - q) along every word, exactly."""
-    return _theta(rule_to_measure(tree, rule))
-
-
-def _theta(measure: StoppingMeasure) -> ThetaProcess:
-    """A rule's theta from its measure: the continue share of the rule's
-    measure is the chance of surviving."""
-    return ThetaProcess(theta={w: 1 - Fraction(u, measure.scale)
-                               for w, u in zip(measure.shape.words, measure.conts)})
-
-
-def derandomize(tree: TreeInstance, theta: ThetaProcess, eta) -> Dict[Word, int]:
-    """Hitting-time stop depth per full word for a fixed threshold eta.
-
-    tau(word, eta) = min{k : theta_k(word) > eta}; ties at theta = eta
-    continue, and theta_N = 1 > eta guarantees a hit for eta in [0, 1).
-    """
-    eta = as_fraction(eta)
-    if not 0 <= eta < 1:
-        raise ValueError("eta must lie in [0, 1)")
-    theta.validate(tree)
-    out: Dict[Word, int] = {}
-    for leaf in tree.leaves():
-        out[leaf] = _hit_depth(theta, leaf, eta)
-    return out
-
-
-def _hit_depth(theta: ThetaProcess, word: Word, eta: Fraction) -> int:
-    for k in range(len(word) + 1):
-        if theta.at(word[:k]) > eta:
-            return k
-    raise InvariantViolation("theta must reach 1 at the horizon")
 
 
 def rule_to_measure(tree: TreeInstance, rule: RandomizedStoppingRule) -> StoppingMeasure:
@@ -139,60 +82,93 @@ def rule_to_measure(tree: TreeInstance, rule: RandomizedStoppingRule) -> Stoppin
     share that its parent continues."""
     rule.validate(tree)
     shape, stops, conts = tree._shape(), [], []
-    for word, parent in zip(shape.words, shape.parent):
-        arrive = conts[parent] if word else Fraction(1)
-        conts.append(arrive * (1 - rule.prob(word)))
+    for q, parent in zip(rule.q, shape.parent):
+        arrive = conts[parent] if conts else Fraction(1)
+        conts.append(arrive * (1 - q))
         stops.append(arrive - conts[-1])
     return StoppingMeasure.from_shares(shape, stops, conts)
 
 
-def stop_mass_by_eta_integration(tree: TreeInstance, theta: ThetaProcess) -> Dict[Word, Fraction]:
-    """Stop-mass vector obtained by integrating the hitting time over eta.
+def _thetas(tree: TreeInstance, rule: RandomizedStoppingRule) -> list:
+    """theta per row: one minus the continue share of the rule's measure,
+    the chance of surviving."""
+    measure = rule_to_measure(tree, rule)
+    return [1 - Fraction(u, measure.scale) for u in measure.conts]
 
-    For each full word the hitting depth is piecewise constant in eta with
-    breakpoints at the theta values, so the integral is a finite exact sum;
-    the depth on each piece is found by evaluating the hitting time at the
-    piece's midpoint.
+
+def theta_of_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> Dict[Word, Fraction]:
+    """theta_k = 1 - prod_{j<=k} (1 - q) along every word, exactly."""
+    return dict(zip(tree._shape().words, _thetas(tree, rule)))
+
+
+def _leaf_paths(shape: Shape):
+    """Each leaf's row and the rows along its word, root first."""
+    for leaf in range(len(shape.first) - 1, len(shape.words)):
+        path = [leaf]
+        while path[-1]:
+            path.append(shape.parent[path[-1]])
+        yield leaf, path[::-1]
+
+
+def derandomize(tree: TreeInstance, rule: RandomizedStoppingRule, eta) -> Dict[Word, int]:
+    """Hitting-time stop depth per full word for a fixed threshold eta.
+
+    tau(word, eta) = min{k : theta_k(word) > eta}; ties at theta = eta
+    continue, and theta_N = 1 > eta guarantees a hit for eta in [0, 1).
     """
-    theta.validate(tree)
-    mass: Dict[Word, Fraction] = {w: Fraction(0) for w in tree.nodes()}
-    for leaf in tree.leaves():
-        pathprob = tree.path_prob(leaf)
-        cuts = sorted({Fraction(0), *(theta.at(leaf[:k]) for k in range(len(leaf) + 1))})
+    eta = as_fraction(eta)
+    if not 0 <= eta < 1:
+        raise ValueError("eta must lie in [0, 1)")
+    shape, thetas = tree._shape(), _thetas(tree, rule)
+    return {shape.words[leaf]: next(k for k, i in enumerate(path) if thetas[i] > eta)
+            for leaf, path in _leaf_paths(shape)}
+
+
+def stop_mass_by_eta_integration(tree: TreeInstance,
+                                 rule: RandomizedStoppingRule) -> StoppingMeasure:
+    """The rule's measure obtained by integrating the hitting time over eta.
+
+    For each full word the hitting node is piecewise constant in eta with
+    breakpoints at the theta values along it, so the integral is a finite
+    exact sum; the node on each piece is found by evaluating the hitting
+    time at the piece's midpoint.  A node's continue mass is the stop mass
+    strictly below it.  Masses are kept in units of 1 / ``prob_den``.
+    """
+    shape, thetas = tree._shape(), _thetas(tree, rule)
+    stops, conts = [Fraction(0)] * len(thetas), [Fraction(0)] * len(thetas)
+    for leaf, path in _leaf_paths(shape):
+        cuts = sorted({Fraction(0), *(thetas[i] for i in path)})
         for lo, hi in zip(cuts, cuts[1:]):
-            depth = _hit_depth(theta, leaf, (lo + hi) / 2)
-            mass[leaf[:depth]] += pathprob * (hi - lo)
-    return mass
+            mid = (lo + hi) / 2
+            stops[next(i for i in path if thetas[i] > mid)] += shape.probs[leaf] * (hi - lo)
+    for i in range(len(thetas) - 1, 0, -1):
+        conts[shape.parent[i]] += stops[i] + conts[i]
+    return StoppingMeasure.from_shares(shape, *([m / p for m, p in zip(masses, shape.probs)]
+                                                for masses in (stops, conts)))
 
 
 def equivalence_check(tree: TreeInstance, rule: RandomizedStoppingRule) -> dict:
     """Certify that the rule and its hitting-time construction agree.
 
-    Computes stop masses once by the product formula and once by exact eta
-    integration of the hitting time of the rule's theta, both from one
-    rule-to-measure push, and compares the vectors and all
-    objective/constraint expectations exactly.  Disagreement raises
-    EquivalenceViolation, since equality is guaranteed.
+    Computes the rule's measure once by the product formula and once by
+    exact eta integration of the hitting time of the rule's theta, and
+    compares them exactly; equal measures have equal objective and
+    constraint expectations.  Disagreement raises EquivalenceViolation,
+    since equality is guaranteed.
     """
     direct = rule_to_measure(tree, rule)
-    via_eta = stop_mass_by_eta_integration(tree, _theta(direct))
+    via_eta = stop_mass_by_eta_integration(tree, rule)
     report = {
-        "stop_mass_rule": direct.s,
+        "stop_mass_rule": direct,
         "stop_mass_hitting": via_eta,
         "expectations_rule": direct.expectations(tree),
-        "expectations_hitting": expectations_from_stop_mass(tree, via_eta),
-        "pass": True,
+        "expectations_hitting": via_eta.expectations(tree),
+        "pass": direct == via_eta,
     }
-    for word in tree.nodes():
-        if direct.stop(word) != via_eta[word]:
-            report["pass"] = False
-            raise EquivalenceViolation(
-                f"stop masses differ at {word}: "
-                f"{direct.stop(word)} vs {via_eta[word]}", report)
-    for key in ("value", "ineq", "eq", "mean_stop_time"):
-        if report["expectations_rule"][key] != report["expectations_hitting"][key]:
-            report["pass"] = False
-            raise EquivalenceViolation(f"expectations differ in {key}", report)
+    if not report["pass"]:
+        word = next(w for w in direct.shape.words if direct.stop(w) != via_eta.stop(w))
+        raise EquivalenceViolation(
+            f"stop masses differ at {word}: {direct.stop(word)} vs {via_eta.stop(word)}", report)
     return report
 
 
@@ -226,7 +202,7 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
     level_cums = [list(accumulate(float(p) for p, _ in level))[:-1]
                   for level in tree.branching]
     kids = shape.first
-    alive = [1.0 - float(rule.prob(w)) for w in shape.words]
+    alive = [1.0 - float(q) for q in rule.q]
     for i in range(len(kids) - 1):
         for kid in range(kids[i], kids[i + 1]):
             alive[kid] *= alive[i]

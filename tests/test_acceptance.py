@@ -14,7 +14,7 @@ import pytest
 from treestop import (BudgetVector, Ext, POS_INF, check_membership, dp_value,
                       generator_gap_decay, load_instance, measure_to_rule,
                       monte_carlo_value, rule_from_map, solve_robust, solve_weak,
-                      stop_mass_by_eta_integration, theta_of_rule, verify_dpp)
+                      stop_mass_by_eta_integration, verify_dpp)
 from treestop.generate import generate_instance
 
 from conftest import acceptance_corruptions, acceptance_pool, make_rw
@@ -41,10 +41,9 @@ def test_acceptance_1_strong_weak_equivalence(pool, pool_solutions):
     started = time.perf_counter()
     for tree, res in zip(pool, pool_solutions):
         rule = measure_to_rule(tree, res.measure)
-        theta = theta_of_rule(tree, rule)
-        via_eta = stop_mass_by_eta_integration(tree, theta)
+        via_eta = stop_mass_by_eta_integration(tree, rule)
         for w in tree.nodes():
-            assert via_eta[w] == res.measure.stop(w), (tree.source, w)
+            assert via_eta.stop(w) == res.measure.stop(w), (tree.source, w)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     print(f"\nACCEPTANCE 1 strong=weak hitting-time equivalence: PASS "

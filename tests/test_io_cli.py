@@ -123,6 +123,15 @@ def test_word_parsing_and_rendering(rw2_file):
 
 # -- round trips ----------------------------------------------------------------
 
+def test_two_keys_naming_one_node_are_refused(rw2_file):
+    # "+" and "0" both name node (0,) on a binary tree
+    tree = load_instance(rw2_file)
+    with pytest.raises(ValueError, match=r"^rule keys '\+' and '0' both name node \(0,\)$"):
+        load_rule(tree, {"": "0", "+": "1/2", "0": "0", "-": "1"})
+    with pytest.raises(ValueError, match=r"^measure keys '1' and '-' both name node \(1,\)$"):
+        load_measure(tree, {"1": {"s": "1/2"}, "-": {"s": "1/2"}})
+
+
 def test_instance_round_trip(rw2_file):
     tree = load_instance(rw2_file)
     doc = dump_instance(tree)
@@ -134,7 +143,7 @@ def test_instance_round_trip(rw2_file):
 def test_rule_and_measure_round_trip(rw2_file):
     tree = load_instance(rw2_file)
     rule = load_rule(tree, {"": "0", "+": "1/2", "-": "1/2"})
-    assert load_rule(tree, dump_rule(tree, rule)).q == rule.q
+    assert load_rule(tree, dump_rule(tree, rule)) == rule
     res = solve_weak(tree)
     dumped = dump_measure(tree, res.measure)
     back = load_measure(tree, dumped)
@@ -511,6 +520,16 @@ def _bad_input(tmp_path, case):
     if case == "measure-entry-a-number":
         return ["check-class", *write(json.dumps(RW2_DOC))[1:],
                 "--measure", side_file("measure.json", {"+": 3})]
+    if case == "rule-duplicate-node":  # the last entry for (0,) was kept
+        return ["mc", *write(json.dumps(RW2_DOC))[1:], "--paths", "10", "--rule",
+                side_file("rule.json", {"": "0", "+": "1/2", "0": "0", "-": "1"})]
+    if case == "measure-duplicate-node":
+        return ["check-class", *write(json.dumps(RW2_DOC))[1:], "--measure",
+                side_file("measure.json", {"": {"u": "1"}, "+": {"s": "1/2"},
+                                           "0": {"s": "1/2"}, "-": {"s": "1/2"}})]
+    if case == "negative-tol":  # failed every statistic and exited 1
+        return ["check-class", *write(json.dumps(RW2_DOC))[1:], "--mode", "generator",
+                "--tol", "-1"]
     if case == "budgets-a-string":  # was read as the list ["1"]
         return [*write(json.dumps(RW2_DOC)), "--budgets",
                 side_file("budgets.json", {"ineq": "1"})]
@@ -637,7 +656,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "exponent-huge-at-a-node", "constant-power-at-a-node", "drift-power-cascade",
               "drift-nested-power",
               "singular-at-the-history-sup",
-              "singular-below-the-sup", "vector-x0-history", "vector-increment")
+              "singular-below-the-sup", "vector-x0-history", "vector-increment",
+              "rule-duplicate-node", "measure-duplicate-node", "negative-tol")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

@@ -179,6 +179,14 @@ def test_degree_guard():
             degree=5)
 
 
+@pytest.mark.parametrize("mode", ["exact", "generator"])
+def test_negative_tolerance_is_refused(rw2, half_rule, mode):
+    measure = rule_to_measure(rw2, half_rule)
+    assert check_membership(rw2, measure, mode=mode, tolerance=0).ok
+    with pytest.raises(ValueError, match="^tolerance -1/2 is negative$"):
+        check_membership(rw2, measure, mode=mode, tolerance=F(-1, 2))
+
+
 def test_empty_battery_is_rejected_not_passed(rw2, half_rule):
     # a battery without statistics could not reject this candidate
     cand = candidate_with_branch_bias(rw2, half_rule, ((), F(1, 10)))

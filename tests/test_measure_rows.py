@@ -32,6 +32,10 @@ def _rule_by_words(s, u):
     return {w: s[w] / (s[w] + u[w]) if s[w] + u[w] else F(1) for w in s}
 
 
+def _q_by_words(tree, rule):
+    return {w: rule.prob(w) for w in tree.nodes()}
+
+
 def _assert_equal_dicts(got, want):
     assert list(got.items()) == list(want.items())
 
@@ -49,9 +53,9 @@ def test_rows_equal_the_word_keyed_push(seed, depth, branches, n_ineq, n_eq):
     # theta is one minus the survival push with branches of probability 1
     _, survival = pushed_forward_by_words(
         tree, lambda w, arrive: arrive * (1 - rule.prob(w)), lambda w: 1)
-    _assert_equal_dicts(theta_of_rule(tree, rule).theta,
+    _assert_equal_dicts(theta_of_rule(tree, rule),
                         {w: 1 - v for w, v in survival.items()})
-    _assert_equal_dicts(measure_to_rule(tree, measure).q, _rule_by_words(s, u))
+    _assert_equal_dicts(_q_by_words(tree, measure_to_rule(tree, measure)), _rule_by_words(s, u))
     assert StoppingMeasure.from_masses(tree, s, u) == measure
 
     res = solve_weak(tree)
@@ -59,7 +63,7 @@ def test_rows_equal_the_word_keyed_push(seed, depth, branches, n_ineq, n_eq):
         s, u = res.measure.s, res.measure.u
         validate_by_words(tree, s, u)
         q = _rule_by_words(s, u)
-        _assert_equal_dicts(measure_to_rule(tree, res.measure).q, q)
+        _assert_equal_dicts(_q_by_words(tree, measure_to_rule(tree, res.measure)), q)
         ref_s, ref_u = pushed_forward_by_words(tree, lambda w, arrive: arrive * (1 - q[w]))
         _assert_equal_dicts(s, ref_s)
         _assert_equal_dicts(u, ref_u)

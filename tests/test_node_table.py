@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import (NodeNotInTree, TreeInstance, build_tree, cumulative_functionals,
-                      dp_value, euler_state, expectations_from_stop_mass, load_instance,
+from treestop import (NodeNotInTree, StoppingMeasure, TreeInstance, build_tree,
+                      cumulative_functionals, dp_value, euler_state, load_instance,
                       monte_carlo_value, rule_from_map, rule_to_measure, solve_weak)
 from treestop.generate import generate_instance
 
@@ -259,8 +259,7 @@ def test_expectations_equal_the_per_word_sum(seed, depth, branches, n_ineq, n_eq
 def test_expectations_equal_the_per_word_sum_on_built_trees(make, seed):
     tree = make()
     measure = rule_to_measure(tree, _random_rule(tree, seed))
-    assert expectations_from_stop_mass(tree, measure.s) == \
-        expectations_by_words(make(), measure.s)
+    assert measure.expectations(tree) == expectations_by_words(make(), measure.s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,8 +285,8 @@ def test_mc_on_a_keyed_table_is_bit_identical_to_the_per_word_loop(seed):
 def test_stop_mass_outside_the_tree_raises(word):
     tree = make_rw()
     with pytest.raises(NodeNotInTree):
-        expectations_from_stop_mass(tree, {(): HALF, word: HALF})
+        StoppingMeasure.from_masses(tree, {(): HALF, word: HALF}, {})
     # a zero entry charges no node
-    got = expectations_from_stop_mass(tree, {(): F(1), word: F(0)})
+    got = StoppingMeasure.from_masses(tree, {(): F(1), word: F(0)}, {}).expectations(tree)
     assert got == expectations_by_words(make_rw(), {(): F(1)})
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import (EquivalenceViolation, Ext, InvariantViolation, NodeNotInTree,
-                      RuleShapeMismatch, ThetaProcess, rules,
-                      derandomize, equivalence_check, monte_carlo_value,
+from treestop import (EquivalenceViolation, Ext, NodeNotInTree, RuleShapeMismatch,
+                      StoppingMeasure, rules, derandomize, equivalence_check,
+                      first_randomization_cut, load_instance, monte_carlo_value,
                       rule_from_map, rule_to_measure, stop_mass_by_eta_integration,
                       theta_of_rule)
+from treestop.generate import generate_instance
 from treestop.lattice import build_tree
-from treestop.rules import _hit_depth
 
 from conftest import make_rw
 from oracles import atom_expectations, monte_carlo_oracle
@@ -29,21 +29,21 @@ def rule_q(tree, mapping):
 def test_theta_immediate_stop(rw2):
     rule = rule_q(rw2, {(): 1, (0,): 1, (1,): 1})
     theta = theta_of_rule(rw2, rule)
-    assert all(theta.at(w) == 1 for w in rw2.nodes())
+    assert all(theta[w] == 1 for w in rw2.nodes())
 
 
 def test_theta_word_independent(rw2, half_rule):
     theta = theta_of_rule(rw2, half_rule)
-    assert theta.at(()) == 0
-    assert theta.at((0,)) == theta.at((1,)) == HALF
-    assert all(theta.at(w) == 1 for w in rw2.leaves())
+    assert theta[()] == 0
+    assert theta[(0,)] == theta[(1,)] == HALF
+    assert all(theta[w] == 1 for w in rw2.leaves())
 
 
 def test_theta_word_dependent(rw2):
     rule = rule_q(rw2, {(): 0, (0,): 1, (1,): 0})
     theta = theta_of_rule(rw2, rule)
-    assert [theta.at(()), theta.at((0,)), theta.at((0, 0))] == [0, 1, 1]
-    assert [theta.at(()), theta.at((1,)), theta.at((1, 0))] == [0, 0, 1]
+    assert [theta[()], theta[(0,)], theta[(0, 0)]] == [0, 1, 1]
+    assert [theta[()], theta[(1,)], theta[(1, 0)]] == [0, 0, 1]
 
 
 def test_rule_missing_node_rejected(rw2):
@@ -63,23 +63,21 @@ def test_rule_probability_off_the_tree_names_the_word(rw2, word):
 # -- derandomize --------------------------------------------------------------
 
 def test_hitting_time_below_half(rw2, half_rule):
-    theta = theta_of_rule(rw2, half_rule)
-    taus = derandomize(rw2, theta, Fraction(3, 10))
+    taus = derandomize(rw2, half_rule, Fraction(3, 10))
     assert set(taus.values()) == {1}
 
 
 def test_hitting_time_tie_continues(rw2, half_rule):
     # theta = eta is not a hit: the threshold inequality is strict
-    theta = theta_of_rule(rw2, half_rule)
-    taus = derandomize(rw2, theta, HALF)
+    taus = derandomize(rw2, half_rule, HALF)
     assert set(taus.values()) == {2}
 
 
 def test_hitting_depth_distribution_matches_rule(rw2, half_rule):
     # integrate eta exactly over breakpoints: P(tau = k) = theta_k - theta_{k-1}
-    mass = stop_mass_by_eta_integration(rw2, theta_of_rule(rw2, half_rule))
+    mass = stop_mass_by_eta_integration(rw2, half_rule)
     by_depth = {}
-    for w, m in mass.items():
+    for w, m in mass.s.items():
         by_depth[len(w)] = by_depth.get(len(w), Fraction(0)) + m
     assert by_depth == {0: 0, 1: HALF, 2: HALF}
 
@@ -105,6 +103,32 @@ def test_measure_word_dependent(rw2):
     assert m.stop((1, 0)) == m.stop((1, 1)) == Fraction(1, 4)
 
 
+# -- a rule is read only on a tree with its nodes ----------------------------------
+
+RULE_READERS = {
+    "rule_to_measure": rule_to_measure,
+    "monte_carlo_value": lambda tree, rule: monte_carlo_value(tree, rule, paths=100),
+    "derandomize": lambda tree, rule: derandomize(tree, rule, Fraction(3, 10)),
+    "stop_mass_by_eta_integration": stop_mass_by_eta_integration,
+    "equivalence_check": equivalence_check,
+    "first_randomization_cut": first_randomization_cut,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(RULE_READERS))
+def test_a_rule_on_other_nodes_is_refused(reader):
+    read = RULE_READERS[reader]
+    small_doc = generate_instance(seed=1, depth=2)
+    small, big = load_instance(small_doc), load_instance(generate_instance(seed=1, depth=3))
+    small_rule, big_rule = mixed_rule(small, 1), mixed_rule(big, 1)
+    with pytest.raises(RuleShapeMismatch, match="^the rule is not on this tree's nodes$"):
+        read(big, small_rule)
+    with pytest.raises(RuleShapeMismatch, match="^the rule is not on this tree's nodes$"):
+        read(small, big_rule)
+    # a second load of the instance has the rule's nodes
+    assert read(load_instance(small_doc), small_rule) == read(small, small_rule)
+
+
 # -- equivalence ------------------------------------------------------------------
 
 def test_equivalence_half_rule_values(rw2, half_rule):
@@ -125,11 +149,12 @@ def test_equivalence_check_raises_when_the_hitting_time_moves_mass(rw2, half_rul
     # a hitting-time integration that moves 1/8 of stop mass from "+" to "-"
     real = rules.stop_mass_by_eta_integration
 
-    def moved(tree, theta):
-        mass = dict(real(tree, theta))
+    def moved(tree, rule):
+        measure = real(tree, rule)
+        mass = measure.s
         mass[(0,)] -= Fraction(1, 8)
         mass[(1,)] += Fraction(1, 8)
-        return mass
+        return StoppingMeasure.from_masses(tree, mass, measure.u)
 
     monkeypatch.setattr(rules, "stop_mass_by_eta_integration", moved)
     with pytest.raises(EquivalenceViolation) as exc:
@@ -137,25 +162,7 @@ def test_equivalence_check_raises_when_the_hitting_time_moves_mass(rw2, half_rul
     message, report = exc.value.args
     assert message == "stop masses differ at (0,): 1/4 vs 1/8"
     assert report["pass"] is False
-    assert report["stop_mass_hitting"][(1,)] == Fraction(3, 8)
-
-
-def test_equivalence_rejects_corrupted_theta(rw2, half_rule):
-    theta = theta_of_rule(rw2, half_rule)
-    broken = dict(theta.theta)
-    broken[(0, 0)] = Fraction(1, 4)  # decreases along the word
-    # the hitting-time side of the equivalence refuses it
-    with pytest.raises(RuleShapeMismatch):
-        stop_mass_by_eta_integration(rw2, ThetaProcess(theta=broken))
-
-
-def test_hit_depth_of_a_theta_that_never_exceeds_eta_is_an_invariant_violation():
-    # validate() rejects such a theta, so only a direct call can meet it
-    theta = ThetaProcess(theta={(): Fraction(0), (0,): Fraction(1, 4),
-                                (0, 1): Fraction(1, 2)})
-    assert _hit_depth(theta, (0, 1), Fraction(1, 4)) == 2
-    with pytest.raises(InvariantViolation, match="^theta must reach 1 at the horizon$"):
-        _hit_depth(theta, (0, 1), Fraction(1, 2))
+    assert report["stop_mass_hitting"].stop((1,)) == Fraction(3, 8)
 
 
 @st.composite
@@ -179,18 +186,19 @@ def test_derandomization_exactness_random_rules(qs, trinomial):
     rule = rule_from_map(tree, q)
     theta = theta_of_rule(tree, rule)
     for w in tree.nodes():
-        assert 0 <= theta.at(w) <= 1
+        assert 0 <= theta[w] <= 1
         if w != ():
-            assert theta.at(w) >= theta.at(w[:-1])
+            assert theta[w] >= theta[w[:-1]]
         if len(w) == tree.depth:
-            assert theta.at(w) == 1
+            assert theta[w] == 1
     direct = rule_to_measure(tree, rule)
-    via_eta = stop_mass_by_eta_integration(tree, theta)
-    assert all(direct.stop(w) == via_eta[w] for w in tree.nodes())
+    via_eta = stop_mass_by_eta_integration(tree, rule)
+    assert all(direct.stop(w) == via_eta.stop(w) for w in tree.nodes())
+    assert via_eta == direct
 
 
 def test_rule_expectations_match_atom_enumeration(rw2, half_rule):
-    value, gs, _ = atom_expectations(rw2, half_rule.q)
+    value, gs, _ = atom_expectations(rw2, {w: half_rule.prob(w) for w in rw2.nodes()})
     exp = rule_to_measure(rw2, half_rule).expectations(rw2)
     assert exp["value"] == value and exp["ineq"] == gs
 
@@ -286,7 +294,7 @@ def test_mc_is_bit_identical_to_the_per_word_loop(case, paths):
     make, seed = MC_CASES[case]
     tree = make()
     for rule in (mixed_rule(tree, seed), mixed_rule(tree, seed + 10)):
-        assert {v for w, v in rule.q.items() if len(w) < tree.depth} & {0, 1}
+        assert {rule.prob(w) for w in tree.nodes() if len(w) < tree.depth} & {0, 1}
         for mc_seed in (0, 99):
             got = monte_carlo_value(tree, rule, paths=paths, seed=mc_seed)
             assert got == monte_carlo_oracle(tree, rule, paths=paths, seed=mc_seed)
