@@ -1194,9 +1194,10 @@ def monte_carlo_oracle(tree: TreeInstance, rule, paths: int, seed: int = 0) -> d
 # and the instance's functions, with none of the tree's shape, keyed walk or
 # table.  ``node_table_by_words`` is
 # ``TreeInstance._node_table`` as it was before the keyed integer walk, built
-# from them; ``expectations_by_words`` is ``measures.expectations_from_stop_mass``
-# and ``oracle_generate_instance`` is ``generate.generate_instance`` as they
-# were, the generator's reference rule pushed forward to a measure.
+# from them; ``expectations_by_words`` is ``StoppingMeasure.expectations``
+# read from absolute stop masses, and ``oracle_generate_instance`` is
+# ``generate.generate_instance`` as it was, the generator's reference rule
+# pushed forward to a measure.
 
 def words_by_levels(tree: TreeInstance) -> List[Word]:
     """Every word, level by level, each level in lexicographic order."""
