@@ -90,8 +90,8 @@ def rule_to_measure(tree: TreeInstance, rule: RandomizedStoppingRule) -> Stoppin
 
 
 def _thetas(tree: TreeInstance, rule: RandomizedStoppingRule) -> list:
-    """theta per row: one minus the continue share of the rule's measure,
-    the chance of surviving."""
+    """theta per row: 1 minus the rule's continue share there, the chance
+    of having stopped at or above that node."""
     measure = rule_to_measure(tree, rule)
     return [1 - Fraction(u, measure.scale) for u in measure.conts]
 
