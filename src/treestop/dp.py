@@ -20,7 +20,9 @@ branch denominators of levels k to depth - 1 (``_branch_ints``), and G
 and V are the least common denominators of the budget steps g * dt and
 of the reward steps f * dt and stop payoffs (``_keys``).  So a parent's
 continuation is the sum of its children's chains times their int branch
-numerators; segments sort steepest first by cross multiplication, and
+numerators; segments sort steepest first on their slopes rounded to
+floats, cross-multiplied only where two floats are equal (and sorted by
+cross multiplication alone when floats hide the order or overflow), and
 equal slopes merge by adding rises and widths.  The stop point (0, stop
 value) is pasted by walking kinks from x0 only as far as needed.
 

@@ -4,13 +4,17 @@ An envelope is a concave, non-decreasing function on [xs[0], inf),
 stored as exact rational breakpoints and constant beyond the last one.
 The backward induction in the budget runs on chains: an envelope's start
 point, top value and rising (rise, width) segments, steepest first, as
-ints over one budget unit and one value unit.  Children's chains merge by
-an exact sort of their pooled segments (``_merged``), and ``_built`` turns
-a chain back into an envelope after checking it in ints (positive widths,
-nonnegative rises, falling slopes by cross multiplication), so no slope is
-re-derived by Fraction arithmetic; Fractions are met only there, one per
-breakpoint coordinate.  The public constructor runs the same check on
-its breakpoints' Fraction (rise, width) pairs.
+ints over one budget unit and one value unit.  Children's chains merge
+(``_merged``) by sorting their pooled segments on each slope rounded to a
+float, which orders distinct floats exactly; segments of one float are
+cross-multiplied, and when that shows the floats hid the order, or a slope
+is beyond the float range, the pool sorts by cross multiplication alone.
+``_built`` turns a chain back into an envelope after checking it in ints
+(positive widths, nonnegative rises, falling slopes by cross
+multiplication), so no slope is re-derived by Fraction arithmetic;
+Fractions are met only there, one per breakpoint coordinate.  The public
+constructor runs the same check on its breakpoints' Fraction (rise, width)
+pairs.
 """
 
 from __future__ import annotations
@@ -63,23 +67,46 @@ def _merged(chains, dx=0, dv=0):
     """The sum of (weight, chain) pairs, moved by (dx, dv).
 
     A chain is (x0, v0, top value, (rise, width) segments of its rising
-    part, steepest first), all ints in one pair of units; a weight is an
-    int.  The pooled segments sort steepest first by exact cross
-    multiplication, and equal slopes merge by adding rises and widths.
+    part, steepest first), all ints in one pair of units; a weight is a
+    positive int.  The pooled segments sort steepest first on their slopes
+    rounded to floats, and equal slopes merge by adding rises and widths.
+    Rounding is monotone, so a float below the one before it is a smaller
+    slope, and only segments of equal floats are cross-multiplied.  When
+    equal floats hide the order, or a slope is beyond the float range, the
+    pool sorts by exact cross multiplication instead.
     """
-    x0, v0, top, pool = dx, dv, dv, []
-    for b, (x, v, v_top, chain_segments) in chains:
+    x0, v0, top = dx, dv, dv
+    for b, (x, v, v_top, _) in chains:
         x0, v0, top = x0 + b * x, v0 + b * v, top + b * v_top
-        pool += [(b * r, b * w) for r, w in chain_segments]
-    pool.sort(key=_STEEPEST_FIRST)
-    segments = []
-    for r, w in pool:
-        if segments and segments[-1][0] * w == r * segments[-1][1]:
-            r0, w0 = segments[-1]
-            segments[-1] = (r0 + r, w0 + w)
-        else:
-            segments.append((r, w))
+    try:  # a weight cancels in its segments' slopes: each float is r / w
+        pool = [(r / w, b * r, b * w) for b, chain in chains for r, w in chain[3]]
+    except OverflowError:
+        segments = None
+    else:
+        pool.sort(reverse=True)
+        segments = _folded(pool)
+    if segments is None:
+        pool = sorted([(b * r, b * w) for b, chain in chains for r, w in chain[3]],
+                      key=_STEEPEST_FIRST)
+        segments = _folded([(0, r, w) for r, w in pool])  # one key: every pair compared
     return x0, v0, top, segments
+
+
+def _folded(pool):
+    """(key, rise, width) triples, keys falling, as (rise, width) segments
+    with equal slopes added; None when two of one key are out of order."""
+    segments, last = [], None
+    for key, r, w in pool:
+        if key == last:
+            r0, w0 = segments[-1]
+            if r * w0 == r0 * w:
+                segments[-1] = (r0 + r, w0 + w)
+                continue
+            if r * w0 > r0 * w:
+                return None
+        segments.append((r, w))
+        last = key
+    return segments
 
 
 def _check(segments) -> None:

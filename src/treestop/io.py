@@ -506,10 +506,21 @@ def _read_obj(source: Union[str, dict], kind=dict):
         return source
     with open(source) as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:
             raise ValueError(f"{source} is not valid JSON: {exc}") from None
     return _kind(raw, kind, str(source))
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key, whose
+    earlier values a plain dict would drop, is an input error."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
 
 
 _NUMBER = (int, float, str)  # a rational: a JSON number or string

@@ -16,7 +16,9 @@ accruals, expectations and instance generator that the keyed integer walk
 must match value for value, the keyed walk that carried every
 representative's state path, which the walk by (state, sup) key must
 match level for level, and the word-keyed forward push and measure
-validator that the measures' row form must match mass for mass.
+validator that the measures' row form must match mass for mass, and the
+exact-sort chain merge that the float-keyed ``_merged`` must match chain
+for chain.
 
 Some helpers here are test-only API rather than independent references:
 ``increment_sum``; ``compensated_process``, built on the library's own
@@ -42,7 +44,7 @@ from typing import Dict, List, Sequence, Tuple
 from treestop import Ext, simplex
 from treestop.dp import _paste, _require_scalar_shape, _sweep
 from treestop.dpp import condition, normalize_cut
-from treestop.envelope import ConcaveEnvelope, _built, _merged
+from treestop.envelope import _STEEPEST_FIRST, ConcaveEnvelope, _built, _merged
 from treestop.errors import (BudgetBelowDomain, DegreeTooHigh, InvariantViolation,
                              ShapeMismatch, TreestopError)
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _G_NONNEG, _H_ANY,
@@ -964,7 +966,8 @@ def oracle_node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
 # The library's int chain kernels (``dp._paste``, ``envelope._merged`` and
 # ``_built``) on Fraction inputs, for comparison with the two oracles above:
 # ``int_chains`` brings (probability, envelope) pairs and extra Fractions to
-# ints over common denominators.
+# ints over common denominators.  ``exact_merged`` is ``_merged`` with every
+# slope compared by cross multiplication, the reference for its float keys.
 
 def int_chains(children, xs=(), vs=()):
     """(probability, envelope) children as chains of ints over one budget
@@ -997,6 +1000,24 @@ def kernel_backstep(stop_value, reward_step, budget_step, children) -> ConcaveEn
         children, (as_fraction(budget_step),),
         (as_fraction(stop_value), as_fraction(reward_step)))
     return _built(_paste(stop, reward, budget, kids), X, V)
+
+
+def exact_merged(chains, dx=0, dv=0):
+    """``_merged`` with every comparison exact: the pooled segments sorted
+    steepest first by cross multiplication (``_STEEPEST_FIRST``, stable),
+    then adjacent equal slopes folded by adding rises and widths."""
+    x0, v0, top, pool = dx, dv, dv, []
+    for b, (x, v, v_top, chain_segments) in chains:
+        x0, v0, top = x0 + b * x, v0 + b * v, top + b * v_top
+        pool += [(b * r, b * w) for r, w in chain_segments]
+    segments = []
+    for r, w in sorted(pool, key=_STEEPEST_FIRST):
+        if segments and segments[-1][0] * w == r * segments[-1][1]:
+            r0, w0 = segments[-1]
+            segments[-1] = (r0 + r, w0 + w)
+        else:
+            segments.append((r, w))
+    return x0, v0, top, segments
 
 
 # -- the envelope DP's test-only surface --------------------------------------------

@@ -3,6 +3,7 @@ replaced, on fixed and generated trees; the keyed level walk's records
 (each key's state) against the oracle's Euler fill and a hand-written
 Euler recursion; one chain per Markov key on loaded instances, and one per node
 where the functions read the whole path; the stop-point paste against the general hull; the
+float-keyed chain merge against the exact sort on a benchmark tree; the
 per-tree root-envelope cache; and singular expressions."""
 
 import re
@@ -18,9 +19,9 @@ from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
 from treestop.generate import generate_instance
 
 from conftest import count_calls
-from oracles import (kernel_backstep, kernel_merged_envelope, node_envelopes, oracle_backstep,
-                     oracle_keyed_walk, oracle_merged_envelope, oracle_node_envelopes,
-                     oracle_prefix, terminal_at)
+from oracles import (exact_merged, kernel_backstep, kernel_merged_envelope, node_envelopes,
+                     oracle_backstep, oracle_keyed_walk, oracle_merged_envelope,
+                     oracle_node_envelopes, oracle_prefix, terminal_at)
 
 F = Fraction
 HALF = F(1, 2)
@@ -306,6 +307,16 @@ def test_sweep_matches_node_by_node_oracle_on_generated_trees(seed, depth, branc
     want = oracle_node_envelopes(load_instance(doc))
     assert root_envelope(load_instance(doc)) == want[()]
     assert node_envelopes(load_instance(doc)) == want
+
+
+def test_every_chain_equals_the_exact_sort_merge_on_env_8x3(monkeypatch):
+    # the benchmark's env-8x3: 2121 keys over 9 levels, with chains of up to
+    # 655 segments, compared level for level and chain for chain
+    doc = generate_instance(seed=1, depth=8, branches=3, n_ineq=1, nonneg_g=True)
+    got = [here for here, _ in dp._sweep(load_instance(doc))]
+    monkeypatch.setattr(dp, "_merged", exact_merged)
+    want = [here for here, _ in dp._sweep(load_instance(doc))]
+    assert len(got) == 9 and got == want
 
 
 # -- one chain per Markov key ------------------------------------------------------

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from treestop import BudgetBelowDomain, ConcaveEnvelope, Ext, POS_INF
-from treestop.envelope import _STEEPEST_FIRST, _built
+from treestop import BudgetBelowDomain, ConcaveEnvelope, Ext, POS_INF, envelope
+from treestop.envelope import _STEEPEST_FIRST, _built, _merged
 
 from oracles import (allocate, brute_allocate, checked_envelope, envelope_from_breakpoints,
-                     hull_of_points, kernel_merged_envelope, slopes)
+                     exact_merged, hull_of_points, kernel_merged_envelope, slopes)
 
 F = Fraction
 HALF = F(1, 2)
@@ -174,3 +174,68 @@ def test_built_checks_int_chains_with_the_constructors_messages(x, v, x_unit, v_
     got = _outcome(lambda: _built(chain, x_unit, v_unit))
     assert got == _outcome(lambda: ConcaveEnvelope(*_breakpoints(chain, x_unit, v_unit)))
     assert got == _outcome(lambda: checked_envelope(*_breakpoints(chain, x_unit, v_unit)))
+
+
+# -- merging int chains: float keys, exact order ------------------------------------
+
+def _chain(*segments):
+    """A chain from (0, 0) with these (rise, width) segments."""
+    return (0, 0, sum(r for r, _ in segments), list(segments))
+
+
+@pytest.fixture
+def exact_sorts(monkeypatch):
+    """The segments that ``_merged``'s exact path hands to its sort key."""
+    seen = []
+
+    def key(segment):
+        seen.append(segment)
+        return _STEEPEST_FIRST(segment)
+    monkeypatch.setattr(envelope, "_STEEPEST_FIRST", key)
+    return seen
+
+
+TIE = (2 ** 53 + 1, 2 ** 53)  # slope 1 + 2**-53, which rounds to the float 1.0
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("weight, exact", [(1, False), (2 ** 60, True)])
+def test_slopes_that_round_to_one_float_merge_in_exact_order(exact_sorts, flip, weight,
+                                                             exact):
+    # at weight 2**60 the slope-1 segment pools as (2**60, 2**60): its larger
+    # rise sorts it before TIE on the tied float, and the fold takes the exact path
+    assert TIE[0] / TIE[1] == 1.0
+    kids = [(1, _chain(TIE)), (weight, _chain((1, 1)))]
+    got = _merged(kids[::-1] if flip else kids, 3, 5)
+    assert got == (3, 5, 5 + TIE[0] + weight, [TIE, (weight, weight)])
+    assert got == exact_merged(kids, 3, 5)
+    assert bool(exact_sorts) == exact
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_a_slope_beyond_the_float_range_takes_the_exact_path(exact_sorts, flip):
+    with pytest.raises(OverflowError):
+        2 ** 1100 / 1
+    kids = [(1, _chain((2 ** 1100, 1))), (2, _chain((1, 1)))]
+    got = _merged(kids[::-1] if flip else kids)
+    assert got == (0, 0, 2 ** 1100 + 2, [(2 ** 1100, 1), (2, 2)])
+    assert exact_sorts
+
+
+# slope a / d + c / (d * 2**e): past e = 53 each (a, d) is one float for every
+# c, so floats tie where exact slopes differ, and exact ties recur across e
+SCALED = st.one_of(
+    st.builds(lambda a, c, d, e: (a * 2 ** e + c, d * 2 ** e), st.integers(0, 4),
+              st.integers(0, 3), st.integers(1, 4), st.sampled_from([0, 1, 53, 60, 80])),
+    st.just((2 ** 1100, 3)))  # a slope beyond the float range
+WEIGHTED = st.lists(st.tuples(st.sampled_from([1, 2, 3, 2 ** 60]), st.lists(SCALED, max_size=5)),
+                    max_size=4)
+
+
+@given(kids=WEIGHTED, dx=STARTS, dv=STARTS)
+@example(kids=[(1, [TIE]), (2 ** 60, [(1, 1)])], dx=0, dv=0)  # the hidden order
+@example(kids=[(2, [(2 ** 60 + 1, 2 ** 60), (1, 1)]), (3, [(2, 2), (1, 1)])], dx=1,
+         dv=-1)  # exact ties folded after a float tie, on the float path
+def test_merged_equals_the_exact_sort(kids, dx, dv):
+    chains = [(b, _chain(*sorted(segments, key=_STEEPEST_FIRST))) for b, segments in kids]
+    assert _merged(chains, dx, dv) == exact_merged(chains, dx, dv)

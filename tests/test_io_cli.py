@@ -523,6 +523,11 @@ def _bad_input(tmp_path, case):
     if case == "rule-duplicate-node":  # the last entry for (0,) was kept
         return ["mc", *write(json.dumps(RW2_DOC))[1:], "--paths", "10", "--rule",
                 side_file("rule.json", {"": "0", "+": "1/2", "0": "0", "-": "1"})]
+    if case == "rule-repeated-key":  # json.load kept the last "+", and derandomize exited 0
+        path = tmp_path / "rule.json"
+        path.write_text('{"": "0", "+": "1", "+": "0", "-": "1"}')
+        return ["derandomize", *write(json.dumps(RW2_DOC))[1:], "--rule", str(path),
+                "--eta", "1/2"]
     if case == "measure-duplicate-node":
         return ["check-class", *write(json.dumps(RW2_DOC))[1:], "--measure",
                 side_file("measure.json", {"": {"u": "1"}, "+": {"s": "1/2"},
@@ -657,7 +662,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "drift-nested-power",
               "singular-at-the-history-sup",
               "singular-below-the-sup", "vector-x0-history", "vector-increment",
-              "rule-duplicate-node", "measure-duplicate-node", "negative-tol")
+              "rule-duplicate-node", "rule-repeated-key", "measure-duplicate-node",
+              "negative-tol")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
