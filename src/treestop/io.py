@@ -8,14 +8,21 @@ of instance files are either named built-ins ("zero", "const:c", "coord",
 and x_sup, evaluated in exact rational arithmetic.  Every field is
 compiled once, when it is loaded, into one form: a ``lattice.KeyFunction``
 of the Markov key (t, state, sup), x_current being the state's first
-coordinate and x_sup its running max, which the tree's keyed walk calls
-at each key.  An expression becomes nested closures: constant
+coordinate and x_sup its running max, holding an int kernel that the
+tree's keyed walk calls at each key's reduced ints, (tn, td, xn, xd, sn,
+sd), and that returns the value as (num, den) in lowest terms.  An
+expression becomes nested closures over (num, den) pairs: constant
 sub-expressions are folded, and names, operators, literals and exponents
 (one that is not constant at a dummy point) are checked then, so no node
 re-reads the syntax tree; exponents are integers of magnitude at most
 ``MAX_EXPONENT``, and an expression's degree, which nested powers multiply,
-is at most ``MAX_DEGREE``.  A function's value at a node, like a constant,
-has at most ``MAX_CONSTANT_BITS`` bits of numerator and of denominator.
+is at most ``MAX_DEGREE``.  Pairs are reduced by a gcd only where a check
+reads them: a power's base (before its bit estimate) and exponent (before
+its integer and cap tests), a folded constant, and the kernel's value.  A
+function's value at a node, like a constant, has at most
+``MAX_CONSTANT_BITS`` bits of numerator and of denominator, checked on the
+reduced value.  A Fraction is built only where a caller reads one, and
+for an error message.
 Loaders check each field's JSON type before reading it.
 """
 
@@ -25,10 +32,11 @@ import ast
 import hashlib
 import json
 import math
-import operator
 import os
 import reprlib
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 from typing import Union
 
 from .errors import ExpressionUndefined, NodeNotInTree
@@ -92,30 +100,43 @@ MAX_DEGREE = MAX_EXPONENT ** 2  # of an expression, so (x ** 64) ** 64 loads
 MAX_CONSTANT_BITS = 14_000  # printable in 4300 digits, so (10 ** 64) ** 64 loads
 _SHOWN_BITS = 128  # a longer state coordinate shows in an error as its bit count
 
+# a base below _SMALL_BASE in absolute value, numerator and denominator, has
+# at most 438 bits, so it passes ``_power``'s estimate at every exponent
+# within the cap
+_SMALL_BASE = 1 << ((2 * MAX_CONSTANT_BITS - 1) // MAX_EXPONENT + 1)
+_VALUE_LIMIT = 1 << MAX_CONSTANT_BITS  # |n| < _VALUE_LIMIT: n has at most the cap's bits
 
-def _int_exponent(b: Fraction) -> int:
-    if b.denominator != 1:
+
+def _reduced(v: tuple) -> tuple:
+    n, d = v
+    g = gcd(n, d)
+    return (n // g, d // g) if g != 1 else v
+
+
+def _bits(v: tuple) -> int:
+    """The bits of a pair's numerator or denominator, whichever has more."""
+    return max(v[0].bit_length(), v[1].bit_length())
+
+
+def _int_exponent(b: tuple) -> int:
+    """A reduced constant exponent as an int, else a ValueError."""
+    if b[1] != 1:
         raise ValueError("only integer exponents are supported")
-    if abs(b) > MAX_EXPONENT:
+    if abs(b[0]) > MAX_EXPONENT:
         raise ValueError(f"exponents are capped at {MAX_EXPONENT} in absolute value")
-    return b.numerator
+    return b[0]
 
 
 class _ConstantTooLarge(ValueError):
     """A constant above ``MAX_CONSTANT_BITS``; ``parse_function`` names the field."""
 
 
-def _bits(x: Fraction) -> int:
-    """The bits of x's numerator or denominator, whichever has more."""
-    return max(x.numerator.bit_length(), x.denominator.bit_length())
-
-
-def _constant(x: Fraction, times: int = 1) -> Fraction:
-    """x, unless x ** times, estimated before it is taken, has too many bits."""
-    bits = _bits(x) * times
+def _constant(v: tuple, times: int = 1) -> tuple:
+    """v, unless v ** times, estimated before it is taken, has too many bits."""
+    bits = _bits(v) * times
     if bits > MAX_CONSTANT_BITS:
         raise _ConstantTooLarge(bits)
-    return x
+    return v
 
 
 class _BadExponent(ValueError):
@@ -124,39 +145,63 @@ class _BadExponent(ValueError):
     ``_guarded`` reports the power its argument names, with t and state."""
 
 
-def _int_pow(a, b):
-    if b.denominator != 1:
-        raise _BadExponent(f"the non-integer power {fmt_rational(b)}")
-    if abs(b) > MAX_EXPONENT:
+def _int_pow(a: tuple, b: tuple) -> tuple:
+    """a ** b for an exponent that is not constant: b, reduced, must be an
+    integer within the cap at the node; a non-integer one of more than
+    ``_SHOWN_BITS`` bits shows as its bit count."""
+    b = _reduced(b)
+    if b[1] != 1:
+        raise _BadExponent(f"the non-integer power {_shown(Fraction(*b))}")
+    if abs(b[0]) > MAX_EXPONENT:
         raise _BadExponent(f"a power whose exponent is above the cap {MAX_EXPONENT}")
-    return _power(a, b.numerator)
+    return _power(a, b[0])
 
 
-def _power(a, n: int):
-    """a ** n, refused unbuilt when |n| * (bits(a) - 1) + 1, a lower bound on
-    its bits, is above 2 * ``MAX_CONSTANT_BITS``; ``_guarded`` checks the rest."""
-    bits = abs(n) * (_bits(a) - 1) + 1
-    if bits > 2 * MAX_CONSTANT_BITS:
-        raise _BadExponent(f"a power of at least {bits} bits, above twice the cap "
-                          f"{MAX_CONSTANT_BITS},")
-    return a ** n
+def _power(a: tuple, n: int) -> tuple:
+    """a ** n for a reduced a and |n| within the cap, refused unbuilt when
+    |n| * (bits(a) - 1) + 1, a lower bound on its bits, is above
+    2 * ``MAX_CONSTANT_BITS``; ``_guarded`` checks the rest.  The power is
+    reduced, and a negative power of 0 divides by zero."""
+    an, ad = a
+    if not (-_SMALL_BASE < an < _SMALL_BASE and ad < _SMALL_BASE):
+        bits = abs(n) * (_bits(a) - 1) + 1
+        if bits > 2 * MAX_CONSTANT_BITS:
+            raise _BadExponent(f"a power of at least {bits} bits, above twice the cap "
+                              f"{MAX_CONSTANT_BITS},")
+    if n >= 0:
+        return an ** n, ad ** n
+    if not an:
+        raise ZeroDivisionError
+    return (ad ** -n, an ** -n) if an > 0 else ((-ad) ** -n, (-an) ** -n)
+
+
+def _div(a, b):
+    n, d = a[0] * b[1], a[1] * b[0]
+    if d > 0:
+        return n, d
+    if d:
+        return -n, -d
+    raise ZeroDivisionError
 
 
 _ALLOWED_NAMES = ("t", "x_current", "x_sup")
-_NAMES = {"t": lambda t, x, s: t, "x_current": lambda t, x, s: x,
-          "x_sup": lambda t, x, s: s}
-_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
-           ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: _int_pow}
+_NAMES = {"t": itemgetter(0, 1), "x_current": itemgetter(2, 3), "x_sup": itemgetter(4, 5)}
+_BINOPS = {ast.Add: lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1]),
+           ast.Sub: lambda a, b: (a[0] * b[1] - b[0] * a[1], a[1] * b[1]),
+           ast.Mult: lambda a, b: (a[0] * b[0], a[1] * b[1]), ast.Div: _div, ast.Pow: _int_pow}
+_DUMMY_KEY = (0, 1, 0, 1, 0, 1)  # t = 0, state 0, sup 0
 
 
 def _compile(node):
-    """An expression AST as (value, degree): the value a Fraction, when it is
-    constant, or else a function of (t, x_current, x_sup); the degree a
-    bound on its degree as a rational function of t, x_current and x_sup
-    (0 when constant).  A constant exponent multiplies its base's degree; one
-    that is not constant, checked against ``MAX_EXPONENT`` at each node, makes
-    it ``MAX_EXPONENT`` times the base's degree, or that cap when the base is
-    constant; ``*`` and ``/`` add degrees, and ``+`` and ``-`` take the larger.
+    """An expression AST as (value, degree): the value a reduced (num, den)
+    pair, when it is constant, or else a function of the key's ints, key =
+    (tn, td, xn, xd, sn, sd), giving a pair with den > 0, not always
+    reduced; the degree a bound on its degree as a rational function of t,
+    x_current and x_sup (0 when constant).  A constant exponent multiplies
+    its base's degree; one that is not constant, checked against
+    ``MAX_EXPONENT`` at each node, makes it ``MAX_EXPONENT`` times the base's
+    degree, or that cap when the base is constant; ``*`` and ``/`` add
+    degrees, and ``+`` and ``-`` take the larger.
 
     Names, operators, literals, exponents and constants' sizes are checked here, once.
     """
@@ -164,8 +209,9 @@ def _compile(node):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric literal {node.value!r}")
         if isinstance(node.value, int):
-            return _constant(Fraction(node.value)), 0
-        return _constant(Fraction(str(node.value))), 0  # decimal literals parse exactly
+            return _constant((node.value, 1)), 0
+        c = Fraction(str(node.value))  # decimal literals parse exactly
+        return _constant((c.numerator, c.denominator)), 0
     if isinstance(node, ast.Name):
         if node.id not in _NAMES:
             raise ValueError(f"unknown name {node.id!r}; use one of {_ALLOWED_NAMES}")
@@ -174,10 +220,17 @@ def _compile(node):
         a, degree = _compile(node.operand)
         if isinstance(node.op, ast.UAdd):
             return a, degree
-        return ((lambda t, x, s: -a(t, x, s)) if callable(a) else -a), degree
+        if not callable(a):
+            return (-a[0], a[1]), degree
+
+        def neg(key):
+            n, d = a(key)
+            return -n, d
+        return neg, degree
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         (a, da), (b, db) = _compile(node.left), _compile(node.right)
         if isinstance(node.op, ast.Pow):
+            a = _reducing(a)
             if not callable(b):
                 n = _int_exponent(b)
                 if not callable(a):
@@ -193,30 +246,39 @@ def _compile(node):
     raise ValueError(f"unsupported expression element {ast.dump(node)}")
 
 
+def _reducing(a):
+    """A compiled operand whose values are reduced: a constant or a name is,
+    and any other function's value is reduced by one gcd."""
+    if not callable(a) or a in _NAMES.values():
+        return a
+    return lambda key: _reduced(a(key))
+
+
 def _check_exponent(b):
     """Reject an exponent that is not constant when ``_int_exponent`` does at
     the dummy point (t = 0, state 0); a division by zero there says nothing
     about the tree's nodes, which are checked when they are evaluated."""
     try:
-        _int_exponent(b(Fraction(0), Fraction(0), Fraction(0)))
+        _int_exponent(_reduced(b(_DUMMY_KEY)))
     except ZeroDivisionError:
         pass
 
 
 def _fold(op, a, b):
-    """op on two compiled operands: folded now when both are constant
-    (unless that divides by zero, which is reported at each node), else a
-    function evaluating them left to right."""
+    """op on two compiled operands (b is an int exponent for ``_power``):
+    folded now when both are constant (unless that divides by zero, which
+    is reported at each node), else a function evaluating them left to
+    right."""
     if callable(a) and callable(b):
-        return lambda t, x, s: op(a(t, x, s), b(t, x, s))
+        return lambda key: op(a(key), b(key))
     if callable(a):
-        return lambda t, x, s: op(a(t, x, s), b)
+        return lambda key: op(a(key), b)
     if callable(b):
-        return lambda t, x, s: op(a, b(t, x, s))
+        return lambda key: op(a, b(key))
     try:
-        value = op(a, b)
+        value = _reduced(op(a, b))
     except ZeroDivisionError:
-        return lambda t, x, s: op(a, b)
+        return lambda key: op(a, b)
     return _constant(value)
 
 
@@ -225,9 +287,10 @@ _ALIASES = {"zero": "0", "coord": "x_current", "sup": "x_sup"}
 
 def parse_function(spec, field: str = "expression") -> tuple:
     """Turn a function field into (``KeyFunction``, canonical spec string):
-    a function of the Markov key (t, state, sup), compiled once.  An
-    expression whose degree (``_compile``) or constant is above its cap is
-    refused with a ValueError naming ``field``: nesting powers would
+    a function of the Markov key (t, state, sup), compiled once to an int
+    kernel.  An expression that does not compile, or whose degree
+    (``_compile``) or constant is above its cap, is refused with a
+    ValueError naming ``field`` and the expression: nesting powers would
     otherwise compose the exponent cap without bound."""
     if isinstance(spec, (int, float)):
         spec = fmt_rational(as_fraction(spec))
@@ -237,24 +300,27 @@ def parse_function(spec, field: str = "expression") -> tuple:
         return parse_function(_ALIASES[low])[0], low
     if low.startswith("const:"):
         c = as_fraction(spec.split(":", 1)[1])
-        return KeyFunction(lambda t, x, s: c), f"const:{fmt_rational(c)}"
+        value = (c.numerator, c.denominator)
+        return KeyFunction(lambda *key: value), f"const:{fmt_rational(c)}"
     if low.startswith("power:"):
         a_s, q_s, lam_s = spec.split(":", 1)[1].split(",")
         a, q, lam = as_fraction(a_s), as_fraction(q_s), as_fraction(lam_s)
+        aq, e = a * q, q - 1
+        an, ad, ln, ld = aq.numerator, aq.denominator, lam.numerator, lam.denominator
 
-        def moment_rate(t, x, s, a=a, q=q, lam=lam):
+        def moment_rate(key):
             # integrand a*q*t^(q-1) + lam accrues a*((t0+tau)^q - t0^q) + lam*tau
-            t = as_fraction(t)
-            if (q - 1).denominator == 1:
-                power = _int_pow(t, q - 1)
-            elif t == 0 and q < 1:
+            tn, td = key[0], key[1]
+            if e.denominator == 1:
+                pn, pd = _int_pow((tn, td), (e.numerator, 1))
+            elif tn == 0 and q < 1:
                 raise ZeroDivisionError  # t^(q-1) is 1/t^(1-q)
-            elif t < 0:
-                raise _BadExponent(f"the non-integer power q - 1 = {fmt_rational(q - 1)} "
+            elif tn < 0:
+                raise _BadExponent(f"the non-integer power q - 1 = {fmt_rational(e)} "
                                    "of a negative time")
             else:
-                power = as_fraction(math.pow(float(t), float(q - 1)))
-            return a * q * power + lam
+                pn, pd = math.pow(tn / td, float(e)).as_integer_ratio()
+            return an * pn * ld + ln * ad * pd, ad * pd * ld
 
         spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
         return _guarded(moment_rate, spec), spec
@@ -263,39 +329,45 @@ def parse_function(spec, field: str = "expression") -> tuple:
     except _ConstantTooLarge as exc:
         raise ValueError(f"{field} {spec!r} has a constant of about {exc.args[0]} bits, "
                          f"above the cap {MAX_CONSTANT_BITS}") from None
+    except ValueError as exc:
+        raise ValueError(f"{field} {spec!r}: {exc}") from None
     if degree > MAX_DEGREE:
         raise ValueError(f"{field} {spec!r} has degree {degree}, above the cap "
                          f"{MAX_DEGREE} (MAX_EXPONENT ** 2)")
     if not callable(fn):
-        return KeyFunction(lambda t, x, s: fn), spec
+        return KeyFunction(lambda *key: fn), spec
     return _guarded(fn, spec), spec
 
 
 def _guarded(fn, spec: str) -> KeyFunction:
-    """fn(t, x_current, x_sup) as a ``KeyFunction`` of (t, state, sup),
-    x_current being the state's first coordinate, with a division by zero,
-    a non-integer or too large power, a float overflow (of ``power:``) or
-    a value whose numerator or denominator has more than
-    ``MAX_CONSTANT_BITS`` bits reported as bad input naming spec, t and
-    the state.  The expression caps bound each expression but not its value
-    at a node, and the Euler step composes the drift's values level by
-    level, so the value is bounded here, where it is evaluated."""
-    def at(t, x, s):
+    """fn as a ``KeyFunction``: its int kernel calls fn at the key's ints
+    and reduces the value by one gcd.  A division by zero, a non-integer or
+    too large power, a float overflow (of ``power:``) or a reduced value
+    whose numerator or denominator has more than ``MAX_CONSTANT_BITS`` bits
+    is reported as bad input naming spec, t and the state (``state``, when
+    given: a vector state, of which the key holds the first coordinate).
+    The expression caps bound each expression but not its value at a node,
+    and the Euler step composes the drift's values level by level, so the
+    value is bounded here, where it is evaluated."""
+    def kernel(tn, td, xn, xd, sn, sd, state=None):
         try:
-            v = fn(t, x[0] if isinstance(x, tuple) else x, s)
+            n, d = fn((tn, td, xn, xd, sn, sd))
         except ZeroDivisionError:
-            raise ExpressionUndefined(f"{spec!r} divides by zero {_where(t, x)}") from None
+            what = "divides by zero"
         except OverflowError:
-            raise ExpressionUndefined(
-                f"{spec!r} overflows the float range {_where(t, x)}") from None
+            what = "overflows the float range"
         except _BadExponent as exc:
-            raise ExpressionUndefined(f"{spec!r} takes {exc.args[0]} {_where(t, x)}") from None
-        if (v.numerator.bit_length() > MAX_CONSTANT_BITS
-                or v.denominator.bit_length() > MAX_CONSTANT_BITS):
-            raise ExpressionUndefined(f"{spec!r} has a value of {_bits(v)} bits, above the "
-                                      f"cap {MAX_CONSTANT_BITS}, {_where(t, x)}")
-        return v
-    return KeyFunction(at)
+            what = f"takes {exc.args[0]}"
+        else:
+            g = gcd(n, d)
+            if g != 1:
+                n, d = n // g, d // g
+            if -_VALUE_LIMIT < n < _VALUE_LIMIT and d < _VALUE_LIMIT:
+                return n, d
+            what = f"has a value of {_bits((n, d))} bits, above the cap {MAX_CONSTANT_BITS},"
+        where = _where(Fraction(tn, td), Fraction(xn, xd) if state is None else state)
+        raise ExpressionUndefined(f"{spec!r} {what} {where}")
+    return KeyFunction(kernel)
 
 
 def _where(t, x) -> str:
@@ -306,7 +378,8 @@ def _where(t, x) -> str:
 
 
 def _shown(x) -> str:
-    return fmt_rational(x) if _bits(x) <= _SHOWN_BITS else f"of {_bits(x)} bits"
+    bits = _bits((x.numerator, x.denominator))
+    return fmt_rational(x) if bits <= _SHOWN_BITS else f"of {bits} bits"
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ grid; stopping at a node pays the terminal function there on top of the
 accumulated running reward.
 
 All probabilities and node data are exact rationals.  Node data are made
-finite Fractions here, where the instance's functions are called (floats
-snap to their exact binary value; +-inf and NaN raise ValueError); only
-budgets and targets may be infinite, as ``Ext``.
+finite here, where the instance's functions are called (floats snap to
+their exact binary value; +-inf and NaN raise ValueError), and held as
+ints; only budgets and targets may be infinite, as ``Ext``.
 """
 
 from __future__ import annotations
@@ -89,25 +89,39 @@ def _first(x):
 
 
 class KeyFunction:
-    """An instance function of the Markov key, ``at(t, state, sup)``: sup is
-    the running max of the state's first coordinate along the path, seeded
-    by the history.  ``io`` compiles every function field to one.  Called as
-    ``fn(t, prefix)``, the form of functions built from Python callables, it
-    reads its key off the state path."""
+    """An instance function of the Markov key (t, state, sup): sup is the
+    running max of the state's first coordinate along the path, seeded by
+    the history.  ``io`` compiles every function field to one, holding an
+    int kernel, ``kernel(tn, td, xn, xd, sn, sd)``: the key's three
+    rationals as reduced numerators and denominators in, the value out as
+    (num, den) in lowest terms with den > 0.  A Markov tree's walk calls
+    the kernel; called as ``fn(t, prefix)``, the form of functions built
+    from Python callables, it reads its key off the state path and returns
+    a Fraction (a vector state's first coordinate is the key's state)."""
 
-    __slots__ = ("at",)
+    __slots__ = ("kernel",)
 
-    def __init__(self, at: Callable):
-        self.at = at
+    def __init__(self, kernel: Callable):
+        self.kernel = kernel
 
     def __call__(self, t, prefix):
-        return self.at(as_fraction(t), prefix[-1], max(map(_first, prefix)))
+        t, x = as_fraction(t), prefix[-1]
+        first, sup = _first(x), max(map(_first, prefix))
+        return Fraction(*self.kernel(t.numerator, t.denominator, first.numerator,
+                                     first.denominator, sup.numerator, sup.denominator, x))
+
+
+def _pair(fn: Callable, what: str, t: Fraction, prefix: tuple) -> tuple:
+    """fn at a state path, checked by ``_finite``, as (num, den)."""
+    v = _finite(fn(t, prefix), what, t)
+    return v.numerator, v.denominator
 
 
 def _over_ones(pays: list, rates: list, dt: Fraction, n_cols: int):
     """Every key's stop payoff and accrual step dt * (f, g_i, h_i) as ints
     over one denominator per column, the least common one: (ones, pays,
-    steps), with ``pays`` and ``rates`` split by level as given.
+    steps), with ``pays`` and ``rates`` split by level as given, each value
+    a reduced (num, den) pair.
 
     A column's values are ints m_i over M, dt's denominator times the least
     common one of its rates (and of the stop payoffs in column 0), formed
@@ -118,12 +132,12 @@ def _over_ones(pays: list, rates: list, dt: Fraction, n_cols: int):
     cols, ones = [], []
     for c, col in enumerate(list(zip(*(r for level in rates for r in level)))
                             or [()] * n_cols):
-        one, ints = lcm(*(v.denominator for v in col)) * q, []
+        one, ints = lcm(*(d for _, d in col)) * q, []
         if c == 0:  # the stop payoffs share column 0's denominator
-            one = lcm(one, *(v.denominator for v in stops))
-            ints = [v.numerator * (one // v.denominator) for v in stops]
+            one = lcm(one, *(d for _, d in stops))
+            ints = [n * (one // d) for n, d in stops]
         unit = one // q  # a multiple of every rate's denominator
-        ints += [v.numerator * p * (unit // v.denominator) for v in col]
+        ints += [n * p * (unit // d) for n, d in col]
         g = gcd(one, *ints)
         ones.append(one // g)
         cols.append([m // g for m in ints] if g > 1 else ints)
@@ -197,9 +211,10 @@ class KeyedWalk(NamedTuple):
     over one denominator per column, ``ones[c]``, the least common one; the
     stop payoffs share column 0's.  No state path is kept: a node's path is
     its history and the states of the keys along its word.  On a Markov tree
-    the walk folds children by their (state, sup) as reduced int numerators
-    and denominators, and a key's state is a Fraction built once, when the
-    key is first reached."""
+    the walk calls the functions' int kernels and folds children by their
+    (state, sup) as reduced int numerators and denominators, and a key's
+    state is a Fraction built once, when the key is first reached: the only
+    Fraction the walk builds, unless an error message needs one."""
 
     states: list
     kids: list
@@ -472,36 +487,37 @@ class TreeInstance:
         return (_as_vector(self._drift(t, prefix), self.l),
                 _as_matrix(self._diff(t, prefix), self.l, self.d))
 
-    def _path_step(self, k: int, t: Fraction, at: tuple, below: list, index: dict) -> range:
+    def _path_step(self, k: int, when: tuple, at: tuple, below: list, index: dict) -> range:
         """Append to ``below`` the (state, representative) of each child of a
         depth-k node whose representative is its state path, ``at = (prefix,)``,
         and return their indices there: every child is a key of its own, so
-        ``index`` is not read."""
+        ``index`` is not read, nor ``when``, the time as the functions take it."""
         prefix, = at
         start = len(below)
         below += [(x, (prefix + (x,),))
                   for x in map(self._unwrap, self._child_states(k, prefix))]
         return range(start, len(below))
 
-    def _key_step(self, levels: list, dt: tuple, k: int, t: Fraction, at: tuple,
+    def _key_step(self, levels: list, dt: tuple, k: int, when: tuple, at: tuple,
                   below: list, index: dict) -> list:
-        """The index in ``below`` of each child of a depth-k Markov key ``at =
-        (x, sup)``, appending the keys not yet in ``index``.  The scalar Euler step
+        """The index in ``below`` of each child of a depth-k Markov key, whose
+        representative ``at`` is its state and sup as reduced ints, (state
+        num, state den, sup num, sup den), appending the keys not yet in
+        ``index``.  The drift b and diffusion sigma come from their kernels
+        at the time's ints ``when`` and ``at``, and the scalar Euler step
         x + b * dt + sigma * w_j is taken in ints over one denominator and
-        reduced by one gcd; ``index`` keys each child by its state and sup as
-        reduced ints, (state num, state den, sup num, sup den), the sup
-        being the state when that lies above the old one.  A key's Fractions
-        are built once, when it is first seen.  ``levels[k]`` holds the
-        level's increments w_j as ints over their least common denominator,
-        and it; ``dt`` is (numerator, denominator)."""
-        x, sup = at
-        b, sig = as_fraction(self._drift.at(t, x, sup)), as_fraction(self._diff.at(t, x, sup))
+        reduced by one gcd; ``index`` keys each child by its representative,
+        the sup being the state when that lies above the old one.  A key's
+        state Fraction is built once, when it is first seen.  ``levels[k]``
+        holds the level's increments w_j as ints over their least common
+        denominator, and it; ``dt`` is (numerator, denominator)."""
+        xn, xd, sup_n, sup_d = at
+        (bn, bd), (sig_n, sig_d) = self._drift.kernel(*when, *at), self._diff.kernel(*when, *at)
         (incs, unit), (p, q) = levels[k], dt
-        xd, bd = x.denominator, b.denominator * q
-        mn, md = x.numerator * bd + b.numerator * p * xd, xd * bd  # the mean x + b * dt
-        sd = sig.denominator * unit
-        m, s, den = mn * sd, sig.numerator * md, md * sd
-        sup_n, sup_d = sup.numerator, sup.denominator
+        bd *= q
+        mn, md = xn * bd + bn * p * xd, xd * bd  # the mean x + b * dt
+        sd = sig_d * unit
+        m, s, den = mn * sd, sig_n * md, md * sd
         top, out = sup_n * den, []
         for w in incs:
             y = m + s * w
@@ -511,8 +527,7 @@ class TreeInstance:
             i = index.get(key)
             if i is None:
                 i = index[key] = len(below)
-                y = Fraction(n, d)
-                below.append((y, (y, y if above else sup)))
+                below.append((Fraction(n, d), key))
             out.append(i)
         return out
 
@@ -528,11 +543,15 @@ class TreeInstance:
         a node's future depends on its key alone, and the branch
         probabilities are the level's (``_branch_ints``).  On a tree marked
         ``_markov`` a representative is its key, the state and the running
-        sup of the path, seeded by the history's max: the functions are
-        called at (t, state, sup), a step costs O(1) int work, and children
-        fold by their key's reduced int numerators and denominators, so no
-        Fraction is hashed (``_key_step``).  Otherwise it is the node's state
-        path, every node is its own key, and the functions see the whole path.
+        sup of the path, seeded by the history's max, as reduced int
+        numerators and denominators: the functions' int kernels
+        (``KeyFunction``) are called at the time's and the key's ints and
+        return (num, den) pairs, a step costs O(1) int work, and children
+        fold by their key's ints, so no Fraction is hashed (``_key_step``).
+        Otherwise it is the node's state path, every node is its own key, and
+        the functions see the whole path; their values, made finite
+        Fractions (``_finite``), become pairs too, and ``_over_ones`` brings
+        either walk's pairs to ints over one denominator per column.
         """
         if self._walk is not None:
             return self._walk
@@ -541,31 +560,35 @@ class TreeInstance:
                *(h for h, _ in spec.equalities))
         names = ("terminal payoff", "reward", *(f"g_{i}" for i in range(spec.n_ineq)),
                  *(f"h_{i}" for i in range(spec.n_eq)))
-        # a representative is (its state, the arguments after t that the
-        # functions take): (state, sup) on a Markov tree, else (state path,)
+        # a representative is (its state, the arguments after the time that
+        # the functions take): (state num, state den, sup num, sup den) on a
+        # Markov tree, whose kernels take the time as (num, den), else
+        # (state path,), with the time a Fraction
         x0 = self._unwrap(self.history[-1])
         if self._markov:
             units = [lcm(*(w.denominator for _, (w,) in level)) for level in self.branching]
             incs = [([w.numerator * (unit // w.denominator) for _, (w,) in level], unit)
                     for level, unit in zip(self.branching, units)]
             dt = (self.dt.numerator, self.dt.denominator)
-            fns, step = [fn.at for fn in fns], partial(self._key_step, incs, dt)
-            reps = [(x0, (x0, max(x for x, in self.history)))]
+            fns, step = [fn.kernel for fn in fns], partial(self._key_step, incs, dt)
+            sup = max(x for x, in self.history)
+            reps = [(x0, (x0.numerator, x0.denominator, sup.numerator, sup.denominator))]
         else:
+            fns = [partial(_pair, fn, name) for fn, name in zip(fns, names)]
             step, reps = self._path_step, [(x0, (tuple(map(self._unwrap, self.history)),))]
         states, kids, pays, rates = [], [], [], []
         for k in range(self.depth + 1):
             t, leaf = self._times[k], k == self.depth
-            level = [[_finite(fn(t, *at), name, t)
-                      for fn, name in zip(fns[:1] if leaf else fns, names)]
-                     for _, at in reps]
+            when = (t.numerator, t.denominator) if self._markov else (t,)
+            here = fns[:1] if leaf else fns
+            level = [[fn(*when, *at) for fn in here] for _, at in reps]
             states.append([x for x, _ in reps])
             pays.append([values[0] for values in level])
             if leaf:
                 break
             rates.append([values[1:] for values in level])
             below, index = [], {}
-            kids.append([tuple(step(k, t, at, below, index)) for _, at in reps])
+            kids.append([tuple(step(k, when, at, below, index)) for _, at in reps])
             reps = below
         self._walk = KeyedWalk(states, kids, *_over_ones(pays, rates, self.dt, len(fns) - 1))
         return self._walk

@@ -29,13 +29,14 @@ def make_rw(depth=2, sigma=1, ineq=None, eq=None, dt=1, x0=0):
 def count_calls(tree) -> Counter:
     """Wrap the tree's own functions so that the Counter returned counts
     their calls by name: "terminal", "reward", "drift", "diffusion", "g" and
-    "h".  A ``KeyFunction`` stays one, so a loaded tree is still walked by
-    key, and a call in either of its forms counts once."""
+    "h".  A ``KeyFunction`` stays one, wrapping its int kernel, so a loaded
+    tree is still walked by key, and a call in either of its forms (the
+    kernel, or the Fraction adapter over it) counts once."""
     calls = Counter()
 
     def counted(name, fn):
         if isinstance(fn, KeyFunction):
-            return KeyFunction(counted(name, fn.at))
+            return KeyFunction(counted(name, fn.kernel))
 
         def call(*args):
             calls[name] += 1

@@ -1106,9 +1106,12 @@ _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
            ast.Pow: None}
 
 
-def oracle_eval_node(node, env):
+def oracle_eval_node(node, env, before_power=None):
+    """The tree-walking interpreter of instance expressions, which knows no
+    caps; ``before_power(base, n)``, when given, sees each integer power
+    before it is taken."""
     if isinstance(node, ast.Expression):
-        return oracle_eval_node(node.body, env)
+        return oracle_eval_node(node.body, env, before_power)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric literal {node.value!r}")
@@ -1120,14 +1123,16 @@ def oracle_eval_node(node, env):
             raise ValueError(f"unknown name {node.id!r}; use one of {_ALLOWED_NAMES}")
         return env[node.id]
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        v = oracle_eval_node(node.operand, env)
+        v = oracle_eval_node(node.operand, env, before_power)
         return -v if isinstance(node.op, ast.USub) else v
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        a = oracle_eval_node(node.left, env)
-        b = oracle_eval_node(node.right, env)
+        a = oracle_eval_node(node.left, env, before_power)
+        b = oracle_eval_node(node.right, env, before_power)
         if isinstance(node.op, ast.Pow):
             if b.denominator != 1:
                 raise ValueError("only integer exponents are supported")
+            if before_power is not None:
+                before_power(a, b.numerator)
             return a ** b.numerator
         return _BINOPS[type(node.op)](a, b)
     raise ValueError(f"unsupported expression element {ast.dump(node)}")

@@ -6,9 +6,12 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treestop import ExpressionUndefined, load_instance, parse_function
-from treestop.io import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_EXPONENT, _compile
+from treestop.io import (_ALLOWED_NAMES, MAX_CONSTANT_BITS, MAX_DEGREE, MAX_EXPONENT,
+                         _compile)
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS,
                                _TERMINALS)
 
@@ -90,7 +93,8 @@ def test_power_builtin_at_time_zero_is_undefined_not_a_domain_error():
 def test_exponent_that_is_not_constant_is_checked_on_its_own_at_load():
     # the division by zero at the dummy point comes first in the expression,
     # and must not hide the exponent, which is 1/2 there
-    with pytest.raises(ValueError, match="^only integer exponents are supported$"):
+    with pytest.raises(ValueError, match=r"^expression '1/x_current \+ t\*\*\(x_current \+ "
+                       r"1/2\)': only integer exponents are supported$"):
         parse_function("1/x_current + t**(x_current + 1/2)")
     # an exponent that is an integer at the dummy point still loads, and a
     # division by zero inside one is left to the nodes
@@ -114,11 +118,23 @@ def test_exponent_that_is_not_constant_is_an_integer_or_undefined_at_a_node():
         parse_function("1/t + t**x_current")[0](F(0), ((F(1, 3), F(0)),))
 
 
+def test_a_long_non_integer_exponent_shows_as_its_bit_count():
+    # (32/3) ** 33 has a 166-bit numerator; at 437 bits, its 4300-digit
+    # rendering raised Python's int conversion ValueError, not bad input
+    fn, _ = parse_function("t**(t**33)")
+    with pytest.raises(ExpressionUndefined, match=r"^'t\*\*\(t\*\*33\)' takes the non-integer "
+                       r"power of 166 bits at t = 32/3, state 0$"):
+        fn(F(32, 3), (F(0),))
+    with pytest.raises(ExpressionUndefined, match="non-integer power of 14422 bits"):
+        fn(F(2 ** 437, 3), (F(0),))
+
+
 def test_exponents_are_capped_at_load_and_at_nodes():
     cap = MAX_EXPONENT
     assert parse_function(f"x_current ** {cap}")[0](F(0), (F(2),)) == 2 ** cap
     assert parse_function(f"x_current ** -{cap}")[0](F(0), (F(2),)) == F(1, 2 ** cap)
-    with pytest.raises(ValueError, match=f"^exponents are capped at {cap} in absolute value$"):
+    with pytest.raises(ValueError, match=rf"^expression 'x_current \*\* {cap + 1}': "
+                       rf"exponents are capped at {cap} in absolute value$"):
         parse_function(f"x_current ** {cap + 1}")
     # an exponent that is not constant is 0 at load's dummy point
     fn, _ = parse_function("2 ** (x_current * 65)")
@@ -248,3 +264,87 @@ def test_power_builtin_overflow_is_undefined_not_an_overflow_error():
         fn(F(2), (F(0),))
     # the same power one step earlier is a (huge) float
     assert fn(F(1), (F(0),)) == F(3001, 2)
+
+
+# -- the int kernels against the interpreter, on drawn expressions ------------------
+# The interpreter knows no caps, so a drawn expression's expected outcome is
+# its value, unless the interpreter raises, a power's exponent is above
+# MAX_EXPONENT or its bit estimate above twice MAX_CONSTANT_BITS, or the
+# value has more than MAX_CONSTANT_BITS bits: each of those is bad input.
+
+def _near(bits):
+    """Ints with bits - 1 and bits bits, the extremes of that length."""
+    return [2 ** (bits - 2), 2 ** (bits - 1) - 1, 2 ** (bits - 1), 2 ** bits - 1]
+
+
+_LITERALS = (["0", "1", "2", "3", "0.5", "1.25", "0.1", "(1/3)", "(5/2)"]
+             + [str(n) for n in _near(MAX_CONSTANT_BITS)[::2]])
+# (t, x_current, x_sup): zero bases, small values, and bases whose 64th power
+# is within a few bits of the value cap, or whose bit estimate is at twice it
+KEYS = [(F(0), F(0), F(0)), (F(1), F(2), F(2)), (F(1, 2), F(-1), F(3, 2)),
+        (F(-1), F(1, 3), F(5)), (F(2), F(-3, 4), F(0)), (F(64), F(65), F(1, 64)),
+        *((F(1), F(n), F(1, n)) for n in _near(219)),
+        *((F(n, 3), F(-1, n), F(n)) for n in _near(438) + _near(439))]
+VECTOR_PREFIXES = [(F(1, 2), ((F(-1), F(3)),)), (F(0), ((F(0), F(1)), (F(2), F(-1)))),
+                   (F(1), ((F(2) ** 218, F(1, 3)),))]
+
+
+class _Capped(Exception):
+    """A power above a cap, refused before the interpreter takes it."""
+
+
+def _check_power(base, n):
+    bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+    if abs(n) > MAX_EXPONENT or abs(n) * (bits - 1) + 1 > 2 * MAX_CONSTANT_BITS:
+        raise _Capped
+
+
+def _capped_oracle(spec, env):
+    """The interpreter's value, or bad input where it raises (it divides by
+    zero, or a power is no integer) or a cap applies."""
+    try:
+        value = oracle_eval_node(ast.parse(spec, mode="eval"), env, _check_power)
+    except (ZeroDivisionError, ValueError, _Capped):
+        return ExpressionUndefined
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_CONSTANT_BITS:
+        return ExpressionUndefined
+    return value
+
+
+def _compound(operands):
+    return st.one_of(
+        st.builds("{}({})".format, st.sampled_from("-+"), operands),
+        st.builds("({} {} {})".format, operands, st.sampled_from("+-*/"), operands),
+        st.builds("({})**({})".format, operands, st.integers(-MAX_EXPONENT, MAX_EXPONENT)),
+        st.builds("({})**({})".format, operands, operands))
+
+
+EXPRESSIONS = st.recursive(st.sampled_from(list(_ALLOWED_NAMES) + _LITERALS), _compound,
+                           max_leaves=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(spec=EXPRESSIONS)
+@example(spec=f"x_current * {2 ** (MAX_CONSTANT_BITS - 1)}")  # 2 ** 14000 at x = 2: one bit over
+@example(spec="x_current**64 / x_current**63")  # a 439-bit base is refused, a 438-bit one is not
+def test_int_kernel_equals_the_interpreter_on_drawn_expressions(spec):
+    """Each compiled kernel gives the interpreter's value as a reduced pair
+    with a positive denominator, or bad input where it raises or a cap
+    applies; a vector state is read through its first coordinate."""
+    try:
+        fn, _ = parse_function(spec)
+    except ValueError:  # refused at load, which other tests cover
+        return
+    for t, x, sup in KEYS:
+        want = _capped_oracle(spec, {"t": t, "x_current": x, "x_sup": sup})
+        key = (t.numerator, t.denominator, x.numerator, x.denominator,
+               sup.numerator, sup.denominator)
+        got = _outcome(fn.kernel, *key)
+        if isinstance(want, Fraction):
+            assert got == (want.numerator, want.denominator), (spec, t, x, sup)
+        else:
+            assert got == want, (spec, t, x, sup)
+    for t, prefix in VECTOR_PREFIXES:
+        scalar = [x[0] for x in prefix]
+        want = _capped_oracle(spec, {"t": t, "x_current": scalar[-1], "x_sup": max(scalar)})
+        assert _outcome(fn, t, prefix) == want, (spec, t, prefix)

@@ -500,6 +500,17 @@ WRONG_TYPES = {
 WRONG_CUTS = {"cut-missing": {"nocut": []}, "cut-a-number": 5, "cut-word-a-number": [5]}
 
 
+# expressions refused at load, each with the message its field's error
+# line ends in; the line once gave the message alone, naming no field
+LOAD_REFUSALS = {
+    "exponent-fractional-at-load": ("x_current**(x_current+1/2)",
+                                    "only integer exponents are supported"),
+    "exponent-above-the-cap-at-load": ("x_current**(x_sup - x_current + 70)",
+                                       "exponents are capped at 64 in absolute value"),
+    "unknown-name": ("y + 1", "unknown name 'y'; use one of ('t', 'x_current', 'x_sup')"),
+}
+
+
 def _bad_input(tmp_path, case):
     """Command-line arguments for one kind of bad input."""
     def write(text):
@@ -535,6 +546,8 @@ def _bad_input(tmp_path, case):
     if case == "negative-tol":  # failed every statistic and exited 1
         return ["check-class", *write(json.dumps(RW2_DOC))[1:], "--mode", "generator",
                 "--tol", "-1"]
+    if case in LOAD_REFUSALS:
+        return write(json.dumps(dict(RW2_DOC, pi=LOAD_REFUSALS[case][0])))
     if case == "budgets-a-string":  # was read as the list ["1"]
         return [*write(json.dumps(RW2_DOC)), "--budgets",
                 side_file("budgets.json", {"ineq": "1"})]
@@ -659,7 +672,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
               "exponent-huge", "exponent-nested", "exponent-constant-nested",
               "exponent-huge-at-a-node", "constant-power-at-a-node", "drift-power-cascade",
-              "drift-nested-power",
+              "drift-nested-power", *LOAD_REFUSALS,
               "singular-at-the-history-sup",
               "singular-below-the-sup", "vector-x0-history", "vector-increment",
               "rule-duplicate-node", "rule-repeated-key", "measure-duplicate-node",
@@ -673,6 +686,13 @@ def test_cli_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", LOAD_REFUSALS)
+def test_cli_load_time_refusal_names_the_field_and_the_expression(tmp_path, capsys, case):
+    spec, message = LOAD_REFUSALS[case]
+    assert main(_bad_input(tmp_path, case)) == 2
+    assert capsys.readouterr().err == f"error: instance field 'pi' {spec!r}: {message}\n"
 
 
 def test_cli_bad_input_exits_2_without_traceback(tmp_path):

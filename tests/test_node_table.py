@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from treestop import (NodeNotInTree, StoppingMeasure, TreeInstance, build_tree,
                       cumulative_functionals, dp_value, euler_state, load_instance,
                       monte_carlo_value, rule_from_map, rule_to_measure, solve_weak)
-from treestop.generate import generate_instance
+from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS, _TERMINALS,
+                               generate_instance)
 
 from conftest import count_calls, make_rw
 from oracles import (expectations_by_words, functionals_by_words, monte_carlo_oracle,
                      node_table_by_words, oracle_generate_instance, oracle_keyed_walk,
                      oracle_prefix, stop_payoff, terminal_at)
+from test_closed_form import WALKS, walk
 
 F = Fraction
 HALF = F(1, 2)
@@ -176,6 +178,30 @@ def test_keyed_walk_equals_the_prefix_path_walk(make):
     assert len(walk.ones) == len(_column_ints(walk))
     for one, ints in zip(walk.ones, _column_ints(walk)):
         assert gcd(one, *ints) == 1
+
+
+# every expression the generator draws, each in its own field of generated
+# trees whose other fields vary with the seed
+GENERATOR_FIELDS = [(field, spec) for field, pool in (
+    ("drift", _DRIFTS), ("diffusion", _DIFFUSIONS), ("f", _REWARDS), ("pi", _TERMINALS),
+    ("g", _G_ANY), ("h", _H_ANY)) for spec in dict.fromkeys(pool)]
+
+
+@pytest.mark.parametrize("field, spec", GENERATOR_FIELDS)
+def test_keyed_walk_equals_the_prefix_path_walk_on_every_generator_expression(field, spec):
+    for seed in range(3):
+        doc = generate_instance(seed=seed, depth=4, branches=2 + seed, n_ineq=1, n_eq=1)
+        cons = doc["constraints"]
+        if field in ("g", "h"):
+            cons["ineq" if field == "g" else "eq"][0][field] = spec
+        else:
+            doc[field] = spec
+        assert load_instance(doc)._keys() == oracle_keyed_walk(load_instance(doc)), seed
+
+
+@pytest.mark.parametrize("h, depth", WALKS)
+def test_keyed_walk_equals_the_prefix_path_walk_on_the_drawdown_walk(h, depth):
+    assert walk(h, depth, "x_sup", 1)._keys() == oracle_keyed_walk(walk(h, depth, "x_sup", 1))
 
 
 @pytest.mark.parametrize("depth, branches", [(0, 2), (2, 4), (3, 3), (4, 2), (5, 2)])
