@@ -74,10 +74,10 @@ def normalize_cut(tree: TreeInstance, tau: TauSpec) -> Tuple[Word, ...]:
             if w[:k] in seen:
                 raise ValueError(f"cut nodes {w[:k]} and {w} are nested")
     shape = tree._shape()
-    covered = {j for w in cut for j in shape.rows_below(shape.index[w])}
-    for j in range(len(shape.first) - 1, len(shape.words)):  # the leaves
+    covered = {j for w in cut for j in shape.rows_below(shape.row(w))}
+    for j in range(len(shape.first) - 1, len(shape.probs)):  # the leaves
         if j not in covered:
-            raise ValueError(f"cut misses the path to {shape.words[j]}")
+            raise ValueError(f"cut misses the path to {shape.word(j)}")
     return cut
 
 
@@ -86,11 +86,12 @@ def _split(tree: TreeInstance, measure: StoppingMeasure, cut):
     columns, summed as ints below each cut node.  Returns the value of the
     stops before the cut, the accruals up to the cut (theirs plus reach
     times each survivor's), those stops, the unreached cut nodes, per
-    survivor (nu, reach mass, F and (G, H) at nu, conditional value,
-    remaining accruals), and the tower sums (reach times the latter)."""
+    survivor (nu, its row, reach mass, F and (G, H) at nu, conditional
+    value, remaining accruals), and the tower sums (reach times the latter)."""
     table = tree._node_table()
     shape = table.shape
-    owner = {j: nu for nu in cut for j in shape.rows_below(shape.index[nu])}
+    rows = [shape.row(nu) for nu in cut]
+    owner = {j: nu for nu, i in zip(cut, rows) for j in shape.rows_below(i)}
     sums = {nu: [0] * len(table.cols) for nu in (None, *cut)}
     stopped = []
     for i, weight in enumerate(measure.stops):
@@ -99,15 +100,14 @@ def _split(tree: TreeInstance, measure: StoppingMeasure, cut):
             for c, col in enumerate(table.cols):
                 sums[nu][c] += weight * col[i]
             if nu is None:
-                w = shape.words[i]
+                w, den = shape.word(i), measure.scale * shape.prob_den
                 F, Gs, Hs = tree._functionals(w)
-                stopped.append({"node": w, "mass": measure.stop(w), "F": F, "G": Gs,
-                                "H": Hs, "payoff": table.value(0, i)})
+                stopped.append({"node": w, "mass": Fraction(weight * shape.probs[i], den),
+                                "F": F, "G": Gs, "H": Hs, "payoff": table.value(0, i)})
     value_before, *accrued = (Fraction(x, measure.scale * den)
                               for x, den in zip(sums[None], table.dens))
     survivors, zero, tower = [], [], [Fraction(0)] * len(accrued)
-    for nu in cut:
-        i = shape.index[nu]
+    for nu, i in zip(cut, rows):
         reach = measure.stops[i] + measure.conts[i]
         if reach == 0:
             zero.append(nu)
@@ -121,7 +121,7 @@ def _split(tree: TreeInstance, measure: StoppingMeasure, cut):
         rest = [a - x for a, x in zip(below, at_nu)]
         accrued = [a + x * r for a, x in zip(accrued, at_nu)]
         tower = [t + y * r for t, y in zip(tower, rest)]
-        survivors.append((nu, r, F, at_nu, value - F, rest))
+        survivors.append((nu, i, r, F, at_nu, value - F, rest))
     return value_before, accrued, stopped, zero, survivors, tower
 
 
@@ -178,10 +178,9 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
     _, _, stopped_before, zero, split, tower = _split(tree, measure, cut)
     shape, n_i = tree._shape(), tree.constraints.n_ineq
     survivors: Dict[Word, SurvivorData] = {}
-    for nu, r, F, at_nu, value, rest in split:
+    for nu, i, r, F, at_nu, value, rest in split:
         # the subtree's rows are nu's descendants, and its shares are the
         # tree's over nu's reach share
-        i = shape.index[nu]
         rows = shape.rows_below(i)
         reach = measure.stops[i] + measure.conts[i]
         sub_tree = tree.subtree(nu)
@@ -189,7 +188,7 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
                                       tuple(measure.conts[j] for j in rows), reach)
         sub_measure.validate(sub_tree)
         # read from the tree's table: the conditional stop mass on its rows
-        on_rows = [0] * len(shape.words)
+        on_rows = [0] * len(shape.probs)
         for j in rows:
             on_rows[j] = measure.stops[j] * shape.prob_den
         exp = StoppingMeasure(shape, tuple(on_rows), (0,) * len(on_rows),
@@ -233,8 +232,7 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
 
     rhs, accrued, stopped_before, zero, split, tower = _split(tree, base.measure, cut)
     rhs_super, per_node = rhs, []
-    for nu, r, F, at_nu, value, rest in split:
-        i = shape.index[nu]
+    for nu, i, r, F, at_nu, value, rest in split:
         subvalue = Fraction(env[i] * shape.prob_den, env_scale * shape.probs[i]) - F \
             + sum(q * (x + y) for q, x, y in zip(prices, at_nu, rest))
         rhs += (F + subvalue) * r

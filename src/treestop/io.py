@@ -288,7 +288,7 @@ _ALIASES = {"zero": "0", "coord": "x_current", "sup": "x_sup"}
 def parse_function(spec, field: str = "expression") -> tuple:
     """Turn a function field into (``KeyFunction``, canonical spec string):
     a function of the Markov key (t, state, sup), compiled once to an int
-    kernel.  An expression that does not compile, or whose degree
+    kernel.  An expression that does not parse or compile, or whose degree
     (``_compile``) or constant is above its cap, is refused with a
     ValueError naming ``field`` and the expression: nesting powers would
     otherwise compose the exponent cap without bound."""
@@ -331,6 +331,8 @@ def parse_function(spec, field: str = "expression") -> tuple:
                          f"above the cap {MAX_CONSTANT_BITS}") from None
     except ValueError as exc:
         raise ValueError(f"{field} {spec!r}: {exc}") from None
+    except SyntaxError as exc:
+        raise ValueError(f"{field} {reprlib.repr(spec)}: {exc.msg}") from None
     if degree > MAX_DEGREE:
         raise ValueError(f"{field} {spec!r} has degree {degree}, above the cap "
                          f"{MAX_DEGREE} (MAX_EXPONENT ** 2)")

@@ -1,9 +1,11 @@
 """Finite problem instances: increment trees with Euler state recursion.
 
 A tree instance fixes a time grid t0, t0+dt, ..., t0+N*dt and a finite
-branching law for the driving increments at each step.  Nodes are identified
-by increment words (tuples of branch indices); the state path along a word
-follows the Euler recursion
+branching law for the driving increments at each step.  Its nodes are the
+rows of its ``Shape``, in BFS order.  An increment word (a tuple of branch
+indices) only labels a row: it is derived from the levels' branch counts
+where a caller names or reads a node.  The state path along a word follows
+the Euler recursion
 
     X_{k+1} = X_k + b(t_k, prefix_k) * dt + sigma(t_k, prefix_k) @ w,
 
@@ -21,10 +23,11 @@ ints; only budgets and targets may be infinite, as ``Ext``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, product, repeat
 from math import gcd, lcm, prod
 from operator import add, getitem, lt, mul
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -225,37 +228,75 @@ class KeyedWalk(NamedTuple):
 
 @dataclass(frozen=True)
 class Shape:
-    """A tree's nodes in BFS order, from its branching alone.
+    """A tree's nodes as rows in BFS order, from its branching alone.
 
-    ``words[i]`` is node i.  Interior nodes come first, and the children of
-    interior node i are the nodes ``first[i]`` to ``first[i + 1] - 1``
-    (``first`` has one entry more than there are interior nodes), and
-    ``parent[i]`` is node i's parent (0 at the root).  ``probs`` holds the
-    path probabilities as ints over ``prob_den``, the product of the
-    levels' branch denominators.  ``index`` maps each word to its node.
+    ``widths[k]`` is the branch count at depth k; the rows at depth k are
+    ``starts[k]`` to ``starts[k + 1] - 1`` (``starts`` ends with the row
+    count).  Interior rows come first: the children of interior row i are
+    the rows ``first[i]`` to ``first[i + 1] - 1`` (``first`` has one entry
+    more than there are interior rows), and ``parent[i]`` is row i's
+    parent (0 at the root).  ``probs`` holds the path probabilities as ints
+    over ``prob_den``, the product of the levels' branch denominators.  A
+    row's increment word is not stored: a level's rows run in the
+    lexicographic order of their words, so ``row`` and ``word`` convert by
+    mixed-radix arithmetic on ``widths``.
     """
 
-    words: Tuple[Word, ...]
-    first: Tuple[int, ...]
+    widths: Tuple[int, ...]
     probs: Tuple[int, ...]
     prob_den: int
-    index: dict = field(init=False, repr=False, compare=False)
+    starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    first: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     parent: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        first = self.first
-        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
-        object.__setattr__(self, "parent", (0, *(i for i in range(len(first) - 1)
-                                                 for _ in range(first[i], first[i + 1]))))
+        starts = [0, 1]
+        for n in self.widths:
+            starts.append(starts[-1] + (starts[-1] - starts[-2]) * n)
+        levels = tuple(enumerate(self.widths))
+        object.__setattr__(self, "starts", tuple(starts))
+        object.__setattr__(self, "first", (*chain.from_iterable(
+            range(starts[k + 1], starts[k + 2], n) for k, n in levels), starts[-1]))
+        object.__setattr__(self, "parent", (0, *chain.from_iterable(
+            chain.from_iterable(map(repeat, range(starts[k], starts[k + 1]), repeat(n)))
+            for k, n in levels)))
+
+    def depth(self, i: int) -> int:
+        return bisect_right(self.starts, i) - 1
+
+    def row(self, word) -> Optional[int]:
+        """A word's row; None when it is too long or a branch is out of range."""
+        if not isinstance(word, tuple) or len(word) > len(self.widths):
+            return None
+        i = 0
+        for j, n in zip(word, self.widths):
+            if j not in range(n):  # any number equal to a branch index, like a dict key
+                return None
+            i = i * n + j
+        return self.starts[len(word)] + int(i)
+
+    def word(self, i: int) -> Word:
+        """The increment word of row i: the digits of its place in its level."""
+        k = self.depth(i)
+        place, digits = i - self.starts[k], []
+        for n in reversed(self.widths[:k]):
+            place, j = divmod(place, n)
+            digits.append(j)
+        return tuple(reversed(digits))
+
+    def words(self):
+        """Every row's increment word, in row order."""
+        return chain.from_iterable(product(*map(range, self.widths[:k]))
+                                   for k in range(len(self.widths) + 1))
 
     def rows_below(self, i: int) -> list:
-        """Node i and its descendants in BFS order: the rows of the subtree
-        at node i, in the subtree's own order."""
-        rows, n_inner = [i], len(self.first) - 1
-        for r in rows:
-            if r < n_inner:
-                rows.extend(range(self.first[r], self.first[r + 1]))
-        return rows
+        """The subtree rows at row i in the subtree's BFS order, a run per level."""
+        rows, lo, hi, n_inner = [], i, i + 1, len(self.first) - 1
+        while True:
+            rows += range(lo, hi)
+            if lo >= n_inner:
+                return rows
+            lo, hi = self.first[lo], self.first[hi]
 
 
 @dataclass(frozen=True)
@@ -287,9 +328,11 @@ class TreeInstance:
     prefix) is a length-l vector, diffusion(t, prefix) an l x d matrix
     (scalars when l = d = 1); constants stand for constant functions.
 
-    Nodes are increment words; more than ``MAX_NODES`` of them are refused
-    before any is built.  Built whole on first use and cached: the shape
-    (``_shape()``, from the branching alone), the keyed walk (``_keys()``)
+    Nodes are the rows of the shape; an increment word names one only
+    where a caller names or reads it.  A depth of ``MAX_NODES`` or more,
+    or more than ``MAX_NODES`` nodes, is refused before any per-level list
+    is built.  Built whole on first use and cached: the shape (``_shape()``,
+    the level widths and path probabilities), the keyed walk (``_keys()``)
     and the node table (``_node_table()``); ``dp.root_envelope`` caches
     ``_root_envelope``, and ``lp.solve_weak`` keeps its last result, with
     the budgets it solved at, in ``_solved`` (one slot, so a budget sweep
@@ -323,6 +366,8 @@ class TreeInstance:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         self.depth = int(depth)
+        if self.depth >= MAX_NODES:  # a tree has at least depth + 1 nodes
+            raise ShapeTooLarge(f"the tree has more than {MAX_NODES} nodes")
 
         per_depth = self._normalize_branching(branching, self.depth)
         count = width = 1
@@ -408,11 +453,10 @@ class TreeInstance:
 
     def nodes(self):
         """All increment words, shallowest first."""
-        return iter(self._shape().words)
+        return self._shape().words()
 
     def leaves(self):
-        shape = self._shape()
-        return iter(shape.words[len(shape.first) - 1:])
+        return product(*map(range, self._widths))
 
     def children(self, word: Word):
         if len(word) >= self.depth:
@@ -425,24 +469,21 @@ class TreeInstance:
 
     def path_prob(self, word: Word) -> Fraction:
         shape = self._shape()
-        return Fraction(shape.probs[shape.index[word]], shape.prob_den)
+        i = shape.row(word)
+        if i is None:
+            raise KeyError(word)
+        return Fraction(shape.probs[i], shape.prob_den)
 
     def _shape(self) -> Shape:
-        """The tree's nodes in BFS order with their path probabilities,
+        """The tree's rows with their path probabilities, level by level,
         built from the branching alone on first use and cached."""
         if self._shape_cache is None:
             units, branch = self._branch_ints()
-            words, first, probs = [ROOT], [1], [prod(units)]
-            for i, word in enumerate(words):
-                k = len(word)
-                if k == self.depth:
-                    break
-                p = probs[i] // units[k]
-                words += [word + (j,) for j in range(len(branch[k]))]
-                probs += [p * q for q in branch[k]]
-                first.append(len(words))
-            self._shape_cache = Shape(tuple(words), tuple(first), tuple(probs),
-                                      prob_den=probs[0])  # P(root) = 1
+            level = probs = [prod(units)]  # P(root) = 1
+            for unit, qs in zip(units, branch):
+                level = [p * q for p in [p // unit for p in level] for q in qs]
+                probs += level
+            self._shape_cache = Shape(self._widths, tuple(probs), prob_den=probs[0])
         return self._shape_cache
 
     # -- states --------------------------------------------------------------
@@ -465,10 +506,10 @@ class TreeInstance:
 
     def _row_keys(self) -> list:
         """The key index of every row of ``_shape()``, each from its parent's."""
-        shape, kids = self._shape(), self._keys().kids
-        keys = [0]
-        for i in range(len(shape.first) - 1):
-            keys += kids[len(shape.words[i])][keys[i]]
+        starts, keys = self._shape().starts, [0]
+        for k, level in enumerate(self._keys().kids):
+            for key in keys[starts[k]:starts[k + 1]]:
+                keys += level[key]
         return keys
 
     def _child_states(self, k: int, prefix: tuple) -> Tuple[State, ...]:
@@ -627,15 +668,16 @@ class TreeInstance:
         if self._table is not None:
             return self._table
         walk, shape, keys = self._keys(), self._shape(), self._row_keys()
-        first, n_inner = shape.first, len(shape.first) - 1
+        starts, probs = shape.starts, shape.probs
         accs, rows = [(0,) * len(walk.ones)], []
-        for i, (word, p) in enumerate(zip(shape.words, shape.probs)):
-            k, key, acc = len(word), keys[i], accs[i]
-            row = [p * a for a in acc]
-            row[0] += p * walk.pays[k][key]
-            rows.append(row)
-            if i < n_inner:
-                accs += [tuple(map(add, acc, walk.steps[k][key]))] * (first[i + 1] - first[i])
+        for k, pays in enumerate(walk.pays):
+            for i in range(starts[k], starts[k + 1]):
+                p, key, acc = probs[i], keys[i], accs[i]
+                row = [p * a for a in acc]
+                row[0] += p * pays[key]
+                rows.append(row)
+                if k < self.depth:
+                    accs += [tuple(map(add, acc, walk.steps[k][key]))] * self._widths[k]
 
         cols, dens = [], []
         for col, one in zip(zip(*rows), walk.ones):

@@ -106,7 +106,7 @@ def _snell(table: NodeTable, weights: Sequence):
     """
     qs = [Fraction(w) / den for w, den in zip(weights, table.dens)]
     scale = lcm(*(q.denominator for q in qs))
-    pay = [0] * len(table.shape.words)
+    pay = [0] * len(table.shape.probs)
     for q, col in zip(qs, table.cols):
         if q:
             w = q.numerator * (scale // q.denominator)
@@ -160,17 +160,17 @@ def _certify_optimal(tree: TreeInstance, budgets: BudgetVector, result: SolveRes
 
     table = tree._node_table()
     pay, env, scale = _snell(table, [1, *(-p for p in pi), *(-m for m in mu)])
-    words, first = table.shape.words, table.shape.first
+    shape, first = table.shape, table.shape.first
     stops, conts = result.measure.stops, result.measure.conts
     frontier = [0]
     for i in frontier:  # the nodes the measure reaches
         if stops[i] and pay[i] != env[i]:
             raise InvariantViolation(
-                f"the measure stops at {words[i]}, where the payoff is below the envelope")
+                f"the measure stops at {shape.word(i)}, where the payoff is below the envelope")
         if conts[i]:
             if i >= len(first) - 1 or sum(env[first[i]:first[i + 1]]) != env[i]:
                 raise InvariantViolation(
-                    f"the measure continues at {words[i]}, where stopping beats continuing")
+                    f"the measure continues at {shape.word(i)}, where stopping beats continuing")
             frontier.extend(range(first[i], first[i + 1]))
 
     priced = sum(p * y.fraction() for p, y in zip(pi, budgets.ys) if p) \
@@ -230,7 +230,7 @@ def _solve(tree: TreeInstance, budgets: BudgetVector) -> SolveResult:
         if column in columns:
             raise InvariantViolation(
                 f"pricing returned a column already in the master: {len(columns)} "
-                f"columns, stopping at {[table.shape.words[i] for i in stops]}")
+                f"columns, stopping at {[table.shape.word(i) for i in stops]}")
         columns.append(column)
         res = simplex.solve_lp([c[0] for c in columns],
                                [[c[r] for c in columns] for r in rows]
@@ -317,7 +317,7 @@ def _vertex(table: NodeTable, pay, env, rows, senses, rhs) -> StoppingMeasure:
                 f"the optimal face holds the master's mixture, but the crossover "
                 f"LP came back {res.status}")
         alpha.update(zip(tied, res.x))
-    stops, conts = [Fraction(0)] * len(shape.words), [Fraction(0)] * len(shape.words)
+    stops, conts = [Fraction(0)] * len(shape.probs), [Fraction(0)] * len(shape.probs)
     for i in frontier:  # a node that is not tied continues iff its children are reached
         arrive = alpha[anchor[i]]
         conts[i] = alpha.get(i, arrive if i < n_inner and first[i] in anchor else Fraction(0))
@@ -340,7 +340,7 @@ def measure_to_rule(tree: TreeInstance, measure: StoppingMeasure) -> RandomizedS
 
 def fractional_nodes(tree: TreeInstance, measure: StoppingMeasure) -> List[Word]:
     """Nodes where the measure genuinely randomizes (0 < q < 1)."""
-    return [w for w, s, u in zip(measure._shape_on(tree).words, measure.stops, measure.conts)
+    return [w for w, s, u in zip(measure._shape_on(tree).words(), measure.stops, measure.conts)
             if s > 0 and u > 0]
 
 

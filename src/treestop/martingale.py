@@ -52,7 +52,7 @@ from statistics import linear_regression
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooHigh, EmptyBattery
-from .lattice import ROOT, TreeInstance, Word, _as_vector
+from .lattice import TreeInstance, Word, _as_vector
 from .measures import StoppingMeasure, _on_rows
 from .rules import RandomizedStoppingRule, rule_from_map, rule_to_measure
 from .xreal import as_fraction
@@ -144,26 +144,54 @@ class CandidateLaw:
     (the tree's branching unless stated otherwise).  ``state_overrides``
     lets the candidate claim state values that break the Euler recursion;
     descendants of an overridden node follow Euler from the claimed prefix.
-    A law that claims no state and has the tree's history reads its state
-    paths off the tree; otherwise it holds its own, one per row, each its
-    parent's plus the Euler step or the override.  Per row of
+    A law that claims no state and has the tree's history reads its states
+    off the tree's keys; otherwise it steps its own, one per row, from the
+    claimed parent path: the Euler step or the override.  Per row of
     ``tree._shape()``, ``stops``, ``conts`` and ``points`` hold the masses
-    and the claimed (increment, state) point; a mass off the tree raises.
+    and the claimed (increment, state) point, and ``state_overrides`` the
+    claimed states; a mass off the tree raises.
     """
 
     def __init__(self, tree: TreeInstance, s: Dict[Word, Fraction],
                  u: Dict[Word, Fraction], state_overrides=None,
                  post_stop_branching=None, pre_t0_stop_mass=0,
                  claimed_history=None):
+        shape = tree._shape()
+        self._hold(tree, _on_rows(tree, "stop", {w: as_fraction(v) for w, v in s.items()}),
+                   _on_rows(tree, "continue", {w: as_fraction(v) for w, v in u.items()}),
+                   pre_t0_stop_mass, state_overrides or {}, post_stop_branching,
+                   claimed_history)
+        stops, conts, first = self.stops, self.conts, shape.first
+        if self.pre_t0_stop_mass + stops[0] + conts[0] != 1:
+            raise ValueError("total mass must be 1")
+        for i, (stop, cont) in enumerate(zip(stops, conts)):
+            if stop < 0 or cont < 0:
+                raise ValueError(f"negative mass at {shape.word(i)}")
+            if i < len(first) - 1 and \
+                    sum(stops[c] + conts[c] for c in range(first[i], first[i + 1])) != cont:
+                raise ValueError(f"mass is not conserved below {shape.word(i)}")
+
+    @classmethod
+    def from_measure(cls, tree: TreeInstance, measure: StoppingMeasure) -> "CandidateLaw":
+        """A measure's law: the measure must pass its ``validate`` on the
+        tree, and its masses are read off its rows."""
+        measure.validate(tree)
+        shape, den = measure.shape, measure.scale * measure.shape.prob_den
+        law = cls.__new__(cls)
+        law._hold(tree, *([Fraction(v * p, den) for v, p in zip(shares, shape.probs)]
+                          for shares in (measure.stops, measure.conts)), 0, {}, None, None)
+        return law
+
+    def _hold(self, tree: TreeInstance, stops: list, conts: list, pre_t0_stop_mass,
+              overrides: dict, post_stop_branching, claimed_history) -> None:
+        """Keep the masses per row, and claimed states and points."""
         self.tree = tree
         self.shape = shape = tree._shape()
-        self.stops = _on_rows(shape, "stop", {w: as_fraction(v) for w, v in s.items()})
-        self.conts = _on_rows(shape, "continue", {w: as_fraction(v) for w, v in u.items()})
+        self.stops, self.conts = stops, conts
         self.pre_t0_stop_mass = as_fraction(pre_t0_stop_mass)
-        overrides = state_overrides or {}
         for w in overrides:
             tree.check_word(w)
-        self.state_overrides = {w: _as_vector(x, tree.l) for w, x in overrides.items()}
+        self.state_overrides = {shape.row(w): _as_vector(x, tree.l) for w, x in overrides.items()}
         if post_stop_branching is None:
             self.post_stop = [[p for p, _ in level] for level in tree.branching]
         else:
@@ -179,52 +207,39 @@ class CandidateLaw:
                                      f"{want} branch probabilities")
         self.claimed_history = (tree.history if claimed_history is None else
                                 tuple(_as_vector(x, tree.l) for x in claimed_history))
-        claims, unwrap = self.state_overrides, tree._unwrap
-        self._paths = None  # the claimed state path per row, when not the tree's
-        if claims or self.claimed_history != tree.history:
-            *before, x0 = self.claimed_history
-            paths = self._paths = [(*map(unwrap, before), unwrap(claims.get(ROOT, x0)))]
-            for i in range(len(shape.first) - 1):
-                kids = zip(shape.words[shape.first[i]:shape.first[i + 1]],
-                           tree._child_states(len(shape.words[i]), paths[i]))
-                paths += [paths[i] + (unwrap(claims.get(c, x)),) for c, x in kids]
-            states = [path[-1] for path in paths]
-        else:
-            walk = tree._keys()
-            states = [walk.states[len(w)][key] for w, key in zip(shape.words, tree._row_keys())]
-        # level k holds the rows bounds[k] .. bounds[k + 1] - 1
-        self.bounds = [0]
-        for _ in range(tree.depth + 1):
-            self.bounds.append(shape.first[self.bounds[-1]])
+        claims, unwrap, starts = self.state_overrides, tree._unwrap, shape.starts
+        if claims or self.claimed_history != tree.history:  # step the claimed states
+            self._states = [unwrap(claims.get(0, self.claimed_history[-1]))]
+            for k in range(tree.depth):
+                for i in range(starts[k], starts[k + 1]):
+                    kids = enumerate(tree._child_states(k, self.prefix_for_call(i)),
+                                     shape.first[i])
+                    self._states += [unwrap(claims.get(c, x)) for c, x in kids]
+        else:  # the tree's own, read off its keys
+            walk, keys, self._states = tree._keys(), tree._row_keys(), []
+            for level, lo, hi in zip(walk.states, starts, starts[1:]):
+                self._states += map(level.__getitem__, keys[lo:hi])
         # each row's cumulative increment: its parent's plus its branch's
         incs = [(Fraction(0),) * tree.d]
-        for w, parent in zip(shape.words[1:], shape.parent[1:]):
-            incs.append(tuple(map(add, incs[parent], tree.branching[len(w) - 1][w[-1]][1])))
-        self.points = [inc + ((x,) if tree.l == 1 else x) for inc, x in zip(incs, states)]
-        stops, conts, n_inner = self.stops, self.conts, len(shape.first) - 1
-        if self.pre_t0_stop_mass + stops[0] + conts[0] != 1:
-            raise ValueError("total mass must be 1")
-        for i, w in enumerate(shape.words):
-            if stops[i] < 0 or conts[i] < 0:
-                raise ValueError(f"negative mass at {w}")
-            if i < n_inner:
-                kids = range(shape.first[i], shape.first[i + 1])
-                if sum(stops[c] + conts[c] for c in kids) != conts[i]:
-                    raise ValueError(f"mass is not conserved below {w}")
-
-    @staticmethod
-    def from_measure(tree: TreeInstance, measure: StoppingMeasure) -> "CandidateLaw":
-        return CandidateLaw(tree, s=measure.s, u=measure.u)
+        for k, level in enumerate(tree.branching):
+            for i in range(starts[k], starts[k + 1]):
+                incs += [tuple(map(add, incs[i], w)) for _, w in level]
+        self.points = [inc + ((x,) if tree.l == 1 else x) for inc, x in zip(incs, self._states)]
 
     # -- claimed states ------------------------------------------------------
 
-    def prefix_for_call(self, w: Word) -> tuple:
-        return (self.tree._prefix_for_call(w) if self._paths is None
-                else self._paths[self.shape.index[w]])
+    def prefix_for_call(self, i: int) -> tuple:
+        """The claimed state path at row i, as the functions see it: the
+        claimed history, then the claimed states of the rows along its word."""
+        rows = [i]
+        while rows[-1]:
+            rows.append(self.shape.parent[rows[-1]])
+        return (*map(self.tree._unwrap, self.claimed_history[:-1]),
+                *map(self._states.__getitem__, reversed(rows)))
 
-    def model_children(self, w: Word) -> Tuple[tuple, ...]:
-        """Euler-step states of all children, from the claimed prefix."""
-        return self.tree._child_states(len(w), self.prefix_for_call(w))
+    def model_children(self, i: int) -> Tuple[tuple, ...]:
+        """Euler-step states of all children of row i, from the claimed prefix."""
+        return self.tree._child_states(self.shape.depth(i), self.prefix_for_call(i))
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +258,19 @@ def _compensators(cand: CandidateLaw, row: int, mode: str,
     computed once for all phi.
     """
     tree, shape = cand.tree, cand.shape
-    w = shape.words[row]
-    k = len(w)
+    k = shape.depth(row)
     if mode == "exact":
         vals = list(kids)
         for j, c in enumerate(range(shape.first[row], shape.first[row + 1])):
-            if shape.words[c] in cand.state_overrides:  # the increment, the Euler state
-                nxt = cand.points[c][:tree.d] + cand.model_children(w)[j]
+            if c in cand.state_overrides:  # the increment, the Euler state
+                nxt = cand.points[c][:tree.d] + cand.model_children(row)[j]
                 vals[j] = [phi.eval(nxt) for phi in phis]
         probs = [p for p, _ in tree.branching[k]]
         return [sum((p * val[i] for p, val in zip(probs, vals)), Fraction(0)) - h
                 for i, h in enumerate(here)]
     if mode == "generator":
         t = tree.time(k)
-        b, sig = tree._coefficients(t, cand.prefix_for_call(w))
+        b, sig = tree._coefficients(t, cand.prefix_for_call(row))
         d, l = tree.d, tree.l
         bbar = tuple([Fraction(0)] * d) + tuple(b)
         xi = cand.points[row]
@@ -334,18 +348,18 @@ def weight_battery(tree: TreeInstance, cand: CandidateLaw, s: int) -> List[Cylin
                 label=f"{flag}@{time}", factors=(WeightFactor(time=time, flag=flag),)))
     # boxes that isolate the claimed path of each node at depth <= s, by
     # half the least gap between the claimed values at each depth
-    shape, points, bounds = cand.shape, cand.points, cand.bounds
+    shape, points, starts = cand.shape, cand.points, cand.shape.starts
     eps: Dict[int, Fraction] = {}
     pins = {0: ()}  # per row, the boxes on its path from depth 1 down
-    for i in range(1, bounds[min(s, tree.depth) + 1]):
+    for i in range(1, starts[min(s, tree.depth) + 1]):
         if len(out) >= _WEIGHT_BUDGET:
             break
-        w = shape.words[i]
+        w = shape.word(i)
         k = len(w)
         if k not in eps:
             gaps = []
             for n in range(tree.d + tree.l):
-                coords = sorted({pt[n] for pt in points[bounds[k]:bounds[k + 1]]})
+                coords = sorted({pt[n] for pt in points[starts[k]:starts[k + 1]]})
                 gaps += [b - a for a, b in zip(coords, coords[1:])]
             eps[k] = min(gaps) / 2 if gaps else Fraction(1)
         box = tuple((c, c + eps[k]) for c in points[i])
@@ -388,21 +402,21 @@ class _Sweep:
         self.table: List[tuple] = []
         self.live = 0
         vals = [[phi.eval(pt) for phi in phis] for pt in cand.points]
-        for row, (w, here) in enumerate(zip(shape.words[:len(shape.first) - 1], vals)):
+        for row, here in enumerate(vals[:len(shape.first) - 1]):
             kids = range(shape.first[row], shape.first[row + 1])
             kid_vals = vals[kids.start:kids.stop]
             comps = _compensators(cand, row, mode, phis, here, kid_vals)
-            u = cand.conts[row]
+            u, k = cand.conts[row], shape.depth(row)
             opens = [cand.conts[c] / u if u else zero for c in kids]
             stops = [cand.stops[c] / u if u else zero for c in kids]
             rises = [[v - h for v, h in zip(kv, here)] for kv in kid_vals]
             reach = [o + st for o, st in zip(opens, stops)]
             a = _nonzero([sum((q * rise[i] for q, rise in zip(reach, rises)),
                               zero) - c for i, c in enumerate(comps)]) if u else None
-            b = _nonzero([sum((p * rise[i] for p, rise in zip(cand.post_stop[len(w)], rises)),
+            b = _nonzero([sum((p * rise[i] for p, rise in zip(cand.post_stop[k], rises)),
                               zero) - c for i, c in enumerate(comps)])
             if a or b:
-                self.live = len(w) + 1
+                self.live = k + 1
             self.table.append((opens, stops, reach, a, b))
         self._levels: Dict[CylinderWeight, List[List[Fraction]]] = {}
 
@@ -420,7 +434,7 @@ class _Sweep:
         m_open, m_stop = [zero] * len(cand.points), [zero] * len(cand.points)
         m_open[0], m_stop[0] = cand.conts[0], cand.stops[0] + cand.pre_t0_stop_mass
         for k in range(self.live):
-            rows = range(cand.bounds[k], cand.bounds[k + 1])
+            rows = range(cand.shape.starts[k], cand.shape.starts[k + 1])
             for f in weight.factors:
                 if f.time != k:
                     continue
@@ -463,22 +477,23 @@ class _Sweep:
         last state at the root).  O(nodes): together with clause 2 these
         decide membership.
         """
-        cand, tree, words = self.cand, self.cand.tree, self.cand.shape.words
-        models = [[p for p, _ in level] for level in tree.branching]
+        cand, shape = self.cand, self.cand.shape
+        models = [[p for p, _ in level] for level in cand.tree.branching]
         for k, model in enumerate(models):
             if cand.post_stop[k] != model:
                 return {"check": "post_stop", "level": k,
                         "claimed": cand.post_stop[k], "model": model}
         for i, (_, _, reach, _, _) in enumerate(self.table):
-            if cand.conts[i] and reach != models[len(words[i])]:
-                return {"check": "branching", "node": words[i],
-                        "claimed": reach, "model": models[len(words[i])]}
-        for w in sorted(cand.state_overrides, key=lambda w: (len(w), w)):
-            euler = (cand.claimed_history[-1] if w == ROOT else
-                     cand.model_children(w[:-1])[w[-1]])
-            if cand.state_overrides[w] != euler:
-                return {"check": "state", "node": w,
-                        "claimed": cand.state_overrides[w], "model": euler}
+            if cand.conts[i] and reach != models[shape.depth(i)]:
+                return {"check": "branching", "node": shape.word(i),
+                        "claimed": reach, "model": models[shape.depth(i)]}
+        for i in sorted(cand.state_overrides):  # BFS order
+            parent = shape.parent[i]
+            euler = (cand.claimed_history[-1] if i == 0 else
+                     cand.model_children(parent)[i - shape.first[parent]])
+            if cand.state_overrides[i] != euler:
+                return {"check": "state", "node": shape.word(i),
+                        "claimed": cand.state_overrides[i], "model": euler}
         return {}
 
 
@@ -537,6 +552,8 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
     corruption that keeps the increment's lower moments passes every
     low-degree test.  The verdict is the conjunction of all three.  A
     degree below 1 would leave clause 1 empty and raises ``EmptyBattery``.
+    A ``StoppingMeasure`` is read by ``CandidateLaw.from_measure``, so one
+    that fails its ``validate`` raises there.
     """
     if degree > MAX_DEGREE:
         raise DegreeTooHigh(f"degree {degree} exceeds the cap {MAX_DEGREE}")
@@ -615,9 +632,9 @@ def candidate_with_branch_bias(tree: TreeInstance, rule: RandomizedStoppingRule,
         p = tree.branching[len(node)][j][0]
         if not 0 <= p + sign * delta <= 1:
             raise ValueError("biased probability outside [0, 1]")
-        for i in shape.rows_below(shape.index[child]):
-            s[shape.words[i]] *= (p + sign * delta) / p
-            u[shape.words[i]] *= (p + sign * delta) / p
+        for w in map(shape.word, shape.rows_below(shape.row(child))):
+            s[w] *= (p + sign * delta) / p
+            u[w] *= (p + sign * delta) / p
     return CandidateLaw(tree, s=s, u=u)
 
 

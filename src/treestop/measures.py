@@ -1,12 +1,13 @@
 """Joint laws of (path, stopping node) as survival shares on a tree's rows.
 
-A stopping measure holds, per row of the tree's BFS order, the shares of
-the node's path probability that stop there and that continue past it.
-In these units flow conservation needs no branch probability: the root's
+A stopping measure holds, per row of the tree's shape, the shares of the
+node's path probability that stop there and that continue past it.  In
+these units flow conservation needs no branch probability: the root's
 shares sum to 1, each child's to its parent's continue share, and nothing
-continues past the horizon.  Absolute masses (share times path
-probability) appear only at the boundary: ``stop``, ``cont``, the ``s``
-and ``u`` dicts, and ``from_masses``.
+continues past the horizon.  Every check and expectation reads rows and
+levels.  Absolute masses (share times path probability), keyed by the
+rows' increment words, appear only at the boundary: ``stop``, ``cont``,
+the ``s`` and ``u`` dicts, and ``from_masses``.
 """
 
 from __future__ import annotations
@@ -57,17 +58,17 @@ class StoppingMeasure:
         a mass on a word that is not a node raises NodeNotInTree."""
         shape = tree._shape()
         return cls.from_shares(shape, *([Fraction(mass * shape.prob_den, p) for mass, p
-                                         in zip(_on_rows(shape, what, masses), shape.probs)]
+                                         in zip(_on_rows(tree, what, masses), shape.probs)]
                                         for what, masses in (("stop", s), ("continue", u))))
 
     def _mass(self, shares, word: Word) -> Fraction:
-        i = self.shape.index.get(word)  # a word outside the tree holds 0
+        i = self.shape.row(word)  # a word outside the tree holds 0
         return Fraction(0) if i is None else \
             Fraction(shares[i] * self.shape.probs[i], self.scale * self.shape.prob_den)
 
     def _masses(self, shares) -> Dict[Word, Fraction]:
         shape, den = self.shape, self.scale * self.shape.prob_den
-        return {w: Fraction(v * p, den) for w, v, p in zip(shape.words, shares, shape.probs)}
+        return {w: Fraction(v * p, den) for w, v, p in zip(shape.words(), shares, shape.probs)}
 
     def stop(self, word: Word) -> Fraction:
         return self._mass(self.stops, word)
@@ -92,14 +93,13 @@ class StoppingMeasure:
         sum to 1."""
         shape = self._shape_on(tree)
         n_inner = len(shape.first) - 1
-        for i, (word, parent, s, u) in enumerate(zip(shape.words, shape.parent,
-                                                     self.stops, self.conts)):
+        for i, (parent, s, u) in enumerate(zip(shape.parent, self.stops, self.conts)):
             if s < 0 or u < 0:
-                raise ValueError(f"negative mass at {word}")
+                raise ValueError(f"negative mass at {shape.word(i)}")
             if i >= n_inner and u != 0:
-                raise ValueError(f"continue mass at horizon node {word}")
+                raise ValueError(f"continue mass at horizon node {shape.word(i)}")
             if s + u != (self.conts[parent] if i else self.scale):
-                raise ValueError(f"flow conservation fails at {word}" if i else
+                raise ValueError(f"flow conservation fails at {shape.word(i)}" if i else
                                  "root masses must sum to 1")
 
     def expectations(self, tree: TreeInstance) -> dict:
@@ -108,20 +108,20 @@ class StoppingMeasure:
         shape, table = self._shape_on(tree), tree._node_table()
         value, *accrued = (Fraction(sum(map(mul, self.stops, col)), self.scale * den)
                            for col, den in zip(table.cols, table.dens))
-        steps = sum(s * p * len(w) for s, p, w in zip(self.stops, shape.probs, shape.words)
-                    if s)
+        steps = sum(k * sum(map(mul, self.stops[lo:hi], shape.probs[lo:hi]))
+                    for k, (lo, hi) in enumerate(zip(shape.starts, shape.starts[1:])))
         n = tree.constraints.n_ineq
         return {"value": value, "ineq": tuple(accrued[:n]), "eq": tuple(accrued[n:]),
                 "mean_stop_time": Fraction(steps, self.scale * shape.prob_den) * tree.dt}
 
 
-def _on_rows(shape: Shape, what: str, masses: Dict[Word, Fraction]) -> list:
-    """Per row of the shape, the mass on its word (0 where absent); a
+def _on_rows(tree: TreeInstance, what: str, masses: Dict[Word, Fraction]) -> list:
+    """Per row of the tree's shape, the mass on its word (0 where absent); a
     nonzero mass on a word that is not a node raises NodeNotInTree."""
     for word, mass in masses.items():
-        if mass and word not in shape.index:
+        if mass and tree._shape().row(word) is None:
             raise NodeNotInTree(f"{what} mass {mass} on {word}, which is not a node")
-    return [masses.get(w, Fraction(0)) for w in shape.words]
+    return [masses.get(w, Fraction(0)) for w in tree.nodes()]
 
 
 def feasible_for(tree: TreeInstance, measure: StoppingMeasure, budgets) -> bool:

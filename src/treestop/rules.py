@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add
 from typing import Dict, Tuple
 
@@ -42,20 +42,23 @@ class RandomizedStoppingRule:
     q: Tuple[Fraction, ...]
 
     def prob(self, word: Word) -> Fraction:
-        return self.q[self.shape.index[word]]
+        i = self.shape.row(word)
+        if i is None:
+            raise KeyError(word)
+        return self.q[i]
 
     def validate(self, tree: TreeInstance) -> None:
-        """Check that the tree has this rule's nodes, q in [0, 1] and q = 1
-        at the horizon."""
+        """Check that the tree has this rule's nodes (its level widths), q in
+        [0, 1] and q = 1 at the horizon."""
         shape = tree._shape()
-        if shape is not self.shape and shape.words != self.shape.words:
+        if shape is not self.shape and shape.widths != self.shape.widths:
             raise RuleShapeMismatch("the rule is not on this tree's nodes")
         n_inner = len(shape.first) - 1
-        for i, (word, q) in enumerate(zip(shape.words, self.q)):
+        for i, q in enumerate(self.q):
             if not 0 <= q <= 1:
-                raise RuleShapeMismatch(f"q{word} = {q} outside [0, 1]")
+                raise RuleShapeMismatch(f"q{shape.word(i)} = {q} outside [0, 1]")
             if i >= n_inner and q != 1:
-                raise RuleShapeMismatch(f"q{word} must be 1 at the horizon")
+                raise RuleShapeMismatch(f"q{shape.word(i)} must be 1 at the horizon")
 
 
 def rule_from_map(tree: TreeInstance, q_map: Dict[Word, object]) -> RandomizedStoppingRule:
@@ -66,12 +69,13 @@ def rule_from_map(tree: TreeInstance, q_map: Dict[Word, object]) -> RandomizedSt
     """
     shape = tree._shape()
     for word in q_map:
-        if word not in shape.index:
+        if shape.row(word) is None:
             raise NodeNotInTree(f"rule probability on {word}, which is not a node")
-    for word in shape.words[:len(shape.first) - 1]:
+    for word in islice(tree.nodes(), len(shape.first) - 1):
         if word not in q_map:
             raise RuleShapeMismatch(f"rule is missing interior node {word}")
-    rule = RandomizedStoppingRule(shape, tuple(as_fraction(q_map.get(w, 1)) for w in shape.words))
+    rule = RandomizedStoppingRule(shape, tuple(as_fraction(q_map.get(w, 1))
+                                               for w in tree.nodes()))
     rule.validate(tree)
     return rule
 
@@ -98,12 +102,12 @@ def _thetas(tree: TreeInstance, rule: RandomizedStoppingRule) -> list:
 
 def theta_of_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> Dict[Word, Fraction]:
     """theta_k = 1 - prod_{j<=k} (1 - q) along every word, exactly."""
-    return dict(zip(tree._shape().words, _thetas(tree, rule)))
+    return dict(zip(tree._shape().words(), _thetas(tree, rule)))
 
 
 def _leaf_paths(shape: Shape):
     """Each leaf's row and the rows along its word, root first."""
-    for leaf in range(len(shape.first) - 1, len(shape.words)):
+    for leaf in range(len(shape.first) - 1, len(shape.probs)):
         path = [leaf]
         while path[-1]:
             path.append(shape.parent[path[-1]])
@@ -119,9 +123,9 @@ def derandomize(tree: TreeInstance, rule: RandomizedStoppingRule, eta) -> Dict[W
     eta = as_fraction(eta)
     if not 0 <= eta < 1:
         raise ValueError("eta must lie in [0, 1)")
-    shape, thetas = tree._shape(), _thetas(tree, rule)
-    return {shape.words[leaf]: next(k for k, i in enumerate(path) if thetas[i] > eta)
-            for leaf, path in _leaf_paths(shape)}
+    thetas = _thetas(tree, rule)
+    return {word: next(k for k, i in enumerate(path) if thetas[i] > eta)
+            for word, (_, path) in zip(tree.leaves(), _leaf_paths(tree._shape()))}
 
 
 def stop_mass_by_eta_integration(tree: TreeInstance,
@@ -166,7 +170,7 @@ def equivalence_check(tree: TreeInstance, rule: RandomizedStoppingRule) -> dict:
         "pass": direct == via_eta,
     }
     if not report["pass"]:
-        word = next(w for w in direct.shape.words if direct.stop(w) != via_eta.stop(w))
+        word = next(w for w in tree.nodes() if direct.stop(w) != via_eta.stop(w))
         raise EquivalenceViolation(
             f"stop masses differ at {word}: {direct.stop(word)} vs {via_eta.stop(word)}", report)
     return report
@@ -207,7 +211,8 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
         for kid in range(kids[i], kids[i + 1]):
             alive[kid] *= alive[i]
     thetas = [1.0 - a for a in alive]
-    cums = [level_cums[len(w)] for w in shape.words[:len(kids) - 1]]
+    starts = shape.starts
+    cums = [c for k, c in enumerate(level_cums) for _ in range(starts[k], starts[k + 1])]
 
     sums = [0.0] * n_funcs
     sq = [0.0] * n_funcs

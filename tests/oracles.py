@@ -114,7 +114,7 @@ def stop_payoff(tree: TreeInstance, word: Word) -> Fraction:
     """Accrued running reward plus terminal payoff when stopping at a node,
     read off the tree's node table."""
     table = tree._node_table()
-    return table.value(0, table.shape.index[word])
+    return table.value(0, table.shape.row(word))
 
 
 def snell_value(tree, payoff=None):
@@ -290,7 +290,7 @@ def paste(tree: TreeInstance, measure: StoppingMeasure, tau,
         sub = submeasures.get(nu)
         if sub is None:
             continue
-        i = shape.index[nu]
+        i = shape.row(nu)
         reach = stops[i] + conts[i]
         if reach == 0 and any(sub.stops + sub.conts):
             raise ShapeMismatch(f"submeasure at unreachable node {nu}")
@@ -558,11 +558,11 @@ def fraction_simplex(c: Sequence, rows: Sequence[Sequence], senses: Sequence[str
 
 
 def stop_of(cand: CandidateLaw, w: Word) -> Fraction:
-    return cand.stops[cand.shape.index[w]]
+    return cand.stops[cand.shape.row(w)]
 
 
 def cont_of(cand: CandidateLaw, w: Word) -> Fraction:
-    return cand.conts[cand.shape.index[w]]
+    return cand.conts[cand.shape.row(w)]
 
 
 def reach_of(cand: CandidateLaw, w: Word) -> Fraction:
@@ -587,7 +587,7 @@ def oracle_xi(cand: CandidateLaw, w: Word) -> tuple:
     cache = _XI.setdefault(cand, {})
     got = cache.get(w)
     if got is None:
-        state = _as_vector(cand.prefix_for_call(w)[-1], cand.tree.l)
+        state = _as_vector(cand.prefix_for_call(cand.shape.row(w))[-1], cand.tree.l)
         got = cache[w] = increment_sum(cand.tree, w) + state
     return got
 
@@ -647,7 +647,7 @@ def oracle_compensator(cand: CandidateLaw, phi: Polynomial, w: Word,
     xi = oracle_xi(cand, w)
     if mode == "exact":
         here = phi.eval(xi)
-        kids = cand.model_children(w)
+        kids = cand.model_children(cand.shape.row(w))
         winc = increment_sum(tree, w)
         total = Fraction(0)
         for (p, inc), x_next in zip(tree.branching[k], kids):
@@ -656,7 +656,7 @@ def oracle_compensator(cand: CandidateLaw, phi: Polynomial, w: Word,
         return total - here
     if mode == "generator":
         t = tree.time(k)
-        prefix = cand.prefix_for_call(w)
+        prefix = cand.prefix_for_call(cand.shape.row(w))
         b = _as_vector(tree._drift(t, prefix), tree.l)
         sig = _as_matrix(tree._diff(t, prefix), tree.l, tree.d)
         d, l = tree.d, tree.l
@@ -697,7 +697,7 @@ def compensated_process(tree: TreeInstance, phi: Polynomial,
         comp, = _compensators(cand, i, mode, (phi,), (vals[i],), [(vals[c],) for c in kids])
         for c in kids:
             out[c] = out[i] + vals[c] - vals[i] - comp
-    return dict(zip(cand.shape.words, out))
+    return dict(zip(cand.shape.words(), out))
 
 
 def oracle_direct_detail(tree: TreeInstance, cand: CandidateLaw) -> dict:
@@ -719,17 +719,17 @@ def oracle_direct_detail(tree: TreeInstance, cand: CandidateLaw) -> dict:
             return {"check": "branching", "node": w,
                     "claimed": claimed, "model": model}
     for w in tree.nodes():
-        if w not in cand.state_overrides:
+        claimed = cand.state_overrides.get(cand.shape.row(w))
+        if claimed is None:
             continue
         if w == ROOT:
             euler = cand.claimed_history[-1]
         else:
             parent = w[:-1]
             euler = tree._child_states(len(parent),
-                                       cand.prefix_for_call(parent))[w[-1]]
-        if cand.state_overrides[w] != euler:
-            return {"check": "state", "node": w,
-                    "claimed": cand.state_overrides[w], "model": euler}
+                                       cand.prefix_for_call(cand.shape.row(parent)))[w[-1]]
+        if claimed != euler:
+            return {"check": "state", "node": w, "claimed": claimed, "model": euler}
     return {}
 
 
@@ -1059,7 +1059,7 @@ def node_envelopes(tree: TreeInstance) -> Dict[Word, ConcaveEnvelope]:
     """Value-in-budget envelope of every node, in one sweep: a node's is its
     key's, built once per key."""
     envs = [[_built(chain, *unit) for chain in here] for here, unit in _sweep(tree)][::-1]
-    return {w: envs[len(w)][key] for w, key in zip(tree._shape().words, tree._row_keys())}
+    return {w: envs[len(w)][key] for w, key in zip(tree._shape().words(), tree._row_keys())}
 
 
 def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
@@ -1335,11 +1335,6 @@ def functionals_by_words(tree: TreeInstance, word: Word):
 
 def node_table_by_words(tree: TreeInstance) -> NodeTable:
     words = tuple(words_by_levels(tree))
-    first = [1]  # ends at len(words): every node but the root is a child
-    for w in words:
-        if len(w) == tree.depth:
-            break
-        first.append(first[-1] + tree.n_branches(len(w)))
     rows = []
     for w in words:
         p = path_prob_by_words(tree, w)
@@ -1353,7 +1348,8 @@ def node_table_by_words(tree: TreeInstance) -> NodeTable:
         dens.append(den)
     probs = [path_prob_by_words(tree, w) for w in words]
     prob_den = math.lcm(*(p.denominator for p in probs))
-    return NodeTable(Shape(words, tuple(first),
+    widths = tuple(len(level) for level in tree.branching)
+    return NodeTable(Shape(widths,
                            tuple(p.numerator * (prob_den // p.denominator) for p in probs),
                            prob_den), tuple(cols), tuple(dens))
 

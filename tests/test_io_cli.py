@@ -629,6 +629,19 @@ def _bad_input(tmp_path, case):
         return write(json.dumps(doc))
     if case == "too-many-nodes":  # 2^41 - 1 nodes, refused before any is built
         return write(json.dumps(dict(RW2_DOC, depth=40)))
+    # a depth of at least MAX_NODES is refused before the per-level branching
+    # is built: [items] * 10**400 overflowed, and 10**7 levels ran past 60 s
+    if case == "depth-huge":
+        return write(json.dumps(dict(RW2_DOC, depth=10**400)))
+    if case == "depth-ten-million":
+        return ["dp", *write(json.dumps(dict(RW2_DOC, depth=10**7)))[1:], "--budget", "1"]
+    # an expression that does not parse ended in a SyntaxError traceback, exit 1
+    if case == "expression-truncated":
+        return write(json.dumps(dict(RW2_DOC, pi="x_current +")))
+    if case == "expression-empty":
+        return write(json.dumps(dict(RW2_DOC, pi="")))
+    if case == "expression-unclosed":
+        return ["dp", *write(json.dumps(dict(RW2_DOC, pi="(((")))[1:], "--budget", "1"]
     # a rational literal with a zero denominator, in each field that takes one
     if case == "zero-denominator-budget":
         return ["dp", *write(json.dumps(RW2_DOC))[1:], "--budget", "1/0"]
@@ -676,7 +689,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "singular-at-the-history-sup",
               "singular-below-the-sup", "vector-x0-history", "vector-increment",
               "rule-duplicate-node", "rule-repeated-key", "measure-duplicate-node",
-              "negative-tol")
+              "negative-tol", "depth-huge", "depth-ten-million", "expression-truncated",
+              "expression-empty", "expression-unclosed")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

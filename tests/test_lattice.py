@@ -280,14 +280,14 @@ def test_node_table_is_built_by_the_first_solve_only():
     assert tree._table is None  # the envelope DP never builds it
     solve_weak(tree)
     table = tree._table
-    assert table.shape.words == tuple(tree.nodes())
+    assert tuple(table.shape.words()) == tuple(tree.nodes())
     assert table.shape.first == (1, 3, 5, 7)  # children of (), (0,), (1,)
     solve_weak(tree)
     assert tree._table is table
     sub = tree.subtree((0,))
     assert sub._table is None
     solve_weak(sub)
-    assert sub._table is not table and sub._table.shape.words == tuple(sub.nodes())
+    assert sub._table is not table and tuple(sub._table.shape.words()) == tuple(sub.nodes())
 
 
 def test_node_table_columns_are_path_probability_times_payoff_and_accruals():
@@ -297,7 +297,7 @@ def test_node_table_columns_are_path_probability_times_payoff_and_accruals():
                       inequalities=[(lambda t, xs: 1 + t, 2)],
                       equalities=[(lambda t, xs: xs[-1], 0)])
     table = tree._node_table()
-    words, first = table.shape.words, table.shape.first
+    words, first = tuple(table.shape.words()), table.shape.first
     for i, w in enumerate(words):
         F, Gs, Hs = functionals_by_words(tree, w)
         want = [F + terminal_at(tree, w), *Gs, *Hs]

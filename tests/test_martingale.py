@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from treestop import (CandidateLaw, DegreeTooHigh, EmptyBattery, POS_INF,
-                      Polynomial, TreestopError, build_tree,
+                      Polynomial, StoppingMeasure, TreestopError, build_tree,
                       candidate_with_branch_bias,
                       candidate_with_pre_start_mass, candidate_with_state_shift,
                       check_membership, generator_gap_decay,
@@ -141,8 +141,8 @@ def test_flagged_weights_separate_pre_and_post_stop_biases():
     delta = F(1, 8)
     biased = candidate_with_branch_bias(tree, rule, ((0,), delta))
     cand = CandidateLaw(
-        tree, s=dict(zip(biased.shape.words, biased.stops)),
-        u=dict(zip(biased.shape.words, biased.conts)),
+        tree, s=dict(zip(biased.shape.words(), biased.stops)),
+        u=dict(zip(biased.shape.words(), biased.conts)),
         post_stop_branching=[[HALF, HALF], [HALF - delta, HALF + delta]])
     trivial = CylinderWeight(label="1", factors=())
     for phi in (W, W2, X):
@@ -224,6 +224,11 @@ def test_never_stopping_mass_is_a_support_violation(rw2):
     rep = check_membership(rw2, CandidateLaw(rw2, s=s, u=u))
     assert not rep.clause2_pass
     assert rep.clause2_detail["mass_never_stopping"] == 1
+    # a measure holds no such law: its validate refuses it in from_measure
+    never = StoppingMeasure.from_masses(rw2, s, u)
+    for read in (CandidateLaw.from_measure, check_membership):
+        with pytest.raises(ValueError, match="continue mass at horizon node"):
+            read(rw2, never)
 
 
 # -- membership: the direct check ------------------------------------------------
@@ -271,7 +276,7 @@ def test_direct_check_passes_the_pool_and_names_each_corruption():
         if kind == "pre_t0":  # the transitions are the model's; clause 2 fails
             assert not rep.clause2_pass
             continue
-        node, = (cand.state_overrides if kind == "state" else
+        node, = (map(cand.shape.word, cand.state_overrides) if kind == "state" else
                  [w for w in tree.nodes() if len(w) < tree.depth and
                   [reach_of(cand, c) for c in tree.children(w)] !=
                   [p * cont_of(cand, w) for p, _ in tree.branching[len(w)]]])
@@ -338,7 +343,7 @@ def test_a_claimed_state_never_enters_the_trees_cache():
     measure = solve_weak(tree).measure
     euler = {w: tree.state(w) for w in tree.nodes()}
     cand = candidate_with_state_shift(tree, measure, (0, 1), HALF)
-    assert cand.prefix_for_call((0, 1))[-1] == euler[(0, 1)] + HALF
+    assert cand.prefix_for_call(cand.shape.row((0, 1)))[-1] == euler[(0, 1)] + HALF
     assert not check_membership(tree, cand).ok
     assert {w: tree.state(w) for w in tree.nodes()} == euler
 

@@ -3,18 +3,22 @@
 ``check_membership`` reads every clause-1 statistic from one forward sweep
 per cylinder weight.  ``oracles.oracle_check_membership`` runs a full
 forward sweep per statistic.  Every report must be equal: the clause-1
-list in order, labels, exact values and pass flags, and the verdicts.
+list in order, labels, exact values and pass flags, and the verdicts.  A
+measure's law read off its rows (``CandidateLaw.from_measure``) must equal
+the law built from its absolute-mass dicts, reports included.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from treestop import (CandidateLaw, build_tree, candidate_with_branch_bias,
                       candidate_with_state_shift, check_membership,
-                      generator_gap_decay, rule_from_map, rule_to_measure,
+                      generator_gap_decay, load_instance, rule_from_map, rule_to_measure,
                       solve_weak, statistic)
+from treestop.generate import generate_instance
 from treestop.martingale import (CylinderWeight, _stop_at_horizon, _Sweep, monomial_basis,
                                  weight_battery)
 from treestop.xreal import as_fraction
@@ -23,6 +27,7 @@ from conftest import acceptance_corruptions, acceptance_pool, make_rw
 from oracles import (oracle_check_membership, oracle_statistic, oracle_weight_battery,
                      oracle_xi)
 from test_martingale import moment_preserving_candidate
+from test_measure_rows import TREES, _random_rule
 
 F = Fraction
 HALF = F(1, 2)
@@ -39,6 +44,32 @@ def assert_same_reports(tree, cand, **kwargs):
 @pytest.fixture(scope="module")
 def pool_measures():
     return [(tree, solve_weak(tree).measure) for tree in acceptance_pool()]
+
+
+def assert_measure_law_is_the_dict_law(tree, m, modes=("exact",)):
+    """A measure's law read off its rows equals the law built from its
+    absolute-mass dicts, and so do their membership reports."""
+    rows, dicts = CandidateLaw.from_measure(tree, m), CandidateLaw(tree, m.s, m.u)
+    assert (rows.stops, rows.conts, rows.points) == (dicts.stops, dicts.conts, dicts.points)
+    for mode in modes:
+        assert check_membership(tree, rows, mode=mode) == check_membership(tree, dicts, mode=mode)
+
+
+def test_a_measures_law_equals_its_dict_law_on_the_pool(pool_measures):
+    for tree, m in pool_measures:
+        assert_measure_law_is_the_dict_law(tree, m, modes=("exact", "generator"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**TREES)
+def test_a_measures_law_equals_its_dict_law_on_drawn_trees(seed, depth, branches,
+                                                           n_ineq, n_eq):
+    tree = load_instance(generate_instance(seed=seed, depth=depth, branches=branches,
+                                           n_ineq=n_ineq, n_eq=n_eq))
+    assert_measure_law_is_the_dict_law(tree, rule_to_measure(tree, _random_rule(tree, seed)))
+    res = solve_weak(tree)
+    if res.optimal:
+        assert_measure_law_is_the_dict_law(tree, res.measure)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -87,8 +118,8 @@ def _stop_biased_candidate():
     rule = rule_from_map(tree, {w: F(len(w) + 1, 4) for w in interior})
     biased = candidate_with_branch_bias(tree, rule, ((0,), F(1, 8)))
     post = [[HALF, HALF], [F(3, 8), F(5, 8)], [F(1, 3), F(2, 3)]]
-    return tree, CandidateLaw(tree, s=dict(zip(biased.shape.words, biased.stops)),
-                              u=dict(zip(biased.shape.words, biased.conts)),
+    return tree, CandidateLaw(tree, s=dict(zip(biased.shape.words(), biased.stops)),
+                              u=dict(zip(biased.shape.words(), biased.conts)),
                               post_stop_branching=post)
 
 

@@ -3,15 +3,16 @@ builder it replaced (``oracles.node_table_by_words``), on the benchmark's
 trees and on hypothesis-drawn loaded and callable-built trees, with the
 state paths, accruals and stop payoffs read along each word's keys; one
 evaluation per key; the table-driven readers (expectations, Monte Carlo,
-``generate_instance``) against their per-word forms; and the table's
-refusals."""
+``generate_instance``) against their per-word forms; the shape's rows and
+words, converted by the level widths, against ``oracles.words_by_levels``;
+and the table's refusals."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treestop import (NodeNotInTree, StoppingMeasure, TreeInstance, build_tree,
@@ -23,7 +24,7 @@ from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS, _
 from conftest import count_calls, make_rw
 from oracles import (expectations_by_words, functionals_by_words, monte_carlo_oracle,
                      node_table_by_words, oracle_generate_instance, oracle_keyed_walk,
-                     oracle_prefix, stop_payoff, terminal_at)
+                     oracle_prefix, stop_payoff, terminal_at, words_by_levels)
 from test_closed_form import WALKS, walk
 
 F = Fraction
@@ -56,7 +57,7 @@ def assert_table_and_node_data_match(make):
     table = tree._node_table()
     assert table == node_table_by_words(make())
     fresh = make()
-    for w in table.shape.words:
+    for w in table.shape.words():
         assert euler_state(tree, w) == oracle_prefix(fresh, w)
         F, Gs, Hs = functionals_by_words(fresh, w)
         assert cumulative_functionals(tree, w) == (F, Gs, Hs)
@@ -67,8 +68,32 @@ def assert_table_and_node_data_match(make):
 @pytest.mark.parametrize("name", sorted(BENCH_SPECS))
 def test_keyed_table_equals_the_word_by_word_table_on_bench_trees(name):
     doc = generate_instance(**BENCH_SPECS[name])
-    table = assert_table_and_node_data_match(lambda: load_instance(doc))
-    assert table.shape.index == {w: i for i, w in enumerate(table.shape.words)}
+    assert_table_and_node_data_match(lambda: load_instance(doc))
+
+
+# -- rows and words ------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@example(widths=[2, 1, 3])
+@example(widths=[1, 1])
+@given(widths=st.lists(st.integers(1, 4), max_size=5))
+def test_rows_and_words_convert_by_the_level_widths(widths):
+    tree = build_tree(dt=1, depth=len(widths), x0=0,
+                      branching=[[(F(1, n), j) for j in range(n)] for n in widths])
+    shape, words = tree._shape(), words_by_levels(tree)
+    assert list(shape.words()) == words
+    for i, w in enumerate(words):
+        assert shape.word(i) == w and shape.row(w) == i and shape.depth(i) == len(w)
+    # the child ranges and parents, read off the words
+    inner = [w for w in words if len(w) < len(widths)]
+    assert [words[j] for j in shape.first[:-1]] == [w + (0,) for w in inner]
+    assert shape.first[-1] == len(words)
+    assert [words[j] for j in shape.parent[1:]] == [w[:-1] for w in words[1:]]
+    # a word too long, and a branch out of range at every level
+    assert shape.row(words[-1] + (0,)) is None
+    for k, n in enumerate(widths):
+        assert shape.row((0,) * k + (n,)) is None
+        assert shape.row((0,) * k + (-1,)) is None
 
 
 # -- hypothesis-drawn trees ----------------------------------------------------------
@@ -223,7 +248,7 @@ def test_table_evaluates_each_key_once():
     # interior key
     assert calls == {"terminal": keys, "reward": interior, "g": interior, "h": interior,
                      "drift": interior, "diffusion": interior}
-    assert keys < len(tree._node_table().shape.words)
+    assert keys < len(tree._node_table().shape.probs)
 
 
 @pytest.mark.parametrize("make", [
