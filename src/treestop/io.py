@@ -98,6 +98,7 @@ def decimal_value(x):
 MAX_EXPONENT = 64  # |n| of a power x ** n; the generator uses 2
 MAX_DEGREE = MAX_EXPONENT ** 2  # of an expression, so (x ** 64) ** 64 loads
 MAX_CONSTANT_BITS = 14_000  # printable in 4300 digits, so (10 ** 64) ** 64 loads
+MAX_EXPRESSION_CHARS = 100_000  # of an expression, before parsing; six 4215-digit literals load
 _SHOWN_BITS = 128  # a longer state coordinate shows in an error as its bit count
 
 # a base below _SMALL_BASE in absolute value, numerator and denominator, has
@@ -291,10 +292,16 @@ def parse_function(spec, field: str = "expression") -> tuple:
     kernel.  An expression that does not parse or compile, or whose degree
     (``_compile``) or constant is above its cap, is refused with a
     ValueError naming ``field`` and the expression: nesting powers would
-    otherwise compose the exponent cap without bound."""
+    otherwise compose the exponent cap without bound.  So is an expression
+    longer than ``MAX_EXPRESSION_CHARS``, before it is parsed, and one that
+    nests too deeply for the parser or the compiler (a RecursionError or
+    the parser's MemoryError: a thousand unary minuses already do)."""
     if isinstance(spec, (int, float)):
         spec = fmt_rational(as_fraction(spec))
     spec = spec.strip()
+    if len(spec) > MAX_EXPRESSION_CHARS:
+        raise ValueError(f"{field} {reprlib.repr(spec)} has {len(spec)} characters, "
+                         f"above the cap {MAX_EXPRESSION_CHARS}")
     low = spec.lower()
     if low in _ALIASES:
         return parse_function(_ALIASES[low])[0], low
@@ -333,6 +340,8 @@ def parse_function(spec, field: str = "expression") -> tuple:
         raise ValueError(f"{field} {spec!r}: {exc}") from None
     except SyntaxError as exc:
         raise ValueError(f"{field} {reprlib.repr(spec)}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ValueError(f"{field} {reprlib.repr(spec)} nests too deeply to parse") from None
     if degree > MAX_DEGREE:
         raise ValueError(f"{field} {spec!r} has degree {degree}, above the cap "
                          f"{MAX_DEGREE} (MAX_EXPONENT ** 2)")
@@ -344,10 +353,11 @@ def parse_function(spec, field: str = "expression") -> tuple:
 def _guarded(fn, spec: str) -> KeyFunction:
     """fn as a ``KeyFunction``: its int kernel calls fn at the key's ints
     and reduces the value by one gcd.  A division by zero, a non-integer or
-    too large power, a float overflow (of ``power:``) or a reduced value
+    too large power, a float overflow (of ``power:``), a reduced value
     whose numerator or denominator has more than ``MAX_CONSTANT_BITS`` bits
-    is reported as bad input naming spec, t and the state (``state``, when
-    given: a vector state, of which the key holds the first coordinate).
+    or a call nested deeper than the stack allows is reported as bad input
+    naming spec, t and the state (``state``, when given: a vector state, of
+    which the key holds the first coordinate).
     The expression caps bound each expression but not its value at a node,
     and the Euler step composes the drift's values level by level, so the
     value is bounded here, where it is evaluated."""
@@ -360,6 +370,8 @@ def _guarded(fn, spec: str) -> KeyFunction:
             what = "overflows the float range"
         except _BadExponent as exc:
             what = f"takes {exc.args[0]}"
+        except RecursionError:  # compiled nearer the stack's top than it is called
+            what = "nests too deeply to evaluate"
         else:
             g = gcd(n, d)
             if g != 1:

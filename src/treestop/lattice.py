@@ -442,14 +442,16 @@ class TreeInstance:
         return self._widths[depth_k]
 
     def check_word(self, word: Word) -> None:
-        """Raise unless word is a node: compared whole against the levels'
-        branch counts, and step by step only to name the first bad branch."""
+        """Raise unless word is a node: its branches ints, compared whole
+        against the levels' branch counts, and step by step only to name the
+        first bad branch."""
         if len(word) > self.depth:
             raise WordTooLong(f"word {word} is longer than depth {self.depth}")
-        if word and (min(word) < 0 or not all(map(lt, word, self._widths))):
+        if word and not (all(isinstance(j, int) for j in word) and min(word) >= 0
+                         and all(map(lt, word, self._widths))):
             k, j = next((k, j) for k, (j, n) in enumerate(zip(word, self._widths))
-                        if not 0 <= j < n)
-            raise NodeNotInTree(f"word {word}: branch {j} out of range at step {k}")
+                        if not (isinstance(j, int) and 0 <= j < n))
+            raise NodeNotInTree(f"word {word}: branch {j!r} out of range at step {k}")
 
     def nodes(self):
         """All increment words, shallowest first."""

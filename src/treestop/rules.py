@@ -8,6 +8,13 @@ horizon.  Drawing a single uniform threshold eta and stopping the first
 time theta exceeds eta reproduces the rule's joint law exactly, which is
 what ``equivalence_check`` certifies by integrating eta over the finitely
 many theta breakpoints.
+
+The exact kernels run in ints: the survival products over one unit per
+level, theta as ints over the measure's scale, and the eta integral's
+masses over that scale times the path probabilities' denominator.  Monte
+Carlo runs on floats and sums each column's values and squares as one
+complex per node, in path order and without compensation, so its
+estimates are the doubles a running sum of each gives.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice
-from operator import add
-from typing import Dict, Tuple
+from operator import add, itemgetter, mul
+from typing import Dict, Optional, Tuple
 
 from .errors import EquivalenceViolation, NodeNotInTree, RuleShapeMismatch
 from .lattice import Shape, TreeInstance, Word
@@ -83,26 +90,39 @@ def rule_from_map(tree: TreeInstance, q_map: Dict[Word, object]) -> RandomizedSt
 def rule_to_measure(tree: TreeInstance, rule: RandomizedStoppingRule) -> StoppingMeasure:
     """A rule's measure: a node's continue share is the product of 1 - q
     over its path, itself included, and its stop share is the rest of the
-    share that its parent continues."""
+    share that its parent continues.  The products run in ints: level k's
+    shares are over the unit of level k - 1 times the lcm of level k's q
+    denominators, and each level is brought to the horizon's unit at the end."""
     rule.validate(tree)
-    shape, stops, conts = tree._shape(), [], []
-    for q, parent in zip(rule.q, shape.parent):
-        arrive = conts[parent] if conts else Fraction(1)
-        conts.append(arrive * (1 - q))
-        stops.append(arrive - conts[-1])
-    return StoppingMeasure.from_shares(shape, stops, conts)
+    shape, stops, conts, steps = tree._shape(), [], [], []
+    for lo, hi in zip(shape.starts, shape.starts[1:]):
+        step = math.lcm(*(q.denominator for q in rule.q[lo:hi]))
+        steps.append(step)
+        for q, parent in zip(rule.q[lo:hi], shape.parent[lo:hi]):
+            arrive = (conts[parent] if conts else 1) * step
+            conts.append(arrive // q.denominator * (q.denominator - q.numerator))
+            stops.append(arrive - conts[-1])
+    scale = steps[-1]  # each level's factor to the horizon's unit, which is the scale
+    for k in range(len(steps) - 2, -1, -1):
+        rows = slice(shape.starts[k], shape.starts[k + 1])
+        stops[rows] = [v * scale for v in stops[rows]]
+        conts[rows] = [v * scale for v in conts[rows]]
+        scale *= steps[k]
+    return StoppingMeasure(shape, tuple(stops), tuple(conts), scale)
 
 
-def _thetas(tree: TreeInstance, rule: RandomizedStoppingRule) -> list:
-    """theta per row: 1 minus the rule's continue share there, the chance
-    of having stopped at or above that node."""
-    measure = rule_to_measure(tree, rule)
-    return [1 - Fraction(u, measure.scale) for u in measure.conts]
+def _thetas(measure: StoppingMeasure) -> list:
+    """theta per row as ints over ``measure.scale``, the rule's measure:
+    the scale minus the continue share there, the chance of having stopped
+    at or above that node."""
+    return [measure.scale - u for u in measure.conts]
 
 
 def theta_of_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> Dict[Word, Fraction]:
     """theta_k = 1 - prod_{j<=k} (1 - q) along every word, exactly."""
-    return dict(zip(tree._shape().words(), _thetas(tree, rule)))
+    measure = rule_to_measure(tree, rule)
+    return {word: Fraction(theta, measure.scale)
+            for word, theta in zip(tree._shape().words(), _thetas(measure))}
 
 
 def _leaf_paths(shape: Shape):
@@ -123,32 +143,44 @@ def derandomize(tree: TreeInstance, rule: RandomizedStoppingRule, eta) -> Dict[W
     eta = as_fraction(eta)
     if not 0 <= eta < 1:
         raise ValueError("eta must lie in [0, 1)")
-    thetas = _thetas(tree, rule)
-    return {word: next(k for k, i in enumerate(path) if thetas[i] > eta)
+    measure = rule_to_measure(tree, rule)
+    # theta / scale > eta, cross-multiplied
+    cut, thetas = eta.numerator * measure.scale, _thetas(measure)
+    return {word: next(k for k, i in enumerate(path) if thetas[i] * eta.denominator > cut)
             for word, (_, path) in zip(tree.leaves(), _leaf_paths(tree._shape()))}
 
 
-def stop_mass_by_eta_integration(tree: TreeInstance,
-                                 rule: RandomizedStoppingRule) -> StoppingMeasure:
+def stop_mass_by_eta_integration(tree: TreeInstance, rule: RandomizedStoppingRule,
+                                 measure: Optional[StoppingMeasure] = None) -> StoppingMeasure:
     """The rule's measure obtained by integrating the hitting time over eta.
 
     For each full word the hitting node is piecewise constant in eta with
     breakpoints at the theta values along it, so the integral is a finite
     exact sum; the node on each piece is found by evaluating the hitting
     time at the piece's midpoint.  A node's continue mass is the stop mass
-    strictly below it.  Masses are kept in units of 1 / ``prob_den``.
+    strictly below it.  theta is read off ``measure``, the rule's measure
+    (built here when not given), as ints over its scale, so a piece's
+    midpoint test is 2 * theta > lo + hi and masses are ints over the
+    scale times ``prob_den``.
     """
-    shape, thetas = tree._shape(), _thetas(tree, rule)
-    stops, conts = [Fraction(0)] * len(thetas), [Fraction(0)] * len(thetas)
+    shape = tree._shape()
+    if measure is None:
+        measure = rule_to_measure(tree, rule)
+    thetas = _thetas(measure)
+    twice = [2 * theta for theta in thetas]
+    stops, conts = [0] * len(thetas), [0] * len(thetas)
     for leaf, path in _leaf_paths(shape):
-        cuts = sorted({Fraction(0), *(thetas[i] for i in path)})
+        cuts = sorted({0, *(thetas[i] for i in path)})
         for lo, hi in zip(cuts, cuts[1:]):
-            mid = (lo + hi) / 2
-            stops[next(i for i in path if thetas[i] > mid)] += shape.probs[leaf] * (hi - lo)
+            mid = lo + hi
+            stops[next(i for i in path if twice[i] > mid)] += shape.probs[leaf] * (hi - lo)
     for i in range(len(thetas) - 1, 0, -1):
         conts[shape.parent[i]] += stops[i] + conts[i]
-    return StoppingMeasure.from_shares(shape, *([m / p for m, p in zip(masses, shape.probs)]
-                                                for masses in (stops, conts)))
+    # a row's share is its mass over the scale times its path probability
+    unit = math.lcm(*shape.probs)
+    per_row = [unit // p for p in shape.probs]
+    return StoppingMeasure(shape, tuple(map(mul, stops, per_row)),
+                           tuple(map(mul, conts, per_row)), measure.scale * unit)
 
 
 def equivalence_check(tree: TreeInstance, rule: RandomizedStoppingRule) -> dict:
@@ -161,7 +193,7 @@ def equivalence_check(tree: TreeInstance, rule: RandomizedStoppingRule) -> dict:
     since equality is guaranteed.
     """
     direct = rule_to_measure(tree, rule)
-    via_eta = stop_mass_by_eta_integration(tree, rule)
+    via_eta = stop_mass_by_eta_integration(tree, rule, direct)
     report = {
         "stop_mass_rule": direct,
         "stop_mass_hitting": via_eta,
@@ -191,18 +223,18 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
 
     # flatten the node table into float tables once: per column, each
     # node's value (int true division rounds as float(Fraction) does) and
-    # its square; per node, the threshold theta that stops a path there
-    # (1 - its survival product, the doubles a running product gives) and,
-    # at interior nodes, its first child's row and its level's cumulative
-    # branch probabilities without the last (a draw past them all takes the
-    # last branch).  A leaf's theta is 1, above every draw, so the walk
-    # never reads past the interior nodes.
+    # its square, packed as one complex(value, square); per node, the
+    # threshold theta that stops a path there (1 - its survival product,
+    # the doubles a running product gives) and, at interior nodes, its
+    # first child's row and its level's cumulative branch probabilities
+    # without the last (a draw past them all takes the last branch).  A
+    # leaf's theta is 1, above every draw, so the walk never reads past the
+    # interior nodes.
     table = tree._node_table()
     shape = table.shape
-    vals = [[c * shape.prob_den / (den * p) for c, p in zip(col, shape.probs)]
-            for col, den in zip(table.cols, table.dens)]
-    sqs = [[v * v for v in col] for col in vals]
-    n_funcs = len(vals)
+    pairs = [[complex(v, v * v) for v in (c * shape.prob_den / (den * p)
+                                          for c, p in zip(col, shape.probs))]
+             for col, den in zip(table.cols, table.dens)]
     level_cums = [list(accumulate(float(p) for p, _ in level))[:-1]
                   for level in tree.branching]
     kids = shape.first
@@ -214,15 +246,18 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
     starts = shape.starts
     cums = [c for k, c in enumerate(level_cums) for _ in range(starts[k], starts[k + 1])]
 
-    sums = [0.0] * n_funcs
-    sq = [0.0] * n_funcs
+    # per column, the running sums of the values (real part) and of their
+    # squares (imaginary part)
+    totals = [0j] * len(pairs)
 
     def add_block(block):
-        # path order, without compensated summation, so the sums are
-        # the same doubles a running += gives
-        for i in range(n_funcs):
-            sums[i] = reduce(add, map(vals[i].__getitem__, block), sums[i])
-            sq[i] = reduce(add, map(sqs[i].__getitem__, block), sq[i])
+        # path order, by a chain of complex adds, each a plain IEEE add per
+        # part, and not by sum(), which compensates from Python 3.12 on: the
+        # sums are the same doubles a running += of each part gives
+        pick = itemgetter(*block)
+        for i, col in enumerate(pairs):
+            picked = pick(col) if len(block) > 1 else (col[block[0]],)  # one is no tuple
+            totals[i] = reduce(add, picked, totals[i])
 
     draw = random.Random(seed).random
     for start in range(0, paths, _BLOCK):
@@ -237,10 +272,10 @@ def monte_carlo_value(tree: TreeInstance, rule: RandomizedStoppingRule,
         add_block(block)
 
     def mean_se(i):
-        mean = sums[i] / paths
+        mean = totals[i].real / paths
         if paths == 1:
             return mean, 0.0
-        var = max(0.0, (sq[i] - paths * mean * mean) / (paths - 1))
+        var = max(0.0, (totals[i].imag - paths * mean * mean) / (paths - 1))
         return mean, math.sqrt(var / paths)
 
     out = {"paths": paths, "seed": seed, "value": mean_se(0)}

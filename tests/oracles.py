@@ -18,7 +18,8 @@ representative's state path, which the walk by (state, sup) key must
 match level for level, and the word-keyed forward push and measure
 validator that the measures' row form must match mass for mass, and the
 exact-sort chain merge that the float-keyed ``_merged`` must match chain
-for chain.
+for chain, and the Fraction survival products and eta integral that the
+rules' int forms must match measure for measure.
 
 Some helpers here are test-only API rather than independent references:
 ``increment_sum``; ``compensated_process``, built on the library's own
@@ -60,7 +61,7 @@ from treestop.martingale import (_WEIGHT_BUDGET, MAX_DEGREE, CandidateLaw, Cylin
 from treestop.lp import INFEASIBLE as SOLVE_INFEASIBLE
 from treestop.lp import SolveResult, _budgets_or_default, solve_weak
 from treestop.measures import StoppingMeasure, feasible_for
-from treestop.rules import rule_from_map, rule_to_measure
+from treestop.rules import _leaf_paths, rule_from_map, rule_to_measure
 from treestop.xreal import as_fraction
 from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
@@ -1211,6 +1212,57 @@ def monte_carlo_oracle(tree: TreeInstance, rule, paths: int, seed: int = 0) -> d
     k += tree.constraints.n_ineq
     out["eq"] = tuple(mean_se(k + i) for i in range(tree.constraints.n_eq))
     return out
+
+
+# -- rule measures in Fractions ------------------------------------------------------
+# ``rule_to_measure_by_fractions``, ``thetas_by_fractions`` and
+# ``stop_mass_by_eta_integration_by_fractions`` are ``rules.rule_to_measure``,
+# ``rules._thetas`` and ``rules.stop_mass_by_eta_integration`` as they were
+# before the survival products and the eta integral moved to ints, copied
+# verbatim apart from their names.  The int forms must give ``==`` measures
+# and the same theta.
+
+
+def rule_to_measure_by_fractions(tree: TreeInstance, rule) -> StoppingMeasure:
+    """A rule's measure: a node's continue share is the product of 1 - q
+    over its path, itself included, and its stop share is the rest of the
+    share that its parent continues."""
+    rule.validate(tree)
+    shape, stops, conts = tree._shape(), [], []
+    for q, parent in zip(rule.q, shape.parent):
+        arrive = conts[parent] if conts else Fraction(1)
+        conts.append(arrive * (1 - q))
+        stops.append(arrive - conts[-1])
+    return StoppingMeasure.from_shares(shape, stops, conts)
+
+
+def thetas_by_fractions(tree: TreeInstance, rule) -> list:
+    """theta per row: 1 minus the rule's continue share there, the chance
+    of having stopped at or above that node."""
+    measure = rule_to_measure_by_fractions(tree, rule)
+    return [1 - Fraction(u, measure.scale) for u in measure.conts]
+
+
+def stop_mass_by_eta_integration_by_fractions(tree: TreeInstance, rule) -> StoppingMeasure:
+    """The rule's measure obtained by integrating the hitting time over eta.
+
+    For each full word the hitting node is piecewise constant in eta with
+    breakpoints at the theta values along it, so the integral is a finite
+    exact sum; the node on each piece is found by evaluating the hitting
+    time at the piece's midpoint.  A node's continue mass is the stop mass
+    strictly below it.  Masses are kept in units of 1 / ``prob_den``.
+    """
+    shape, thetas = tree._shape(), thetas_by_fractions(tree, rule)
+    stops, conts = [Fraction(0)] * len(thetas), [Fraction(0)] * len(thetas)
+    for leaf, path in _leaf_paths(shape):
+        cuts = sorted({Fraction(0), *(thetas[i] for i in path)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            mid = (lo + hi) / 2
+            stops[next(i for i in path if thetas[i] > mid)] += shape.probs[leaf] * (hi - lo)
+    for i in range(len(thetas) - 1, 0, -1):
+        conts[shape.parent[i]] += stops[i] + conts[i]
+    return StoppingMeasure.from_shares(shape, *([m / p for m, p in zip(masses, shape.probs)]
+                                                for masses in (stops, conts)))
 
 
 # -- the node table, expectations and generation, word by word -----------------------

@@ -3,6 +3,7 @@ replaced: the same values and the same exception types at every point."""
 
 import ast
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from treestop import ExpressionUndefined, load_instance, parse_function
 from treestop.io import (_ALLOWED_NAMES, MAX_CONSTANT_BITS, MAX_DEGREE, MAX_EXPONENT,
-                         _compile)
+                         MAX_EXPRESSION_CHARS, _compile)
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS,
                                _TERMINALS)
 
@@ -174,6 +175,54 @@ def test_nested_powers_above_the_degree_cap_are_refused_at_load(spec, degree):
         load_instance(doc)
     with pytest.raises(ValueError, match=r"^instance field 'pi' '"):
         load_instance(dict(doc, constraints={}, pi=spec))
+
+
+def test_an_expression_above_the_length_cap_is_refused_before_it_is_parsed():
+    # a 20,000-term sum ended in a RecursionError during AST construction
+    chain = "+".join(["x_current"] * 20_000)
+    with pytest.raises(ValueError, match=rf"^instance field 'pi' 'x_current\+x_.*' has 199999 "
+                                         rf"characters, above the cap {MAX_EXPRESSION_CHARS}$"):
+        parse_function(chain, "instance field 'pi'")
+    # spaces inside count, outer ones do not, and an expression at the cap loads
+    at_cap = "x_current" + " " * (MAX_EXPRESSION_CHARS - 11) + "+1"
+    assert parse_function(f" {at_cap} ")[0].kernel(0, 1, 2, 1, 2, 1) == (3, 1)
+    with pytest.raises(ValueError, match="100001 characters, above the cap"):
+        parse_function(at_cap.replace(" ", "  ", 1))
+    with pytest.raises(ValueError, match="above the cap"):
+        load_instance({"dt": "1", "depth": 1, "branching": [{"p": "1", "w": "1"}],
+                       "pi": chain})
+
+
+DEEP = {  # a RecursionError from the parser or the compiler, unless noted
+    "unary-10000": "-" * 10_000 + "1",  # a MemoryError from the parser on Python 3.11
+    "unary-1000": "-" * 1000 + "1",
+    "unary-1000-of-a-name": "-" * 1000 + "x_current",
+    "sum-1000": "+".join(["x_current"] * 1000),
+    "power-1000": "2**" * 1000 + "x_current",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP))
+def test_an_expression_that_nests_too_deeply_to_parse_is_bad_input(case):
+    assert len(DEEP[case]) <= MAX_EXPRESSION_CHARS
+    with pytest.raises(ValueError, match=r"^instance field 'pi' '.+\.\.\..+' nests too "
+                                         r"deeply to parse$"):
+        parse_function(DEEP[case], "instance field 'pi'")
+
+
+def _nested(depth, call):
+    """call() run from ``depth`` frames further down the stack."""
+    return call() if depth == 0 else _nested(depth - 1, call)
+
+
+def test_a_kernel_called_too_deep_in_the_stack_is_undefined_at_that_node():
+    # compiled near the top of the stack, 600 calls deep, and called near
+    # its limit: the node's value is undefined, not a RecursionError
+    fn, _ = parse_function("-" * 600 + "x_current")
+    assert fn.kernel(0, 1, 2, 1, 2, 1) == (2, 1)
+    with pytest.raises(ExpressionUndefined, match=r"^'-+x_current' nests too deeply to "
+                                                 r"evaluate at t = 0, state 2$"):
+        _nested(sys.getrecursionlimit() - 300, lambda: fn.kernel(0, 1, 2, 1, 2, 1))
 
 
 def test_constants_within_the_bit_cap_load():

@@ -642,6 +642,13 @@ def _bad_input(tmp_path, case):
         return write(json.dumps(dict(RW2_DOC, pi="")))
     if case == "expression-unclosed":
         return ["dp", *write(json.dumps(dict(RW2_DOC, pi="(((")))[1:], "--budget", "1"]
+    # a 20,000-term sum ended in a RecursionError traceback, and 10,000 unary
+    # minuses in a MemoryError one
+    if case == "expression-long-chain":
+        return write(json.dumps(dict(RW2_DOC, pi="+".join(["x_current"] * 20_000))))
+    if case == "expression-deep-unary":
+        return ["dp", *write(json.dumps(dict(RW2_DOC, pi="-" * 10_000 + "1")))[1:],
+                "--budget", "1"]
     # a rational literal with a zero denominator, in each field that takes one
     if case == "zero-denominator-budget":
         return ["dp", *write(json.dumps(RW2_DOC))[1:], "--budget", "1/0"]
@@ -690,7 +697,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "singular-below-the-sup", "vector-x0-history", "vector-increment",
               "rule-duplicate-node", "rule-repeated-key", "measure-duplicate-node",
               "negative-tol", "depth-huge", "depth-ten-million", "expression-truncated",
-              "expression-empty", "expression-unclosed")
+              "expression-empty", "expression-unclosed", "expression-long-chain",
+              "expression-deep-unary")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

@@ -78,6 +78,18 @@ def test_euler_word_too_long_and_bad_branch():
         cumulative_functionals(tree, (0, 5))
 
 
+def test_a_branch_that_is_not_an_int_is_not_a_node():
+    # 0.5 is in range at step 0, and "0" does not compare with an int: each
+    # failed inside the key walk or the range check with a TypeError
+    tree = make_rw()
+    for word in ((0.5,), ("0",), (0, 0.5)):
+        for read in (euler_state, cumulative_functionals, lambda tree, w: tree.state(w)):
+            with pytest.raises(NodeNotInTree, match=r"branch (0\.5|'0') out of range"):
+                read(tree, word)
+    assert euler_state(tree, (1,)) == (0, -1)
+    tree.check_word((1, 0))
+
+
 def _check_word_step_by_step(tree, word):
     """The word check as one Python loop over the word, one len per step."""
     if len(word) > tree.depth:

@@ -15,7 +15,8 @@ from treestop.generate import generate_instance
 from treestop.lattice import build_tree
 
 from conftest import make_rw
-from oracles import atom_expectations, monte_carlo_oracle
+from oracles import (atom_expectations, monte_carlo_oracle, rule_to_measure_by_fractions,
+                     stop_mass_by_eta_integration_by_fractions, thetas_by_fractions)
 
 HALF = Fraction(1, 2)
 
@@ -149,8 +150,8 @@ def test_equivalence_check_raises_when_the_hitting_time_moves_mass(rw2, half_rul
     # a hitting-time integration that moves 1/8 of stop mass from "+" to "-"
     real = rules.stop_mass_by_eta_integration
 
-    def moved(tree, rule):
-        measure = real(tree, rule)
+    def moved(tree, rule, direct):
+        measure = real(tree, rule, direct)
         mass = measure.s
         mass[(0,)] -= Fraction(1, 8)
         mass[(1,)] += Fraction(1, 8)
@@ -195,6 +196,56 @@ def test_derandomization_exactness_random_rules(qs, trinomial):
     via_eta = stop_mass_by_eta_integration(tree, rule)
     assert all(direct.stop(w) == via_eta.stop(w) for w in tree.nodes())
     assert via_eta == direct
+
+
+# -- the int kernels against their Fraction forms ----------------------------------
+
+LARGE_PRIMES = (999_983, 1_000_003, 2**31 - 1, 2**61 - 1, 10**9 + 7)
+
+
+def coprime_rule(tree, seed):
+    """q per interior node: 0 (theta ties its parent's), 1, a small fraction
+    or a fraction over a large prime, which differs from node to node."""
+    rng = random.Random(seed)
+
+    def draw():
+        kind = rng.randrange(5)
+        if kind < 2:
+            return Fraction(kind)
+        if kind == 2:
+            return Fraction(rng.randrange(1, 7), 7)
+        prime = rng.choice(LARGE_PRIMES)
+        return Fraction(rng.randrange(1, prime), prime)
+    return rule_from_map(tree, {w: draw() for w in tree.nodes() if len(w) < tree.depth})
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), depth=st.integers(0, 4), branches=st.integers(2, 4))
+def test_int_rule_kernels_equal_their_fraction_forms(seed, depth, branches):
+    tree = load_instance(generate_instance(seed=seed, depth=depth, branches=branches))
+    rule = coprime_rule(tree, seed)
+    direct = rule_to_measure(tree, rule)
+    assert direct == rule_to_measure_by_fractions(tree, rule)
+    via_eta = stop_mass_by_eta_integration_by_fractions(tree, rule)
+    assert stop_mass_by_eta_integration(tree, rule) == via_eta
+    assert stop_mass_by_eta_integration(tree, rule, direct) == via_eta
+    thetas = thetas_by_fractions(tree, rule)
+    assert theta_of_rule(tree, rule) == dict(zip(tree.nodes(), thetas))
+    # the hitting depth at every theta (a tie continues) and between them
+    shape = tree._shape()
+    for eta in sorted({t for t in thetas if t < 1} | {Fraction(0), Fraction(1, 3)}):
+        want = {word: next(k for k, i in enumerate(path) if thetas[i] > eta)
+                for word, (_, path) in zip(tree.leaves(), rules._leaf_paths(shape))}
+        assert derandomize(tree, rule, eta) == want
+
+
+def test_coprime_rules_tie_stop_and_use_large_denominators():
+    # the drawn rules hold each kind the int kernels must get right
+    tree = load_instance(generate_instance(seed=1, depth=4, branches=3))
+    below_root = slice(1, len(tree._shape().first) - 1)  # the interior rows but the root
+    qs = [q for seed in range(3) for q in coprime_rule(tree, seed).q[below_root]]
+    assert {0, 1} <= set(qs)
+    assert {q.denominator for q in qs} >= set(LARGE_PRIMES)
 
 
 def test_rule_expectations_match_atom_enumeration(rw2, half_rule):
@@ -297,6 +348,17 @@ def test_mc_is_bit_identical_to_the_per_word_loop(case, paths):
         assert {rule.prob(w) for w in tree.nodes() if len(w) < tree.depth} & {0, 1}
         for mc_seed in (0, 99):
             got = monte_carlo_value(tree, rule, paths=paths, seed=mc_seed)
+            assert got == monte_carlo_oracle(tree, rule, paths=paths, seed=mc_seed)
+
+
+@pytest.mark.parametrize("paths", [1, 1024, 2049])
+def test_mc_with_five_functionals_is_bit_identical_to_the_per_word_loop(paths):
+    # two inequalities and two equalities: five packed columns per block
+    tree = load_instance(generate_instance(seed=6, depth=3, branches=3, n_ineq=2, n_eq=2))
+    for rule in (mixed_rule(tree, 6), mixed_rule(tree, 16)):
+        for mc_seed in (0, 99):
+            got = monte_carlo_value(tree, rule, paths=paths, seed=mc_seed)
+            assert len(got["ineq"]) == len(got["eq"]) == 2
             assert got == monte_carlo_oracle(tree, rule, paths=paths, seed=mc_seed)
 
 
