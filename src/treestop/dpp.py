@@ -61,20 +61,20 @@ def normalize_cut(tree: TreeInstance, tau: TauSpec) -> Tuple[Word, ...]:
         cut = tuple(w for w in tree.nodes() if len(w) == tau)
         return cut
     cut = tuple(tuple(w) for w in tau)
-    seen = set()
+    seen = {}
     for w in cut:
-        tree.check_word(w)
+        i = tree.check_word(w)
         if len(w) == 0:
             raise ValueError("the cut must come strictly after the start")
         if w in seen:
             raise ValueError(f"duplicate cut node {w}")
-        seen.add(w)
+        seen[w] = i
     for w in cut:
         for k in range(len(w)):
             if w[:k] in seen:
                 raise ValueError(f"cut nodes {w[:k]} and {w} are nested")
     shape = tree._shape()
-    covered = {j for w in cut for j in shape.rows_below(shape.row(w))}
+    covered = {j for i in seen.values() for j in shape.rows_below(i)}
     for j in range(len(shape.first) - 1, len(shape.probs)):  # the leaves
         if j not in covered:
             raise ValueError(f"cut misses the path to {shape.word(j)}")
@@ -101,7 +101,7 @@ def _split(tree: TreeInstance, measure: StoppingMeasure, cut):
                 sums[nu][c] += weight * col[i]
             if nu is None:
                 w, den = shape.word(i), measure.scale * shape.prob_den
-                F, Gs, Hs = tree._functionals(w)
+                F, Gs, Hs = tree._functionals(i)
                 stopped.append({"node": w, "mass": Fraction(weight * shape.probs[i], den),
                                 "F": F, "G": Gs, "H": Hs, "payoff": table.value(0, i)})
     value_before, *accrued = (Fraction(x, measure.scale * den)
@@ -113,7 +113,7 @@ def _split(tree: TreeInstance, measure: StoppingMeasure, cut):
             zero.append(nu)
             continue
         r = Fraction(reach * shape.probs[i], measure.scale * shape.prob_den)
-        F, Gs, Hs = tree._functionals(nu)
+        F, Gs, Hs = tree._functionals(i)
         # the sums below nu over its reach mass
         value, *below = (Fraction(x * shape.prob_den, den * reach * shape.probs[i])
                          for x, den in zip(sums[nu], table.dens))

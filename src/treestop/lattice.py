@@ -212,12 +212,12 @@ class KeyedWalk(NamedTuple):
     interior levels, its kids (per branch, the child's key index one level
     down) and accrual step dt * (f, g_i, h_i).  Payoffs and steps are ints
     over one denominator per column, ``ones[c]``, the least common one; the
-    stop payoffs share column 0's.  No state path is kept: a node's path is
-    its history and the states of the keys along its word.  On a Markov tree
-    the walk calls the functions' int kernels and folds children by their
-    (state, sup) as reduced int numerators and denominators, and a key's
-    state is a Fraction built once, when the key is first reached: the only
-    Fraction the walk builds, unless an error message needs one."""
+    stop payoffs share column 0's.  No state path is kept: a row's path is
+    its history and the states of the row keys along ``Shape.path``.  On a
+    Markov tree the walk calls the functions' int kernels and folds children
+    by their (state, sup) as reduced int numerators and denominators, and a
+    key's state is a Fraction built once, when the key is first reached: the
+    only Fraction the walk builds, unless an error message needs one."""
 
     states: list
     kids: list
@@ -238,8 +238,8 @@ class Shape:
     parent (0 at the root).  ``probs`` holds the path probabilities as ints
     over ``prob_den``, the product of the levels' branch denominators.  A
     row's increment word is not stored: a level's rows run in the
-    lexicographic order of their words, so ``row`` and ``word`` convert by
-    mixed-radix arithmetic on ``widths``.
+    lexicographic order of their words, so ``word`` converts by mixed-radix
+    arithmetic on ``widths``, and ``row`` follows ``first`` down a word.
     """
 
     widths: Tuple[int, ...]
@@ -265,15 +265,24 @@ class Shape:
         return bisect_right(self.starts, i) - 1
 
     def row(self, word) -> Optional[int]:
-        """A word's row; None when it is too long or a branch is out of range."""
+        """A word's row, reached down ``first``; None unless it is a tuple of
+        int branches in range."""
         if not isinstance(word, tuple) or len(word) > len(self.widths):
             return None
-        i = 0
-        for j, n in zip(word, self.widths):
-            if j not in range(n):  # any number equal to a branch index, like a dict key
-                return None
-            i = i * n + j
-        return self.starts[len(word)] + int(i)
+        if word and not (all(isinstance(j, int) for j in word) and min(word) >= 0
+                         and all(map(lt, word, self.widths))):
+            return None
+        first, i = self.first, 0
+        for j in word:
+            i = first[i] + j
+        return i
+
+    def path(self, i: int) -> list:
+        """The rows along row i's word, root first, read off ``parent``."""
+        parent, rows = self.parent, [i]
+        while i:
+            rows.append(i := parent[i])
+        return rows[::-1]
 
     def word(self, i: int) -> Word:
         """The increment word of row i: the digits of its place in its level."""
@@ -332,13 +341,15 @@ class TreeInstance:
     where a caller names or reads it.  A depth of ``MAX_NODES`` or more,
     or more than ``MAX_NODES`` nodes, is refused before any per-level list
     is built.  Built whole on first use and cached: the shape (``_shape()``,
-    the level widths and path probabilities), the keyed walk (``_keys()``)
-    and the node table (``_node_table()``); ``dp.root_envelope`` caches
-    ``_root_envelope``, and ``lp.solve_weak`` keeps its last result, with
-    the budgets it solved at, in ``_solved`` (one slot, so a budget sweep
-    holds one measure).  No node has a cache of its own: its state path and
-    accruals are read along its word's keys, so the first such query runs
-    the whole walk, and a non-finite node value anywhere raises there.
+    the level widths and path probabilities), the keyed walk (``_keys()``),
+    each row's key (``_row_keys()``) and the node table (``_node_table()``);
+    ``dp.root_envelope`` caches ``_root_envelope``, and ``lp.solve_weak`` keeps
+    its last result, with the budgets it solved at, in ``_solved`` (one slot,
+    so a budget sweep holds one measure).  No node has a cache of its own: a
+    word is checked and converted to its row once (``check_word``), and the
+    row's state path and accruals are read at the keys of the rows on its
+    path, so the first such query runs the whole walk, and a non-finite node
+    value anywhere raises there.
     Instances are safe to share for concurrent reads once constructed; two
     racing solves at equal budgets store equal results.
     Reward, integrands, terminal payoff, drift and diffusion are called and
@@ -397,6 +408,7 @@ class TreeInstance:
         self._diff = _callable(diffusion)
         self._shape_cache: Optional[Shape] = None
         self._walk: Optional[KeyedWalk] = None
+        self._keys_by_row: Optional[list] = None
         self._root_envelope = None
         self._solved = None
         self._table: Optional[NodeTable] = None
@@ -441,17 +453,18 @@ class TreeInstance:
     def n_branches(self, depth_k: int) -> int:
         return self._widths[depth_k]
 
-    def check_word(self, word: Word) -> None:
-        """Raise unless word is a node: its branches ints, compared whole
-        against the levels' branch counts, and step by step only to name the
-        first bad branch."""
-        if len(word) > self.depth:
-            raise WordTooLong(f"word {word} is longer than depth {self.depth}")
-        if word and not (all(isinstance(j, int) for j in word) and min(word) >= 0
-                         and all(map(lt, word, self._widths))):
+    def check_word(self, word: Word) -> int:
+        """The row of a word that is a node (``Shape.row``); otherwise raise,
+        naming the first bad branch, found step by step."""
+        word = tuple(word)
+        i = self._shape().row(word)
+        if i is None:
+            if len(word) > self.depth:
+                raise WordTooLong(f"word {word} is longer than depth {self.depth}")
             k, j = next((k, j) for k, (j, n) in enumerate(zip(word, self._widths))
                         if not (isinstance(j, int) and 0 <= j < n))
             raise NodeNotInTree(f"word {word}: branch {j!r} out of range at step {k}")
+        return i
 
     def nodes(self):
         """All increment words, shallowest first."""
@@ -493,26 +506,20 @@ class TreeInstance:
     def _unwrap(self, x: State):
         return x[0] if self.l == 1 else x
 
-    def _key_path(self, word: Word) -> list:
-        """The key index of every node along a word, root first."""
-        key, path = 0, [0]
-        for level, j in zip(self._keys().kids, word):
-            key = level[key][j]
-            path.append(key)
-        return path
-
-    def _prefix_for_call(self, word: Word) -> tuple:
-        """The state path the functions see at a node: history, then keys' states."""
-        return (*map(self._unwrap, self.history[:-1]),
-                *map(getitem, self._keys().states, self._key_path(word)))
+    def _prefix_for_call(self, i: int) -> tuple:
+        """The state path the functions see at row i: history, then its path's key states."""
+        keys = map(self._row_keys().__getitem__, self._shape().path(i))
+        return (*map(self._unwrap, self.history[:-1]), *map(getitem, self._keys().states, keys))
 
     def _row_keys(self) -> list:
-        """The key index of every row of ``_shape()``, each from its parent's."""
-        starts, keys = self._shape().starts, [0]
-        for k, level in enumerate(self._keys().kids):
-            for key in keys[starts[k]:starts[k + 1]]:
-                keys += level[key]
-        return keys
+        """The key index of every row of ``_shape()``, each from its parent's; cached."""
+        if self._keys_by_row is None:
+            starts, keys = self._shape().starts, [0]
+            for k, level in enumerate(self._keys().kids):
+                for key in keys[starts[k]:starts[k + 1]]:
+                    keys += level[key]
+            self._keys_by_row = keys
+        return self._keys_by_row
 
     def _child_states(self, k: int, prefix: tuple) -> Tuple[State, ...]:
         """Euler successors, one per branch, of a depth-k node whose state
@@ -645,16 +652,15 @@ class TreeInstance:
 
     def state(self, word: Word):
         """State at a node (scalar when the state dimension is 1)."""
-        self.check_word(word)
-        return self._prefix_for_call(word)[-1]
+        return self._prefix_for_call(self.check_word(word))[-1]
 
     # -- functionals -----------------------------------------------------------
 
-    def _functionals(self, word: Word):
-        """Accrued (F, (G_i), (H_i)) at a node: the int steps of its
+    def _functionals(self, i: int):
+        """Accrued (F, (G_i), (H_i)) at row i: the int steps of its
         ancestors' keys summed, then one Fraction per column."""
-        walk, n_ineq = self._keys(), self.constraints.n_ineq
-        steps = map(getitem, walk.steps, self._key_path(word)[:-1])
+        walk, keys, n_ineq = self._keys(), self._row_keys(), self.constraints.n_ineq
+        steps = map(getitem, walk.steps, map(keys.__getitem__, self._shape().path(i)[:-1]))
         F, *rest = map(Fraction, map(sum, zip([0] * len(walk.ones), *steps)), walk.ones)
         return F, tuple(rest[:n_ineq]), tuple(rest[n_ineq:])
 
@@ -693,11 +699,11 @@ class TreeInstance:
         """The instance seen from a node: time and history advance, the
         branching tail and all functionals carry over unchanged, and so do
         ``_markov`` and the increment dimension, even with no level left."""
-        self.check_word(word)
+        i = self.check_word(word)
         k = len(word)
         spec = self.constraints
         out = TreeInstance(self.dt, self.depth - k, self.branching[k:], t0=self.time(k),
-                           history=self._prefix_for_call(word), drift=self._drift,
+                           history=self._prefix_for_call(i), drift=self._drift,
                            diffusion=self._diff, reward=self.reward, terminal=self.terminal,
                            inequalities=spec.inequalities, equalities=spec.equalities,
                            w_history=self.w_history)
@@ -717,9 +723,7 @@ def euler_state(tree: TreeInstance, word: Word):
 
     Deterministic in the word: repeated calls return identical values.
     """
-    word = tuple(word)
-    tree.check_word(word)
-    return tree._prefix_for_call(word)
+    return tree._prefix_for_call(tree.check_word(word))
 
 
 def cumulative_functionals(tree: TreeInstance, word: Word):
@@ -728,7 +732,5 @@ def cumulative_functionals(tree: TreeInstance, word: Word):
     These are left-endpoint sums of reward and constraint integrands over
     the steps strictly before the node, as exact Fractions.
     """
-    word = tuple(word)
-    tree.check_word(word)
-    return tree._functionals(word)
+    return tree._functionals(tree.check_word(word))
 

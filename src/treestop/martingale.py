@@ -189,9 +189,8 @@ class CandidateLaw:
         self.shape = shape = tree._shape()
         self.stops, self.conts = stops, conts
         self.pre_t0_stop_mass = as_fraction(pre_t0_stop_mass)
-        for w in overrides:
-            tree.check_word(w)
-        self.state_overrides = {shape.row(w): _as_vector(x, tree.l) for w, x in overrides.items()}
+        rows = [tree.check_word(w) for w in overrides]
+        self.state_overrides = {i: _as_vector(x, tree.l) for i, x in zip(rows, overrides.values())}
         if post_stop_branching is None:
             self.post_stop = [[p for p, _ in level] for level in tree.branching]
         else:
@@ -231,11 +230,8 @@ class CandidateLaw:
     def prefix_for_call(self, i: int) -> tuple:
         """The claimed state path at row i, as the functions see it: the
         claimed history, then the claimed states of the rows along its word."""
-        rows = [i]
-        while rows[-1]:
-            rows.append(self.shape.parent[rows[-1]])
         return (*map(self.tree._unwrap, self.claimed_history[:-1]),
-                *map(self._states.__getitem__, reversed(rows)))
+                *map(self._states.__getitem__, self.shape.path(i)))
 
     def model_children(self, i: int) -> Tuple[tuple, ...]:
         """Euler-step states of all children of row i, from the claimed prefix."""
@@ -619,20 +615,23 @@ def candidate_with_branch_bias(tree: TreeInstance, rule: RandomizedStoppingRule,
     """Masses of a rule whose pre-stop flow is biased at one node.
 
     ``bias`` is a (node, delta) pair: at the node, branch 0 gains delta of
-    probability and branch 1 loses it.
+    probability and branch 1 loses it.  A horizon node has no branches to
+    bias and raises.
     """
     node, delta = tuple(bias[0]), as_fraction(bias[1])
-    tree.check_word(node)
+    i = tree.check_word(node)
+    if len(node) == tree.depth:
+        raise ValueError(f"node {node} is at the horizon: it has no branches to bias")
 
     # the rule's law with the biased branch probabilities: below the
     # node's first two children every mass scales by (p +- delta) / p
     measure = rule_to_measure(tree, rule)
     shape, s, u = measure.shape, measure.s, measure.u
-    for j, (child, sign) in enumerate(zip(tree.children(node), (1, -1))):
+    for j, (child, sign) in enumerate(zip(range(shape.first[i], shape.first[i + 1]), (1, -1))):
         p = tree.branching[len(node)][j][0]
         if not 0 <= p + sign * delta <= 1:
             raise ValueError("biased probability outside [0, 1]")
-        for w in map(shape.word, shape.rows_below(shape.row(child))):
+        for w in map(shape.word, shape.rows_below(child)):
             s[w] *= (p + sign * delta) / p
             u[w] *= (p + sign * delta) / p
     return CandidateLaw(tree, s=s, u=u)

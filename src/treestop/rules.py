@@ -128,10 +128,7 @@ def theta_of_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> Dict[Word
 def _leaf_paths(shape: Shape):
     """Each leaf's row and the rows along its word, root first."""
     for leaf in range(len(shape.first) - 1, len(shape.probs)):
-        path = [leaf]
-        while path[-1]:
-            path.append(shape.parent[path[-1]])
-        yield leaf, path[::-1]
+        yield leaf, shape.path(leaf)
 
 
 def derandomize(tree: TreeInstance, rule: RandomizedStoppingRule, eta) -> Dict[Word, int]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from treestop import (POS_INF, build_tree, candidate_with_branch_bias,
+from treestop import (POS_INF, build_tree, candidate_with_branch_bias, cumulative_functionals,
                       candidate_with_pre_start_mass, candidate_with_state_shift,
                       load_instance, rule_from_map, rule_to_measure, simplex,
                       solve_weak)
@@ -137,7 +137,7 @@ def assert_separates(tree, budgets, res):
         + sum(k * z.fraction() for k, z in zip(kap, budgets.zs)) + nu > 0
 
     def accrual(word):
-        _, Gs, Hs = tree._functionals(word)
+        _, Gs, Hs = cumulative_functionals(tree, word)
         return sum(l * G for l, G in zip(lam, Gs)) + sum(k * H for k, H in zip(kap, Hs))
 
     assert snell_value(tree, accrual) + nu <= 0

@@ -53,7 +53,8 @@ from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _G_NONNEG, _H_ANY,
 from treestop.errors import ShapeTooLarge
 from treestop.io import fmt_rational, load_instance
 from treestop.lattice import (ROOT, BudgetVector, KeyedWalk, NodeTable, Shape, TreeInstance,
-                              Word, _as_matrix, _as_vector, _finite)
+                              Word, _as_matrix, _as_vector, _finite,
+                              cumulative_functionals)
 from treestop.martingale import (_WEIGHT_BUDGET, MAX_DEGREE, CandidateLaw, CylinderWeight,
                                  MembershipReport, Polynomial, WeightFactor,
                                  _compensators, _sigbar_entry, _stop_at_horizon,
@@ -102,7 +103,7 @@ def atom_expectations(tree, q):
                 continue
             # leaves under a stop node split its mass; summing over leaves
             # recovers the node's full stop mass since branch probs sum to 1
-            F, Gs, Hs = tree._functionals(node)
+            F, Gs, Hs = cumulative_functionals(tree, node)
             value = value + (F + terminal_at(tree, node)) * mass
             for i, G in enumerate(Gs):
                 gs[i] = gs[i] + G * mass
@@ -227,8 +228,8 @@ def node_lp_solve(tree: TreeInstance, budgets=None, solve_lp=None) -> SolveResul
     # h_i*dt, that every child shares
     obj, steps = [], []
     for w in interior:
-        _, Gs, Hs = tree._functionals(w)
-        _, G_kid, H_kid = tree._functionals(w + (0,))
+        _, Gs, Hs = cumulative_functionals(tree, w)
+        _, G_kid, H_kid = cumulative_functionals(tree, w + (0,))
         steps.append([b - a for a, b in zip(Gs + Hs, G_kid + H_kid)])
         obj.append(sum(p * stop_payoff(tree, w + (j,))
                        for j, (p, _) in enumerate(tree.branching[len(w)]))
@@ -343,7 +344,7 @@ def verify_dpp_by_subtree_lp(tree: TreeInstance, tau, budgets=None) -> dict:
                 f"(ys={data.ys}, zs={data.zs}); conditioning must preserve "
                 f"feasibility, so this is a bug")
         submeasures[nu] = sub.measure
-        rhs = rhs + (tree._functionals(nu)[0] + sub.value.fraction()) * data.mass
+        rhs = rhs + (cumulative_functionals(tree, nu)[0] + sub.value.fraction()) * data.mass
         per_node.append({
             "node": nu, "mass": data.mass,
             "Y": data.ys, "Z": data.zs,
@@ -1163,7 +1164,7 @@ def monte_carlo_oracle(tree: TreeInstance, rule, paths: int, seed: int = 0) -> d
     q_float: Dict[Word, float] = {}
     accr: Dict[Word, tuple] = {}
     for word in tree.nodes():
-        F, Gs, Hs = tree._functionals(word)
+        F, Gs, Hs = cumulative_functionals(tree, word)
         stop_value[word] = float(F + terminal_at(tree, word))
         q_float[word] = float(rule.prob(word))
         accr[word] = tuple(float(G) for G in Gs) + tuple(float(H) for H in Hs)

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from treestop import (BudgetVector, Ext, POS_INF, check_membership, dp_value,
-                      generator_gap_decay, load_instance, measure_to_rule,
+from treestop import (BudgetVector, Ext, POS_INF, check_membership, cumulative_functionals,
+                      dp_value, generator_gap_decay, load_instance, measure_to_rule,
                       monte_carlo_value, rule_from_map, solve_robust, solve_weak,
                       stop_mass_by_eta_integration, verify_dpp)
 from treestop.generate import generate_instance
@@ -73,7 +73,7 @@ def test_acceptance_3_dp_engine_vs_lp_oracle():
                                 branches=2 + ((i // 3) % 2),
                                 n_ineq=1, n_eq=0, nonneg_g=True)
         tree = load_instance(doc)
-        g_max = max(tree._functionals(w)[1][0] for w in tree.leaves())
+        g_max = max(cumulative_functionals(tree, w)[1][0] for w in tree.leaves())
         for j in range(11):
             y = g_max * F(j, 10)
             lp = solve_weak(tree, BudgetVector(ys=(y,), zs=()))

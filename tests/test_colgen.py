@@ -9,7 +9,8 @@ from fractions import Fraction
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from treestop import POS_INF, BudgetVector, build_tree, fractional_nodes, load_instance
+from treestop import (POS_INF, BudgetVector, build_tree, cumulative_functionals,
+                      fractional_nodes, load_instance)
 from treestop import solve_weak
 from treestop.generate import generate_instance
 from treestop.measures import feasible_for
@@ -127,7 +128,7 @@ def test_column_generation_matches_the_node_lp(case):
     assert all(p == 0 for p, y in zip(pi, budgets.ys) if y.is_pos_inf)
 
     def lagrangian(word):
-        _, Gs, Hs = tree._functionals(word)
+        _, Gs, Hs = cumulative_functionals(tree, word)
         return stop_payoff(tree, word) - sum(p * G for p, G in zip(pi, Gs)) \
             - sum(m * H for m, H in zip(mu, Hs))
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from treestop import (BudgetBelowDomain, BudgetVector, ConcaveEnvelope, Ext,
-                      POS_INF, UnsupportedConstraintShape, build_tree,
+                      POS_INF, UnsupportedConstraintShape, build_tree, cumulative_functionals,
                       dp_value, load_instance, root_envelope, solve_weak)
 from treestop.generate import generate_instance
 
@@ -68,7 +68,7 @@ def test_matches_lp_on_budget_grid():
         doc = generate_instance(seed=400 + seed, depth=3, branches=2,
                                 n_ineq=1, nonneg_g=True)
         tree = load_instance(doc)
-        gmax = max(tree._functionals(w)[1][0] for w in tree.leaves())
+        gmax = max(cumulative_functionals(tree, w)[1][0] for w in tree.leaves())
         for j in range(11):
             y = gmax * F(j, 10)
             lp = solve_weak(tree, BudgetVector(ys=(y,), zs=()))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from treestop import (BudgetVector, Ext, InvariantViolation, POS_INF, TreeInstance,
-                      condition, first_randomization_cut, load_instance,
+                      condition, cumulative_functionals, first_randomization_cut, load_instance,
                       measure_to_rule, normalize_cut, rule_from_map,
                       rule_to_measure, solve_weak, verify_dpp)
 from treestop import dpp, simplex
@@ -222,8 +222,8 @@ def test_tower_identity_matches_direct_post_cut_sum():
         anc = next((w[:k] for k in range(len(w) + 1) if w[:k] in in_cut), None)
         if anc is None or res.measure.stop(w) == 0:
             continue
-        _, G_w, H_w = tree._functionals(w)
-        _, G_a, H_a = tree._functionals(anc)
+        _, G_w, H_w = cumulative_functionals(tree, w)
+        _, G_a, H_a = cumulative_functionals(tree, anc)
         direct_g = direct_g + (G_w[0] - G_a[0]) * res.measure.stop(w)
         direct_h = direct_h + (H_w[0] - H_a[0]) * res.measure.stop(w)
     assert cond.tower_ineq == (direct_g,)

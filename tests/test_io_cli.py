@@ -649,6 +649,12 @@ def _bad_input(tmp_path, case):
     if case == "expression-deep-unary":
         return ["dp", *write(json.dumps(dict(RW2_DOC, pi="-" * 10_000 + "1")))[1:],
                 "--budget", "1"]
+    # a literal past Python's 4300-digit int limit, and 5000 nested
+    # parentheses, each refused as an expression that does not parse
+    if case == "expression-long-literal":
+        return write(json.dumps(dict(RW2_DOC, pi="1" + "0" * 5000)))
+    if case == "expression-deep-parens":
+        return write(json.dumps(dict(RW2_DOC, pi="(" * 5000 + "x_current" + ")" * 5000)))
     # a rational literal with a zero denominator, in each field that takes one
     if case == "zero-denominator-budget":
         return ["dp", *write(json.dumps(RW2_DOC))[1:], "--budget", "1/0"]
@@ -698,7 +704,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "rule-duplicate-node", "rule-repeated-key", "measure-duplicate-node",
               "negative-tol", "depth-huge", "depth-ten-million", "expression-truncated",
               "expression-empty", "expression-unclosed", "expression-long-chain",
-              "expression-deep-unary")
+              "expression-deep-unary", "expression-long-literal", "expression-deep-parens")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

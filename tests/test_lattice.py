@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from treestop import (BudgetVector, ConstraintSpec, Ext, NEG_INF,
                       POS_INF, InvalidBranching, InvalidHorizon, NodeNotInTree,
-                      ShapeTooLarge, WordTooLong, build_tree,
+                      ShapeTooLarge, StoppingMeasure, WordTooLong, build_tree,
                       cumulative_functionals, dp_value, euler_state,
                       monte_carlo_value, rule_from_map, rule_to_measure,
                       solve_weak)
@@ -80,13 +80,31 @@ def test_euler_word_too_long_and_bad_branch():
 
 def test_a_branch_that_is_not_an_int_is_not_a_node():
     # 0.5 is in range at step 0, and "0" does not compare with an int: each
-    # failed inside the key walk or the range check with a TypeError
+    # failed inside the key walk or the range check with a TypeError; 0.0
+    # and 1.0 equal branch indices, and the row readers took them for nodes
+    # like dict keys while the word check refused them
     tree = make_rw()
-    for word in ((0.5,), ("0",), (0, 0.5)):
-        for read in (euler_state, cumulative_functionals, lambda tree, w: tree.state(w)):
-            with pytest.raises(NodeNotInTree, match=r"branch (0\.5|'0') out of range"):
+    rule = rule_from_map(tree, {(): HALF, (0,): HALF, (1,): HALF})
+    measure = rule_to_measure(tree, rule)
+    for word in ((0.5,), ("0",), (0, 0.5), (0.0,), (1.0, 0)):
+        for read in (euler_state, cumulative_functionals, lambda tree, w: tree.state(w),
+                     lambda tree, w: tree.subtree(w)):
+            with pytest.raises(NodeNotInTree, match=r"branch (0\.5|'0'|0\.0|1\.0) out of range"):
                 read(tree, word)
-    assert euler_state(tree, (1,)) == (0, -1)
+        assert measure.stop(word) == measure.cont(word) == 0
+        for read in (rule.prob, tree.path_prob):
+            with pytest.raises(KeyError):
+                read(word)
+    # a float key in a rule or mass map names no node either
+    with pytest.raises(NodeNotInTree):
+        rule_from_map(tree, {(): HALF, (0.0,): HALF, (1,): HALF})
+    with pytest.raises(NodeNotInTree):
+        StoppingMeasure.from_masses(tree, {(0.0,): HALF, (1,): HALF}, {(): 1})
+    # a bool is an int
+    assert tree.check_word((True,)) == tree.check_word((1,))
+    assert euler_state(tree, (True,)) == euler_state(tree, (1,)) == (0, -1)
+    assert measure.stop((True,)) == measure.stop((1,)) and rule.prob((True,)) == HALF
+    assert tree.path_prob((True, False)) == tree.path_prob((1, 0)) == HALF * HALF
     tree.check_word((1, 0))
 
 

@@ -108,6 +108,14 @@ def test_branch_bias_below_zero_probability_is_rejected(rw2, half_rule, node, de
         candidate_with_branch_bias(rw2, half_rule, (node, delta))
 
 
+@pytest.mark.parametrize("node", [(0, 1), (True, False)])
+def test_branch_bias_at_a_horizon_node_is_rejected(rw2, half_rule, node):
+    # a leaf has no branches: the bias would leave the rule's law unchanged,
+    # a negative control that passes as a member
+    with pytest.raises(ValueError, match=r"at the horizon: it has no branches to bias$"):
+        candidate_with_branch_bias(rw2, half_rule, (node, F(1, 10)))
+
+
 def test_state_shift_fails_state_coordinate(rw2, half_rule):
     m = rule_to_measure(rw2, half_rule)
     cand = candidate_with_state_shift(rw2, m, (1,), 1)

@@ -1,11 +1,11 @@
 """The node table from the keyed integer walk against the word-by-word
 builder it replaced (``oracles.node_table_by_words``), on the benchmark's
 trees and on hypothesis-drawn loaded and callable-built trees, with the
-state paths, accruals and stop payoffs read along each word's keys; one
-evaluation per key; the table-driven readers (expectations, Monte Carlo,
-``generate_instance``) against their per-word forms; the shape's rows and
-words, converted by the level widths, against ``oracles.words_by_levels``;
-and the table's refusals."""
+state paths, accruals and stop payoffs read at the keys of each row's
+path; one evaluation per key; the table-driven readers (expectations,
+Monte Carlo, ``generate_instance``) against their per-word forms; the
+shape's rows, words and ancestor paths, converted by the level widths,
+against ``oracles.words_by_levels``; and the table's refusals."""
 
 import random
 from fractions import Fraction
@@ -51,17 +51,20 @@ BENCH_SPECS = {
 
 def assert_table_and_node_data_match(make):
     """``make()``'s table equals the word-by-word one of another fresh
-    tree, and so do its state paths, accruals and stop payoffs, read along
-    each word's keys."""
+    tree, and so do its state paths, accruals and stop payoffs, read at the
+    keys of each row's path: read after the table is built, and on a third
+    tree before its table is built, which must then equal the others."""
     tree = make()
     table = tree._node_table()
     assert table == node_table_by_words(make())
-    fresh = make()
+    fresh, reads_first = make(), make()
     for w in table.shape.words():
-        assert euler_state(tree, w) == oracle_prefix(fresh, w)
+        assert euler_state(tree, w) == euler_state(reads_first, w) == oracle_prefix(fresh, w)
         F, Gs, Hs = functionals_by_words(fresh, w)
-        assert cumulative_functionals(tree, w) == (F, Gs, Hs)
+        assert cumulative_functionals(tree, w) == cumulative_functionals(reads_first, w) \
+            == (F, Gs, Hs)
         assert stop_payoff(tree, w) == F + terminal_at(fresh, w)
+    assert reads_first._node_table() == table
     return table
 
 
@@ -84,13 +87,16 @@ def test_rows_and_words_convert_by_the_level_widths(widths):
     assert list(shape.words()) == words
     for i, w in enumerate(words):
         assert shape.word(i) == w and shape.row(w) == i and shape.depth(i) == len(w)
+        assert [words[j] for j in shape.path(i)] == [w[:k] for k in range(len(w) + 1)]
     # the child ranges and parents, read off the words
     inner = [w for w in words if len(w) < len(widths)]
     assert [words[j] for j in shape.first[:-1]] == [w + (0,) for w in inner]
     assert shape.first[-1] == len(words)
     assert [words[j] for j in shape.parent[1:]] == [w[:-1] for w in words[1:]]
-    # a word too long, and a branch out of range at every level
+    # a word too long, a branch that is not an int, and a branch out of
+    # range at every level
     assert shape.row(words[-1] + (0,)) is None
+    assert shape.row((0.0,)) is None
     for k, n in enumerate(widths):
         assert shape.row((0,) * k + (n,)) is None
         assert shape.row((0,) * k + (-1,)) is None
