@@ -12,7 +12,7 @@ martingale-problem membership tests for candidate laws.
 __version__ = "0.1.0"
 
 from .dp import dp_value, root_envelope
-from .dpp import condition, first_randomization_cut, normalize_cut, verify_dpp
+from .dpp import condition, first_randomization_cut, verify_dpp
 from .envelope import ConcaveEnvelope
 from .errors import (BudgetBelowDomain, DegreeTooHigh, EmptyBattery, EmptyFamily,
                      EquivalenceViolation, ExpressionUndefined,

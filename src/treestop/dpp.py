@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import InvariantViolation
-from .lattice import ROOT, BudgetVector, TreeInstance, Word
+from .lattice import BudgetVector, TreeInstance, Word
 from .lp import _budgets_or_default, _certify_optimal, solve_weak
 from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule
@@ -49,65 +49,68 @@ from .rules import RandomizedStoppingRule
 TauSpec = Union[int, Iterable[Word]]
 
 
-def normalize_cut(tree: TreeInstance, tau: TauSpec) -> Tuple[Word, ...]:
-    """A cut is an antichain of nodes, none at the root, covering all paths.
-
-    An integer k means "all nodes at depth k" (a deterministic stage); a
-    collection of words gives a stage that depends on the increment path.
-    """
+def _read_cut(tree: TreeInstance, tau: TauSpec):
+    """A cut is an antichain of nodes, none at the root, covering all paths:
+    depth k's rows (a deterministic stage), or words (a stage that depends
+    on the increment path).  Returns its words, their rows, and per row the
+    place in the cut of the cut node at or above it (-1 above the cut), off
+    which a duplicate, a nested pair and a missed leaf are read."""
+    shape = tree._shape()
+    owner = [-1] * len(shape.probs)
     if isinstance(tau, int):
         if not 1 <= tau <= tree.depth:
             raise ValueError(f"cut depth must be in [1, {tree.depth}], got {tau}")
-        cut = tuple(w for w in tree.nodes() if len(w) == tau)
-        return cut
-    cut = tuple(tuple(w) for w in tau)
-    seen = {}
-    for w in cut:
-        i = tree.check_word(w)
-        if len(w) == 0:
-            raise ValueError("the cut must come strictly after the start")
-        if w in seen:
-            raise ValueError(f"duplicate cut node {w}")
-        seen[w] = i
-    for w in cut:
-        for k in range(len(w)):
-            if w[:k] in seen:
-                raise ValueError(f"cut nodes {w[:k]} and {w} are nested")
-    shape = tree._shape()
-    covered = {j for i in seen.values() for j in shape.rows_below(i)}
-    for j in range(len(shape.first) - 1, len(shape.probs)):  # the leaves
-        if j not in covered:
-            raise ValueError(f"cut misses the path to {shape.word(j)}")
-    return cut
+        rows = range(shape.starts[tau], shape.starts[tau + 1])
+        cut = tuple(map(shape.word, rows))
+        owner[rows.start:rows.stop] = range(len(rows))
+    else:
+        cut, rows = tuple(tuple(w) for w in tau), []
+        for c, w in enumerate(cut):
+            i = tree.check_word(w)
+            if i == 0:
+                raise ValueError("the cut must come strictly after the start")
+            if owner[i] >= 0:
+                raise ValueError(f"duplicate cut node {w}")
+            owner[i] = c
+            rows.append(i)
+        for w, i in zip(cut, rows):
+            above = [c for c in map(owner.__getitem__, shape.path(i)[:-1]) if c >= 0]
+            if above:  # the shallowest cut node above w
+                raise ValueError(f"cut nodes {cut[above[0]]} and {w} are nested")
+    for j, parent in enumerate(shape.parent):  # below a cut node, its place
+        if owner[j] < 0:
+            owner[j] = owner[parent]
+    missed = [j for j in range(len(shape.first) - 1, len(owner)) if owner[j] < 0]
+    if missed:
+        raise ValueError(f"cut misses the path to {shape.word(missed[0])}")
+    return cut, rows, owner
 
 
-def _split(tree: TreeInstance, measure: StoppingMeasure, cut):
-    """A measure split at a cut: its stop shares times the node table's
-    columns, summed as ints below each cut node.  Returns the value of the
-    stops before the cut, the accruals up to the cut (theirs plus reach
-    times each survivor's), those stops, the unreached cut nodes, per
+def _split(tree: TreeInstance, measure: StoppingMeasure, cut, rows, owner):
+    """A measure split at a cut read by ``_read_cut``: its stop shares times
+    the node table's columns, summed as ints per owner.  Returns the value
+    of the stops before the cut, the accruals up to the cut (theirs plus
+    reach times each survivor's), those stops, the unreached cut nodes, per
     survivor (nu, its row, reach mass, F and (G, H) at nu, conditional
     value, remaining accruals), and the tower sums (reach times the latter)."""
     table = tree._node_table()
     shape = table.shape
-    rows = [shape.row(nu) for nu in cut]
-    owner = {j: nu for nu, i in zip(cut, rows) for j in shape.rows_below(i)}
-    sums = {nu: [0] * len(table.cols) for nu in (None, *cut)}
+    sums = [[0] * len(table.cols) for _ in range(len(cut) + 1)]  # the last: owner -1
     stopped = []
     for i, weight in enumerate(measure.stops):
         if weight:
-            nu = owner.get(i)
+            at = sums[owner[i]]
             for c, col in enumerate(table.cols):
-                sums[nu][c] += weight * col[i]
-            if nu is None:
+                at[c] += weight * col[i]
+            if owner[i] < 0:
                 w, den = shape.word(i), measure.scale * shape.prob_den
                 F, Gs, Hs = tree._functionals(i)
                 stopped.append({"node": w, "mass": Fraction(weight * shape.probs[i], den),
                                 "F": F, "G": Gs, "H": Hs, "payoff": table.value(0, i)})
     value_before, *accrued = (Fraction(x, measure.scale * den)
-                              for x, den in zip(sums[None], table.dens))
+                              for x, den in zip(sums[-1], table.dens))
     survivors, zero, tower = [], [], [Fraction(0)] * len(accrued)
-    for nu, i in zip(cut, rows):
+    for nu, i, at in zip(cut, rows, sums):
         reach = measure.stops[i] + measure.conts[i]
         if reach == 0:
             zero.append(nu)
@@ -116,7 +119,7 @@ def _split(tree: TreeInstance, measure: StoppingMeasure, cut):
         F, Gs, Hs = tree._functionals(i)
         # the sums below nu over its reach mass
         value, *below = (Fraction(x * shape.prob_den, den * reach * shape.probs[i])
-                         for x, den in zip(sums[nu], table.dens))
+                         for x, den in zip(at, table.dens))
         at_nu = (*Gs, *Hs)
         rest = [a - x for a, x in zip(below, at_nu)]
         accrued = [a + x * r for a, x in zip(accrued, at_nu)]
@@ -129,19 +132,17 @@ def first_randomization_cut(tree: TreeInstance, rule: RandomizedStoppingRule) ->
     """Adapted stage heuristic: cut where the rule first genuinely
     randomizes (0 < q < 1), no later than one step before the horizon."""
     rule.validate(tree)
-    cap = max(1, tree.depth - 1)
-    cut: List[Word] = []
-    # depth first, children in order; a recursive closure would be a
-    # reference cycle that keeps the tree and its caches alive until the
-    # cyclic collector runs
-    stack = [ROOT]
+    # rows and their depths, depth first, children in order; a recursive
+    # closure would be a reference cycle that keeps the tree and its caches
+    # alive until the cyclic collector runs
+    shape, cap, cut, stack = tree._shape(), max(1, tree.depth - 1), [], [(0, 0)]
     while stack:
-        word = stack.pop()
-        if len(word) >= 1 and (len(word) == cap or 0 < rule.prob(word) < 1):
-            cut.append(word)
-        else:
-            stack.extend(reversed(tree.children(word)))
-    return tuple(cut)
+        i, k = stack.pop()
+        if k and (k == cap or 0 < rule.q[i] < 1):
+            cut.append(i)
+        elif k < tree.depth:
+            stack += ((c, k + 1) for c in reversed(range(shape.first[i], shape.first[i + 1])))
+    return tuple(map(shape.word, cut))
 
 
 @dataclass
@@ -173,9 +174,9 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
     measure on the node's subtree and meets its (Y, Z) budgets exactly;
     zero-mass survivors are skipped and reported.
     """
-    cut = normalize_cut(tree, tau)
+    cut, rows, owner = _read_cut(tree, tau)
     measure.validate(tree)
-    _, _, stopped_before, zero, split, tower = _split(tree, measure, cut)
+    _, _, stopped_before, zero, split, tower = _split(tree, measure, cut, rows, owner)
     shape, n_i = tree._shape(), tree.constraints.n_ineq
     survivors: Dict[Word, SurvivorData] = {}
     for nu, i, r, F, at_nu, value, rest in split:
@@ -224,13 +225,13 @@ def verify_dpp(tree: TreeInstance, tau: TauSpec,
     base = solve_weak(tree, budgets)
     if not base.optimal:
         raise ValueError(f"base solve is {base.status}: {base.reason}")
-    cut = normalize_cut(tree, tau)
+    cut, rows, owner = _read_cut(tree, tau)
     env, env_scale, exp = _certify_optimal(tree, budgets, base)
     shape = tree._shape()
     prices = base.duals_ineq + base.duals_eq
     n_i = len(base.duals_ineq)
 
-    rhs, accrued, stopped_before, zero, split, tower = _split(tree, base.measure, cut)
+    rhs, accrued, stopped_before, zero, split, tower = _split(tree, base.measure, cut, rows, owner)
     rhs_super, per_node = rhs, []
     for nu, i, r, F, at_nu, value, rest in split:
         subvalue = Fraction(env[i] * shape.prob_den, env_scale * shape.probs[i]) - F \

@@ -485,16 +485,15 @@ def load_instance(source: Union[str, dict]) -> TreeInstance:
             pairs[key].append((fn, bound))
             canon["constraints"][key].append({fn_key: spec, bound_key: fmt_rational(bound)})
 
-    w_history = tuple(_rationals(_field(raw, "w_history", "instance", list, []),
-                                 "instance field 'w_history'"))
-    canon["w_history"] = [fmt_rational(v) for v in w_history]
+    # the Brownian path before t0: kept in the canonical form, read by no engine
+    canon["w_history"] = [fmt_rational(v) for v in _rationals(
+        _field(raw, "w_history", "instance", list, []), "instance field 'w_history'")]
 
     return build_tree(
         t0=t0, dt=dt, depth=depth, branching=branching, history=history,
         drift=fns["drift"], diffusion=fns["diffusion"],
         reward=fns["f"], terminal=fns["pi"],
-        inequalities=pairs["ineq"], equalities=pairs["eq"], w_history=w_history,
-        source=canon)
+        inequalities=pairs["ineq"], equalities=pairs["eq"], source=canon)
 
 
 def _branch_json(p, w):
@@ -543,7 +542,8 @@ def load_rule(tree: TreeInstance, source: Union[str, dict]) -> RandomizedStoppin
 
 
 def dump_rule(tree: TreeInstance, rule: RandomizedStoppingRule) -> dict:
-    return {word_str(tree, w): fmt_rational(rule.prob(w)) for w in tree.nodes()}
+    rule.validate(tree)  # q is read by row: the rule must be on the tree's rows
+    return {word_str(tree, w): fmt_rational(q) for w, q in zip(tree.nodes(), rule.q)}
 
 
 def load_masses(tree: TreeInstance, source: Union[str, dict]):
@@ -562,9 +562,8 @@ def load_measure(tree: TreeInstance, source: Union[str, dict]) -> StoppingMeasur
 
 
 def dump_measure(tree: TreeInstance, measure: StoppingMeasure) -> dict:
-    return {word_str(tree, w): {"s": fmt_rational(measure.stop(w)),
-                                "u": fmt_rational(measure.cont(w))}
-            for w in tree.nodes()}
+    return {word_str(tree, w): {"s": fmt_rational(s), "u": fmt_rational(u)}
+            for w, s, u in zip(tree.nodes(), *measure.masses(tree))}
 
 
 def load_budgets(tree: TreeInstance, source: Union[str, dict]):

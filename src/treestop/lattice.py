@@ -362,7 +362,7 @@ class TreeInstance:
 
     def __init__(self, dt, depth, branching, x0=None, history=None, t0=0,
                  drift=0, diffusion=1, reward=0, terminal=0,
-                 inequalities=(), equalities=(), w_history=(), source=None):
+                 inequalities=(), equalities=(), source=None):
         if depth < 0:
             raise InvalidHorizon(f"depth must be >= 0, got {depth}")
         if history is None:
@@ -401,7 +401,6 @@ class TreeInstance:
 
         self.reward = _callable(reward)
         self.terminal = _callable(terminal)
-        self.w_history = tuple(w_history)
         self.source = source
 
         self._drift = _callable(drift)
@@ -472,11 +471,6 @@ class TreeInstance:
 
     def leaves(self):
         return product(*map(range, self._widths))
-
-    def children(self, word: Word):
-        if len(word) >= self.depth:
-            return ()
-        return tuple(word + (j,) for j in range(self.n_branches(len(word))))
 
     def time(self, depth_k: int) -> Fraction:
         """The grid time t0 + k * dt of depth k, from 0 to the depth."""
@@ -705,8 +699,7 @@ class TreeInstance:
         out = TreeInstance(self.dt, self.depth - k, self.branching[k:], t0=self.time(k),
                            history=self._prefix_for_call(i), drift=self._drift,
                            diffusion=self._diff, reward=self.reward, terminal=self.terminal,
-                           inequalities=spec.inequalities, equalities=spec.equalities,
-                           w_history=self.w_history)
+                           inequalities=spec.inequalities, equalities=spec.equalities)
         out.d, out._markov = self.d, self._markov
         return out
 

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import DegreeTooHigh, EmptyBattery
 from .lattice import TreeInstance, Word, _as_vector
 from .measures import StoppingMeasure, _on_rows
-from .rules import RandomizedStoppingRule, rule_from_map, rule_to_measure
+from .rules import RandomizedStoppingRule, rule_to_measure
 from .xreal import as_fraction
 
 MAX_DEGREE = 4
@@ -156,39 +156,33 @@ class CandidateLaw:
                  u: Dict[Word, Fraction], state_overrides=None,
                  post_stop_branching=None, pre_t0_stop_mass=0,
                  claimed_history=None):
-        shape = tree._shape()
         self._hold(tree, _on_rows(tree, "stop", {w: as_fraction(v) for w, v in s.items()}),
                    _on_rows(tree, "continue", {w: as_fraction(v) for w, v in u.items()}),
-                   pre_t0_stop_mass, state_overrides or {}, post_stop_branching,
-                   claimed_history)
-        stops, conts, first = self.stops, self.conts, shape.first
-        if self.pre_t0_stop_mass + stops[0] + conts[0] != 1:
-            raise ValueError("total mass must be 1")
-        for i, (stop, cont) in enumerate(zip(stops, conts)):
-            if stop < 0 or cont < 0:
-                raise ValueError(f"negative mass at {shape.word(i)}")
-            if i < len(first) - 1 and \
-                    sum(stops[c] + conts[c] for c in range(first[i], first[i + 1])) != cont:
-                raise ValueError(f"mass is not conserved below {shape.word(i)}")
+                   pre_t0_stop_mass, state_overrides, post_stop_branching, claimed_history)
+
+    @classmethod
+    def _of_rows(cls, *args) -> "CandidateLaw":
+        """The law that ``_hold`` builds from masses per row."""
+        law = cls.__new__(cls)
+        law._hold(*args)
+        return law
 
     @classmethod
     def from_measure(cls, tree: TreeInstance, measure: StoppingMeasure) -> "CandidateLaw":
         """A measure's law: the measure must pass its ``validate`` on the
         tree, and its masses are read off its rows."""
         measure.validate(tree)
-        shape, den = measure.shape, measure.scale * measure.shape.prob_den
-        law = cls.__new__(cls)
-        law._hold(tree, *([Fraction(v * p, den) for v, p in zip(shares, shape.probs)]
-                          for shares in (measure.stops, measure.conts)), 0, {}, None, None)
-        return law
+        return cls._of_rows(tree, *measure.masses(tree))
 
-    def _hold(self, tree: TreeInstance, stops: list, conts: list, pre_t0_stop_mass,
-              overrides: dict, post_stop_branching, claimed_history) -> None:
-        """Keep the masses per row, and claimed states and points."""
+    def _hold(self, tree: TreeInstance, stops: list, conts: list, pre_t0_stop_mass=0,
+              overrides=None, post_stop_branching=None, claimed_history=None) -> None:
+        """Keep the masses per row, and claimed states and points; then
+        check that the masses are nonnegative, total 1 and flow down."""
         self.tree = tree
         self.shape = shape = tree._shape()
         self.stops, self.conts = stops, conts
         self.pre_t0_stop_mass = as_fraction(pre_t0_stop_mass)
+        overrides = overrides or {}
         rows = [tree.check_word(w) for w in overrides]
         self.state_overrides = {i: _as_vector(x, tree.l) for i, x in zip(rows, overrides.values())}
         if post_stop_branching is None:
@@ -207,12 +201,12 @@ class CandidateLaw:
         self.claimed_history = (tree.history if claimed_history is None else
                                 tuple(_as_vector(x, tree.l) for x in claimed_history))
         claims, unwrap, starts = self.state_overrides, tree._unwrap, shape.starts
+        first = shape.first
         if claims or self.claimed_history != tree.history:  # step the claimed states
             self._states = [unwrap(claims.get(0, self.claimed_history[-1]))]
             for k in range(tree.depth):
                 for i in range(starts[k], starts[k + 1]):
-                    kids = enumerate(tree._child_states(k, self.prefix_for_call(i)),
-                                     shape.first[i])
+                    kids = enumerate(tree._child_states(k, self.prefix_for_call(i)), first[i])
                     self._states += [unwrap(claims.get(c, x)) for c, x in kids]
         else:  # the tree's own, read off its keys
             walk, keys, self._states = tree._keys(), tree._row_keys(), []
@@ -224,6 +218,14 @@ class CandidateLaw:
             for i in range(starts[k], starts[k + 1]):
                 incs += [tuple(map(add, incs[i], w)) for _, w in level]
         self.points = [inc + ((x,) if tree.l == 1 else x) for inc, x in zip(incs, self._states)]
+        if self.pre_t0_stop_mass + stops[0] + conts[0] != 1:
+            raise ValueError("total mass must be 1")
+        for i, (stop, cont) in enumerate(zip(stops, conts)):
+            if stop < 0 or cont < 0:
+                raise ValueError(f"negative mass at {shape.word(i)}")
+            if i < len(first) - 1 and \
+                    sum(stops[c] + conts[c] for c in range(first[i], first[i + 1])) != cont:
+                raise ValueError(f"mass is not conserved below {shape.word(i)}")
 
     # -- claimed states ------------------------------------------------------
 
@@ -302,8 +304,9 @@ def _sigbar_entry(sig, d: int, i: int, j: int) -> Fraction:
 
 
 def _stop_at_horizon(tree: TreeInstance) -> StoppingMeasure:
-    return rule_to_measure(tree, rule_from_map(
-        tree, {w: 0 for w in tree.nodes() if len(w) < tree.depth}))
+    shape = tree._shape()
+    conts = tuple(int(i < len(shape.first) - 1) for i in range(len(shape.probs)))
+    return StoppingMeasure(shape, tuple(1 - c for c in conts), conts, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +629,15 @@ def candidate_with_branch_bias(tree: TreeInstance, rule: RandomizedStoppingRule,
     # the rule's law with the biased branch probabilities: below the
     # node's first two children every mass scales by (p +- delta) / p
     measure = rule_to_measure(tree, rule)
-    shape, s, u = measure.shape, measure.s, measure.u
+    shape, (stops, conts) = measure.shape, measure.masses(tree)
     for j, (child, sign) in enumerate(zip(range(shape.first[i], shape.first[i + 1]), (1, -1))):
         p = tree.branching[len(node)][j][0]
         if not 0 <= p + sign * delta <= 1:
             raise ValueError("biased probability outside [0, 1]")
-        for w in map(shape.word, shape.rows_below(child)):
-            s[w] *= (p + sign * delta) / p
-            u[w] *= (p + sign * delta) / p
-    return CandidateLaw(tree, s=s, u=u)
+        for c in shape.rows_below(child):
+            stops[c] *= (p + sign * delta) / p
+            conts[c] *= (p + sign * delta) / p
+    return CandidateLaw._of_rows(tree, stops, conts)
 
 
 def candidate_with_state_shift(tree: TreeInstance, measure: StoppingMeasure,
@@ -647,8 +650,7 @@ def candidate_with_state_shift(tree: TreeInstance, measure: StoppingMeasure,
     delta = as_fraction(delta)
     base = _as_vector(tree.state(node), tree.l)
     shifted = (base[0] + delta,) + base[1:]
-    return CandidateLaw(tree, s=measure.s, u=measure.u,
-                        state_overrides={node: shifted})
+    return CandidateLaw._of_rows(tree, *measure.masses(tree), 0, {node: shifted})
 
 
 def candidate_with_pre_start_mass(tree: TreeInstance, measure: StoppingMeasure,
@@ -657,12 +659,8 @@ def candidate_with_pre_start_mass(tree: TreeInstance, measure: StoppingMeasure,
     eps = as_fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    scale = 1 - eps
-    return CandidateLaw(
-        tree,
-        s={w: scale * v for w, v in measure.s.items()},
-        u={w: scale * v for w, v in measure.u.items()},
-        pre_t0_stop_mass=eps)
+    return CandidateLaw._of_rows(
+        tree, *([(1 - eps) * m for m in masses] for masses in measure.masses(tree)), eps)
 
 
 # ---------------------------------------------------------------------------

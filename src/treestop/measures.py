@@ -5,9 +5,9 @@ node's path probability that stop there and that continue past it.  In
 these units flow conservation needs no branch probability: the root's
 shares sum to 1, each child's to its parent's continue share, and nothing
 continues past the horizon.  Every check and expectation reads rows and
-levels.  Absolute masses (share times path probability), keyed by the
-rows' increment words, appear only at the boundary: ``stop``, ``cont``,
-the ``s`` and ``u`` dicts, and ``from_masses``.
+levels.  Absolute masses (share times path probability) appear only at
+the boundary: per row (``masses``), or keyed by the rows' increment words
+(``stop``, ``cont``, the ``s`` and ``u`` dicts, and ``from_masses``).
 """
 
 from __future__ import annotations
@@ -66,9 +66,14 @@ class StoppingMeasure:
         return Fraction(0) if i is None else \
             Fraction(shares[i] * self.shape.probs[i], self.scale * self.shape.prob_den)
 
-    def _masses(self, shares) -> Dict[Word, Fraction]:
-        shape, den = self.shape, self.scale * self.shape.prob_den
-        return {w: Fraction(v * p, den) for w, v, p in zip(shape.words(), shares, shape.probs)}
+    def masses(self, tree: TreeInstance) -> tuple:
+        """Per row of the tree, the absolute stop masses and the continue masses."""
+        self._shape_on(tree)
+        return self._masses(self.stops), self._masses(self.conts)
+
+    def _masses(self, shares) -> list:
+        den = self.scale * self.shape.prob_den
+        return [Fraction(v * p, den) for v, p in zip(shares, self.shape.probs)]
 
     def stop(self, word: Word) -> Fraction:
         return self._mass(self.stops, word)
@@ -77,8 +82,8 @@ class StoppingMeasure:
         return self._mass(self.conts, word)
 
     # absolute stop and continue mass per node, every node present
-    s = property(lambda self: self._masses(self.stops))
-    u = property(lambda self: self._masses(self.conts))
+    s = property(lambda self: dict(zip(self.shape.words(), self._masses(self.stops))))
+    u = property(lambda self: dict(zip(self.shape.words(), self._masses(self.conts))))
 
     def _shape_on(self, tree: TreeInstance) -> Shape:
         """The tree's shape, which must be this measure's."""

@@ -19,11 +19,15 @@ match level for level, and the word-keyed forward push and measure
 validator that the measures' row form must match mass for mass, and the
 exact-sort chain merge that the float-keyed ``_merged`` must match chain
 for chain, and the Fraction survival products and eta integral that the
-rules' int forms must match measure for measure.
+rules' int forms must match measure for measure, and the negative
+controls built from a measure's word dicts that the row-built controls must
+match law for law.
 
 Some helpers here are test-only API rather than independent references:
 ``increment_sum``; ``compensated_process``, built on the library's own
-``_compensators``; ``paste``, the inverse of ``condition``; ``stop_payoff``,
+``_compensators``; ``paste``, the inverse of ``condition``; ``normalize_cut``, a cut's words
+as ``condition`` reads them; ``children``, a word's child words;
+``stop_payoff``,
 read off the node table; ``stop_of``, ``cont_of`` and ``reach_of``, a
 candidate law's masses at a node; ``int_chains``, which brings Fraction
 envelopes to the int chains that ``kernel_backstep`` and
@@ -44,7 +48,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from treestop import Ext, simplex
 from treestop.dp import _paste, _require_scalar_shape, _sweep
-from treestop.dpp import condition, normalize_cut
+from treestop.dpp import _read_cut, condition
 from treestop.envelope import _STEEPEST_FIRST, ConcaveEnvelope, _built, _merged
 from treestop.errors import (BudgetBelowDomain, DegreeTooHigh, InvariantViolation,
                              ShapeMismatch, TreestopError)
@@ -271,6 +275,12 @@ def node_lp_solve(tree: TreeInstance, budgets=None, solve_lp=None) -> SolveResul
     duals_eq = tuple(res.duals[r] for r in eq_rows)
     return SolveResult(status="optimal", value=Ext(res.objective + terminal_at(tree, ROOT)),
                        measure=measure, duals_ineq=duals_ineq, duals_eq=duals_eq)
+
+
+def normalize_cut(tree: TreeInstance, tau) -> Tuple[Word, ...]:
+    """A cut's words as ``condition`` and ``verify_dpp`` read it, or the
+    refusal they raise."""
+    return _read_cut(tree, tau)[0]
 
 
 def paste(tree: TreeInstance, measure: StoppingMeasure, tau,
@@ -571,6 +581,73 @@ def reach_of(cand: CandidateLaw, w: Word) -> Fraction:
     return stop_of(cand, w) + cont_of(cand, w)
 
 
+# ``candidate_with_branch_bias``, ``candidate_with_state_shift``,
+# ``candidate_with_pre_start_mass`` and ``_stop_at_horizon`` as they were
+# before the controls moved to the measure's rows: they build each law
+# from the measure's word dicts through ``CandidateLaw(tree, s=, u=)``.  The
+# row forms must give equal masses, points and overrides, and equal
+# membership reports.
+
+
+def candidate_with_branch_bias_by_words(tree: TreeInstance, rule, bias) -> CandidateLaw:
+    """Masses of a rule whose pre-stop flow is biased at one node.
+
+    ``bias`` is a (node, delta) pair: at the node, branch 0 gains delta of
+    probability and branch 1 loses it.  A horizon node has no branches to
+    bias and raises.
+    """
+    node, delta = tuple(bias[0]), as_fraction(bias[1])
+    i = tree.check_word(node)
+    if len(node) == tree.depth:
+        raise ValueError(f"node {node} is at the horizon: it has no branches to bias")
+
+    # the rule's law with the biased branch probabilities: below the
+    # node's first two children every mass scales by (p +- delta) / p
+    measure = rule_to_measure(tree, rule)
+    shape, s, u = measure.shape, measure.s, measure.u
+    for j, (child, sign) in enumerate(zip(range(shape.first[i], shape.first[i + 1]), (1, -1))):
+        p = tree.branching[len(node)][j][0]
+        if not 0 <= p + sign * delta <= 1:
+            raise ValueError("biased probability outside [0, 1]")
+        for w in map(shape.word, shape.rows_below(child)):
+            s[w] *= (p + sign * delta) / p
+            u[w] *= (p + sign * delta) / p
+    return CandidateLaw(tree, s=s, u=u)
+
+
+def candidate_with_state_shift_by_words(tree: TreeInstance, measure: StoppingMeasure,
+                                        node: Word, delta) -> CandidateLaw:
+    """A candidate claiming a shifted state value at one node."""
+    tree.check_word(node)
+    if len(node) == 0:
+        raise ValueError("shift an interior node; the root state is part of "
+                         "the pinned history (a support violation instead)")
+    delta = as_fraction(delta)
+    base = _as_vector(tree.state(node), tree.l)
+    shifted = (base[0] + delta,) + base[1:]
+    return CandidateLaw(tree, s=measure.s, u=measure.u,
+                        state_overrides={node: shifted})
+
+
+def candidate_with_pre_start_mass_by_words(tree: TreeInstance, measure: StoppingMeasure,
+                                           eps) -> CandidateLaw:
+    """A candidate leaking mass to stopping before the start time."""
+    eps = as_fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    scale = 1 - eps
+    return CandidateLaw(
+        tree,
+        s={w: scale * v for w, v in measure.s.items()},
+        u={w: scale * v for w, v in measure.u.items()},
+        pre_t0_stop_mass=eps)
+
+
+def stop_at_horizon_by_words(tree: TreeInstance) -> StoppingMeasure:
+    return rule_to_measure(tree, rule_from_map(
+        tree, {w: 0 for w in tree.nodes() if len(w) < tree.depth}))
+
+
 _XI: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -716,7 +793,7 @@ def oracle_direct_detail(tree: TreeInstance, cand: CandidateLaw) -> dict:
         if len(w) == tree.depth or cont_of(cand, w) == 0:
             continue
         model = [p for p, _ in tree.branching[len(w)]]
-        claimed = [reach_of(cand, c) / cont_of(cand, w) for c in tree.children(w)]
+        claimed = [reach_of(cand, c) / cont_of(cand, w) for c in children(tree, w)]
         if claimed != model:
             return {"check": "branching", "node": w,
                     "claimed": claimed, "model": model}
@@ -1285,6 +1362,13 @@ def words_by_levels(tree: TreeInstance) -> List[Word]:
         level = [w + (j,) for w in level for j in range(len(tree.branching[k]))]
         words += level
     return words
+
+
+def children(tree: TreeInstance, word: Word) -> Tuple[Word, ...]:
+    """A word's child words in branch order, none at the horizon."""
+    if len(word) >= tree.depth:
+        return ()
+    return tuple(word + (j,) for j in range(tree.n_branches(len(word))))
 
 
 def path_prob_by_words(tree: TreeInstance, word: Word) -> Fraction:

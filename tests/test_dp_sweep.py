@@ -19,9 +19,10 @@ from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
 from treestop.generate import generate_instance
 
 from conftest import count_calls
-from oracles import (exact_merged, kernel_backstep, kernel_merged_envelope, node_envelopes,
-                     oracle_backstep, oracle_keyed_walk, oracle_merged_envelope,
-                     oracle_node_envelopes, oracle_prefix, terminal_at)
+from oracles import (children, exact_merged, kernel_backstep, kernel_merged_envelope,
+                     node_envelopes, oracle_backstep, oracle_keyed_walk,
+                     oracle_merged_envelope, oracle_node_envelopes, oracle_prefix,
+                     terminal_at)
 
 F = Fraction
 HALF = F(1, 2)
@@ -155,8 +156,8 @@ def test_level_prefixes_equal_euler_states(case):
             break
         assert len(walk.kids[k]) == len(walk.steps[k]) == len(words)
         for word, ks in zip(words, walk.kids[k]):
-            assert len(ks) == len(tree.children(word))
-            for child, at in zip(tree.children(word), ks):
+            assert len(ks) == len(children(tree, word))
+            for child, at in zip(children(tree, word), ks):
                 assert at == list(reps[k + 1]).index(_key(tree, child))
 
 

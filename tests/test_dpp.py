@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import weakref
 from fractions import Fraction
 
@@ -8,13 +9,15 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from treestop import (BudgetVector, Ext, InvariantViolation, POS_INF, TreeInstance,
                       condition, cumulative_functionals, first_randomization_cut, load_instance,
-                      measure_to_rule, normalize_cut, rule_from_map,
-                      rule_to_measure, solve_weak, verify_dpp)
+                      measure_to_rule, rule_from_map, rule_to_measure, solve_weak,
+                      verify_dpp)
 from treestop import dpp, simplex
+from treestop.errors import NodeNotInTree, WordTooLong
 from treestop.generate import generate_instance
 from treestop.measures import StoppingMeasure, feasible_for
 
 import oracles
+from oracles import normalize_cut
 from conftest import acceptance_pool, make_rw
 from test_colgen import CASES
 
@@ -29,12 +32,30 @@ def stop_at_horizon_rule(tree):
 
 def test_normalize_cut_validation(rw2):
     assert normalize_cut(rw2, 1) == ((0,), (1,))
-    with pytest.raises(ValueError):
-        normalize_cut(rw2, 0)  # the cut must come after the start
-    with pytest.raises(ValueError):
-        normalize_cut(rw2, [(0,), (0, 0), (1,)])  # nested
-    with pytest.raises(ValueError):
-        normalize_cut(rw2, [(0,)])  # leaves through (1,) uncovered
+    refusals = [
+        (0, "cut depth must be in [1, 2], got 0"),
+        (3, "cut depth must be in [1, 2], got 3"),
+        ([(0,), (), (1,)], "the cut must come strictly after the start"),
+        ([(0,), (1,), (0,)], "duplicate cut node (0,)"),
+        ([(0,), (0, 0), (1,)], "cut nodes (0,) and (0, 0) are nested"),  # ancestor first
+        ([(1,), (0, 1), (0, 0), (0,)], "cut nodes (0,) and (0, 1) are nested"),  # last
+        ([(0,)], "cut misses the path to (1, 0)"),
+        ([(0, 0), (0, 1), (1, 1)], "cut misses the path to (1, 0)"),
+    ]
+    for tau, message in refusals:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            normalize_cut(rw2, tau)
+    # a word that is not a node names its first bad branch
+    for tau, error, message in [
+            ([(0, 2), (1,)], NodeNotInTree, "word (0, 2): branch 2 out of range at step 1"),
+            ([(0, 0, 0), (1,)], WordTooLong, "word (0, 0, 0) is longer than depth 2")]:
+        with pytest.raises(error, match=re.escape(message)):
+            normalize_cut(rw2, tau)
+    # an int cut is its level's words, in row order, on a 3-branch tree
+    tree = load_instance(generate_instance(seed=3, depth=3, branches=3))
+    for k in range(1, 4):
+        assert normalize_cut(tree, k) == tuple(w for w in tree.nodes() if len(w) == k)
+    assert len(normalize_cut(tree, 2)) == 9
 
 
 def test_condition_at_horizon_has_zero_budgets():

@@ -17,7 +17,7 @@ from treestop import (NodeNotInTree, ShapeTooLarge, build_tree, dump_instance,
 from treestop import dp, lp
 from treestop import cli
 from treestop.cli import main, run_suite
-from treestop.errors import NoInstances
+from treestop.errors import NoInstances, RuleShapeMismatch, ShapeMismatch
 from treestop.generate import generate_instance
 from treestop.io import decimal_value, fmt_rational, fmt_value, parse_word, word_str
 
@@ -148,6 +148,12 @@ def test_rule_and_measure_round_trip(rw2_file):
     dumped = dump_measure(tree, res.measure)
     back = load_measure(tree, dumped)
     assert back.s == res.measure.s and back.u == res.measure.u
+    # both are read by row, so a rule or measure of another tree is refused
+    deeper = load_instance(generate_instance(seed=1, depth=3))
+    with pytest.raises(RuleShapeMismatch):
+        dump_rule(deeper, rule)
+    with pytest.raises(ShapeMismatch):
+        dump_measure(deeper, res.measure)
 
 
 def test_generation_is_deterministic_and_seed_sensitive():

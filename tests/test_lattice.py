@@ -13,7 +13,7 @@ from treestop import (BudgetVector, ConstraintSpec, Ext, NEG_INF,
 from treestop.lattice import MAX_NODES, TreeInstance
 
 from conftest import count_calls, make_rw
-from oracles import functionals_by_words, stop_payoff, straight_line_euler, terminal_at
+from oracles import children, functionals_by_words, stop_payoff, straight_line_euler, terminal_at
 
 HALF = Fraction(1, 2)
 BINOM = [(HALF, 1), (HALF, -1)]
@@ -334,7 +334,7 @@ def test_node_table_columns_are_path_probability_times_payoff_and_accruals():
         got = [Fraction(col[i], den) for col, den in zip(table.cols, table.dens)]
         assert got == [tree.path_prob(w) * x for x in want]
         if len(w) < tree.depth:
-            assert words[first[i]:first[i + 1]] == tree.children(w)
+            assert words[first[i]:first[i + 1]] == children(tree, w)
     assert len(first) == 1 + 3  # one more entry than interior nodes
 
 

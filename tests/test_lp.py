@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from treestop import (BudgetVector, EmptyFamily, Ext, InvariantViolation,
-                      POS_INF, build_tree, fractional_nodes, load_instance, lp,
+                      POS_INF, build_tree, fractional_nodes, instance_hash, load_instance, lp,
                       measure_to_rule, rule_to_measure, simplex, solve_robust,
                       solve_weak)
 from treestop.generate import generate_instance
@@ -155,11 +155,15 @@ def test_fractional_support_bounded_by_constraint_count():
 
 
 def test_value_indifferent_to_pinned_brownian_history():
-    a = build_tree(dt=1, depth=2, branching=[(HALF, 1), (HALF, -1)], x0=0,
-                   terminal=lambda t, xs: xs[-1] ** 2, w_history=())
-    b = build_tree(dt=1, depth=2, branching=[(HALF, 1), (HALF, -1)], x0=0,
-                   terminal=lambda t, xs: xs[-1] ** 2,
-                   w_history=(F(7), F(-3), F(11)))
+    # two documents that differ only in the Brownian path before t0: the
+    # field is read into the canonical form, so the hashes differ, and no
+    # engine reads it, so the solves agree
+    doc = {"dt": "1", "depth": 2, "pi": "x_current**2",
+           "branching": [{"p": "1/2", "w": "1"}, {"p": "1/2", "w": "-1"}]}
+    a = load_instance({**doc, "w_history": []})
+    b = load_instance({**doc, "w_history": ["7", "-3", "11"]})
+    assert b.source["w_history"] == ["7", "-3", "11"]
+    assert instance_hash(a) != instance_hash(b)
     ra, rb = solve_weak(a), solve_weak(b)
     assert ra.value == rb.value
     assert ra.measure.s == rb.measure.s

@@ -9,15 +9,16 @@ from treestop import (CandidateLaw, DegreeTooHigh, EmptyBattery, POS_INF,
                       candidate_with_branch_bias,
                       candidate_with_pre_start_mass, candidate_with_state_shift,
                       check_membership, generator_gap_decay,
-                      load_instance, monomial_basis, rule_from_map,
+                      load_instance, measure_to_rule, monomial_basis, rule_from_map,
                       rule_to_measure, solve_weak, statistic)
 from treestop.errors import NodeNotInTree
 from treestop.generate import generate_instance
 from treestop.lattice import TreeInstance
-from treestop.martingale import CylinderWeight, WeightFactor
+from treestop.martingale import CylinderWeight, WeightFactor, _stop_at_horizon
 
+import oracles
 from conftest import acceptance_corruptions, acceptance_pool, make_rw
-from oracles import compensated_process, cont_of, increment_sum, reach_of
+from oracles import children, compensated_process, cont_of, increment_sum, reach_of
 
 F = Fraction
 HALF = F(1, 2)
@@ -286,11 +287,41 @@ def test_direct_check_passes_the_pool_and_names_each_corruption():
             continue
         node, = (map(cand.shape.word, cand.state_overrides) if kind == "state" else
                  [w for w in tree.nodes() if len(w) < tree.depth and
-                  [reach_of(cand, c) for c in tree.children(w)] !=
+                  [reach_of(cand, c) for c in children(tree, w)] !=
                   [p * cont_of(cand, w) for p, _ in tree.branching[len(w)]]])
         assert rep.direct_detail["check"] == ("state" if kind == "state"
                                               else "branching")
         assert rep.direct_detail["node"] == node
+
+
+def test_row_built_controls_match_the_dict_built_ones():
+    # the negative controls and the stop-at-horizon measure, built on the
+    # measure's rows, against their word-dict forms: equal laws and reports
+    rng = random.Random(20240817)
+    for tree in acceptance_pool():
+        measure = solve_weak(tree).measure
+        rule = measure_to_rule(tree, measure)
+        interior = [w for w in tree.nodes() if len(w) < tree.depth]
+        inner = rng.choice(interior)
+        node = rng.choice([w for w in tree.nodes() if len(w) >= 1])
+        eps = F(rng.randint(1, 4), 64)
+        horizon = oracles.stop_at_horizon_by_words(tree)
+        assert _stop_at_horizon(tree) == horizon
+        pairs = [
+            (candidate_with_branch_bias(tree, rule, (inner, eps)),
+             oracles.candidate_with_branch_bias_by_words(tree, rule, (inner, eps))),
+            (candidate_with_state_shift(tree, measure, node, eps),
+             oracles.candidate_with_state_shift_by_words(tree, measure, node, eps)),
+            (candidate_with_pre_start_mass(tree, measure, eps),
+             oracles.candidate_with_pre_start_mass_by_words(tree, measure, eps)),
+            (CandidateLaw.from_measure(tree, _stop_at_horizon(tree)),
+             CandidateLaw(tree, s=horizon.s, u=horizon.u)),
+        ]
+        for got, want in pairs:
+            assert (got.stops, got.conts, got.points, got.state_overrides) == \
+                (want.stops, want.conts, want.points, want.state_overrides)
+            assert got.pre_t0_stop_mass == want.pre_t0_stop_mass
+            assert check_membership(tree, got) == check_membership(tree, want)
 
 
 def test_direct_check_compares_post_stop_branching():

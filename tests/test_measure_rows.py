@@ -57,6 +57,8 @@ def test_rows_equal_the_word_keyed_push(seed, depth, branches, n_ineq, n_eq):
                         {w: 1 - v for w, v in survival.items()})
     _assert_equal_dicts(_q_by_words(tree, measure_to_rule(tree, measure)), _rule_by_words(s, u))
     assert StoppingMeasure.from_masses(tree, s, u) == measure
+    # the per-row masses are the word-keyed ones in row order
+    assert measure.masses(tree) == (list(s.values()), list(u.values()))
 
     res = solve_weak(tree)
     if res.optimal:
@@ -106,7 +108,7 @@ def test_a_measure_is_checked_against_the_trees_rows():
     small = load_instance(generate_instance(seed=1, depth=2))
     big = load_instance(generate_instance(seed=1, depth=3))
     measure = solve_weak(small).measure
-    for check in (measure.validate, measure.expectations):
+    for check in (measure.validate, measure.expectations, measure.masses):
         with pytest.raises(ShapeMismatch):
             check(big)
     # another load of the same tree has equal rows
