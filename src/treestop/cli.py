@@ -29,6 +29,7 @@ from .io import (decimal_value, dump_measure, fmt_rational, fmt_value, instance_
 from .lp import measure_to_rule, solve_robust, solve_weak
 from .martingale import CandidateLaw, check_membership
 from .rules import derandomize, equivalence_check, monte_carlo_value
+from .xreal import as_fraction
 
 MAX_GRID = 10_000  # dp --grid points: about 0.35 s of queries and printing at 8 x 3
 
@@ -209,7 +210,7 @@ def _cmd_check_class(args):
             raise ValueError(f"cannot derive a measure: solve is {res.status}")
         law = res.measure
     report = check_membership(tree, law, degree=args.degree,
-                              mode=args.mode, tolerance=Fraction(str(args.tol)))
+                              mode=args.mode, tolerance=as_fraction(args.tol))
     worst = max(report.clause1, key=lambda r: abs(r["stat"]), default=None)
     print(f"clause1\t{'pass' if report.clause1_pass else 'FAIL'}"
           f"\t({len(report.clause1)} statistics)")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import InvariantViolation
@@ -177,25 +178,22 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
     cut, rows, owner = _read_cut(tree, tau)
     measure.validate(tree)
     _, _, stopped_before, zero, split, tower = _split(tree, measure, cut, rows, owner)
-    shape, n_i = tree._shape(), tree.constraints.n_ineq
+    shape, table, n_i = tree._shape(), tree._node_table(), tree.constraints.n_ineq
     survivors: Dict[Word, SurvivorData] = {}
     for nu, i, r, F, at_nu, value, rest in split:
         # the subtree's rows are nu's descendants, and its shares are the
         # tree's over nu's reach share
         rows = shape.rows_below(i)
+        stops = tuple(measure.stops[j] for j in rows)
         reach = measure.stops[i] + measure.conts[i]
         sub_tree = tree.subtree(nu)
-        sub_measure = StoppingMeasure(sub_tree._shape(), tuple(measure.stops[j] for j in rows),
+        sub_measure = StoppingMeasure(sub_tree._shape(), stops,
                                       tuple(measure.conts[j] for j in rows), reach)
         sub_measure.validate(sub_tree)
-        # read from the tree's table: the conditional stop mass on its rows
-        on_rows = [0] * len(shape.probs)
-        for j in rows:
-            on_rows[j] = measure.stops[j] * shape.prob_den
-        exp = StoppingMeasure(shape, tuple(on_rows), (0,) * len(on_rows),
-                              reach * shape.probs[i]).expectations(tree)
-        if [a - x for a, x in zip((exp["value"], *exp["ineq"], *exp["eq"]), (F, *at_nu))] \
-                != [value, *rest]:
+        # read from the tree's table: its stop shares times each column on those rows
+        if [Fraction(sum(map(mul, stops, map(col.__getitem__, rows))) * shape.prob_den,
+                     den * reach * shape.probs[i]) - x
+                for col, den, x in zip(table.cols, table.dens, (F, *at_nu))] != [value, *rest]:
             raise InvariantViolation(
                 f"the conditional value and budgets at {nu} differ from the "
                 "conditional measure's value and accruals")

@@ -55,7 +55,7 @@ class InvariantViolation(TreestopError):
 
 
 class ShapeMismatch(TreestopError):
-    """Pasting received pieces that do not fit the target tree."""
+    """A measure is not on the tree's rows."""
 
 
 class DegreeTooHigh(TreestopError):

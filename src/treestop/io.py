@@ -43,7 +43,7 @@ from .errors import ExpressionUndefined, NodeNotInTree
 from .lattice import KeyFunction, TreeInstance, Word, build_tree
 from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule, rule_from_map
-from .xreal import Ext, as_fraction
+from .xreal import MAX_CONSTANT_BITS, Ext, as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,6 @@ def decimal_value(x):
 
 MAX_EXPONENT = 64  # |n| of a power x ** n; the generator uses 2
 MAX_DEGREE = MAX_EXPONENT ** 2  # of an expression, so (x ** 64) ** 64 loads
-MAX_CONSTANT_BITS = 14_000  # printable in 4300 digits, so (10 ** 64) ** 64 loads
 MAX_EXPRESSION_CHARS = 100_000  # of an expression, before parsing; six 4215-digit literals load
 _SHOWN_BITS = 128  # a longer state coordinate shows in an error as its bit count
 

@@ -161,17 +161,14 @@ def _certify_optimal(tree: TreeInstance, budgets: BudgetVector, result: SolveRes
     table = tree._node_table()
     pay, env, scale = _snell(table, [1, *(-p for p in pi), *(-m for m in mu)])
     shape, first = table.shape, table.shape.first
-    stops, conts = result.measure.stops, result.measure.conts
-    frontier = [0]
-    for i in frontier:  # the nodes the measure reaches
-        if stops[i] and pay[i] != env[i]:
+    # a row the measure does not reach holds neither share
+    for i, (s, u) in enumerate(zip(result.measure.stops, result.measure.conts)):
+        if s and pay[i] != env[i]:
             raise InvariantViolation(
                 f"the measure stops at {shape.word(i)}, where the payoff is below the envelope")
-        if conts[i]:
-            if i >= len(first) - 1 or sum(env[first[i]:first[i + 1]]) != env[i]:
-                raise InvariantViolation(
-                    f"the measure continues at {shape.word(i)}, where stopping beats continuing")
-            frontier.extend(range(first[i], first[i + 1]))
+        if u and (i >= len(first) - 1 or sum(env[first[i]:first[i + 1]]) != env[i]):
+            raise InvariantViolation(
+                f"the measure continues at {shape.word(i)}, where stopping beats continuing")
 
     priced = sum(p * y.fraction() for p, y in zip(pi, budgets.ys) if p) \
         + sum(m * z.fraction() for m, z in zip(mu, budgets.zs))

@@ -557,8 +557,7 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
     if degree > MAX_DEGREE:
         raise DegreeTooHigh(f"degree {degree} exceeds the cap {MAX_DEGREE}")
     if degree < 1:
-        raise EmptyBattery(f"degree {degree} and weight budget {_WEIGHT_BUDGET} "
-                           "must both be at least 1, or clause 1 tests nothing")
+        raise EmptyBattery(f"degree {degree} must be at least 1, or clause 1 tests nothing")
     if as_fraction(tolerance) < 0:
         raise ValueError(f"tolerance {tolerance} is negative")
     if isinstance(candidate, StoppingMeasure):

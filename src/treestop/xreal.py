@@ -9,24 +9,41 @@ total: -inf < every finite value < +inf.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import isinf, log10
+
+MAX_CONSTANT_BITS = 14_000  # printable in 4300 digits, so (10 ** 64) ** 64 loads
+_MAX_POWER = int(MAX_CONSTANT_BITS * log10(2))  # the largest e with 10 ** e within the cap
+_EXPONENT = re.compile(r"E[-+]?[0_]*([\d_]*)\Z", re.IGNORECASE)  # its digits, no leading 0
 
 
 def as_fraction(x) -> Fraction:
     """Coerce a number to an exact Fraction.
 
     ints and Fractions are taken as-is.  Floats are snapped to their exact
-    binary value.  Strings accept "num/den" and decimal literals; one
-    with a zero denominator raises ValueError naming it.
+    binary value; an infinite one (a JSON number beyond the float range)
+    raises ValueError.  Strings accept "num/den" and decimal literals; one
+    with a zero denominator, or with a power of ten above
+    ``MAX_CONSTANT_BITS`` bits (read before it is built), raises ValueError
+    naming it.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if isinf(x):
+            raise ValueError(f"number {x} is not finite; a JSON number beyond the "
+                             f"float range reads as {x}")
         return Fraction(x)
     if isinstance(x, str):
         x = x.strip()
+        power = None if "/" in x else _EXPONENT.search(x)
+        if power and (len(digits := power[1].replace("_", "")) > len(str(_MAX_POWER))
+                      or int(digits or 0) > _MAX_POWER):
+            raise ValueError(f"rational literal {x!r} has a power of ten above the cap "
+                             f"of {MAX_CONSTANT_BITS} bits")
         try:
             return Fraction(x)
         except ZeroDivisionError:

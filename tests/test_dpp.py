@@ -14,6 +14,7 @@ from treestop import (BudgetVector, Ext, InvariantViolation, POS_INF, TreeInstan
 from treestop import dpp, simplex
 from treestop.errors import NodeNotInTree, WordTooLong
 from treestop.generate import generate_instance
+from treestop.martingale import _stop_at_horizon
 from treestop.measures import StoppingMeasure, feasible_for
 
 import oracles
@@ -222,12 +223,36 @@ def test_condition_reads_the_trees_table_not_the_subtrees(seed):
     trees = acceptance_pool() if seed == "pool" else [load_instance(generate_instance(
         seed=700 + seed, depth=3, branches=3, n_ineq=1, n_eq=1))]
     for tree in trees:
-        m = solve_weak(tree).measure
+        shape, horizon = tree._shape(), _stop_at_horizon(tree)
+        for m in (solve_weak(tree).measure, horizon):
+            for k in range(1, tree.depth + 1):
+                cond = condition(tree, m, k)
+                if m is horizon:  # every cut node survives
+                    assert len(cond.survivors) == shape.starts[k + 1] - shape.starts[k]
+                for data in cond.survivors.values():
+                    assert data.subtree._table is None
+                    exp = data.measure.expectations(data.subtree)
+                    assert (exp["value"], exp["ineq"], exp["eq"]) == \
+                        (data.value, data.ys, data.zs)
+
+
+def test_condition_builds_one_measure_per_survivor_on_its_subtree(monkeypatch):
+    # each survivor's value and (Y, Z) are checked on its own rows of the
+    # tree's table: the only measure built per survivor is its sub-measure
+    tree = load_instance(generate_instance(seed=1, depth=4, branches=3, n_ineq=1, n_eq=1))
+    built = []
+
+    def record(*args):
+        built.append(StoppingMeasure(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dpp, "StoppingMeasure", record)
+    for m in (solve_weak(tree).measure, _stop_at_horizon(tree)):
         for k in range(1, tree.depth + 1):
-            for data in condition(tree, m, k).survivors.values():
-                assert data.subtree._table is None
-                exp = data.measure.expectations(data.subtree)
-                assert (exp["value"], exp["ineq"], exp["eq"]) == (data.value, data.ys, data.zs)
+            built.clear()
+            survivors = condition(tree, m, k).survivors.values()
+            assert [id(d.measure) for d in survivors] == list(map(id, built))
+            assert all(d.measure.shape == d.subtree._shape() for d in survivors)
 
 
 def test_tower_identity_matches_direct_post_cut_sum():
@@ -252,15 +277,19 @@ def test_tower_identity_matches_direct_post_cut_sum():
 
 
 def test_condition_budget_mismatch_is_an_invariant_violation(monkeypatch):
-    class Skewed(StoppingMeasure):
-        def expectations(self, tree):
-            exp = super().expectations(tree)
-            exp["ineq"] = [v + 1 for v in exp["ineq"]]
-            return exp
+    # one survivor's remaining accruals, as the split reads them off the
+    # owner array, skewed against its own rows of the table
+    real = dpp._split
+
+    def skewed(*args):
+        *head, survivors, tower = real(*args)
+        nu, i, r, F_nu, at_nu, value, rest = survivors[-1]
+        survivors[-1] = (nu, i, r, F_nu, at_nu, value, [rest[0] + 1, *rest[1:]])
+        return (*head, survivors, tower)
 
     tree = make_rw(ineq=[(1, F(3, 2))])
     measure = solve_weak(tree).measure
-    monkeypatch.setattr(dpp, "StoppingMeasure", Skewed)
+    monkeypatch.setattr(dpp, "_split", skewed)
     with pytest.raises(InvariantViolation, match="accruals"):
         condition(tree, measure, 1)
 

@@ -670,10 +670,32 @@ def _bad_input(tmp_path, case):
     if case == "zero-denominator-y":
         return write(json.dumps(dict(RW2_DOC, constraints={
             "ineq": [{"g": "const:1", "y": "1/0"}], "eq": []})))
+    if case == "zero-denominator-tol":  # read by Fraction itself: a ZeroDivisionError traceback
+        return ["check-class", *write(json.dumps(RW2_DOC))[1:], "--tol", "1/0"]
     if case.startswith("zero-denominator-"):  # dt, t0 and x0_history
         field = case[len("zero-denominator-"):].replace("-", "_")
         return write(json.dumps(dict(RW2_DOC, **{
             field: ["1/0"] if field == "x0_history" else "1/0"})))
+    # json reads 1e400 as float infinity, which Fraction could not convert:
+    # an OverflowError traceback in each rational field
+    if case in FLOAT_OVERFLOWS:
+        return write(json.dumps(dict(RW2_DOC, **FLOAT_OVERFLOWS[case])).replace('"@"', "1e400"))
+    if case == "float-overflow-rule-q":
+        path = tmp_path / "rule.json"
+        path.write_text('{"": 1e400, "+": "1", "-": "1"}')
+        return ["mc", *write(json.dumps(RW2_DOC))[1:], "--paths", "10", "--rule", str(path)]
+    if case == "float-overflow-measure-s":
+        path = tmp_path / "measure.json"
+        path.write_text('{"": {"s": 1e400}}')
+        return ["check-class", *write(json.dumps(RW2_DOC))[1:], "--measure", str(path)]
+    # a short exponent whose power of ten would have 332 million bits: dt
+    # "1e5000000" took 2.6 s to fail at Python's digit limit
+    if case == "exponent-literal-dt":
+        return write(json.dumps(dict(RW2_DOC, dt="1e100000000")))
+    if case == "exponent-literal-budget":
+        return ["dp", *write(json.dumps(RW2_DOC))[1:], "--budget", "1e100000000"]
+    if case == "exponent-literal-tol":
+        return ["check-class", *write(json.dumps(RW2_DOC))[1:], "--tol", "1e100000000"]
     # x_sup - 2 is 0 at the root, whose state is 1; and x_sup - x_current - 1
     # first at t = 1, state -1, below the root's sup 0
     if case == "singular-at-the-history-sup":
@@ -693,6 +715,16 @@ def _bad_input(tmp_path, case):
     raise AssertionError(case)
 
 
+# one rational field each, set to "@", which the case writes as 1e400
+FLOAT_OVERFLOWS = {
+    "float-overflow-dt": {"dt": "@"},
+    "float-overflow-t0": {"t0": "@"},
+    "float-overflow-x0-history": {"x0_history": ["@"]},
+    "float-overflow-p": {"branching": [{"p": "@", "w": "1"}, {"p": "1/2", "w": "-1"}]},
+    "float-overflow-w": {"branching": [{"p": "1/2", "w": "@"}, {"p": "1/2", "w": "-1"}]},
+    "float-overflow-pi": {"pi": "@"},
+}
+
 BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "directory", "invalid-json", "not-an-object", "negative-grid",
               "huge-grid", "singular-solve", "singular-dp", "exponent-behind-division",
@@ -701,6 +733,9 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "check-class-infeasible", "power-overflow", "too-many-nodes",
               "zero-denominator-budget", "zero-denominator-dt", "zero-denominator-t0",
               "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history",
+              "zero-denominator-tol", *FLOAT_OVERFLOWS, "float-overflow-rule-q",
+              "float-overflow-measure-s", "exponent-literal-dt", "exponent-literal-budget",
+              "exponent-literal-tol",
               *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
               "exponent-huge", "exponent-nested", "exponent-constant-nested",
               "exponent-huge-at-a-node", "constant-power-at-a-node", "drift-power-cascade",

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from treestop import Ext, NEG_INF, POS_INF, as_fraction
+from treestop.xreal import MAX_CONSTANT_BITS
 
 
 def test_mixed_infinite_sum_collapses_to_minus_infinity():
@@ -55,3 +56,24 @@ def test_as_fraction_snaps_floats_to_exact_binary():
     for parse in (as_fraction, Ext.parse):  # a zero denominator is bad input
         with pytest.raises(ValueError, match="'1/0'"):
             parse(" 1/0")
+
+
+def test_as_fraction_refuses_an_infinite_float():
+    # json reads 1e400 as float infinity; Fraction(inf) raised OverflowError
+    for x in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"^number {x} is not finite"):
+            as_fraction(x)
+    assert Ext.parse(1e400) == POS_INF  # a budget or target may be +inf
+
+
+def test_as_fraction_caps_a_decimal_exponent_before_building_its_power():
+    # 10 ** 4214 has 13,999 bits and 10 ** 4215 has 14,002: the cap is 14,000
+    assert (10 ** 4214).bit_length() <= MAX_CONSTANT_BITS < (10 ** 4215).bit_length()
+    assert as_fraction("1e4214") == 10 ** 4214
+    assert as_fraction("-25E-4_214") == Fraction(-25, 10 ** 4214)
+    assert as_fraction(" 1e0000000000000000004214 ") == 10 ** 4214  # leading zeros
+    assert as_fraction("1.5e3") == 1500
+    for text in ("1e4215", "1E-4215", "1.5e1_0000", "1e100000000", "1e" + "9" * 5000):
+        for parse in (as_fraction, Ext.parse):  # a budget takes the same path
+            with pytest.raises(ValueError, match="has a power of ten above the cap of 14000 bits"):
+                parse(text)
