@@ -248,6 +248,9 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
     Returns (rows, all_pass); rows carry per-instance verdicts, gaps and
     runtimes, assembled in sorted file order.
     """
+    if suite not in ("equivalence", "dpp", "membership", "all"):
+        raise ValueError(f"unknown suite {suite!r}")
+    checks = ["equivalence", "dpp", "membership"] if suite == "all" else [suite]
     paths = sorted(glob.glob(os.path.join(directory, "*.json")))
     if not paths:
         raise NoInstances(f"no instance files in {directory}")
@@ -256,12 +259,9 @@ def run_suite(directory: str, suite: str, out: str = None, seed: int = 0):
     for path in paths:
         tree = load_instance(path)
         started = time.perf_counter()
-        checks = ["equivalence", "dpp", "membership"] if suite == "all" else [suite]
         res = solve_weak(tree)
         verdicts, gaps = {}, []
         for check in checks:
-            if check not in ("equivalence", "dpp", "membership"):
-                raise ValueError(f"unknown suite {check!r}")
             if not res.optimal:
                 verdicts[check] = False
             elif check == "equivalence":

@@ -18,6 +18,7 @@ from .io import fmt_rational, load_instance
 
 DEPTH_CAP = 8
 BRANCH_CAP = 4
+CONSTRAINT_CAP = 8  # of inequalities, and of equalities
 
 _INCREMENTS = [Fraction(n, 2) for n in (-4, -3, -2, -1, 1, 2, 3, 4)]
 _DRIFTS = ["0", "0", "1/2", "-1/2", "x_current/2", "x_sup/2"]
@@ -39,6 +40,9 @@ def generate_instance(seed: int, depth: int = 2, branches: int = 2,
         raise ShapeTooLarge(f"{branches} branches exceed the cap {BRANCH_CAP}")
     if depth < 0 or branches < 2:
         raise ValueError("need depth >= 0 and at least 2 branches")
+    if not (0 <= n_ineq <= CONSTRAINT_CAP and 0 <= n_eq <= CONSTRAINT_CAP):
+        raise ValueError(f"need 0 to {CONSTRAINT_CAP} inequalities and 0 to {CONSTRAINT_CAP} equalities, "
+                         f"got {n_ineq} and {n_eq}")
     rng = random.Random(seed)
 
     weights = [rng.randint(1, 4) for _ in range(branches)]

@@ -3,9 +3,11 @@
 Rationals serialize as "num/den" strings so files stay exact; decimal
 renderings are added next to values only for human eyes.  Function fields
 of instance files are either named built-ins ("zero", "const:c", "coord",
-"sup", "power:a,q,lambda"; "zero", "coord" and "sup" name the expressions
-0, x_current and x_sup) or small arithmetic expressions in t, x_current
-and x_sup, evaluated in exact rational arithmetic.  Every field is
+"sup"; "zero", "coord" and "sup" name the expressions 0, x_current and
+x_sup) or small arithmetic expressions in t, x_current and x_sup, evaluated
+in exact rational arithmetic; an expression's decimal literal names the
+rational that the same text names in a rational field
+(``xreal.as_fraction``).  Every field is
 compiled once, when it is loaded, into one form: a ``lattice.KeyFunction``
 of the Markov key (t, state, sup), x_current being the state's first
 coordinate and x_sup its running max, holding an int kernel that the
@@ -31,7 +33,6 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-import math
 import os
 import reprlib
 from fractions import Fraction
@@ -141,8 +142,8 @@ def _constant(v: tuple, times: int = 1) -> tuple:
 
 class _BadExponent(ValueError):
     """An exponent that is not constant is no integer, or above the cap, at a
-    node (or ``power:`` takes a non-integer power of a negative time);
-    ``_guarded`` reports the power its argument names, with t and state."""
+    node; ``_guarded`` reports the power its argument names, with t and
+    state."""
 
 
 def _int_pow(a: tuple, b: tuple) -> tuple:
@@ -192,32 +193,34 @@ _BINOPS = {ast.Add: lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1]),
 _DUMMY_KEY = (0, 1, 0, 1, 0, 1)  # t = 0, state 0, sup 0
 
 
-def _compile(node):
-    """An expression AST as (value, degree): the value a reduced (num, den)
-    pair, when it is constant, or else a function of the key's ints, key =
-    (tn, td, xn, xd, sn, sd), giving a pair with den > 0, not always
-    reduced; the degree a bound on its degree as a rational function of t,
-    x_current and x_sup (0 when constant).  A constant exponent multiplies
-    its base's degree; one that is not constant, checked against
-    ``MAX_EXPONENT`` at each node, makes it ``MAX_EXPONENT`` times the base's
-    degree, or that cap when the base is constant; ``*`` and ``/`` add
-    degrees, and ``+`` and ``-`` take the larger.
+def _compile(node, lines):
+    """An expression AST, parsed from ``lines`` (its text's UTF-8 lines, in
+    which a literal's offsets count), as (value, degree): the value a
+    reduced (num, den) pair, when it is constant, or else a function of the
+    key's ints, key = (tn, td, xn, xd, sn, sd), giving a pair with den > 0,
+    not always reduced; the degree a bound on its degree as a rational
+    function of t, x_current and x_sup (0 when constant).  A constant
+    exponent multiplies its base's degree; one that is not constant, checked
+    against ``MAX_EXPONENT`` at each node, makes it ``MAX_EXPONENT`` times
+    the base's degree, or that cap when the base is constant; ``*`` and
+    ``/`` add degrees, and ``+`` and ``-`` take the larger.
 
-    Names, operators, literals, exponents and constants' sizes are checked here, once.
+    Names, operators, literals, exponents and constants' sizes are checked
+    here, once; a decimal literal is read from its text, not its float.
     """
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric literal {node.value!r}")
         if isinstance(node.value, int):
             return _constant((node.value, 1)), 0
-        c = Fraction(str(node.value))  # decimal literals parse exactly
+        c = as_fraction(lines[node.lineno - 1][node.col_offset:node.end_col_offset].decode())
         return _constant((c.numerator, c.denominator)), 0
     if isinstance(node, ast.Name):
         if node.id not in _NAMES:
             raise ValueError(f"unknown name {node.id!r}; use one of {_ALLOWED_NAMES}")
         return _NAMES[node.id], 1
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        a, degree = _compile(node.operand)
+        a, degree = _compile(node.operand, lines)
         if isinstance(node.op, ast.UAdd):
             return a, degree
         if not callable(a):
@@ -228,7 +231,7 @@ def _compile(node):
             return -n, d
         return neg, degree
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        (a, da), (b, db) = _compile(node.left), _compile(node.right)
+        (a, da), (b, db) = _compile(node.left, lines), _compile(node.right, lines)
         if isinstance(node.op, ast.Pow):
             a = _reducing(a)
             if not callable(b):
@@ -308,30 +311,9 @@ def parse_function(spec, field: str = "expression") -> tuple:
         c = as_fraction(spec.split(":", 1)[1])
         value = (c.numerator, c.denominator)
         return KeyFunction(lambda *key: value), f"const:{fmt_rational(c)}"
-    if low.startswith("power:"):
-        a_s, q_s, lam_s = spec.split(":", 1)[1].split(",")
-        a, q, lam = as_fraction(a_s), as_fraction(q_s), as_fraction(lam_s)
-        aq, e = a * q, q - 1
-        an, ad, ln, ld = aq.numerator, aq.denominator, lam.numerator, lam.denominator
-
-        def moment_rate(key):
-            # integrand a*q*t^(q-1) + lam accrues a*((t0+tau)^q - t0^q) + lam*tau
-            tn, td = key[0], key[1]
-            if e.denominator == 1:
-                pn, pd = _int_pow((tn, td), (e.numerator, 1))
-            elif tn == 0 and q < 1:
-                raise ZeroDivisionError  # t^(q-1) is 1/t^(1-q)
-            elif tn < 0:
-                raise _BadExponent(f"the non-integer power q - 1 = {fmt_rational(e)} "
-                                   "of a negative time")
-            else:
-                pn, pd = math.pow(tn / td, float(e)).as_integer_ratio()
-            return an * pn * ld + ln * ad * pd, ad * pd * ld
-
-        spec = f"power:{fmt_rational(a)},{fmt_rational(q)},{fmt_rational(lam)}"
-        return _guarded(moment_rate, spec), spec
     try:
-        fn, degree = _compile(ast.parse(spec, mode="eval").body)
+        fn, degree = _compile(ast.parse(spec, mode="eval").body,
+                              spec.encode().splitlines())
     except _ConstantTooLarge as exc:
         raise ValueError(f"{field} {spec!r} has a constant of about {exc.args[0]} bits, "
                          f"above the cap {MAX_CONSTANT_BITS}") from None
@@ -352,11 +334,11 @@ def parse_function(spec, field: str = "expression") -> tuple:
 def _guarded(fn, spec: str) -> KeyFunction:
     """fn as a ``KeyFunction``: its int kernel calls fn at the key's ints
     and reduces the value by one gcd.  A division by zero, a non-integer or
-    too large power, a float overflow (of ``power:``), a reduced value
-    whose numerator or denominator has more than ``MAX_CONSTANT_BITS`` bits
-    or a call nested deeper than the stack allows is reported as bad input
-    naming spec, t and the state (``state``, when given: a vector state, of
-    which the key holds the first coordinate).
+    too large power, a reduced value whose numerator or denominator has
+    more than ``MAX_CONSTANT_BITS`` bits or a call nested deeper than the
+    stack allows is reported as bad input naming spec, t and the state
+    (``state``, when given: a vector state, of which the key holds the
+    first coordinate).
     The expression caps bound each expression but not its value at a node,
     and the Euler step composes the drift's values level by level, so the
     value is bounded here, where it is evaluated."""
@@ -365,8 +347,6 @@ def _guarded(fn, spec: str) -> KeyFunction:
             n, d = fn((tn, td, xn, xd, sn, sd))
         except ZeroDivisionError:
             what = "divides by zero"
-        except OverflowError:
-            what = "overflows the float range"
         except _BadExponent as exc:
             what = f"takes {exc.args[0]}"
         except RecursionError:  # compiled nearer the stack's top than it is called

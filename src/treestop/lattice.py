@@ -476,13 +476,6 @@ class TreeInstance:
         """The grid time t0 + k * dt of depth k, from 0 to the depth."""
         return self._times[depth_k]
 
-    def path_prob(self, word: Word) -> Fraction:
-        shape = self._shape()
-        i = shape.row(word)
-        if i is None:
-            raise KeyError(word)
-        return Fraction(shape.probs[i], shape.prob_den)
-
     def _shape(self) -> Shape:
         """The tree's rows with their path probabilities, level by level,
         built from the branching alone on first use and cached."""

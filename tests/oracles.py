@@ -27,6 +27,7 @@ Some helpers here are test-only API rather than independent references:
 ``increment_sum``; ``compensated_process``, built on the library's own
 ``_compensators``; ``paste``, the inverse of ``condition``; ``normalize_cut``, a cut's words
 as ``condition`` reads them; ``children``, a word's child words;
+``path_prob``, a node's path probability read off the tree's shape;
 ``stop_payoff``,
 read off the node table; ``stop_of``, ``cont_of`` and ``reach_of``, a
 candidate law's masses at a node; ``int_chains``, which brings Fraction
@@ -96,7 +97,7 @@ def atom_expectations(tree, q):
     gs = [Fraction(0)] * tree.constraints.n_ineq
     hs = [Fraction(0)] * tree.constraints.n_eq
     for leaf in tree.leaves():
-        pw = tree.path_prob(leaf)
+        pw = path_prob(tree, leaf)
         for k in range(len(leaf) + 1):
             node = leaf[:k]
             mass = pw
@@ -1176,8 +1177,10 @@ def allocate(children: Sequence[Tuple[Fraction, ConcaveEnvelope]], total):
 # -- instance expressions --------------------------------------------------------
 # ``oracle_eval_node`` is the expression interpreter as it was before
 # expressions were compiled, with its two tables, copied verbatim apart from
-# the names.  It walks the AST on every call; the compiled expressions must
-# give the same values and raise the same exception types.
+# the names and the decimal literal, which it reads from the expression's
+# text with a plain Fraction, not from Python's float.  It walks the AST on
+# every call; the compiled expressions must give the same values and raise
+# the same exception types.
 
 _ALLOWED_NAMES = ("t", "x_current", "x_sup")
 _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
@@ -1185,28 +1188,28 @@ _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
            ast.Pow: None}
 
 
-def oracle_eval_node(node, env, before_power=None):
+def oracle_eval_node(node, env, spec, before_power=None):
     """The tree-walking interpreter of instance expressions, which knows no
-    caps; ``before_power(base, n)``, when given, sees each integer power
-    before it is taken."""
+    caps; node is parsed from the text spec, and ``before_power(base, n)``,
+    when given, sees each integer power before it is taken."""
     if isinstance(node, ast.Expression):
-        return oracle_eval_node(node.body, env, before_power)
+        return oracle_eval_node(node.body, env, spec, before_power)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ValueError(f"non-numeric literal {node.value!r}")
         if isinstance(node.value, int):
             return Fraction(node.value)
-        return Fraction(str(node.value))  # decimal literals parse exactly
+        return Fraction(ast.get_source_segment(spec, node))
     if isinstance(node, ast.Name):
         if node.id not in env:
             raise ValueError(f"unknown name {node.id!r}; use one of {_ALLOWED_NAMES}")
         return env[node.id]
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        v = oracle_eval_node(node.operand, env, before_power)
+        v = oracle_eval_node(node.operand, env, spec, before_power)
         return -v if isinstance(node.op, ast.USub) else v
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        a = oracle_eval_node(node.left, env, before_power)
-        b = oracle_eval_node(node.right, env, before_power)
+        a = oracle_eval_node(node.left, env, spec, before_power)
+        b = oracle_eval_node(node.right, env, spec, before_power)
         if isinstance(node.op, ast.Pow):
             if b.denominator != 1:
                 raise ValueError("only integer exponents are supported")
@@ -1369,6 +1372,16 @@ def children(tree: TreeInstance, word: Word) -> Tuple[Word, ...]:
     if len(word) >= tree.depth:
         return ()
     return tuple(word + (j,) for j in range(tree.n_branches(len(word))))
+
+
+def path_prob(tree: TreeInstance, word: Word) -> Fraction:
+    """A node's path probability from the tree's shape; KeyError for a word
+    that names no node."""
+    shape = tree._shape()
+    i = shape.row(word)
+    if i is None:
+        raise KeyError(word)
+    return Fraction(shape.probs[i], shape.prob_den)
 
 
 def path_prob_by_words(tree: TreeInstance, word: Word) -> Fraction:

@@ -465,9 +465,9 @@ def test_division_by_zero_at_a_node_names_expression_time_and_state():
         inv_x(F(3, 2), (F(0), F(1)))
     with pytest.raises(ExpressionUndefined, match=r"state \(1, 2\)$"):
         inv_x(F(0), ((F(1), F(2)),))
-    power, _ = parse_function("power:1,0,0")
-    with pytest.raises(ExpressionUndefined, match="'power:1,0,0'"):
-        power(F(0), (F(5),))
+    inv_t, _ = parse_function("1/t")
+    with pytest.raises(ExpressionUndefined, match=r"^'1/t' divides by zero at t = 0, state 5$"):
+        inv_t(F(0), (F(5),))
 
 
 SINGULAR_DOC = {

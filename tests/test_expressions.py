@@ -15,6 +15,7 @@ from treestop.io import (_ALLOWED_NAMES, MAX_CONSTANT_BITS, MAX_DEGREE, MAX_EXPO
                          MAX_EXPRESSION_CHARS, _compile)
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS,
                                _TERMINALS)
+from treestop.xreal import as_fraction
 
 from oracles import oracle_eval_node
 
@@ -50,7 +51,7 @@ def _outcome(fn, *args):
 def _oracle(spec, t, prefix):
     scalar = [x[0] if isinstance(x, tuple) else x for x in prefix]
     env = {"t": t, "x_current": scalar[-1], "x_sup": max(scalar)}
-    got = _outcome(oracle_eval_node, ast.parse(spec, mode="eval"), env)
+    got = _outcome(oracle_eval_node, ast.parse(spec, mode="eval"), env, spec)
     # the library reports a division by zero as bad input
     return ExpressionUndefined if got is ZeroDivisionError else got
 
@@ -82,13 +83,65 @@ def test_load_time_rejection_is_an_interpreter_error(spec):
     assert info.type in outcomes
 
 
-def test_power_builtin_at_time_zero_is_undefined_not_a_domain_error():
-    fn, _ = parse_function("power:1,1/2,0")
+# -- decimal literals: the rational their text names, as in a rational field --------
+# Python float literals: digit groups joined by underscores, an optional
+# integer or fraction part (not both empty), and an exponent, which a literal
+# without a point must have; the exponents reach past as_fraction's cap.
+
+_GROUPED = st.lists(st.text("0123456789", min_size=1, max_size=6),
+                    min_size=1, max_size=4).map("_".join)
+_EXPONENTS = st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                       st.one_of(_GROUPED, st.sampled_from(["4214", "4215", "4_214", "0004215",
+                                                             "99999999"])))
+_FLOAT_LITERALS = st.one_of(
+    st.builds("{}.{}{}".format, _GROUPED, st.just("") | _GROUPED, st.just("") | _EXPONENTS),
+    st.builds(".{}{}".format, _GROUPED, st.just("") | _EXPONENTS),
+    st.builds("{}{}".format, _GROUPED, _EXPONENTS))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_FLOAT_LITERALS)
+@example(text="0.12345678901234567890123")
+@example(text="1e400")
+@example(text="1e-400")
+@example(text="1e4214")
+@example(text="1e4215")
+@example(text=".5")
+@example(text="5.")
+@example(text="1_000.000_1e-1_0")
+@example(text="1.5e-4214")  # a denominator of 14,002 bits
+def test_a_decimal_literal_is_the_rational_its_text_names(text):
+    """A float literal evaluates to ``as_fraction`` of its text, or is
+    refused with its message; a value that ``as_fraction`` reads but whose
+    numerator or denominator is above ``MAX_CONSTANT_BITS`` is refused as
+    any such constant is."""
+    assert isinstance(ast.parse(text, mode="eval").body.value, float)
+    try:
+        want = as_fraction(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=rf"^expression '{re.escape(text)}': "
+                                             rf"{re.escape(str(exc))}$"):
+            parse_function(text)
+        return
+    bits = max(want.numerator.bit_length(), want.denominator.bit_length())
+    if bits > MAX_CONSTANT_BITS:
+        with pytest.raises(ValueError, match=rf"^expression '{re.escape(text)}' has a constant "
+                                             rf"of about {bits} bits, above the cap"):
+            parse_function(text)
+        return
+    fn, _ = parse_function(text)
+    assert fn.kernel(0, 1, 0, 1, 0, 1) == (want.numerator, want.denominator)
+    # the same text negated, on a second line, beside a name
+    fn, _ = parse_function(f"(x_current +\n -{text})")
+    assert fn(F(1), (F(0),)) == -want
+
+
+def test_negative_power_of_time_zero_is_undefined_not_a_domain_error():
+    fn, _ = parse_function("t**-1 / 2")
     with pytest.raises(ExpressionUndefined,
-                       match=r"^'power:1,1/2,0' divides by zero at t = 0, state 1$"):
+                       match=r"^'t\*\*-1 / 2' divides by zero at t = 0, state 1$"):
         fn(F(0), (F(1),))
-    assert fn(F(4), (F(1),)) == F(1, 4)
-    assert parse_function("power:1,3/2,0")[0](F(0), (F(1),)) == 0
+    assert fn(F(4), (F(1),)) == F(1, 8)
 
 
 def test_exponent_that_is_not_constant_is_checked_on_its_own_at_load():
@@ -143,10 +196,6 @@ def test_exponents_are_capped_at_load_and_at_nodes():
     with pytest.raises(ExpressionUndefined, match=r"^'2 \*\* \(x_current \* 65\)' takes a "
                        rf"power whose exponent is above the cap {cap} at t = 0, state 1$"):
         fn(F(0), (F(1),))
-    # so is the power built-in's integer q - 1
-    assert parse_function(f"power:1,{cap + 1},0")[0](F(1), (F(0),)) == cap + 1
-    with pytest.raises(ExpressionUndefined, match="above the cap"):
-        parse_function(f"power:1,{cap + 2},0")[0](F(1), (F(0),))
 
 
 @pytest.mark.parametrize("spec, degree", [
@@ -155,7 +204,8 @@ def test_exponents_are_capped_at_load_and_at_nodes():
     ("x_current**64 / t**64 - (x_sup + 1)**64", 128), ("(2**64)**64", 0),
 ])
 def test_nested_powers_within_the_degree_cap_load(spec, degree):
-    assert _compile(ast.parse(spec, mode="eval").body)[1] == degree <= MAX_DEGREE
+    lines = spec.encode().splitlines()
+    assert _compile(ast.parse(spec, mode="eval").body, lines)[1] == degree <= MAX_DEGREE
     parse_function(spec)
 
 
@@ -292,29 +342,6 @@ def test_a_power_above_twice_the_bit_cap_is_refused_before_it_is_taken():
         fn(F(1), (F(2) ** 13999,))
 
 
-def test_power_builtin_at_negative_time_is_undefined_not_a_domain_error():
-    fn, _ = parse_function("power:1,1/2,0")
-    with pytest.raises(ExpressionUndefined,
-                       match=r"^'power:1,1/2,0' takes the non-integer power "
-                             r"q - 1 = -1/2 of a negative time at t = -1, state 1$"):
-        fn(F(-1), (F(1),))
-    with pytest.raises(ExpressionUndefined,
-                       match=r"^'power:1,3/2,0' .* at t = -1/2, state \(1, 2\)$"):
-        parse_function("power:1,3/2,0")[0](F(-1, 2), ((F(1), F(2)),))
-    # integer q - 1 is defined at every t
-    assert parse_function("power:1,3,0")[0](F(-1), (F(1),)) == 3
-
-
-def test_power_builtin_overflow_is_undefined_not_an_overflow_error():
-    fn, _ = parse_function("power:1,1500.5,0")
-    with pytest.raises(ExpressionUndefined,
-                       match=r"^'power:1,3001/2,0' overflows the float range "
-                             r"at t = 2, state 0$"):
-        fn(F(2), (F(0),))
-    # the same power one step earlier is a (huge) float
-    assert fn(F(1), (F(0),)) == F(3001, 2)
-
-
 # -- the int kernels against the interpreter, on drawn expressions ------------------
 # The interpreter knows no caps, so a drawn expression's expected outcome is
 # its value, unless the interpreter raises, a power's exponent is above
@@ -352,7 +379,7 @@ def _capped_oracle(spec, env):
     """The interpreter's value, or bad input where it raises (it divides by
     zero, or a power is no integer) or a cap applies."""
     try:
-        value = oracle_eval_node(ast.parse(spec, mode="eval"), env, _check_power)
+        value = oracle_eval_node(ast.parse(spec, mode="eval"), env, spec, _check_power)
     except (ZeroDivisionError, ValueError, _Capped):
         return ExpressionUndefined
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_CONSTANT_BITS:

@@ -18,7 +18,7 @@ from treestop import dp, lp
 from treestop import cli
 from treestop.cli import main, run_suite
 from treestop.errors import NoInstances, RuleShapeMismatch, ShapeMismatch
-from treestop.generate import generate_instance
+from treestop.generate import CONSTRAINT_CAP, generate_instance
 from treestop.io import decimal_value, fmt_rational, fmt_value, parse_word, word_str
 
 F = Fraction
@@ -82,15 +82,6 @@ def test_instance_hash_of_builtin_aliases_is_pinned():
                            "eq": [{"h": "SUP", "z": "1"}]}}
     assert instance_hash(load_instance(doc)) == \
         "3150725376a2276d0569555bbf07088d3a3f879754b9d3fe7d1cc73f432ff47e"
-
-
-def test_moment_integrand_builtin():
-    # a*q*t^(q-1) + lam with integer q stays exact
-    fn, spec = parse_function("power:1,2,0")
-    assert fn(F(3), (F(0),)) == 6
-    assert spec == "power:1,2,0"
-    fn2, _ = parse_function("power:2,3,1/2")
-    assert fn2(F(2), (F(0),)) == 2 * 3 * 4 + F(1, 2)
 
 
 def test_expression_arithmetic_is_exact():
@@ -167,6 +158,17 @@ def test_generation_is_deterministic_and_seed_sensitive():
 def test_generation_depth_cap():
     with pytest.raises(ShapeTooLarge):
         generate_instance(seed=0, depth=9)
+
+
+def test_generation_constraint_counts_are_checked():
+    # a negative count gave no constraint, and the time grows with the count
+    cap = CONSTRAINT_CAP
+    for n_ineq, n_eq in ((-1, 0), (0, -1), (cap + 1, 0), (0, cap + 1)):
+        with pytest.raises(ValueError, match=rf"^need 0 to {cap} inequalities and 0 to {cap} "
+                                             rf"equalities, got {n_ineq} and {n_eq}$"):
+            generate_instance(seed=0, n_ineq=n_ineq, n_eq=n_eq)
+    doc = generate_instance(seed=0, n_ineq=cap, n_eq=cap)
+    assert len(doc["constraints"]["ineq"]) == len(doc["constraints"]["eq"]) == cap
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -387,6 +389,16 @@ def test_suite_all_solves_each_instance_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_suite_refuses_an_unknown_suite_before_any_solve(tmp_path, monkeypatch):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    (inst_dir / "i1.json").write_text(json.dumps(generate_instance(seed=1)))
+    monkeypatch.setattr(cli, "load_instance", None)
+    monkeypatch.setattr(cli, "solve_weak", None)
+    with pytest.raises(ValueError, match=r"^unknown suite 'bogus'$"):
+        run_suite(str(inst_dir), "bogus")
+
+
 def test_suite_all_solves_a_deep_instance_once(tmp_path, monkeypatch, capsys):
     # every check and DPP stage reads the tree's stored solve: the master LP
     # runs once (memo hits of solve_weak are not solves)
@@ -514,6 +526,11 @@ LOAD_REFUSALS = {
     "exponent-above-the-cap-at-load": ("x_current**(x_sup - x_current + 70)",
                                        "exponents are capped at 64 in absolute value"),
     "unknown-name": ("y + 1", "unknown name 'y'; use one of ('t', 'x_current', 'x_sup')"),
+    # the moment built-in is gone: a*q*t**(q-1) + lam writes its integer-q cases
+    "power-builtin": ("power:1,2,0", "invalid syntax"),
+    # a decimal literal is read as a rational field reads it, under the same cap
+    "literal-above-the-cap": ("x_current + 1e4215", "rational literal '1e4215' has a "
+                              "power of ten above the cap of 14000 bits"),
 }
 
 
@@ -588,6 +605,11 @@ def _bad_input(tmp_path, case):
                                      branching=[{"p": "1/2", "w": "1/3"},
                                                 {"p": "1/2", "w": "-1/3"}])))
 
+    # a negative count gave no constraint and exit 0; the cost grows with the count
+    if case == "gen-negative-count":
+        return ["gen", "--ineq", "-1", "--out-file", str(tmp_path / "gen.json")]
+    if case == "gen-count-above-the-cap":
+        return ["gen", "--eq", "1000000000", "--out-file", str(tmp_path / "gen.json")]
     if case == "no-instance":
         return ["solve"]
     if case == "missing-dt":
@@ -622,17 +644,9 @@ def _bad_input(tmp_path, case):
     # 2**(x/2) is an integer at the root and at load, and 2**(1/2) at "+"
     if case == "exponent-fractional-at-a-node":
         return write(json.dumps(dict(RW2_DOC, pi="2**(x_current/2)")))
-    if case == "power-at-negative-time":
-        cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
-        return ["dp", *write(json.dumps(dict(RW2_DOC, t0="-2", constraints=cons)))[1:],
-                "--budget", "1"]
     if case == "check-class-infeasible":  # no optimal law to test
         cons = {"ineq": [{"g": "1", "y": "-1"}], "eq": []}
         return ["check-class", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:]]
-    if case == "power-overflow":  # t^(3001/2 - 1) at t = 2 leaves the float range
-        doc = dict(RW2_DOC, t0="2", depth=1, f="power:1,1500.5,0",
-                   constraints={"ineq": [{"g": "1", "y": "1"}], "eq": []})
-        return write(json.dumps(doc))
     if case == "too-many-nodes":  # 2^41 - 1 nodes, refused before any is built
         return write(json.dumps(dict(RW2_DOC, depth=40)))
     # a depth of at least MAX_NODES is refused before the per-level branching
@@ -708,10 +722,6 @@ def _bad_input(tmp_path, case):
     if case == "vector-increment":
         return write(json.dumps(dict(RW2_DOC, branching=[{"p": "1/2", "w": ["1", "0"]},
                                                          {"p": "1/2", "w": ["-1", "1"]}])))
-    if case == "power-at-time-zero":
-        cons = {"ineq": [{"g": "power:1,1/2,0", "y": "3/2"}], "eq": []}
-        return ["dp", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:],
-                "--budget", "1"]
     raise AssertionError(case)
 
 
@@ -728,9 +738,9 @@ FLOAT_OVERFLOWS = {
 BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "directory", "invalid-json", "not-an-object", "negative-grid",
               "huge-grid", "singular-solve", "singular-dp", "exponent-behind-division",
-              "power-at-time-zero", "exponent-not-constant-behind-division",
-              "power-at-negative-time", "exponent-fractional-at-a-node",
-              "check-class-infeasible", "power-overflow", "too-many-nodes",
+              "exponent-not-constant-behind-division", "exponent-fractional-at-a-node",
+              "check-class-infeasible", "too-many-nodes", "gen-negative-count",
+              "gen-count-above-the-cap",
               "zero-denominator-budget", "zero-denominator-dt", "zero-denominator-t0",
               "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history",
               "zero-denominator-tol", *FLOAT_OVERFLOWS, "float-overflow-rule-q",

@@ -13,7 +13,8 @@ from treestop import (BudgetVector, ConstraintSpec, Ext, NEG_INF,
 from treestop.lattice import MAX_NODES, TreeInstance
 
 from conftest import count_calls, make_rw
-from oracles import children, functionals_by_words, stop_payoff, straight_line_euler, terminal_at
+from oracles import (children, functionals_by_words, path_prob, stop_payoff,
+                     straight_line_euler, terminal_at)
 
 HALF = Fraction(1, 2)
 BINOM = [(HALF, 1), (HALF, -1)]
@@ -92,7 +93,7 @@ def test_a_branch_that_is_not_an_int_is_not_a_node():
             with pytest.raises(NodeNotInTree, match=r"branch (0\.5|'0'|0\.0|1\.0) out of range"):
                 read(tree, word)
         assert measure.stop(word) == measure.cont(word) == 0
-        for read in (rule.prob, tree.path_prob):
+        for read in (rule.prob, lambda w: path_prob(tree, w)):
             with pytest.raises(KeyError):
                 read(word)
     # a float key in a rule or mass map names no node either
@@ -104,7 +105,7 @@ def test_a_branch_that_is_not_an_int_is_not_a_node():
     assert tree.check_word((True,)) == tree.check_word((1,))
     assert euler_state(tree, (True,)) == euler_state(tree, (1,)) == (0, -1)
     assert measure.stop((True,)) == measure.stop((1,)) and rule.prob((True,)) == HALF
-    assert tree.path_prob((True, False)) == tree.path_prob((1, 0)) == HALF * HALF
+    assert path_prob(tree, (True, False)) == path_prob(tree, (1, 0)) == HALF * HALF
     tree.check_word((1, 0))
 
 
@@ -250,7 +251,7 @@ def test_leaf_path_probabilities_sum_to_one_exactly():
                       branching=[(Fraction(1, 6), 2), (Fraction(1, 3), 0),
                                  (Fraction(1, 2), -1)],
                       x0=0)
-    assert sum(tree.path_prob(w) for w in tree.leaves()) == 1
+    assert sum(path_prob(tree, w) for w in tree.leaves()) == 1
 
 
 def test_per_depth_branching():
@@ -260,7 +261,7 @@ def test_per_depth_branching():
                       x0=0)
     assert tree.n_branches(0) == 2 and tree.n_branches(1) == 2
     assert tree.state((0, 0)) == 4
-    assert tree.path_prob((0, 0)) == Fraction(1, 6)
+    assert path_prob(tree, (0, 0)) == Fraction(1, 6)
 
 
 def test_vacuous_constraints_match_removal_exactly():
@@ -332,7 +333,7 @@ def test_node_table_columns_are_path_probability_times_payoff_and_accruals():
         F, Gs, Hs = functionals_by_words(tree, w)
         want = [F + terminal_at(tree, w), *Gs, *Hs]
         got = [Fraction(col[i], den) for col, den in zip(table.cols, table.dens)]
-        assert got == [tree.path_prob(w) * x for x in want]
+        assert got == [path_prob(tree, w) * x for x in want]
         if len(w) < tree.depth:
             assert words[first[i]:first[i + 1]] == children(tree, w)
     assert len(first) == 1 + 3  # one more entry than interior nodes

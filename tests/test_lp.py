@@ -11,7 +11,7 @@ from treestop.generate import generate_instance
 from treestop.measures import StoppingMeasure
 
 from conftest import assert_separates, make_rw, solve_weak_recording_lps
-from oracles import best_rule_value, snell_value
+from oracles import best_rule_value, path_prob, snell_value
 
 F = Fraction
 HALF = F(1, 2)
@@ -26,7 +26,7 @@ def test_unconstrained_value_and_support(rw2):
     res = solve_weak(rw2)
     assert res.optimal and res.value == Ext(2)
     # stop everywhere at the horizon
-    assert all(res.measure.stop(w) == rw2.path_prob(w) for w in rw2.leaves())
+    assert all(res.measure.stop(w) == path_prob(rw2, w) for w in rw2.leaves())
     assert snell_value(rw2) == res.value
 
 
