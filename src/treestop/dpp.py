@@ -189,7 +189,6 @@ def condition(tree: TreeInstance, measure: StoppingMeasure, tau: TauSpec) -> Con
         sub_tree = tree.subtree(nu)
         sub_measure = StoppingMeasure(sub_tree._shape(), stops,
                                       tuple(measure.conts[j] for j in rows), reach)
-        sub_measure.validate(sub_tree)
         # read from the tree's table: its stop shares times each column on those rows
         if [Fraction(sum(map(mul, stops, map(col.__getitem__, rows))) * shape.prob_den,
                      den * reach * shape.probs[i]) - x

@@ -70,16 +70,15 @@ def generate_instance(seed: int, depth: int = 2, branches: int = 2,
     }
 
     # bound the constraints by the accruals of a random reference rule, so
-    # the instance is feasible by construction
-    accrued = _reference_accruals(load_instance(doc), rng)
-    for i, item in enumerate(doc["constraints"]["ineq"]):
-        if rng.random() < vacuous_rate:
-            item["y"] = "inf"
-        else:
-            item["y"] = fmt_rational(accrued[i])
-    for i, item in enumerate(doc["constraints"]["eq"]):
+    # the instance is feasible by construction, in the loaded canonical form
+    tree = load_instance(doc)
+    accrued = _reference_accruals(tree, rng)
+    cons = tree.source["constraints"]
+    for i, item in enumerate(cons["ineq"]):
+        item["y"] = "inf" if rng.random() < vacuous_rate else fmt_rational(accrued[i])
+    for i, item in enumerate(cons["eq"]):
         item["z"] = fmt_rational(accrued[n_ineq + i])
-    return load_instance(doc).source
+    return tree.source
 
 
 def _reference_accruals(tree, rng: random.Random) -> list:

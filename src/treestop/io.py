@@ -44,7 +44,7 @@ from .errors import ExpressionUndefined, NodeNotInTree
 from .lattice import KeyFunction, TreeInstance, Word, build_tree
 from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule, rule_from_map
-from .xreal import MAX_CONSTANT_BITS, Ext, as_fraction
+from .xreal import MAX_CONSTANT_BITS, Ext, as_fraction, echo
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +315,16 @@ def parse_function(spec, field: str = "expression") -> tuple:
         fn, degree = _compile(ast.parse(spec, mode="eval").body,
                               spec.encode().splitlines())
     except _ConstantTooLarge as exc:
-        raise ValueError(f"{field} {spec!r} has a constant of about {exc.args[0]} bits, "
+        raise ValueError(f"{field} {echo.repr(spec)} has a constant of about {exc.args[0]} bits, "
                          f"above the cap {MAX_CONSTANT_BITS}") from None
     except ValueError as exc:
-        raise ValueError(f"{field} {spec!r}: {exc}") from None
+        raise ValueError(f"{field} {echo.repr(spec)}: {exc}") from None
     except SyntaxError as exc:
         raise ValueError(f"{field} {reprlib.repr(spec)}: {exc.msg}") from None
     except (RecursionError, MemoryError):
         raise ValueError(f"{field} {reprlib.repr(spec)} nests too deeply to parse") from None
     if degree > MAX_DEGREE:
-        raise ValueError(f"{field} {spec!r} has degree {degree}, above the cap "
+        raise ValueError(f"{field} {echo.repr(spec)} has degree {degree}, above the cap "
                          f"{MAX_DEGREE} (MAX_EXPONENT ** 2)")
     if not callable(fn):
         return KeyFunction(lambda *key: fn), spec
@@ -535,9 +535,7 @@ def load_masses(tree: TreeInstance, source: Union[str, dict]):
 
 
 def load_measure(tree: TreeInstance, source: Union[str, dict]) -> StoppingMeasure:
-    measure = StoppingMeasure.from_masses(tree, *load_masses(tree, source))
-    measure.validate(tree)
-    return measure
+    return StoppingMeasure.from_masses(tree, *load_masses(tree, source))
 
 
 def dump_measure(tree: TreeInstance, measure: StoppingMeasure) -> dict:

@@ -139,11 +139,11 @@ def _certify_optimal(tree: TreeInstance, budgets: BudgetVector, result: SolveRes
     With S the Snell envelope of V - pi.G - mu.H, every law within the
     budgets has E[V] <= S(root) + pi.y + mu.z when pi >= 0 (weak duality).
     The result attains that bound when: pi >= 0, with 0 on a vacuous bound;
-    its measure (valid, as ``solve_weak`` returns it) is within the
-    budgets; complementary slackness holds (a bound with pi_i > 0 is met,
-    and the measure stops only where the payoff attains S and continues
-    only where the children's S does); and S(root) + pi.y + mu.z, over the
-    finite budgets, is its value.  A failed check raises
+    its measure (valid by construction) is within the budgets;
+    complementary slackness holds (a bound with pi_i > 0 is met, and the
+    measure stops only where the payoff attains S and continues only where
+    the children's S does); and S(root) + pi.y + mu.z, over the finite
+    budgets, is its value.  A failed check raises
     ``InvariantViolation``.  Returns ``_snell``'s envelope and scale at the
     duals, and the measure's expectations.
     """
@@ -251,7 +251,6 @@ def _solve(tree: TreeInstance, budgets: BudgetVector) -> SolveResult:
             break
 
     measure = _vertex(table, pay, env, rows, senses, rhs)
-    measure.validate(tree)
     prices = spread(0, duals)
     value = Ext(res.objective)
     check = measure.expectations(tree)["value"]
@@ -328,16 +327,14 @@ def measure_to_rule(tree: TreeInstance, measure: StoppingMeasure) -> RandomizedS
     Round-trips exactly: pushing the rule forward recovers the measure on
     every node (unreachable subtrees carry zero mass on both sides).
     """
-    shape = measure._shape_on(tree)
-    rule = RandomizedStoppingRule(shape, tuple(Fraction(s, s + u) if s + u else Fraction(1)
-                                               for s, u in zip(measure.stops, measure.conts)))
-    rule.validate(tree)
-    return rule
+    return RandomizedStoppingRule(measure.validate(tree), tuple(
+        Fraction(s, s + u) if s + u else Fraction(1)
+        for s, u in zip(measure.stops, measure.conts)))
 
 
 def fractional_nodes(tree: TreeInstance, measure: StoppingMeasure) -> List[Word]:
     """Nodes where the measure genuinely randomizes (0 < q < 1)."""
-    return [w for w, s, u in zip(measure._shape_on(tree).words(), measure.stops, measure.conts)
+    return [w for w, s, u in zip(measure.validate(tree).words(), measure.stops, measure.conts)
             if s > 0 and u > 0]
 
 

@@ -169,9 +169,8 @@ class CandidateLaw:
 
     @classmethod
     def from_measure(cls, tree: TreeInstance, measure: StoppingMeasure) -> "CandidateLaw":
-        """A measure's law: the measure must pass its ``validate`` on the
-        tree, and its masses are read off its rows."""
-        measure.validate(tree)
+        """A measure's law: the measure must be on the tree's rows, and its
+        masses are read off them."""
         return cls._of_rows(tree, *measure.masses(tree))
 
     def _hold(self, tree: TreeInstance, stops: list, conts: list, pre_t0_stop_mass=0,
@@ -247,7 +246,8 @@ class CandidateLaw:
 def _compensators(cand: CandidateLaw, row: int, mode: str,
                   phis: Sequence[Polynomial], here: Sequence[Fraction],
                   kids: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """The compensator of every phi at an inner row.
+    """The compensator of every phi at an inner row, in ``mode`` "exact"
+    or "generator" (``_Sweep`` refuses any other).
 
     ``here`` holds each phi at the row's claimed point and ``kids`` each
     child's row of phi values at its claimed point.  The exact compensator
@@ -266,31 +266,29 @@ def _compensators(cand: CandidateLaw, row: int, mode: str,
         probs = [p for p, _ in tree.branching[k]]
         return [sum((p * val[i] for p, val in zip(probs, vals)), Fraction(0)) - h
                 for i, h in enumerate(here)]
-    if mode == "generator":
-        t = tree.time(k)
-        b, sig = tree._coefficients(t, cand.prefix_for_call(row))
-        d, l = tree.d, tree.l
-        bbar = tuple([Fraction(0)] * d) + tuple(b)
-        xi = cand.points[row]
-        out = []
-        for phi in phis:
-            grads = [phi.diff(i) for i in range(d + l)]
-            rate = sum(bbar[i] * grads[i].eval(xi) for i in range(d + l) if bbar[i])
-            # sigma-bar sigma-bar^T has blocks [[I, sig^T], [sig, sig sig^T]]
-            for i in range(d + l):
-                gi = grads[i]
-                if not gi.coeffs:
+    t = tree.time(k)
+    b, sig = tree._coefficients(t, cand.prefix_for_call(row))
+    d, l = tree.d, tree.l
+    bbar = tuple([Fraction(0)] * d) + tuple(b)
+    xi = cand.points[row]
+    out = []
+    for phi in phis:
+        grads = [phi.diff(i) for i in range(d + l)]
+        rate = sum(bbar[i] * grads[i].eval(xi) for i in range(d + l) if bbar[i])
+        # sigma-bar sigma-bar^T has blocks [[I, sig^T], [sig, sig sig^T]]
+        for i in range(d + l):
+            gi = grads[i]
+            if not gi.coeffs:
+                continue
+            for j in range(d + l):
+                a_ij = _sigbar_entry(sig, d, i, j)
+                if a_ij == 0:
                     continue
-                for j in range(d + l):
-                    a_ij = _sigbar_entry(sig, d, i, j)
-                    if a_ij == 0:
-                        continue
-                    second = gi.diff(j).eval(xi)
-                    if second:
-                        rate += Fraction(1, 2) * a_ij * second
-            out.append(rate * tree.dt)
-        return out
-    raise ValueError(f"unknown compensator mode {mode!r}")
+                second = gi.diff(j).eval(xi)
+                if second:
+                    rate += Fraction(1, 2) * a_ij * second
+        out.append(rate * tree.dt)
+    return out
 
 
 def _sigbar_entry(sig, d: int, i: int, j: int) -> Fraction:
@@ -393,6 +391,8 @@ class _Sweep:
     """
 
     def __init__(self, cand: CandidateLaw, mode: str, phis: Sequence[Polynomial]):
+        if mode not in ("exact", "generator"):
+            raise ValueError(f"unknown compensator mode {mode!r}")
         shape = cand.shape
         self.cand = cand
         zero = Fraction(0)
@@ -551,8 +551,7 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
     corruption that keeps the increment's lower moments passes every
     low-degree test.  The verdict is the conjunction of all three.  A
     degree below 1 would leave clause 1 empty and raises ``EmptyBattery``.
-    A ``StoppingMeasure`` is read by ``CandidateLaw.from_measure``, so one
-    that fails its ``validate`` raises there.
+    A ``StoppingMeasure`` is read by ``CandidateLaw.from_measure``.
     """
     if degree > MAX_DEGREE:
         raise DegreeTooHigh(f"degree {degree} exceeds the cap {MAX_DEGREE}")

@@ -3,10 +3,13 @@
 A stopping measure holds, per row of the tree's shape, the shares of the
 node's path probability that stop there and that continue past it.  In
 these units flow conservation needs no branch probability: the root's
-shares sum to 1, each child's to its parent's continue share, and nothing
-continues past the horizon.  Every check and expectation reads rows and
-levels.  Absolute masses (share times path probability) appear only at
-the boundary: per row (``masses``), or keyed by the rows' increment words
+shares sum to 1, each child's to its parent's continue share, and
+nothing continues past the horizon.  A measure checks this row by row
+when it is built (a share count other than the row count raises
+ShapeMismatch, a broken rule ValueError); ``validate`` only checks that
+a tree has its rows.  Every check and expectation reads rows and levels.
+Absolute masses (share times path probability) appear only at the
+boundary: per row (``masses``), or keyed by the rows' increment words
 (``stop``, ``cont``, the ``s`` and ``u`` dicts, and ``from_masses``).
 """
 
@@ -38,10 +41,23 @@ class StoppingMeasure:
     scale: int
 
     def __post_init__(self):
+        shape, n = self.shape, len(self.shape.probs)
+        if len(self.stops) != n or len(self.conts) != n:
+            raise ShapeMismatch(f"the measure has {len(self.stops)} stop and "
+                                f"{len(self.conts)} continue shares for {n} rows")
         g = gcd(self.scale, *self.stops, *self.conts)
         object.__setattr__(self, "stops", tuple(v // g for v in self.stops))
-        object.__setattr__(self, "conts", tuple(v // g for v in self.conts))
+        object.__setattr__(self, "conts", conts := tuple(v // g for v in self.conts))
         object.__setattr__(self, "scale", self.scale // g)
+        n_inner = len(shape.first) - 1
+        for i, (parent, s, u) in enumerate(zip(shape.parent, self.stops, conts)):
+            if s < 0 or u < 0:
+                raise ValueError(f"negative mass at {shape.word(i)}")
+            if i >= n_inner and u != 0:
+                raise ValueError(f"continue mass at horizon node {shape.word(i)}")
+            if s + u != (conts[parent] if i else self.scale):
+                raise ValueError(f"flow conservation fails at {shape.word(i)}" if i else
+                                 "root masses must sum to 1")
 
     @classmethod
     def from_shares(cls, shape: Shape, stops: Sequence[Fraction],
@@ -68,7 +84,7 @@ class StoppingMeasure:
 
     def masses(self, tree: TreeInstance) -> tuple:
         """Per row of the tree, the absolute stop masses and the continue masses."""
-        self._shape_on(tree)
+        self.validate(tree)
         return self._masses(self.stops), self._masses(self.conts)
 
     def _masses(self, shares) -> list:
@@ -85,32 +101,17 @@ class StoppingMeasure:
     s = property(lambda self: dict(zip(self.shape.words(), self._masses(self.stops))))
     u = property(lambda self: dict(zip(self.shape.words(), self._masses(self.conts))))
 
-    def _shape_on(self, tree: TreeInstance) -> Shape:
+    def validate(self, tree: TreeInstance) -> Shape:
         """The tree's shape, which must be this measure's."""
         shape = tree._shape()
         if shape is not self.shape and shape != self.shape:
             raise ShapeMismatch("the measure is not on this tree's nodes")
         return shape
 
-    def validate(self, tree: TreeInstance) -> None:
-        """Check nonnegativity, flow conservation and nothing continuing
-        past the horizon, row by row in BFS order.  The stop masses then
-        sum to 1."""
-        shape = self._shape_on(tree)
-        n_inner = len(shape.first) - 1
-        for i, (parent, s, u) in enumerate(zip(shape.parent, self.stops, self.conts)):
-            if s < 0 or u < 0:
-                raise ValueError(f"negative mass at {shape.word(i)}")
-            if i >= n_inner and u != 0:
-                raise ValueError(f"continue mass at horizon node {shape.word(i)}")
-            if s + u != (self.conts[parent] if i else self.scale):
-                raise ValueError(f"flow conservation fails at {shape.word(i)}" if i else
-                                 "root masses must sum to 1")
-
     def expectations(self, tree: TreeInstance) -> dict:
         """Expected objective, constraint accruals, and stop time: per
         column of the node table, the stop shares times its rows."""
-        shape, table = self._shape_on(tree), tree._node_table()
+        shape, table = self.validate(tree), tree._node_table()
         value, *accrued = (Fraction(sum(map(mul, self.stops, col)), self.scale * den)
                            for col, den in zip(table.cols, table.dens))
         steps = sum(k * sum(map(mul, self.stops[lo:hi], shape.probs[lo:hi]))

@@ -1,12 +1,15 @@
 """Randomized stopping rules and their hitting-time realization.
 
 A randomized rule assigns each node a conditional stop probability q(v),
-one per row of the tree's shape.  One minus the continue share of the
-rule's measure is its cumulative-stop process theta: per increment word,
-the chance of having stopped by each step, non-decreasing and 1 at the
-horizon.  Drawing a single uniform threshold eta and stopping the first
-time theta exceeds eta reproduces the rule's joint law exactly, which is
-what ``equivalence_check`` certifies by integrating eta over the finitely
+one per row of the tree's shape, checked when the rule is built (a q
+count other than the row count, or a q outside [0, 1] or below 1 at the
+horizon, raises RuleShapeMismatch); ``validate`` only checks a tree's
+level widths.  One minus the continue share of the rule's measure is its
+cumulative-stop process theta: per increment word, the chance of having
+stopped by each step, non-decreasing and 1 at the horizon.  Drawing a
+single uniform threshold eta and stopping the first time theta exceeds
+eta reproduces the rule's joint law exactly, which is what
+``equivalence_check`` certifies by integrating eta over the finitely
 many theta breakpoints.
 
 The exact kernels run in ints: the survival products over one unit per
@@ -48,6 +51,17 @@ class RandomizedStoppingRule:
     shape: Shape
     q: Tuple[Fraction, ...]
 
+    def __post_init__(self):
+        shape, n = self.shape, len(self.shape.probs)
+        if len(self.q) != n:
+            raise RuleShapeMismatch(f"the rule has {len(self.q)} q for {n} rows")
+        n_inner = len(shape.first) - 1
+        for i, q in enumerate(self.q):
+            if not 0 <= q <= 1:
+                raise RuleShapeMismatch(f"q{shape.word(i)} = {q} outside [0, 1]")
+            if i >= n_inner and q != 1:
+                raise RuleShapeMismatch(f"q{shape.word(i)} must be 1 at the horizon")
+
     def prob(self, word: Word) -> Fraction:
         i = self.shape.row(word)
         if i is None:
@@ -55,17 +69,10 @@ class RandomizedStoppingRule:
         return self.q[i]
 
     def validate(self, tree: TreeInstance) -> None:
-        """Check that the tree has this rule's nodes (its level widths), q in
-        [0, 1] and q = 1 at the horizon."""
+        """Check that the tree has this rule's nodes (its level widths)."""
         shape = tree._shape()
         if shape is not self.shape and shape.widths != self.shape.widths:
             raise RuleShapeMismatch("the rule is not on this tree's nodes")
-        n_inner = len(shape.first) - 1
-        for i, q in enumerate(self.q):
-            if not 0 <= q <= 1:
-                raise RuleShapeMismatch(f"q{shape.word(i)} = {q} outside [0, 1]")
-            if i >= n_inner and q != 1:
-                raise RuleShapeMismatch(f"q{shape.word(i)} must be 1 at the horizon")
 
 
 def rule_from_map(tree: TreeInstance, q_map: Dict[Word, object]) -> RandomizedStoppingRule:
@@ -81,10 +88,8 @@ def rule_from_map(tree: TreeInstance, q_map: Dict[Word, object]) -> RandomizedSt
     for word in islice(tree.nodes(), len(shape.first) - 1):
         if word not in q_map:
             raise RuleShapeMismatch(f"rule is missing interior node {word}")
-    rule = RandomizedStoppingRule(shape, tuple(as_fraction(q_map.get(w, 1))
+    return RandomizedStoppingRule(shape, tuple(as_fraction(q_map.get(w, 1))
                                                for w in tree.nodes()))
-    rule.validate(tree)
-    return rule
 
 
 def rule_to_measure(tree: TreeInstance, rule: RandomizedStoppingRule) -> StoppingMeasure:

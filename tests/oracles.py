@@ -291,12 +291,12 @@ def paste(tree: TreeInstance, measure: StoppingMeasure, tau,
     Keeps the prefix of ``measure`` up to the cut; below each cut node with
     positive reach, grafts the supplied subtree measure scaled by the reach
     mass.  Cut nodes without a replacement keep their original subtree.
-    The result is validated as a measure on the full tree.  The inverse of
+    The result is checked as a measure on the full tree.  The inverse of
     ``condition``, which ``verify_dpp_by_subtree_lp`` pastes its subtree
     optima with.
     """
     cut = normalize_cut(tree, tau)
-    shape = measure._shape_on(tree)
+    shape = measure.validate(tree)
     stops = [Fraction(v, measure.scale) for v in measure.stops]
     conts = [Fraction(v, measure.scale) for v in measure.conts]
     for nu in cut:
@@ -312,9 +312,7 @@ def paste(tree: TreeInstance, measure: StoppingMeasure, tau,
         # below nu, the submeasure's shares times nu's reach share
         for j, s, u in zip(shape.rows_below(i), sub.stops, sub.conts):
             stops[j], conts[j] = reach * Fraction(s, sub.scale), reach * Fraction(u, sub.scale)
-    pasted = StoppingMeasure.from_shares(shape, stops, conts)
-    pasted.validate(tree)
-    return pasted
+    return StoppingMeasure.from_shares(shape, stops, conts)
 
 
 class SubproblemInfeasible(TreestopError):

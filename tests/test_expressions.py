@@ -15,7 +15,7 @@ from treestop.io import (_ALLOWED_NAMES, MAX_CONSTANT_BITS, MAX_DEGREE, MAX_EXPO
                          MAX_EXPRESSION_CHARS, _compile)
 from treestop.generate import (_DIFFUSIONS, _DRIFTS, _G_ANY, _H_ANY, _REWARDS,
                                _TERMINALS)
-from treestop.xreal import as_fraction
+from treestop.xreal import as_fraction, echo
 
 from oracles import oracle_eval_node
 
@@ -243,6 +243,21 @@ def test_an_expression_above_the_length_cap_is_refused_before_it_is_parsed():
                        "pi": chain})
 
 
+@pytest.mark.parametrize("head, message", [
+    ("y", "unknown name 'y'"),
+    ("1e4215", "rational literal '1e4215' has a power"),
+    ("((10**64)**64)**2", "has a constant of about"),
+    ("((x_current**64)**64)**2", "has degree 8192"),
+])
+def test_a_refusal_echoes_a_long_expression_cut_to_a_bounded_length(head, message):
+    # each message held the whole expression, a line of up to 100,000 characters
+    spec = head + " " * 99_000 + "+ 1"
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+        parse_function(spec, "instance field 'pi'")
+    assert str(exc.value).startswith(f"instance field 'pi' {spec[:40]!r}"[:-1])
+    assert "..." in str(exc.value) and len(str(exc.value)) < 300
+
+
 DEEP = {  # a RecursionError from the parser or the compiler, unless noted
     "unary-10000": "-" * 10_000 + "1",  # a MemoryError from the parser on Python 3.11
     "unary-1000": "-" * 1000 + "1",
@@ -292,8 +307,9 @@ def test_constants_within_the_bit_cap_load():
 ])
 def test_constants_above_the_bit_cap_are_refused_at_load(spec, bits):
     # a constant power is refused from its estimate, before it is taken: the
-    # four-level power was still folding after 30 s
-    message = (rf"^expression '{re.escape(spec)}' has a constant of about {bits} bits, "
+    # four-level power was still folding after 30 s; a long one, the
+    # 3503-character literal, is echoed cut in the middle
+    message = (rf"^expression {re.escape(echo.repr(spec))} has a constant of about {bits} bits, "
                rf"above the cap {MAX_CONSTANT_BITS}$")
     with pytest.raises(ValueError, match=message):
         parse_function(spec)

@@ -702,6 +702,13 @@ def _bad_input(tmp_path, case):
         path = tmp_path / "measure.json"
         path.write_text('{"": {"s": 1e400}}')
         return ["check-class", *write(json.dumps(RW2_DOC))[1:], "--measure", str(path)]
+    # a 4300-digit literal whose exponent is within the cap: a 28,280-bit dt
+    # failed at Python's digit limit, naming no field
+    if case == "literal-digits-dt":
+        return write(json.dumps(dict(RW2_DOC, dt="1" + "0" * 4299 + "e4214")))
+    # an unknown name in a 99,003-character expression was echoed whole
+    if case == "expression-long-unknown-name":
+        return write(json.dumps(dict(RW2_DOC, pi="y" + " " * 99_000 + "+1")))
     # a short exponent whose power of ten would have 332 million bits: dt
     # "1e5000000" took 2.6 s to fail at Python's digit limit
     if case == "exponent-literal-dt":
@@ -745,7 +752,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history",
               "zero-denominator-tol", *FLOAT_OVERFLOWS, "float-overflow-rule-q",
               "float-overflow-measure-s", "exponent-literal-dt", "exponent-literal-budget",
-              "exponent-literal-tol",
+              "exponent-literal-tol", "literal-digits-dt", "expression-long-unknown-name",
               *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
               "exponent-huge", "exponent-nested", "exponent-constant-nested",
               "exponent-huge-at-a-node", "constant-power-at-a-node", "drift-power-cascade",
@@ -764,6 +771,7 @@ def test_cli_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, case):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert len(lines[0].encode()) < 300, lines[0][:300]  # a long input is not echoed whole
     assert captured.out == ""
 
 

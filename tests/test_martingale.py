@@ -196,6 +196,17 @@ def test_negative_tolerance_is_refused(rw2, half_rule, mode):
         check_membership(rw2, measure, mode=mode, tolerance=F(-1, 2))
 
 
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_an_unknown_mode_is_refused_at_every_depth(depth):
+    # a depth-0 tree has no inner row, so the mode was never read and passed
+    tree = build_tree(dt=1, depth=depth, branching=[(HALF, 1), (HALF, -1)] if depth else [],
+                      x0=0)
+    for mode in ("exact", "generator"):
+        assert check_membership(tree, _stop_at_horizon(tree), mode=mode).ok
+    with pytest.raises(ValueError, match="^unknown compensator mode 'bogus'$"):
+        check_membership(tree, _stop_at_horizon(tree), mode="bogus")
+
+
 def test_empty_battery_is_rejected_not_passed(rw2, half_rule):
     # a battery without statistics could not reject this candidate
     cand = candidate_with_branch_bias(rw2, half_rule, ((), F(1, 10)))
@@ -233,11 +244,9 @@ def test_never_stopping_mass_is_a_support_violation(rw2):
     rep = check_membership(rw2, CandidateLaw(rw2, s=s, u=u))
     assert not rep.clause2_pass
     assert rep.clause2_detail["mass_never_stopping"] == 1
-    # a measure holds no such law: its validate refuses it in from_measure
-    never = StoppingMeasure.from_masses(rw2, s, u)
-    for read in (CandidateLaw.from_measure, check_membership):
-        with pytest.raises(ValueError, match="continue mass at horizon node"):
-            read(rw2, never)
+    # a measure holds no such law: it is refused when it is built
+    with pytest.raises(ValueError, match="continue mass at horizon node"):
+        StoppingMeasure.from_masses(rw2, s, u)
 
 
 # -- membership: the direct check ------------------------------------------------

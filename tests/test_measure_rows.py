@@ -1,8 +1,8 @@
 """Stopping measures as survival shares on the tree's BFS rows, against the
 word-keyed forms they replaced (``oracles.pushed_forward_by_words`` and
 ``oracles.validate_by_words``): the rule's push, the solver's measure, theta
-and the measure's rule are ``==``, and ``validate`` rejects exactly the
-masses the word validator rejects, with the same message."""
+and the measure's rule are ``==``, and building a measure rejects exactly
+the masses the word validator rejects, with the same message."""
 
 import random
 from fractions import Fraction
@@ -101,7 +101,7 @@ def test_validate_rejects_exactly_what_the_word_validator_rejects(
         u = {x: 2 * v for x, v in u.items()}
     want = _outcome(lambda: validate_by_words(tree, s, u))
     assert (want is None) == (kind == "none")
-    assert _outcome(lambda: StoppingMeasure.from_masses(tree, s, u).validate(tree)) == want
+    assert _outcome(lambda: StoppingMeasure.from_masses(tree, s, u)) == want
 
 
 def test_a_measure_is_checked_against_the_trees_rows():
@@ -113,6 +113,22 @@ def test_a_measure_is_checked_against_the_trees_rows():
             check(big)
     # another load of the same tree has equal rows
     measure.validate(load_instance(generate_instance(seed=1, depth=2)))
+
+
+def test_a_share_count_other_than_the_row_count_is_refused_when_built():
+    tree = load_instance(generate_instance(seed=1, depth=2))  # 7 rows
+    shape = tree._shape()
+    # three shares that would pass a row-by-row check of the first three rows
+    with pytest.raises(ShapeMismatch, match="^the measure has 3 stop and 3 continue "
+                                            "shares for 7 rows$"):
+        StoppingMeasure(shape, (0, 1, 1), (1, 0, 0), 1)
+    stops, conts = (0, 0, 0, 1, 1, 1, 1), (1, 1, 1, 0, 0, 0, 0)  # stop at the horizon
+    assert StoppingMeasure(shape, stops, conts, 1).expectations(tree)["mean_stop_time"] == 2
+    for args in ((stops[:-1], conts), (stops, conts + (0,))):
+        with pytest.raises(ShapeMismatch, match="for 7 rows"):
+            StoppingMeasure(shape, *args, 1)
+    with pytest.raises(ShapeMismatch):
+        StoppingMeasure.from_shares(shape, [F(1)], [F(0)])
 
 
 def _stopping_at(tree, depth):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treestop import (EquivalenceViolation, Ext, NodeNotInTree, RuleShapeMismatch,
-                      StoppingMeasure, rules, derandomize, equivalence_check,
+from treestop import (EquivalenceViolation, Ext, NodeNotInTree, RandomizedStoppingRule,
+                      RuleShapeMismatch, StoppingMeasure, rules, derandomize, equivalence_check,
                       first_randomization_cut, load_instance, monte_carlo_value,
                       rule_from_map, rule_to_measure, stop_mass_by_eta_integration,
                       theta_of_rule)
@@ -140,6 +140,23 @@ def test_equivalence_half_rule_values(rw2, half_rule):
     assert rep["expectations_hitting"] == rep["expectations_rule"]
 
 
+def test_a_rule_is_checked_when_it_is_built():
+    tree = load_instance(generate_instance(seed=1, depth=2))  # 7 rows
+    shape = tree._shape()
+    # one q passed every check, and monte_carlo_value then raised IndexError
+    with pytest.raises(RuleShapeMismatch, match="^the rule has 1 q for 7 rows$"):
+        RandomizedStoppingRule(shape, (Fraction(0),))
+    with pytest.raises(RuleShapeMismatch, match="^the rule has 8 q for 7 rows$"):
+        RandomizedStoppingRule(shape, (Fraction(1),) * 8)
+    with pytest.raises(RuleShapeMismatch, match=re.escape("q(1,) = 3/2 outside [0, 1]")):
+        RandomizedStoppingRule(shape, (0, 1, Fraction(3, 2), 1, 1, 1, 1))
+    with pytest.raises(RuleShapeMismatch, match=re.escape("q(0, 1) must be 1 at the horizon")):
+        RandomizedStoppingRule(shape, (0, 1, 1, 1, 0, 1, 1))
+    rule = RandomizedStoppingRule(shape, (0, HALF, 1, 1, 1, 1, 1))
+    assert rule_to_measure(tree, rule) == rule_to_measure(
+        tree, rule_from_map(tree, {(): 0, (0,): HALF, (1,): 1}))
+
+
 def test_equivalence_trivial_immediate_stop(rw2):
     rep = equivalence_check(rw2, rule_q(rw2, {(): 1, (0,): 1, (1,): 1}))
     assert rep["pass"]
@@ -147,15 +164,18 @@ def test_equivalence_trivial_immediate_stop(rw2):
 
 def test_equivalence_check_raises_when_the_hitting_time_moves_mass(rw2, half_rule,
                                                                   monkeypatch):
-    # a hitting-time integration that moves 1/8 of stop mass from "+" to "-"
+    # a hitting-time integration that moves 1/8 of stop mass at "+" into its
+    # continuation, and so into its children's stops: a law, but not the rule's
     real = rules.stop_mass_by_eta_integration
 
     def moved(tree, rule, direct):
         measure = real(tree, rule, direct)
-        mass = measure.s
-        mass[(0,)] -= Fraction(1, 8)
-        mass[(1,)] += Fraction(1, 8)
-        return StoppingMeasure.from_masses(tree, mass, measure.u)
+        s, u = measure.s, measure.u
+        s[(0,)] -= Fraction(1, 8)
+        u[(0,)] += Fraction(1, 8)
+        for child in ((0, 0), (0, 1)):
+            s[child] += Fraction(1, 16)
+        return StoppingMeasure.from_masses(tree, s, u)
 
     monkeypatch.setattr(rules, "stop_mass_by_eta_integration", moved)
     with pytest.raises(EquivalenceViolation) as exc:
@@ -163,7 +183,7 @@ def test_equivalence_check_raises_when_the_hitting_time_moves_mass(rw2, half_rul
     message, report = exc.value.args
     assert message == "stop masses differ at (0,): 1/4 vs 1/8"
     assert report["pass"] is False
-    assert report["stop_mass_hitting"].stop((1,)) == Fraction(3, 8)
+    assert report["stop_mass_hitting"].stop((0, 0)) == Fraction(3, 16)
 
 
 @st.composite

@@ -77,3 +77,22 @@ def test_as_fraction_caps_a_decimal_exponent_before_building_its_power():
         for parse in (as_fraction, Ext.parse):  # a budget takes the same path
             with pytest.raises(ValueError, match="has a power of ten above the cap of 14000 bits"):
                 parse(text)
+
+
+def test_as_fraction_caps_a_literals_digits_before_building_it():
+    # 4300 digits times 10 ** 4214 were read as a 28,280-bit value, and each
+    # text below was read or failed at Python's 4300-digit limit, naming nothing
+    for text in ("1" + "0" * 4299 + "e4214", "1.5e-4214", "9" * 4216, "1" * 4300 + "/1",
+                 "1/" + "7" * 4216, "0" * 5000 + "1", "1" + "0" * 4300 + "e-4000"):
+        for parse in (as_fraction, Ext.parse):
+            with pytest.raises(ValueError, match="has a numerator or denominator above the cap "
+                                                 "of 14000 bits") as exc:
+                parse(text)
+            assert str(exc.value).startswith(f"rational literal {text[:20]!r}"[:-1])
+            assert len(str(exc.value)) < 300  # the text is cut in the middle
+    # the digits as written: a numerator or denominator below 10 ** 4215 is read
+    assert as_fraction("9" * 4215) == 10 ** 4215 - 1
+    assert as_fraction("1" * 4215 + "/" + "3" * 4215) == Fraction(1, 3)
+    assert as_fraction("1" + "0" * 4000 + "e-4000") == 1
+    assert as_fraction("2.5e-4213") == Fraction(1, 4 * 10 ** 4212)
+    assert as_fraction("1e+0") == as_fraction("1.e-00") == 1
