@@ -73,10 +73,9 @@ def generate_instance(seed: int, depth: int = 2, branches: int = 2,
     # the instance is feasible by construction, in the loaded canonical form
     tree = load_instance(doc)
     accrued = _reference_accruals(tree, rng)
-    cons = tree.source["constraints"]
-    for i, item in enumerate(cons["ineq"]):
+    for i, item in enumerate(tree.source["constraints"]["ineq"]):
         item["y"] = "inf" if rng.random() < vacuous_rate else fmt_rational(accrued[i])
-    for i, item in enumerate(cons["eq"]):
+    for i, item in enumerate(tree.source["constraints"]["eq"]):
         item["z"] = fmt_rational(accrued[n_ineq + i])
     return tree.source
 

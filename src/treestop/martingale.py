@@ -246,8 +246,7 @@ class CandidateLaw:
 def _compensators(cand: CandidateLaw, row: int, mode: str,
                   phis: Sequence[Polynomial], here: Sequence[Fraction],
                   kids: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """The compensator of every phi at an inner row, in ``mode`` "exact"
-    or "generator" (``_Sweep`` refuses any other).
+    """The compensator of every phi at an inner row (``_Sweep`` checks ``mode``).
 
     ``here`` holds each phi at the row's claimed point and ``kids`` each
     child's row of phi values at its claimed point.  The exact compensator

@@ -3,13 +3,11 @@
 A stopping measure holds, per row of the tree's shape, the shares of the
 node's path probability that stop there and that continue past it.  In
 these units flow conservation needs no branch probability: the root's
-shares sum to 1, each child's to its parent's continue share, and
-nothing continues past the horizon.  A measure checks this row by row
-when it is built (a share count other than the row count raises
-ShapeMismatch, a broken rule ValueError); ``validate`` only checks that
-a tree has its rows.  Every check and expectation reads rows and levels.
-Absolute masses (share times path probability) appear only at the
-boundary: per row (``masses``), or keyed by the rows' increment words
+shares sum to 1, each child's to its parent's continue share, and nothing
+continues past the horizon.  A measure checks this when it is built, and
+``validate`` only that a tree has its rows.  Expectations read rows and
+levels.  Absolute masses (share times path probability) appear only at
+the boundary: per row (``masses``), or keyed by the rows' increment words
 (``stop``, ``cont``, the ``s`` and ``u`` dicts, and ``from_masses``).
 """
 
@@ -41,7 +39,7 @@ class StoppingMeasure:
     scale: int
 
     def __post_init__(self):
-        shape, n = self.shape, len(self.shape.probs)
+        shape, n, n_inner = self.shape, len(self.shape.probs), len(self.shape.first) - 1
         if len(self.stops) != n or len(self.conts) != n:
             raise ShapeMismatch(f"the measure has {len(self.stops)} stop and "
                                 f"{len(self.conts)} continue shares for {n} rows")
@@ -49,7 +47,6 @@ class StoppingMeasure:
         object.__setattr__(self, "stops", tuple(v // g for v in self.stops))
         object.__setattr__(self, "conts", conts := tuple(v // g for v in self.conts))
         object.__setattr__(self, "scale", self.scale // g)
-        n_inner = len(shape.first) - 1
         for i, (parent, s, u) in enumerate(zip(shape.parent, self.stops, conts)):
             if s < 0 or u < 0:
                 raise ValueError(f"negative mass at {shape.word(i)}")

@@ -1,16 +1,13 @@
 """Randomized stopping rules and their hitting-time realization.
 
 A randomized rule assigns each node a conditional stop probability q(v),
-one per row of the tree's shape, checked when the rule is built (a q
-count other than the row count, or a q outside [0, 1] or below 1 at the
-horizon, raises RuleShapeMismatch); ``validate`` only checks a tree's
-level widths.  One minus the continue share of the rule's measure is its
-cumulative-stop process theta: per increment word, the chance of having
-stopped by each step, non-decreasing and 1 at the horizon.  Drawing a
-single uniform threshold eta and stopping the first time theta exceeds
-eta reproduces the rule's joint law exactly, which is what
-``equivalence_check`` certifies by integrating eta over the finitely
-many theta breakpoints.
+one per row of the tree's shape and checked when the rule is built.  One
+minus the continue share of the rule's measure is its cumulative-stop
+process theta: per increment word, the chance of having stopped by each
+step, non-decreasing and 1 at the horizon.  Drawing a single uniform
+threshold eta and stopping the first time theta exceeds eta reproduces
+the rule's joint law exactly, which is what ``equivalence_check``
+certifies by integrating eta over the finitely many theta breakpoints.
 
 The exact kernels run in ints: the survival products over one unit per
 level, theta as ints over the measure's scale, and the eta integral's
@@ -52,10 +49,9 @@ class RandomizedStoppingRule:
     q: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        shape, n = self.shape, len(self.shape.probs)
-        if len(self.q) != n:
-            raise RuleShapeMismatch(f"the rule has {len(self.q)} q for {n} rows")
-        n_inner = len(shape.first) - 1
+        shape, n_inner = self.shape, len(self.shape.first) - 1
+        if len(self.q) != len(shape.probs):
+            raise RuleShapeMismatch(f"the rule has {len(self.q)} q for {len(shape.probs)} rows")
         for i, q in enumerate(self.q):
             if not 0 <= q <= 1:
                 raise RuleShapeMismatch(f"q{shape.word(i)} = {q} outside [0, 1]")

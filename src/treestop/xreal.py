@@ -16,7 +16,7 @@ from math import isinf, log10
 
 MAX_CONSTANT_BITS = 14_000  # printable in 4300 digits, so (10 ** 64) ** 64 loads
 _MAX_POWER = int(MAX_CONSTANT_BITS * log10(2))  # the largest e with 10 ** e within the cap
-_EXPONENT = re.compile(r"E([-+]?)[0_]*([\d_]*)\Z", re.IGNORECASE)  # its digits, no leading 0
+_EXPONENT = re.compile(r"E[-+]?[0_]*([\d_]*)\Z", re.IGNORECASE)  # its digits, no leading 0
 
 echo = reprlib.Repr()  # echo.repr(x): an input's repr, cut in the middle to maxstring
 echo.maxstring = 160  # characters of an input's text that an error message repeats
@@ -28,10 +28,9 @@ def as_fraction(x) -> Fraction:
     ints and Fractions are taken as-is.  Floats are snapped to their exact
     binary value; an infinite one (a JSON number beyond the float range)
     raises ValueError.  Strings accept "num/den" and decimal literals; one
-    with a zero denominator, or with a power of ten, numerator or
-    denominator of at least 10 ** (``_MAX_POWER`` + 1), above
-    ``MAX_CONSTANT_BITS`` bits (read off its digit and exponent counts
-    before any int is built), raises ValueError naming it.
+    with a zero denominator, or with a power of ten (read before it is
+    built), numerator or denominator above ``MAX_CONSTANT_BITS`` bits,
+    raises ValueError naming it.
     """
     if isinstance(x, Fraction):
         return x
@@ -44,27 +43,21 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         x = x.strip()
-        num, slash, den = x.partition("/")
-        power = None if slash else _EXPONENT.search(x)
-        if power and (len(digits := power[2].replace("_", "")) > len(str(_MAX_POWER))
+        power = None if "/" in x else _EXPONENT.search(x)
+        if power and (len(digits := power[1].replace("_", "")) > len(str(_MAX_POWER))
                       or int(digits or 0) > _MAX_POWER):
             raise ValueError(f"rational literal {echo.repr(x)} has a power of ten above "
                              f"the cap of {MAX_CONSTANT_BITS} bits")
-        if power or len(x) > _MAX_POWER + 1:  # else too few digits to reach the cap
-            if slash:  # the digits of the numerator and of the denominator
-                sizes = sum(map(str.isdecimal, num)), sum(map(str.isdecimal, den))
-            else:  # int(mantissa) times 10 ** e, or over 10 ** -e, as the text writes it
-                mantissa = x[:power.start()] if power else x
-                e = int(power[1] + (digits or "0") if power else 0) \
-                    - sum(map(str.isdecimal, mantissa.partition(".")[2]))
-                sizes = sum(map(str.isdecimal, mantissa)) + max(e, 0), 1 - min(e, 0)
-            if max(sizes) > _MAX_POWER + 1:  # at least 10 ** (_MAX_POWER + 1)
-                raise ValueError(f"rational literal {echo.repr(x)} has a numerator or "
-                                 f"denominator above the cap of {MAX_CONSTANT_BITS} bits")
         try:
-            return Fraction(x)
+            f = Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"rational literal {echo.repr(x)} has a zero denominator") from None
+        except ValueError as exc:  # Fraction's own message repeats x whole
+            raise ValueError(str(exc).replace(repr(x), echo.repr(x))) from None
+        if max(f.numerator.bit_length(), f.denominator.bit_length()) > MAX_CONSTANT_BITS:
+            raise ValueError(f"rational literal {echo.repr(x)} has a numerator or "
+                             f"denominator above the cap of {MAX_CONSTANT_BITS} bits")
+        return f
     raise TypeError(f"cannot interpret {echo.repr(x)} as a rational")
 
 

@@ -706,6 +706,9 @@ def _bad_input(tmp_path, case):
     # failed at Python's digit limit, naming no field
     if case == "literal-digits-dt":
         return write(json.dumps(dict(RW2_DOC, dt="1" + "0" * 4299 + "e4214")))
+    # Fraction's own message repeated a 99,000-character dt whole
+    if case == "literal-long-invalid-dt":
+        return write(json.dumps(dict(RW2_DOC, dt="a" * 99_000)))
     # an unknown name in a 99,003-character expression was echoed whole
     if case == "expression-long-unknown-name":
         return write(json.dumps(dict(RW2_DOC, pi="y" + " " * 99_000 + "+1")))
@@ -752,7 +755,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "zero-denominator-y", "zero-denominator-p", "zero-denominator-x0-history",
               "zero-denominator-tol", *FLOAT_OVERFLOWS, "float-overflow-rule-q",
               "float-overflow-measure-s", "exponent-literal-dt", "exponent-literal-budget",
-              "exponent-literal-tol", "literal-digits-dt", "expression-long-unknown-name",
+              "exponent-literal-tol", "literal-digits-dt", "literal-long-invalid-dt",
+              "expression-long-unknown-name",
               *WRONG_TYPES, *WRONG_CUTS, "measure-entry-a-number", "budgets-a-string",
               "exponent-huge", "exponent-nested", "exponent-constant-nested",
               "exponent-huge-at-a-node", "constant-power-at-a-node", "drift-power-cascade",

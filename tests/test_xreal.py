@@ -79,20 +79,30 @@ def test_as_fraction_caps_a_decimal_exponent_before_building_its_power():
                 parse(text)
 
 
-def test_as_fraction_caps_a_literals_digits_before_building_it():
-    # 4300 digits times 10 ** 4214 were read as a 28,280-bit value, and each
-    # text below was read or failed at Python's 4300-digit limit, naming nothing
-    for text in ("1" + "0" * 4299 + "e4214", "1.5e-4214", "9" * 4216, "1" * 4300 + "/1",
-                 "1/" + "7" * 4216, "0" * 5000 + "1", "1" + "0" * 4300 + "e-4000"):
+def test_as_fraction_caps_a_literals_bits_once_it_is_built():
+    # 4300 digits times 10 ** 4214 were read as a 28,280-bit value, which
+    # failed later at Python's 4300-digit limit, naming nothing
+    for text in ("1" + "0" * 4299 + "e4214", "9" * 4215, "1" * 4300 + "/1",
+                 "1/" + "7" * 4216, "0.3e-4214"):
         for parse in (as_fraction, Ext.parse):
             with pytest.raises(ValueError, match="has a numerator or denominator above the cap "
                                                  "of 14000 bits") as exc:
                 parse(text)
             assert str(exc.value).startswith(f"rational literal {text[:20]!r}"[:-1])
             assert len(str(exc.value)) < 300  # the text is cut in the middle
-    # the digits as written: a numerator or denominator below 10 ** 4215 is read
-    assert as_fraction("9" * 4215) == 10 ** 4215 - 1
+    # the value's bits, the rule an expression constant is held to, not the text's length
+    assert as_fraction("9" * 4214) == 10 ** 4214 - 1
     assert as_fraction("1" * 4215 + "/" + "3" * 4215) == Fraction(1, 3)
-    assert as_fraction("1" + "0" * 4000 + "e-4000") == 1
-    assert as_fraction("2.5e-4213") == Fraction(1, 4 * 10 ** 4212)
+    assert as_fraction("1" + "0" * 4250 + "e-4000") == 10 ** 250
+    assert as_fraction("1.5e-4214") == Fraction(3, 2 * 10 ** 4214)  # 14000 bits
     assert as_fraction("1e+0") == as_fraction("1.e-00") == 1
+
+
+def test_as_fraction_cuts_a_long_invalid_literal_in_fractions_message():
+    with pytest.raises(ValueError) as exc:
+        as_fraction("a" * 99_000)
+    assert str(exc.value).startswith("Invalid literal for Fraction: 'aaa")
+    assert len(str(exc.value)) < 300
+    with pytest.raises(ValueError) as exc:  # a short one is repeated whole, as before
+        as_fraction(" 1/2/3 ")
+    assert str(exc.value) == "Invalid literal for Fraction: '1/2/3'"
