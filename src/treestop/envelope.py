@@ -26,7 +26,7 @@ from functools import cmp_to_key
 from typing import Tuple
 
 from .errors import BudgetBelowDomain
-from .xreal import Ext
+from .xreal import Ext, shown
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +49,7 @@ class ConcaveEnvelope:
             return self.vs[-1]
         if y.is_neg_inf or y.fraction() < self.xs[0]:
             raise BudgetBelowDomain(
-                f"budget {y} below smallest feasible budget {self.xs[0]}")
+                f"budget {shown(y)} below smallest feasible budget {shown(self.xs[0])}")
         yy = y.fraction()
         if yy >= self.xs[-1]:
             return self.vs[-1]

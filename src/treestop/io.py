@@ -34,17 +34,17 @@ import ast
 import hashlib
 import json
 import os
-import reprlib
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import Union
 
 from .errors import ExpressionUndefined, NodeNotInTree
-from .lattice import KeyFunction, TreeInstance, Word, build_tree
+from .lattice import BudgetVector, KeyFunction, TreeInstance, Word, build_tree
 from .measures import StoppingMeasure
 from .rules import RandomizedStoppingRule, rule_from_map
-from .xreal import MAX_CONSTANT_BITS, Ext, as_fraction, echo
+from .xreal import MAX_CONSTANT_BITS, Ext, as_fraction, bits, echo, shown
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +52,12 @@ from .xreal import MAX_CONSTANT_BITS, Ext, as_fraction, echo
 # ---------------------------------------------------------------------------
 
 def fmt_rational(x) -> str:
+    """x exactly, as "num/den", "num", "inf" or "-inf"; Decimal prints ints of any length."""
     x = Ext.parse(x)
-    if x.is_pos_inf:
-        return "inf"
-    if x.is_neg_inf:
-        return "-inf"
-    f = x.fraction()
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if not x.is_finite:
+        return str(x)
+    n, d = x.finite.as_integer_ratio()
+    return f"{Decimal(n)}" if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
 def fmt_value(x) -> str:
@@ -70,26 +69,13 @@ def fmt_value(x) -> str:
 
 
 def decimal_value(x):
-    """A finite x as a float for humans, or, beyond the float range, where
-    float() overflows, as text in float's scientific form: 17 significant
-    digits, rounded half to even from the exact numerator and denominator."""
+    """A finite x as a float for humans, or, beyond the float range, as text
+    in float's scientific form: 17 significant digits, rounded half to even."""
     x = Ext.parse(x).fraction()
     try:
         return float(x)
     except OverflowError:
-        pass
-    n, d = abs(x.numerator), x.denominator
-    e = (n.bit_length() - d.bit_length()) * 1233 >> 12  # about log10(n / d) >= 308
-    while n >= d * 10 ** (e + 1):
-        e += 1
-    while n < d * 10 ** e:
-        e -= 1
-    m = round(Fraction(n, d * 10 ** (e - 16)))  # 10**16 <= m <= 10**17
-    if m == 10 ** 17:
-        m, e = m // 10, e + 1
-    digits = str(m).rstrip("0")
-    mantissa = digits[0] + (f".{digits[1:]}" if digits[1:] else "")
-    return f"{'-' if x < 0 else ''}{mantissa}e+{e}"
+        return f"{Context(prec=17).divide(Decimal(x.numerator), x.denominator).normalize():e}"
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +85,6 @@ def decimal_value(x):
 MAX_EXPONENT = 64  # |n| of a power x ** n; the generator uses 2
 MAX_DEGREE = MAX_EXPONENT ** 2  # of an expression, so (x ** 64) ** 64 loads
 MAX_EXPRESSION_CHARS = 100_000  # of an expression, before parsing; six 4215-digit literals load
-_SHOWN_BITS = 128  # a longer state coordinate shows in an error as its bit count
 
 # a base below _SMALL_BASE in absolute value, numerator and denominator, has
 # at most 438 bits, so it passes ``_power``'s estimate at every exponent
@@ -112,11 +97,6 @@ def _reduced(v: tuple) -> tuple:
     n, d = v
     g = gcd(n, d)
     return (n // g, d // g) if g != 1 else v
-
-
-def _bits(v: tuple) -> int:
-    """The bits of a pair's numerator or denominator, whichever has more."""
-    return max(v[0].bit_length(), v[1].bit_length())
 
 
 def _int_exponent(b: tuple) -> int:
@@ -134,9 +114,9 @@ class _ConstantTooLarge(ValueError):
 
 def _constant(v: tuple, times: int = 1) -> tuple:
     """v, unless v ** times, estimated before it is taken, has too many bits."""
-    bits = _bits(v) * times
-    if bits > MAX_CONSTANT_BITS:
-        raise _ConstantTooLarge(bits)
+    n = bits(v) * times
+    if n > MAX_CONSTANT_BITS:
+        raise _ConstantTooLarge(n)
     return v
 
 
@@ -148,11 +128,11 @@ class _BadExponent(ValueError):
 
 def _int_pow(a: tuple, b: tuple) -> tuple:
     """a ** b for an exponent that is not constant: b, reduced, must be an
-    integer within the cap at the node; a non-integer one of more than
-    ``_SHOWN_BITS`` bits shows as its bit count."""
+    integer within the cap at the node; a non-integer one shows as
+    ``xreal.shown`` shows it."""
     b = _reduced(b)
     if b[1] != 1:
-        raise _BadExponent(f"the non-integer power {_shown(Fraction(*b))}")
+        raise _BadExponent(f"the non-integer power {shown(Fraction(*b))}")
     if abs(b[0]) > MAX_EXPONENT:
         raise _BadExponent(f"a power whose exponent is above the cap {MAX_EXPONENT}")
     return _power(a, b[0])
@@ -165,9 +145,9 @@ def _power(a: tuple, n: int) -> tuple:
     reduced, and a negative power of 0 divides by zero."""
     an, ad = a
     if not (-_SMALL_BASE < an < _SMALL_BASE and ad < _SMALL_BASE):
-        bits = abs(n) * (_bits(a) - 1) + 1
-        if bits > 2 * MAX_CONSTANT_BITS:
-            raise _BadExponent(f"a power of at least {bits} bits, above twice the cap "
+        least = abs(n) * (bits(a) - 1) + 1
+        if least > 2 * MAX_CONSTANT_BITS:
+            raise _BadExponent(f"a power of at least {least} bits, above twice the cap "
                               f"{MAX_CONSTANT_BITS},")
     if n >= 0:
         return an ** n, ad ** n
@@ -210,14 +190,14 @@ def _compile(node, lines):
     """
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            raise ValueError(f"non-numeric literal {node.value!r}")
+            raise ValueError(f"non-numeric literal {echo.repr(node.value)}")
         if isinstance(node.value, int):
             return _constant((node.value, 1)), 0
         c = as_fraction(lines[node.lineno - 1][node.col_offset:node.end_col_offset].decode())
-        return _constant((c.numerator, c.denominator)), 0
+        return c.as_integer_ratio(), 0  # within the cap, which as_fraction applies
     if isinstance(node, ast.Name):
         if node.id not in _NAMES:
-            raise ValueError(f"unknown name {node.id!r}; use one of {_ALLOWED_NAMES}")
+            raise ValueError(f"unknown name {echo.repr(node.id)}; use one of {_ALLOWED_NAMES}")
         return _NAMES[node.id], 1
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         a, degree = _compile(node.operand, lines)
@@ -246,7 +226,7 @@ def _compile(node, lines):
         else:
             degree = max(da, db)
         return _fold(_BINOPS[type(node.op)], a, b), degree
-    raise ValueError(f"unsupported expression element {ast.dump(node)}")
+    raise ValueError(f"unsupported expression element {echo.cut(ast.dump(node))}")
 
 
 def _reducing(a):
@@ -302,7 +282,7 @@ def parse_function(spec, field: str = "expression") -> tuple:
         spec = fmt_rational(as_fraction(spec))
     spec = spec.strip()
     if len(spec) > MAX_EXPRESSION_CHARS:
-        raise ValueError(f"{field} {reprlib.repr(spec)} has {len(spec)} characters, "
+        raise ValueError(f"{field} {echo.repr(spec)} has {len(spec)} characters, "
                          f"above the cap {MAX_EXPRESSION_CHARS}")
     low = spec.lower()
     if low in _ALIASES:
@@ -320,9 +300,9 @@ def parse_function(spec, field: str = "expression") -> tuple:
     except ValueError as exc:
         raise ValueError(f"{field} {echo.repr(spec)}: {exc}") from None
     except SyntaxError as exc:
-        raise ValueError(f"{field} {reprlib.repr(spec)}: {exc.msg}") from None
+        raise ValueError(f"{field} {echo.repr(spec)}: {echo.cut(exc.msg)}") from None
     except (RecursionError, MemoryError):
-        raise ValueError(f"{field} {reprlib.repr(spec)} nests too deeply to parse") from None
+        raise ValueError(f"{field} {echo.repr(spec)} nests too deeply to parse") from None
     if degree > MAX_DEGREE:
         raise ValueError(f"{field} {echo.repr(spec)} has degree {degree}, above the cap "
                          f"{MAX_DEGREE} (MAX_EXPONENT ** 2)")
@@ -338,7 +318,7 @@ def _guarded(fn, spec: str) -> KeyFunction:
     more than ``MAX_CONSTANT_BITS`` bits or a call nested deeper than the
     stack allows is reported as bad input naming spec, t and the state
     (``state``, when given: a vector state, of which the key holds the
-    first coordinate).
+    first coordinate), each as ``xreal.echo`` or ``xreal.shown`` shows it.
     The expression caps bound each expression but not its value at a node,
     and the Euler step composes the drift's values level by level, so the
     value is bounded here, where it is evaluated."""
@@ -357,22 +337,12 @@ def _guarded(fn, spec: str) -> KeyFunction:
                 n, d = n // g, d // g
             if -_VALUE_LIMIT < n < _VALUE_LIMIT and d < _VALUE_LIMIT:
                 return n, d
-            what = f"has a value of {_bits((n, d))} bits, above the cap {MAX_CONSTANT_BITS},"
-        where = _where(Fraction(tn, td), Fraction(xn, xd) if state is None else state)
-        raise ExpressionUndefined(f"{spec!r} {what} {where}")
+            what = f"has a value of {bits((n, d))} bits, above the cap {MAX_CONSTANT_BITS},"
+        x = Fraction(xn, xd) if state is None else state
+        x = echo.cut(f"({', '.join(map(shown, x))})") if isinstance(x, tuple) else shown(x)
+        raise ExpressionUndefined(f"{echo.repr(spec)} {what} at t = {shown(Fraction(tn, td))}, "
+                                  f"state {x}")
     return KeyFunction(kernel)
-
-
-def _where(t, x) -> str:
-    """'at t = ..., state ...' for the node at time t with state x; a
-    coordinate of more than ``_SHOWN_BITS`` bits shows as its bit count."""
-    state = ("(" + ", ".join(map(_shown, x)) + ")" if isinstance(x, tuple) else _shown(x))
-    return f"at t = {fmt_rational(t)}, state {state}"
-
-
-def _shown(x) -> str:
-    bits = _bits((x.numerator, x.denominator))
-    return fmt_rational(x) if bits <= _SHOWN_BITS else f"of {bits} bits"
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +352,7 @@ def _shown(x) -> str:
 def parse_word(tree: TreeInstance, text: str) -> Word:
     """Word strings: digits index branches; "+"/"-" alias 0/1 on binary trees."""
     if not isinstance(text, str):
-        raise NodeNotInTree(f"a word must be a string, got {reprlib.repr(text)}")
+        raise NodeNotInTree(f"a word must be a string, got {echo.repr(text)}")
     if text in ("", "root"):
         return ()
     if set(text) <= {"+", "-"}:
@@ -390,7 +360,7 @@ def parse_word(tree: TreeInstance, text: str) -> Word:
     elif text.isdigit():
         word = tuple(int(ch) for ch in text)
     else:
-        raise NodeNotInTree(f"cannot parse word {text!r}")
+        raise NodeNotInTree(f"cannot parse word {echo.repr(text)}")
     tree.check_word(word)
     return word
 
@@ -510,8 +480,9 @@ def _entries(tree: TreeInstance, source: Union[str, dict], kind: str):
     for key, value in _read_obj(source).items():
         word = parse_word(tree, key)
         if keys.setdefault(word, key) != key:
-            raise ValueError(f"{kind} keys {keys[word]!r} and {key!r} both name node {word}")
-        yield word, value, f"{kind} entry {key!r}"
+            raise ValueError(f"{kind} keys {echo.repr(keys[word])} and {echo.repr(key)} "
+                             f"both name node {echo.repr(word)}")
+        yield word, value, f"{kind} entry {echo.cut(repr(key))}"  # echo.repr's, 4x as fast
 
 
 def load_rule(tree: TreeInstance, source: Union[str, dict]) -> RandomizedStoppingRule:
@@ -544,7 +515,6 @@ def dump_measure(tree: TreeInstance, measure: StoppingMeasure) -> dict:
 
 
 def load_budgets(tree: TreeInstance, source: Union[str, dict]):
-    from .lattice import BudgetVector
     raw = _read_obj(source)
     return BudgetVector(*(tuple(Ext.parse(_kind(v, _NUMBER, f"a budget in {key!r}"))
                                 for v in _field(raw, key, "budgets", list, []))
@@ -581,7 +551,7 @@ def _unique_keys(pairs) -> dict:
     obj: dict = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"key {key!r} appears twice in one object")
+            raise ValueError(f"key {echo.repr(key)} appears twice in one object")
         obj[key] = value
     return obj
 
@@ -597,7 +567,7 @@ def _kind(value, kind, what: str):
     """value, when it has the JSON kind (a key of ``_KINDS``, never a
     boolean); else an input error naming what, not a TypeError later."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{what} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
+        raise ValueError(f"{what} must be {_KINDS[kind]}, got {echo.repr(value)}")
     return value
 
 

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 from .errors import (InvalidBranching, InvalidHorizon, NodeNotInTree, ShapeTooLarge,
                      WordTooLong)
-from .xreal import Ext, as_fraction
+from .xreal import Ext, as_fraction, echo, shown
 
 Word = Tuple[int, ...]
 State = Tuple[Fraction, ...]
@@ -50,10 +50,10 @@ MAX_NODES = 1_000_000  # admits every tree generate_instance makes (8 x 4: 87,38
 def _as_vector(value, n: int) -> Tuple[Fraction, ...]:
     if isinstance(value, (list, tuple)):
         if len(value) != n:
-            raise ValueError(f"expected a vector of length {n}, got {value!r}")
+            raise ValueError(f"expected a vector of length {n}, got {echo.repr(value)}")
         return tuple(as_fraction(v) for v in value)
     if n != 1:
-        raise ValueError(f"expected a vector of length {n}, got scalar {value!r}")
+        raise ValueError(f"expected a vector of length {n}, got scalar {echo.repr(value)}")
     return (as_fraction(value),)
 
 
@@ -66,7 +66,7 @@ def _as_matrix(value, rows: int, cols: int) -> Tuple[Tuple[Fraction, ...], ...]:
         return (_as_vector(value, cols),)
     if cols == 1:
         return tuple((v,) for v in _as_vector(value, rows))
-    raise ValueError(f"expected a {rows}x{cols} matrix, got {value!r}")
+    raise ValueError(f"expected a {rows}x{cols} matrix, got {echo.repr(value)}")
 
 
 def _finite(value, what: str, t: Fraction) -> Fraction:
@@ -75,7 +75,7 @@ def _finite(value, what: str, t: Fraction) -> Fraction:
         return value
     x = Ext.parse(value) if value == value else None  # NaN differs from itself
     if x is None or not x.is_finite:
-        raise ValueError(f"{what} at t = {t} is {value}; node data must be finite")
+        raise ValueError(f"{what} at t = {shown(t)} is {value}; node data must be finite")
     return x.finite
 
 
@@ -435,9 +435,8 @@ class TreeInstance:
             for p, w in level:
                 p = as_fraction(p)
                 if p <= 0:
-                    raise InvalidBranching(f"branch probability {p} is not positive")
-                w = tuple(as_fraction(c) for c in w) if isinstance(w, (list, tuple)) \
-                    else (as_fraction(w),)
+                    raise InvalidBranching(f"branch probability {shown(p)} is not positive")
+                w = _as_vector(w, len(w) if isinstance(w, (list, tuple)) else 1)
                 pairs.append((p, w))
             if sum(p for p, _ in pairs) != 1:
                 raise InvalidBranching("branch probabilities must sum to 1")
@@ -459,10 +458,11 @@ class TreeInstance:
         i = self._shape().row(word)
         if i is None:
             if len(word) > self.depth:
-                raise WordTooLong(f"word {word} is longer than depth {self.depth}")
+                raise WordTooLong(f"word {echo.repr(word)} is longer than depth {self.depth}")
             k, j = next((k, j) for k, (j, n) in enumerate(zip(word, self._widths))
                         if not (isinstance(j, int) and 0 <= j < n))
-            raise NodeNotInTree(f"word {word}: branch {j!r} out of range at step {k}")
+            raise NodeNotInTree(f"word {echo.repr(word)}: branch {echo.repr(j)} out of range "
+                                f"at step {k}")
         return i
 
     def nodes(self):

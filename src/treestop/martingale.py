@@ -55,7 +55,7 @@ from .errors import DegreeTooHigh, EmptyBattery
 from .lattice import TreeInstance, Word, _as_vector
 from .measures import StoppingMeasure, _on_rows
 from .rules import RandomizedStoppingRule, rule_to_measure
-from .xreal import as_fraction
+from .xreal import as_fraction, shown
 
 MAX_DEGREE = 4
 _WEIGHT_BUDGET = 16  # cylinder weights per start time in clause 1
@@ -149,7 +149,8 @@ class CandidateLaw:
     claimed parent path: the Euler step or the override.  Per row of
     ``tree._shape()``, ``stops``, ``conts`` and ``points`` hold the masses
     and the claimed (increment, state) point, and ``state_overrides`` the
-    claimed states; a mass off the tree raises.
+    claimed states.  Masses by word, where outside masses enter, are checked:
+    one off the tree or negative, a total other than 1 or a broken flow raises.
     """
 
     def __init__(self, tree: TreeInstance, s: Dict[Word, Fraction],
@@ -159,6 +160,15 @@ class CandidateLaw:
         self._hold(tree, _on_rows(tree, "stop", {w: as_fraction(v) for w, v in s.items()}),
                    _on_rows(tree, "continue", {w: as_fraction(v) for w, v in u.items()}),
                    pre_t0_stop_mass, state_overrides, post_stop_branching, claimed_history)
+        stops, conts, first, word = self.stops, self.conts, self.shape.first, self.shape.word
+        if self.pre_t0_stop_mass + stops[0] + conts[0] != 1:
+            raise ValueError("total mass must be 1")
+        for i, (stop, cont) in enumerate(zip(stops, conts)):
+            if stop < 0 or cont < 0:
+                raise ValueError(f"negative mass at {word(i)}")
+            if i < len(first) - 1 and \
+                    sum(stops[c] + conts[c] for c in range(first[i], first[i + 1])) != cont:
+                raise ValueError(f"mass is not conserved below {word(i)}")
 
     @classmethod
     def _of_rows(cls, *args) -> "CandidateLaw":
@@ -175,8 +185,7 @@ class CandidateLaw:
 
     def _hold(self, tree: TreeInstance, stops: list, conts: list, pre_t0_stop_mass=0,
               overrides=None, post_stop_branching=None, claimed_history=None) -> None:
-        """Keep the masses per row, and claimed states and points; then
-        check that the masses are nonnegative, total 1 and flow down."""
+        """Keep the masses per row, and claimed states and points."""
         self.tree = tree
         self.shape = shape = tree._shape()
         self.stops, self.conts = stops, conts
@@ -217,14 +226,6 @@ class CandidateLaw:
             for i in range(starts[k], starts[k + 1]):
                 incs += [tuple(map(add, incs[i], w)) for _, w in level]
         self.points = [inc + ((x,) if tree.l == 1 else x) for inc, x in zip(incs, self._states)]
-        if self.pre_t0_stop_mass + stops[0] + conts[0] != 1:
-            raise ValueError("total mass must be 1")
-        for i, (stop, cont) in enumerate(zip(stops, conts)):
-            if stop < 0 or cont < 0:
-                raise ValueError(f"negative mass at {shape.word(i)}")
-            if i < len(first) - 1 and \
-                    sum(stops[c] + conts[c] for c in range(first[i], first[i + 1])) != cont:
-                raise ValueError(f"mass is not conserved below {shape.word(i)}")
 
     # -- claimed states ------------------------------------------------------
 
@@ -553,11 +554,11 @@ def check_membership(tree: TreeInstance, candidate, degree: int = 2,
     A ``StoppingMeasure`` is read by ``CandidateLaw.from_measure``.
     """
     if degree > MAX_DEGREE:
-        raise DegreeTooHigh(f"degree {degree} exceeds the cap {MAX_DEGREE}")
+        raise DegreeTooHigh(f"degree {shown(degree)} exceeds the cap {MAX_DEGREE}")
     if degree < 1:
-        raise EmptyBattery(f"degree {degree} must be at least 1, or clause 1 tests nothing")
+        raise EmptyBattery(f"degree {shown(degree)} must be at least 1, or clause 1 tests nothing")
     if as_fraction(tolerance) < 0:
-        raise ValueError(f"tolerance {tolerance} is negative")
+        raise ValueError(f"tolerance {shown(tolerance)} is negative")
     if isinstance(candidate, StoppingMeasure):
         candidate = CandidateLaw.from_measure(tree, candidate)
     report = MembershipReport(mode=mode, degree=degree)

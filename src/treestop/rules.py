@@ -32,7 +32,7 @@ from typing import Dict, Optional, Tuple
 from .errors import EquivalenceViolation, NodeNotInTree, RuleShapeMismatch
 from .lattice import Shape, TreeInstance, Word
 from .measures import StoppingMeasure
-from .xreal import as_fraction
+from .xreal import as_fraction, echo, shown
 
 _BLOCK = 1024  # stop nodes summed per batch in monte_carlo_value
 
@@ -54,7 +54,7 @@ class RandomizedStoppingRule:
             raise RuleShapeMismatch(f"the rule has {len(self.q)} q for {len(shape.probs)} rows")
         for i, q in enumerate(self.q):
             if not 0 <= q <= 1:
-                raise RuleShapeMismatch(f"q{shape.word(i)} = {q} outside [0, 1]")
+                raise RuleShapeMismatch(f"q{shape.word(i)} = {shown(q)} outside [0, 1]")
             if i >= n_inner and q != 1:
                 raise RuleShapeMismatch(f"q{shape.word(i)} must be 1 at the horizon")
 
@@ -80,7 +80,7 @@ def rule_from_map(tree: TreeInstance, q_map: Dict[Word, object]) -> RandomizedSt
     shape = tree._shape()
     for word in q_map:
         if shape.row(word) is None:
-            raise NodeNotInTree(f"rule probability on {word}, which is not a node")
+            raise NodeNotInTree(f"rule probability on {echo.repr(word)}, which is not a node")
     for word in islice(tree.nodes(), len(shape.first) - 1):
         if word not in q_map:
             raise RuleShapeMismatch(f"rule is missing interior node {word}")

@@ -18,8 +18,36 @@ MAX_CONSTANT_BITS = 14_000  # printable in 4300 digits, so (10 ** 64) ** 64 load
 _MAX_POWER = int(MAX_CONSTANT_BITS * log10(2))  # the largest e with 10 ** e within the cap
 _EXPONENT = re.compile(r"E[-+]?[0_]*([\d_]*)\Z", re.IGNORECASE)  # its digits, no leading 0
 
-echo = reprlib.Repr()  # echo.repr(x): an input's repr, cut in the middle to maxstring
-echo.maxstring = 160  # characters of an input's text that an error message repeats
+
+class _Echo(reprlib.Repr):
+    """What an error repeats of an input: reprlib's repr, which bounds
+    containers and nesting, then made ASCII and cut as a whole by ``cut``."""
+
+    def repr(self, x) -> str:
+        return self.cut(super().repr(x))
+
+    def cut(self, text: str) -> str:  # as ascii() escapes, then to maxstring bytes
+        text = text.encode("ascii", "backslashreplace").decode()
+        i = (self.maxstring - 3) // 2
+        return (text if len(text) <= self.maxstring else
+                f"{text[:i]}...{text[i + 3 - self.maxstring:]}")
+
+
+echo = _Echo()
+echo.maxstring = 90  # two echoes and a message's own text stay under 300 bytes
+
+
+def bits(v: tuple) -> int:
+    """The bits of a (num, den) pair's numerator or denominator, whichever has more."""
+    return max(v[0].bit_length(), v[1].bit_length())
+
+
+def shown(x) -> str:
+    """A rational (or an ``Ext`` or a literal) as an error repeats it: as given,
+    or as ``of N bits`` when its numerator or denominator has more than 128."""
+    v = Ext.parse(x)
+    n = bits(v.finite.as_integer_ratio()) if v.is_finite else 0
+    return str(x) if n <= 128 else f"of {n} bits"
 
 
 def as_fraction(x) -> Fraction:
@@ -52,9 +80,10 @@ def as_fraction(x) -> Fraction:
             f = Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"rational literal {echo.repr(x)} has a zero denominator") from None
-        except ValueError as exc:  # Fraction's own message repeats x whole
-            raise ValueError(str(exc).replace(repr(x), echo.repr(x))) from None
-        if max(f.numerator.bit_length(), f.denominator.bit_length()) > MAX_CONSTANT_BITS:
+        except ValueError as exc:  # Fraction's message has x whole; int's digit limit, no x
+            raise ValueError(str(exc).replace(repr(x), echo.repr(x)) if repr(x) in str(exc)
+                             else f"rational literal {echo.repr(x)}: {exc}") from None
+        if bits(f.as_integer_ratio()) > MAX_CONSTANT_BITS:
             raise ValueError(f"rational literal {echo.repr(x)} has a numerator or "
                              f"denominator above the cap of {MAX_CONSTANT_BITS} bits")
         return f

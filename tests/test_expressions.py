@@ -258,6 +258,18 @@ def test_a_refusal_echoes_a_long_expression_cut_to_a_bounded_length(head, messag
     assert "..." in str(exc.value) and len(str(exc.value)) < 300
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("y" * 99_000, "unknown name 'yyy"),
+    ("'" + "s" * 99_000 + "'", "non-numeric literal 'sss"),
+], ids=["name", "string"])
+def test_a_refusal_echoes_a_long_token_cut_like_the_expression(spec, message):
+    # the expression was cut but the name or string that it is followed
+    # whole: messages of 99,237 and 99,204 characters
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
+        parse_function(spec, "instance field 'diffusion'")
+    assert str(exc.value).count("...") == 2 and len(str(exc.value)) < 300
+
+
 DEEP = {  # a RecursionError from the parser or the compiler, unless noted
     "unary-10000": "-" * 10_000 + "1",  # a MemoryError from the parser on Python 3.11
     "unary-1000": "-" * 1000 + "1",
@@ -282,11 +294,14 @@ def _nested(depth, call):
 
 def test_a_kernel_called_too_deep_in_the_stack_is_undefined_at_that_node():
     # compiled near the top of the stack, 600 calls deep, and called near
-    # its limit: the node's value is undefined, not a RecursionError
-    fn, _ = parse_function("-" * 600 + "x_current")
+    # its limit: the node's value is undefined, not a RecursionError; the
+    # 609-character expression is echoed cut in the middle
+    spec = "-" * 600 + "x_current"
+    fn, _ = parse_function(spec)
     assert fn.kernel(0, 1, 2, 1, 2, 1) == (2, 1)
-    with pytest.raises(ExpressionUndefined, match=r"^'-+x_current' nests too deeply to "
-                                                 r"evaluate at t = 0, state 2$"):
+    assert echo.repr(spec) == "'" + "-" * 42 + "..." + "-" * 34 + "x_current'"
+    with pytest.raises(ExpressionUndefined, match=rf"^{re.escape(echo.repr(spec))} nests too "
+                                                 r"deeply to evaluate at t = 0, state 2$"):
         _nested(sys.getrecursionlimit() - 300, lambda: fn.kernel(0, 1, 2, 1, 2, 1))
 
 

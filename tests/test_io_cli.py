@@ -534,6 +534,49 @@ LOAD_REFUSALS = {
 }
 
 
+BIG = "9" * 4000  # a 13,288-bit integer, whose digits an error line once repeated
+_VECTOR_DEPTH_0 = dict(depth=0, branching=[])  # a vector state needs depth 0
+# long inputs that an error line once repeated whole, from 4 KB to 320 KB: per
+# case the command, its instance's fields over RW2_DOC and its other
+# arguments, where a (name, content) pair is a side file and text is written raw
+LONG_INPUTS = {
+    "spec-long-undefined-at-a-node": ("solve", dict(pi="1/(x_current - 1)" + " " * 99_000 + "+ 1"),
+                                      []),
+    "rule-key-long-word": ("mc", {}, ["--paths", "10", "--rule", (
+        "rule.json", {"": "0", "+" * 99_000: "1", "-": "1"})]),
+    "measure-key-long-word": ("check-class", {}, ["--measure", (
+        "measure.json", {"": {"u": "1"}, "+" * 99_000: {"s": "1/2"}})]),
+    "cut-long-word": ("verify-dpp", {}, ["--tau", ("cut.json", ["+" * 99_000])]),
+    "rule-key-long-unparsable": ("mc", {}, ["--paths", "10", "--rule", (
+        "rule.json", {"": "0", "x" * 99_000: "1"})]),
+    "rule-key-long-repeated": ("mc", {}, ["--paths", "10", "--rule", (
+        "rule.json", '{"%s": "1", "%s": "0"}' % ("k" * 99_000, "k" * 99_000))]),
+    "expression-long-name": ("solve", dict(pi="y" * 99_000), []),
+    # three bytes a character: the echo is made ASCII before it is cut
+    "expression-long-cjk-name": ("solve", dict(diffusion="\u53d8" * 99_000), []),
+    "expression-long-string": ("solve", dict(pi="'" + "s" * 99_000 + "'"), []),
+    "expression-long-unsupported": ("solve", dict(
+        pi="(" + "+".join(["x_current"] * 800) + ") < 1"), []),
+    "expression-long-literal-diffusion": ("solve", dict(diffusion="1" + "0" * 99_990), []),
+    "x0-history-long-vector": ("solve", dict(_VECTOR_DEPTH_0,
+                                             x0_history=[["1", "2"], ["3"] * 20_000]), []),
+    "x0-history-long-strings": ("solve", dict(_VECTOR_DEPTH_0,
+                                              x0_history=[["1", "2"], ["3" * 1000] * 20]), []),
+    "vector-state-long-undefined": ("solve", dict(_VECTOR_DEPTH_0, pi="1/(x_current - 1)",
+                                                  x0_history=[["1"] * 20_000]), []),
+    "dt-nested-lists": ("solve", dict(dt=[["x" * 1000] * 6] * 6), []),
+    "branch-p-long": ("solve", dict(branching=[{"p": "-" + BIG, "w": "1"},
+                                               {"p": "1/2", "w": "-1"}]), []),
+    "rule-q-long": ("mc", {}, ["--paths", "10", "--rule", (
+        "rule.json", {"": BIG, "+": "1", "-": "1"})]),
+    "budget-long": ("dp", {}, ["--budget", "-" + BIG]),
+    "tol-long": ("check-class", {}, ["--tol", "-" + BIG]),
+    "degree-long": ("check-class", {}, ["--degree", BIG]),
+    # int's digit limit refused the value 1, naming no literal
+    "literal-digit-limit-dt": ("solve", dict(dt="0" * 5000 + "1"), []),
+}
+
+
 def _bad_input(tmp_path, case):
     """Command-line arguments for one kind of bad input."""
     def write(text):
@@ -543,9 +586,13 @@ def _bad_input(tmp_path, case):
 
     def side_file(name, obj):
         path = tmp_path / name
-        path.write_text(json.dumps(obj))
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         return str(path)
 
+    if case in LONG_INPUTS:
+        command, fields, rest = LONG_INPUTS[case]
+        return [command, *write(json.dumps(dict(RW2_DOC, **fields)))[1:],
+                *(side_file(*a) if isinstance(a, tuple) else a for a in rest)]
     if case in WRONG_TYPES:
         return write(json.dumps(dict(RW2_DOC, **WRONG_TYPES[case])))
     if case in WRONG_CUTS:
@@ -766,7 +813,8 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "rule-duplicate-node", "rule-repeated-key", "measure-duplicate-node",
               "negative-tol", "depth-huge", "depth-ten-million", "expression-truncated",
               "expression-empty", "expression-unclosed", "expression-long-chain",
-              "expression-deep-unary", "expression-long-literal", "expression-deep-parens")
+              "expression-deep-unary", "expression-long-literal", "expression-deep-parens",
+              *LONG_INPUTS)
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -801,6 +849,27 @@ def test_fmt_rational():
     assert fmt_rational(F(3, 2)) == "3/2"
     assert fmt_rational(F(4)) == "4"
     assert fmt_rational(float("inf")) == "inf"
+    # beyond int's 4300-digit limit on str(), which fmt_rational once hit
+    assert fmt_rational(F(-(10 ** 5000), 3)) == "-1" + "0" * 5000 + "/3"
+
+
+def test_cli_prints_an_exact_value_of_any_number_of_digits(tmp_path, capsys):
+    # every node value is within the bit cap, but the expectation's
+    # denominator, their product, has about 12,000 digits: solve printed its
+    # status, then exited 2 at Python's 4300-digit limit on str(int)
+    n = 10 ** 4000 - 1
+    path = tmp_path / "nines.json"
+    path.write_text(json.dumps(dict(RW2_DOC, pi="1/(x_current - 1)", x0_history=["9" * 4000],
+                                    constraints={"ineq": [], "eq": []})))
+    assert main(["solve", "--instance", str(path), "--out", str(tmp_path / "rec")]) == 0
+    # 1/(x - 1) is convex above 1, so the law stops at the horizon
+    value = F(1, 4 * (n + 1)) + F(1, 2 * (n - 1)) + F(1, 4 * (n - 3))
+    out = capsys.readouterr().out
+    printed = next(line for line in out.splitlines() if line.startswith("value\t"))
+    num, den = printed.split("\t")[1].split(" ")[0].split("/")
+    assert F(int(Decimal(num)), int(Decimal(den))) == value and len(den) > 4300
+    (record,) = (tmp_path / "rec").iterdir()
+    assert json.loads(record.read_text())["outputs"]["value"] == f"{num}/{den}"
 
 
 # -- values beyond the float range ------------------------------------------------

@@ -42,6 +42,12 @@ def test_bad_probabilities_rejected():
         build_tree(dt=1, depth=1, branching=[(Fraction(0), 1), (Fraction(1), -1)], x0=0)
     with pytest.raises(InvalidHorizon):
         build_tree(dt=1, depth=-1, branching=BINOM, x0=0)
+    # a short probability is repeated exactly, a 4000-digit one by its bit count
+    with pytest.raises(InvalidBranching, match=r"^branch probability -1/2 is not positive$"):
+        build_tree(dt=1, depth=1, branching=[(-HALF, 1), (Fraction(3, 2), -1)], x0=0)
+    with pytest.raises(InvalidBranching, match=r"^branch probability of 13288 bits is not "
+                                               r"positive$"):
+        build_tree(dt=1, depth=1, branching=[(1 - 10 ** 4000, 1), (10 ** 4000, -1)], x0=0)
 
 
 def test_euler_pure_increment():

@@ -225,6 +225,24 @@ def test_candidate_requires_mass_conservation(rw2):
         CandidateLaw(rw2, s=s, u=u)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({(0, 0): -F(1, 4), (0, 1): F(3, 4)}, r"negative mass at \(0, 0\)"),
+    ({(0,): F(1, 4)}, r"mass is not conserved below \(0,\)"),
+    ({(): HALF}, "total mass must be 1"),
+])
+def test_candidate_by_words_checks_the_masses_it_takes(rw2, change, message):
+    # the check once ran for every law, a measure's too, which its
+    # constructor has already checked; it runs where masses by word enter
+    horizon = _stop_at_horizon(rw2)
+    s, u = dict(horizon.s), dict(horizon.u)
+    for word, mass in change.items():
+        s[word] = mass
+        if word == (0,):
+            u[word] = HALF - mass
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CandidateLaw(rw2, s=s, u=u)
+
+
 def test_candidate_mass_off_the_tree_raises_naming_the_word():
     tree = build_tree(dt=1, depth=2, branching=[(HALF, 1), (HALF, -1)], x0=0)
     with pytest.raises(NodeNotInTree, match=re.escape("(7,)")):

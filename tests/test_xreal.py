@@ -98,6 +98,15 @@ def test_as_fraction_caps_a_literals_bits_once_it_is_built():
     assert as_fraction("1e+0") == as_fraction("1.e-00") == 1
 
 
+def test_as_fraction_names_a_literal_past_ints_digit_limit():
+    # "0" * 5000 + "1", the value 1, reached int's digit limit, whose message
+    # names no literal
+    with pytest.raises(ValueError, match=r"^rational literal '0+\.\.\.0+1': Exceeds the "
+                                         r"limit \(4300 digits\)") as exc:
+        as_fraction("0" * 5000 + "1")
+    assert len(str(exc.value)) < 300
+
+
 def test_as_fraction_cuts_a_long_invalid_literal_in_fractions_message():
     with pytest.raises(ValueError) as exc:
         as_fraction("a" * 99_000)
