@@ -29,7 +29,7 @@ from .io import (decimal_value, dump_measure, fmt_rational, fmt_value, instance_
 from .lp import measure_to_rule, solve_robust, solve_weak
 from .martingale import CandidateLaw, check_membership
 from .rules import derandomize, equivalence_check, monte_carlo_value
-from .xreal import as_fraction
+from .xreal import as_fraction, shown
 
 MAX_GRID = 10_000  # dp --grid points: about 0.35 s of queries and printing at 8 x 3
 
@@ -119,7 +119,7 @@ def _cmd_solve(args):
 def _cmd_dp(args):
     if args.grid is not None and not 0 <= args.grid <= MAX_GRID:
         raise ValueError(f"--grid must be a point count from 0 to {MAX_GRID}, "
-                         f"got {args.grid}")
+                         f"got {shown(args.grid)}")
     tree = load_instance(args.instance)
     env = root_envelope(tree)
     value = env.value(args.budget)

@@ -59,8 +59,7 @@ def _read_cut(tree: TreeInstance, tau: TauSpec):
     shape = tree._shape()
     owner = [-1] * len(shape.probs)
     if isinstance(tau, int):
-        if not 1 <= tau <= tree.depth:
-            raise ValueError(f"cut depth must be in [1, {tree.depth}], got {tau}")
+        tree.check_depth(tau, 1, "cut depth")
         rows = range(shape.starts[tau], shape.starts[tau + 1])
         cut = tuple(map(shape.word, rows))
         owner[rows.start:rows.stop] = range(len(rows))

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import ShapeTooLarge
 from .io import fmt_rational, load_instance
+from .xreal import shown
 
 DEPTH_CAP = 8
 BRANCH_CAP = 4
@@ -35,14 +36,14 @@ def generate_instance(seed: int, depth: int = 2, branches: int = 2,
                       nonneg_g: bool = False, vacuous_rate: float = 0.0) -> dict:
     """A random instance description, deterministic in the seed."""
     if depth > DEPTH_CAP:
-        raise ShapeTooLarge(f"depth {depth} exceeds the cap {DEPTH_CAP}")
+        raise ShapeTooLarge(f"depth {shown(depth)} exceeds the cap {DEPTH_CAP}")
     if branches > BRANCH_CAP:
-        raise ShapeTooLarge(f"{branches} branches exceed the cap {BRANCH_CAP}")
+        raise ShapeTooLarge(f"{shown(branches)} branches exceed the cap {BRANCH_CAP}")
     if depth < 0 or branches < 2:
         raise ValueError("need depth >= 0 and at least 2 branches")
     if not (0 <= n_ineq <= CONSTRAINT_CAP and 0 <= n_eq <= CONSTRAINT_CAP):
         raise ValueError(f"need 0 to {CONSTRAINT_CAP} inequalities and 0 to {CONSTRAINT_CAP} equalities, "
-                         f"got {n_ineq} and {n_eq}")
+                         f"got {shown(n_ineq)} and {shown(n_eq)}")
     rng = random.Random(seed)
 
     weights = [rng.randint(1, 4) for _ in range(branches)]

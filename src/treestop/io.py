@@ -542,6 +542,8 @@ def _read_obj(source: Union[str, dict], kind=dict):
             raw = json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:
             raise ValueError(f"{source} is not valid JSON: {exc}") from None
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise ValueError(f"{source} is not valid JSON: it nests too deeply") from None
     return _kind(raw, kind, str(source))
 
 

@@ -364,7 +364,7 @@ class TreeInstance:
                  drift=0, diffusion=1, reward=0, terminal=0,
                  inequalities=(), equalities=(), source=None):
         if depth < 0:
-            raise InvalidHorizon(f"depth must be >= 0, got {depth}")
+            raise InvalidHorizon(f"depth must be >= 0, got {shown(depth)}")
         if history is None:
             if x0 is None:
                 raise ValueError("give x0 or history")
@@ -464,6 +464,12 @@ class TreeInstance:
             raise NodeNotInTree(f"word {echo.repr(word)}: branch {echo.repr(j)} out of range "
                                 f"at step {k}")
         return i
+
+    def check_depth(self, k: int, least: int, what: str) -> None:
+        """Raise, naming k as ``what`` (a long k shows as its bit count),
+        unless k is a depth from ``least`` to the horizon."""
+        if not least <= k <= self.depth:
+            raise ValueError(f"{what} must be in [{least}, {self.depth}], got {shown(k)}")
 
     def nodes(self):
         """All increment words, shallowest first."""

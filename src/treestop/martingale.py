@@ -38,8 +38,11 @@ mass (``_Sweep``).  Under a cylinder weight, the weighted open and stopped
 masses at each depth depend on neither the test polynomial nor the time
 window, so one sweep per weight records each level's contribution for
 every polynomial, and the statistic of a window s < r sums the levels
-s .. r-1.  Nodes whose unit contributions vanish are skipped; under a
-genuine law in exact mode that is every node.
+s .. r-1.  In exact mode a node whose pre-stop shares (where it
+continues) and post-stop branching are the model's, and none of whose
+children claims its own state, has zero unit contributions by
+construction.  Nodes whose unit contributions vanish so are never
+evaluated; under a genuine law in exact mode that is every node.
 """
 
 from __future__ import annotations
@@ -388,6 +391,13 @@ class _Sweep:
     depend on neither phi nor the time window, so statistic(s, r) sums
     levels s .. r-1.  All-zero unit rows are stored as None and skipped,
     and the sweep stops below the last level holding a nonzero row.
+
+    The zero-row rule: in exact mode comp(w) = sum_j p_j * phi(c_j) - phi(w)
+    with the model's branch probabilities p, which sum to exactly 1, so a
+    and b are 0 for every phi when reach = p (or u = 0), post = p and no
+    child of w has a state override.  Such a row stores (opens, stops,
+    reach, None, None) without evaluating anything; phi is evaluated lazily,
+    once per row, only at the other rows and their children.
     """
 
     def __init__(self, cand: CandidateLaw, mode: str, phis: Sequence[Polynomial]):
@@ -400,16 +410,29 @@ class _Sweep:
         # per inner row, (open shares, stopped shares, their sums, a, b)
         self.table: List[tuple] = []
         self.live = 0
-        vals = [[phi.eval(pt) for phi in phis] for pt in cand.points]
-        for row, here in enumerate(vals[:len(shape.first) - 1]):
+        vals: List[Optional[List[Fraction]]] = [None] * len(cand.points)
+
+        def at(i: int) -> List[Fraction]:  # every phi at row i's claimed point, once
+            if vals[i] is None:
+                vals[i] = [phi.eval(cand.points[i]) for phi in phis]
+            return vals[i]
+
+        models = [[p for p, _ in level] for level in cand.tree.branching]
+        plain = [mode == "exact" and post == model
+                 for post, model in zip(cand.post_stop, models)]
+        moved = {shape.parent[c] for c in cand.state_overrides if c}
+        for row in range(len(shape.first) - 1):
             kids = range(shape.first[row], shape.first[row + 1])
-            kid_vals = vals[kids.start:kids.stop]
-            comps = _compensators(cand, row, mode, phis, here, kid_vals)
             u, k = cand.conts[row], shape.depth(row)
             opens = [cand.conts[c] / u if u else zero for c in kids]
             stops = [cand.stops[c] / u if u else zero for c in kids]
-            rises = [[v - h for v, h in zip(kv, here)] for kv in kid_vals]
             reach = [o + st for o, st in zip(opens, stops)]
+            if plain[k] and (not u or reach == models[k]) and row not in moved:
+                self.table.append((opens, stops, reach, None, None))
+                continue
+            here, kid_vals = at(row), [at(c) for c in kids]
+            comps = _compensators(cand, row, mode, phis, here, kid_vals)
+            rises = [[v - h for v, h in zip(kv, here)] for kv in kid_vals]
             a = _nonzero([sum((q * rise[i] for q, rise in zip(reach, rises)),
                               zero) - c for i, c in enumerate(comps)]) if u else None
             b = _nonzero([sum((p * rise[i] for p, rise in zip(cand.post_stop[k], rises)),

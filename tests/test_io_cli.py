@@ -535,6 +535,9 @@ LOAD_REFUSALS = {
 
 
 BIG = "9" * 4000  # a 13,288-bit integer, whose digits an error line once repeated
+# nested past the decoder's recursion limit on every supported Python; 995
+# levels are enough under 3.11 with a shallow stack
+DEEP_LISTS = "[" * 100_000 + "]" * 100_000
 _VECTOR_DEPTH_0 = dict(depth=0, branching=[])  # a vector state needs depth 0
 # long inputs that an error line once repeated whole, from 4 KB to 320 KB: per
 # case the command, its instance's fields over RW2_DOC and its other
@@ -574,7 +577,12 @@ LONG_INPUTS = {
     "degree-long": ("check-class", {}, ["--degree", BIG]),
     # int's digit limit refused the value 1, naming no literal
     "literal-digit-limit-dt": ("solve", dict(dt="0" * 5000 + "1"), []),
+    # integer arguments and an integer field, each once repeated whole
+    "tau-long": ("verify-dpp", {}, ["--tau", BIG]),
+    "grid-long": ("dp", {}, ["--budget", "1", "--grid", BIG]),
+    "depth-long-negative": ("solve", dict(depth=-int(BIG)), []),
 }
+GEN_LONG = ("gen-long-depth", "gen-long-branches", "gen-long-ineq", "gen-long-eq")
 
 
 def _bad_input(tmp_path, case):
@@ -652,6 +660,12 @@ def _bad_input(tmp_path, case):
                                      branching=[{"p": "1/2", "w": "1/3"},
                                                 {"p": "1/2", "w": "-1/3"}])))
 
+    if case in GEN_LONG:  # gen's integer arguments were repeated whole
+        return ["gen", "--" + case[len("gen-long-"):], BIG,
+                "--out-file", str(tmp_path / "gen.json")]
+    # json's decoder recurses once per level: a RecursionError traceback, exit 1
+    if case == "deep-json":
+        return write(json.dumps(dict(RW2_DOC, dt="@")).replace('"@"', DEEP_LISTS))
     # a negative count gave no constraint and exit 0; the cost grows with the count
     if case == "gen-negative-count":
         return ["gen", "--ineq", "-1", "--out-file", str(tmp_path / "gen.json")]
@@ -814,7 +828,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "negative-tol", "depth-huge", "depth-ten-million", "expression-truncated",
               "expression-empty", "expression-unclosed", "expression-long-chain",
               "expression-deep-unary", "expression-long-literal", "expression-deep-parens",
-              *LONG_INPUTS)
+              *LONG_INPUTS, *GEN_LONG, "deep-json")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -832,6 +846,27 @@ def test_cli_load_time_refusal_names_the_field_and_the_expression(tmp_path, caps
     spec, message = LOAD_REFUSALS[case]
     assert main(_bad_input(tmp_path, case)) == 2
     assert capsys.readouterr().err == f"error: instance field 'pi' {spec!r}: {message}\n"
+
+
+def test_json_nested_past_the_decoders_recursion_limit_is_one_error_line(tmp_path, capsys):
+    args = _bad_input(tmp_path, "deep-json")
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {args[-1]} is not valid JSON: it nests too deeply\n"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("tau-long", "cut depth must be in [1, 2], got of 13288 bits"),
+    ("grid-long", f"--grid must be a point count from 0 to {cli.MAX_GRID}, got of 13288 bits"),
+    ("depth-long-negative", "depth must be >= 0, got of 13288 bits"),
+    ("gen-long-depth", "depth of 13288 bits exceeds the cap 8"),
+    ("gen-long-branches", "of 13288 bits branches exceed the cap 4"),
+    ("gen-long-ineq", "need 0 to 8 inequalities and 0 to 8 equalities, got of 13288 bits and 0"),
+    ("gen-long-eq", "need 0 to 8 inequalities and 0 to 8 equalities, got 1 and of 13288 bits"),
+])
+def test_a_long_integer_argument_shows_as_its_bit_count(tmp_path, capsys, case, message):
+    assert main(_bad_input(tmp_path, case)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "gen.json").exists()
 
 
 def test_cli_bad_input_exits_2_without_traceback(tmp_path):

@@ -5,7 +5,10 @@ per cylinder weight.  ``oracles.oracle_check_membership`` runs a full
 forward sweep per statistic.  Every report must be equal: the clause-1
 list in order, labels, exact values and pass flags, and the verdicts.  A
 measure's law read off its rows (``CandidateLaw.from_measure``) must equal
-the law built from its absolute-mass dicts, reports included.
+the law built from its absolute-mass dicts, reports included.  In exact
+mode a row whose shares and post-stop branching are the model's, with no
+child claiming its own state, is zero by construction: no polynomial is
+evaluated there, so a genuine law costs none.
 """
 
 import math
@@ -14,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from treestop import (CandidateLaw, build_tree, candidate_with_branch_bias,
+from treestop import (CandidateLaw, Polynomial, build_tree, candidate_with_branch_bias,
                       candidate_with_state_shift, check_membership,
                       generator_gap_decay, load_instance, rule_from_map, rule_to_measure,
                       solve_weak, statistic)
@@ -39,6 +42,17 @@ def assert_same_reports(tree, cand, **kwargs):
     assert got.clause1 == want.clause1
     assert got == want
     return got
+
+
+def counting_evals(monkeypatch) -> list:
+    """From now on, the point of every ``Polynomial.eval`` call, in order."""
+    calls, real = [], Polynomial.eval
+
+    def counted(self, point):
+        calls.append(tuple(point))
+        return real(self, point)
+    monkeypatch.setattr(Polynomial, "eval", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +95,15 @@ def test_acceptance_pool_matches_oracle(pool_measures, kwargs):
         assert_same_reports(tree, measure, **kwargs)
 
 
+def test_a_genuine_law_evaluates_no_polynomial_in_exact_mode(pool_measures, monkeypatch):
+    # the tests above and below hold these reports equal to the oracle's
+    calls = counting_evals(monkeypatch)
+    for tree, measure in pool_measures:
+        for degree in (1, 2, 3):
+            assert check_membership(tree, measure, degree=degree).ok
+    assert calls == []
+
+
 def test_acceptance_pool_matches_oracle_at_degree_3(pool_measures):
     # the first ten instances hold every shape and every (depth, branches)
     # pair of the pool; the oracle takes half a second per instance here
@@ -109,6 +132,50 @@ def test_claimed_points_and_battery_match_word_references(pool_measures):
         assert cand.points == [oracle_xi(cand, w) for w in tree.nodes()]
         for s in range(tree.depth):
             assert weight_battery(tree, cand, s) == oracle_weight_battery(tree, cand, s, 16)
+
+
+def test_only_the_moment_preserving_root_is_evaluated(monkeypatch):
+    # the root's branch law is corrupted, and each row below it branches as
+    # the model: phi is evaluated at the root and its four children, once each
+    tree, cand = moment_preserving_candidate()
+    calls = counting_evals(monkeypatch)
+    rep = check_membership(tree, cand, degree=2)
+    n_phis = len(monomial_basis(tree.d, tree.l, 2))
+    assert set(calls) == set(cand.points[:5])
+    assert len(calls) == 5 * n_phis
+    assert rep.clause1_pass and all(r["stat"] == 0 for r in rep.clause1)
+    assert not rep.direct_pass
+    assert rep == oracle_check_membership(tree, cand, degree=2)
+
+
+def test_post_stop_only_corruption_matches_oracle(monkeypatch):
+    # pre-stop shares are the model's everywhere; only the post-stop
+    # branching of levels 0 and 1 is off, so phi is evaluated at the rows of
+    # depths 0 to 2, once each
+    tree = make_rw(depth=3)
+    interior = [w for w in tree.nodes() if len(w) < tree.depth]
+    measure = rule_to_measure(tree, rule_from_map(tree, {w: HALF for w in interior}))
+    post = [[F(5, 8), F(3, 8)], [F(3, 8), F(5, 8)], [HALF, HALF]]
+    cand = CandidateLaw(tree, measure.s, measure.u, post_stop_branching=post)
+    calls = counting_evals(monkeypatch)
+    rep = check_membership(tree, cand, degree=2)
+    assert set(calls) == set(cand.points[:7])
+    assert len(calls) == 7 * len(monomial_basis(tree.d, tree.l, 2))
+    assert not rep.clause1_pass and not rep.direct_pass
+    assert rep.direct_detail["check"] == "post_stop"
+    for degree in (1, 2):
+        for mode in ("exact", "generator"):
+            assert_same_reports(tree, cand, degree=degree, mode=mode)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**TREES)
+def test_random_rule_laws_match_oracle_on_drawn_trees(seed, depth, branches, n_ineq, n_eq):
+    tree = load_instance(generate_instance(seed=seed, depth=depth, branches=branches,
+                                           n_ineq=n_ineq, n_eq=n_eq))
+    measure = rule_to_measure(tree, _random_rule(tree, seed))
+    for mode in ("exact", "generator"):
+        assert_same_reports(tree, measure, mode=mode)
 
 
 def _stop_biased_candidate():
