@@ -29,9 +29,26 @@ from .io import (decimal_value, dump_measure, fmt_rational, fmt_value, instance_
 from .lp import measure_to_rule, solve_robust, solve_weak
 from .martingale import CandidateLaw, check_membership
 from .rules import derandomize, equivalence_check, monte_carlo_value
-from .xreal import as_fraction, shown
+from .xreal import as_fraction, echo, shown
 
 MAX_GRID = 10_000  # dp --grid points: about 0.35 s of queries and printing at 8 x 3
+
+
+class _BadArgument(TreestopError):
+    """A command-line argument its option's type refuses.  Not a ValueError,
+    so that argparse, which repeats such an argument whole above its usage
+    block, lets it through to ``main``'s one ``error:`` line."""
+
+
+def _integer(option: str):
+    """The argparse type of an integer ``option``: int's reading of the
+    argument, or a refusal that shows it as ``echo`` repeats input."""
+    def parse(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # int's digit limit included
+            raise _BadArgument(f"{option} must be an integer, got {echo.repr(text)}") from None
+    return parse
 
 
 def _write_record(out, name: str, tree, parameters: dict, outputs: dict,
@@ -323,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treestop",
         description="exact constrained optimal stopping on finite increment trees")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_integer("--seed"), default=0)
     parser.add_argument("--out", help="directory for experiment records")
     parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # top-level value unless the subcommand position overrides it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=_integer("--seed"), default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("tsv", "json"),
                         default=argparse.SUPPRESS)
@@ -346,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dp", help="scalar-budget backward induction")
     p.add_argument("--instance", required=True)
     p.add_argument("--budget", required=True)
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=_integer("--grid"))
     p.set_defaults(fn=_cmd_dp)
 
     p = sub.add_parser("derandomize", help="hitting-time stop depths at a threshold")
@@ -358,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo evaluation of a rule")
     p.add_argument("--instance", required=True)
     p.add_argument("--rule", required=True)
-    p.add_argument("--paths", type=int, required=True)
+    p.add_argument("--paths", type=_integer("--paths"), required=True)
     p.set_defaults(fn=_cmd_mc)
 
     p = sub.add_parser("verify-dpp", help="two-sided value recursion check")
@@ -370,16 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-class", help="martingale-problem membership tests")
     p.add_argument("--instance", required=True)
     p.add_argument("--measure")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_integer("--degree"), default=2)
     p.add_argument("--mode", choices=("exact", "generator"), default="exact")
     p.add_argument("--tol", default="1")
     p.set_defaults(fn=_cmd_check_class)
 
     p = sub.add_parser("gen", help="generate a random instance file")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--branches", type=int, default=2)
-    p.add_argument("--ineq", type=int, default=1)
-    p.add_argument("--eq", type=int, default=0)
+    p.add_argument("--depth", type=_integer("--depth"), default=2)
+    p.add_argument("--branches", type=_integer("--branches"), default=2)
+    p.add_argument("--ineq", type=_integer("--ineq"), default=1)
+    p.add_argument("--eq", type=_integer("--eq"), default=0)
     p.add_argument("--nonneg-g", action="store_true")
     p.add_argument("--vacuous-rate", type=float, default=0.0)
     p.add_argument("--out-file", required=True)
@@ -394,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # records name the arguments parsed here, which are the process's own
-    # only when none are passed in
-    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        args = build_parser().parse_args(argv)
+        # records name the arguments parsed here, which are the process's own
+        # only when none are passed in
+        args.argv = list(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except (TreestopError, ValueError, OSError) as exc:
         # bad input of any kind (unreadable or malformed files included)

@@ -11,14 +11,16 @@ weights lam_t of the pure stopping times t found so far,
                 sum_t lam_t E[H_j(t)]  = z_j,
                 sum_t lam_t = 1,   lam >= 0,
 
-runs on ``simplex.solve_lp``; V is the stop payoff (accrued reward plus
-terminal payoff) and G_i, H_j the accruals at the stopping node.  Columns
-are priced by one Snell pass over the tree's node table
-(``TreeInstance._node_table``): at weights w on (V, G, H) the payoff
-sum_c w_c P(v) X_c(v) and its envelope S(v) = max(payoff(v), sum of S over
-the children) are ints in path-probability units over one common scale, so
-a pass does no Fraction arithmetic.  Its stopping time stops where the
-payoff attains S (ties stop).
+is one ``simplex.Tableau``, kept for the whole solve: each priced column
+enters it at the last basis, and the next solve resumes from there.  V is
+the stop payoff (accrued reward plus terminal payoff) and G_i, H_j the
+accruals at the stopping node.  Columns are priced by one Snell pass over
+the tree's node table (``TreeInstance._node_table``): at weights w on
+(V, G, H) the payoff sum_c w_c P(v) X_c(v) and its envelope
+S(v) = max(payoff(v), sum of S over the children) are ints in
+path-probability units over one common scale, so a pass does no Fraction
+arithmetic.  Its stopping time stops where the payoff attains S (ties
+stop).
 
 - While the restricted master is infeasible, its Farkas vector y prices: a
   pure stopping time with y . (E G, E H, 1) > 0 enters.  When none does, y
@@ -219,6 +221,8 @@ def _solve(tree: TreeInstance, budgets: BudgetVector) -> SolveResult:
         return out
 
     columns: List[Tuple[Fraction, ...]] = []
+    master = simplex.Tableau([], [[] for _ in range(len(rows) + 1)],  # + the convexity row
+                             senses + ["="], rhs + [1])
     pay, env, _ = _snell(table, spread(1, ()))  # the unconstrained optimum
     while True:
         stops = _stopping_time(table, pay, env)
@@ -229,10 +233,8 @@ def _solve(tree: TreeInstance, budgets: BudgetVector) -> SolveResult:
                 f"pricing returned a column already in the master: {len(columns)} "
                 f"columns, stopping at {[table.shape.word(i) for i in stops]}")
         columns.append(column)
-        res = simplex.solve_lp([c[0] for c in columns],
-                               [[c[r] for c in columns] for r in rows]
-                               + [[1] * len(columns)],  # the convexity row
-                               senses + ["="], rhs + [1])
+        master.enter(column[0], [column[r] for r in rows] + [1])
+        res = master.solve()
         if res.status == simplex.INFEASIBLE:
             y = res.certificate
             weights = spread(0, y)
@@ -252,7 +254,7 @@ def _solve(tree: TreeInstance, budgets: BudgetVector) -> SolveResult:
 
     measure = _vertex(table, pay, env, rows, senses, rhs)
     prices = spread(0, duals)
-    value = Ext(res.objective)
+    value = Ext(master.objective())
     check = measure.expectations(tree)["value"]
     if check != value:
         raise InvariantViolation(

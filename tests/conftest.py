@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -100,18 +101,75 @@ def acceptance_corruptions(pool):
 
 
 def solve_weak_recording_lps(monkeypatch, tree, budgets=None):
-    """solve_weak's result and the (args, kwargs) of each LP it solved."""
-    seen = []
-    real = simplex.solve_lp
+    """solve_weak's result and, per ``simplex.Tableau.solve`` it ran, the LP
+    (c, rows, senses, rhs) the tableau held then, with the result it
+    returned; an optimal result carries the tableau's x and objective.
 
-    def record(*args, **kwargs):
-        seen.append((args, kwargs))
-        return real(*args, **kwargs)
+    The master keeps one tableau and solves it once per pricing round, so
+    each of its entries holds every column priced in so far.
+    """
+    seen = []
+    tableau = simplex.Tableau
+    init, enter, solve = tableau.__init__, tableau.enter, tableau.solve
+
+    def record_init(self, c, rows, senses, rhs):
+        init(self, c, rows, senses, rhs)
+        self.held = ([*c], [[*row] for row in rows], senses, rhs)
+
+    def record_enter(self, cost, column):
+        enter(self, cost, column)
+        c, rows, _, _ = self.held
+        c.append(cost)
+        for row, v in zip(rows, column):
+            row.append(v)
+
+    def record_solve(self):
+        res = solve(self)
+        c, rows, senses, rhs = self.held
+        got = dataclasses.replace(res)
+        if res.status == simplex.OPTIMAL:
+            got.x, got.objective = self.x(), self.objective()
+        seen.append((([*c], [[*row] for row in rows], [*senses], [*rhs]), got))
+        return res
 
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "solve_lp", record)
+        patch.setattr(tableau, "__init__", record_init)
+        patch.setattr(tableau, "enter", record_enter)
+        patch.setattr(tableau, "solve", record_solve)
         res = solve_weak(tree, budgets)
     return res, seen
+
+
+def assert_agrees_with_cold(lp, got, want):
+    """Check a kept tableau's solve ``got`` of ``lp`` against a cold solve
+    ``want`` of the same LP.
+
+    A warm basis may be another optimal vertex, so the statuses and
+    objectives must be equal, x must be primal feasible, and the duals
+    dual feasible at that objective.  An infeasible solve's certificate y
+    must be a Farkas witness: y . rhs > 0 and y . col <= 0 for every column
+    of the standard form, slacks included.
+    """
+    c, rows, senses, rhs = lp
+    assert got.status == want.status, (got, want)
+    cols = [[row[j] for row in rows] for j in range(len(c))]
+    if got.status == simplex.OPTIMAL:
+        x, y = got.x, got.duals
+        assert got.objective == want.objective == sum(cj * xj for cj, xj in zip(c, x))
+        assert all(xj >= 0 for xj in x)
+        for row, sense, b in zip(rows, senses, rhs):
+            lhs = sum(a * xj for a, xj in zip(row, x))
+            assert lhs <= b if sense == "<=" else lhs >= b if sense == ">=" else lhs == b
+        assert all(yi >= 0 if sense == "<=" else yi <= 0 if sense == ">=" else True
+                   for yi, sense in zip(y, senses))
+        assert all(sum(yi * a for yi, a in zip(y, col)) >= cj for col, cj in zip(cols, c))
+        assert sum(yi * b for yi, b in zip(y, rhs)) == got.objective
+    elif got.status == simplex.INFEASIBLE:
+        y = got.certificate
+        assert sum(yi * b for yi, b in zip(y, rhs)) > 0
+        assert all(sum(yi * a for yi, a in zip(y, col)) <= 0 for col in cols)
+        assert all(yi <= 0 if sense == "<=" else yi >= 0 if sense == ">=" else True
+                   for yi, sense in zip(y, senses))
 
 
 def assert_separates(tree, budgets, res):

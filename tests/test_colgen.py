@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from treestop import (POS_INF, BudgetVector, build_tree, cumulative_functionals,
                       fractional_nodes, load_instance)
-from treestop import solve_weak
+from treestop import simplex, solve_weak
 from treestop.generate import generate_instance
 from treestop.measures import feasible_for
 
-from conftest import assert_separates, make_rw
+from conftest import assert_agrees_with_cold, assert_separates, make_rw, solve_weak_recording_lps
 from oracles import best_rule_value, node_lp_solve, snell_value, stop_payoff
 
 F = Fraction
@@ -135,3 +135,17 @@ def test_column_generation_matches_the_node_lp(case):
     priced = sum(p * y.fraction() for p, y in zip(pi, budgets.ys) if p) \
         + sum(m * z.fraction() for m, z in zip(mu, budgets.zs))
     assert res.value == snell_value(tree, lagrangian) + priced
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=CASES)
+def test_every_master_round_agrees_with_a_cold_solve_of_its_columns(monkeypatch, case):
+    # the master's tableau is kept, and each priced column enters it; every
+    # round must agree with solve_lp on all the columns priced in so far
+    tree, budgets = case
+    res, seen = solve_weak_recording_lps(monkeypatch, tree, budgets)
+    assert seen
+    for lp, got in seen:
+        assert_agrees_with_cold(lp, got, simplex.solve_lp(*lp))
+    event(f"{len(seen)} simplex solves, {res.status}")

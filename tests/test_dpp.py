@@ -144,13 +144,13 @@ def test_verify_dpp_after_one_solve_runs_no_lp(monkeypatch):
     # every cut reads the tree's stored solve, at the default budgets and
     # at an equal vector passed in
     tree = load_instance(generate_instance(seed=17, depth=3, branches=2, n_ineq=1))
-    real, lps = simplex.solve_lp, []
+    real, lps = simplex.Tableau.solve, []
 
-    def record(*args, **kwargs):
-        lps.append(args)
-        return real(*args, **kwargs)
+    def record(self):
+        lps.append(self)
+        return real(self)
 
-    monkeypatch.setattr(simplex, "solve_lp", record)
+    monkeypatch.setattr(simplex.Tableau, "solve", record)
     base = solve_weak(tree)
     assert lps  # the solve itself runs the master LP
     lps.clear()

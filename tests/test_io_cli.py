@@ -20,6 +20,7 @@ from treestop.cli import main, run_suite
 from treestop.errors import NoInstances, RuleShapeMismatch, ShapeMismatch
 from treestop.generate import CONSTRAINT_CAP, generate_instance
 from treestop.io import decimal_value, fmt_rational, fmt_value, parse_word, word_str
+from treestop.xreal import echo
 
 F = Fraction
 
@@ -583,6 +584,24 @@ LONG_INPUTS = {
     "depth-long-negative": ("solve", dict(depth=-int(BIG)), []),
 }
 GEN_LONG = ("gen-long-depth", "gen-long-branches", "gen-long-ineq", "gen-long-eq")
+# integer arguments argparse repeated whole above its usage block: per case
+# the bad argument and the command line around it, where it stands as "@",
+# with INSTANCE and OUT for an instance file and gen's output file
+NOT_INTEGERS = {
+    "seed-not-an-integer": ("x" * 99_000, ["--seed", "@", "gen", "--out-file", "OUT"]),
+    "seed-after-the-command": ("x" * 99_000, ["gen", "--seed", "@", "--out-file", "OUT"]),
+    "grid-not-an-integer": ("x" * 99_000, ["dp", "--instance", "INSTANCE", "--budget", "1",
+                                           "--grid", "@"]),
+    "paths-not-an-integer": ("x" * 99_000, ["mc", "--instance", "INSTANCE", "--rule",
+                                            "INSTANCE", "--paths", "@"]),
+    "degree-not-an-integer": ("1/2", ["check-class", "--instance", "INSTANCE",
+                                      "--degree", "@"]),
+    # past int's 4300-digit limit, whose own message argparse repeated
+    "depth-past-the-digit-limit": ("9" * 5000, ["gen", "--depth", "@", "--out-file", "OUT"]),
+    "branches-not-an-integer": ("2.0", ["gen", "--branches", "@", "--out-file", "OUT"]),
+    "ineq-not-an-integer": ("\u53d8" * 99_000, ["gen", "--ineq", "@", "--out-file", "OUT"]),
+    "eq-not-an-integer": ("", ["gen", "--eq", "@", "--out-file", "OUT"]),
+}
 
 
 def _bad_input(tmp_path, case):
@@ -660,6 +679,11 @@ def _bad_input(tmp_path, case):
                                      branching=[{"p": "1/2", "w": "1/3"},
                                                 {"p": "1/2", "w": "-1/3"}])))
 
+    if case in NOT_INTEGERS:
+        value, args = NOT_INTEGERS[case]
+        instance = write(json.dumps(RW2_DOC))[-1]
+        return [{"@": value, "INSTANCE": instance, "OUT": str(tmp_path / "gen.json")}.get(a, a)
+                for a in args]
     if case in GEN_LONG:  # gen's integer arguments were repeated whole
         return ["gen", "--" + case[len("gen-long-"):], BIG,
                 "--out-file", str(tmp_path / "gen.json")]
@@ -828,7 +852,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "negative-tol", "depth-huge", "depth-ten-million", "expression-truncated",
               "expression-empty", "expression-unclosed", "expression-long-chain",
               "expression-deep-unary", "expression-long-literal", "expression-deep-parens",
-              *LONG_INPUTS, *GEN_LONG, "deep-json")
+              *LONG_INPUTS, *GEN_LONG, *NOT_INTEGERS, "deep-json")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -866,6 +890,16 @@ def test_json_nested_past_the_decoders_recursion_limit_is_one_error_line(tmp_pat
 def test_a_long_integer_argument_shows_as_its_bit_count(tmp_path, capsys, case, message):
     assert main(_bad_input(tmp_path, case)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "gen.json").exists()
+
+
+@pytest.mark.parametrize("case", NOT_INTEGERS)
+def test_the_parser_refuses_a_bad_integer_argument_in_one_echoed_line(tmp_path, capsys, case):
+    value, args = NOT_INTEGERS[case]
+    option = args[args.index("@") - 1]
+    assert main(_bad_input(tmp_path, case)) == 2
+    assert capsys.readouterr().err == \
+        f"error: {option} must be an integer, got {echo.repr(value)}\n"
     assert not (tmp_path / "gen.json").exists()
 
 

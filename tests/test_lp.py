@@ -219,8 +219,8 @@ def test_depth_zero_infeasibility_has_a_farkas_witness(budgets):
 
 
 def test_unbounded_weak_lp_is_an_invariant_violation(rw2, monkeypatch):
-    monkeypatch.setattr(simplex, "solve_lp",
-                        lambda *args, **kwargs: simplex.LPResult(status=simplex.UNBOUNDED))
+    monkeypatch.setattr(simplex.Tableau, "solve",
+                        lambda self: simplex.LPResult(status=simplex.UNBOUNDED))
     with pytest.raises(InvariantViolation, match="mass polytope"):
         solve_weak(rw2)
 
@@ -254,14 +254,12 @@ def test_master_has_one_row_per_finite_budget_and_a_convexity_row(monkeypatch):
 
 
 def test_objective_bookkeeping_mismatch_is_an_invariant_violation(rw2, monkeypatch):
-    real = simplex.solve_lp
+    real = simplex.Tableau.objective
 
-    def shifted(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.objective += 1
-        return res
+    def shifted(self):
+        return real(self) + 1
 
-    monkeypatch.setattr(simplex, "solve_lp", shifted)
+    monkeypatch.setattr(simplex.Tableau, "objective", shifted)
     with pytest.raises(InvariantViolation, match="disagrees"):
         solve_weak(rw2)
 

@@ -8,7 +8,7 @@ from treestop import BudgetVector, InvariantViolation, load_instance, simplex
 from treestop.generate import generate_instance
 from treestop.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
-from conftest import solve_weak_recording_lps
+from conftest import assert_agrees_with_cold, solve_weak_recording_lps
 from oracles import fraction_simplex
 
 F = Fraction
@@ -199,9 +199,15 @@ def test_matches_fraction_tableau_on_bland_cycling_example():
 
 
 def _assert_weak_lps_match(monkeypatch, tree, budgets):
+    """Each simplex solve of a weak solve, master rounds and crossover
+    alike, on the LP its tableau held: a cold solve is the Fraction
+    tableau's, and the kept tableau's round agrees with it."""
     res, seen = solve_weak_recording_lps(monkeypatch, tree, budgets)
-    for args, kwargs in seen:
-        assert simplex.solve_lp(*args, **kwargs) == fraction_simplex(*args, **kwargs)
+    assert seen
+    for lp, got in seen:
+        want = fraction_simplex(*lp)
+        assert simplex.solve_lp(*lp) == want
+        assert_agrees_with_cold(lp, got, want)
     return res
 
 
@@ -240,6 +246,65 @@ def test_matches_fraction_tableau_on_dense_tree_lp(monkeypatch):
     assert _assert_weak_lps_match(monkeypatch, tree, budgets).optimal
     tight = BudgetVector(ys=tuple(y - 1000 for y in budgets.ys), zs=budgets.zs)
     assert _assert_weak_lps_match(monkeypatch, tree, tight).status == INFEASIBLE
+
+
+# -- the kept tableau: columns entering between solves ---------------------------
+
+def _warm(c, rows, senses, rhs):
+    """A tableau built with no column; each column then enters and is solved.
+    Yields each solve's LP and result, with x and objective read at an optimum."""
+    tableau = simplex.Tableau([], [[] for _ in rows], senses, rhs)
+    for j, cost in enumerate(c):
+        tableau.enter(cost, [row[j] for row in rows])
+        got = tableau.solve()
+        if got.status == OPTIMAL:
+            got.x, got.objective = tableau.x(), tableau.objective()
+        yield (c[:j + 1], [row[:j + 1] for row in rows], senses, rhs), got
+
+
+def test_columns_entering_one_at_a_time_agree_with_cold_solves_on_random_lps():
+    rng = random.Random(3)
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    handovers = 0  # an infeasible solve, then an optimal one
+    for trial in range(600):
+        lp = _random_lp(rng)
+        last = None
+        for sub, got in _warm(*lp):
+            assert_agrees_with_cold(sub, got, solve_lp(*sub))
+            statuses[got.status] += 1
+            handovers += last == INFEASIBLE and got.status == OPTIMAL
+            last = got.status
+    assert min(statuses.values()) >= 50 and handovers >= 20, (statuses, handovers)
+
+
+def test_a_column_touching_a_redundant_row_drives_its_artificial_out():
+    # x1 = 1 and 2 x1 = 2 are one row for the first column, so an artificial
+    # stays basic at 0 in the second.  The column (1, 1) separates them, and
+    # has -1 there: had the artificial stayed basic, x2 would enter at 1 and
+    # lift it to 1, for the value 5 of a point that breaks 2 x1 + x2 = 2.
+    rows, senses, rhs = [[1, 1], [2, 1]], ["=", "="], [1, 2]
+    tableau = simplex.Tableau([1], [[1], [2]], senses, rhs)
+    assert tableau.solve().status == OPTIMAL
+    assert max(tableau.basis) >= tableau.art0  # the redundant row's artificial
+    tableau.enter(5, [1, 1])
+    assert max(tableau.basis) < tableau.art0
+    got = tableau.solve()
+    got.x, got.objective = tableau.x(), tableau.objective()
+    assert got == solve_lp([1, 5], rows, senses, rhs)
+    assert got.objective == 1 and got.x == [1, 0]
+
+
+def test_an_infeasible_tableau_turns_feasible_when_a_column_enters():
+    # x1 = 1 and 3 x1 <= 2 have no solution; x2 with (1, 0) gives one
+    tableau = simplex.Tableau([1], [[1], [3]], ["=", "<="], [1, 2])
+    first = tableau.solve()
+    assert first == solve_lp([1], [[1], [3]], ["=", "<="], [1, 2])
+    assert first.status == INFEASIBLE
+    tableau.enter(2, [1, 0])
+    got = tableau.solve()  # phase one resumes and hands over to phase two
+    got.x, got.objective = tableau.x(), tableau.objective()
+    assert got == solve_lp([1, 2], [[1, 1], [3, 0]], ["=", "<="], [1, 2])
+    assert got.status == OPTIMAL and got.objective == 2 and got.x == [0, 1]
 
 
 def test_unbounded_phase_one_is_an_invariant_violation(monkeypatch):
