@@ -51,6 +51,21 @@ def _integer(option: str):
     return parse
 
 
+def _rate(option: str):
+    """The argparse type of a rate ``option``: the float of a rational in
+    [0, 1], its text read as a rational field's (``as_fraction``), or a
+    refusal that shows it as ``echo`` repeats input."""
+    def parse(text: str) -> float:
+        try:
+            rate = as_fraction(text)
+        except ValueError:
+            rate = None
+        if rate is None or not 0 <= rate <= 1:
+            raise _BadArgument(f"{option} must be a rational in [0, 1], got {echo.repr(text)}")
+        return float(rate)
+    return parse
+
+
 def _write_record(out, name: str, tree, parameters: dict, outputs: dict,
                   seed: int, wall_time_s: float, command: list) -> None:
     """Persist an experiment record as ``<out>/<name>-<hash12>.json``.
@@ -398,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ineq", type=_integer("--ineq"), default=1)
     p.add_argument("--eq", type=_integer("--eq"), default=0)
     p.add_argument("--nonneg-g", action="store_true")
-    p.add_argument("--vacuous-rate", type=float, default=0.0)
+    p.add_argument("--vacuous-rate", type=_rate("--vacuous-rate"), default=0.0)
     p.add_argument("--out-file", required=True)
     p.set_defaults(fn=_cmd_gen)
 

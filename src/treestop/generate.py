@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ShapeTooLarge
 from .io import fmt_rational, load_instance
-from .xreal import shown
+from .xreal import echo, shown
 
 DEPTH_CAP = 8
 BRANCH_CAP = 4
@@ -41,6 +41,8 @@ def generate_instance(seed: int, depth: int = 2, branches: int = 2,
         raise ShapeTooLarge(f"{shown(branches)} branches exceed the cap {BRANCH_CAP}")
     if depth < 0 or branches < 2:
         raise ValueError("need depth >= 0 and at least 2 branches")
+    if not 0 <= vacuous_rate <= 1:  # NaN included
+        raise ValueError(f"vacuous_rate must be in [0, 1], got {echo.repr(vacuous_rate)}")
     if not (0 <= n_ineq <= CONSTRAINT_CAP and 0 <= n_eq <= CONSTRAINT_CAP):
         raise ValueError(f"need 0 to {CONSTRAINT_CAP} inequalities and 0 to {CONSTRAINT_CAP} equalities, "
                          f"got {shown(n_ineq)} and {shown(n_eq)}")

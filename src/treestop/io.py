@@ -318,7 +318,9 @@ def _guarded(fn, spec: str) -> KeyFunction:
     more than ``MAX_CONSTANT_BITS`` bits or a call nested deeper than the
     stack allows is reported as bad input naming spec, t and the state
     (``state``, when given: a vector state, of which the key holds the
-    first coordinate), each as ``xreal.echo`` or ``xreal.shown`` shows it.
+    first coordinate), each as ``xreal.echo`` or ``xreal.shown`` shows it;
+    what went wrong and where are each cut as ``echo`` cuts, so the line
+    stays under 300 bytes.
     The expression caps bound each expression but not its value at a node,
     and the Euler step composes the drift's values level by level, so the
     value is bounded here, where it is evaluated."""
@@ -339,9 +341,9 @@ def _guarded(fn, spec: str) -> KeyFunction:
                 return n, d
             what = f"has a value of {bits((n, d))} bits, above the cap {MAX_CONSTANT_BITS},"
         x = Fraction(xn, xd) if state is None else state
-        x = echo.cut(f"({', '.join(map(shown, x))})") if isinstance(x, tuple) else shown(x)
-        raise ExpressionUndefined(f"{echo.repr(spec)} {what} at t = {shown(Fraction(tn, td))}, "
-                                  f"state {x}")
+        x = f"({', '.join(map(shown, x))})" if isinstance(x, tuple) else shown(x)
+        raise ExpressionUndefined(f"{echo.repr(spec)} {echo.cut(what)} "
+                                  f"{echo.cut(f'at t = {shown(Fraction(tn, td))}, state {x}')}")
     return KeyFunction(kernel)
 
 

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
-from itertools import chain, islice, product, repeat
+from itertools import chain, islice, product, repeat, starmap
 from math import gcd, lcm, prod
 from operator import add, getitem, lt, mul
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -206,20 +206,72 @@ class BudgetVector:
         )
 
 
+class LevelStates:
+    """Per level of a keyed walk, each key's state, as a list: ``read`` makes
+    it from what the walk kept of the level the first time the level is
+    read, and it is cached.  Compares, iterates and slices as the list of
+    the levels' lists."""
+
+    __slots__ = ("_kept", "_read", "_levels")
+    __hash__ = None
+
+    def __init__(self, kept: list, read: Callable):
+        self._kept, self._read, self._levels = kept, read, [None] * len(kept)
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        level = self._levels[k]
+        if level is None:
+            level = self._levels[k] = self._read(self._kept[k])
+        return level
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _state_ints(keys: list) -> tuple:
+    """A Markov level's state numerators and denominators, from its keys'
+    (state num, state den, sup num, sup den)."""
+    nums, dens, _, _ = zip(*keys)
+    return nums, dens
+
+
+def _key_states(ints: tuple) -> list:
+    """A Markov level's states, from its state numerators and denominators."""
+    return list(map(Fraction, *ints))
+
+
+def _path_states(reps: list) -> list:
+    """A path walk's level states: the last entry of each key's state path."""
+    return [prefix[-1] for prefix, in reps]
+
+
 class KeyedWalk(NamedTuple):
     """The keyed levels as ``TreeInstance._keys()`` walks and caches them,
-    root first: per level, each key's state and stop payoff and, at
-    interior levels, its kids (per branch, the child's key index one level
-    down) and accrual step dt * (f, g_i, h_i).  Payoffs and steps are ints
-    over one denominator per column, ``ones[c]``, the least common one; the
-    stop payoffs share column 0's.  No state path is kept: a row's path is
-    its history and the states of the row keys along ``Shape.path``.  On a
-    Markov tree the walk calls the functions' int kernels and folds children
-    by their (state, sup) as reduced int numerators and denominators, and a
-    key's state is a Fraction built once, when the key is first reached: the
-    only Fraction the walk builds, unless an error message needs one."""
+    root first: per level, each key's state (``LevelStates``) and stop payoff
+    and, at interior levels, its kids (per branch, the child's key index one
+    level down) and accrual step dt * (f, g_i, h_i).  Payoffs and steps are
+    ints over one denominator per column, ``ones[c]``, the least common one;
+    the stop payoffs share column 0's.  No state path is kept: a row's path
+    is its history and the states of the row keys along ``Shape.path``.  On
+    a Markov tree the walk calls the functions' int kernels and folds
+    children by their (state, sup) as reduced int numerators and
+    denominators, and keeps each level's state ints: a level's state
+    Fractions are built from them the first time the level's states are
+    read, so the walk itself builds no Fraction, unless an error message
+    needs one."""
 
-    states: list
+    states: LevelStates
     kids: list
     ones: list
     pays: list
@@ -530,32 +582,31 @@ class TreeInstance:
         return (_as_vector(self._drift(t, prefix), self.l),
                 _as_matrix(self._diff(t, prefix), self.l, self.d))
 
-    def _path_step(self, k: int, when: tuple, at: tuple, below: list, index: dict) -> range:
-        """Append to ``below`` the (state, representative) of each child of a
-        depth-k node whose representative is its state path, ``at = (prefix,)``,
-        and return their indices there: every child is a key of its own, so
-        ``index`` is not read, nor ``when``, the time as the functions take it."""
-        prefix, = at
+    def _path_step(self, k: int, args: tuple, below: list, index: dict) -> range:
+        """Append to ``below`` the representative of each child of a depth-k
+        node whose representative is its state path, ``args = (t, prefix)``
+        as the functions take them, and return their indices there: every
+        child is a key of its own, so ``index`` is not read."""
+        _, prefix = args
         start = len(below)
-        below += [(x, (prefix + (x,),))
-                  for x in map(self._unwrap, self._child_states(k, prefix))]
+        below += [(prefix + (x,),) for x in map(self._unwrap, self._child_states(k, prefix))]
         return range(start, len(below))
 
-    def _key_step(self, levels: list, dt: tuple, k: int, when: tuple, at: tuple,
-                  below: list, index: dict) -> list:
+    def _key_step(self, levels: list, dt: tuple, k: int, args: tuple, below: list,
+                  index: dict) -> list:
         """The index in ``below`` of each child of a depth-k Markov key, whose
-        representative ``at`` is its state and sup as reduced ints, (state
-        num, state den, sup num, sup den), appending the keys not yet in
-        ``index``.  The drift b and diffusion sigma come from their kernels
-        at the time's ints ``when`` and ``at``, and the scalar Euler step
-        x + b * dt + sigma * w_j is taken in ints over one denominator and
-        reduced by one gcd; ``index`` keys each child by its representative,
-        the sup being the state when that lies above the old one.  A key's
-        state Fraction is built once, when it is first seen.  ``levels[k]``
-        holds the level's increments w_j as ints over their least common
-        denominator, and it; ``dt`` is (numerator, denominator)."""
-        xn, xd, sup_n, sup_d = at
-        (bn, bd), (sig_n, sig_d) = self._drift.kernel(*when, *at), self._diff.kernel(*when, *at)
+        kernel arguments ``args`` are the time's and its representative's
+        reduced ints, (t num, t den, state num, state den, sup num, sup den),
+        appending the representatives not yet in ``index``.  The drift b and
+        diffusion sigma come from their kernels at ``args``, and the scalar
+        Euler step x + b * dt + sigma * w_j is taken in ints over one
+        denominator and reduced by one gcd; ``index`` keys each child by its
+        representative, its state and sup as ints, the sup being the state
+        when that lies above the old one.  No Fraction is built.
+        ``levels[k]`` holds the level's increments w_j as ints over their
+        least common denominator, and it; ``dt`` is (numerator, denominator)."""
+        _, _, xn, xd, sup_n, sup_d = args
+        (bn, bd), (sig_n, sig_d) = self._drift.kernel(*args), self._diff.kernel(*args)
         (incs, unit), (p, q) = levels[k], dt
         bd *= q
         mn, md = xn * bd + bn * p * xd, xd * bd  # the mean x + b * dt
@@ -570,7 +621,7 @@ class TreeInstance:
             i = index.get(key)
             if i is None:
                 i = index[key] = len(below)
-                below.append((Fraction(n, d), key))
+                below.append(key)
             out.append(i)
         return out
 
@@ -590,11 +641,17 @@ class TreeInstance:
         numerators and denominators: the functions' int kernels
         (``KeyFunction``) are called at the time's and the key's ints and
         return (num, den) pairs, a step costs O(1) int work, and children
-        fold by their key's ints, so no Fraction is hashed (``_key_step``).
-        Otherwise it is the node's state path, every node is its own key, and
-        the functions see the whole path; their values, made finite
-        Fractions (``_finite``), become pairs too, and ``_over_ones`` brings
-        either walk's pairs to ints over one denominator per column.
+        fold by their key's ints, so no Fraction is built or hashed
+        (``_key_step``); the level's state ints are kept, and its state
+        Fractions are built from them on first read (``LevelStates``).
+        Otherwise it is
+        the node's state path, every node is its own key, the functions see
+        the whole path, and the level keeps the paths' last states.  Either
+        way a key's arguments, the time's and its representative's, form one
+        tuple, which every function and the Euler step take.  The functions'
+        values, made finite Fractions (``_finite``) on a path walk, are
+        (num, den) pairs, and ``_over_ones`` brings either walk's pairs to
+        ints over one denominator per column.
         """
         if self._walk is not None:
             return self._walk
@@ -603,37 +660,39 @@ class TreeInstance:
                *(h for h, _ in spec.equalities))
         names = ("terminal payoff", "reward", *(f"g_{i}" for i in range(spec.n_ineq)),
                  *(f"h_{i}" for i in range(spec.n_eq)))
-        # a representative is (its state, the arguments after the time that
-        # the functions take): (state num, state den, sup num, sup den) on a
-        # Markov tree, whose kernels take the time as (num, den), else
-        # (state path,), with the time a Fraction
-        x0 = self._unwrap(self.history[-1])
+        # a representative is the arguments after the time that the functions
+        # take: (state num, state den, sup num, sup den) on a Markov tree,
+        # whose kernels take the time as (num, den), else (state path,), with
+        # the time a Fraction; each level keeps what its states are read from
         if self._markov:
             units = [lcm(*(w.denominator for _, (w,) in level)) for level in self.branching]
             incs = [([w.numerator * (unit // w.denominator) for _, (w,) in level], unit)
                     for level, unit in zip(self.branching, units)]
             dt = (self.dt.numerator, self.dt.denominator)
             fns, step = [fn.kernel for fn in fns], partial(self._key_step, incs, dt)
-            sup = max(x for x, in self.history)
-            reps = [(x0, (x0.numerator, x0.denominator, sup.numerator, sup.denominator))]
+            (x0,), sup = self.history[-1], max(x for x, in self.history)
+            reps = [(x0.numerator, x0.denominator, sup.numerator, sup.denominator)]
+            keep, read = _state_ints, _key_states
         else:
             fns = [partial(_pair, fn, name) for fn, name in zip(fns, names)]
-            step, reps = self._path_step, [(x0, (tuple(map(self._unwrap, self.history)),))]
-        states, kids, pays, rates = [], [], [], []
+            step, reps = self._path_step, [(tuple(map(self._unwrap, self.history)),)]
+            keep, read = _path_states, list
+        kept, kids, pays, rates = [], [], [], []
         for k in range(self.depth + 1):
             t, leaf = self._times[k], k == self.depth
             when = (t.numerator, t.denominator) if self._markov else (t,)
-            here = fns[:1] if leaf else fns
-            level = [[fn(*when, *at) for fn in here] for _, at in reps]
-            states.append([x for x, _ in reps])
+            args = [when + at for at in reps]  # one argument tuple per key
+            kept.append(keep(reps))
+            # key by key, each function in turn
+            level = list(zip(*[starmap(fn, args) for fn in (fns[:1] if leaf else fns)]))
             pays.append([values[0] for values in level])
             if leaf:
                 break
             rates.append([values[1:] for values in level])
             below, index = [], {}
-            kids.append([tuple(step(k, when, at, below, index)) for _, at in reps])
+            kids.append([tuple(step(k, a, below, index)) for a in args])
             reps = below
-        self._walk = KeyedWalk(states, kids, *_over_ones(pays, rates, self.dt, len(fns) - 1))
+        self._walk = KeyedWalk(LevelStates(kept, read), kids, *_over_ones(pays, rates, self.dt, len(fns) - 1))
         return self._walk
 
     def _branch_ints(self):

@@ -226,7 +226,7 @@ def _solve(tree: TreeInstance, budgets: BudgetVector) -> SolveResult:
     pay, env, _ = _snell(table, spread(1, ()))  # the unconstrained optimum
     while True:
         stops = _stopping_time(table, pay, env)
-        column = tuple(Fraction(sum(col[i] for i in stops), den)
+        column = tuple(Fraction(sum(map(col.__getitem__, stops)), den)
                        for col, den in zip(table.cols, table.dens))
         if column in columns:
             raise InvariantViolation(
@@ -270,7 +270,8 @@ def _vertex(table: NodeTable, pay, env, rows, senses, rhs) -> StoppingMeasure:
     Stop-strict nodes stop, continue-strict nodes continue, and each tied
     node t continues the share alpha_t of its path probability, where
     alpha solves an LP over the ties.  A reached node receives the share
-    its nearest tied ancestor continues (1 if there is none).
+    its nearest tied ancestor continues (1 if there is none).  The shares
+    are ints over the alphas' least common denominator.
     """
     shape = table.shape
     first, n_inner = shape.first, len(shape.first) - 1
@@ -295,7 +296,7 @@ def _vertex(table: NodeTable, pay, env, rows, senses, rhs) -> StoppingMeasure:
             anchor[c] = a
             frontier.append(c)
 
-    alpha = {None: Fraction(1)}
+    scale, alpha = 1, {None: 1}  # continued shares, as ints over scale
     if tied:
         lp_rows, lp_rhs = [], [int(anchor[t] is None) for t in tied]
         for j, t in enumerate(tied):  # alpha_t <= alpha of its anchor, or 1
@@ -314,13 +315,14 @@ def _vertex(table: NodeTable, pay, env, rows, senses, rhs) -> StoppingMeasure:
             raise InvariantViolation(
                 f"the optimal face holds the master's mixture, but the crossover "
                 f"LP came back {res.status}")
-        alpha.update(zip(tied, res.x))
-    stops, conts = [Fraction(0)] * len(shape.probs), [Fraction(0)] * len(shape.probs)
+        scale = alpha[None] = lcm(*(a.denominator for a in res.x))
+        alpha.update(zip(tied, (a.numerator * (scale // a.denominator) for a in res.x)))
+    stops, conts = [0] * len(shape.probs), [0] * len(shape.probs)
     for i in frontier:  # a node that is not tied continues iff its children are reached
         arrive = alpha[anchor[i]]
-        conts[i] = alpha.get(i, arrive if i < n_inner and first[i] in anchor else Fraction(0))
+        conts[i] = alpha.get(i, arrive if i < n_inner and first[i] in anchor else 0)
         stops[i] = arrive - conts[i]
-    return StoppingMeasure.from_shares(shape, stops, conts)
+    return StoppingMeasure(shape, tuple(stops), tuple(conts), scale)
 
 
 def measure_to_rule(tree: TreeInstance, measure: StoppingMeasure) -> RandomizedStoppingRule:

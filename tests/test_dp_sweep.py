@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treestop import (BudgetVector, ConcaveEnvelope, ExpressionUndefined,
-                      POS_INF, build_tree, dp, dp_value, euler_state,
-                      load_instance, parse_function, root_envelope, solve_weak)
+from treestop import (BudgetVector, CandidateLaw, ConcaveEnvelope, ExpressionUndefined,
+                      POS_INF, build_tree, check_membership, dp, dp_value, euler_state,
+                      lattice, load_instance, parse_function, root_envelope, solve_weak)
 from treestop.generate import generate_instance
 
 from conftest import count_calls
@@ -421,6 +421,95 @@ def test_the_keyed_walk_hashes_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert calls == [] and len(walk.states) == tree.depth + 1
     assert walk == oracle_keyed_walk(load_instance(HIGH_HISTORY_DOC))
+
+
+# the two dp-envelope benchmark trees and a tree whose sup starts above x0
+ENVELOPE_DOCS = [generate_instance(seed=1, depth=8, branches=3, n_ineq=1, nonneg_g=True),
+                 generate_instance(seed=1, depth=6, branches=4, n_ineq=1, nonneg_g=True),
+                 HIGH_HISTORY_DOC]
+
+
+@pytest.mark.parametrize("doc", ENVELOPE_DOCS, ids=["env-8x3", "env-6x4", "high-history"])
+def test_the_keyed_walk_builds_no_fraction(monkeypatch, doc):
+    tree = load_instance(doc)
+    built = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    walk = tree._keys()
+    monkeypatch.undo()
+    assert built == []
+    assert sum(map(len, walk.pays)) > tree.depth + 1  # some level has two keys or more
+    # read afterwards, the states are the oracle's
+    assert walk == oracle_keyed_walk(load_instance(doc))
+
+
+def _recording_state_reads(monkeypatch) -> list:
+    """Patch the Markov walk's state reader to record the size of each level
+    it builds."""
+    levels, real = [], lattice._key_states
+
+    def recorded(ints):
+        states = real(ints)
+        levels.append(len(states))
+        return states
+
+    monkeypatch.setattr(lattice, "_key_states", recorded)
+    return levels
+
+
+def test_root_envelope_and_generate_instance_build_no_state(monkeypatch):
+    levels = _recording_state_reads(monkeypatch)
+    doc = generate_instance(seed=1, depth=8, branches=3, n_ineq=1, nonneg_g=True)
+    tree = load_instance(doc)
+    root_envelope(tree)
+    dp_value(tree, tree.constraints.inequalities[0][1])
+    assert levels == []
+    # a state read builds the levels on the node's path, once each
+    word = (0,) * tree.depth
+    assert euler_state(tree, word) == oracle_prefix(tree, word)
+    assert levels == [len(keys) for keys in tree._keys().kids] + [len(tree._keys().pays[-1])]
+    euler_state(tree, word)
+    list(tree._keys().states)
+    assert len(levels) == tree.depth + 1
+
+
+@pytest.mark.parametrize("membership_first", [False, True], ids=["euler-first", "membership-first"])
+def test_states_read_on_first_use_equal_the_oracles_in_either_order(membership_first):
+    doc = generate_instance(seed=2, depth=4, branches=3, n_ineq=1, n_eq=1)
+    tree = load_instance(doc)
+    measure = solve_weak(tree, BudgetVector.of(tree.constraints)).measure
+    words = list(tree.nodes())[::-1]  # the deepest nodes first
+
+    def by_euler():
+        return [euler_state(tree, w) for w in words]
+
+    def by_membership():
+        law = CandidateLaw.from_measure(tree, measure)
+        assert check_membership(tree, law).direct_pass
+        return [point[-1] for point in law.points]
+
+    if membership_first:
+        points, paths = by_membership(), by_euler()
+    else:
+        paths, points = by_euler(), by_membership()
+    want = oracle_keyed_walk(load_instance(doc)).states
+    assert paths == [oracle_prefix(tree, w) for w in words]
+    assert points == [oracle_prefix(tree, w)[-1] for w in tree.nodes()]
+    assert tree._keys().states == want and want == tree._keys().states
+
+
+def test_levels_read_in_any_order_equal_the_oracles():
+    doc = generate_instance(seed=3, depth=5, branches=2, n_ineq=1)
+    want = oracle_keyed_walk(load_instance(doc)).states
+    states = load_instance(doc)._keys().states
+    assert [states[k] for k in (4, 1, -1, 0, 2, 3)] == [want[k] for k in (4, 1, 5, 0, 2, 3)]
+    assert states[1:4] == want[1:4] and states != want[:-1]
+    assert states == want
 
 
 # -- one backward induction per tree ----------------------------------------------

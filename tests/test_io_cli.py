@@ -602,6 +602,16 @@ NOT_INTEGERS = {
     "ineq-not-an-integer": ("\u53d8" * 99_000, ["gen", "--ineq", "@", "--out-file", "OUT"]),
     "eq-not-an-integer": ("", ["gen", "--eq", "@", "--out-file", "OUT"]),
 }
+# rates outside [0, 1], which gen once wrote into an instance with exit 0 (5
+# made every bound inf), and a long one, which argparse repeated whole
+NOT_RATES = {
+    "vacuous-rate-nan": ("nan", ["gen", "--vacuous-rate", "@", "--out-file", "OUT"]),
+    "vacuous-rate-above-one": ("5", ["gen", "--vacuous-rate", "@", "--out-file", "OUT"]),
+    "vacuous-rate-negative": ("-1", ["gen", "--vacuous-rate", "@", "--out-file", "OUT"]),
+    "vacuous-rate-long": ("x" * 99_000, ["gen", "--vacuous-rate", "@", "--out-file", "OUT"]),
+}
+# a 127-bit rational: t0, the state and the power each show whole
+RATIONAL_127 = f"{(1 << 126) + 1}/{(1 << 126) + 3}"
 
 
 def _bad_input(tmp_path, case):
@@ -679,8 +689,8 @@ def _bad_input(tmp_path, case):
                                      branching=[{"p": "1/2", "w": "1/3"},
                                                 {"p": "1/2", "w": "-1/3"}])))
 
-    if case in NOT_INTEGERS:
-        value, args = NOT_INTEGERS[case]
+    if case in NOT_INTEGERS or case in NOT_RATES:
+        value, args = NOT_INTEGERS.get(case) or NOT_RATES[case]
         instance = write(json.dumps(RW2_DOC))[-1]
         return [{"@": value, "INSTANCE": instance, "OUT": str(tmp_path / "gen.json")}.get(a, a)
                 for a in args]
@@ -729,6 +739,10 @@ def _bad_input(tmp_path, case):
     # 2**(x/2) is an integer at the root and at load, and 2**(1/2) at "+"
     if case == "exponent-fractional-at-a-node":
         return write(json.dumps(dict(RW2_DOC, pi="2**(x_current/2)")))
+    # a padded expression and three 127-bit rationals made a 377-byte line
+    if case == "exponent-fractional-long-rationals":
+        return write(json.dumps(dict(RW2_DOC, t0=RATIONAL_127, x0_history=[RATIONAL_127],
+                                     pi="2**x_current" + " " * 200 + "+ 0")))
     if case == "check-class-infeasible":  # no optimal law to test
         cons = {"ineq": [{"g": "1", "y": "-1"}], "eq": []}
         return ["check-class", *write(json.dumps(dict(RW2_DOC, constraints=cons)))[1:]]
@@ -834,6 +848,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "directory", "invalid-json", "not-an-object", "negative-grid",
               "huge-grid", "singular-solve", "singular-dp", "exponent-behind-division",
               "exponent-not-constant-behind-division", "exponent-fractional-at-a-node",
+              "exponent-fractional-long-rationals",
               "check-class-infeasible", "too-many-nodes", "gen-negative-count",
               "gen-count-above-the-cap",
               "zero-denominator-budget", "zero-denominator-dt", "zero-denominator-t0",
@@ -852,7 +867,7 @@ BAD_INPUTS = ("no-instance", "missing-dt", "missing-branch-p", "absent-file",
               "negative-tol", "depth-huge", "depth-ten-million", "expression-truncated",
               "expression-empty", "expression-unclosed", "expression-long-chain",
               "expression-deep-unary", "expression-long-literal", "expression-deep-parens",
-              *LONG_INPUTS, *GEN_LONG, *NOT_INTEGERS, "deep-json")
+              *LONG_INPUTS, *GEN_LONG, *NOT_INTEGERS, *NOT_RATES, "deep-json")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -901,6 +916,42 @@ def test_the_parser_refuses_a_bad_integer_argument_in_one_echoed_line(tmp_path, 
     assert capsys.readouterr().err == \
         f"error: {option} must be an integer, got {echo.repr(value)}\n"
     assert not (tmp_path / "gen.json").exists()
+
+
+@pytest.mark.parametrize("case", NOT_RATES)
+def test_the_parser_refuses_a_rate_outside_the_unit_interval_and_writes_no_file(
+        tmp_path, capsys, case):
+    value, _ = NOT_RATES[case]
+    assert main(_bad_input(tmp_path, case)) == 2
+    assert capsys.readouterr().err == \
+        f"error: --vacuous-rate must be a rational in [0, 1], got {echo.repr(value)}\n"
+    assert not (tmp_path / "gen.json").exists()
+
+
+@pytest.mark.parametrize("text, rate", [("0", 0.0), ("1", 1.0), ("0.1", 0.1), ("1/3", 1 / 3),
+                                        (" 2.5e-1 ", 0.25), ("1e-400", 0.0)])
+def test_a_rate_in_the_unit_interval_is_read_as_a_rational_and_passed_as_its_float(
+        tmp_path, monkeypatch, text, rate):
+    seen = []
+    monkeypatch.setattr(cli, "generate_instance", lambda **kw: seen.append(kw) or RW2_DOC)
+    out = tmp_path / "gen.json"
+    assert main(["gen", "--vacuous-rate", text, "--out-file", str(out)]) == 0
+    assert [kw["vacuous_rate"] for kw in seen] == [rate] and out.exists()
+
+
+@pytest.mark.parametrize("rate", [float("nan"), 5, -1, 1.0000001, float("inf")])
+def test_generate_instance_refuses_a_rate_outside_the_unit_interval(rate):
+    with pytest.raises(ValueError, match=r"^vacuous_rate must be in \[0, 1\], got "):
+        generate_instance(seed=1, vacuous_rate=rate)
+
+
+def test_a_non_integer_power_at_long_rationals_is_cut_to_one_short_line(tmp_path, capsys):
+    assert main(_bad_input(tmp_path, "exponent-fractional-long-rationals")) == 2
+    err = capsys.readouterr().err
+    spec = echo.repr("2**x_current" + " " * 200 + "+ 0")
+    assert err.startswith(f"error: {spec} takes the non-integer power 8507059173")
+    assert " at t = 8507059173" in err and err.endswith("51857942052867\n")
+    assert len(err.encode()) < 300
 
 
 def test_cli_bad_input_exits_2_without_traceback(tmp_path):
